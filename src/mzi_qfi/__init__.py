@@ -38,6 +38,7 @@ from .particle import (
     multiqubit_oracle,
     particle_moments,
     qfi_particle,
+    sector_moments,
 )
 from .qfi import (
     QfiReport,
@@ -110,6 +111,7 @@ __all__ = [
     "qfi_variance",
     "read_state_file",
     "schmidt",
+    "sector_moments",
     "solve_param_for_nbar",
     "state_distance",
     "write_state_file",

@@ -19,7 +19,7 @@ from .coherence import PATH_SYMMETRY_TOL, analyze
 from .entanglement import SEPARABILITY_TOL, schmidt
 from .errors import MziError
 from .fock import FockState
-from .particle import FIXED_N_WEIGHT, SectorDecomposition, decompose_sectors, particle_moments
+from .particle import FIXED_N_WEIGHT, SectorDecomposition, decompose_sectors, sector_moments
 from .qfi import DEFAULT_FIDELITY_STEP, build_report
 from .states import FAMILIES, ProbeSpec, build, solve_param_for_nbar
 
@@ -170,7 +170,7 @@ def _sector_documents(decomposition: SectorDecomposition) -> dict:
     sectors = []
     for sector in decomposition.sectors:
         doc = {"n": sector.n, "weight": sector.weight}
-        doc["particle"] = particle_moments(sector.state, sector.n).as_dict() if sector.n >= 1 else None
+        doc["particle"] = sector_moments(sector).as_dict() if sector.n >= 1 else None
         sectors.append(doc)
     return {"weights_sum": decomposition.weights_sum, "sectors": sectors}
 
@@ -328,7 +328,7 @@ def _sweep_row(family: str, target: float) -> tuple[dict, bool]:
     dominant = decomposition.dominant()
     cov = None
     if dominant.weight > FIXED_N_WEIGHT and dominant.n >= 1:
-        cov = particle_moments(dominant.state, dominant.n).cov_sigma_z
+        cov = sector_moments(dominant).cov_sigma_z
     row.update(
         status="ok",
         nbar=coherence.nbar,

@@ -29,7 +29,7 @@ from scipy.linalg import expm
 
 from .errors import ParameterError, SectorSupportError
 from .fock import FockState
-from .schwinger import DirectionLike, _direction, j_moment
+from .schwinger import DirectionLike, _direction
 
 #: Sector weights below this are dropped from decompositions.
 WEIGHT_FLOOR = 1e-14
@@ -51,11 +51,37 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
 @dataclass(frozen=True)
 class Sector:
-    """One total-photon-number component of a state."""
+    """One total-photon-number component of a state, held as a vector.
+
+    ``coeffs`` are the normalized amplitudes c_k on |k, n-k> for
+    k = ``k0``, ``k0`` + 1, ..., the kets of sector n that fit under the
+    source state's cutoff. ``cutoff`` is ``min(n, source cutoff)``, the
+    smallest per-mode cutoff that holds them. ``weight`` is the sector's
+    probability in the source state.
+    """
 
     n: int
     weight: float
-    state: FockState
+    coeffs: np.ndarray
+    cutoff: int
+
+    @property
+    def k0(self) -> int:
+        """Photon count in mode a of the first entry of ``coeffs``."""
+        return self.n - self.cutoff
+
+    @property
+    def ks(self) -> np.ndarray:
+        """Photon counts in mode a, one per entry of ``coeffs``."""
+        return np.arange(self.k0, self.k0 + len(self.coeffs))
+
+    @property
+    def state(self) -> FockState:
+        """The sector as a normalized state on a ``cutoff`` grid, built on each access."""
+        grid = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=np.complex128)
+        ks = self.ks
+        grid[ks, self.n - ks] = self.coeffs
+        return FockState(grid, self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -91,28 +117,43 @@ class ParticleReport:
         }
 
 
-def decompose_sectors(state: FockState) -> SectorDecomposition:
-    """Project onto each total-photon-number diagonal and renormalize.
+def _sector_ks(n: int, cutoff: int) -> np.ndarray:
+    """Mode-a photon counts k of the kets |k, n-k> that fit under ``cutoff``."""
+    return np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
 
-    Sector states are re-embedded on the smallest grid that holds them,
-    ``min(n, cutoff)``, which keeps decompositions of large-cutoff probes
-    cheap.
+
+def decompose_sectors(state: FockState) -> SectorDecomposition:
+    """Project onto each total-photon-number anti-diagonal and renormalize.
+
+    Each kept sector holds only its anti-diagonal, the vector of amplitudes
+    on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
+    all. ``Sector.state`` re-embeds a sector on its own grid on demand.
     """
     grid = state.amplitudes
     sectors = []
     weights_sum = 0.0
     for n in range(2 * state.cutoff + 1):
-        ks = np.arange(max(0, n - state.cutoff), min(n, state.cutoff) + 1)
+        ks = _sector_ks(n, state.cutoff)
         amps = grid[ks, n - ks]
         weight = float(np.sum(np.abs(amps) ** 2))
         weights_sum += weight
         if weight < WEIGHT_FLOOR:
             continue
-        small_cut = min(n, state.cutoff)
-        projected = np.zeros((small_cut + 1, small_cut + 1), dtype=np.complex128)
-        projected[ks, n - ks] = amps / math.sqrt(weight)
-        sectors.append(Sector(n=n, weight=weight, state=FockState(projected, small_cut)))
+        coeffs = amps / math.sqrt(weight)
+        coeffs.flags.writeable = False
+        sectors.append(Sector(n=n, weight=weight, coeffs=coeffs, cutoff=min(n, state.cutoff)))
     return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)
+
+
+#: Weight outside the requested sector above which a state is rejected.
+SECTOR_SUPPORT_TOL = 1e-12
+
+
+def _outside_sector_error(off: float, n: int) -> SectorSupportError:
+    return SectorSupportError(
+        f"state carries weight {off:.3e} outside photon-number sector {n}; "
+        "decompose into sectors first"
+    )
 
 
 def _single_sector_n(state: FockState) -> int:
@@ -123,11 +164,8 @@ def _single_sector_n(state: FockState) -> int:
     totals = j + k
     n = int(np.round(float(np.sum(weights * totals))))
     off = float(np.sum(weights[totals != n]))
-    if off > 1e-12:
-        raise SectorSupportError(
-            f"state carries weight {off:.3e} outside photon-number sector {n}; "
-            "decompose into sectors first"
-        )
+    if off > SECTOR_SUPPORT_TOL:
+        raise _outside_sector_error(off, n)
     return n
 
 
@@ -151,20 +189,49 @@ def _report_from_z_stats(
     )
 
 
+def _sector_report(
+    n: int, ks: np.ndarray, probs: np.ndarray, witness_tol: float
+) -> ParticleReport:
+    """Pauli statistics from the number distribution ``probs`` on |k, n-k>.
+
+    With dz = 2k - n = 2 Jz on each ket, the bridge gives
+    <sigma_z> = <dz>/n and <sigma_z sigma_z> = (<dz^2> - n)/(n(n-1)).
+    """
+    dz = 2 * ks - n
+    mean_z = float(probs @ dz) / n
+    mean_zz = None
+    if n >= 2:
+        mean_zz = (float(probs @ (dz * dz)) - n) / (n * (n - 1))
+    return _report_from_z_stats(n, mean_z, mean_zz, witness_tol)
+
+
+def sector_moments(sector: Sector, witness_tol: float = WITNESS_TOL) -> ParticleReport:
+    """Pauli statistics of one sector of a decomposition, in O(n)."""
+    if sector.n < 1:
+        raise ParameterError(f"particle statistics need n >= 1, got {sector.n}")
+    return _sector_report(sector.n, sector.ks, np.abs(sector.coeffs) ** 2, witness_tol)
+
+
 def particle_moments(
     sector_state: FockState, n: int, witness_tol: float = WITNESS_TOL
 ) -> ParticleReport:
-    """Pauli statistics of a fixed-n sector via the collective-spin bridge."""
+    """Pauli statistics of a state confined to photon-number sector ``n``.
+
+    Reads the sector's anti-diagonal of the grid; the state's total weight
+    must lie on it.
+    """
     if n < 1:
         raise ParameterError(f"particle statistics need n >= 1, got {n}")
-    actual = _single_sector_n(sector_state)
-    if actual != n:
+    grid = sector_state.amplitudes
+    ks = _sector_ks(n, sector_state.cutoff)
+    probs = np.abs(grid[ks, n - ks]) ** 2
+    off = float(np.vdot(grid, grid).real) - float(np.sum(probs))
+    if off > SECTOR_SUPPORT_TOL:
+        actual = _single_sector_n(sector_state)
+        if actual == n:
+            raise _outside_sector_error(off, n)
         raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
-    mean_z = 2.0 * j_moment(sector_state, "jz", 1) / n
-    mean_zz = None
-    if n >= 2:
-        mean_zz = (4.0 * j_moment(sector_state, "jz", 2) - n) / (n * (n - 1))
-    return _report_from_z_stats(n, mean_z, mean_zz, witness_tol)
+    return _sector_report(n, ks, probs, witness_tol)
 
 
 def qfi_particle(decomp: SectorDecomposition, witness_tol: float = WITNESS_TOL) -> Optional[float]:
@@ -172,7 +239,7 @@ def qfi_particle(decomp: SectorDecomposition, witness_tol: float = WITNESS_TOL) 
 
     Returns ``None`` when the state has particle-number fluctuations (no
     sector holds essentially all the weight); per-sector reports remain
-    available through :func:`particle_moments`.
+    available through :func:`sector_moments`.
     """
     if not decomp.sectors:
         return None
@@ -181,7 +248,7 @@ def qfi_particle(decomp: SectorDecomposition, witness_tol: float = WITNESS_TOL) 
         return None
     if top.n == 0:
         return 0.0  # vacuum: no particles, nothing to estimate with
-    return particle_moments(top.state, top.n, witness_tol).f_particle
+    return sector_moments(top, witness_tol).f_particle
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +272,7 @@ def symmetric_qubit_vector(sector_state: FockState, n: int) -> np.ndarray:
     actual = _single_sector_n(sector_state)
     if actual != n:
         raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
-    ks = np.arange(max(0, n - sector_state.cutoff), min(n, sector_state.cutoff) + 1)
+    ks = _sector_ks(n, sector_state.cutoff)
     coeff = np.zeros(n + 1, dtype=np.complex128)
     coeff[ks] = sector_state.amplitudes[ks, n - ks]
     counts = _bit_table(n).sum(axis=1)

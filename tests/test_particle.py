@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_direction
 from mzi_qfi.errors import ParameterError, SectorSupportError
@@ -16,11 +18,12 @@ from mzi_qfi.particle import (
     particle_moments,
     qfi_particle,
     reduced_single_particle,
+    sector_moments,
     symmetric_qubit_vector,
 )
 from mzi_qfi.qfi import qfi_variance
-from mzi_qfi.schwinger import beam_splitter, sector_generator_matrix
-from mzi_qfi.states import ProbeSpec, build
+from mzi_qfi.schwinger import beam_splitter, j_moment, sector_generator_matrix
+from mzi_qfi.states import ProbeSpec, build, solve_param_for_nbar
 
 from scipy.linalg import expm
 
@@ -35,6 +38,42 @@ def fixed_n_superposition(entries, cutoff):
 def random_sector_state(rng, n):
     entries = {(k, n - k): rng.normal() + 1j * rng.normal() for k in range(n + 1)}
     return fixed_n_superposition(entries, n)
+
+
+def reembedded_sector(state, n):
+    """Sector n on its own min(n, cutoff) grid, the way decompositions stored it as grids."""
+    ks = np.arange(max(0, n - state.cutoff), min(n, state.cutoff) + 1)
+    amps = state.amplitudes[ks, n - ks]
+    weight = float(np.sum(np.abs(amps) ** 2))
+    grid = np.zeros((min(n, state.cutoff) + 1,) * 2, dtype=np.complex128)
+    grid[ks, n - ks] = amps / math.sqrt(weight)
+    return grid, weight
+
+
+def ladder_z_stats(state, n):
+    """<sigma_z>, Var and Cov from Jz moments of the grid by ladder operators."""
+    mean_z = 2.0 * j_moment(state, "jz", 1) / n
+    mean_zz = (4.0 * j_moment(state, "jz", 2) - n) / (n * (n - 1)) if n >= 2 else mean_z**2
+    var_z = 1.0 - mean_z**2
+    cov_z = mean_zz - mean_z**2
+    return mean_z, var_z, cov_z, n * var_z + n * (n - 1) * cov_z
+
+
+@st.composite
+def truncated_sectors(draw):
+    """A random pure sector-n state on a grid with cutoff between n/2 and n."""
+    n = draw(st.integers(1, 40))
+    cutoff = draw(st.integers((n + 1) // 2, n))
+    ks = np.arange(n - cutoff, cutoff + 1)
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    coeffs = np.array(draw(st.lists(st.tuples(parts, parts), min_size=len(ks), max_size=len(ks))))
+    amps = coeffs[:, 0] + 1j * coeffs[:, 1]
+    norm = np.linalg.norm(amps)
+    if norm < 1e-3:
+        amps, norm = np.ones(len(ks), dtype=complex), math.sqrt(len(ks))
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    grid[ks, n - ks] = amps / norm
+    return FockState(grid, cutoff), n
 
 
 class TestDecomposition:
@@ -52,6 +91,40 @@ class TestDecomposition:
         ]:
             decomp = decompose_sectors(build(ProbeSpec(family, params)))
             assert abs(decomp.weights_sum - 1.0) < 1e-10
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("twin-squeezed-vacuum", {"xi": 0.6}),
+            ("two-mode-squeezed-vacuum", {"chi": 0.7}),
+            ("entangled-coherent", {"alpha": 1.5}),
+            ("coherent", {"alpha": 2.0 + 0.5j}),
+        ],
+    )
+    def test_sector_grid_view_is_bit_exact(self, family, params):
+        state = build(ProbeSpec(family, params))
+        decomp = decompose_sectors(state)
+        weights_sum = 0.0
+        for n in range(2 * state.cutoff + 1):
+            weights_sum += reembedded_sector(state, n)[1]
+        assert decomp.weights_sum == weights_sum
+        assert len(decomp.sectors) > 1
+        for sector in decomp.sectors:
+            grid, weight = reembedded_sector(state, sector.n)
+            assert sector.weight == weight
+            assert sector.state.cutoff == sector.cutoff == min(sector.n, state.cutoff)
+            assert np.array_equal(sector.state.amplitudes, grid)
+
+    def test_sectors_are_vectors_not_grids(self, monkeypatch):
+        monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "1024")
+        params, _ = solve_param_for_nbar("twin-squeezed-vacuum", 15.0)
+        state = build(ProbeSpec("twin-squeezed-vacuum", params))
+        assert state.cutoff >= 400
+        sectors = decompose_sectors(state).sectors
+        assert sum(s.coeffs.nbytes for s in sectors) <= state.amplitudes.nbytes
+        # one grid per sector would hold more than ten copies of the state
+        grid_bytes = sum(16 * (s.cutoff + 1) ** 2 for s in sectors)
+        assert grid_bytes > 10 * state.amplitudes.nbytes
 
     def test_tmsv_sectors(self):
         chi = 0.75
@@ -102,8 +175,48 @@ class TestParticleMoments:
 
     def test_multi_sector_rejected(self):
         mixed = fixed_n_superposition({(1, 0): 1.0, (2, 0): 1.0}, 3)
-        with pytest.raises(SectorSupportError):
-            particle_moments(mixed, 1)
+        for n in (1, 2, 3):
+            with pytest.raises(SectorSupportError, match="outside photon-number sector"):
+                particle_moments(mixed, n)
+
+    def test_weight_just_over_tolerance_is_rejected(self):
+        leak = math.sqrt(2e-12)
+        state = fixed_n_superposition({(2, 1): math.sqrt(1 - leak**2), (0, 0): leak}, 3)
+        with pytest.raises(SectorSupportError, match="outside photon-number sector 3"):
+            particle_moments(state, 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_other_sector_requested(self, n):
+        with pytest.raises(SectorSupportError, match="occupies sector 3, not the requested"):
+            particle_moments(make_fock(2, 1, 4), n)
+
+    def test_zero_photons_rejected(self):
+        with pytest.raises(ParameterError):
+            particle_moments(make_fock(0, 0, 2), 0)
+
+    def test_sector_beyond_grid_rejected(self):
+        with pytest.raises(SectorSupportError, match="occupies sector 2"):
+            particle_moments(make_fock(1, 1, 2), 5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(truncated_sectors())
+    def test_vector_grid_and_ladder_routes_agree(self, case):
+        state, n = case
+        tol = 1e-12 * (1 + n**2)
+        from_grid = particle_moments(state, n)
+        (sector,) = decompose_sectors(state).sectors
+        from_vector = sector_moments(sector)
+        expected = ladder_z_stats(state, n)
+        references = [expected]
+        if n <= 10:
+            oracle = multiqubit_oracle(state, n)
+            references.append(
+                (oracle.mean_sigma_z, oracle.var_sigma_z, oracle.cov_sigma_z, oracle.f_particle)
+            )
+        for report in (from_grid, from_vector):
+            got = (report.mean_sigma_z, report.var_sigma_z, report.cov_sigma_z, report.f_particle)
+            for reference in references:
+                assert np.allclose(got, reference, rtol=0.0, atol=tol)
 
 
 class TestQfiParticle:
