@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ParameterError
 from .fock import FockState
@@ -53,7 +52,8 @@ def schmidt(state: FockState, tol: float = SEPARABILITY_TOL) -> ModeEntanglement
         raise ParameterError("separability tolerance must be positive")
     values = np.linalg.svd(state.amplitudes, compute_uv=False)
     squared = values**2
-    entropy = max(0.0, float(-np.sum(xlogy(squared, squared))))  # clip round-off
+    logs = np.log(squared, out=np.zeros_like(squared), where=squared > 0)  # 0 log 0 = 0
+    entropy = max(0.0, float(-np.sum(squared * logs)))  # clip round-off
     kept = tuple(float(v) for v in values if v > 1e-12)
     return ModeEntanglementReport(
         schmidt_values=kept,

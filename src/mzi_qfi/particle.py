@@ -25,7 +25,6 @@ from functools import reduce
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ParameterError, SectorSupportError
 from .fock import FockState
@@ -318,6 +317,12 @@ def collective_spin_matrix(n: int, v: DirectionLike) -> np.ndarray:
     return total
 
 
+def hermitian_exponential(h: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-i gamma h) for a Hermitian matrix h, from its eigendecomposition."""
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * gamma * evals)) @ evecs.conj().T
+
+
 def locality_defect(n: int, v: DirectionLike, gamma: float) -> float:
     """Operator distance, on the symmetric subspace, between the collective
     rotation exp(-i gamma v.J) and the n-fold tensor power of the matching
@@ -325,8 +330,8 @@ def locality_defect(n: int, v: DirectionLike, gamma: float) -> float:
     if n < 1:
         raise ParameterError(f"locality check needs n >= 1, got {n}")
     d = _direction(v)
-    u_full = expm(-1j * gamma * collective_spin_matrix(n, d))
-    single = expm(-1j * gamma * (d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z) / 2)
+    u_full = hermitian_exponential(collective_spin_matrix(n, d), gamma)
+    single = hermitian_exponential((d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z) / 2, gamma)
     u_tensor = reduce(np.kron, [single] * n)
     s = dicke_isometry(n)
     diff = s.conj().T @ (u_full - u_tensor) @ s

@@ -2,10 +2,12 @@
 
 Families are parameterized by their native parameter (squeezing xi or chi,
 displacement alpha, photon count n) or solved from a target mean photon
-number. Squeezed families use closed-form single-mode amplitudes; the
-two-mode squeezed vacuum uses its geometric number-correlated form; coherent
-probes use Poisson amplitudes; fixed-photon-number families are assembled
-from basis kets and the beam splitter.
+number: continuous families invert their exact untruncated mean in closed
+form, integer families round to the nearest attainable value. Squeezed
+families use closed-form single-mode amplitudes; the two-mode squeezed vacuum
+uses its geometric number-correlated form; coherent probes use Poisson
+amplitudes; fixed-photon-number families are assembled from basis kets and
+the beam splitter.
 
 Automatic cutoff selection picks the smallest per-mode cutoff whose discarded
 probability is below the loss target, subject to the configurable ceiling.
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ParameterError, TruncationLossError, UnattainableTargetError
 from .fock import (
@@ -41,14 +42,6 @@ FAMILIES = (
     "coherent",
     "separable-coherent-probe",
     "two-mode-squeezed-vacuum",
-    "fock-pair",
-)
-
-INTEGER_FAMILIES = (
-    "twin-fock",
-    "noon",
-    "fraternal-twin-fock",
-    "separable-coherent-probe",
     "fock-pair",
 )
 
@@ -348,16 +341,38 @@ def mean_photon_number(state: FockState) -> float:
     return na + nb
 
 
-def is_integer_family(family: str) -> bool:
-    return family in INTEGER_FAMILIES
+def _squeezing_for_nbar(pairs: float) -> float:
+    """xi with sinh^2 xi = pairs."""
+    return math.asinh(math.sqrt(pairs))
+
+
+def _entangled_coherent_alpha(nbar: float) -> float:
+    """|alpha| with x / (1 + e^{-x}) = nbar for x = |alpha|^2, by bisection.
+
+    The mean is increasing in x and lies in [x/2, x), so x is bracketed by
+    [nbar, 2 nbar]; halving runs until the bracket holds no float between
+    its ends.
+    """
+    lo, hi = nbar, 2.0 * nbar
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return math.sqrt(hi)
+        if mid / (1.0 + math.exp(-mid)) < nbar:
+            lo = mid
+        else:
+            hi = mid
 
 
 def solve_param_for_nbar(family: str, nbar: float) -> Tuple[Dict[str, ParamValue], float]:
     """Parameters hitting the target mean photon number, plus the realized value.
 
-    Continuous families are solved by monotone root finding on the numerically
-    evaluated mean photon number; integer families round to the nearest
-    attainable value and report it.
+    Continuous families invert their exact untruncated mean (2 sinh^2 xi,
+    2 sinh^2 chi, 1 + 4 sinh^2 xi, |alpha|^2, |alpha|^2 / (1 + e^{-|alpha|^2}))
+    and report the mean of the state built from the result, which raises
+    ``TruncationLossError`` when that state does not fit under the cutoff
+    ceiling. Integer families round to the nearest attainable value and report
+    it.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
@@ -384,30 +399,16 @@ def solve_param_for_nbar(family: str, nbar: float) -> Tuple[Dict[str, ParamValue
         )
 
     if family == "twin-squeezed-vacuum":
-        key, estimate = "xi", math.asinh(math.sqrt(nbar / 2))
+        params: Dict[str, ParamValue] = {"xi": _squeezing_for_nbar(nbar / 2)}
     elif family == "two-mode-squeezed-vacuum":
-        key, estimate = "chi", math.asinh(math.sqrt(nbar / 2))
+        params = {"chi": _squeezing_for_nbar(nbar / 2)}
     elif family == "amplified-bell":
-        key, estimate = "xi", math.asinh(math.sqrt((nbar - 1) / 4)) if nbar > 1 else 0.0
+        params = {"xi": _squeezing_for_nbar((nbar - 1) / 4)}
     elif family == "coherent":
-        key, estimate = "alpha", math.sqrt(nbar)
+        params = {"alpha": math.sqrt(nbar)}
     else:  # entangled-coherent
-        key, estimate = "alpha", math.sqrt(nbar)
-
-    def realized(value: float) -> float:
-        return mean_photon_number(build(ProbeSpec(family, {key: value})))
-
-    if realized(0.0) >= nbar:
-        root = 0.0
-    else:
-        # the analytic estimate is exact or an underestimate; widen until bracketed
-        hi = estimate + 1e-3
-        for _ in range(60):
-            if realized(hi) >= nbar:
-                break
-            hi = hi * 1.3 + 0.1
-        root = float(brentq(lambda p: realized(p) - nbar, 0.0, hi, xtol=1e-13, rtol=8.9e-16))
-    return {key: root}, realized(root)
+        params = {"alpha": _entangled_coherent_alpha(nbar)}
+    return params, mean_photon_number(build(ProbeSpec(family, params)))
 
 
 def build_for_nbar(

@@ -12,6 +12,7 @@ from mzi_qfi.particle import (
     collective_spin_matrix,
     decompose_sectors,
     dicke_isometry,
+    hermitian_exponential,
     locality_check,
     locality_defect,
     multiqubit_oracle,
@@ -46,7 +47,8 @@ def reembedded_sector(state, n):
     amps = state.amplitudes[ks, n - ks]
     weight = float(np.sum(np.abs(amps) ** 2))
     grid = np.zeros((min(n, state.cutoff) + 1,) * 2, dtype=np.complex128)
-    grid[ks, n - ks] = amps / math.sqrt(weight)
+    if weight > 0:
+        grid[ks, n - ks] = amps / math.sqrt(weight)
     return grid, weight
 
 
@@ -296,6 +298,15 @@ class TestLocality:
             gamma = rng.uniform(-math.pi, math.pi)
             assert locality_check(n, v, gamma)
             assert locality_defect(n, v, gamma) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_eigh_exponential_matches_expm(self, n, rng):
+        # locality_defect builds both sides of its comparison by the eigh route
+        for _ in range(5):
+            v = random_direction(rng)
+            gamma = rng.uniform(-math.pi, math.pi)
+            h = collective_spin_matrix(n, v)
+            assert np.abs(hermitian_exponential(h, gamma) - expm(-1j * gamma * h)).max() < 1e-12
 
     def test_collective_generator_matches_sector_blocks(self, rng):
         # the symmetric restriction of the qubit-space generator reproduces

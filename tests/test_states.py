@@ -1,7 +1,11 @@
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mzi_qfi.coherence import analyze
 from mzi_qfi.errors import (
@@ -9,7 +13,7 @@ from mzi_qfi.errors import (
     TruncationLossError,
     UnattainableTargetError,
 )
-from mzi_qfi.fock import inner, make_fock
+from mzi_qfi.fock import cutoff_ceiling, inner, make_fock
 from mzi_qfi.particle import decompose_sectors
 from mzi_qfi.schwinger import beam_splitter
 from mzi_qfi.states import (
@@ -155,7 +159,52 @@ class TestDecompositionConsistency:
                 assert abs(abs(inner(sector.state, noon)) - 1.0) < 1e-10
 
 
+#: Exact untruncated mean photon number of each continuous family, by its native parameter.
+FORWARD_NBAR = {
+    "twin-squeezed-vacuum": ("xi", lambda xi: 2 * math.sinh(xi) ** 2),
+    "two-mode-squeezed-vacuum": ("chi", lambda chi: 2 * math.sinh(chi) ** 2),
+    "amplified-bell": ("xi", lambda xi: 1 + 4 * math.sinh(xi) ** 2),
+    "coherent": ("alpha", lambda alpha: abs(alpha) ** 2),
+    "entangled-coherent": ("alpha", lambda a: abs(a) ** 2 / (1 + math.exp(-abs(a) ** 2))),
+}
+
+
+def solve_and_build(family, target):
+    params, realized = solve_param_for_nbar(family, target)
+    return params, realized, build(ProbeSpec(family, params))
+
+
 class TestSolveForNbar:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(FORWARD_NBAR)), st.floats(0.05, 12.0))
+    def test_closed_form_inversion(self, family, target):
+        assume(family != "amplified-bell" or target >= 1.0)
+        try:
+            params, realized, state = solve_and_build(family, target)
+        except TruncationLossError:
+            # only a state that needs more than the default ceiling may fail
+            with mock.patch.dict(os.environ, {"MZI_QFI_CUTOFF_CEILING": "1024"}):
+                params, realized, state = solve_and_build(family, target)
+            assert state.cutoff > cutoff_ceiling()
+        key, forward = FORWARD_NBAR[family]
+        assert abs(forward(params[key]) - target) <= 1e-12 * target
+        assert abs(realized - target) < 1e-8
+        assert abs(mean_photon_number(state) - target) < 1e-8
+
+    @pytest.mark.parametrize("target", [1e-12, 1e-9, 1e-6, 1e-3, 0.05])
+    def test_entangled_coherent_near_vacuum(self, target):
+        # the branches' vacuum overlap halves the mean: |alpha|^2 = 2 nbar (1 - nbar + ...)
+        params, realized, state = solve_and_build("entangled-coherent", target)
+        _, forward = FORWARD_NBAR["entangled-coherent"]
+        assert abs(forward(params["alpha"]) - target) <= 1e-12 * target
+        assert abs(params["alpha"] ** 2 / (2 * target) - 1) <= 2 * target
+        assert abs(realized - target) < 1e-8
+        assert abs(mean_photon_number(state) - target) < 1e-8
+
+    def test_ceiling_raises_truncation_loss(self):
+        with pytest.raises(TruncationLossError, match="ceiling 256"):
+            solve_param_for_nbar("twin-squeezed-vacuum", 8.0)
+
     def test_tmsv_matches_arcsinh(self):
         params, realized = solve_param_for_nbar("two-mode-squeezed-vacuum", 2.0)
         assert abs(params["chi"] - math.asinh(1.0)) < 1e-8
