@@ -21,7 +21,7 @@ from .errors import MziError
 from .fock import FockState
 from .particle import FIXED_N_WEIGHT, SectorDecomposition, decompose_sectors, sector_moments
 from .qfi import DEFAULT_FIDELITY_STEP, build_report
-from .states import FAMILIES, ProbeSpec, build, solve_param_for_nbar
+from .states import FAMILIES, ProbeSpec, build, build_for_nbar
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -151,10 +151,10 @@ def _probe_state(args) -> tuple[FockState, dict]:
     nbar_target = None
     if native is not None:
         params = {key: native}
+        state = build(ProbeSpec(family, params, args.cutoff))
     else:
         nbar_target = args.nbar
-        params, _ = solve_param_for_nbar(family, args.nbar)
-    state = build(ProbeSpec(family, params, args.cutoff))
+        state, params, _ = build_for_nbar(family, args.nbar, args.cutoff)
     info = {
         "family": family,
         "state_file": None,
@@ -239,8 +239,7 @@ def _cell(value: Optional[float], row: catalog.RowForms, which: str, nbar: float
 
 
 def _table1_row(row: catalog.RowForms, nbar_target: float, atol: float, rtol: float) -> dict:
-    params, _ = solve_param_for_nbar(row.family, nbar_target)
-    state = build(ProbeSpec(row.family, params))
+    state, params, _ = build_for_nbar(row.family, nbar_target)
     coherence = analyze(state)
     qfi_report = build_report(state, coherence)
     nbar = coherence.nbar
@@ -315,8 +314,7 @@ SWEEP_COLUMNS = (
 def _sweep_row(family: str, target: float) -> tuple[dict, bool]:
     row: Dict[str, object] = {"family": family, "nbar_target": target}
     try:
-        params, _ = solve_param_for_nbar(family, target)
-        state = build(ProbeSpec(family, params))
+        state, _, _ = build_for_nbar(family, target)
     except MziError as exc:
         row["status"] = f"unattainable: {exc}"
         for column in SWEEP_COLUMNS[3:]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParameterError
-from .fock import FockState, MomentSpec, moment
+from .fock import FockState, number_moments
 
 #: Mode intensities below this leave g2 denominators undefined.
 INTENSITY_FLOOR = 1e-9
@@ -56,11 +56,10 @@ class CoherenceReport:
         }
 
 
-def _real_moment(state: FockState, p: int, q: int, r: int, s: int) -> float:
-    value = moment(state, MomentSpec(p, q, r, s))
+def _real_moment(value: complex, p: int, r: int) -> float:
     if abs(value.imag) > _HERMITICITY_TOL:
         raise ParameterError(
-            f"moment ({p},{q},{r},{s}) should be real, got imaginary part {value.imag!r}"
+            f"moment ({p},{p},{r},{r}) should be real, got imaginary part {value.imag!r}"
         )
     return value.real
 
@@ -73,11 +72,12 @@ def analyze(state: FockState, tol: float = PATH_SYMMETRY_TOL) -> CoherenceReport
     """
     if tol <= 0:
         raise ParameterError("path-symmetry tolerance must be positive")
-    nbar_a = _real_moment(state, 1, 1, 0, 0)
-    nbar_b = _real_moment(state, 0, 0, 1, 1)
-    pairs_a = _real_moment(state, 2, 2, 0, 0)  # <adag^2 a^2> = <n_a (n_a - 1)>
-    pairs_b = _real_moment(state, 0, 0, 2, 2)
-    cross = _real_moment(state, 1, 1, 1, 1)  # <n_a n_b>
+    moments = number_moments(state)
+    nbar_a = _real_moment(moments.a, 1, 0)
+    nbar_b = _real_moment(moments.b, 0, 1)
+    pairs_a = _real_moment(moments.aa, 2, 0)  # <adag^2 a^2> = <n_a (n_a - 1)>
+    pairs_b = _real_moment(moments.bb, 0, 2)
+    cross = _real_moment(moments.ab, 1, 1)  # <n_a n_b>
 
     var_na = pairs_a + nbar_a - nbar_a**2
     var_nb = pairs_b + nbar_b - nbar_b**2

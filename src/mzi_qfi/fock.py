@@ -9,14 +9,15 @@ silently.
 
 Normal-ordered moments ``<adag^p a^q bdag^r b^s>`` are evaluated by lowering
 on both sides of the inner product, ``<a^p b^r psi | a^q b^s psi>``, so they
-never raise past the cutoff.
+never raise past the cutoff. The diagonal number moments (p = q, r = s) have
+one core, :func:`number_moments`, which lowers each grid once and reuses it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Literal, Optional, Union
 
 import numpy as np
 
@@ -91,7 +92,7 @@ class FockState:
         loss_ceiling: float = DEFAULT_LOSS_CEILING,
     ) -> "FockState":
         """Renormalize ``grid`` and wrap it, enforcing the loss ceiling."""
-        grid = np.array(grid, dtype=np.complex128)
+        grid = np.asarray(grid, dtype=np.complex128)  # the division below copies
         if truncation_loss > loss_ceiling:
             raise TruncationLossError(
                 f"truncation loss {truncation_loss:.3e} exceeds ceiling {loss_ceiling:.3e}"
@@ -178,9 +179,9 @@ def _lower(grid: np.ndarray, axis: int) -> np.ndarray:
     out = np.zeros_like(grid)
     factors = np.sqrt(np.arange(1, dim))
     if axis == 0:
-        out[:-1, :] = factors[:, None] * grid[1:, :]
+        np.multiply(factors[:, None], grid[1:, :], out=out[:-1, :])
     else:
-        out[:, :-1] = factors[None, :] * grid[:, 1:]
+        np.multiply(factors[None, :], grid[:, 1:], out=out[:, :-1])
     return out
 
 
@@ -278,3 +279,47 @@ def moment(state: FockState, spec: MomentSpec) -> complex:
     for _ in range(spec.s):
         right = _lower(right, 1)
     return complex(np.vdot(left, right))
+
+
+@dataclass(frozen=True)
+class NumberMoments:
+    """Diagonal normal-ordered moments of one state, as :func:`moment` returns them.
+
+    ``a`` is ``<adag a>``, ``aa`` is ``<adag^2 a^2>``, ``ab`` is
+    ``<adag bdag a b>``, and so on; the second-order fields are ``None`` when
+    only first order was asked for.
+    """
+
+    a: complex
+    b: complex
+    aa: Optional[complex] = None
+    bb: Optional[complex] = None
+    ab: Optional[complex] = None
+
+
+def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
+    """``<adag^p a^p bdag^r b^r>`` for p + r <= ``order``, sharing the lowerings.
+
+    A diagonal moment is ``vdot(L, L)`` with ``L = a^p b^r psi``, the value
+    :func:`moment` computes from two equal copies of ``L``. Each lowered grid is
+    made once, so the five second-order moments take five lowerings, the two
+    first-order ones two.
+    """
+    if not isinstance(state, FockState):
+        raise ParameterError("number_moments requires a normalized FockState")
+    if order not in (1, 2):
+        raise ParameterError(f"order must be 1 or 2, got {order!r}")
+
+    def norm2(lowered: np.ndarray) -> complex:
+        return complex(np.vdot(lowered, lowered))
+
+    # each lowered grid is dropped once its moments are taken, which keeps peak
+    # memory below that of moment()
+    low = _lower(state.amplitudes, 0)
+    a = norm2(low)
+    if order == 1:
+        return NumberMoments(a, norm2(_lower(state.amplitudes, 1)))
+    aa = norm2(_lower(low, 0))
+    ab = norm2(_lower(low, 1))
+    low = _lower(state.amplitudes, 1)
+    return NumberMoments(a, norm2(low), aa=aa, bb=norm2(_lower(low, 1)), ab=ab)

@@ -25,10 +25,9 @@ from .errors import ParameterError, TruncationLossError, UnattainableTargetError
 from .fock import (
     DEFAULT_LOSS_CEILING,
     FockState,
-    MomentSpec,
     cutoff_ceiling,
     make_fock,
-    moment,
+    number_moments,
 )
 from .schwinger import beam_splitter
 
@@ -336,9 +335,8 @@ _INTEGER_NBAR = {
 
 
 def mean_photon_number(state: FockState) -> float:
-    na = moment(state, MomentSpec(1, 1, 0, 0)).real
-    nb = moment(state, MomentSpec(0, 0, 1, 1)).real
-    return na + nb
+    moments = number_moments(state, order=1)
+    return moments.a.real + moments.b.real
 
 
 def _squeezing_for_nbar(pairs: float) -> float:
@@ -364,15 +362,13 @@ def _entangled_coherent_alpha(nbar: float) -> float:
             hi = mid
 
 
-def solve_param_for_nbar(family: str, nbar: float) -> Tuple[Dict[str, ParamValue], float]:
-    """Parameters hitting the target mean photon number, plus the realized value.
+def _solve_for_nbar(
+    family: str, nbar: float
+) -> Tuple[Dict[str, ParamValue], float, Optional[FockState]]:
+    """Parameters, realized nbar, and the auto-cutoff state built to measure it.
 
-    Continuous families invert their exact untruncated mean (2 sinh^2 xi,
-    2 sinh^2 chi, 1 + 4 sinh^2 xi, |alpha|^2, |alpha|^2 / (1 + e^{-|alpha|^2}))
-    and report the mean of the state built from the result, which raises
-    ``TruncationLossError`` when that state does not fit under the cutoff
-    ceiling. Integer families round to the nearest attainable value and report
-    it.
+    The state is ``None`` for integer families, whose realized value needs no
+    build.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
@@ -391,7 +387,7 @@ def solve_param_for_nbar(family: str, nbar: float) -> Tuple[Dict[str, ParamValue
                     f"family {family!r} cannot reach mean photon number {nbar!r} "
                     f"(minimum is {slope * n_min + offset:g})"
                 )
-        return {"n": n}, slope * n + offset
+        return {"n": n}, slope * n + offset, None
 
     if family == "amplified-bell" and nbar < 1:
         raise UnattainableTargetError(
@@ -408,13 +404,33 @@ def solve_param_for_nbar(family: str, nbar: float) -> Tuple[Dict[str, ParamValue
         params = {"alpha": math.sqrt(nbar)}
     else:  # entangled-coherent
         params = {"alpha": _entangled_coherent_alpha(nbar)}
-    return params, mean_photon_number(build(ProbeSpec(family, params)))
+    state = build(ProbeSpec(family, params))
+    return params, mean_photon_number(state), state
+
+
+def solve_param_for_nbar(family: str, nbar: float) -> Tuple[Dict[str, ParamValue], float]:
+    """Parameters hitting the target mean photon number, plus the realized value.
+
+    Continuous families invert their exact untruncated mean (2 sinh^2 xi,
+    2 sinh^2 chi, 1 + 4 sinh^2 xi, |alpha|^2, |alpha|^2 / (1 + e^{-|alpha|^2}))
+    and report the mean of the state built from the result, which raises
+    ``TruncationLossError`` when that state does not fit under the cutoff
+    ceiling. Integer families round to the nearest attainable value and report
+    it.
+    """
+    params, realized, _ = _solve_for_nbar(family, nbar)
+    return params, realized
 
 
 def build_for_nbar(
     family: str, nbar: float, cutoff: Optional[int] = None
 ) -> Tuple[FockState, Dict[str, ParamValue], float]:
-    """Convenience wrapper: solve for the target and build, returning all three."""
-    params, realized = solve_param_for_nbar(family, nbar)
-    state = build(ProbeSpec(family, params, cutoff))
+    """Solve for the target and build, returning the state, parameters and realized nbar.
+
+    Without an explicit cutoff the state built during the solve is returned
+    as it is; with one, the solve still runs (and can still fail) first.
+    """
+    params, realized, state = _solve_for_nbar(family, nbar)
+    if state is None or cutoff is not None:
+        state = build(ProbeSpec(family, params, cutoff))
     return state, params, realized

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzi_qfi import cli, serialize
+from mzi_qfi import cli, schwinger, serialize, states
 from mzi_qfi.errors import CutoffExceededError, NormalizationError, StateFileError
 from mzi_qfi.fock import make_fock
 from mzi_qfi.serialize import (
@@ -19,6 +19,7 @@ from mzi_qfi.serialize import (
     write_state_file,
 )
 from mzi_qfi.states import ProbeSpec, build
+from oracles import dense_rotation, ladder_analyze, ladder_number_moments
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +117,25 @@ class TestStateFiles:
             serialize.write_text_atomic(str(target), "partial content")
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []  # temp sibling cleaned up too
+
+
+REFERENCE_CASES = [
+    ["analyze", "--family", family, "--n", str(n)]
+    for family in ("twin-fock", "fraternal-twin-fock", "noon", "separable-coherent-probe",
+                   "fock-pair")
+    for n in (1, 8, 64)
+] + [["analyze", "--family", "coherent", "--nbar", "4"]]
+
+
+@pytest.mark.parametrize("argv", REFERENCE_CASES, ids=" ".join)
+def test_analyze_document_matches_reference_paths(capsys, monkeypatch, argv):
+    # the dense sector loop and one ladder moment per field, in place of the fast paths
+    fast = run_cli(capsys, *argv)
+    monkeypatch.setattr(schwinger, "apply_rotation", dense_rotation)
+    monkeypatch.setattr(cli, "analyze", ladder_analyze)
+    for module in (schwinger, states):
+        monkeypatch.setattr(module, "number_moments", ladder_number_moments)
+    assert run_cli(capsys, *argv) == fast
 
 
 class TestAnalyzeCommand:

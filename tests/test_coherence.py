@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_two_mode_state
+from conftest import random_two_mode_state, sparse_states
+from mzi_qfi import fock
 from mzi_qfi.coherence import INTENSITY_FLOOR, analyze
 from mzi_qfi.fock import FockState, make_fock
+from mzi_qfi.qfi import qfi_variance
 from mzi_qfi.schwinger import phase_shift
-from mzi_qfi.states import ProbeSpec, build
+from mzi_qfi.states import ProbeSpec, build, mean_photon_number
+from oracles import ladder_analyze, ladder_jz_moment, ladder_moment
 
 
 def two_mode_superposition(entries, cutoff):
@@ -107,3 +111,31 @@ def test_variances_are_nonnegative(rng):
         report = analyze(random_two_mode_state(rng, 8, 6))
         assert report.var_na >= -1e-10
         assert report.var_nb >= -1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_states())
+def test_shared_lowerings_match_ladder_moments_bit_for_bit(state):
+    report, expected = analyze(state), ladder_analyze(state)
+    assert report == expected
+    assert repr(report) == repr(expected)  # also tells -0.0 from 0.0
+    variance = 4.0 * (ladder_jz_moment(state, 2) - ladder_jz_moment(state, 1) ** 2)
+    assert repr(qfi_variance(state)) == repr(variance)
+    nbar = ladder_moment(state, 1, 1, 0, 0).real + ladder_moment(state, 0, 0, 1, 1).real
+    assert repr(mean_photon_number(state)) == repr(nbar)
+
+
+def test_number_moments_lower_each_grid_once(monkeypatch):
+    calls = []
+    lower = fock._lower
+
+    def counted(grid, axis):
+        calls.append(axis)
+        return lower(grid, axis)
+
+    monkeypatch.setattr(fock, "_lower", counted)
+    state = make_fock(2, 3, 6)
+    for run, expected in ((analyze, 5), (qfi_variance, 5 + 2), (mean_photon_number, 2)):
+        calls.clear()
+        run(state)
+        assert len(calls) == expected, run.__name__

@@ -152,6 +152,16 @@ class TestFockStateInvariants:
         with pytest.raises(TruncationLossError):
             FockState.from_grid(grid, truncation_loss=1e-6, loss_ceiling=1e-10)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_from_grid_never_aliases_the_callers_grid(self, scale):
+        grid = np.zeros((3, 3), dtype=np.complex128)
+        grid[1, 0] = scale  # at scale 1 the renormalization divides by exactly 1
+        state = FockState.from_grid(grid)
+        assert not np.shares_memory(state.amplitudes, grid)
+        assert grid.flags.writeable
+        grid[1, 0] = 5.0
+        assert state.amplitudes[1, 0] == 1.0
+
     def test_amplitudes_immutable(self):
         state = make_fock(0, 0, 2)
         with pytest.raises(ValueError):

@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import random_direction, random_two_mode_state
+from conftest import random_direction, random_two_mode_state, sparse_states
 from mzi_qfi.errors import TruncationOverflowError
 from mzi_qfi.fock import FockState, inner, make_fock, state_distance
 from mzi_qfi.schwinger import (
     SpinDirection,
     X_AXIS,
+    Y_AXIS,
+    _nonzero_cells,
+    _sector_eig,
+    _sector_kvals,
     apply_generator,
     apply_rotation,
     beam_splitter,
@@ -19,6 +25,7 @@ from mzi_qfi.schwinger import (
     sector_generator_matrix,
 )
 from mzi_qfi.states import ProbeSpec, build
+from oracles import dense_rotation
 
 EPSILON = {("jx", "jy"): "jz", ("jy", "jz"): "jx", ("jz", "jx"): "jy"}
 
@@ -123,6 +130,51 @@ class TestRotations:
         before = np.bincount((j + k).ravel(), weights=psi.probabilities().ravel())
         after = np.bincount((j + k).ravel(), weights=out.probabilities().ravel())
         assert np.abs(before - after).max() < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sparse_states(),
+        st.one_of(
+            st.just(Y_AXIS),
+            st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+        ),
+        st.floats(-2 * math.pi, 2 * math.pi),
+    )
+    def test_matches_dense_sector_loop_bit_for_bit(self, state, v, angle):
+        if not isinstance(v, SpinDirection):
+            v = tuple(np.asarray(v) / np.linalg.norm(v))
+        try:
+            expected = dense_rotation(state, v, angle)
+        except TruncationOverflowError as exc:
+            with pytest.raises(TruncationOverflowError) as raised:
+                apply_rotation(state, v, angle)
+            assert str(raised.value) == str(exc)
+            return
+        got = apply_rotation(state, v, angle)
+        # bit patterns, so that -0.0 and 0.0 count as different
+        assert np.array_equal(got.amplitudes.view(np.uint64), expected.amplitudes.view(np.uint64))
+
+    def test_nonzero_cells_is_complex_inequality(self, rng):
+        values = np.array([0.0, -0.0, 5e-324, 1e-170, -2.5, np.inf, np.nan])
+        grid = np.empty((7, 7), dtype=np.complex128)
+        grid.real, grid.imag = rng.choice(values, (7, 7)), rng.choice(values, (7, 7))
+        for view in (grid, grid.T, grid[::2, 1:], grid[:1, :1]):
+            assert np.array_equal(_nonzero_cells(view), view != 0)
+
+    def test_single_sector_probe_rotates_one_block(self):
+        state = build(ProbeSpec("fock-pair", {"n": 200}))
+        assert state.cutoff == 400
+        v = np.array([0.2718, -0.3141, 0.5772])  # an axis no other test rotates about
+        v = tuple(v / np.linalg.norm(v))
+        eig = _sector_eig.cache_info()
+        apply_rotation(state, v, 0.7)
+        assert _sector_eig.cache_info().misses == eig.misses + 1
+        assert _sector_eig.cache_info().hits == eig.hits
+        # warm: one index lookup for the one occupied sector, none for the 800 empty ones
+        kvals = _sector_kvals.cache_info()
+        apply_rotation(state, v, 1.1)
+        after = _sector_kvals.cache_info()
+        assert after.hits + after.misses == kvals.hits + kvals.misses + 1
 
     def test_rotation_requires_headroom(self):
         # all support on the truncated corner sector

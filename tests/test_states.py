@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mzi_qfi import states
 from mzi_qfi.coherence import analyze
 from mzi_qfi.errors import (
     ParameterError,
@@ -200,6 +201,30 @@ class TestSolveForNbar:
         assert abs(params["alpha"] ** 2 / (2 * target) - 1) <= 2 * target
         assert abs(realized - target) < 1e-8
         assert abs(mean_photon_number(state) - target) < 1e-8
+
+    # continuous families return the solve's own build; an integer family's solve builds nothing
+    @pytest.mark.parametrize("family,target", [
+        ("coherent", 4.0), ("twin-squeezed-vacuum", 3.0), ("noon", 3.0),
+    ])
+    def test_build_for_nbar_builds_once(self, monkeypatch, family, target):
+        calls = []
+        original = states.build
+        monkeypatch.setattr(states, "build", lambda spec: calls.append(spec) or original(spec))
+        state, params, realized = build_for_nbar(family, target)
+        assert len(calls) == 1
+        expected = build(ProbeSpec(family, params))
+        assert np.array_equal(state.amplitudes, expected.amplitudes)
+        assert solve_param_for_nbar(family, target) == (params, realized)
+
+    def test_build_for_nbar_with_explicit_cutoff_still_solves_first(self, monkeypatch):
+        cutoffs = []
+        original = states.build
+        monkeypatch.setattr(states, "build",
+                            lambda spec: cutoffs.append(spec.cutoff) or original(spec))
+        state, _, _ = build_for_nbar("coherent", 4.0, cutoff=40)
+        assert cutoffs == [None, 40] and state.cutoff == 40
+        with pytest.raises(TruncationLossError, match="ceiling 256"):
+            build_for_nbar("twin-squeezed-vacuum", 8.0, cutoff=20)
 
     def test_ceiling_raises_truncation_loss(self):
         with pytest.raises(TruncationLossError, match="ceiling 256"):
