@@ -20,9 +20,7 @@ from .errors import (
 )
 from .fock import (
     FockState,
-    LadderState,
     MomentSpec,
-    apply_ladder,
     inner,
     make_fock,
     moment,
@@ -67,7 +65,6 @@ __all__ = [
     "CoherenceReport",
     "CutoffExceededError",
     "FockState",
-    "LadderState",
     "ModeEntanglementReport",
     "MomentSpec",
     "MziError",
@@ -86,7 +83,6 @@ __all__ = [
     "TruncationOverflowError",
     "UnattainableTargetError",
     "analyze",
-    "apply_ladder",
     "apply_rotation",
     "beam_splitter",
     "build",

@@ -12,7 +12,7 @@ as published.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,3 @@ TABLE1: Tuple[RowForms, ...] = (
         qfi_text="0",
     ),
 )
-
-
-def row_for(family: str) -> Optional[RowForms]:
-    for row in TABLE1:
-        if row.family == family:
-            return row
-    return None

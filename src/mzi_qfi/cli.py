@@ -21,7 +21,7 @@ from .errors import MziError
 from .fock import FockState
 from .particle import FIXED_N_WEIGHT, SectorDecomposition, decompose_sectors, sector_moments
 from .qfi import DEFAULT_FIDELITY_STEP, build_report
-from .states import FAMILIES, ProbeSpec, build, build_for_nbar
+from .states import FAMILIES, FAMILY_ALIASES, ProbeSpec, build, build_for_nbar, resolve_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,30 +30,9 @@ EXIT_TABLE_MISMATCH = 3
 
 SCHEMA = "mzi-qfi/1"
 
-_PARAM_FLAG = {
-    "twin-squeezed-vacuum": "xi",
-    "amplified-bell": "xi",
-    "two-mode-squeezed-vacuum": "chi",
-    "coherent": "alpha",
-    "entangled-coherent": "alpha",
-    "twin-fock": "n",
-    "noon": "n",
-    "fraternal-twin-fock": "n",
-    "separable-coherent-probe": "n",
-    "fock-pair": "n",
-}
-
-FAMILY_ALIASES = {
-    "tsv": "twin-squeezed-vacuum",
-    "tmsv": "two-mode-squeezed-vacuum",
-    "ecs": "entangled-coherent",
-}
-
-_FAMILY_CHOICES = tuple(FAMILIES) + tuple(FAMILY_ALIASES)
-
-
-def _canonical_family(name: str) -> str:
-    return FAMILY_ALIASES.get(name, name)
+_FAMILY_CHOICES = FAMILIES + tuple(FAMILY_ALIASES)
+_FAMILY_HELP = ("probe family: " + ", ".join(FAMILIES)
+                + " (aliases: " + ", ".join(FAMILY_ALIASES) + ")")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,8 +110,8 @@ def _probe_state(args) -> tuple[FockState, dict]:
 
     if args.family is None:
         raise MziError("one of --family or --state-file is required")
-    family = _canonical_family(args.family)
-    key = _PARAM_FLAG[family]
+    record = resolve_family(args.family)
+    family, key = record.name, record.key
     provided = {
         flag: getattr(args, flag)
         for flag in ("n", "xi", "chi", "alpha")
@@ -350,7 +329,7 @@ def cmd_sweep(args) -> int:
                 raise MziError(f"bad --nbar entry {piece!r}; expected a number") from None
     if not targets:
         raise MziError("--nbar needs at least one value")
-    family = _canonical_family(args.family)
+    family = resolve_family(args.family).name
     rows, all_consistent = [], True
     for target in targets:
         row, consistent = _sweep_row(family, target)
@@ -388,9 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "coherence, phase information by every route, mode "
                                       "entanglement, and the sector decomposition.")
     p_an.add_argument("--family", choices=_FAMILY_CHOICES, default=None,
-                  metavar="FAMILY",
-                  help="probe family: " + ", ".join(FAMILIES)
-                       + " (aliases: " + ", ".join(FAMILY_ALIASES) + ")")
+                      metavar="FAMILY", help=_FAMILY_HELP)
     p_an.add_argument("--n", type=int, default=None, help="photon count for integer families")
     p_an.add_argument("--xi", type=float, default=None, help="squeezing parameter")
     p_an.add_argument("--chi", type=float, default=None, help="two-mode squeezing parameter")
@@ -431,9 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "Unattainable targets are annotated, not dropped; "
                                       "UNDEFINED values are empty cells (null in JSON).")
     p_sw.add_argument("--family", choices=_FAMILY_CHOICES, required=True,
-                  metavar="FAMILY",
-                  help="probe family: " + ", ".join(FAMILIES)
-                       + " (aliases: " + ", ".join(FAMILY_ALIASES) + ")")
+                      metavar="FAMILY", help=_FAMILY_HELP)
     p_sw.add_argument("--nbar", required=True, metavar="LIST",
                       help="comma-separated target mean photon numbers, e.g. 1,2,4,8")
     _add_output_flags(p_sw, ("csv", "json"), "csv")

@@ -29,7 +29,7 @@ from .coherence import CoherenceReport, analyze
 from .errors import ParameterError
 from .fock import FockState
 from .particle import SectorDecomposition, decompose_sectors, qfi_particle
-from .schwinger import j_moment, phase_shift
+from .schwinger import jz_moments, phase_shift
 
 #: Below this the information is treated as zero and the CRB is undefined.
 CRB_FLOOR = 1e-12
@@ -92,7 +92,8 @@ class QfiReport:
 
 def qfi_variance(state: FockState) -> float:
     """Normative route: 4 (<Jz^2> - <Jz>^2)."""
-    return 4.0 * (j_moment(state, "jz", 2) - j_moment(state, "jz", 1) ** 2)
+    mean, square = jz_moments(state)
+    return 4.0 * (square - mean**2)
 
 
 def qfi_mode(report: CoherenceReport) -> Optional[float]:

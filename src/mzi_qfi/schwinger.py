@@ -20,7 +20,15 @@ from typing import Literal, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ParameterError, TruncationOverflowError
-from .fock import FockState, LadderState, MomentSpec, apply_ladder, moment, number_moments
+from .fock import (
+    FockState,
+    LadderState,
+    MomentSpec,
+    NumberMoments,
+    apply_ladder,
+    moment,
+    number_moments,
+)
 
 GeneratorTag = Literal["jx", "jy", "jz", "j0"]
 
@@ -52,7 +60,6 @@ class SpinDirection:
 
 X_AXIS = SpinDirection(1.0, 0.0, 0.0)
 Y_AXIS = SpinDirection(0.0, 1.0, 0.0)
-Z_AXIS = SpinDirection(0.0, 0.0, 1.0)
 
 DirectionLike = Union[SpinDirection, Sequence[float]]
 
@@ -69,6 +76,26 @@ def _real(value: complex, what: str) -> float:
     return value.real
 
 
+def _number_j_moment(moments: NumberMoments, tag: GeneratorTag, order: int) -> float:
+    """<J> or <J^2> of Jz or J0 from the diagonal number moments."""
+    if order == 1:
+        value = (moments.a - moments.b) / 2 if tag == "jz" else (moments.a + moments.b) / 2
+        return _real(value, f"<{tag}>")
+    na2 = moments.aa + moments.a  # <n_a^2> from the normal-ordered factorial moment
+    nb2 = moments.bb + moments.b
+    if tag == "jz":
+        value = (na2 - 2 * moments.ab + nb2) / 4
+    else:
+        value = (na2 + 2 * moments.ab + nb2) / 4
+    return _real(value, f"<{tag}^2>")
+
+
+def jz_moments(state: FockState) -> Tuple[float, float]:
+    """<Jz> and <Jz^2> from one set of number moments (five lowerings)."""
+    moments = number_moments(state, 2)
+    return _number_j_moment(moments, "jz", 1), _number_j_moment(moments, "jz", 2)
+
+
 def j_moment(state: FockState, tag: GeneratorTag, order: int) -> float:
     """First or second moment of a Schwinger generator, <J> or <J^2>.
 
@@ -82,17 +109,7 @@ def j_moment(state: FockState, tag: GeneratorTag, order: int) -> float:
         raise ParameterError(f"order must be 1 or 2, got {order!r}")
 
     if tag in ("jz", "j0"):
-        moments = number_moments(state, order)
-        if order == 1:
-            value = (moments.a - moments.b) / 2 if tag == "jz" else (moments.a + moments.b) / 2
-            return _real(value, f"<{tag}>")
-        na2 = moments.aa + moments.a  # <n_a^2> from the normal-ordered factorial moment
-        nb2 = moments.bb + moments.b
-        if tag == "jz":
-            value = (na2 - 2 * moments.ab + nb2) / 4
-        else:
-            value = (na2 + 2 * moments.ab + nb2) / 4
-        return _real(value, f"<{tag}^2>")
+        return _number_j_moment(number_moments(state, order), tag, order)
 
     def m(p: int, q: int, r: int, s: int) -> complex:
         return moment(state, MomentSpec(p, q, r, s))

@@ -1,13 +1,17 @@
 """Constructors for the interferometer probe-state families.
 
-Families are parameterized by their native parameter (squeezing xi or chi,
-displacement alpha, photon count n) or solved from a target mean photon
-number: continuous families invert their exact untruncated mean in closed
-form, integer families round to the nearest attainable value. Squeezed
-families use closed-form single-mode amplitudes; the two-mode squeezed vacuum
-uses its geometric number-correlated form; coherent probes use Poisson
-amplitudes; fixed-photon-number families are assembled from basis kets and
-the beam splitter.
+Each family is one :class:`Family` record: its name, its native parameter
+(squeezing xi or chi, displacement alpha, photon count n) and that parameter's
+validator, its builder, and the map from a target mean photon number to the
+parameter. ``build``, the nbar solve and the CLI read only these records, so
+a new family is one record here plus its published row in ``catalog.TABLE1``.
+
+Continuous families invert their exact untruncated mean in closed form;
+fixed-photon-number families round to the nearest attainable photon total.
+Squeezed families use closed-form single-mode amplitudes, the two-mode squeezed
+vacuum its geometric number-correlated form, coherent probes Poisson
+amplitudes; fixed-photon-number families are assembled from basis kets and the
+beam splitter.
 
 Automatic cutoff selection picks the smallest per-mode cutoff whose discarded
 probability is below the loss target, subject to the configurable ceiling.
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,19 +34,6 @@ from .fock import (
     number_moments,
 )
 from .schwinger import beam_splitter
-
-FAMILIES = (
-    "twin-squeezed-vacuum",
-    "twin-fock",
-    "entangled-coherent",
-    "noon",
-    "amplified-bell",
-    "fraternal-twin-fock",
-    "coherent",
-    "separable-coherent-probe",
-    "two-mode-squeezed-vacuum",
-    "fock-pair",
-)
 
 ParamValue = Union[int, float, complex]
 
@@ -69,39 +60,27 @@ class ProbeSpec:
             raise ParameterError("explicit cutoff must be non-negative")
 
 
-def _require_keys(family: str, params: Mapping[str, ParamValue], keys: Tuple[str, ...]) -> None:
-    if set(params) != set(keys):
-        raise ParameterError(
-            f"family {family!r} takes parameters {keys}, got {tuple(sorted(params))}"
-        )
-
-
-def _squeezing(family: str, params: Mapping[str, ParamValue], key: str) -> float:
-    _require_keys(family, params, (key,))
-    value = params[key]
+def _squeezing(family: Family, value: ParamValue) -> float:
     if isinstance(value, complex):
         if value.imag != 0:
-            raise ParameterError(f"complex squeezing is not supported, got {key}={value!r}")
+            raise ParameterError(f"complex squeezing is not supported, got {family.key}={value!r}")
         value = value.real
     value = float(value)
     if value < 0:
-        raise ParameterError(f"squeezing must be non-negative, got {key}={value!r}")
+        raise ParameterError(f"squeezing must be non-negative, got {family.key}={value!r}")
     return value
 
 
-def _displacement(family: str, params: Mapping[str, ParamValue]) -> complex:
-    _require_keys(family, params, ("alpha",))
-    return complex(params["alpha"])
+def _displacement(family: Family, value: ParamValue) -> complex:
+    return complex(value)
 
 
-def _photon_count(family: str, params: Mapping[str, ParamValue], minimum: int) -> int:
-    _require_keys(family, params, ("n",))
-    value = params["n"]
+def _photon_count(family: Family, value: ParamValue) -> int:
     if not float(value).is_integer():
-        raise ParameterError(f"family {family!r} needs an integer n, got {value!r}")
+        raise ParameterError(f"family {family.name!r} needs an integer n, got {value!r}")
     n = int(value)
-    if n < minimum:
-        raise ParameterError(f"family {family!r} needs n >= {minimum}, got {n}")
+    if n < family.min_n:
+        raise ParameterError(f"family {family.name!r} needs n >= {family.min_n}, got {n}")
     return n
 
 
@@ -264,84 +243,38 @@ def _fixed_n_state(j: int, k: int, cutoff: Optional[int], split: bool) -> FockSt
     return beam_splitter(state, "first") if split else state
 
 
+def _noon_state(n: int, cutoff: Optional[int]) -> FockState:
+    n_cut = n if cutoff is None else cutoff
+    grid = np.zeros((n_cut + 1, n_cut + 1), dtype=np.complex128)
+    if n > n_cut:
+        raise ParameterError(f"cutoff {n_cut} cannot hold a {n}-photon branch")
+    grid[n, 0] = grid[0, n] = 1 / math.sqrt(2)
+    return FockState(grid, n_cut, 0.0)
+
+
 #: Loss target for automatic cutoff selection. Tighter than the construction
 #: ceiling because second moments amplify tail mass by the squared cutoff, and
 #: reported quantities must be stable to 1e-8 under cutoff doubling.
 AUTO_LOSS_TARGET = 1e-14
 
 
-def build(spec: ProbeSpec, loss_target: float = AUTO_LOSS_TARGET) -> FockState:
-    """Construct the normalized probe state described by ``spec``."""
-    family, params = spec.family, spec.params
-
-    if family == "noon":
-        n = _photon_count(family, params, 1)
-        n_cut = n if spec.cutoff is None else spec.cutoff
-        grid = np.zeros((n_cut + 1, n_cut + 1), dtype=np.complex128)
-        if n > n_cut:
-            raise ParameterError(f"cutoff {n_cut} cannot hold a {n}-photon branch")
-        grid[n, 0] = grid[0, n] = 1 / math.sqrt(2)
-        return FockState(grid, n_cut, 0.0)
-    if family == "fock-pair":
-        n = _photon_count(family, params, 0)
-        return _fixed_n_state(n, n, spec.cutoff, split=False)
-    if family == "twin-fock":
-        n = _photon_count(family, params, 0)
-        return _fixed_n_state(n, n, spec.cutoff, split=True)
-    if family == "fraternal-twin-fock":
-        n = _photon_count(family, params, 0)
-        return _fixed_n_state(n + 1, n, spec.cutoff, split=True)
-    if family == "separable-coherent-probe":
-        n = _photon_count(family, params, 0)
-        return _fixed_n_state(n, 0, spec.cutoff, split=True)
-
-    if family == "twin-squeezed-vacuum":
-        xi = _squeezing(family, params, "xi")
-        grid_at = lambda c: _grid_twin_squeezed(xi, c)
-    elif family == "two-mode-squeezed-vacuum":
-        chi = _squeezing(family, params, "chi")
-        grid_at = lambda c: _grid_tmsv(chi, c)
-    elif family == "amplified-bell":
-        xi = _squeezing(family, params, "xi")
-        grid_at = lambda c: _grid_amplified_bell(xi, c)
-    elif family == "coherent":
-        alpha = _displacement(family, params)
-        grid_at = lambda c: _grid_coherent(alpha, c)
-    elif family == "entangled-coherent":
-        alpha = _displacement(family, params)
-        grid_at = lambda c: _grid_entangled_coherent(alpha, c)
-    else:  # pragma: no cover - family list is closed
-        raise ParameterError(f"unknown family {family!r}")
-
-    if spec.cutoff is not None:
-        grid, loss = grid_at(spec.cutoff)
-        return FockState.from_grid(grid, loss, loss_ceiling=DEFAULT_LOSS_CEILING)
-    grid, loss, _ = _auto_cutoff(grid_at, loss_target, cutoff_ceiling())
-    return FockState.from_grid(grid, loss, loss_ceiling=max(loss_target, DEFAULT_LOSS_CEILING))
-
-
 # ---------------------------------------------------------------------------
 # solving native parameters from a target mean photon number
 # ---------------------------------------------------------------------------
-
-#: nbar = slope * n + offset and the smallest allowed n, per integer family.
-_INTEGER_NBAR = {
-    "twin-fock": (2.0, 0.0, 1),
-    "noon": (1.0, 0.0, 1),
-    "fraternal-twin-fock": (2.0, 1.0, 0),
-    "separable-coherent-probe": (1.0, 0.0, 1),
-    "fock-pair": (2.0, 0.0, 1),
-}
-
-
-def mean_photon_number(state: FockState) -> float:
-    moments = number_moments(state, order=1)
-    return moments.a.real + moments.b.real
 
 
 def _squeezing_for_nbar(pairs: float) -> float:
     """xi with sinh^2 xi = pairs."""
     return math.asinh(math.sqrt(pairs))
+
+
+def _amplified_bell_xi(nbar: float) -> float:
+    """xi with 1 + 4 sinh^2 xi = nbar; the bare split photon already carries one."""
+    if nbar < 1:
+        raise UnattainableTargetError(
+            f"family 'amplified-bell' cannot reach mean photon number {nbar!r} (minimum is 1)"
+        )
+    return _squeezing_for_nbar((nbar - 1) / 4)
 
 
 def _entangled_coherent_alpha(nbar: float) -> float:
@@ -362,49 +295,46 @@ def _entangled_coherent_alpha(nbar: float) -> float:
             hi = mid
 
 
+def mean_photon_number(state: FockState) -> float:
+    moments = number_moments(state, order=1)
+    return moments.a.real + moments.b.real
+
+
+def _nearest_count(family: Family, nbar: float) -> int:
+    """n whose photon total, linear in n, is nearest the target.
+
+    The smallest n holding a photon also serves targets down to half a photon
+    below its total.
+    """
+    offset = family.photons(0)
+    n_min = family.min_n if family.photons(family.min_n) > 0 else family.min_n + 1
+    n_exact = (nbar - offset) / (family.photons(1) - offset)
+    if n_exact < n_min - 0.5:
+        raise UnattainableTargetError(
+            f"family {family.name!r} cannot reach mean photon number {nbar!r} "
+            f"(minimum is {family.photons(n_min):g})"
+        )
+    return max(int(round(n_exact)), n_min)
+
+
 def _solve_for_nbar(
-    family: str, nbar: float
+    name: str, nbar: float
 ) -> Tuple[Dict[str, ParamValue], float, Optional[FockState]]:
     """Parameters, realized nbar, and the auto-cutoff state built to measure it.
 
-    The state is ``None`` for integer families, whose realized value needs no
-    build.
+    The state is ``None`` for fixed-photon-number families, whose realized
+    value needs no build.
     """
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown family {family!r}")
+    if name not in _BY_NAME:
+        raise ParameterError(f"unknown family {name!r}")
     if not nbar > 0:
         raise UnattainableTargetError(f"target mean photon number must be positive, got {nbar!r}")
-
-    if family in _INTEGER_NBAR:
-        slope, offset, n_min = _INTEGER_NBAR[family]
-        n_exact = (nbar - offset) / slope
-        n = int(round(n_exact))
-        if n < n_min:
-            if n_exact >= n_min - 0.5:
-                n = n_min
-            else:
-                raise UnattainableTargetError(
-                    f"family {family!r} cannot reach mean photon number {nbar!r} "
-                    f"(minimum is {slope * n_min + offset:g})"
-                )
-        return {"n": n}, slope * n + offset, None
-
-    if family == "amplified-bell" and nbar < 1:
-        raise UnattainableTargetError(
-            f"family 'amplified-bell' cannot reach mean photon number {nbar!r} (minimum is 1)"
-        )
-
-    if family == "twin-squeezed-vacuum":
-        params: Dict[str, ParamValue] = {"xi": _squeezing_for_nbar(nbar / 2)}
-    elif family == "two-mode-squeezed-vacuum":
-        params = {"chi": _squeezing_for_nbar(nbar / 2)}
-    elif family == "amplified-bell":
-        params = {"xi": _squeezing_for_nbar((nbar - 1) / 4)}
-    elif family == "coherent":
-        params = {"alpha": math.sqrt(nbar)}
-    else:  # entangled-coherent
-        params = {"alpha": _entangled_coherent_alpha(nbar)}
-    state = build(ProbeSpec(family, params))
+    family = _BY_NAME[name]
+    if family.photons is not None:
+        n = _nearest_count(family, nbar)
+        return {"n": n}, float(family.photons(n)), None
+    params: Dict[str, ParamValue] = {family.key: family.param_for_nbar(nbar)}
+    state = build(ProbeSpec(name, params))
     return params, mean_photon_number(state), state
 
 
@@ -434,3 +364,89 @@ def build_for_nbar(
     if state is None or cutoff is not None:
         state = build(ProbeSpec(family, params, cutoff))
     return state, params, realized
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+# ---------------------------------------------------------------------------
+
+
+class Family(NamedTuple):
+    """How to build one probe family and solve its parameter from a target nbar.
+
+    ``key`` names the native parameter and ``check(family, value)`` validates
+    it. A fixed-photon-number family builds with ``state(n, cutoff)``, exact
+    at any cutoff that holds it; ``photons(n)`` is the total photon number of
+    that state and ``min_n`` the smallest n it builds. A continuous family
+    gives ``grid(value, cutoff)``, the grid and truncation loss at a cutoff,
+    and ``param_for_nbar``, the closed-form inverse of its untruncated mean.
+
+    A named tuple rather than a frozen dataclass: the class is made at import,
+    where the dataclass machinery would add about 1 ms to every CLI start.
+    """
+
+    name: str
+    key: str
+    check: Callable[[Family, ParamValue], ParamValue]
+    min_n: int = 0
+    photons: Optional[Callable[[int], int]] = None
+    state: Optional[Callable[[int, Optional[int]], FockState]] = None
+    grid: Optional[Callable[[ParamValue, int], Tuple[np.ndarray, float]]] = None
+    param_for_nbar: Optional[Callable[[float], float]] = None
+
+
+#: Every family, in the order of the benchmark table.
+_REGISTRY = (
+    Family("twin-squeezed-vacuum", "xi", _squeezing, grid=_grid_twin_squeezed,
+           param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
+    Family("twin-fock", "n", _photon_count, photons=lambda n: 2 * n,
+           state=lambda n, cutoff: _fixed_n_state(n, n, cutoff, split=True)),
+    Family("entangled-coherent", "alpha", _displacement, grid=_grid_entangled_coherent,
+           param_for_nbar=_entangled_coherent_alpha),
+    Family("noon", "n", _photon_count, min_n=1, photons=lambda n: n, state=_noon_state),
+    Family("amplified-bell", "xi", _squeezing, grid=_grid_amplified_bell,
+           param_for_nbar=_amplified_bell_xi),
+    Family("fraternal-twin-fock", "n", _photon_count, photons=lambda n: 2 * n + 1,
+           state=lambda n, cutoff: _fixed_n_state(n + 1, n, cutoff, split=True)),
+    Family("coherent", "alpha", _displacement, grid=_grid_coherent, param_for_nbar=math.sqrt),
+    Family("separable-coherent-probe", "n", _photon_count, photons=lambda n: n,
+           state=lambda n, cutoff: _fixed_n_state(n, 0, cutoff, split=True)),
+    Family("two-mode-squeezed-vacuum", "chi", _squeezing, grid=_grid_tmsv,
+           param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
+    Family("fock-pair", "n", _photon_count, photons=lambda n: 2 * n,
+           state=lambda n, cutoff: _fixed_n_state(n, n, cutoff, split=False)),
+)
+
+_BY_NAME: Dict[str, Family] = {family.name: family for family in _REGISTRY}
+
+FAMILIES = tuple(_BY_NAME)
+
+#: Short names the CLI accepts, in the order its help lists them.
+FAMILY_ALIASES = {
+    "tsv": "twin-squeezed-vacuum",
+    "tmsv": "two-mode-squeezed-vacuum",
+    "ecs": "entangled-coherent",
+}
+
+
+def resolve_family(name: str) -> Family:
+    """The record of a family, by its name or one of ``FAMILY_ALIASES``."""
+    return _BY_NAME[FAMILY_ALIASES.get(name, name)]
+
+
+def build(spec: ProbeSpec, loss_target: float = AUTO_LOSS_TARGET) -> FockState:
+    """Construct the normalized probe state described by ``spec``."""
+    family, params = _BY_NAME[spec.family], spec.params
+    if set(params) != {family.key}:
+        raise ParameterError(
+            f"family {family.name!r} takes parameters {(family.key,)}, got {tuple(sorted(params))}"
+        )
+    value = family.check(family, params[family.key])
+    if family.state is not None:
+        return family.state(value, spec.cutoff)
+    grid_at = lambda c: family.grid(value, c)
+    if spec.cutoff is not None:
+        grid, loss = grid_at(spec.cutoff)
+        return FockState.from_grid(grid, loss, loss_ceiling=DEFAULT_LOSS_CEILING)
+    grid, loss, _ = _auto_cutoff(grid_at, loss_target, cutoff_ceiling())
+    return FockState.from_grid(grid, loss, loss_ceiling=max(loss_target, DEFAULT_LOSS_CEILING))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzi_qfi import cli, schwinger, serialize, states
+from mzi_qfi import catalog, cli, schwinger, serialize, states
 from mzi_qfi.errors import CutoffExceededError, NormalizationError, StateFileError
 from mzi_qfi.fock import make_fock
 from mzi_qfi.serialize import (
@@ -28,14 +29,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: Top-level modules that ``import mzi_qfi.cli`` adds to a bare interpreter.
+CLI_IMPORTS = frozenset({
+    "__future__", "_ast", "_compat_pickle", "_contextvars", "_ctypes", "_datetime", "_json",
+    "_opcode", "_pickle", "argparse", "ast", "contextvars", "copy", "ctypes", "dataclasses",
+    "datetime", "dis", "gettext", "importlib", "inspect", "json", "linecache", "mzi_qfi",
+    "numbers", "numpy", "opcode", "pickle", "platform", "textwrap", "token", "tokenize",
+})
+
+
 def test_cli_import_loads_no_scipy():
-    # a fresh interpreter: modules the test run already imported would hide a stray import
+    # a fresh interpreter: modules the test run already imported would hide a stray import.
+    # scipy is a test-only oracle, and start-up loads nothing beyond numpy and the stdlib above.
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = "import sys, mzi_qfi.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    code = ("import json, sys; before = set(sys.modules); import mzi_qfi.cli; "
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    loaded = set(json.loads(proc.stdout))
+    assert "scipy" not in loaded
+    assert loaded <= CLI_IMPORTS, sorted(loaded - CLI_IMPORTS)
 
 
 class TestCanonicalJson:
@@ -257,6 +271,181 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "analyze", "--family", "noon", "--nbar", "0.2")
         assert code == 1
         assert json.loads(err)["error"]["code"] == "unattainable-target"
+
+
+#: Native flag of every family, and the aliases, as the CLI's messages name them.
+NATIVE_FLAG = {
+    "twin-squeezed-vacuum": "xi", "twin-fock": "n", "entangled-coherent": "alpha",
+    "noon": "n", "amplified-bell": "xi", "fraternal-twin-fock": "n", "coherent": "alpha",
+    "separable-coherent-probe": "n", "two-mode-squeezed-vacuum": "chi", "fock-pair": "n",
+}
+ALIASES = {"tsv": "twin-squeezed-vacuum", "tmsv": "two-mode-squeezed-vacuum",
+           "ecs": "entangled-coherent"}
+
+
+def _flag_errors():
+    for name in (*NATIVE_FLAG, *ALIASES):
+        family = ALIASES.get(name, name)
+        key = NATIVE_FLAG[family]
+        foreign = "n" if key == "xi" else "xi"
+        yield ([name, f"--{foreign}", "1"], "error",
+               f"family '{family}' takes --{key}, not --{foreign}")
+        yield [name], "error", f"family '{family}' needs --{key} or --nbar"
+        yield ([name, f"--{key}", "1", "--nbar", "2"], "error",
+               f"give either --{key} or --nbar, not both")
+
+
+#: (arguments after ``analyze --family``, error code, message) of every usage error
+ANALYZE_ERRORS = [*_flag_errors()] + [
+    (["noon", "--n", "0"], "bad-parameter", "family 'noon' needs n >= 1, got 0"),
+    *[([family, "--n", "-1"], "bad-parameter", f"family '{family}' needs n >= 0, got -1")
+      for family in ("twin-fock", "fraternal-twin-fock", "separable-coherent-probe", "fock-pair")],
+    (["twin-squeezed-vacuum", "--xi", "-0.3"], "bad-parameter",
+     "squeezing must be non-negative, got xi=-0.3"),
+    (["amplified-bell", "--xi", "-0.3"], "bad-parameter",
+     "squeezing must be non-negative, got xi=-0.3"),
+    (["tmsv", "--chi", "-0.3"], "bad-parameter", "squeezing must be non-negative, got chi=-0.3"),
+    (["noon", "--n", "5", "--cutoff", "3"], "bad-parameter",
+     "cutoff 3 cannot hold a 5-photon branch"),
+    (["twin-fock", "--n", "5", "--cutoff", "3"], "cutoff-exceeded",
+     "occupation (5, 5) exceeds cutoff 3 (or is negative)"),
+    (["fraternal-twin-fock", "--n", "5", "--cutoff", "3"], "cutoff-exceeded",
+     "occupation (6, 5) exceeds cutoff 3 (or is negative)"),
+    (["separable-coherent-probe", "--n", "5", "--cutoff", "3"], "cutoff-exceeded",
+     "occupation (5, 0) exceeds cutoff 3 (or is negative)"),
+    (["fock-pair", "--n", "5", "--cutoff", "3"], "cutoff-exceeded",
+     "occupation (5, 5) exceeds cutoff 3 (or is negative)"),
+    (["tsv", "--xi", "1", "--cutoff", "3"], "truncation-loss",
+     "truncation loss 3.011e-01 exceeds ceiling 1.000e-10"),
+    (["tmsv", "--chi", "1", "--cutoff", "3"], "truncation-loss",
+     "truncation loss 1.132e-01 exceeds ceiling 1.000e-10"),
+    (["amplified-bell", "--xi", "1", "--cutoff", "3"], "truncation-loss",
+     "truncation loss 5.745e-01 exceeds ceiling 1.000e-10"),
+    (["coherent", "--alpha", "2", "--cutoff", "3"], "truncation-loss",
+     "truncation loss 2.653e-01 exceeds ceiling 1.000e-10"),
+    (["ecs", "--alpha", "2", "--cutoff", "3"], "truncation-loss",
+     "truncation loss 5.563e-01 exceeds ceiling 1.000e-10"),
+    *[([family, "--nbar", "0.4"], "unattainable-target",
+       f"family '{family}' cannot reach mean photon number 0.4 (minimum is {minimum})")
+      for family, minimum in (("noon", 1), ("twin-fock", 2), ("separable-coherent-probe", 1),
+                              ("fock-pair", 2), ("amplified-bell", 1))],
+    (["coherent", "--nbar", "-1"], "unattainable-target",
+     "target mean photon number must be positive, got -1.0"),
+]
+
+
+INVALID_FAMILY = (
+    "error: argument --family: invalid choice: 'bogus' (choose from 'twin-squeezed-vacuum', "
+    "'twin-fock', 'entangled-coherent', 'noon', 'amplified-bell', 'fraternal-twin-fock', "
+    "'coherent', 'separable-coherent-probe', 'two-mode-squeezed-vacuum', 'fock-pair', 'tsv', "
+    "'tmsv', 'ecs')\n"
+)
+
+ANALYZE_HELP = """\
+usage: mzi-qfi analyze [-h] [--family FAMILY] [--n N] [--xi XI] [--chi CHI]
+                       [--alpha ALPHA] [--nbar NBAR] [--state-file PATH]
+                       [--cutoff CUTOFF] [--fidelity-step FIDELITY_STEP]
+                       [--raw-fidelity-difference] [--path-tol PATH_TOL]
+                       [--sep-tol SEP_TOL] [--dump-state PATH]
+                       [--format {json,table}] [--out PATH]
+
+Build a probe (or load a state file) and report coherence, phase information
+by every route, mode entanglement, and the sector decomposition.
+
+options:
+  -h, --help            show this help message and exit
+  --family FAMILY       probe family: twin-squeezed-vacuum, twin-fock,
+                        entangled-coherent, noon, amplified-bell, fraternal-
+                        twin-fock, coherent, separable-coherent-probe, two-
+                        mode-squeezed-vacuum, fock-pair (aliases: tsv, tmsv,
+                        ecs)
+  --n N                 photon count for integer families
+  --xi XI               squeezing parameter
+  --chi CHI             two-mode squeezing parameter
+  --alpha ALPHA         coherent displacement
+  --nbar NBAR           target mean photon number (solved per family)
+  --state-file PATH     load the probe from a JSON state file instead of a
+                        family
+  --cutoff CUTOFF       explicit per-mode cutoff
+  --fidelity-step FIDELITY_STEP
+                        finite-difference step for the fidelity route
+  --raw-fidelity-difference
+                        skip Richardson extrapolation (exploratory mode)
+  --path-tol PATH_TOL   path-symmetry tolerance
+  --sep-tol SEP_TOL     separability tolerance on 1 - lambda_max
+  --dump-state PATH     also write the built state to a JSON state file
+  --format {json,table}
+                        output format (default json)
+  --out PATH            write output to PATH (atomically) instead of stdout
+"""
+
+SWEEP_HELP = """\
+usage: mzi-qfi sweep [-h] --family FAMILY --nbar LIST [--format {csv,json}]
+                     [--out PATH]
+
+One output row per target mean photon number with columns: family,
+nbar_target, status, nbar, qfi, g2, g2_ab, entropy, cov_sigma_z. Unattainable
+targets are annotated, not dropped; UNDEFINED values are empty cells (null in
+JSON).
+
+options:
+  -h, --help           show this help message and exit
+  --family FAMILY      probe family: twin-squeezed-vacuum, twin-fock,
+                       entangled-coherent, noon, amplified-bell, fraternal-
+                       twin-fock, coherent, separable-coherent-probe, two-
+                       mode-squeezed-vacuum, fock-pair (aliases: tsv, tmsv,
+                       ecs)
+  --nbar LIST          comma-separated target mean photon numbers, e.g.
+                       1,2,4,8
+  --format {csv,json}  output format (default csv)
+  --out PATH           write output to PATH (atomically) instead of stdout
+"""
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("args,code,message", ANALYZE_ERRORS, ids=lambda v: " ".join(v)
+                             if isinstance(v, list) else "")
+    def test_analyze_error(self, capsys, args, code, message):
+        exit_code, out, err = run_cli(capsys, "analyze", "--family", *args)
+        assert (exit_code, out) == (1, "")
+        assert json.loads(err) == {"schema": "mzi-qfi/1",
+                                   "error": {"code": code, "message": message}}
+
+    @pytest.mark.parametrize("command", [["analyze"], ["sweep", "--nbar", "1"]])
+    def test_invalid_family_choice(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--family", "bogus"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"\nmzi-qfi {command[0]}: {INVALID_FAMILY}")
+
+    @pytest.mark.parametrize("command,text", [("analyze", ANALYZE_HELP), ("sweep", SWEEP_HELP)])
+    def test_help_text(self, capsys, monkeypatch, command, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == text
+
+
+class TestFamilyRegistry:
+    def test_catalog_rows_follow_the_registry(self):
+        assert tuple(row.family for row in catalog.TABLE1) == states.FAMILIES
+
+    @pytest.mark.parametrize("name", [*states.FAMILIES, *states.FAMILY_ALIASES])
+    def test_cli_accepts_only_the_record_key(self, capsys, name):
+        key = states.resolve_family(name).key
+        for flag, value in (("n", "1"), ("xi", "0.1"), ("chi", "0.1"), ("alpha", "0.1")):
+            code, out, err = run_cli(capsys, "analyze", "--family", name, f"--{flag}", value)
+            if flag == key:
+                assert code == 0 and list(json.loads(out)["probe"]["params"]) == [key]
+            else:
+                assert code == 1 and f"takes --{key}, not --{flag}" in err
+
+    def test_cli_source_names_no_family(self):
+        source = inspect.getsource(cli)
+        for name in (*states.FAMILIES, *states.FAMILY_ALIASES):
+            assert f'"{name}"' not in source and f"'{name}'" not in source, name
 
 
 class TestTable1Command:

@@ -265,3 +265,60 @@ class TestSolveForNbar:
     def test_nonpositive_target(self):
         with pytest.raises(UnattainableTargetError):
             solve_param_for_nbar("coherent", 0.0)
+
+    # a target half-way between two photon totals rounds n to even, and the
+    # smallest n holding a photon serves targets down to half a photon below it
+    @pytest.mark.parametrize("family,target,expected", [
+        ("noon", 2.5, ({"n": 2}, 2.0)), ("noon", 3.5, ({"n": 4}, 4.0)),
+        ("twin-fock", 5.0, ({"n": 2}, 4.0)), ("fraternal-twin-fock", 4.0, ({"n": 2}, 5.0)),
+        ("twin-fock", 1.0, ({"n": 1}, 2.0)), ("noon", 0.5, ({"n": 1}, 1.0)),
+    ])
+    def test_half_way_targets(self, family, target, expected):
+        assert solve_param_for_nbar(family, target) == expected
+
+    def test_fraternal_reaches_any_positive_target(self):
+        # the n = 0 member |1, 0> already holds a photon
+        assert solve_param_for_nbar("fraternal-twin-fock", 0.4) == ({"n": 0}, 1.0)
+
+
+FIXED_N_FAMILIES = ("twin-fock", "noon", "fraternal-twin-fock", "separable-coherent-probe",
+                    "fock-pair")
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("family", FIXED_N_FAMILIES)
+    def test_non_integer_n(self, family):
+        with pytest.raises(ParameterError) as exc:
+            build(ProbeSpec(family, {"n": 2.5}))
+        assert (exc.value.code, str(exc.value)) == (
+            "bad-parameter", f"family '{family}' needs an integer n, got 2.5")
+
+    @pytest.mark.parametrize("family,key", [("twin-squeezed-vacuum", "xi"),
+                                            ("amplified-bell", "xi"),
+                                            ("two-mode-squeezed-vacuum", "chi")])
+    def test_complex_and_negative_squeezing(self, family, key):
+        with pytest.raises(ParameterError) as exc:
+            build(ProbeSpec(family, {key: 0.5 + 0.1j}))
+        assert (exc.value.code, str(exc.value)) == (
+            "bad-parameter", f"complex squeezing is not supported, got {key}=(0.5+0.1j)")
+        with pytest.raises(ParameterError) as exc:
+            build(ProbeSpec(family, {key: -0.3 + 0j}))
+        assert str(exc.value) == f"squeezing must be non-negative, got {key}=-0.3"
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_foreign_parameter_key(self, family):
+        key = "n" if family in FIXED_N_FAMILIES else FORWARD_NBAR[family][0]
+        wrong = "xi" if key == "n" else "n"
+        with pytest.raises(ParameterError) as exc:
+            build(ProbeSpec(family, {wrong: 1}))
+        assert str(exc.value) == f"family '{family}' takes parameters ('{key}',), got ('{wrong}',)"
+
+    @pytest.mark.parametrize("name", ["bogus", "tsv"])
+    def test_unknown_family(self, name):
+        with pytest.raises(ParameterError) as exc:
+            ProbeSpec(name)
+        assert (exc.value.code, str(exc.value)) == (
+            "bad-parameter", f"unknown family '{name}'; choose one of " + ", ".join(FAMILIES))
+        with pytest.raises(ParameterError) as exc:
+            solve_param_for_nbar(name, 1.0)
+        assert (exc.value.code, str(exc.value)) == ("bad-parameter", f"unknown family '{name}'")
