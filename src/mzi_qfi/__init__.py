@@ -20,10 +20,8 @@ from .errors import (
 )
 from .fock import (
     FockState,
-    MomentSpec,
     inner,
     make_fock,
-    moment,
     pad_to,
     state_distance,
 )
@@ -52,7 +50,6 @@ from .schwinger import (
     SpinDirection,
     apply_rotation,
     beam_splitter,
-    j_moment,
     mzi_unitary,
     phase_shift,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "CutoffExceededError",
     "FockState",
     "ModeEntanglementReport",
-    "MomentSpec",
     "MziError",
     "NormalizationError",
     "ParameterError",
@@ -91,10 +87,8 @@ __all__ = [
     "classify_scaling",
     "decompose_sectors",
     "inner",
-    "j_moment",
     "locality_check",
     "make_fock",
-    "moment",
     "multiqubit_oracle",
     "mzi_unitary",
     "pad_to",

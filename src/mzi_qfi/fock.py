@@ -1,23 +1,21 @@
-"""Truncated two-mode Fock space: states, ladder actions, and moments.
+"""Truncated two-mode Fock space: states, overlaps, and number moments.
 
 Amplitude grids are indexed ``[j, k]`` for the basis ket ``|j, k>`` with
 ``j`` photons in mode a and ``k`` photons in mode b, ``0 <= j, k <= cutoff``.
-Normalized states are immutable :class:`FockState` values. Ladder operators
-return unnormalized :class:`LadderState` intermediates; all public analytics
-accept only normalized states, which keeps the two flavors from mixing
-silently.
+States are immutable, normalized :class:`FockState` values.
 
-Normal-ordered moments ``<adag^p a^q bdag^r b^s>`` are evaluated by lowering
-on both sides of the inner product, ``<a^p b^r psi | a^q b^s psi>``, so they
-never raise past the cutoff. The diagonal number moments (p = q, r = s) have
-one core, :func:`number_moments`, which lowers each grid once and reuses it.
+The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
+(intensities, pair coherences, and Jz = (n_a - n_b)/2). They have one core,
+:func:`number_moments`, which lowers each grid once and takes every moment as
+the squared norm of a lowered grid, so nothing is ever raised past the cutoff.
+Rotations act on photon-number sectors instead (see :mod:`mzi_qfi.schwinger`).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Literal, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from .errors import (
     NormalizationError,
     ParameterError,
     TruncationLossError,
-    TruncationOverflowError,
 )
 
 #: Default per-mode cutoff ceiling for automatic cutoff selection.
@@ -34,9 +31,6 @@ DEFAULT_CUTOFF_CEILING = 256
 
 #: Default ceiling on the probability discarded when a state is truncated.
 DEFAULT_LOSS_CEILING = 1e-10
-
-#: Relative population that a raising operator may silently push past the cutoff.
-RAISE_HEADROOM = 1e-12
 
 _NORM_TOL = 1e-12
 
@@ -111,40 +105,6 @@ class FockState:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
-class LadderState:
-    """Unnormalized intermediate produced by ladder-operator actions."""
-
-    amplitudes: np.ndarray
-    cutoff: int
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff + 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-StateLike = Union[FockState, LadderState]
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Exponents of the normal-ordered monomial ``adag^p a^q bdag^r b^s``."""
-
-    p: int
-    q: int
-    r: int
-    s: int
-
-    def __post_init__(self) -> None:
-        for name in ("p", "q", "r", "s"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0 or value > 4:
-                raise ParameterError(f"moment exponent {name}={value!r} must be an integer in 0..4")
-
-
 def make_fock(j: int, k: int, cutoff: int) -> FockState:
     """Basis ket ``|j, k>`` on a grid with the given per-mode cutoff."""
     if cutoff < 0:
@@ -169,10 +129,6 @@ def pad_to(state: FockState, cutoff: int) -> FockState:
     return FockState(grid, cutoff, state.truncation_loss)
 
 
-def _grid_of(state: StateLike) -> np.ndarray:
-    return state.amplitudes
-
-
 def _lower(grid: np.ndarray, axis: int) -> np.ndarray:
     # a|n> = sqrt(n)|n-1>: out[n] = sqrt(n+1) * grid[n+1]
     dim = grid.shape[axis]
@@ -185,67 +141,22 @@ def _lower(grid: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _raise(grid: np.ndarray, axis: int) -> np.ndarray:
-    # adag|n> = sqrt(n+1)|n+1>: out[n] = sqrt(n) * grid[n-1]; weight at the top
-    # level would leave the grid and must be negligible (checked by the caller).
-    dim = grid.shape[axis]
-    out = np.zeros_like(grid)
-    factors = np.sqrt(np.arange(1, dim))
-    if axis == 0:
-        out[1:, :] = factors[:, None] * grid[:-1, :]
-    else:
-        out[:, 1:] = factors[None, :] * grid[:, :-1]
-    return out
+def _common_grids(x: FockState, y: FockState) -> Tuple[np.ndarray, np.ndarray]:
+    """Both amplitude grids on the larger cutoff, the smaller one zero-padded."""
+    cutoff = max(x.cutoff, y.cutoff)
+    return pad_to(x, cutoff).amplitudes, pad_to(y, cutoff).amplitudes
 
 
-def apply_ladder(
-    state: StateLike,
-    mode: Literal["a", "b"],
-    kind: Literal["lower", "raise"],
-) -> LadderState:
-    """Apply an annihilation or creation operator to one mode.
-
-    Raising fails with :class:`TruncationOverflowError` when the population it
-    would create above the cutoff is not negligible relative to the current
-    norm.
-    """
-    if mode not in ("a", "b"):
-        raise ParameterError(f"mode must be 'a' or 'b', got {mode!r}")
-    if kind not in ("lower", "raise"):
-        raise ParameterError(f"kind must be 'lower' or 'raise', got {kind!r}")
-    grid = _grid_of(state)
-    axis = 0 if mode == "a" else 1
-    if kind == "lower":
-        return LadderState(_lower(grid, axis), state.cutoff)
-
-    top = grid[-1, :] if axis == 0 else grid[:, -1]
-    lost = (state.cutoff + 1) * float(np.sum(np.abs(top) ** 2))
-    total = float(np.sum(np.abs(grid) ** 2))
-    if total > 0 and lost >= RAISE_HEADROOM * total:
-        raise TruncationOverflowError(
-            f"raising mode {mode} would push relative weight {lost / total:.3e} "
-            f"past cutoff {state.cutoff}"
-        )
-    return LadderState(_raise(grid, axis), state.cutoff)
-
-
-def inner(x: StateLike, y: StateLike) -> complex:
+def inner(x: FockState, y: FockState) -> complex:
     """Inner product ``<x|y>`` with conjugation on ``x``.
 
     Mismatched cutoffs are reconciled by zero-padding the smaller grid.
     """
-    gx, gy = _grid_of(x), _grid_of(y)
-    if gx.shape != gy.shape:
-        dim = max(gx.shape[0], gy.shape[0])
-        px = np.zeros((dim, dim), dtype=np.complex128)
-        py = np.zeros((dim, dim), dtype=np.complex128)
-        px[: gx.shape[0], : gx.shape[1]] = gx
-        py[: gy.shape[0], : gy.shape[1]] = gy
-        gx, gy = px, py
+    gx, gy = _common_grids(x, y)
     return complex(np.vdot(gx, gy))
 
 
-def state_distance(x: StateLike, y: StateLike) -> float:
+def state_distance(x: FockState, y: FockState) -> float:
     """Global-phase-insensitive distance ``min_theta ||x - e^{i theta} y||``.
 
     Computed by aligning the phase of ``y`` to ``x`` first, which avoids the
@@ -253,37 +164,13 @@ def state_distance(x: StateLike, y: StateLike) -> float:
     """
     overlap = inner(y, x)
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
-    gx, gy = _grid_of(x), _grid_of(y)
-    if gx.shape != gy.shape:
-        dim = max(gx.shape[0], gy.shape[0])
-        px = np.zeros((dim, dim), dtype=np.complex128)
-        py = np.zeros((dim, dim), dtype=np.complex128)
-        px[: gx.shape[0], : gx.shape[1]] = gx
-        py[: gy.shape[0], : gy.shape[1]] = gy
-        gx, gy = px, py
+    gx, gy = _common_grids(x, y)
     return float(np.linalg.norm(gx - phase * gy))
-
-
-def moment(state: FockState, spec: MomentSpec) -> complex:
-    """Normal-ordered moment ``<psi| adag^p a^q bdag^r b^s |psi>``."""
-    if not isinstance(state, FockState):
-        raise ParameterError("moment requires a normalized FockState")
-    left = state.amplitudes
-    for _ in range(spec.p):
-        left = _lower(left, 0)
-    for _ in range(spec.r):
-        left = _lower(left, 1)
-    right = state.amplitudes
-    for _ in range(spec.q):
-        right = _lower(right, 0)
-    for _ in range(spec.s):
-        right = _lower(right, 1)
-    return complex(np.vdot(left, right))
 
 
 @dataclass(frozen=True)
 class NumberMoments:
-    """Diagonal normal-ordered moments of one state, as :func:`moment` returns them.
+    """Diagonal normal-ordered moments ``<adag^p a^p bdag^r b^r>`` of one state.
 
     ``a`` is ``<adag a>``, ``aa`` is ``<adag^2 a^2>``, ``ab`` is
     ``<adag bdag a b>``, and so on; the second-order fields are ``None`` when
@@ -300,9 +187,9 @@ class NumberMoments:
 def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     """``<adag^p a^p bdag^r b^r>`` for p + r <= ``order``, sharing the lowerings.
 
-    A diagonal moment is ``vdot(L, L)`` with ``L = a^p b^r psi``, the value
-    :func:`moment` computes from two equal copies of ``L``. Each lowered grid is
-    made once, so the five second-order moments take five lowerings, the two
+    A diagonal moment is ``vdot(L, L)`` with ``L = a^p b^r psi``: lowering both
+    sides of the inner product never raises past the cutoff. Each lowered grid
+    is made once, so the five second-order moments take five lowerings, the two
     first-order ones two.
     """
     if not isinstance(state, FockState):
@@ -314,7 +201,7 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
         return complex(np.vdot(lowered, lowered))
 
     # each lowered grid is dropped once its moments are taken, which keeps peak
-    # memory below that of moment()
+    # memory at two grids beside the state
     low = _lower(state.amplitudes, 0)
     a = norm2(low)
     if order == 1:

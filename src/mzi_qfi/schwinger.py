@@ -2,12 +2,15 @@
 
 The generators are Jx = (adag b + bdag a)/2, Jy = -i(adag b - bdag a)/2,
 Jz = (adag a - bdag b)/2, and J0 = (adag a + bdag b)/2, so the total photon
-number is 2*J0. Rotations exp(-i angle J_v) conserve total photon number and
-act block-diagonally on the fixed-n sectors of the grid; each complete sector
-carries a spin n/2 representation and is exponentiated by eigendecomposition
-of its (n+1) x (n+1) Hermitian generator block. A rotation on a cutoff-c grid
-costs one O(c^2) scan for the occupied sectors plus one block product per
-occupied sector, so a fixed-photon-number probe pays for a single block.
+number is 2*J0. They conserve total photon number, so each acts on the grid
+as one Hermitian block per fixed-n sector; :func:`sector_generator_matrix` is
+the package's only definition of them. Each complete sector carries a spin
+n/2 representation. Rotations exp(-i angle J_v) exponentiate the blocks by
+eigendecomposition. A rotation on a cutoff-c grid costs one O(c^2) scan for
+the occupied sectors plus one block product per occupied sector, so a
+fixed-photon-number probe pays for a single block. Jz is diagonal in the
+number basis, so its moments come from the number moments of
+:mod:`mzi_qfi.fock`.
 """
 
 from __future__ import annotations
@@ -20,19 +23,8 @@ from typing import Literal, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ParameterError, TruncationOverflowError
-from .fock import (
-    FockState,
-    LadderState,
-    MomentSpec,
-    NumberMoments,
-    apply_ladder,
-    moment,
-    number_moments,
-)
+from .fock import FockState, number_moments
 
-GeneratorTag = Literal["jx", "jy", "jz", "j0"]
-
-_TAGS = ("jx", "jy", "jz", "j0")
 _J_IMAG_TOL = 1e-10
 
 
@@ -54,9 +46,6 @@ class SpinDirection:
         vx, vy, vz = (float(c) for c in v)
         return cls(vx, vy, vz)
 
-    def as_tuple(self) -> Tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
 
 X_AXIS = SpinDirection(1.0, 0.0, 0.0)
 Y_AXIS = SpinDirection(0.0, 1.0, 0.0)
@@ -76,75 +65,17 @@ def _real(value: complex, what: str) -> float:
     return value.real
 
 
-def _number_j_moment(moments: NumberMoments, tag: GeneratorTag, order: int) -> float:
-    """<J> or <J^2> of Jz or J0 from the diagonal number moments."""
-    if order == 1:
-        value = (moments.a - moments.b) / 2 if tag == "jz" else (moments.a + moments.b) / 2
-        return _real(value, f"<{tag}>")
-    na2 = moments.aa + moments.a  # <n_a^2> from the normal-ordered factorial moment
-    nb2 = moments.bb + moments.b
-    if tag == "jz":
-        value = (na2 - 2 * moments.ab + nb2) / 4
-    else:
-        value = (na2 + 2 * moments.ab + nb2) / 4
-    return _real(value, f"<{tag}^2>")
-
-
 def jz_moments(state: FockState) -> Tuple[float, float]:
-    """<Jz> and <Jz^2> from one set of number moments (five lowerings)."""
-    moments = number_moments(state, 2)
-    return _number_j_moment(moments, "jz", 1), _number_j_moment(moments, "jz", 2)
+    """<Jz> and <Jz^2> from one set of number moments (five lowerings).
 
-
-def j_moment(state: FockState, tag: GeneratorTag, order: int) -> float:
-    """First or second moment of a Schwinger generator, <J> or <J^2>.
-
-    Expanded into normal-ordered mode moments, e.g.
-    Jx^2 = (adag^2 b^2 + bdag^2 a^2 + 2 n_a n_b + n_a + n_b)/4. Jz and J0 need
-    only the diagonal number moments, which come from one shared core.
+    With Jz = (n_a - n_b)/2, <Jz^2> = (<n_a^2> - 2 <n_a n_b> + <n_b^2>)/4, where
+    <n^2> = <adag^2 a^2> + <adag a> is read from the normal-ordered moments.
     """
-    if tag not in _TAGS:
-        raise ParameterError(f"unknown generator tag {tag!r}")
-    if order not in (1, 2):
-        raise ParameterError(f"order must be 1 or 2, got {order!r}")
-
-    if tag in ("jz", "j0"):
-        return _number_j_moment(number_moments(state, order), tag, order)
-
-    def m(p: int, q: int, r: int, s: int) -> complex:
-        return moment(state, MomentSpec(p, q, r, s))
-
-    if order == 1:
-        if tag == "jx":
-            value = (m(1, 0, 0, 1) + m(0, 1, 1, 0)) / 2
-        else:  # jy
-            value = -1j * (m(1, 0, 0, 1) - m(0, 1, 1, 0)) / 2
-        return _real(value, f"<{tag}>")
-
-    na = m(1, 1, 0, 0)
-    nb = m(0, 0, 1, 1)
-    nanb = m(1, 1, 1, 1)
-    if tag == "jx":
-        value = (m(2, 0, 0, 2) + m(0, 2, 2, 0) + 2 * nanb + na + nb) / 4
-    else:  # jy
-        value = (-m(2, 0, 0, 2) - m(0, 2, 2, 0) + 2 * nanb + na + nb) / 4
-    return _real(value, f"<{tag}^2>")
-
-
-def apply_generator(state: FockState, tag: GeneratorTag) -> LadderState:
-    """Unnormalized vector J|psi>, used for algebra checks via inner products."""
-    if tag not in _TAGS:
-        raise ParameterError(f"unknown generator tag {tag!r}")
-    if tag in ("jz", "j0"):
-        j = np.arange(state.dim, dtype=float)[:, None]
-        k = np.arange(state.dim, dtype=float)[None, :]
-        weight = (j - k) / 2 if tag == "jz" else (j + k) / 2
-        return LadderState(weight * state.amplitudes, state.cutoff)
-    adag_b = apply_ladder(apply_ladder(state, "b", "lower"), "a", "raise").amplitudes
-    bdag_a = apply_ladder(apply_ladder(state, "a", "lower"), "b", "raise").amplitudes
-    if tag == "jx":
-        return LadderState((adag_b + bdag_a) / 2, state.cutoff)
-    return LadderState(-0.5j * (adag_b - bdag_a), state.cutoff)
+    moments = number_moments(state, 2)
+    mean = _real((moments.a - moments.b) / 2, "<jz>")
+    na2 = moments.aa + moments.a
+    nb2 = moments.bb + moments.b
+    return mean, _real((na2 - 2 * moments.ab + nb2) / 4, "<jz^2>")
 
 
 @lru_cache(maxsize=None)

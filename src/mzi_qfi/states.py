@@ -128,20 +128,6 @@ def coherent_vector(beta: complex, dim: int) -> np.ndarray:
     return v
 
 
-def squeezed_vacuum_reference(xi: float, dim: int) -> np.ndarray:
-    """Squeezed vacuum by exponentiating the truncated generator.
-
-    Independent of the closed form above: diagonalizes the Hermitian
-    xi (adag^2 + a^2)/2 on ``dim`` levels and applies exp(i H) to |0>. Used to
-    cross-check the closed-form route; needs headroom beyond the populated
-    levels because truncating the generator reflects weight at the boundary.
-    """
-    lower = np.diag(np.sqrt(np.arange(1, dim)), k=1)
-    h = xi * (lower @ lower + lower.T @ lower.T).real / 2
-    evals, evecs = np.linalg.eigh(h)
-    return evecs @ (np.exp(1j * evals) * evecs.T[:, 0])
-
-
 # ---------------------------------------------------------------------------
 # family grid builders: cutoff -> (grid, truncation loss)
 # ---------------------------------------------------------------------------
@@ -329,6 +315,8 @@ def _solve_for_nbar(
         raise ParameterError(f"unknown family {name!r}")
     if not nbar > 0:
         raise UnattainableTargetError(f"target mean photon number must be positive, got {nbar!r}")
+    if nbar == math.inf:
+        raise UnattainableTargetError(f"target mean photon number must be finite, got {nbar!r}")
     family = _BY_NAME[name]
     if family.photons is not None:
         n = _nearest_count(family, nbar)

@@ -1,10 +1,17 @@
-"""Reference implementations that the optimized paths must match bit for bit.
+"""Reference implementations: an independent definition of the generators,
+and the straightforward forms that the optimized paths must match bit for bit.
 
-Each one is the straightforward form of a computation the package now does
-with less work: every ladder moment lowers both sides of its inner product
-separately, and a rotation visits all 2c+1 photon-number sectors. The
-lowering is a copy of the package's original one, so a change to the
-package's lowering shows up as a difference; the rotation shares the
+The raising and lowering operators, and the Schwinger generators and their
+moments built from them, live only here: the package defines the generators
+once, as the sector blocks its rotations exponentiate, and needs only the
+diagonal number moments. Tests check those blocks against this ladder
+definition.
+
+The other references are the straightforward form of a computation the
+package now does with less work: every ladder moment lowers both sides of its
+inner product separately, and a rotation visits all 2c+1 photon-number
+sectors. The lowering is a copy of the package's original one, so a change to
+the package's lowering shows up as a difference; the rotation shares the
 package's per-sector index and eigendecomposition caches, which fix the
 operands of every block product.
 """
@@ -107,16 +114,77 @@ def ladder_analyze(state, tol=PATH_SYMMETRY_TOL):
     )
 
 
-def ladder_jz_moment(state, order):
-    """<Jz> or <Jz^2> from ladder moments."""
-    na = ladder_moment(state, 1, 1, 0, 0)
-    nb = ladder_moment(state, 0, 0, 1, 1)
+def oracle_raise(grid, axis):
+    """adag|n> = sqrt(n+1)|n+1> on one axis of an amplitude grid.
+
+    Refuses a grid with amplitude on the top level, which would leave the grid.
+    """
+    top = grid[-1, :] if axis == 0 else grid[:, -1]
+    if np.any(top):
+        raise ValueError("raising would push amplitude past the cutoff")
+    dim = grid.shape[axis]
+    out = np.zeros_like(grid)
+    factors = np.sqrt(np.arange(1, dim))
+    if axis == 0:
+        out[1:, :] = factors[:, None] * grid[:-1, :]
+    else:
+        out[:, 1:] = factors[None, :] * grid[:, :-1]
+    return out
+
+
+def oracle_apply_generator(state, tag):
+    """The unnormalized grid J|psi> for J in jx, jy, jz, j0, from ladder operators."""
+    grid = state.amplitudes
+    if tag in ("jz", "j0"):
+        j = np.arange(state.dim, dtype=float)[:, None]
+        k = np.arange(state.dim, dtype=float)[None, :]
+        weight = (j - k) / 2 if tag == "jz" else (j + k) / 2
+        return weight * grid
+    adag_b = oracle_raise(_lower(grid, 1), 0)
+    bdag_a = oracle_raise(_lower(grid, 0), 1)
+    if tag == "jx":
+        return (adag_b + bdag_a) / 2
+    return -0.5j * (adag_b - bdag_a)
+
+
+def ladder_j_moment(state, tag, order):
+    """<J> or <J^2> for J in jx, jy, jz, j0, expanded into ladder moments.
+
+    For example Jx^2 = (adag^2 b^2 + bdag^2 a^2 + 2 n_a n_b + n_a + n_b)/4.
+    """
+
+    def m(p, q, r, s):
+        return ladder_moment(state, p, q, r, s)
+
+    na, nb = m(1, 1, 0, 0), m(0, 0, 1, 1)
     if order == 1:
-        return ((na - nb) / 2).real
-    na2 = ladder_moment(state, 2, 2, 0, 0) + na
-    nb2 = ladder_moment(state, 0, 0, 2, 2) + nb
-    nanb = ladder_moment(state, 1, 1, 1, 1)
-    return ((na2 - 2 * nanb + nb2) / 4).real
+        values = {"jx": (m(1, 0, 0, 1) + m(0, 1, 1, 0)) / 2,
+                  "jy": -1j * (m(1, 0, 0, 1) - m(0, 1, 1, 0)) / 2,
+                  "jz": (na - nb) / 2, "j0": (na + nb) / 2}
+    else:
+        nanb = m(1, 1, 1, 1)
+        swaps = m(2, 0, 0, 2) + m(0, 2, 2, 0)
+        na2, nb2 = m(2, 2, 0, 0) + na, m(0, 0, 2, 2) + nb
+        values = {"jx": (swaps + 2 * nanb + na + nb) / 4,
+                  "jy": (-swaps + 2 * nanb + na + nb) / 4,
+                  "jz": (na2 - 2 * nanb + nb2) / 4, "j0": (na2 + 2 * nanb + nb2) / 4}
+    value = values[tag]
+    assert abs(value.imag) < 1e-10, value
+    return value.real
+
+
+def squeezed_vacuum_reference(xi, dim):
+    """Squeezed vacuum by exponentiating the truncated generator.
+
+    Independent of the closed form ``states.squeezed_vacuum_vector``:
+    diagonalizes the Hermitian xi (adag^2 + a^2)/2 on ``dim`` levels and applies
+    exp(i H) to |0>. Needs headroom beyond the populated levels, because
+    truncating the generator reflects weight at the boundary.
+    """
+    lower = np.diag(np.sqrt(np.arange(1, dim)), k=1)
+    h = xi * (lower @ lower + lower.T @ lower.T).real / 2
+    evals, evecs = np.linalg.eigh(h)
+    return evecs @ (np.exp(1j * evals) * evecs.T[:, 0])
 
 
 def dense_rotation(state, v, angle):

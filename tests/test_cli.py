@@ -331,6 +331,12 @@ ANALYZE_ERRORS = [*_flag_errors()] + [
                               ("fock-pair", 2), ("amplified-bell", 1))],
     (["coherent", "--nbar", "-1"], "unattainable-target",
      "target mean photon number must be positive, got -1.0"),
+    (["coherent", "--nbar=-inf"], "unattainable-target",
+     "target mean photon number must be positive, got -inf"),
+    (["noon", "--nbar", "nan"], "unattainable-target",
+     "target mean photon number must be positive, got nan"),
+    *[([name, "--nbar", "inf"], "unattainable-target",
+       "target mean photon number must be finite, got inf") for name in (*NATIVE_FLAG, *ALIASES)],
 ]
 
 
@@ -524,6 +530,15 @@ class TestSweepCommand:
         first = lines[1].split(",")
         assert first[2].startswith('"unattainable') or first[2].startswith("unattainable")
         assert first[4] == ""  # UNDEFINED serializes as an empty cell
+
+    @pytest.mark.parametrize("name", [*NATIVE_FLAG, *ALIASES])
+    def test_non_finite_target_row(self, capsys, name):
+        code, out, err = run_cli(capsys, "sweep", "--family", name, "--nbar", "inf")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            f'{ALIASES.get(name, name)},inf,"unattainable: target mean photon number must be '
+            'finite, got inf",,,,,,'
+        ]
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--family", "fock-pair",

@@ -11,7 +11,7 @@ from mzi_qfi.fock import FockState, make_fock
 from mzi_qfi.qfi import qfi_variance
 from mzi_qfi.schwinger import phase_shift
 from mzi_qfi.states import ProbeSpec, build, mean_photon_number
-from oracles import ladder_analyze, ladder_jz_moment, ladder_moment
+from oracles import ladder_analyze, ladder_j_moment, ladder_moment
 
 
 def two_mode_superposition(entries, cutoff):
@@ -119,7 +119,7 @@ def test_shared_lowerings_match_ladder_moments_bit_for_bit(state):
     report, expected = analyze(state), ladder_analyze(state)
     assert report == expected
     assert repr(report) == repr(expected)  # also tells -0.0 from 0.0
-    variance = 4.0 * (ladder_jz_moment(state, 2) - ladder_jz_moment(state, 1) ** 2)
+    variance = 4.0 * (ladder_j_moment(state, "jz", 2) - ladder_j_moment(state, "jz", 1) ** 2)
     assert repr(qfi_variance(state)) == repr(variance)
     nbar = ladder_moment(state, 1, 1, 0, 0).real + ladder_moment(state, 0, 0, 1, 1).real
     assert repr(mean_photon_number(state)) == repr(nbar)

@@ -23,8 +23,9 @@ from mzi_qfi.particle import (
     symmetric_qubit_vector,
 )
 from mzi_qfi.qfi import qfi_variance
-from mzi_qfi.schwinger import beam_splitter, j_moment, sector_generator_matrix
+from mzi_qfi.schwinger import beam_splitter, sector_generator_matrix
 from mzi_qfi.states import ProbeSpec, build, solve_param_for_nbar
+from oracles import ladder_j_moment
 
 from scipy.linalg import expm
 
@@ -54,8 +55,8 @@ def reembedded_sector(state, n):
 
 def ladder_z_stats(state, n):
     """<sigma_z>, Var and Cov from Jz moments of the grid by ladder operators."""
-    mean_z = 2.0 * j_moment(state, "jz", 1) / n
-    mean_zz = (4.0 * j_moment(state, "jz", 2) - n) / (n * (n - 1)) if n >= 2 else mean_z**2
+    mean_z = 2.0 * ladder_j_moment(state, "jz", 1) / n
+    mean_zz = (4.0 * ladder_j_moment(state, "jz", 2) - n) / (n * (n - 1)) if n >= 2 else mean_z**2
     var_z = 1.0 - mean_z**2
     cov_z = mean_zz - mean_z**2
     return mean_z, var_z, cov_z, n * var_z + n * (n - 1) * cov_z

@@ -24,9 +24,9 @@ from mzi_qfi.states import (
     build_for_nbar,
     mean_photon_number,
     solve_param_for_nbar,
-    squeezed_vacuum_reference,
     squeezed_vacuum_vector,
 )
+from oracles import squeezed_vacuum_reference
 
 
 class TestBuilders:
@@ -265,6 +265,17 @@ class TestSolveForNbar:
     def test_nonpositive_target(self):
         with pytest.raises(UnattainableTargetError):
             solve_param_for_nbar("coherent", 0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("target,message", [
+        (math.inf, "target mean photon number must be finite, got inf"),
+        (-math.inf, "target mean photon number must be positive, got -inf"),
+        (math.nan, "target mean photon number must be positive, got nan"),
+    ])
+    def test_non_finite_target(self, family, target, message):
+        with pytest.raises(UnattainableTargetError) as exc:
+            solve_param_for_nbar(family, target)
+        assert (exc.value.code, str(exc.value)) == ("unattainable-target", message)
 
     # a target half-way between two photon totals rounds n to even, and the
     # smallest n holding a photon serves targets down to half a photon below it
