@@ -2,9 +2,10 @@
 
 JSON documents are rendered by a small canonical writer: insertion-ordered
 keys, floats at 17 significant digits (enough to round-trip doubles bit for
-bit), UNDEFINED values as null. Identical inputs therefore produce
-byte-identical output. Files are written to a temporary sibling and renamed,
-so failures never leave partial output behind.
+bit), UNDEFINED values and non-finite floats (which JSON cannot spell) as
+null. Identical inputs therefore produce byte-identical output. Files are
+written to a temporary sibling and renamed, so failures never leave partial
+output behind.
 
 State files hold one amplitude entry per occupied basis ket:
 
@@ -14,6 +15,7 @@ State files hold one amplitude entry per occupied basis ket:
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -42,7 +44,7 @@ def _render(obj, pieces: List[str], indent: int) -> None:
     elif isinstance(obj, (int, np.integer)):
         pieces.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        pieces.append(fmt_float(float(obj)))
+        pieces.append(fmt_float(float(obj)) if math.isfinite(obj) else "null")
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
     elif isinstance(obj, Mapping):

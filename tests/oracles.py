@@ -12,8 +12,9 @@ package now does with less work: every ladder moment lowers both sides of its
 inner product separately, and a rotation visits all 2c+1 photon-number
 sectors. The lowering is a copy of the package's original one, so a change to
 the package's lowering shows up as a difference; the rotation shares the
-package's per-sector index and eigendecomposition caches, which fix the
-operands of every block product.
+package's per-sector kernel, index cache and basis cache, which fix the
+operands of every block product. The earlier rotation, one complex ``eigh``
+per sector and axis, is kept here as a second, independent route.
 """
 
 import numpy as np
@@ -21,7 +22,12 @@ import numpy as np
 from mzi_qfi.coherence import INTENSITY_FLOOR, PATH_SYMMETRY_TOL, CoherenceReport
 from mzi_qfi.errors import ParameterError, TruncationOverflowError
 from mzi_qfi.fock import FockState, NumberMoments
-from mzi_qfi.schwinger import _direction, _sector_eig, _sector_kvals
+from mzi_qfi.schwinger import (
+    _EulerRotation,
+    _rotate_sector,
+    _sector_kvals,
+    sector_generator_matrix,
+)
 
 
 def _lower(grid, axis):
@@ -189,7 +195,6 @@ def squeezed_vacuum_reference(xi, dim):
 
 def dense_rotation(state, v, angle):
     """``schwinger.apply_rotation`` visiting every sector 0..2c and skipping empty ones."""
-    d = _direction(v)
     j = np.arange(state.dim)[:, None]
     k = np.arange(state.dim)[None, :]
     excess = float(np.sum(state.probabilities()[(j + k) > state.cutoff]))
@@ -199,12 +204,36 @@ def dense_rotation(state, v, angle):
             "enlarge the grid before rotating"
         )
     grid = state.amplitudes
+    rotation = _EulerRotation(v, angle, state.cutoff)
+    cells, blocks = [], []
+    for n in range(2 * state.cutoff + 1):
+        ks = _sector_kvals(n, state.cutoff)
+        amps = grid[ks, n - ks]
+        if not np.any(amps):
+            continue
+        cells.append((ks, n - ks))
+        blocks.append(_rotate_sector(n, ks, amps, rotation))
+    rotated = np.concatenate(blocks)
+    out = np.zeros_like(grid)
+    out[np.concatenate([c[0] for c in cells]), np.concatenate([c[1] for c in cells])] = (
+        rotated / np.linalg.norm(rotated)
+    )
+    return FockState(out, state.cutoff, state.truncation_loss)
+
+
+def per_axis_eigh_rotation(state, v, angle):
+    """The earlier rotation: one complex ``eigh`` per (sector, cutoff, axis).
+
+    A partial sector above the cutoff is exponentiated as its truncated block,
+    which reflects weight off the grid edge instead of dropping it.
+    """
+    grid = state.amplitudes
     out = np.zeros_like(grid)
     for n in range(2 * state.cutoff + 1):
         ks = _sector_kvals(n, state.cutoff)
         amps = grid[ks, n - ks]
         if not np.any(amps):
             continue
-        evals, evecs = _sector_eig(n, state.cutoff, d.x, d.y, d.z)
+        evals, evecs = np.linalg.eigh(sector_generator_matrix(n, state.cutoff, v))
         out[ks, n - ks] = evecs @ (np.exp(-1j * angle * evals) * (evecs.conj().T @ amps))
-    return FockState.from_grid(out, state.truncation_loss)
+    return FockState(out / np.linalg.norm(out), state.cutoff, state.truncation_loss)

@@ -66,6 +66,11 @@ class TestCanonicalJson:
         text = canonical_json({"u": None, "t": True, "f": False})
         assert '"u": null' in text and '"t": true' in text and '"f": false' in text
 
+    def test_non_finite_floats_are_null(self):
+        doc = {"n": math.nan, "p": math.inf, "m": np.float64(-np.inf), "x": [1.5, math.nan]}
+        assert json.loads(canonical_json(doc)) == {"n": None, "p": None, "m": None,
+                                                   "x": [1.5, None]}
+
 
 class TestStateFiles:
     def test_round_trip_is_bit_faithful(self, tmp_path):
@@ -539,6 +544,17 @@ class TestSweepCommand:
             f'{ALIASES.get(name, name)},inf,"unattainable: target mean photon number must be '
             'finite, got inf",,,,,,'
         ]
+
+    @pytest.mark.parametrize("targets", ["nan,2", "inf"])
+    def test_json_with_non_finite_target_is_json(self, capsys, targets):
+        code, out, _ = run_cli(capsys, "sweep", "--family", "noon", "--nbar", targets,
+                               "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0]["nbar_target"] is None
+        assert rows[0]["status"].startswith("unattainable: target mean photon number must be")
+        finite = [float(t) for t in targets.split(",")[1:]]
+        assert [row["nbar_target"] for row in rows[1:]] == finite
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--family", "fock-pair",

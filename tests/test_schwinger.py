@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,13 +10,16 @@ from scipy.linalg import expm
 
 from conftest import random_direction, random_two_mode_state, sparse_states
 from mzi_qfi.errors import TruncationOverflowError
-from mzi_qfi.fock import FockState, make_fock, state_distance
+from mzi_qfi.fock import FockState, make_fock, pad_to, state_distance
 from mzi_qfi.schwinger import (
+    BASIS_CACHE_BYTES,
     SpinDirection,
     X_AXIS,
     Y_AXIS,
+    _BasisCache,
+    _euler_angles,
+    _jx_basis,
     _nonzero_cells,
-    _sector_eig,
     _sector_kvals,
     apply_rotation,
     beam_splitter,
@@ -23,8 +28,13 @@ from mzi_qfi.schwinger import (
     phase_shift,
     sector_generator_matrix,
 )
-from mzi_qfi.states import ProbeSpec, build, mean_photon_number
-from oracles import dense_rotation, ladder_j_moment, oracle_apply_generator
+from mzi_qfi.states import ProbeSpec, build, coherent_vector, mean_photon_number
+from oracles import (
+    dense_rotation,
+    ladder_j_moment,
+    oracle_apply_generator,
+    per_axis_eigh_rotation,
+)
 
 EPSILON = {("jx", "jy"): "jz", ("jy", "jz"): "jx", ("jz", "jx"): "jy"}
 
@@ -41,14 +51,19 @@ def su2_defect(state) -> float:
 
 
 def rotation_oracle(state: FockState, v, angle: float) -> np.ndarray:
-    """Independent route: scipy expm of the explicit sector blocks."""
+    """Independent route: scipy expm of the complete spin n/2 block of each sector.
+
+    A sector above the cutoff is embedded in its complete block, rotated, and
+    truncated back to the cells the grid holds; the result is renormalized.
+    """
     out = np.zeros_like(state.amplitudes)
     for n in range(2 * state.cutoff + 1):
         ks = np.arange(max(0, n - state.cutoff), min(n, state.cutoff) + 1)
-        block = sector_generator_matrix(n, state.cutoff, v)
-        u = expm(-1j * angle * block)
-        out[ks, n - ks] = u @ state.amplitudes[ks, n - ks]
-    return out
+        full = np.zeros(n + 1, dtype=complex)
+        full[ks] = state.amplitudes[ks, n - ks]
+        u = expm(-1j * angle * sector_generator_matrix(n, n, v))
+        out[ks, n - ks] = (u @ full)[ks]
+    return out / np.linalg.norm(out)
 
 
 class TestJMoments:
@@ -156,20 +171,118 @@ class TestRotations:
         for view in (grid, grid.T, grid[::2, 1:], grid[:1, :1]):
             assert np.array_equal(_nonzero_cells(view), view != 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sparse_states(),
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+        st.floats(-2 * math.pi, 2 * math.pi),
+    )
+    def test_matches_expm_of_complete_blocks(self, state, v, angle):
+        v = tuple(np.asarray(v) / np.linalg.norm(v))
+        try:
+            got = apply_rotation(state, v, angle)
+        except TruncationOverflowError:
+            return
+        assert np.abs(got.amplitudes - rotation_oracle(state, v, angle)).max() < 1e-12
+
+    def test_matches_per_axis_eigendecomposition(self, rng):
+        for _ in range(5):
+            psi = random_two_mode_state(rng, 12, 12)
+            v = random_direction(rng)
+            angle = rng.uniform(-2 * math.pi, 2 * math.pi)
+            got = apply_rotation(psi, v, angle).amplitudes
+            assert np.abs(got - per_axis_eigh_rotation(psi, v, angle).amplitudes).max() < 1e-12
+
+    @pytest.mark.parametrize("v", [X_AXIS, Y_AXIS, (0.0, 0.0, 1.0), (0.6, -0.48, 0.64)])
+    @pytest.mark.parametrize("angle", [0.0, 0.4, -math.pi / 2, 3.0, -5.5])
+    def test_euler_angles_compose_the_spin_half_rotation(self, v, angle):
+        alpha, beta, gamma = _euler_angles(v, angle)
+        jz, jx = sector_generator_matrix(1, 1, (0, 0, 1)), sector_generator_matrix(1, 1, X_AXIS)
+        composed = expm(-1j * alpha * jz) @ expm(-1j * beta * jx) @ expm(-1j * gamma * jz)
+        direct = expm(-1j * angle * sector_generator_matrix(1, 1, v))
+        assert np.abs(composed - direct).max() < 1e-15
+
+    @pytest.mark.parametrize("angle", [math.pi / 2, -math.pi / 2, 0.3])
+    def test_beam_splitter_axis_needs_no_phases(self, angle):
+        assert _euler_angles(X_AXIS, angle) == (0.0, angle, 0.0)
+
+    def test_partial_sectors_rotate_exactly(self):
+        # a product coherent state stays one under a beam splitter, so the
+        # cells of the partial sectors hold the rotated product's amplitudes,
+        # instead of the weight the truncated block reflects off the grid edge
+        state = build(ProbeSpec("coherent", {"alpha": 8.0}, 160))
+        grid = state.amplitudes
+        u, w = grid[1, 0] / grid[0, 0], grid[0, 1] / grid[0, 0]  # the arms' coherent amplitudes
+        # exp(-i pi/2 Jx) maps mode amplitudes (u, w) to ((u - i w), (w - i u))/sqrt(2)
+        a, b = (u - 1j * w) / math.sqrt(2), (w - 1j * u) / math.sqrt(2)
+        expected = np.outer(coherent_vector(a, 161), coherent_vector(b, 161))
+        got = beam_splitter(state, "first").amplitudes
+        assert np.abs(got - expected / np.linalg.norm(expected)).max() < 1e-15
+        assert abs(got[1, 160]) < 1e-20
+        assert abs(per_axis_eigh_rotation(state, X_AXIS, math.pi / 2).amplitudes[1, 160]) > 1e-13
+
+    def test_keeps_the_loss_of_a_coarse_state(self):
+        # a state built to a loose loss target rotates: the loss ceiling guards
+        # construction, not rotation
+        coarse = pad_to(build(ProbeSpec("coherent", {"alpha": 2.0}), loss_target=1e-6), 24)
+        out = mzi_unitary(coarse, 0.3)
+        assert out.truncation_loss == coarse.truncation_loss > 1e-10
+        assert abs(mean_photon_number(out) - mean_photon_number(coarse)) < 1e-12
+
     def test_single_sector_probe_rotates_one_block(self):
         state = build(ProbeSpec("fock-pair", {"n": 200}))
         assert state.cutoff == 400
+        apply_rotation(state, X_AXIS, 0.3)  # the basis of sector 400, cold or warm
         v = np.array([0.2718, -0.3141, 0.5772])  # an axis no other test rotates about
         v = tuple(v / np.linalg.norm(v))
-        eig = _sector_eig.cache_info()
+        misses = _jx_basis.misses
         apply_rotation(state, v, 0.7)
-        assert _sector_eig.cache_info().misses == eig.misses + 1
-        assert _sector_eig.cache_info().hits == eig.hits
-        # warm: one index lookup for the one occupied sector, none for the 800 empty ones
+        assert _jx_basis.misses == misses  # a new axis needs no new basis
+        # one index lookup for the one occupied sector, none for the 800 empty ones
         kvals = _sector_kvals.cache_info()
         apply_rotation(state, v, 1.1)
         after = _sector_kvals.cache_info()
         assert after.hits + after.misses == kvals.hits + kvals.misses + 1
+
+    def test_basis_cache_stays_within_its_bytes(self):
+        cache = _BasisCache(limit=3 * 41 * 21 * 8)
+        for n in [40, 10, 40, 39, 38, 3, 41, 40, 50, 2, 37, 36, 35, 0, 40]:
+            basis = cache(n)
+            assert basis.shape == (n + 1, n // 2 + 1)
+            assert cache.resident_bytes == sum(b.nbytes for b in cache._bases.values())
+            assert cache.resident_bytes <= cache.limit
+        assert 50 not in cache._bases  # larger than the whole budget: computed, not kept
+        assert list(cache._bases) == [36, 35, 0, 40]  # least recently used first out
+        assert _jx_basis.resident_bytes <= _jx_basis.limit == BASIS_CACHE_BYTES
+
+    def test_basis_cache_accounting_survives_threads(self):
+        cache = _BasisCache(limit=4 * 25 * 13 * 8)
+        order = np.random.default_rng(7).integers(0, 25, size=(6, 300))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda ns=ns: [cache(int(n)) for n in ns])
+                       for ns in order]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.resident_bytes == sum(b.nbytes for b in cache._bases.values())
+        assert cache.resident_bytes <= cache.limit
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 31])
+    def test_half_basis_and_its_mirror_diagonalize_jx(self, n):
+        half = _jx_basis(n)
+        parity = (-1.0) ** np.arange(n + 1)
+        mirrored = parity[:, None] * half[:, ::-1][:, : n - n // 2]  # m = -n/2, ..., < 0
+        basis = np.hstack([mirrored, half])
+        jx = sector_generator_matrix(n, n, X_AXIS)
+        exact = np.arange(n + 1) - n / 2
+        assert np.abs(basis @ np.diag(exact) @ basis.T - jx).max() < 1e-13
+        assert np.abs(basis.T @ basis - np.eye(n + 1)).max() < 1e-14
 
     def test_rotation_requires_headroom(self):
         # all support on the truncated corner sector

@@ -89,6 +89,13 @@ class TestBuilders:
         assert loss_at(state.cutoff) < 1e-14
         assert loss_at(state.cutoff - 1) >= 1e-14
 
+    def test_split_photon_amplitudes_are_pinned(self):
+        # the coherent and amplified-bell grids, and through their losses the
+        # auto-cutoffs, depend on these bits: u real and v imaginary, exactly
+        u, v = states._split_photon_amplitudes()
+        assert (u.real.hex(), u.imag) == ("0x1.6a09e667f3bcdp-1", 0.0)
+        assert (v.real, v.imag.hex()) == (0.0, "-0x1.6a09e667f3bccp-1")
+
 
 class TestPathSymmetry:
     @pytest.mark.parametrize("family", FAMILIES)
