@@ -11,6 +11,7 @@ nulls.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Dict, List, Optional
 
@@ -36,7 +37,17 @@ _FAMILY_HELP = ("probe family: " + ", ".join(FAMILIES)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the exit-code contract wants 1."""
+    """argparse exits 2 on usage errors; the exit-code contract wants 1.
+
+    argparse reads an argument that starts with "-" as a flag unless it is a
+    plain negative number, so ``--nbar -1,2`` or ``--nbar -inf`` would miss
+    their value while ``--nbar=-1,2`` works. No option of this program looks
+    like a number, so every argument that starts like one is read as a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -191,7 +191,8 @@ def state_from_document(doc: object, origin: str = "<state>") -> FockState:
     if norm == 0.0:
         raise NormalizationError(f"{origin}: amplitudes have zero norm")
     deviation = abs(norm - 1.0)
-    if deviation > 1e-6 * (1 + 1e-7):  # hair of slack so a stored 1e-6 edge passes
+    # "not <=" so that a NaN norm (a NaN amplitude) is rejected too
+    if not deviation <= 1e-6 * (1 + 1e-7):  # hair of slack so a stored 1e-6 edge passes
         raise NormalizationError(
             f"{origin}: norm {norm!r} deviates from 1 beyond the 1e-6 acceptance window"
         )

@@ -9,8 +9,9 @@ definition.
 
 The other references are the straightforward form of a computation the
 package now does with less work: every ladder moment lowers both sides of its
-inner product separately, and a rotation visits all 2c+1 photon-number
-sectors. The lowering is a copy of the package's original one, so a change to
+inner product separately, a rotation visits all 2c+1 photon-number sectors,
+the Schmidt spectrum is one SVD of the whole grid, and a phase shift
+evaluates its phase at every cell. The lowering is a copy of the package's original one, so a change to
 the package's lowering shows up as a difference; the rotation shares the
 package's per-sector kernel, index cache and basis cache, which fix the
 operands of every block product. The earlier rotation, one complex ``eigh``
@@ -204,7 +205,7 @@ def dense_rotation(state, v, angle):
             "enlarge the grid before rotating"
         )
     grid = state.amplitudes
-    rotation = _EulerRotation(v, angle, state.cutoff)
+    rotation = _EulerRotation(v, angle, 2 * state.cutoff)
     cells, blocks = [], []
     for n in range(2 * state.cutoff + 1):
         ks = _sector_kvals(n, state.cutoff)
@@ -237,3 +238,16 @@ def per_axis_eigh_rotation(state, v, angle):
         evals, evecs = np.linalg.eigh(sector_generator_matrix(n, state.cutoff, v))
         out[ks, n - ks] = evecs @ (np.exp(-1j * angle * evals) * (evecs.conj().T @ amps))
     return FockState(out / np.linalg.norm(out), state.cutoff, state.truncation_loss)
+
+
+def full_svd_schmidt_values(state):
+    """Every singular value of the whole amplitude grid, descending, zeros included."""
+    return np.linalg.svd(state.amplitudes, compute_uv=False)
+
+
+def phase_shift_formula(state, phi):
+    """``schwinger.phase_shift`` with exp(-i phi (j-k)/2) evaluated at every cell."""
+    j = np.arange(state.dim)[:, None]
+    k = np.arange(state.dim)[None, :]
+    phases = np.exp(-1j * phi * (j - k) / 2)
+    return FockState(phases * state.amplitudes, state.cutoff, state.truncation_loss)

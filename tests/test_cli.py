@@ -103,6 +103,13 @@ class TestStateFiles:
         with pytest.raises(NormalizationError):
             state_from_document(doc)
 
+    @pytest.mark.parametrize("re,im", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+    def test_non_finite_amplitude_rejected(self, re, im):
+        doc = {"cutoff": 1, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, "im": 0.0},
+                                           {"ja": 1, "jb": 1, "re": re, "im": im}]}
+        with pytest.raises(NormalizationError, match="acceptance window"):
+            state_from_document(doc)
+
     def test_index_beyond_cutoff_rejected(self):
         doc = {"cutoff": 1, "amplitudes": [{"ja": 2, "jb": 0, "re": 1.0, "im": 0.0}]}
         with pytest.raises(CutoffExceededError, match="exceeds cutoff"):
@@ -422,6 +429,24 @@ class TestErrorContract:
         assert json.loads(err) == {"schema": "mzi-qfi/1",
                                    "error": {"code": code, "message": message}}
 
+    def test_nan_amplitude_in_state_file(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"cutoff":1,"amplitudes":[{"ja":0,"jb":0,"re":1.0,"im":0.0},'
+                        '{"ja":1,"jb":1,"re":NaN,"im":0.0}]}')
+        exit_code, out, err = run_cli(capsys, "analyze", "--state-file", str(path))
+        assert (exit_code, out) == (1, "")
+        assert json.loads(err) == {"schema": "mzi-qfi/1", "error": {
+            "code": "bad-norm",
+            "message": f"{path}: norm nan deviates from 1 beyond the 1e-6 acceptance window"}}
+
+    @pytest.mark.parametrize("value", ["-1", "-0.5", "-1e3", "-inf", "-Infinity", "-nan"])
+    def test_negative_nbar_needs_no_equals_sign(self, capsys, value):
+        spaced = run_cli(capsys, "analyze", "--family", "coherent", "--nbar", value)
+        joined = run_cli(capsys, "analyze", "--family", "coherent", f"--nbar={value}")
+        assert spaced == joined
+        assert spaced[0] == 1
+        assert json.loads(spaced[2])["error"]["code"] == "unattainable-target"
+
     @pytest.mark.parametrize("command", [["analyze"], ["sweep", "--nbar", "1"]])
     def test_invalid_family_choice(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -544,6 +569,18 @@ class TestSweepCommand:
             f'{ALIASES.get(name, name)},inf,"unattainable: target mean photon number must be '
             'finite, got inf",,,,,,'
         ]
+
+    @pytest.mark.parametrize("targets", ["-1,2", "-inf,2", "-0.5"])
+    def test_negative_first_target_needs_no_equals_sign(self, capsys, targets):
+        spaced = run_cli(capsys, "sweep", "--family", "noon", "--nbar", targets)
+        joined = run_cli(capsys, "sweep", "--family", "noon", f"--nbar={targets}")
+        assert spaced == joined
+        code, out, err = spaced
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == len(targets.split(","))
+        assert rows[0].startswith('noon,' + targets.split(",")[0] + ',"unattainable: target')
+        assert all(",ok," in row for row in rows[1:])
 
     @pytest.mark.parametrize("targets", ["nan,2", "inf"])
     def test_json_with_non_finite_target_is_json(self, capsys, targets):

@@ -138,6 +138,36 @@ class TestFockStateInvariants:
         with pytest.raises(NormalizationError):
             FockState(grid, 2)
 
+    @pytest.mark.parametrize("deviation", [5e-13, -5e-13])
+    def test_norm_just_inside_tolerance_accepted(self, rng, deviation):
+        grid = random_two_mode_state(rng, 5, 6).amplitudes * (1 + deviation)
+        assert np.array_equal(FockState(grid, 5).amplitudes, grid)
+
+    @pytest.mark.parametrize("deviation", [2e-12, -2e-12])
+    def test_norm_just_outside_tolerance_rejected(self, rng, deviation):
+        grid = random_two_mode_state(rng, 5, 6).amplitudes * (1 + deviation)
+        with pytest.raises(NormalizationError) as raised:
+            FockState(grid, 5)
+        message = str(raised.value)
+        prefix, suffix = "state norm ", " deviates from 1 beyond 1e-12"
+        assert message.startswith(prefix) and message.endswith(suffix)
+        assert abs(float(message[len(prefix):-len(suffix)]) - (1 + deviation)) < 1e-15
+
+    @pytest.mark.parametrize("value", [math.nan, complex(0, math.nan), math.inf])
+    def test_non_finite_amplitude_rejected(self, value):
+        grid = np.zeros((2, 2), dtype=complex)
+        grid[0, 0] = 1.0
+        grid[1, 1] = value
+        with pytest.raises(NormalizationError, match=r"^state norm \w+ deviates from 1 beyond"):
+            FockState(grid, 1)
+        with pytest.raises(NormalizationError):
+            FockState(np.full((2, 2), value, dtype=complex), 1)
+
+    def test_from_grid_divides_by_the_two_norm(self, rng):
+        grid = 3.7 * random_two_mode_state(rng, 6, 8).amplitudes
+        expected = grid / np.linalg.norm(grid)
+        assert np.array_equal(FockState.from_grid(grid).amplitudes, expected)
+
     def test_loss_ceiling_enforced(self):
         grid = np.zeros((3, 3), dtype=complex)
         grid[0, 0] = 1.0

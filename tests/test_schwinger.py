@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from conftest import random_direction, random_two_mode_state, sparse_states
 from mzi_qfi.errors import TruncationOverflowError
-from mzi_qfi.fock import FockState, make_fock, pad_to, state_distance
+from mzi_qfi.fock import FockState, make_fock, nonzero_cells, pad_to, state_distance
 from mzi_qfi.schwinger import (
     BASIS_CACHE_BYTES,
     SpinDirection,
@@ -19,7 +19,6 @@ from mzi_qfi.schwinger import (
     _BasisCache,
     _euler_angles,
     _jx_basis,
-    _nonzero_cells,
     _sector_kvals,
     apply_rotation,
     beam_splitter,
@@ -34,6 +33,7 @@ from oracles import (
     ladder_j_moment,
     oracle_apply_generator,
     per_axis_eigh_rotation,
+    phase_shift_formula,
 )
 
 EPSILON = {("jx", "jy"): "jz", ("jy", "jz"): "jx", ("jz", "jx"): "jy"}
@@ -169,7 +169,7 @@ class TestRotations:
         grid = np.empty((7, 7), dtype=np.complex128)
         grid.real, grid.imag = rng.choice(values, (7, 7)), rng.choice(values, (7, 7))
         for view in (grid, grid.T, grid[::2, 1:], grid[:1, :1]):
-            assert np.array_equal(_nonzero_cells(view), view != 0)
+            assert np.array_equal(nonzero_cells(view), view != 0)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -319,6 +319,15 @@ class TestPhaseShift:
         psi = random_two_mode_state(rng, 6, 4)
         out = phase_shift(psi, 1.7)
         assert np.abs(np.abs(out.amplitudes) - np.abs(psi.amplitudes)).max() < 1e-15
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi, -math.pi, 1e-3, 2.7])
+    def test_phase_table_matches_cellwise_formula_bit_for_bit(self, rng, phi):
+        for cutoff in range(65):
+            grid = rng.normal(size=(cutoff + 1, cutoff + 1, 2)).view(complex)[..., 0]
+            psi = FockState(grid / np.linalg.norm(grid), cutoff)
+            got = phase_shift(psi, phi).amplitudes
+            expected = phase_shift_formula(psi, phi).amplitudes
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), cutoff
 
 
 class TestMziUnitary:
