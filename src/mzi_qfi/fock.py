@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Optional, Tuple
 
 import numpy as np
@@ -50,18 +50,28 @@ def cutoff_ceiling() -> int:
     return value
 
 
+def check_truncation_loss(loss: float, ceiling: float) -> None:
+    """Raise ``TruncationLossError`` if ``loss`` exceeds ``ceiling``."""
+    if loss > ceiling:
+        raise TruncationLossError(f"truncation loss {loss:.3e} exceeds ceiling {ceiling:.3e}")
+
+
 @dataclass(frozen=True)
 class FockState:
     """Normalized two-mode state on a square ``(cutoff+1) x (cutoff+1)`` grid.
 
     ``truncation_loss`` is the probability discarded before the grid was
     renormalized; it is zero for states assembled directly from basis kets.
-    Instances are immutable and safe to share across threads.
+    Instances are immutable and safe to share across threads. ``_norm_squared``
+    keeps the squared norm the constructor checks, ``vdot(psi, psi).real``,
+    for readers that need it again; it is not an argument and takes no part
+    in ``repr`` or equality.
     """
 
     amplitudes: np.ndarray
     cutoff: int
     truncation_loss: float = 0.0
+    _norm_squared: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -74,11 +84,13 @@ class FockState:
         if self.truncation_loss < 0:
             raise ParameterError("truncation_loss must be non-negative")
         # one complex dot; written so that a NaN or infinite norm fails the check
-        nrm = math.sqrt(np.vdot(grid, grid).real)
+        norm_squared = float(np.vdot(grid, grid).real)
+        nrm = math.sqrt(norm_squared)
         if not abs(nrm - 1.0) <= _NORM_TOL:
             raise NormalizationError(f"state norm {nrm!r} deviates from 1 beyond {_NORM_TOL}")
         grid.flags.writeable = False
         object.__setattr__(self, "amplitudes", grid)
+        object.__setattr__(self, "_norm_squared", norm_squared)
 
     @classmethod
     def from_grid(
@@ -89,10 +101,7 @@ class FockState:
     ) -> "FockState":
         """Renormalize ``grid`` and wrap it, enforcing the loss ceiling."""
         grid = np.asarray(grid, dtype=np.complex128)  # the division below copies
-        if truncation_loss > loss_ceiling:
-            raise TruncationLossError(
-                f"truncation loss {truncation_loss:.3e} exceeds ceiling {loss_ceiling:.3e}"
-            )
+        check_truncation_loss(truncation_loss, loss_ceiling)
         nrm = float(np.linalg.norm(grid))
         if nrm == 0.0:
             raise NormalizationError("cannot normalize a zero amplitude grid")

@@ -224,7 +224,7 @@ def particle_moments(
     grid = sector_state.amplitudes
     ks = _sector_ks(n, sector_state.cutoff)
     probs = np.abs(grid[ks, n - ks]) ** 2
-    off = float(np.vdot(grid, grid).real) - float(np.sum(probs))
+    off = sector_state._norm_squared - float(np.sum(probs))  # the norm FockState checked
     if off > SECTOR_SUPPORT_TOL:
         actual = _single_sector_n(sector_state)
         if actual == n:

@@ -15,10 +15,15 @@ beam splitter.
 
 Automatic cutoff selection picks the smallest per-mode cutoff whose discarded
 probability is below the loss target, subject to the configurable ceiling.
+That probability is each family's exact ``loss``, summed forward over the
+tails of its one-mode number distributions, never ``1 - sum |psi|^2``; it falls
+monotonically with the cutoff, so the search bisects on losses alone and
+builds one grid, at the cutoff it picks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
@@ -29,6 +34,7 @@ from .errors import ParameterError, TruncationLossError, UnattainableTargetError
 from .fock import (
     DEFAULT_LOSS_CEILING,
     FockState,
+    check_truncation_loss,
     cutoff_ceiling,
     make_fock,
     number_moments,
@@ -66,13 +72,16 @@ def _squeezing(family: Family, value: ParamValue) -> float:
             raise ParameterError(f"complex squeezing is not supported, got {family.key}={value!r}")
         value = value.real
     value = float(value)
-    if value < 0:
+    if not value >= 0:
         raise ParameterError(f"squeezing must be non-negative, got {family.key}={value!r}")
     return value
 
 
 def _displacement(family: Family, value: ParamValue) -> complex:
-    return complex(value)
+    value = complex(value)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ParameterError(f"displacement must be finite, got {family.key}={value!r}")
+    return value
 
 
 def _photon_count(family: Family, value: ParamValue) -> int:
@@ -129,49 +138,224 @@ def coherent_vector(beta: complex, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# family grid builders: cutoff -> (grid, truncation loss)
+# one-mode tails: the probability a mode holds above the cutoff
+# ---------------------------------------------------------------------------
+
+# log(n!) - [(n + 1/2) log n - n + log(2 pi)/2] for n = 0..15, from the exact
+# factorials; larger n take the asymptotic series
+_SMALL_STIRLING = (0.0,) + tuple(
+    math.log(math.factorial(n)) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(2 * math.pi)
+    for n in range(1, 16)
+)
+
+
+def _stirling_error(n: int) -> float:
+    """The Stirling-formula error of log(n!) (Loader 2000)."""
+    if n < 16:
+        return _SMALL_STIRLING[n]
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+
+
+def _poisson_deviance(n: int, mu: float) -> float:
+    """n log(n/mu) + mu - n for n >= 1 (Loader's bd0).
+
+    Near the mean it is the series d v + 2n (v^3/3 + v^5/5 + ...) in
+    v = d/(n + mu), d = n - mu, whose terms all share the sign of d: the
+    direct form would cancel most of its digits there.
+    """
+    d = n - mu
+    v = d / (n + mu)
+    if abs(v) >= 0.5:
+        return n * math.log(n / mu) - d
+    total, power, v2, j = d * v, 2 * n * v, v * v, 3
+    while True:
+        power *= v2
+        step = power / j
+        if abs(step) <= 1e-17 * abs(total):
+            return total
+        total += step
+        j += 2
+
+
+def _log_tanh(x: float) -> float:
+    # log1p keeps the digits of tanh x = 1 - 2q/(1 + q), q = e^{-2x}, near 1
+    if x == 0:
+        return -math.inf
+    if x < 0.5:
+        return math.log(math.tanh(x))
+    q = math.exp(-2 * x)
+    return math.log1p(-2 * q / (1 + q))
+
+
+def _log_cosh(x: float) -> float:
+    return x + math.log1p(math.exp(-2 * x)) - math.log(2)
+
+
+def _series(log_prob: Callable[[int], float], ratio: Callable[[np.ndarray], np.ndarray],
+            start: int, stop: Optional[int], bound: Callable[[int], float]) -> float:
+    """sum_{start <= k < stop} p_k, or to infinity for ``stop=None``.
+
+    Each chunk starts from its own log-domain term and multiplies the ratios
+    p_{k+1}/p_k forward from it, so rounding never runs far. An unbounded sum
+    takes its first chunk long enough for the ratio bound at ``start`` to
+    decay by e^-41, and stops once ``bound(k)``, a bound on every ratio from
+    k on, caps what is left below 1e-17 of the sum.
+    """
+    total, size, rho = 0.0, 64, bound(start)
+    if stop is None and 0 < rho < 1:
+        size = min(max(64, int(41 / -math.log(rho))), 1 << 16)
+    while stop is None or start < stop:
+        end = start + size if stop is None else min(start + size, stop)
+        term, last = math.exp(log_prob(start)), 0.0
+        # a chunk that starts below 1e-300 stays negligible, and its ratio
+        # products could overflow
+        if term > 1e-300:
+            products = np.cumprod(ratio(np.arange(start, end - 1, dtype=float)))
+            total += term * (1.0 + float(products.sum()))
+            last = term * (products[-1] if products.size else 1.0)
+        if stop is None:
+            rho = bound(end - 1)
+            if rho < 1 and last * rho / (1 - rho) <= 1e-17 * total:
+                break
+            size *= 2
+        start = end
+    return total
+
+
+def _tail(log_prob: Callable[[int], float], ratio: Callable[[np.ndarray], np.ndarray],
+          bound: Callable[[int], float], first: int, light: bool) -> float:
+    """Probability of the indices >= ``first`` of a distribution on 0, 1, 2, ...
+
+    The tail is summed forward. When it may hold more than half the mass
+    (``light`` false, from a bound on the mean), the head is summed first;
+    if that holds less than half, the tail is 1 - head, which cancels no
+    digits and needs no walk through a tail that barely decays.
+    """
+    if not light:
+        head = _series(log_prob, ratio, 0, first, bound)
+        if not head >= 0.5:  # a NaN head is returned, not looped on
+            return 1.0 - head
+    return _series(log_prob, ratio, first, None, bound)
+
+
+def _squeezed_tail(xi: float, first: int, photon: int) -> float:
+    """Probability of m >= ``first`` pairs in a squeezed vacuum (photon=0) or photon (1).
+
+    Level 2m + photon has probability (2m choose m) (tanh^2 xi / 4)^m
+    (2m + 1)^photon / cosh^(2 photon + 1) xi, taken in the log domain so
+    that no cosh overflows. Its mean m is (1 + 2 photon) sinh^2 xi / 2.
+    """
+    if xi == 0:
+        return float(first == 0)
+    log_t2, log_cosh, t2 = 2 * _log_tanh(xi), _log_cosh(xi), math.tanh(xi) ** 2
+
+    def log_prob(m: int) -> float:
+        log_p = photon * math.log(2 * m + 1) - (2 * photon + 1) * log_cosh
+        if m == 0:
+            return log_p
+        central = _stirling_error(2 * m) - 2 * _stirling_error(m) - 0.5 * math.log(math.pi * m)
+        return log_p + central + m * log_t2
+
+    # the vacuum's ratios t2 (2m+1)/(2m+2) rise to t2; the photon's t2 (2m+3)/(2m+2) fall
+    ratio = lambda m: t2 * (m + (0.5 + photon)) / (m + 1)
+    bound = lambda m: t2 * (1 + photon / (2 * m + 2))
+    light = first >= (1 + 2 * photon) * math.sinh(min(xi, 350.0)) ** 2  # Markov: tail <= 1/2
+    return _tail(log_prob, ratio, bound, first, light)
+
+
+def _poisson_tail(mu: float, first: int) -> float:
+    """Probability of n >= ``first`` in a Poisson distribution of mean ``mu``."""
+    if mu == 0:
+        return float(first == 0)
+
+    def log_prob(n: int) -> float:
+        if n == 0:
+            return -mu
+        return -_stirling_error(n) - _poisson_deviance(n, mu) - 0.5 * math.log(2 * math.pi * n)
+
+    ratio = lambda n: mu / (n + 1)
+    # the median lies below mu + 1/3, so a tail from above mu + 4/3 holds under half
+    return _tail(log_prob, ratio, ratio, first, first >= mu + 4 / 3)
+
+
+# ---------------------------------------------------------------------------
+# family grid builders and their exact truncation losses
 # ---------------------------------------------------------------------------
 
 
-def _loss_of(grid: np.ndarray) -> float:
-    return max(0.0, 1.0 - float(np.sum(np.abs(grid) ** 2)))
+def _either(t0: float, t1: float) -> float:
+    """1 - (1 - t0)(1 - t1): the chance that either of two independent tails is hit.
+
+    Small tails are added, t0 + t1 - t0 t1. From a tail of one half up,
+    1 - t is exact and the product form keeps the loss monotone near 1.
+    """
+    if max(t0, t1) >= 0.5:
+        return 1.0 - (1.0 - t0) * (1.0 - t1)
+    return t0 + t1 - t0 * t1
 
 
-def _grid_twin_squeezed(xi: float, cutoff: int) -> Tuple[np.ndarray, float]:
+def _loss_twin_squeezed(xi: float, cutoff: int) -> float:
+    tail = _squeezed_tail(xi, cutoff // 2 + 1, 0)
+    return _either(tail, tail)  # 2T - T^2
+
+
+def _grid_twin_squeezed(xi: float, cutoff: int) -> np.ndarray:
     v = squeezed_vacuum_vector(xi, cutoff + 1)
-    grid = np.outer(v, v)
-    return grid, _loss_of(grid)
+    return np.outer(v, v)
 
 
-def _grid_tmsv(chi: float, cutoff: int) -> Tuple[np.ndarray, float]:
+def _loss_tmsv(chi: float, cutoff: int) -> float:
+    return math.exp(2 * (cutoff + 1) * _log_tanh(chi))  # tanh^{2(c+1)} chi
+
+
+def _grid_tmsv(chi: float, cutoff: int) -> np.ndarray:
     n = np.arange(cutoff + 1)
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     grid[n, n] = np.tanh(chi) ** n / np.cosh(chi)
-    return grid, _loss_of(grid)
+    return grid
 
 
+@functools.cache
 def _split_photon_amplitudes() -> Tuple[complex, complex]:
     """Arm amplitudes (u, v) of one photon behind the first splitter.
 
     Derived from beam_splitter itself so the composed families inherit its
     phase convention; with the exp(-i pi/2 Jx) splitter, (u, v) =
-    (1, -i)/sqrt(2).
+    (1, -i)/sqrt(2). Computed on first use, not at import.
     """
     split = beam_splitter(make_fock(1, 0, 1), "first").amplitudes
     return complex(split[1, 0]), complex(split[0, 1])
 
 
-def _grid_coherent(alpha: complex, cutoff: int) -> Tuple[np.ndarray, float]:
+def _intensity(alpha: complex) -> float:
+    # |alpha|^2 without hypot's extra rounding: a tail term's relative error
+    # is (n - |alpha|^2) times this one's
+    return alpha.real**2 + alpha.imag**2
+
+
+def _loss_coherent(alpha: complex, cutoff: int) -> float:
+    tail = _poisson_tail(_intensity(alpha) / 2, cutoff + 1)  # each arm holds |alpha|^2/2
+    return _either(tail, tail)
+
+
+def _grid_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     # Probe inside the interferometer for coherent light injected into port a:
     # the splitter maps |alpha, 0> to the product |u alpha, v alpha>.
     u, v = _split_photon_amplitudes()
-    grid = np.outer(
+    return np.outer(
         coherent_vector(u * alpha, cutoff + 1), coherent_vector(v * alpha, cutoff + 1)
     )
-    return grid, _loss_of(grid)
 
 
-def _grid_entangled_coherent(alpha: complex, cutoff: int) -> Tuple[np.ndarray, float]:
+def _loss_entangled_coherent(alpha: complex, cutoff: int) -> float:
+    # the branches lose disjoint cells, (j > c, 0) and (0, k > c), each the
+    # Poisson tail T: 2T / (2(1 + e^{-|alpha|^2}))
+    x = _intensity(alpha)
+    return _poisson_tail(x, cutoff + 1) / (1.0 + math.exp(-x))
+
+
+def _grid_entangled_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     # (|alpha,0> + |0,alpha>)/sqrt(2(1 + e^{-|alpha|^2})), normalized exactly
     # including the vacuum overlap of the two branches.
     v = coherent_vector(alpha, cutoff + 1)
@@ -179,47 +363,50 @@ def _grid_entangled_coherent(alpha: complex, cutoff: int) -> Tuple[np.ndarray, f
     grid[:, 0] += v
     grid[0, :] += v
     grid /= math.sqrt(2.0 * (1.0 + math.exp(-abs(alpha) ** 2)))
-    return grid, _loss_of(grid)
+    return grid
 
 
-def _grid_amplified_bell(xi: float, cutoff: int) -> Tuple[np.ndarray, float]:
+def _loss_amplified_bell(xi: float, cutoff: int) -> float:
+    # the squeezed vacuum holds even levels and the squeezed photon odd ones,
+    # so the two terms share no cell and |u|^2 + |v|^2 = 1: T0 + T1 - T0 T1,
+    # with no cross term
+    t0 = _squeezed_tail(xi, cutoff // 2 + 1, 0)
+    t1 = _squeezed_tail(xi, (cutoff + 1) // 2, 1)
+    return _either(t0, t1)
+
+
+def _grid_amplified_bell(xi: float, cutoff: int) -> np.ndarray:
     # Per-mode squeezers on the split single photon u|1,0> + v|0,1>, expanded
     # term by term so the closed-form squeezed vectors keep full precision.
     u, v = _split_photon_amplitudes()
     v0 = squeezed_vacuum_vector(xi, cutoff + 1)
     v1 = squeezed_one_vector(xi, cutoff + 1)
-    grid = u * np.outer(v1, v0) + v * np.outer(v0, v1)
-    return grid, _loss_of(grid)
+    return u * np.outer(v1, v0) + v * np.outer(v0, v1)
 
 
 def _auto_cutoff(
-    grid_at: Callable[[int], Tuple[np.ndarray, float]],
-    loss_target: float,
-    ceiling: int,
-) -> Tuple[np.ndarray, float, int]:
-    """Smallest cutoff with loss below target: geometric bracket, then bisection."""
-    lo, hi = -1, 8
-    while True:
-        grid, loss = grid_at(min(hi, ceiling))
-        if loss < loss_target:
-            hi = min(hi, ceiling)
-            break
-        if hi >= ceiling:
-            raise TruncationLossError(
-                f"cutoff ceiling {ceiling} leaves truncation loss {loss:.3e} "
-                f"above the {loss_target:.1e} target"
-            )
-        lo = hi
-        hi = hi * 2
-    best = (grid, loss, hi)
+    loss_at: Callable[[int], float], loss_target: float, ceiling: int
+) -> Tuple[int, float]:
+    """Smallest cutoff with loss below target, and that loss, by bisection.
+
+    The loss falls monotonically with the cutoff, so one look at the ceiling
+    decides whether the target can be met at all.
+    """
+    loss = loss_at(ceiling)
+    if not loss < loss_target:
+        raise TruncationLossError(
+            f"cutoff ceiling {ceiling} leaves truncation loss {loss:.3e} "
+            f"above the {loss_target:.1e} target"
+        )
+    lo, hi = -1, ceiling
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        grid, loss = grid_at(mid)
-        if loss < loss_target:
-            hi, best = mid, (grid, loss, mid)
+        mid_loss = loss_at(mid)
+        if mid_loss < loss_target:
+            hi, loss = mid, mid_loss
         else:
             lo = mid
-    return best
+    return hi, loss
 
 
 def _fixed_n_state(j: int, k: int, cutoff: Optional[int], split: bool) -> FockState:
@@ -366,8 +553,11 @@ class Family(NamedTuple):
     it. A fixed-photon-number family builds with ``state(n, cutoff)``, exact
     at any cutoff that holds it; ``photons(n)`` is the total photon number of
     that state and ``min_n`` the smallest n it builds. A continuous family
-    gives ``grid(value, cutoff)``, the grid and truncation loss at a cutoff,
-    and ``param_for_nbar``, the closed-form inverse of its untruncated mean.
+    gives ``grid(value, cutoff)``, the unnormalized grid at a cutoff;
+    ``loss(value, cutoff)``, the exact probability that grid discards, summed
+    forward over the one-mode tails and falling monotonically with the
+    cutoff; and ``param_for_nbar``, the closed-form inverse of its
+    untruncated mean.
 
     A named tuple rather than a frozen dataclass: the class is made at import,
     where the dataclass machinery would add about 1 ms to every CLI start.
@@ -379,28 +569,30 @@ class Family(NamedTuple):
     min_n: int = 0
     photons: Optional[Callable[[int], int]] = None
     state: Optional[Callable[[int, Optional[int]], FockState]] = None
-    grid: Optional[Callable[[ParamValue, int], Tuple[np.ndarray, float]]] = None
+    grid: Optional[Callable[[ParamValue, int], np.ndarray]] = None
+    loss: Optional[Callable[[ParamValue, int], float]] = None
     param_for_nbar: Optional[Callable[[float], float]] = None
 
 
 #: Every family, in the order of the benchmark table.
 _REGISTRY = (
     Family("twin-squeezed-vacuum", "xi", _squeezing, grid=_grid_twin_squeezed,
-           param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
+           loss=_loss_twin_squeezed, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
     Family("twin-fock", "n", _photon_count, photons=lambda n: 2 * n,
            state=lambda n, cutoff: _fixed_n_state(n, n, cutoff, split=True)),
     Family("entangled-coherent", "alpha", _displacement, grid=_grid_entangled_coherent,
-           param_for_nbar=_entangled_coherent_alpha),
+           loss=_loss_entangled_coherent, param_for_nbar=_entangled_coherent_alpha),
     Family("noon", "n", _photon_count, min_n=1, photons=lambda n: n, state=_noon_state),
     Family("amplified-bell", "xi", _squeezing, grid=_grid_amplified_bell,
-           param_for_nbar=_amplified_bell_xi),
+           loss=_loss_amplified_bell, param_for_nbar=_amplified_bell_xi),
     Family("fraternal-twin-fock", "n", _photon_count, photons=lambda n: 2 * n + 1,
            state=lambda n, cutoff: _fixed_n_state(n + 1, n, cutoff, split=True)),
-    Family("coherent", "alpha", _displacement, grid=_grid_coherent, param_for_nbar=math.sqrt),
+    Family("coherent", "alpha", _displacement, grid=_grid_coherent, loss=_loss_coherent,
+           param_for_nbar=math.sqrt),
     Family("separable-coherent-probe", "n", _photon_count, photons=lambda n: n,
            state=lambda n, cutoff: _fixed_n_state(n, 0, cutoff, split=True)),
     Family("two-mode-squeezed-vacuum", "chi", _squeezing, grid=_grid_tmsv,
-           param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
+           loss=_loss_tmsv, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
     Family("fock-pair", "n", _photon_count, photons=lambda n: 2 * n,
            state=lambda n, cutoff: _fixed_n_state(n, n, cutoff, split=False)),
 )
@@ -432,9 +624,11 @@ def build(spec: ProbeSpec, loss_target: float = AUTO_LOSS_TARGET) -> FockState:
     value = family.check(family, params[family.key])
     if family.state is not None:
         return family.state(value, spec.cutoff)
-    grid_at = lambda c: family.grid(value, c)
     if spec.cutoff is not None:
-        grid, loss = grid_at(spec.cutoff)
-        return FockState.from_grid(grid, loss, loss_ceiling=DEFAULT_LOSS_CEILING)
-    grid, loss, _ = _auto_cutoff(grid_at, loss_target, cutoff_ceiling())
-    return FockState.from_grid(grid, loss, loss_ceiling=max(loss_target, DEFAULT_LOSS_CEILING))
+        cutoff, ceiling = spec.cutoff, DEFAULT_LOSS_CEILING
+        loss = family.loss(value, cutoff)
+        check_truncation_loss(loss, ceiling)  # before building a grid the state cannot use
+    else:
+        cutoff, loss = _auto_cutoff(lambda c: family.loss(value, c), loss_target, cutoff_ceiling())
+        ceiling = max(loss_target, DEFAULT_LOSS_CEILING)
+    return FockState.from_grid(family.grid(value, cutoff), loss, loss_ceiling=ceiling)

@@ -10,13 +10,17 @@ definition.
 The other references are the straightforward form of a computation the
 package now does with less work: every ladder moment lowers both sides of its
 inner product separately, a rotation visits all 2c+1 photon-number sectors,
-the Schmidt spectrum is one SVD of the whole grid, and a phase shift
-evaluates its phase at every cell. The lowering is a copy of the package's original one, so a change to
-the package's lowering shows up as a difference; the rotation shares the
-package's per-sector kernel, index cache and basis cache, which fix the
-operands of every block product. The earlier rotation, one complex ``eigh``
-per sector and axis, is kept here as a second, independent route.
+the Schmidt spectrum is one SVD of the whole grid, a phase shift evaluates
+its phase at every cell, and a truncation loss is a forward sum of one-mode
+tails in 40-digit decimal arithmetic. The lowering is a copy of the package's
+original one, so a change to the package's lowering shows up as a
+difference; the rotation shares the package's per-sector kernel, index cache
+and basis cache, which fix the operands of every block product. The earlier
+rotation, one complex ``eigh`` per sector and axis, is kept here as a second,
+independent route.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -251,3 +255,57 @@ def phase_shift_formula(state, phi):
     k = np.arange(state.dim)[None, :]
     phases = np.exp(-1j * phi * (j - k) / 2)
     return FockState(phases * state.amplitudes, state.cutoff, state.truncation_loss)
+
+
+def _decimal_tail(p0, ratio, first):
+    """sum_{k >= first} p_k with p_{k+1} = p_k ratio(k), at the context's precision.
+
+    Walks the head term by term to reach p_first, then sums forward until a
+    term falls below 1e-45 of the sum at a point where the ratios are below 1.
+    """
+    term, total = p0, Decimal(0)
+    for k in range(first):
+        term *= ratio(k)
+    k = first
+    while True:
+        total += term
+        step = ratio(k)
+        if step < 1 and term <= total * Decimal("1e-45"):
+            return total
+        term *= step
+        k += 1
+
+
+def truncation_loss_reference(family, value, cutoff):
+    """Probability a continuous family's grid at ``cutoff`` discards, from 40-digit tails.
+
+    One-mode distributions, pairs m or photons n: the squeezed vacuum puts
+    (2m choose m) (tanh^2 xi / 4)^m / cosh xi on level 2m; the squeezed photon,
+    whose amplitude on 2m + 1 is sqrt(2m + 1) / cosh xi times the vacuum's on
+    2m, puts (2m + 1) / cosh^2 xi times that on level 2m + 1; a coherent mode
+    is Poisson; the two-mode squeezed vacuum puts (1 - tanh^2) tanh^{2n} on
+    |n, n>.
+    """
+    with localcontext() as ctx:
+        # e^{2 xi} - 1 cancels the leading digits of a small xi: carry them too
+        ctx.prec = 40 + max(0, -Decimal(abs(value)).adjusted())
+        if family in ("twin-squeezed-vacuum", "amplified-bell", "two-mode-squeezed-vacuum"):
+            e2 = (2 * Decimal(value)).exp()
+            t2 = ((e2 - 1) / (e2 + 1)) ** 2
+            cosh = (Decimal(value).exp() + (-Decimal(value)).exp()) / 2
+            if family == "two-mode-squeezed-vacuum":
+                return float(_decimal_tail(1 / cosh**2, lambda n: t2, cutoff + 1))
+            t0 = _decimal_tail(1 / cosh, lambda m: t2 * (2 * m + 1) / (2 * m + 2), cutoff // 2 + 1)
+            if family == "twin-squeezed-vacuum":
+                return float(2 * t0 - t0 * t0)
+            t1 = _decimal_tail(1 / cosh**3, lambda m: t2 * (2 * m + 3) / (2 * m + 2),
+                               (cutoff + 1) // 2)
+            return float(t0 + t1 - t0 * t1)
+        alpha = complex(value)
+        x = Decimal(alpha.real) ** 2 + Decimal(alpha.imag) ** 2
+        if family == "coherent":
+            mu = x / 2  # per arm behind the splitter
+            tail = _decimal_tail((-mu).exp(), lambda n: mu / (n + 1), cutoff + 1)
+            return float(2 * tail - tail * tail)
+        tail = _decimal_tail((-x).exp(), lambda n: x / (n + 1), cutoff + 1)
+        return float(tail / (1 + (-x).exp()))

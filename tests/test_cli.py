@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,12 @@ from mzi_qfi.serialize import (
     write_state_file,
 )
 from mzi_qfi.states import ProbeSpec, build
-from oracles import dense_rotation, ladder_analyze, ladder_number_moments
+from oracles import (
+    dense_rotation,
+    ladder_analyze,
+    ladder_number_moments,
+    truncation_loss_reference,
+)
 
 
 def run_cli(capsys, *argv):
@@ -349,6 +355,16 @@ ANALYZE_ERRORS = [*_flag_errors()] + [
      "target mean photon number must be positive, got nan"),
     *[([name, "--nbar", "inf"], "unattainable-target",
        "target mean photon number must be finite, got inf") for name in (*NATIVE_FLAG, *ALIASES)],
+    (["tsv", "--xi", "nan"], "bad-parameter", "squeezing must be non-negative, got xi=nan"),
+    (["coherent", "--alpha", "nan"], "bad-parameter",
+     "displacement must be finite, got alpha=(nan+0j)"),
+    (["ecs", "--alpha", "inf"], "bad-parameter", "displacement must be finite, got alpha=(inf+0j)"),
+]
+
+#: Parameters far past anything the cutoff ceiling can hold; building their grids would overflow.
+EXTREME_PARAMETERS = [
+    ["tsv", "--xi", "1000"], ["tmsv", "--chi", "800"], ["coherent", "--alpha", "1e6"],
+    ["ecs", "--alpha", "1e6"], ["amplified-bell", "--xi", "1000"], ["tsv", "--xi", "inf"],
 ]
 
 
@@ -428,6 +444,23 @@ class TestErrorContract:
         assert (exit_code, out) == (1, "")
         assert json.loads(err) == {"schema": "mzi-qfi/1",
                                    "error": {"code": code, "message": message}}
+
+    @pytest.mark.parametrize("args", EXTREME_PARAMETERS, ids=" ".join)
+    def test_extreme_parameters_fail_on_the_loss_alone(self, capsys, args):
+        # the loss search fails at the ceiling before any grid is built: no
+        # traceback, no overflow warning (warnings are errors here), no delay
+        start = time.perf_counter()
+        exit_code, out, err = run_cli(capsys, "analyze", "--family", *args)
+        assert time.perf_counter() - start < 0.5
+        assert (exit_code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "code": "truncation-loss",
+            "message": "cutoff ceiling 256 leaves truncation loss 1.000e+00 above the 1.0e-14 target"}
+        exit_code, out, err = run_cli(capsys, "analyze", "--family", *args, "--cutoff", "10")
+        assert (exit_code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "code": "truncation-loss",
+            "message": "truncation loss 1.000e+00 exceeds ceiling 1.000e-10"}
 
     def test_nan_amplitude_in_state_file(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
@@ -560,6 +593,18 @@ class TestSweepCommand:
         first = lines[1].split(",")
         assert first[2].startswith('"unattainable') or first[2].startswith("unattainable")
         assert first[4] == ""  # UNDEFINED serializes as an empty cell
+
+    def test_unattainable_rows_report_the_exact_tail_loss(self, capsys):
+        # the losses at the ceiling, 4 digits of the decimal oracle's (by
+        # subtraction they read 6.939e-14 and 1.055e-14)
+        for family, nbar, loss in [("tsv", "8", "6.893e-14"), ("tmsv", "15", "1.072e-14")]:
+            value = states.resolve_family(family).param_for_nbar(float(nbar))
+            assert f"{truncation_loss_reference(ALIASES[family], value, 256):.3e}" == loss
+            code, out, err = run_cli(capsys, "sweep", "--family", family, "--nbar", nbar)
+            assert (code, err) == (0, "")
+            assert out.splitlines()[1] == (
+                f"{ALIASES[family]},{nbar},unattainable: cutoff ceiling 256 leaves truncation "
+                f"loss {loss} above the 1.0e-14 target,,,,,,")
 
     @pytest.mark.parametrize("name", [*NATIVE_FLAG, *ALIASES])
     def test_non_finite_target_row(self, capsys, name):

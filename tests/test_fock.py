@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -162,6 +163,16 @@ class TestFockStateInvariants:
             FockState(grid, 1)
         with pytest.raises(NormalizationError):
             FockState(np.full((2, 2), value, dtype=complex), 1)
+
+    def test_keeps_the_checked_squared_norm_out_of_its_interface(self, rng):
+        grid = random_two_mode_state(rng, 5, 6).amplitudes * (1 + 3e-13)
+        state = FockState(grid, 5, 1e-15)
+        assert state._norm_squared == float(np.vdot(grid, grid).real)  # the same bits
+        assert "_norm_squared" not in repr(state)
+        field = {f.name: f for f in dataclasses.fields(FockState)}["_norm_squared"]
+        assert (field.init, field.repr, field.compare) == (False, False, False)
+        with pytest.raises(TypeError):
+            FockState(grid, 5, 0.0, 1.0)
 
     def test_from_grid_divides_by_the_two_norm(self, rng):
         grid = 3.7 * random_two_mode_state(rng, 6, 8).amplitudes

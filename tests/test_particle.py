@@ -176,6 +176,16 @@ class TestParticleMoments:
             rebuilt = n * report.var_sigma_z + n * (n - 1) * report.cov_sigma_z
             assert rebuilt == report.f_particle
 
+    def test_reads_the_norm_the_state_checked(self, monkeypatch, rng):
+        # the support check reuses FockState's squared norm instead of a second O(c^2) dot
+        state = random_sector_state(rng, 5)
+        expected = particle_moments(state, 5)
+        calls = []
+        vdot = np.vdot
+        monkeypatch.setattr(np, "vdot", lambda *args: calls.append(args) or vdot(*args))
+        assert particle_moments(state, 5) == expected
+        assert calls == []
+
     def test_multi_sector_rejected(self):
         mixed = fixed_n_superposition({(1, 0): 1.0, (2, 0): 1.0}, 3)
         for n in (1, 2, 3):

@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,15 +21,28 @@ from mzi_qfi.fock import cutoff_ceiling, inner, make_fock
 from mzi_qfi.particle import decompose_sectors
 from mzi_qfi.schwinger import beam_splitter
 from mzi_qfi.states import (
+    AUTO_LOSS_TARGET,
     FAMILIES,
     ProbeSpec,
     build,
     build_for_nbar,
     mean_photon_number,
+    resolve_family,
     solve_param_for_nbar,
+    squeezed_one_vector,
     squeezed_vacuum_vector,
 )
-from oracles import squeezed_vacuum_reference
+from oracles import squeezed_vacuum_reference, truncation_loss_reference
+
+CONTINUOUS_FAMILIES = tuple(name for name in FAMILIES if resolve_family(name).loss is not None)
+
+#: One parameter per continuous family, for the auto-cutoff tests.
+FAMILY_CASES = [
+    ("twin-squeezed-vacuum", 0.9), ("entangled-coherent", 3.0), ("amplified-bell", 0.7),
+    ("coherent", 2.0 + 1.0j), ("two-mode-squeezed-vacuum", 0.8),
+]
+#: ... and tiny ones, whose smallest cutoff is 0 (1 for the photon of amplified-bell).
+AUTO_CUTOFF_CASES = FAMILY_CASES + [(family, 1e-8) for family, _ in FAMILY_CASES]
 
 
 class TestBuilders:
@@ -82,19 +98,115 @@ class TestBuilders:
         with pytest.raises(TruncationLossError, match="ceiling"):
             build(ProbeSpec("twin-squeezed-vacuum", {"xi": 1.2}))
 
-    def test_auto_cutoff_is_smallest(self):
-        state = build(ProbeSpec("two-mode-squeezed-vacuum", {"chi": 0.8}))
-        lam = math.tanh(0.8) ** 2
-        loss_at = lambda n: lam ** (n + 1)  # geometric tail of the number distribution
-        assert loss_at(state.cutoff) < 1e-14
-        assert loss_at(state.cutoff - 1) >= 1e-14
+    @pytest.mark.parametrize("family,value", AUTO_CUTOFF_CASES)
+    def test_auto_cutoff_is_smallest(self, family, value):
+        record = resolve_family(family)
+        state = build(ProbeSpec(family, {record.key: value}))
+        loss_at = lambda c: truncation_loss_reference(family, value, c)
+        assert loss_at(state.cutoff) < AUTO_LOSS_TARGET <= loss_at(state.cutoff - 1)
+        assert state.truncation_loss == record.loss(value, state.cutoff)
+        assert state.truncation_loss == pytest.approx(loss_at(state.cutoff), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("family,value,cutoff", [
+        ("coherent", 14.90625, 54), ("twin-squeezed-vacuum", 3.0, 20),
+        ("amplified-bell", 3.0, 21), ("entangled-coherent", 10.0, 60),
+    ])
+    def test_loss_never_rises_near_one(self, family, value, cutoff):
+        # where the head is tiny, 2T - T^2 rounded can rise by an ulp; 1 - (1 - T)^2 cannot
+        loss = resolve_family(family).loss
+        losses = [loss(value, c) for c in range(cutoff, cutoff + 4)]
+        assert losses == sorted(losses, reverse=True)
+
+    @pytest.mark.parametrize("family,value", FAMILY_CASES)
+    def test_auto_cutoff_builds_one_grid(self, monkeypatch, family, value):
+        # the search reads losses only; the one grid is the state's
+        record = resolve_family(family)
+        cutoffs = []
+        spy = record._replace(grid=lambda v, c: cutoffs.append(c) or record.grid(v, c))
+        monkeypatch.setitem(states._BY_NAME, family, spy)
+        state = build(ProbeSpec(family, {record.key: value}))
+        assert cutoffs == [state.cutoff]
+        cutoffs.clear()
+        state, _, _ = build_for_nbar(family, 5.0)
+        assert cutoffs == [state.cutoff]
+        cutoffs.clear()
+        with pytest.raises(TruncationLossError, match="exceeds ceiling"):
+            build(ProbeSpec(family, {record.key: value}, cutoff=1))
+        assert cutoffs == []  # an explicit cutoff that cannot hold the state builds nothing
+
+    @pytest.mark.parametrize("family,value,cutoffs", [
+        ("twin-squeezed-vacuum", 0.9, (10, 30, 60)), ("entangled-coherent", 3.0, (12, 20, 30)),
+        ("amplified-bell", 0.7, (9, 20, 40)), ("coherent", 2.0 + 1.0j, (6, 12, 20)),
+        ("two-mode-squeezed-vacuum", 0.8, (10, 30, 60)),
+    ])
+    def test_loss_is_the_mass_the_grid_misses(self, family, value, cutoffs):
+        # by subtraction, good to about 1e-15 absolute: ties the tail formulas to the grids
+        record = resolve_family(family)
+        for cutoff in cutoffs:
+            grid = record.grid(value, cutoff)
+            missing = 1.0 - float(np.sum(np.abs(grid) ** 2))
+            assert abs(record.loss(value, cutoff) - missing) < 1e-14
+
+    @pytest.mark.parametrize("xi", [0.3, 1.1, 2.0])
+    def test_squeezed_photon_number_distribution(self, xi):
+        # the loss of amplified-bell reads level 2m+1 of S|1> as (2m+1)/cosh^2 xi
+        # times level 2m of S|0>
+        one = np.abs(squeezed_one_vector(xi, 400)) ** 2
+        vacuum = np.abs(squeezed_vacuum_vector(xi, 400)) ** 2
+        m = np.arange(199)
+        assert np.allclose(one[2 * m + 1], (2 * m + 1) * vacuum[2 * m] / math.cosh(xi) ** 2,
+                           rtol=1e-12, atol=1e-300)
+        assert not one[0::2].any()
 
     def test_split_photon_amplitudes_are_pinned(self):
-        # the coherent and amplified-bell grids, and through their losses the
-        # auto-cutoffs, depend on these bits: u real and v imaginary, exactly
+        # the coherent and amplified-bell grids depend on these bits, u real and
+        # v imaginary, exactly; their losses and auto-cutoffs do not, being
+        # sums over the one-mode number distributions
         u, v = states._split_photon_amplitudes()
         assert (u.real.hex(), u.imag) == ("0x1.6a09e667f3bcdp-1", 0.0)
         assert (v.real, v.imag.hex()) == (0.0, "-0x1.6a09e667f3bccp-1")
+
+    def test_split_photon_amplitudes_are_computed_once_and_not_at_import(self):
+        script = ("from mzi_qfi import states; c = states._split_photon_amplitudes.cache_info; "
+                  "before = c().misses; states.build_for_nbar('coherent', 4.0); "
+                  "states.build_for_nbar('amplified-bell', 4.0); print(before, c().misses)")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.split() == ["0", "1"]
+
+
+def _alphas(radius):
+    return st.builds(lambda r, phase: r * complex(math.cos(phase), math.sin(phase)),
+                     st.floats(0, radius), st.floats(0, 2 * math.pi))
+
+
+#: Parameter ranges of the loss property: up to nbar 200 squeezed, 400 coherent.
+LOSS_PARAMETERS = {
+    "twin-squeezed-vacuum": st.floats(0, 3), "amplified-bell": st.floats(0, 3),
+    "two-mode-squeezed-vacuum": st.floats(0, 3), "coherent": _alphas(20),
+    "entangled-coherent": _alphas(20),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_loss_matches_the_decimal_oracle_and_never_rises(data):
+    family = data.draw(st.sampled_from(CONTINUOUS_FAMILIES))
+    value = data.draw(LOSS_PARAMETERS[family])
+    cutoff = data.draw(st.one_of(st.integers(0, 60), st.integers(0, 1200)))
+    record = resolve_family(family)
+    loss, exact = record.loss(value, cutoff), truncation_loss_reference(family, value, cutoff)
+    if exact >= 1e-30:  # every loss the search compares or reports
+        assert abs(loss - exact) <= 1e-13 * exact
+    elif exact >= 1e-280:
+        # each tail term is exp of its log, so a few ulps of |log p| become its relative error
+        assert abs(loss - exact) <= 4e-15 * abs(math.log(exact)) * exact
+    else:  # a sum that starts below 1e-300 is dropped
+        assert loss < 1e-279
+    assert record.loss(value, cutoff + 1) <= loss
 
 
 class TestPathSymmetry:
@@ -236,6 +348,30 @@ class TestSolveForNbar:
     def test_ceiling_raises_truncation_loss(self):
         with pytest.raises(TruncationLossError, match="ceiling 256"):
             solve_param_for_nbar("twin-squeezed-vacuum", 8.0)
+
+    def test_attainability_falls_monotonically_at_the_ceiling(self):
+        # the loss at the ceiling rises with nbar, so every target below an
+        # attainable one is attainable; 7.44 was refused between 7.42 and 7.46
+        # while the loss was taken by subtraction
+        targets = [round(7.30 + 0.02 * i, 2) for i in range(16)]
+        assert {7.42, 7.44, 7.46} <= set(targets)
+        attainable = []
+        for target in targets:
+            try:
+                solve_param_for_nbar("twin-squeezed-vacuum", target)
+                attainable.append(True)
+            except TruncationLossError:
+                attainable.append(False)
+        assert attainable == sorted(attainable, reverse=True)
+
+    def test_coherent_nbar_400_builds_under_a_raised_ceiling(self, monkeypatch):
+        # refused while the loss was taken by subtraction: its round-off (1.9e-14) sat above target
+        monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "4096")
+        state, params, realized = build_for_nbar("coherent", 400.0)
+        assert abs(realized - 400.0) < 1e-8
+        exact = truncation_loss_reference("coherent", params["alpha"], state.cutoff)
+        assert exact < AUTO_LOSS_TARGET
+        assert state.truncation_loss == pytest.approx(exact, rel=1e-13, abs=0)
 
     def test_tmsv_matches_arcsinh(self):
         params, realized = solve_param_for_nbar("two-mode-squeezed-vacuum", 2.0)
