@@ -8,7 +8,8 @@ The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
 (intensities, pair coherences, and Jz = (n_a - n_b)/2). They have one core,
 :func:`number_moments`, which lowers each grid once and takes every moment as
 the squared norm of a lowered grid, so nothing is ever raised past the cutoff.
-Rotations act on photon-number sectors instead (see :mod:`mzi_qfi.schwinger`).
+Rotations act on photon-number sectors instead (see :mod:`mzi_qfi.schwinger`),
+laid out by :func:`sector_kets`, :func:`photon_totals` and :func:`occupied_sectors`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Literal, Optional, Tuple
+from functools import lru_cache
+from typing import List, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +67,7 @@ class FockState:
     Instances are immutable and safe to share across threads. ``_norm_squared``
     keeps the squared norm the constructor checks, ``vdot(psi, psi).real``,
     for readers that need it again; it is not an argument and takes no part
-    in ``repr`` or equality.
+    in ``repr`` or equality, which compares the arrays with ``np.array_equal``.
     """
 
     amplitudes: np.ndarray
@@ -91,6 +93,12 @@ class FockState:
         grid.flags.writeable = False
         object.__setattr__(self, "amplitudes", grid)
         object.__setattr__(self, "_norm_squared", norm_squared)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (self.cutoff, self.truncation_loss) == (other.cutoff, other.truncation_loss)
+        return same and np.array_equal(self.amplitudes, other.amplitudes)
 
     @classmethod
     def from_grid(
@@ -125,6 +133,28 @@ def nonzero_cells(grid: np.ndarray) -> np.ndarray:
     """
     parts = np.ascontiguousarray(grid).view(np.float64) != 0
     return parts.view(np.uint16) != 0
+
+
+def sector_kets(n: int, cutoff: int) -> np.ndarray:
+    """The run of k, read-only, for which a ``cutoff`` grid holds the ket |k, n-k>."""
+    ks = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
+    ks.flags.writeable = False
+    return ks
+
+
+@lru_cache(maxsize=4)
+def photon_totals(cutoff: int) -> np.ndarray:
+    """Total photon number j + k of each cell of a cutoff grid; read-only int32, four are kept."""
+    levels = np.arange(cutoff + 1, dtype=np.int32)
+    totals = levels[:, None] + levels[None, :]
+    totals.flags.writeable = False
+    return totals
+
+
+def occupied_sectors(grid: np.ndarray) -> List[int]:
+    """Photon numbers, ascending, of the sectors where ``nonzero_cells(grid)`` holds."""
+    totals = photon_totals(grid.shape[0] - 1)[nonzero_cells(grid)]
+    return np.flatnonzero(np.bincount(totals)).tolist()
 
 
 def make_fock(j: int, k: int, cutoff: int) -> FockState:

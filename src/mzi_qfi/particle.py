@@ -11,7 +11,8 @@ collective-spin moments into single-particle Pauli statistics:
 
 The phase-sensitivity decomposition F = n Var[sigma_z] + n(n-1) Cov[sigma_z,
 sigma_z] makes the covariance an entanglement witness: product sectors have
-zero covariance and are shot-noise limited.
+zero covariance and are shot-noise limited. Sectors are read in the layout
+that :mod:`mzi_qfi.fock` keeps, and a decomposition reads only occupied ones.
 
 A brute-force oracle builds the symmetric 2^n qubit vector explicitly
 (n <= 10) and evaluates the same quantities directly.
@@ -27,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ParameterError, SectorSupportError
-from .fock import FockState
+from .fock import FockState, occupied_sectors, photon_totals, sector_kets
 from .schwinger import DirectionLike, _direction
 
 #: Sector weights below this are dropped from decompositions.
@@ -52,11 +53,11 @@ SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 class Sector:
     """One total-photon-number component of a state, held as a vector.
 
-    ``coeffs`` are the normalized amplitudes c_k on |k, n-k> for
-    k = ``k0``, ``k0`` + 1, ..., the kets of sector n that fit under the
-    source state's cutoff. ``cutoff`` is ``min(n, source cutoff)``, the
-    smallest per-mode cutoff that holds them. ``weight`` is the sector's
-    probability in the source state.
+    ``coeffs`` are the normalized amplitudes c_k on |k, n-k> for k in
+    ``ks``, the kets of sector n that fit under the source state's cutoff.
+    ``cutoff`` is ``min(n, source cutoff)``, the smallest per-mode cutoff that
+    holds them. ``weight`` is the sector's probability in the source state.
+    Equality compares ``coeffs`` with ``np.array_equal``.
     """
 
     n: int
@@ -64,15 +65,16 @@ class Sector:
     coeffs: np.ndarray
     cutoff: int
 
-    @property
-    def k0(self) -> int:
-        """Photon count in mode a of the first entry of ``coeffs``."""
-        return self.n - self.cutoff
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (self.n, self.weight, self.cutoff) == (other.n, other.weight, other.cutoff)
+        return same and np.array_equal(self.coeffs, other.coeffs)
 
     @property
     def ks(self) -> np.ndarray:
         """Photon counts in mode a, one per entry of ``coeffs``."""
-        return np.arange(self.k0, self.k0 + len(self.coeffs))
+        return sector_kets(self.n, self.cutoff)
 
     @property
     def state(self) -> FockState:
@@ -116,23 +118,18 @@ class ParticleReport:
         }
 
 
-def _sector_ks(n: int, cutoff: int) -> np.ndarray:
-    """Mode-a photon counts k of the kets |k, n-k> that fit under ``cutoff``."""
-    return np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
-
-
 def decompose_sectors(state: FockState) -> SectorDecomposition:
-    """Project onto each total-photon-number anti-diagonal and renormalize.
+    """Project onto each occupied total-photon-number anti-diagonal and renormalize.
 
     Each kept sector holds only its anti-diagonal, the vector of amplitudes
     on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
-    all. ``Sector.state`` re-embeds a sector on its own grid on demand.
+    all. An empty sector, which would add exactly 0.0 to ``weights_sum``, is not read.
     """
     grid = state.amplitudes
     sectors = []
     weights_sum = 0.0
-    for n in range(2 * state.cutoff + 1):
-        ks = _sector_ks(n, state.cutoff)
+    for n in occupied_sectors(grid):
+        ks = sector_kets(n, state.cutoff)
         amps = grid[ks, n - ks]
         weight = float(np.sum(np.abs(amps) ** 2))
         weights_sum += weight
@@ -156,11 +153,8 @@ def _outside_sector_error(off: float, n: int) -> SectorSupportError:
 
 
 def _single_sector_n(state: FockState) -> int:
-    grid = state.amplitudes
-    j = np.arange(state.dim)[:, None]
-    k = np.arange(state.dim)[None, :]
-    weights = np.abs(grid) ** 2
-    totals = j + k
+    weights = np.abs(state.amplitudes) ** 2
+    totals = photon_totals(state.cutoff)
     n = int(np.round(float(np.sum(weights * totals))))
     off = float(np.sum(weights[totals != n]))
     if off > SECTOR_SUPPORT_TOL:
@@ -221,9 +215,8 @@ def particle_moments(
     """
     if n < 1:
         raise ParameterError(f"particle statistics need n >= 1, got {n}")
-    grid = sector_state.amplitudes
-    ks = _sector_ks(n, sector_state.cutoff)
-    probs = np.abs(grid[ks, n - ks]) ** 2
+    ks = sector_kets(n, sector_state.cutoff)
+    probs = np.abs(sector_state.amplitudes[ks, n - ks]) ** 2
     off = sector_state._norm_squared - float(np.sum(probs))  # the norm FockState checked
     if off > SECTOR_SUPPORT_TOL:
         actual = _single_sector_n(sector_state)
@@ -271,7 +264,7 @@ def symmetric_qubit_vector(sector_state: FockState, n: int) -> np.ndarray:
     actual = _single_sector_n(sector_state)
     if actual != n:
         raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
-    ks = _sector_ks(n, sector_state.cutoff)
+    ks = sector_kets(n, sector_state.cutoff)
     coeff = np.zeros(n + 1, dtype=np.complex128)
     coeff[ks] = sector_state.amplitudes[ks, n - ks]
     counts = _bit_table(n).sum(axis=1)

@@ -5,7 +5,7 @@ Jz = (adag a - bdag b)/2, and J0 = (adag a + bdag b)/2, so the total photon
 number is 2*J0. They conserve total photon number, so each acts on the grid
 as one Hermitian block per fixed-n sector; :func:`sector_generator_matrix` is
 the package's only definition of them. Each complete sector carries a spin
-n/2 representation.
+n/2 representation. The sector layout is read from :mod:`mzi_qfi.fock`.
 
 A rotation exp(-i angle J_v) is written as Rz(alpha) Rx(beta) Rz(gamma),
 with Euler angles read off its spin-1/2 element. Rz is a diagonal phase, and
@@ -26,14 +26,13 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, TruncationOverflowError
-from .fock import FockState, nonzero_cells, number_moments
+from .fock import FockState, number_moments, occupied_sectors, photon_totals, sector_kets
 
 _J_IMAG_TOL = 1e-10
 
@@ -88,13 +87,6 @@ def jz_moments(state: FockState) -> Tuple[float, float]:
     return mean, _real((na2 - 2 * moments.ab + nb2) / 4, "<jz^2>")
 
 
-@lru_cache(maxsize=None)
-def _sector_kvals(n: int, cutoff: int) -> np.ndarray:
-    ks = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
-    ks.flags.writeable = False
-    return ks
-
-
 def sector_generator_matrix(n: int, cutoff: int, v: DirectionLike) -> np.ndarray:
     """Hermitian block of v . J on the total-photon-number-n sector.
 
@@ -102,7 +94,7 @@ def sector_generator_matrix(n: int, cutoff: int, v: DirectionLike) -> np.ndarray
     n <= cutoff this is the complete spin n/2 representation.
     """
     d = _direction(v)
-    ks = _sector_kvals(n, cutoff)
+    ks = sector_kets(n, cutoff)
     size = len(ks)
     h = np.zeros((size, size), dtype=np.complex128)
     np.fill_diagonal(h, d.z * (ks - n / 2))
@@ -223,7 +215,7 @@ def _rotate_sector(
 ) -> np.ndarray:
     """Rz(alpha) Rx(beta) Rz(gamma) on the amplitudes ``amps`` of |k, n-k>, k in ``ks``.
 
-    ``ks`` is the run of k values the grid holds (see :func:`_sector_kvals`).
+    ``ks`` is the run of k values the grid holds (see :func:`mzi_qfi.fock.sector_kets`).
     Rz is a diagonal phase. Rx(beta) = O_n exp(-i beta Lambda) O_n^T, with the
     exact eigenvalues Lambda = k - n/2. The eigenvector o of m > 0 and P o,
     that of -m, contribute together 2 cos(beta m) (e e^T + d d^T) - 2i
@@ -253,29 +245,14 @@ def _rotate_sector(
     return out
 
 
-@lru_cache(maxsize=4)
-def _photon_totals(cutoff: int) -> np.ndarray:
-    """Total photon number j + k of every cell of a grid with this cutoff."""
-    levels = np.arange(cutoff + 1)
-    totals = levels[:, None] + levels[None, :]
-    totals.flags.writeable = False
-    return totals
-
-
-def weight_above_cutoff(state: FockState) -> float:
-    """Probability carried by sectors with total photon number above the cutoff."""
-    return float(np.sum(state.probabilities()[_photon_totals(state.cutoff) > state.cutoff]))
-
-
 def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockState:
     """exp(-i angle J_v)|state>, applied sector by sector as Rz Rx Rz.
 
-    One O(c^2) scan finds the sectors that hold a nonzero amplitude; only
-    those are rotated, each through the Euler angles of the rotation and the
-    real Jx eigenbasis of its photon number, which one cache shares across
-    every axis and cutoff. A sector counts as occupied when any amplitude in
-    it is nonzero, however small its weight, since an amplitude whose square
-    underflows still rotates into the result.
+    Only the occupied sectors (:func:`mzi_qfi.fock.occupied_sectors`) are
+    rotated, each through the Euler angles of the rotation and the real Jx
+    eigenbasis of its photon number, which one cache shares across every axis
+    and cutoff. An amplitude whose square underflows still occupies its sector,
+    since it rotates into the result.
 
     A sector above the cutoff, which the grid holds only in part, is rotated
     exactly and restricted to the cells the grid holds; the weight rotated off
@@ -284,17 +261,16 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     """
     grid = state.amplitudes
     cutoff = state.cutoff
-    totals = _photon_totals(cutoff)[nonzero_cells(grid)]
-    occupied = np.flatnonzero(np.bincount(totals)).tolist()
-    if occupied and occupied[-1] > cutoff:
-        excess = weight_above_cutoff(state)
+    occupied = occupied_sectors(grid)
+    if occupied[-1] > cutoff:
+        excess = float(np.sum(state.probabilities()[photon_totals(cutoff) > cutoff]))
         if excess >= 1e-12:
             raise TruncationOverflowError(
                 f"weight {excess:.3e} sits above cutoff {cutoff}; "
                 "enlarge the grid before rotating"
             )
     rotation = _EulerRotation(v, angle, occupied[-1])
-    ks = [_sector_kvals(n, cutoff) for n in occupied]
+    ks = [sector_kets(n, cutoff) for n in occupied]
     rows = np.concatenate(ks)
     cols = np.concatenate([n - k for n, k in zip(occupied, ks)])
     rotated = np.concatenate(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from mzi_qfi import fock, particle, schwinger
 from mzi_qfi.fock import FockState
 
 
@@ -26,6 +27,20 @@ def random_direction(rng: np.random.Generator):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240917)
+
+
+@pytest.fixture
+def sector_reads(monkeypatch) -> list:
+    """The photon numbers whose kets ``particle`` and ``schwinger`` look up, in order."""
+    reads = []
+
+    def recording(n, cutoff):
+        reads.append(n)
+        return fock.sector_kets(n, cutoff)
+
+    for module in (particle, schwinger):
+        monkeypatch.setattr(module, "sector_kets", recording)
+    return reads
 
 
 _SPECIAL_AMPLITUDES = {

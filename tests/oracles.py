@@ -9,30 +9,28 @@ definition.
 
 The other references are the straightforward form of a computation the
 package now does with less work: every ladder moment lowers both sides of its
-inner product separately, a rotation visits all 2c+1 photon-number sectors,
-the Schmidt spectrum is one SVD of the whole grid, a phase shift evaluates
-its phase at every cell, and a truncation loss is a forward sum of one-mode
-tails in 40-digit decimal arithmetic. The lowering is a copy of the package's
-original one, so a change to the package's lowering shows up as a
-difference; the rotation shares the package's per-sector kernel, index cache
-and basis cache, which fix the operands of every block product. The earlier
-rotation, one complex ``eigh`` per sector and axis, is kept here as a second,
-independent route.
+inner product separately, a rotation and a sector decomposition visit all
+2c+1 photon-number sectors, the Schmidt spectrum is one SVD of the whole grid,
+a phase shift evaluates its phase at every cell, and a truncation loss is a
+forward sum of one-mode tails in 40-digit decimal arithmetic. The lowering is
+a copy of the package's original one, so a change to the package's lowering
+shows up as a difference. The rotation and the decomposition read the sector
+layout of ``mzi_qfi.fock``, and the rotation shares the package's per-sector
+kernel and basis cache, which fix the operands of every block product. The
+earlier rotation, one complex ``eigh`` per sector and axis, is kept here as a
+second, independent route.
 """
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 
 from mzi_qfi.coherence import INTENSITY_FLOOR, PATH_SYMMETRY_TOL, CoherenceReport
 from mzi_qfi.errors import ParameterError, TruncationOverflowError
-from mzi_qfi.fock import FockState, NumberMoments
-from mzi_qfi.schwinger import (
-    _EulerRotation,
-    _rotate_sector,
-    _sector_kvals,
-    sector_generator_matrix,
-)
+from mzi_qfi.fock import FockState, NumberMoments, sector_kets
+from mzi_qfi.particle import WEIGHT_FLOOR, Sector, SectorDecomposition
+from mzi_qfi.schwinger import _EulerRotation, _rotate_sector, sector_generator_matrix
 
 
 def _lower(grid, axis):
@@ -212,7 +210,7 @@ def dense_rotation(state, v, angle):
     rotation = _EulerRotation(v, angle, 2 * state.cutoff)
     cells, blocks = [], []
     for n in range(2 * state.cutoff + 1):
-        ks = _sector_kvals(n, state.cutoff)
+        ks = sector_kets(n, state.cutoff)
         amps = grid[ks, n - ks]
         if not np.any(amps):
             continue
@@ -235,13 +233,30 @@ def per_axis_eigh_rotation(state, v, angle):
     grid = state.amplitudes
     out = np.zeros_like(grid)
     for n in range(2 * state.cutoff + 1):
-        ks = _sector_kvals(n, state.cutoff)
+        ks = sector_kets(n, state.cutoff)
         amps = grid[ks, n - ks]
         if not np.any(amps):
             continue
         evals, evecs = np.linalg.eigh(sector_generator_matrix(n, state.cutoff, v))
         out[ks, n - ks] = evecs @ (np.exp(-1j * angle * evals) * (evecs.conj().T @ amps))
     return FockState(out / np.linalg.norm(out), state.cutoff, state.truncation_loss)
+
+
+def dense_decompose_sectors(state):
+    """``particle.decompose_sectors`` reading every sector 0..2c, empty ones included."""
+    grid = state.amplitudes
+    sectors = []
+    weights_sum = 0.0
+    for n in range(2 * state.cutoff + 1):
+        ks = sector_kets(n, state.cutoff)
+        amps = grid[ks, n - ks]
+        weight = float(np.sum(np.abs(amps) ** 2))
+        weights_sum += weight
+        if weight < WEIGHT_FLOOR:
+            continue
+        coeffs = amps / math.sqrt(weight)
+        sectors.append(Sector(n=n, weight=weight, coeffs=coeffs, cutoff=min(n, state.cutoff)))
+    return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)
 
 
 def full_svd_schmidt_values(state):

@@ -1,10 +1,14 @@
 import dataclasses
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_two_mode_state
+from conftest import random_two_mode_state, sparse_states
+from mzi_qfi import particle, schwinger
 from mzi_qfi.errors import (
     CutoffExceededError,
     NormalizationError,
@@ -16,7 +20,10 @@ from mzi_qfi.fock import (
     inner,
     make_fock,
     number_moments,
+    occupied_sectors,
     pad_to,
+    photon_totals,
+    sector_kets,
     state_distance,
 )
 from mzi_qfi.states import ProbeSpec, build
@@ -205,3 +212,56 @@ class TestFockStateInvariants:
         rotated = FockState(np.exp(0.3j) * a.amplitudes, 3)
         assert state_distance(a, rotated) < 1e-15
         assert np.isclose(state_distance(a, make_fock(0, 1, 3)), math.sqrt(2))
+
+
+class TestEquality:
+    def test_equal_states_compare_equal(self):
+        state, twin = make_fock(1, 0, 2), make_fock(1, 0, 2)
+        assert (state == twin) is True and (state != twin) is False
+        others = [make_fock(0, 1, 2), twin]
+        assert state in others and others.index(state) == 1
+        assert (state == "|1, 0>") is False
+
+    def test_one_field_apart_is_unequal(self):
+        plus = FockState(np.array([[0, 1], [1, 0]], dtype=complex) / math.sqrt(2), 1)
+        minus = FockState(np.array([[0, -1], [1, 0]], dtype=complex) / math.sqrt(2), 1)
+        lossy = FockState(plus.amplitudes, 1, 1e-15)
+        for other in (pad_to(plus, 2), lossy, minus):
+            assert (plus == other) is False and (plus != other) is True
+        assert plus not in [pad_to(plus, 2), lossy, minus]
+
+    def test_states_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(make_fock(1, 0, 2))
+        with pytest.raises(TypeError):
+            {make_fock(1, 0, 2)}
+
+
+class TestSectorLayout:
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 5])
+    def test_sector_kets_are_the_cells_the_grid_holds(self, cutoff):
+        for n in range(2 * cutoff + 1):
+            ks = sector_kets(n, cutoff)
+            assert ks.tolist() == [k for k in range(n + 1) if k <= cutoff and n - k <= cutoff]
+            assert not ks.flags.writeable
+
+    def test_photon_totals_is_j_plus_k(self):
+        totals = photon_totals(3)
+        assert totals.tolist() == [[j + k for k in range(4)] for j in range(4)]
+        assert totals.dtype == np.int32  # up to four stay cached
+        assert not totals.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_states())
+    def test_occupied_sectors_are_those_with_a_nonzero_cell(self, state):
+        j, k = np.nonzero(state.amplitudes)  # -0.0 is zero, a subnormal is not
+        assert occupied_sectors(state.amplitudes) == sorted(set((j + k).tolist()))
+
+    @pytest.mark.parametrize("module", [particle, schwinger], ids=lambda m: m.__name__)
+    def test_only_fock_builds_the_layout(self, module):
+        source = inspect.getsource(module)
+        assert "max(0," not in source  # the first k of a sector above the cutoff
+        for grid in (r"np\.arange\((\w+\.)?(dim|cutoff \+ 1)\)", r"\[:, *None\] *\+",
+                     r"\+ *[\w.()]+\[None, *:\]", r"np\.(add\.outer|indices|[om]grid|meshgrid)"):
+            assert not re.search(grid, source), grid  # the levels of a j + k grid
+        assert "lru_cache" not in source

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_direction
+from conftest import random_direction, sparse_states
 from mzi_qfi.errors import ParameterError, SectorSupportError
 from mzi_qfi.fock import FockState, make_fock
 from mzi_qfi.particle import (
@@ -25,7 +26,7 @@ from mzi_qfi.particle import (
 from mzi_qfi.qfi import qfi_variance
 from mzi_qfi.schwinger import beam_splitter, sector_generator_matrix
 from mzi_qfi.states import ProbeSpec, build, solve_param_for_nbar
-from oracles import ladder_j_moment
+from oracles import dense_decompose_sectors, ladder_j_moment
 
 from scipy.linalg import expm
 
@@ -128,6 +129,45 @@ class TestDecomposition:
         # one grid per sector would hold more than ten copies of the state
         grid_bytes = sum(16 * (s.cutoff + 1) ** 2 for s in sectors)
         assert grid_bytes > 10 * state.amplitudes.nbytes
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_states())
+    def test_matches_dense_sector_loop_bit_for_bit(self, state):
+        got, expected = decompose_sectors(state), dense_decompose_sectors(state)
+
+        def bits(value):
+            return np.asarray(value, dtype=np.float64).view(np.uint64).tolist()
+
+        assert bits(got.weights_sum) == bits(expected.weights_sum)
+        assert [s.n for s in got.sectors] == [s.n for s in expected.sectors]
+        for sector, reference in zip(got.sectors, expected.sectors):
+            assert bits(sector.weight) == bits(reference.weight)
+            assert bits(sector.coeffs.view(np.float64)) == bits(reference.coeffs.view(np.float64))
+
+    def test_fixed_n_probe_reads_one_sector(self, sector_reads):
+        state = build(ProbeSpec("fock-pair", {"n": 200}))
+        assert state.cutoff == 400
+        sector_reads.clear()  # the build's beam splitter read it too
+        assert [s.n for s in decompose_sectors(state).sectors] == [400]
+        assert sector_reads == [400]  # none for the 800 empty sectors
+
+    def test_equality_compares_values(self):
+        spec = ProbeSpec("twin-fock", {"n": 2})
+        first, second = decompose_sectors(build(spec)), decompose_sectors(build(spec))
+        assert len(first.sectors[0].coeffs) > 1
+        assert (first == second) is True
+        sector = second.sectors[0]
+        assert (first.sectors[0] == sector) is True and (first.sectors[0] != sector) is False
+        assert sector in first.sectors and first.sectors.index(sector) == 0
+        flipped = sector.coeffs.copy()
+        flipped[0] = -flipped[0]
+        for other in (dataclasses.replace(sector, coeffs=flipped),
+                      dataclasses.replace(sector, weight=0.5),
+                      dataclasses.replace(sector, n=3)):
+            assert (sector == other) is False
+        assert (first == dataclasses.replace(first, weights_sum=0.5)) is False
+        with pytest.raises(TypeError):
+            hash(sector)
 
     def test_tmsv_sectors(self):
         chi = 0.75

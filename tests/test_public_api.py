@@ -3,7 +3,7 @@
 import pytest
 
 import mzi_qfi
-from mzi_qfi import fock, schwinger, states
+from mzi_qfi import fock, particle, schwinger, states
 
 PUBLIC_NAMES = [
     "CoherenceReport",
@@ -77,6 +77,7 @@ def test_ladder_layer_is_gone(module, name):
 @pytest.mark.parametrize("owner,name", [
     (fock, "_raise"), (fock, "_grid_of"), (schwinger, "_TAGS"), (schwinger, "_number_j_moment"),
     (schwinger.SpinDirection, "as_tuple"), (states, "squeezed_vacuum_reference"),
+    (particle, "_sector_ks"), (schwinger, "_sector_kvals"), (schwinger, "_photon_totals"),
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)

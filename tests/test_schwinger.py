@@ -10,7 +10,14 @@ from scipy.linalg import expm
 
 from conftest import random_direction, random_two_mode_state, sparse_states
 from mzi_qfi.errors import TruncationOverflowError
-from mzi_qfi.fock import FockState, make_fock, nonzero_cells, pad_to, state_distance
+from mzi_qfi.fock import (
+    FockState,
+    make_fock,
+    nonzero_cells,
+    pad_to,
+    photon_totals,
+    state_distance,
+)
 from mzi_qfi.schwinger import (
     BASIS_CACHE_BYTES,
     SpinDirection,
@@ -19,7 +26,6 @@ from mzi_qfi.schwinger import (
     _BasisCache,
     _euler_angles,
     _jx_basis,
-    _sector_kvals,
     apply_rotation,
     beam_splitter,
     jz_moments,
@@ -229,7 +235,7 @@ class TestRotations:
         assert out.truncation_loss == coarse.truncation_loss > 1e-10
         assert abs(mean_photon_number(out) - mean_photon_number(coarse)) < 1e-12
 
-    def test_single_sector_probe_rotates_one_block(self):
+    def test_single_sector_probe_rotates_one_block(self, sector_reads):
         state = build(ProbeSpec("fock-pair", {"n": 200}))
         assert state.cutoff == 400
         apply_rotation(state, X_AXIS, 0.3)  # the basis of sector 400, cold or warm
@@ -238,11 +244,16 @@ class TestRotations:
         misses = _jx_basis.misses
         apply_rotation(state, v, 0.7)
         assert _jx_basis.misses == misses  # a new axis needs no new basis
-        # one index lookup for the one occupied sector, none for the 800 empty ones
-        kvals = _sector_kvals.cache_info()
+        # one layout read for the one occupied sector, none for the 800 empty ones
+        sector_reads.clear()
         apply_rotation(state, v, 1.1)
-        after = _sector_kvals.cache_info()
-        assert after.hits + after.misses == kvals.hits + kvals.misses + 1
+        assert sector_reads == [400]
+
+    def test_rotating_at_many_cutoffs_keeps_four_totals_grids(self):
+        state = build(ProbeSpec("coherent", {"alpha": 2.0}))
+        for cutoff in range(40, 60):
+            apply_rotation(pad_to(state, cutoff), Y_AXIS, 0.4)
+        assert photon_totals.cache_info().currsize <= 4
 
     def test_basis_cache_stays_within_its_bytes(self):
         cache = _BasisCache(limit=3 * 41 * 21 * 8)
