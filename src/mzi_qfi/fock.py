@@ -6,10 +6,12 @@ States are immutable, normalized :class:`FockState` values.
 
 The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
 (intensities, pair coherences, and Jz = (n_a - n_b)/2). They have one core,
-:func:`number_moments`, which lowers each grid once and takes every moment as
-the squared norm of a lowered grid, so nothing is ever raised past the cutoff.
-Rotations act on photon-number sectors instead (see :mod:`mzi_qfi.schwinger`),
-laid out by :func:`sector_kets`, :func:`photon_totals` and :func:`occupied_sectors`.
+:func:`number_moments`, which lowers each grid once, into one of two scratch
+grids, and takes every moment as the squared norm of a lowered grid, so
+nothing is ever raised past the cutoff. Rotations act on photon-number
+sectors instead (see :mod:`mzi_qfi.schwinger`), laid out by
+:func:`sector_kets`, :func:`photon_totals`, :func:`occupied_sectors` and, for
+the cells of many sectors at once, :func:`sector_layout`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Literal, Optional, Tuple
+from itertools import accumulate
+from typing import List, Literal, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -154,7 +157,43 @@ def photon_totals(cutoff: int) -> np.ndarray:
 def occupied_sectors(grid: np.ndarray) -> List[int]:
     """Photon numbers, ascending, of the sectors where ``nonzero_cells(grid)`` holds."""
     totals = photon_totals(grid.shape[0] - 1)[nonzero_cells(grid)]
-    return np.flatnonzero(np.bincount(totals)).tolist()
+    return np.bincount(totals).nonzero()[0].tolist()
+
+
+class SectorLayout(NamedTuple):
+    """The cells of several photon-number sectors of a cutoff grid, one run each.
+
+    Run i holds sector ``sectors[i]``: entries ``offsets[i]`` up to
+    ``offsets[i + 1]`` of ``rows`` and ``cols``, the kets |k, n-k> for k in
+    ``sector_kets(n, cutoff)`` in k order, starting at k = ``lows[i]``.
+    """
+
+    sectors: List[int]
+    lows: List[int]
+    offsets: List[int]
+    rows: np.ndarray
+    cols: np.ndarray
+
+    def take(self, grid: np.ndarray) -> np.ndarray:
+        """The amplitudes of the laid-out cells of ``grid``, in layout order."""
+        flat = self.rows * grid.shape[1]
+        flat += self.cols
+        return grid.reshape(-1)[flat]
+
+
+def sector_layout(sectors: Sequence[int], cutoff: int) -> SectorLayout:
+    """The runs of ``sectors``, photon numbers up to 2 * ``cutoff``, one after another."""
+    sectors = list(sectors)
+    lows = [n - cutoff if n > cutoff else 0 for n in sectors]
+    lengths = [(n if n < cutoff else cutoff) + 1 - low for n, low in zip(sectors, lows)]
+    offsets = list(accumulate(lengths, initial=0))
+    counts = np.array(lengths)
+    # the p-th cell of the layout holds k = p - (offset - low) of its run
+    rows = np.arange(offsets[-1])
+    rows -= np.array([start - low for start, low in zip(offsets, lows)]).repeat(counts)
+    cols = np.array(sectors).repeat(counts)
+    cols -= rows
+    return SectorLayout(sectors, lows, offsets, rows, cols)
 
 
 def make_fock(j: int, k: int, cutoff: int) -> FockState:
@@ -181,15 +220,23 @@ def pad_to(state: FockState, cutoff: int) -> FockState:
     return FockState(grid, cutoff, state.truncation_loss)
 
 
-def _lower(grid: np.ndarray, axis: int) -> np.ndarray:
-    # a|n> = sqrt(n)|n-1>: out[n] = sqrt(n+1) * grid[n+1]
+def _lower(grid: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """a|n> = sqrt(n)|n-1> along ``axis``: out[n] = sqrt(n+1) * grid[n+1], out[top] = 0.
+
+    ``out``, a complex grid of the same shape that is not ``grid``, is written
+    in full, so it may hold anything; a fresh one is allocated when it is None.
+    """
     dim = grid.shape[axis]
-    out = np.zeros_like(grid)
-    factors = np.sqrt(np.arange(1, dim))
+    if out is None:
+        out = np.empty_like(grid)
+    # complex factors, so the product runs without casting them
+    factors = np.sqrt(np.arange(1, dim)).astype(np.complex128)
     if axis == 0:
         np.multiply(factors[:, None], grid[1:, :], out=out[:-1, :])
+        out[-1, :] = 0
     else:
         np.multiply(factors[None, :], grid[:, 1:], out=out[:, :-1])
+        out[:, -1] = 0
     return out
 
 
@@ -242,7 +289,7 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     A diagonal moment is ``vdot(L, L)`` with ``L = a^p b^r psi``: lowering both
     sides of the inner product never raises past the cutoff. Each lowered grid
     is made once, so the five second-order moments take five lowerings, the two
-    first-order ones two.
+    first-order ones two, written into two scratch grids.
     """
     if not isinstance(state, FockState):
         raise ParameterError("number_moments requires a normalized FockState")
@@ -252,13 +299,15 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     def norm2(lowered: np.ndarray) -> complex:
         return complex(np.vdot(lowered, lowered))
 
-    # each lowered grid is dropped once its moments are taken, which keeps peak
+    # each lowered grid is overwritten once its moments are taken, which keeps
     # memory at two grids beside the state
-    low = _lower(state.amplitudes, 0)
+    psi = state.amplitudes
+    low = _lower(psi, 0)
     a = norm2(low)
     if order == 1:
-        return NumberMoments(a, norm2(_lower(state.amplitudes, 1)))
-    aa = norm2(_lower(low, 0))
-    ab = norm2(_lower(low, 1))
-    low = _lower(state.amplitudes, 1)
-    return NumberMoments(a, norm2(low), aa=aa, bb=norm2(_lower(low, 1)), ab=ab)
+        return NumberMoments(a, norm2(_lower(psi, 1, low)))
+    low2 = _lower(low, 0)
+    aa = norm2(low2)
+    ab = norm2(_lower(low, 1, low2))
+    b = norm2(_lower(psi, 1, low))
+    return NumberMoments(a, b, aa=aa, bb=norm2(_lower(low, 1, low2)), ab=ab)

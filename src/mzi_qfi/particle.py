@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ParameterError, SectorSupportError
-from .fock import FockState, occupied_sectors, photon_totals, sector_kets
+from .fock import FockState, occupied_sectors, photon_totals, sector_kets, sector_layout
 from .schwinger import DirectionLike, _direction
 
 #: Sector weights below this are dropped from decompositions.
@@ -124,14 +124,18 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
     Each kept sector holds only its anti-diagonal, the vector of amplitudes
     on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
     all. An empty sector, which would add exactly 0.0 to ``weights_sum``, is not read.
+    The occupied cells are gathered and squared at once; each weight is then
+    the sum over its own contiguous run, as if the sector were read alone.
     """
-    grid = state.amplitudes
+    layout = sector_layout(occupied_sectors(state.amplitudes), state.cutoff)
+    cells = layout.take(state.amplitudes)
+    probs = np.abs(cells)
+    probs **= 2
     sectors = []
     weights_sum = 0.0
-    for n in occupied_sectors(grid):
-        ks = sector_kets(n, state.cutoff)
-        amps = grid[ks, n - ks]
-        weight = float(np.sum(np.abs(amps) ** 2))
+    for n, start, stop in zip(layout.sectors, layout.offsets, layout.offsets[1:]):
+        amps = cells[start:stop]
+        weight = float(np.sum(probs[start:stop]))
         weights_sum += weight
         if weight < WEIGHT_FLOOR:
             continue

@@ -14,10 +14,12 @@ exactly k - n/2. That basis depends on the photon number n alone, so one
 byte-bounded cache serves every axis and cutoff; a rotation about a new axis
 runs no eigendecomposition. A sector above the cutoff, held only in part, is
 rotated exactly and restricted to the cells the grid holds. A rotation on a
-cutoff-c grid costs one O(c^2) scan for the occupied sectors plus a few real
-matrix products per occupied sector, so a fixed-photon-number probe pays for
-a single block. Jz is diagonal in the number basis, so its moments come from
-the number moments of :mod:`mzi_qfi.fock`.
+cutoff-c grid costs one O(c^2) scan for the occupied sectors, one vectorized
+pass over their cells (gather, both Rz phases, the cos/sin mixing, the norm
+and the scatter; the mixing in blocks of at most ``MIX_COLUMNS`` columns),
+and four real matrix products per occupied sector, so a fixed-photon-number
+probe pays for a single block. Jz is diagonal in the number basis, so its
+moments come from the number moments of :mod:`mzi_qfi.fock`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, TruncationOverflowError
-from .fock import FockState, number_moments, occupied_sectors, photon_totals, sector_kets
+from .fock import (
+    FockState,
+    SectorLayout,
+    number_moments,
+    occupied_sectors,
+    photon_totals,
+    sector_kets,
+    sector_layout,
+)
 
 _J_IMAG_TOL = 1e-10
 
@@ -184,7 +194,7 @@ class _EulerRotation:
     The tables cover every sector with photon number n <= ``top``, whose cells
     all have |t| <= n. ``cos[t]`` and ``sin[t]`` are w cos(beta t/2) and -i w
     sin(beta t/2) for t = 0..top, with w = 2 for t > 0 and w = 1 for t = 0
-    (see :func:`_rotate_sector`), both complex so that they multiply complex
+    (see :func:`apply_rotation`), both complex so that they multiply complex
     vectors without a cast. ``left[t + offset]`` and ``right[t + offset]`` are
     exp(-i alpha t/2) and exp(-i gamma t/2) for t = -top..top, or None when
     that angle is 0. Each entry is the same whatever ``top`` is.
@@ -196,53 +206,25 @@ class _EulerRotation:
         alpha, beta, gamma = _euler_angles(v, angle)
         m = np.arange(top + 1) / 2
         weight = np.where(m > 0, 2.0, 1.0)
-        self.cos = (weight * np.cos(beta * m)).astype(np.complex128)
-        self.sin = -1j * (weight * np.sin(beta * m))
-        signed_m = np.arange(-top, top + 1) / 2
-        self.left = np.exp(-1j * alpha * signed_m) if alpha else None
-        self.right = np.exp(-1j * gamma * signed_m) if gamma else None
+        beta_m = beta * m
+        self.cos = (weight * np.cos(beta_m)).astype(np.complex128)
+        self.sin = -1j * (weight * np.sin(beta_m))
+        self.left = self.right = None
+        if alpha or gamma:
+            signed_m = np.arange(-top, top + 1) / 2
+            self.left = np.exp(-1j * alpha * signed_m) if alpha else None
+            self.right = np.exp(-1j * gamma * signed_m) if gamma else None
         self.offset = top
 
 
-def _real_matmul(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``matrix @ vector`` for a real matrix and a complex vector, as one real product."""
-    pairs = np.ascontiguousarray(vector).view(np.float64).reshape(-1, 2)
-    return (matrix @ pairs).view(np.complex128).ravel()
+#: Half-basis columns mixed in one pass. It bounds the temporaries of a
+#: rotation however many sectors it rotates.
+MIX_COLUMNS = 2048
 
 
-def _rotate_sector(
-    n: int, ks: np.ndarray, amps: np.ndarray, rotation: _EulerRotation
-) -> np.ndarray:
-    """Rz(alpha) Rx(beta) Rz(gamma) on the amplitudes ``amps`` of |k, n-k>, k in ``ks``.
-
-    ``ks`` is the run of k values the grid holds (see :func:`mzi_qfi.fock.sector_kets`).
-    Rz is a diagonal phase. Rx(beta) = O_n exp(-i beta Lambda) O_n^T, with the
-    exact eigenvalues Lambda = k - n/2. The eigenvector o of m > 0 and P o,
-    that of -m, contribute together 2 cos(beta m) (e e^T + d d^T) - 2i
-    sin(beta m) (e d^T + d e^T), where e and d are the parts of o on even and
-    odd k (m = 0 contributes e e^T + d d^T). So the even and odd cells are
-    rotated by four real products with the cached half basis, and a coupling
-    that parity forbids is exactly 0. A partial sector, whose ``ks`` leave out
-    some of 0..n, uses the rows of the basis for the cells it holds: the exact
-    spin n/2 rotation restricted to them.
-    """
-    start = 2 * ks[0] - n + rotation.offset  # t = 2m of the first cell
-    phases = slice(start, start + 2 * len(ks) - 1, 2)
-    if rotation.right is not None:
-        amps = rotation.right[phases] * amps
-    cos, sin = rotation.cos[n % 2 : n + 1 : 2], rotation.sin[n % 2 : n + 1 : 2]
-    basis = _jx_basis(n)
-    first = ks[0] % 2  # position in ks of the first even k
-    even = basis[ks[0] + first : ks[-1] + 1 : 2]
-    odd = basis[ks[0] + 1 - first : ks[-1] + 1 : 2]
-    y_even = _real_matmul(even.T, amps[first::2])
-    y_odd = _real_matmul(odd.T, amps[1 - first :: 2])
-    out = np.empty_like(amps)
-    out[first::2] = _real_matmul(even, cos * y_even + sin * y_odd)
-    out[1 - first :: 2] = _real_matmul(odd, cos * y_odd + sin * y_even)
-    if rotation.left is not None:
-        out *= rotation.left[phases]
-    return out
+def _pairs(vector: np.ndarray) -> np.ndarray:
+    """A contiguous complex vector as a (size, 2) float view, for real matrix products."""
+    return vector.view(np.float64).reshape(-1, 2)
 
 
 def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockState:
@@ -254,10 +236,23 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     and cutoff. An amplitude whose square underflows still occupies its sector,
     since it rotates into the result.
 
-    A sector above the cutoff, which the grid holds only in part, is rotated
-    exactly and restricted to the cells the grid holds; the weight rotated off
-    the grid is dropped. That weight is why the rotation requires negligible
-    weight above the cutoff. The rotated vectors are renormalized together.
+    Rz is a diagonal phase. Rx(beta) = O_n exp(-i beta Lambda) O_n^T, with the
+    exact eigenvalues Lambda = k - n/2. The eigenvector o of m > 0 and P o,
+    that of -m, contribute together 2 cos(beta m) (e e^T + d d^T) - 2i
+    sin(beta m) (e d^T + d e^T), where e and d are the parts of o on even and
+    odd k (m = 0 contributes e e^T + d d^T). So the even and odd cells of a
+    sector are rotated by four real products with the cached half basis, and
+    a coupling that parity forbids is exactly 0. Every other step, from the
+    gather of the cells to the scatter of the result, is one pass over the
+    cells of all occupied sectors (:func:`mzi_qfi.fock.sector_layout`); the
+    cos/sin mixing between the products is one pass per ``MIX_COLUMNS``
+    columns of projections.
+
+    A sector above the cutoff, which the grid holds only in part, uses the
+    rows of the basis for the cells it holds: the exact spin n/2 rotation
+    restricted to them. The weight rotated off the grid is dropped. That
+    weight is why the rotation requires negligible weight above the cutoff.
+    The rotated vectors are renormalized together.
     """
     grid = state.amplitudes
     cutoff = state.cutoff
@@ -270,15 +265,91 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
                 "enlarge the grid before rotating"
             )
     rotation = _EulerRotation(v, angle, occupied[-1])
-    ks = [sector_kets(n, cutoff) for n in occupied]
-    rows = np.concatenate(ks)
-    cols = np.concatenate([n - k for n, k in zip(occupied, ks)])
-    rotated = np.concatenate(
-        [_rotate_sector(n, k, grid[k, n - k], rotation) for n, k in zip(occupied, ks)]
-    )
+    layout = sector_layout(occupied, cutoff)
+    rotated = _rotate_runs(grid, layout, rotation)
+    if rotation.left is not None:
+        rotated *= rotation.left[_phase_index(layout, rotation)]
+    real, imag = rotated.real, rotated.imag  # np.linalg.norm's sum, without its dispatch
+    rotated /= math.sqrt(real.dot(real) + imag.dot(imag))
     out = np.zeros_like(grid)
-    out[rows, cols] = rotated / np.linalg.norm(rotated)
+    out[layout.rows, layout.cols] = rotated
     return FockState(out, cutoff, state.truncation_loss)
+
+
+def _phase_index(layout: SectorLayout, rotation: _EulerRotation) -> np.ndarray:
+    """Where each laid-out cell, at t = 2m = 2k - n, reads the rotation's Rz tables."""
+    index = layout.rows - layout.cols
+    index += rotation.offset
+    return index
+
+
+def _parity_blocks(
+    grid: np.ndarray, layout: SectorLayout, rotation: _EulerRotation
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The laid-out cells after Rz(gamma), the even-k cells of every run first, then the odd-k.
+
+    Returns the layout positions of the even-k and of the odd-k cells, then
+    their amplitudes, in which the cells of one parity of a run are contiguous.
+    The gathered cells are dropped on return, so they take no memory while the
+    sectors are rotated.
+    """
+    rows = layout.rows
+    amps = layout.take(grid)
+    if rotation.right is not None:
+        np.multiply(rotation.right[_phase_index(layout, rotation)], amps, out=amps)
+    at_even, at_odd = (~rows & 1).nonzero()[0], (rows & 1).nonzero()[0]
+    return at_even, at_odd, amps[at_even], amps[at_odd]
+
+
+def _rotate_runs(grid: np.ndarray, layout: SectorLayout, rotation: _EulerRotation) -> np.ndarray:
+    """Rx(beta) Rz(gamma) on the cells of ``layout``, returned in layout order.
+
+    The cells of one parity of a run are one contiguous operand of its real
+    products (see :func:`_parity_blocks`).
+    """
+    at_even, at_odd, evens, odds = _parity_blocks(grid, layout, rotation)
+    even_pairs, odd_pairs = _pairs(evens), _pairs(odds)
+    # projections on the half bases (n//2 + 1 columns each), of the even cells in row 0
+    columns = sum(layout.sectors) // 2 + len(layout.sectors)
+    y = np.empty((2, min(columns, max(MIX_COLUMNS, rotation.offset // 2 + 1))), dtype=np.complex128)
+    y_even, y_odd = y.view(np.float64).reshape(2, -1, 2)
+    block = []  # the runs whose projections sit in y
+    e = o = h = 0  # where the run's even cells, odd cells and columns start
+    offsets = layout.offsets
+    for n, low, start, stop in zip(layout.sectors, layout.lows, offsets, offsets[1:]):
+        h_end = h + n // 2 + 1
+        if h_end > y.shape[1]:
+            _finish(block, y[:, :h], rotation)
+            block, h, h_end = [], 0, n // 2 + 1
+        basis = _jx_basis(n)
+        top, first = low + stop - start, low + low % 2  # one past the last k, the first even k
+        even, odd = basis[first:top:2], basis[2 * low + 1 - first : top : 2]
+        e_end, o_end = e + len(even), o + len(odd)
+        run = (n, even, odd, even_pairs[e:e_end], odd_pairs[o:o_end], y_even[h:h_end], y_odd[h:h_end])
+        np.matmul(even.T, run[3], out=run[5])
+        np.matmul(odd.T, run[4], out=run[6])
+        block.append(run)
+        e, o, h = e_end, o_end, h_end
+    _finish(block, y[:, :h], rotation)
+    rotated = np.empty(len(layout.rows), dtype=np.complex128)
+    rotated[at_even], rotated[at_odd] = evens, odds
+    return rotated
+
+
+def _finish(block: list, y: np.ndarray, rotation: _EulerRotation) -> None:
+    """Mix the projections ``y`` of the runs in ``block``, then rotate them back onto their cells.
+
+    Row 0 of ``y`` holds the projections of the even cells, row 1 those of the
+    odd cells; each becomes cos * itself + sin * the other, in place.
+    """
+    cos = np.concatenate([rotation.cos[run[0] % 2 : run[0] + 1 : 2] for run in block])
+    sin = np.concatenate([rotation.sin[run[0] % 2 : run[0] + 1 : 2] for run in block])
+    swapped = sin * y[::-1]
+    np.multiply(cos, y, out=y)
+    y += swapped
+    for _, even, odd, even_cells, odd_cells, y_even, y_odd in block:
+        np.matmul(even, y_even, out=even_cells)
+        np.matmul(odd, y_odd, out=odd_cells)
 
 
 def beam_splitter(state: FockState, which: Literal["first", "second"] = "first") -> FockState:

@@ -31,15 +31,15 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def sector_reads(monkeypatch) -> list:
-    """The photon numbers whose kets ``particle`` and ``schwinger`` look up, in order."""
+    """The photon numbers of the sectors ``particle`` and ``schwinger`` lay out, in order."""
     reads = []
 
-    def recording(n, cutoff):
-        reads.append(n)
-        return fock.sector_kets(n, cutoff)
+    def recording(sectors, cutoff):
+        reads.extend(int(n) for n in sectors)
+        return fock.sector_layout(sectors, cutoff)
 
     for module in (particle, schwinger):
-        monkeypatch.setattr(module, "sector_kets", recording)
+        monkeypatch.setattr(module, "sector_layout", recording)
     return reads
 
 

@@ -14,11 +14,14 @@ inner product separately, a rotation and a sector decomposition visit all
 a phase shift evaluates its phase at every cell, and a truncation loss is a
 forward sum of one-mode tails in 40-digit decimal arithmetic. The lowering is
 a copy of the package's original one, so a change to the package's lowering
-shows up as a difference. The rotation and the decomposition read the sector
-layout of ``mzi_qfi.fock``, and the rotation shares the package's per-sector
-kernel and basis cache, which fix the operands of every block product. The
-earlier rotation, one complex ``eigh`` per sector and axis, is kept here as a
-second, independent route.
+shows up as a difference, and the number moments lower into a fresh grid
+each time where the package reuses two. The rotation and the decomposition
+read the sector layout of ``mzi_qfi.fock`` one sector at a time. The rotation
+runs each sector through the per-sector form of the package's kernel, which
+shares the package's basis cache; the two fix the operands of every block
+product.
+The earlier rotation, one complex ``eigh`` per sector and axis, is kept here
+as a second, independent route.
 """
 
 import math
@@ -30,7 +33,7 @@ from mzi_qfi.coherence import INTENSITY_FLOOR, PATH_SYMMETRY_TOL, CoherenceRepor
 from mzi_qfi.errors import ParameterError, TruncationOverflowError
 from mzi_qfi.fock import FockState, NumberMoments, sector_kets
 from mzi_qfi.particle import WEIGHT_FLOOR, Sector, SectorDecomposition
-from mzi_qfi.schwinger import _EulerRotation, _rotate_sector, sector_generator_matrix
+from mzi_qfi.schwinger import _EulerRotation, _jx_basis, sector_generator_matrix
 
 
 def _lower(grid, axis):
@@ -42,6 +45,22 @@ def _lower(grid, axis):
     else:
         out[:, :-1] = factors[None, :] * grid[:, 1:]
     return out
+
+
+def allocating_number_moments(state, order=2):
+    """``fock.number_moments`` with every lowering written into a freshly zeroed grid."""
+
+    def norm2(lowered):
+        return complex(np.vdot(lowered, lowered))
+
+    low = _lower(state.amplitudes, 0)
+    a = norm2(low)
+    if order == 1:
+        return NumberMoments(a, norm2(_lower(state.amplitudes, 1)))
+    aa = norm2(_lower(low, 0))
+    ab = norm2(_lower(low, 1))
+    low = _lower(state.amplitudes, 1)
+    return NumberMoments(a, norm2(low), aa=aa, bb=norm2(_lower(low, 1)), ab=ab)
 
 
 def ladder_moment(state, p, q, r, s):
@@ -196,8 +215,42 @@ def squeezed_vacuum_reference(xi, dim):
     return evecs @ (np.exp(1j * evals) * evecs.T[:, 0])
 
 
+def _real_matmul(matrix, vector):
+    """``matrix @ vector`` for a real matrix and a complex vector, as one real product."""
+    pairs = np.ascontiguousarray(vector).view(np.float64).reshape(-1, 2)
+    return (matrix @ pairs).view(np.complex128).ravel()
+
+
+def _rotate_sector(n, ks, amps, rotation):
+    """Rz(alpha) Rx(beta) Rz(gamma) on the amplitudes ``amps`` of |k, n-k>, k in ``ks``.
+
+    The per-sector form of the package's rotation, which batches every other
+    step over all occupied sectors: the same four real products with the
+    cached half basis, on the same contiguous (size, 2) operands, and the same
+    elementwise phases and cos/sin mixing, applied to one sector at a time.
+    """
+    start = 2 * ks[0] - n + rotation.offset  # t = 2m of the first cell
+    phases = slice(start, start + 2 * len(ks) - 1, 2)
+    if rotation.right is not None:
+        amps = rotation.right[phases] * amps
+    cos, sin = rotation.cos[n % 2 : n + 1 : 2], rotation.sin[n % 2 : n + 1 : 2]
+    basis = _jx_basis(n)
+    first = ks[0] % 2  # position in ks of the first even k
+    even = basis[ks[0] + first : ks[-1] + 1 : 2]
+    odd = basis[ks[0] + 1 - first : ks[-1] + 1 : 2]
+    y_even = _real_matmul(even.T, amps[first::2])
+    y_odd = _real_matmul(odd.T, amps[1 - first :: 2])
+    out = np.empty_like(amps)
+    out[first::2] = _real_matmul(even, cos * y_even + sin * y_odd)
+    out[1 - first :: 2] = _real_matmul(odd, cos * y_odd + sin * y_even)
+    if rotation.left is not None:
+        out *= rotation.left[phases]
+    return out
+
+
 def dense_rotation(state, v, angle):
-    """``schwinger.apply_rotation`` visiting every sector 0..2c and skipping empty ones."""
+    """``schwinger.apply_rotation`` as a loop over every sector 0..2c, skipping empty ones,
+    that rotates each sector on its own through :func:`_rotate_sector`."""
     j = np.arange(state.dim)[:, None]
     k = np.arange(state.dim)[None, :]
     excess = float(np.sum(state.probabilities()[(j + k) > state.cutoff]))

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_two_mode_state, sparse_states
+from conftest import random_direction, random_two_mode_state, sparse_states
 from mzi_qfi import fock
 from mzi_qfi.coherence import INTENSITY_FLOOR, analyze
-from mzi_qfi.fock import FockState, make_fock
+from mzi_qfi.fock import FockState, make_fock, number_moments
 from mzi_qfi.qfi import qfi_variance
-from mzi_qfi.schwinger import phase_shift
+from mzi_qfi.schwinger import apply_rotation, mzi_unitary, phase_shift
 from mzi_qfi.states import ProbeSpec, build, mean_photon_number
-from oracles import ladder_analyze, ladder_j_moment, ladder_moment
+from oracles import allocating_number_moments, ladder_analyze, ladder_j_moment, ladder_moment
 
 
 def two_mode_superposition(entries, cutoff):
@@ -129,9 +129,9 @@ def test_number_moments_lower_each_grid_once(monkeypatch):
     calls = []
     lower = fock._lower
 
-    def counted(grid, axis):
+    def counted(grid, axis, out=None):
         calls.append(axis)
-        return lower(grid, axis)
+        return lower(grid, axis, out)
 
     monkeypatch.setattr(fock, "_lower", counted)
     state = make_fock(2, 3, 6)
@@ -139,3 +139,29 @@ def test_number_moments_lower_each_grid_once(monkeypatch):
         calls.clear()
         run(state)
         assert len(calls) == expected, run.__name__
+
+
+def moment_bits(moments):
+    """The bit patterns of every field, so that -0.0 and 0.0 count as different."""
+    return [None if value is None else np.array([value.real, value.imag]).view(np.uint64).tolist()
+            for value in (moments.a, moments.b, moments.aa, moments.bb, moments.ab)]
+
+
+def assert_same_moment_bits(state):
+    for order in (1, 2):
+        expected = allocating_number_moments(state, order)
+        assert moment_bits(number_moments(state, order)) == moment_bits(expected), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_states())
+def test_scratch_grid_lowerings_match_fresh_grids_bit_for_bit(state):
+    assert_same_moment_bits(state)
+
+
+def test_scratch_grid_lowerings_match_fresh_grids_on_rotated_dense_states(rng):
+    for cutoff in (1, 7, 30, 64):
+        psi = random_two_mode_state(rng, cutoff, cutoff)
+        assert_same_moment_bits(apply_rotation(psi, random_direction(rng), rng.uniform(0.1, 3.0)))
+    coherent = build(ProbeSpec("coherent", {"alpha": 8.0}, 160))
+    assert_same_moment_bits(mzi_unitary(coherent, 0.9))

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_two_mode_state, sparse_states
 from mzi_qfi import particle, schwinger
@@ -24,6 +25,7 @@ from mzi_qfi.fock import (
     pad_to,
     photon_totals,
     sector_kets,
+    sector_layout,
     state_distance,
 )
 from mzi_qfi.states import ProbeSpec, build
@@ -256,6 +258,44 @@ class TestSectorLayout:
     def test_occupied_sectors_are_those_with_a_nonzero_cell(self, state):
         j, k = np.nonzero(state.amplitudes)  # -0.0 is zero, a subnormal is not
         assert occupied_sectors(state.amplitudes) == sorted(set((j + k).tolist()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12).flatmap(
+        lambda c: st.tuples(st.just(c), st.sets(st.integers(0, 2 * c), min_size=1))))
+    def test_layout_runs_are_the_sector_kets(self, case):
+        cutoff, sectors = case
+        sectors = sorted(sectors)
+        layout = sector_layout(sectors, cutoff)
+        assert layout.sectors == sectors and layout.offsets[0] == 0
+        assert len(layout.rows) == len(layout.cols) == layout.offsets[-1]
+        for n, low, start, stop in zip(sectors, layout.lows, layout.offsets, layout.offsets[1:]):
+            ks = sector_kets(n, cutoff)
+            assert layout.rows[start:stop].tolist() == ks.tolist()
+            assert layout.cols[start:stop].tolist() == (n - ks).tolist()
+            assert low == ks[0]
+
+    def test_layout_of_partial_sectors_above_the_cutoff(self):
+        layout = sector_layout([5, 7, 8], 4)
+        assert layout.lows == [1, 3, 4] and layout.offsets == [0, 4, 6, 7]
+        assert layout.rows.tolist() == [1, 2, 3, 4, 3, 4, 4]
+        assert layout.cols.tolist() == [4, 3, 2, 1, 4, 3, 4]
+
+    def test_layout_at_cutoff_zero_and_of_a_single_sector(self):
+        vacuum = sector_layout([0], 0)
+        assert (vacuum.lows, vacuum.offsets) == ([0], [0, 1])
+        assert vacuum.rows.tolist() == vacuum.cols.tolist() == [0]
+        single = sector_layout([400], 400)
+        assert single.offsets == [0, 401]
+        assert np.array_equal(single.rows, np.arange(401))
+        assert np.array_equal(single.cols, 400 - np.arange(401))
+
+    @settings(max_examples=50, deadline=None)
+    @given(sparse_states())
+    def test_layout_takes_the_cells_of_its_runs(self, state):
+        layout = sector_layout(occupied_sectors(state.amplitudes), state.cutoff)
+        cells = layout.take(state.amplitudes)
+        assert np.array_equal(cells.view(np.uint64), state.amplitudes[layout.rows, layout.cols].view(np.uint64))
+        assert np.array_equal(layout.take(state.amplitudes.T.copy().T), cells)  # any memory order
 
     @pytest.mark.parametrize("module", [particle, schwinger], ids=lambda m: m.__name__)
     def test_only_fock_builds_the_layout(self, module):

@@ -20,6 +20,7 @@ from mzi_qfi.fock import (
 )
 from mzi_qfi.schwinger import (
     BASIS_CACHE_BYTES,
+    MIX_COLUMNS,
     SpinDirection,
     X_AXIS,
     Y_AXIS,
@@ -168,6 +169,14 @@ class TestRotations:
             return
         got = apply_rotation(state, v, angle)
         # bit patterns, so that -0.0 and 0.0 count as different
+        assert np.array_equal(got.amplitudes.view(np.uint64), expected.amplitudes.view(np.uint64))
+
+    @pytest.mark.parametrize("v", [X_AXIS, Y_AXIS, (0.48, -0.6, 0.64)])
+    def test_matches_dense_sector_loop_bit_for_bit_when_mixed_in_blocks(self, v):
+        # 321 sectors whose half bases have far more than MIX_COLUMNS columns in all
+        state = build(ProbeSpec("coherent", {"alpha": 8.0}, 160))
+        assert sum(n // 2 + 1 for n in range(321)) > 10 * MIX_COLUMNS
+        got, expected = apply_rotation(state, v, 0.9), dense_rotation(state, v, 0.9)
         assert np.array_equal(got.amplitudes.view(np.uint64), expected.amplitudes.view(np.uint64))
 
     def test_nonzero_cells_is_complex_inequality(self, rng):

@@ -1,9 +1,14 @@
-"""The suite's warning settings must let a failing property be reported."""
+"""The suite's warning settings must let a failing property be reported, and the
+repository's tools run."""
 
+import hashlib
 import importlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from mzi_qfi import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +38,24 @@ def test_failing_property_is_reported_without_internal_error(tmp_path):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert proc.returncode == 1, proc.stdout  # tests failed, as opposed to 3: internal error
     assert "1 failed" in proc.stdout
+
+
+def _cli_digest():
+    spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "tools" / "cli_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_digest_hashes_what_each_invocation_writes(capsys):
+    digest = _cli_digest()
+    runs = digest.invocations()
+    assert len({(tuple(env.items()), tuple(argv)) for env, argv in runs}) == len(runs)
+    for env, argv in (runs[0], runs[-1]):  # a report, then a usage error
+        out_hash, err_hash, code, command = digest.digest(ROOT, env, argv).split(" ", 3)
+        assert command == " ".join(argv)
+        expected_code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert int(code) == expected_code
+        assert out_hash == hashlib.sha256(captured.out.encode()).hexdigest()
+        assert err_hash == hashlib.sha256(captured.err.encode()).hexdigest()
