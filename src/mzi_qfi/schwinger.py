@@ -309,9 +309,11 @@ def _rotate_runs(grid: np.ndarray, layout: SectorLayout, rotation: _EulerRotatio
     """
     at_even, at_odd, evens, odds = _parity_blocks(grid, layout, rotation)
     even_pairs, odd_pairs = _pairs(evens), _pairs(odds)
-    # projections on the half bases (n//2 + 1 columns each), of the even cells in row 0
+    # The projections on the half bases, n//2 + 1 columns per run, of the even
+    # cells in row 0: room for every run, or for a block of runs and the widest.
     columns = sum(layout.sectors) // 2 + len(layout.sectors)
-    y = np.empty((2, min(columns, max(MIX_COLUMNS, rotation.offset // 2 + 1))), dtype=np.complex128)
+    widest = layout.sectors[-1] // 2 + 1
+    y = np.empty((2, min(columns, max(MIX_COLUMNS, widest))), dtype=np.complex128)
     y_even, y_odd = y.view(np.float64).reshape(2, -1, 2)
     block = []  # the runs whose projections sit in y
     e = o = h = 0  # where the run's even cells, odd cells and columns start
@@ -325,10 +327,11 @@ def _rotate_runs(grid: np.ndarray, layout: SectorLayout, rotation: _EulerRotatio
         top, first = low + stop - start, low + low % 2  # one past the last k, the first even k
         even, odd = basis[first:top:2], basis[2 * low + 1 - first : top : 2]
         e_end, o_end = e + len(even), o + len(odd)
-        run = (n, even, odd, even_pairs[e:e_end], odd_pairs[o:o_end], y_even[h:h_end], y_odd[h:h_end])
-        np.matmul(even.T, run[3], out=run[5])
-        np.matmul(odd.T, run[4], out=run[6])
-        block.append(run)
+        even_cells, odd_cells = even_pairs[e:e_end], odd_pairs[o:o_end]
+        even_y, odd_y = y_even[h:h_end], y_odd[h:h_end]
+        np.matmul(even.T, even_cells, out=even_y)
+        np.matmul(odd.T, odd_cells, out=odd_y)
+        block.append((n, even, odd, even_cells, odd_cells, even_y, odd_y))
         e, o, h = e_end, o_end, h_end
     _finish(block, y[:, :h], rotation)
     rotated = np.empty(len(layout.rows), dtype=np.complex128)
@@ -347,9 +350,9 @@ def _finish(block: list, y: np.ndarray, rotation: _EulerRotation) -> None:
     swapped = sin * y[::-1]
     np.multiply(cos, y, out=y)
     y += swapped
-    for _, even, odd, even_cells, odd_cells, y_even, y_odd in block:
-        np.matmul(even, y_even, out=even_cells)
-        np.matmul(odd, y_odd, out=odd_cells)
+    for _, even, odd, even_cells, odd_cells, even_y, odd_y in block:
+        np.matmul(even, even_y, out=even_cells)
+        np.matmul(odd, odd_y, out=odd_cells)
 
 
 def beam_splitter(state: FockState, which: Literal["first", "second"] = "first") -> FockState:
