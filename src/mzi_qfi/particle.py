@@ -125,21 +125,25 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
     on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
     all. An empty sector, which would add exactly 0.0 to ``weights_sum``, is not read.
     The occupied cells are gathered and squared at once; each weight is then
-    the sum over its own contiguous run, as if the sector were read alone.
+    the sum over its own contiguous run, as if the sector were read alone, and
+    each kept sector's coefficients are its run of the gathered cells,
+    normalized in place.
     """
     layout = sector_layout(occupied_sectors(state.amplitudes), state.cutoff)
     cells = layout.take(state.amplitudes)
+    runs = zip(layout.sectors, layout.offsets, layout.offsets[1:])
+    del layout  # its cell indices are not needed past the gather
     probs = np.abs(cells)
     probs **= 2
     sectors = []
     weights_sum = 0.0
-    for n, start, stop in zip(layout.sectors, layout.offsets, layout.offsets[1:]):
-        amps = cells[start:stop]
+    for n, start, stop in runs:
         weight = float(np.sum(probs[start:stop]))
         weights_sum += weight
         if weight < WEIGHT_FLOOR:
             continue
-        coeffs = amps / math.sqrt(weight)
+        coeffs = cells[start:stop]
+        coeffs /= math.sqrt(weight)
         coeffs.flags.writeable = False
         sectors.append(Sector(n=n, weight=weight, coeffs=coeffs, cutoff=min(n, state.cutoff)))
     return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)
