@@ -125,9 +125,7 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
     on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
     all. An empty sector, which would add exactly 0.0 to ``weights_sum``, is not read.
     The occupied cells are gathered and squared at once; each weight is then
-    the sum over its own contiguous run, as if the sector were read alone, and
-    each kept sector's coefficients are its run of the gathered cells,
-    normalized in place.
+    the sum over its own contiguous run, as if the sector were read alone.
     """
     layout = sector_layout(occupied_sectors(state.amplitudes), state.cutoff)
     cells = layout.take(state.amplitudes)
@@ -142,8 +140,7 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
         weights_sum += weight
         if weight < WEIGHT_FLOOR:
             continue
-        coeffs = cells[start:stop]
-        coeffs /= math.sqrt(weight)
+        coeffs = cells[start:stop] / math.sqrt(weight)
         coeffs.flags.writeable = False
         sectors.append(Sector(n=n, weight=weight, coeffs=coeffs, cutoff=min(n, state.cutoff)))
     return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)
