@@ -294,7 +294,8 @@ class TestSectorLayout:
     def test_layout_takes_the_cells_of_its_runs(self, state):
         layout = sector_layout(occupied_sectors(state.amplitudes), state.cutoff)
         cells = layout.take(state.amplitudes)
-        assert np.array_equal(cells.view(np.uint64), state.amplitudes[layout.rows, layout.cols].view(np.uint64))
+        expected = state.amplitudes[layout.rows, layout.cols]
+        assert np.array_equal(cells.view(np.uint64), expected.view(np.uint64))
         assert np.array_equal(layout.take(state.amplitudes.T.copy().T), cells)  # any memory order
 
     @pytest.mark.parametrize("module", [particle, schwinger], ids=lambda m: m.__name__)

@@ -65,9 +65,11 @@ def invocations() -> List[Invocation]:
     """(environment overrides, argv) of every invocation, in the order they are printed."""
     runs: List[Invocation] = []
     for name in (*FAMILIES, *ALIASES):
-        runs += [({}, ["analyze", "--family", name, "--nbar", nbar]) for nbar in ("0.3", "1", "4", "7")]
+        runs += [({}, ["analyze", "--family", name, "--nbar", nbar])
+                 for nbar in ("0.3", "1", "4", "7")]
     for family in FIXED_N:
-        runs += [({}, ["analyze", "--family", family, "--n", n]) for n in ("0", "1", "8", "64", "200")]
+        runs += [({}, ["analyze", "--family", family, "--n", n])
+                 for n in ("0", "1", "8", "64", "200")]
     for cutoff in ("3", "40"):
         runs += [({}, ["analyze", "--family", family, *NATIVE[family], "--cutoff", cutoff])
                  for family in FAMILIES]
