@@ -6,7 +6,7 @@ States are immutable, normalized :class:`FockState` values.
 
 The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
 (intensities, pair coherences, and Jz = (n_a - n_b)/2). They have one core,
-:func:`number_moments`, which lowers each grid once, into one of two scratch
+:func:`number_moments`, which lowers each grid once, into one of two reused
 grids, and takes every moment as the squared norm of a lowered grid, so
 nothing is ever raised past the cutoff. Rotations act on photon-number
 sectors instead (see :mod:`mzi_qfi.schwinger`), laid out by
@@ -289,7 +289,7 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     A diagonal moment is ``vdot(L, L)`` with ``L = a^p b^r psi``: lowering both
     sides of the inner product never raises past the cutoff. Each lowered grid
     is made once, so the five second-order moments take five lowerings, the two
-    first-order ones two, written into two scratch grids.
+    first-order ones two, written into two reused grids.
     """
     if not isinstance(state, FockState):
         raise ParameterError("number_moments requires a normalized FockState")

@@ -155,11 +155,11 @@ def assert_same_moment_bits(state):
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_states())
-def test_scratch_grid_lowerings_match_fresh_grids_bit_for_bit(state):
+def test_reused_grid_lowerings_match_fresh_grids_bit_for_bit(state):
     assert_same_moment_bits(state)
 
 
-def test_scratch_grid_lowerings_match_fresh_grids_on_rotated_dense_states(rng):
+def test_reused_grid_lowerings_match_fresh_grids_on_rotated_dense_states(rng):
     for cutoff in (1, 7, 30, 64):
         psi = random_two_mode_state(rng, cutoff, cutoff)
         assert_same_moment_bits(apply_rotation(psi, random_direction(rng), rng.uniform(0.1, 3.0)))
