@@ -223,19 +223,28 @@ def pad_to(state: FockState, cutoff: int) -> FockState:
 def _lower(grid: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """a|n> = sqrt(n)|n-1> along ``axis``: out[n] = sqrt(n+1) * grid[n+1], out[top] = 0.
 
-    ``out``, a complex grid of the same shape that is not ``grid``, is written
-    in full, so it may hold anything; a fresh one is allocated when it is None.
+    ``out``, a C-contiguous complex grid of the same shape that is not
+    ``grid``, is written in full, so it may hold anything; a fresh one is
+    allocated when it is None.
     """
+    grid = np.ascontiguousarray(grid)
     dim = grid.shape[axis]
     if out is None:
-        out = np.empty_like(grid)
+        out = np.empty(grid.shape, dtype=grid.dtype)
     # complex factors, so the product runs without casting them
-    factors = np.sqrt(np.arange(1, dim)).astype(np.complex128)
+    factors = np.sqrt(np.arange(1, dim + 1)).astype(np.complex128)
     if axis == 0:
-        np.multiply(factors[:, None], grid[1:, :], out=out[:-1, :])
+        np.multiply(factors[:-1, None], grid[1:, :], out=out[:-1, :])
         out[-1, :] = 0
     else:
-        np.multiply(factors[None, :], grid[:, 1:], out=out[:, :-1])
+        # numpy buffers every operand of a product that is not contiguous, so
+        # columns 1.. of all rows but the last are read as one contiguous run
+        # of the flat grid; each of its rows writes one whole row of out, whose
+        # last cell, taken from the next row's first, is zeroed below
+        rows = dim - 1
+        shifted = grid.reshape(-1)[1 : rows * dim + 1].reshape(rows, dim)
+        np.multiply(factors[None, :], shifted, out=out[:-1, :])
+        np.multiply(factors[:-1], grid[-1, 1:], out=out[-1, :-1])
         out[:, -1] = 0
     return out
 

@@ -126,16 +126,23 @@ def qfi_fidelity(
     The derivative state is approximated by central differences of the exact
     phase shift; Richardson extrapolation over steps (h, h/2) cancels the
     leading O(h^2) error and is required at acceptance tolerances.
+
+    Each difference is formed in one writable grid: a copy of the +h shifted
+    grid, from which the -h shifted grid is subtracted and which is then
+    divided by 2h, in place, each shifted state dropped once it is used. At
+    ``phi0 == 0`` the base is the state's own grid, as exp(-i 0 Jz) is the
+    identity. So the route holds at most two grids beside the state at a
+    time (three at any other origin), plus numpy's fixed-size ufunc buffers.
     """
     if not 1e-5 <= step <= 1e-2:
         raise ParameterError(f"fidelity step must lie in [1e-5, 1e-2], got {step!r}")
 
-    base = phase_shift(state, phi0).amplitudes
+    base = state.amplitudes if phi0 == 0 else phase_shift(state, phi0).amplitudes
 
     def estimate(h: float) -> float:
-        plus = phase_shift(state, phi0 + h).amplitudes
-        minus = phase_shift(state, phi0 - h).amplitudes
-        derivative = (plus - minus) / (2.0 * h)
+        derivative = phase_shift(state, phi0 + h).amplitudes.copy()
+        derivative -= phase_shift(state, phi0 - h).amplitudes
+        derivative /= 2.0 * h
         return 4.0 * (
             np.vdot(derivative, derivative).real - abs(np.vdot(derivative, base)) ** 2
         )
@@ -177,8 +184,12 @@ def build_report(
     """Evaluate every route on one state and cross-validate them."""
     if coherence_report is None:
         coherence_report = analyze(state)
+    # the particle route first, so that a decomposition made here is not held
+    # through the fidelity route
     if decomposition is None:
-        decomposition = decompose_sectors(state)
+        f_particle = qfi_particle(decompose_sectors(state))
+    else:
+        f_particle = qfi_particle(decomposition)
 
     reasons: Dict[str, str] = {}
     f_variance = qfi_variance(state)
@@ -196,7 +207,6 @@ def build_report(
         reasons["f_fidelity"] = (
             "raw central difference (exploratory); excluded from the consistency gate"
         )
-    f_particle = qfi_particle(decomposition)
     if f_particle is None:
         reasons["f_particle"] = "particle fluctuations present"
 

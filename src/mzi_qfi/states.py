@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 
@@ -127,9 +128,22 @@ def squeezed_one_vector(xi: float, dim: int) -> np.ndarray:
 
 
 def coherent_vector(beta: complex, dim: int) -> np.ndarray:
-    """Poisson amplitudes of |beta> on levels 0..dim-1."""
+    """Poisson amplitudes of |beta> on levels 0..dim-1.
+
+    They run forward from e^{-|beta|^2/2}. Past |beta| of about 37.6 that
+    start is no longer a normal float, and past 38.6 it is 0, so there each
+    amplitude is taken on its own: the square root of the Poisson
+    probability of n at mean |beta|^2, from its logarithm, times
+    e^{i n arg(beta)}.
+    """
     v = np.zeros(dim, dtype=np.complex128)
     c = math.exp(-abs(beta) ** 2 / 2)
+    if c < sys.float_info.min:
+        mu, theta = _intensity(beta), math.atan2(beta.imag, beta.real)
+        for n in range(dim):
+            r = math.exp(_log_poisson(n, mu) / 2)
+            v[n] = complex(r * math.cos(n * theta), r * math.sin(n * theta))
+        return v
     v[0] = c
     for n in range(1, dim):
         c = c * beta / math.sqrt(n)
@@ -176,6 +190,13 @@ def _poisson_deviance(n: int, mu: float) -> float:
             return total
         total += step
         j += 2
+
+
+def _log_poisson(n: int, mu: float) -> float:
+    """log of the Poisson probability of n at mean mu > 0 (Loader 2000: no two terms cancel)."""
+    if n == 0:
+        return -mu
+    return -_stirling_error(n) - _poisson_deviance(n, mu) - 0.5 * math.log(2 * math.pi * n)
 
 
 def _log_tanh(x: float) -> float:
@@ -269,14 +290,9 @@ def _poisson_tail(mu: float, first: int) -> float:
     if mu == 0:
         return float(first == 0)
 
-    def log_prob(n: int) -> float:
-        if n == 0:
-            return -mu
-        return -_stirling_error(n) - _poisson_deviance(n, mu) - 0.5 * math.log(2 * math.pi * n)
-
     ratio = lambda n: mu / (n + 1)
     # the median lies below mu + 1/3, so a tail from above mu + 4/3 holds under half
-    return _tail(log_prob, ratio, ratio, first, first >= mu + 4 / 3)
+    return _tail(functools.partial(_log_poisson, mu=mu), ratio, ratio, first, first >= mu + 4 / 3)
 
 
 # ---------------------------------------------------------------------------

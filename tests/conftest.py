@@ -1,9 +1,23 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from mzi_qfi import fock, particle, schwinger
 from mzi_qfi.fock import FockState
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tool(name: str):
+    """The script ``tools/<name>.py`` of this checkout, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_two_mode_state(rng: np.random.Generator, cutoff: int, max_total: int) -> FockState:

@@ -11,7 +11,9 @@ The other references are the straightforward form of a computation the
 package now does with less work: every ladder moment lowers both sides of its
 inner product separately, a rotation and a sector decomposition visit all
 2c+1 photon-number sectors, the Schmidt spectrum is one SVD of the whole grid,
-a phase shift evaluates its phase at every cell, and a truncation loss is a
+a phase shift evaluates its phase at every cell, the fidelity route holds
+every grid of its central differences at once, coherent amplitudes run
+forward from the vacuum level whatever its size, and a truncation loss is a
 forward sum of one-mode tails in 40-digit decimal arithmetic. The lowering is
 a copy of the package's original one, so a change to the package's lowering
 shows up as a difference, and the number moments lower into a fresh grid
@@ -33,7 +35,7 @@ from mzi_qfi.coherence import INTENSITY_FLOOR, PATH_SYMMETRY_TOL, CoherenceRepor
 from mzi_qfi.errors import ParameterError, TruncationOverflowError
 from mzi_qfi.fock import FockState, NumberMoments, sector_kets
 from mzi_qfi.particle import WEIGHT_FLOOR, Sector, SectorDecomposition
-from mzi_qfi.schwinger import _EulerRotation, _jx_basis, sector_generator_matrix
+from mzi_qfi.schwinger import _EulerRotation, _jx_basis, phase_shift, sector_generator_matrix
 
 
 def _lower(grid, axis):
@@ -215,6 +217,33 @@ def squeezed_vacuum_reference(xi, dim):
     return evecs @ (np.exp(1j * evals) * evecs.T[:, 0])
 
 
+def forward_coherent_vector(beta, dim):
+    """The package's original coherent amplitudes, run forward from e^{-|beta|^2/2}
+    whatever that start is."""
+    v = np.zeros(dim, dtype=np.complex128)
+    c = math.exp(-abs(beta) ** 2 / 2)
+    v[0] = c
+    for n in range(1, dim):
+        c = c * beta / math.sqrt(n)
+        v[n] = c
+    return v
+
+
+def poisson_magnitudes_reference(radius, dim):
+    """|<n|beta>| = e^{-r^2/2} r^n / sqrt(n!) for |beta| = ``radius`` on levels 0..dim-1,
+    in 50-digit decimal arithmetic, rounded to floats (0 where they underflow)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r = Decimal(radius)
+        log_r, log_c = r.ln(), -r * r / 2
+        magnitudes = []
+        for n in range(dim):
+            if n:
+                log_c += log_r - Decimal(n).ln() / 2
+            magnitudes.append(float(log_c.exp()))
+    return np.array(magnitudes)
+
+
 def _real_matmul(matrix, vector):
     """``matrix @ vector`` for a real matrix and a complex vector, as one real product."""
     pairs = np.ascontiguousarray(vector).view(np.float64).reshape(-1, 2)
@@ -323,6 +352,25 @@ def phase_shift_formula(state, phi):
     k = np.arange(state.dim)[None, :]
     phases = np.exp(-1j * phi * (j - k) / 2)
     return FockState(phases * state.amplitudes, state.cutoff, state.truncation_loss)
+
+
+def allocating_qfi_fidelity(state, step, phi0=0.0, richardson=True):
+    """``qfi.qfi_fidelity`` with every grid its own: the base shifted by ``phi0`` even at 0,
+    and both shifted grids, their difference and the quotient held at once."""
+    base = phase_shift(state, phi0).amplitudes
+
+    def estimate(h):
+        plus = phase_shift(state, phi0 + h).amplitudes
+        minus = phase_shift(state, phi0 - h).amplitudes
+        derivative = (plus - minus) / (2.0 * h)
+        return 4.0 * (
+            np.vdot(derivative, derivative).real - abs(np.vdot(derivative, base)) ** 2
+        )
+
+    if not richardson:
+        return estimate(step)
+    coarse, fine = estimate(step), estimate(step / 2)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _decimal_tail(p0, ratio, first):

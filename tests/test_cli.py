@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import sparse_states
 from mzi_qfi import catalog, cli, schwinger, serialize, states
 from mzi_qfi.errors import CutoffExceededError, NormalizationError, StateFileError
 from mzi_qfi.fock import make_fock
@@ -82,6 +84,17 @@ class TestStateFiles:
     def test_round_trip_is_bit_faithful(self, tmp_path):
         state = build(ProbeSpec("entangled-coherent", {"alpha": 1.3}))
         path = tmp_path / "probe.json"
+        write_state_file(state, str(path))
+        loaded = read_state_file(str(path))
+        assert loaded.cutoff == state.cutoff
+        assert np.array_equal(loaded.amplitudes, state.amplitudes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_states())
+    def test_round_trip_of_any_state(self, tmp_path_factory, state):
+        # exact zeros, -0.0 cells (read back as +0.0, which array_equal accepts),
+        # subnormals and amplitudes whose square underflows
+        path = tmp_path_factory.mktemp("round-trip") / "state.json"
         write_state_file(state, str(path))
         loaded = read_state_file(str(path))
         assert loaded.cutoff == state.cutoff

@@ -1,0 +1,57 @@
+"""Each public stage's transient memory stays within its budget.
+
+The peaks are those ``tools/stage_memory.py`` prints: the tracemalloc
+high-water mark of a warm call above what was held before it, in grids of
+16 (cutoff+1)^2 bytes, for probes at cutoffs of 300 and more.
+"""
+
+import pytest
+
+from conftest import load_tool
+
+stage_memory = load_tool("stage_memory")
+
+#: What the fidelity route and the QFI report may hold beyond two grids:
+#: numpy's fixed-size ufunc buffers and the reports' own small objects.
+TWO_GRID_SLACK = 256 * 1024
+
+TWO_GRID_STAGES = ("qfi_fidelity", "build_report")
+
+#: The peak of every other stage in grids, rounded up to a hundredth, as
+#: measured when the fidelity route was brought to two grids.
+BUDGETS = {
+    "tsv xi=1.2": {
+        "build": 2.01, "analyze": 2.10, "decompose_sectors": 1.27, "qfi_variance": 2.10,
+        "schmidt": 0.42, "phase_shift": 1.11, "mzi_unitary": 2.07,
+    },
+    "amplified-bell xi=1.2": {
+        "build": 2.19, "analyze": 2.10, "decompose_sectors": 1.27, "qfi_variance": 2.10,
+        "schmidt": 0.67, "phase_shift": 1.11, "mzi_unitary": 2.07,
+    },
+    "twin-fock n=200": {
+        "build": 2.02, "analyze": 2.06, "decompose_sectors": 0.19, "qfi_variance": 2.06,
+        "schmidt": 0.19, "phase_shift": 1.06, "mzi_unitary": 1.03,
+    },
+}
+
+
+def test_every_stage_has_a_budget():
+    for label, *_ in stage_memory.PROBES:
+        assert set(BUDGETS[label]) | set(TWO_GRID_STAGES) == set(stage_memory.STAGES)
+
+
+@pytest.mark.parametrize("label, family, params, cutoff", stage_memory.PROBES,
+                         ids=[probe[0] for probe in stage_memory.PROBES])
+def test_stage_peaks_within_budget(label, family, params, cutoff):
+    chosen, peaks = stage_memory.stage_peaks(family, params, cutoff)
+    grid = stage_memory.grid_bytes(chosen)
+    assert chosen >= 300
+    over = {}
+    for stage, peak in peaks.items():
+        if stage in TWO_GRID_STAGES:
+            budget = 2 * grid + TWO_GRID_SLACK
+        else:
+            budget = BUDGETS[label][stage] * grid
+        if peak > budget:
+            over[stage] = (peak, round(peak / grid, 4), budget)
+    assert not over, over

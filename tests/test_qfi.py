@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_two_mode_state
+from conftest import random_two_mode_state, sparse_states
 from mzi_qfi.coherence import analyze
 from mzi_qfi.errors import ParameterError
 from mzi_qfi.fock import make_fock
@@ -15,7 +16,8 @@ from mzi_qfi.qfi import (
     qfi_path_symmetric,
     qfi_variance,
 )
-from mzi_qfi.states import ProbeSpec, build, build_for_nbar
+from mzi_qfi.states import FAMILIES, ProbeSpec, build, build_for_nbar
+from oracles import allocating_qfi_fidelity
 
 
 class TestVarianceRoute:
@@ -110,6 +112,37 @@ class TestFidelityRoute:
     def test_step_range_enforced(self, step):
         with pytest.raises(ParameterError):
             qfi_fidelity(make_fock(1, 0, 2), step=step)
+
+
+#: (step, richardson, phi0) of every bit comparison with the allocating route
+FIDELITY_SETTINGS = [
+    (step, richardson, phi0)
+    for step in (1e-5, 1e-3, 1e-2) for richardson in (True, False) for phi0 in (0.0, -0.0, 0.3)
+]
+
+
+def assert_same_fidelity_bits(state):
+    def bits(value):
+        return np.asarray(value, dtype=np.float64).view(np.uint64).item()
+
+    for step, richardson, phi0 in FIDELITY_SETTINGS:
+        got = qfi_fidelity(state, step=step, phi0=phi0, richardson=richardson)
+        expected = allocating_qfi_fidelity(state, step, phi0=phi0, richardson=richardson)
+        assert bits(got) == bits(expected), (step, richardson, phi0)
+
+
+class TestFidelityBits:
+    """The in-place differences give the allocating route's bits, at every setting."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_states())
+    def test_sparse_states(self, state):
+        assert_same_fidelity_bits(state)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("nbar", [1.0, 4.0, 7.0])
+    def test_families(self, family, nbar):
+        assert_same_fidelity_bits(build_for_nbar(family, nbar)[0])
 
 
 class TestScaling:

@@ -26,13 +26,19 @@ from mzi_qfi.states import (
     ProbeSpec,
     build,
     build_for_nbar,
+    coherent_vector,
     mean_photon_number,
     resolve_family,
     solve_param_for_nbar,
     squeezed_one_vector,
     squeezed_vacuum_vector,
 )
-from oracles import squeezed_vacuum_reference, truncation_loss_reference
+from oracles import (
+    forward_coherent_vector,
+    poisson_magnitudes_reference,
+    squeezed_vacuum_reference,
+    truncation_loss_reference,
+)
 
 CONTINUOUS_FAMILIES = tuple(name for name in FAMILIES if resolve_family(name).loss is not None)
 
@@ -226,6 +232,58 @@ class TestSqueezerCrossCheck:
         closed = squeezed_vacuum_vector(xi, dim)
         reference = squeezed_vacuum_reference(xi, dim)
         assert np.linalg.norm(closed - reference) < 1e-8
+
+
+def _start_edge():
+    """The smallest |beta| whose start e^{-|beta|^2/2} is not a normal float."""
+    radius = math.sqrt(-2 * math.log(sys.float_info.min))
+    while math.exp(-radius**2 / 2) >= sys.float_info.min:
+        radius = math.nextafter(radius, math.inf)
+    while math.exp(-math.nextafter(radius, 0) ** 2 / 2) < sys.float_info.min:
+        radius = math.nextafter(radius, 0)
+    return radius
+
+
+class TestCoherentVector:
+    def assert_matches_reference(self, beta, dim):
+        v = coherent_vector(beta, dim)
+        reference = poisson_magnitudes_reference(abs(beta), dim)
+        normal = reference >= sys.float_info.min
+        assert np.all(np.isfinite(v))
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-13
+        assert np.allclose(np.abs(v[normal]), reference[normal], rtol=1e-12, atol=0)
+        levels = np.flatnonzero(normal)
+        phases = np.exp(1j * np.angle(beta) * levels)
+        assert np.allclose(v[normal] / np.abs(v[normal]), phases, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("beta", [60.0, 60.0 * np.exp(0.7j), -60j])
+    def test_start_underflows_to_zero(self, beta):
+        # e^{-1800} is 0 in floats: the forward run gave an all-zero vector
+        assert not forward_coherent_vector(beta, 4200).any()
+        self.assert_matches_reference(beta, 4200)
+
+    def test_subnormal_start_is_taken_in_the_log_domain(self):
+        radius = _start_edge()
+        assert 0 < math.exp(-radius**2 / 2) < sys.float_info.min
+        self.assert_matches_reference(radius, 1800)
+        self.assert_matches_reference(radius * np.exp(-0.4j), 1800)
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-8, 2.0 - 1.0j, 25.0, 37.0j])
+    def test_forward_run_below_the_edge(self, beta):
+        dim = int(abs(beta) ** 2 + 12 * abs(beta) + 20)
+        got, expected = coherent_vector(beta, dim), forward_coherent_vector(beta, dim)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_last_normal_start_runs_forward(self):
+        radius = math.nextafter(_start_edge(), 0)
+        assert math.exp(-radius**2 / 2) >= sys.float_info.min
+        got, expected = coherent_vector(radius, 1800), forward_coherent_vector(radius, 1800)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        self.assert_matches_reference(radius, 1800)
+
+    def test_entangled_coherent_alpha_40_builds(self):
+        state = build(ProbeSpec("entangled-coherent", {"alpha": 40.0}, 2000))
+        assert abs(mean_photon_number(state) - 1600.0) < 1e-9 * 1600.0
 
 
 class TestDecompositionConsistency:

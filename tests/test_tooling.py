@@ -3,14 +3,13 @@ repository's tools run."""
 
 import hashlib
 import importlib
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
+import pytest
+
+from conftest import ROOT, load_tool
 from mzi_qfi import cli
-
-ROOT = Path(__file__).resolve().parents[1]
 
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
@@ -40,15 +39,8 @@ def test_failing_property_is_reported_without_internal_error(tmp_path):
     assert "1 failed" in proc.stdout
 
 
-def _cli_digest():
-    spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "tools" / "cli_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_cli_digest_hashes_what_each_invocation_writes(capsys):
-    digest = _cli_digest()
+    digest = load_tool("cli_digest")
     runs = digest.invocations()
     assert len({(tuple(env.items()), tuple(argv)) for env, argv in runs}) == len(runs)
     for env, argv in (runs[0], runs[-1]):  # a report, then a usage error
@@ -59,3 +51,27 @@ def test_cli_digest_hashes_what_each_invocation_writes(capsys):
         assert int(code) == expected_code
         assert out_hash == hashlib.sha256(captured.out.encode()).hexdigest()
         assert err_hash == hashlib.sha256(captured.err.encode()).hexdigest()
+
+
+def test_stage_memory_prints_every_stage_of_every_probe(monkeypatch, capsys):
+    tool = load_tool("stage_memory")
+    monkeypatch.setattr(tool, "PROBES", (("noon n=6", "noon", {"n": 6}, 40),
+                                         ("tsv xi=0.5", "twin-squeezed-vacuum", {"xi": 0.5}, 40)))
+    assert tool.main([]) == 0
+    rows = [line.rsplit(maxsplit=4) for line in capsys.readouterr().out.splitlines()]
+    assert [(label, stage) for label, _, stage, _, _ in rows] == [
+        (label, stage) for label, *_ in tool.PROBES for stage in tool.STAGES]
+    for _, cutoff, _, peak, grids in rows:
+        assert cutoff == "40" and int(peak) > 0
+        assert float(grids) == pytest.approx(int(peak) / tool.grid_bytes(40), abs=0.005)
+
+
+def test_stage_memory_counts_what_a_call_allocates():
+    tool = load_tool("stage_memory")
+    assert 8 * 10**6 <= tool.transient_peak(lambda: bytearray(8 * 10**6)) < 8 * 10**6 + 4096
+    assert tool.transient_peak(lambda: None) < 4096
+
+
+def test_stage_memory_refuses_a_package_imported_from_elsewhere(tmp_path):
+    with pytest.raises(SystemExit, match="not from"):
+        load_tool("stage_memory").main([str(tmp_path)])
