@@ -21,8 +21,6 @@ INTENSITY_FLOOR = 1e-9
 #: Default absolute tolerance for declaring a probe path-symmetric.
 PATH_SYMMETRY_TOL = 1e-8
 
-_HERMITICITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CoherenceReport:
@@ -56,14 +54,6 @@ class CoherenceReport:
         }
 
 
-def _real_moment(value: complex, p: int, r: int) -> float:
-    if abs(value.imag) > _HERMITICITY_TOL:
-        raise ParameterError(
-            f"moment ({p},{p},{r},{r}) should be real, got imaginary part {value.imag!r}"
-        )
-    return value.real
-
-
 def analyze(state: FockState, tol: float = PATH_SYMMETRY_TOL) -> CoherenceReport:
     """Full coherence report for a normalized state.
 
@@ -73,11 +63,9 @@ def analyze(state: FockState, tol: float = PATH_SYMMETRY_TOL) -> CoherenceReport
     if tol <= 0:
         raise ParameterError("path-symmetry tolerance must be positive")
     moments = number_moments(state)
-    nbar_a = _real_moment(moments.a, 1, 0)
-    nbar_b = _real_moment(moments.b, 0, 1)
-    pairs_a = _real_moment(moments.aa, 2, 0)  # <adag^2 a^2> = <n_a (n_a - 1)>
-    pairs_b = _real_moment(moments.bb, 0, 2)
-    cross = _real_moment(moments.ab, 1, 1)  # <n_a n_b>
+    nbar_a, nbar_b = moments.a, moments.b
+    pairs_a, pairs_b = moments.aa, moments.bb  # <adag^2 a^2> = <n_a (n_a - 1)>
+    cross = moments.ab  # <n_a n_b>
 
     var_na = pairs_a + nbar_a - nbar_a**2
     var_nb = pairs_b + nbar_b - nbar_b**2

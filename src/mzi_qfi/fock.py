@@ -6,12 +6,15 @@ States are immutable, normalized :class:`FockState` values.
 
 The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
 (intensities, pair coherences, and Jz = (n_a - n_b)/2). They have one core,
-:func:`number_moments`, which lowers each grid once, into one of two reused
-grids, and takes every moment as the squared norm of a lowered grid, so
-nothing is ever raised past the cutoff. Rotations act on photon-number
-sectors instead (see :mod:`mzi_qfi.schwinger`), laid out by
-:func:`sector_kets`, :func:`photon_totals`, :func:`occupied_sectors` and, for
-the cells of many sectors at once, :func:`sector_layout`.
+:func:`number_moments`, which reads them all off one grid of occupation
+probabilities. Rotations act on photon-number sectors instead (see
+:mod:`mzi_qfi.schwinger`), laid out by :func:`sector_kets`,
+:func:`photon_totals`, :func:`occupied_sectors` and, for the cells of many
+sectors at once, :func:`sector_layout`.
+
+:func:`number_moments` and :func:`vdot` sum over a grid in numpy alone, not
+through BLAS, whose dot products split long vectors across threads and so
+round differently with the thread count.
 """
 
 from __future__ import annotations
@@ -113,7 +116,7 @@ class FockState:
         """Renormalize ``grid`` and wrap it, enforcing the loss ceiling."""
         grid = np.asarray(grid, dtype=np.complex128)  # the division below copies
         check_truncation_loss(truncation_loss, loss_ceiling)
-        nrm = float(np.linalg.norm(grid))
+        nrm = math.sqrt(vdot(grid, grid).real)
         if nrm == 0.0:
             raise NormalizationError("cannot normalize a zero amplitude grid")
         return cls(grid / nrm, grid.shape[0] - 1, truncation_loss)
@@ -220,35 +223,6 @@ def pad_to(state: FockState, cutoff: int) -> FockState:
     return FockState(grid, cutoff, state.truncation_loss)
 
 
-def _lower(grid: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """a|n> = sqrt(n)|n-1> along ``axis``: out[n] = sqrt(n+1) * grid[n+1], out[top] = 0.
-
-    ``out``, a C-contiguous complex grid of the same shape that is not
-    ``grid``, is written in full, so it may hold anything; a fresh one is
-    allocated when it is None.
-    """
-    grid = np.ascontiguousarray(grid)
-    dim = grid.shape[axis]
-    if out is None:
-        out = np.empty(grid.shape, dtype=grid.dtype)
-    # complex factors, so the product runs without casting them
-    factors = np.sqrt(np.arange(1, dim + 1)).astype(np.complex128)
-    if axis == 0:
-        np.multiply(factors[:-1, None], grid[1:, :], out=out[:-1, :])
-        out[-1, :] = 0
-    else:
-        # numpy buffers every operand of a product that is not contiguous, so
-        # columns 1.. of all rows but the last are read as one contiguous run
-        # of the flat grid; each of its rows writes one whole row of out, whose
-        # last cell, taken from the next row's first, is zeroed below
-        rows = dim - 1
-        shifted = grid.reshape(-1)[1 : rows * dim + 1].reshape(rows, dim)
-        np.multiply(factors[None, :], shifted, out=out[:-1, :])
-        np.multiply(factors[:-1], grid[-1, 1:], out=out[-1, :-1])
-        out[:, -1] = 0
-    return out
-
-
 def _common_grids(x: FockState, y: FockState) -> Tuple[np.ndarray, np.ndarray]:
     """Both amplitude grids on the larger cutoff, the smaller one zero-padded."""
     cutoff = max(x.cutoff, y.cutoff)
@@ -276,6 +250,23 @@ def state_distance(x: FockState, y: FockState) -> float:
     return float(np.linalg.norm(gx - phase * gy))
 
 
+def vdot(x: np.ndarray, y: np.ndarray) -> complex:
+    """``np.vdot(x, y)`` of two complex grids of one shape, summed by numpy alone.
+
+    The real part is one einsum over the grids' float64 views, the imaginary
+    part two over their strided halves, so C-contiguous grids are read in
+    place, with no temporary. The imaginary part of ``vdot(x, x)`` is zero and
+    is not summed.
+    """
+    xs = np.ascontiguousarray(x).reshape(-1).view(np.float64)
+    ys = xs if y is x else np.ascontiguousarray(y).reshape(-1).view(np.float64)
+    real = float(np.einsum("i,i->", xs, ys))
+    if y is x:
+        return complex(real, 0.0)
+    imag = np.einsum("i,i->", xs[::2], ys[1::2]) - np.einsum("i,i->", xs[1::2], ys[::2])
+    return complex(real, float(imag))
+
+
 @dataclass(frozen=True)
 class NumberMoments:
     """Diagonal normal-ordered moments ``<adag^p a^p bdag^r b^r>`` of one state.
@@ -285,38 +276,59 @@ class NumberMoments:
     only first order was asked for.
     """
 
-    a: complex
-    b: complex
-    aa: Optional[complex] = None
-    bb: Optional[complex] = None
-    ab: Optional[complex] = None
+    a: float
+    b: float
+    aa: Optional[float] = None
+    bb: Optional[float] = None
+    ab: Optional[float] = None
+
+
+def _column_sums(grid: np.ndarray) -> np.ndarray:
+    """The column sums of a real grid, pairwise down its rows, in its first row.
+
+    The bottom half of the rows is added into the top half until one row is
+    left, so each sum takes ceil(log2 rows) rounds. ``grid`` is overwritten.
+    """
+    rows = grid.shape[0]
+    while rows > 1:
+        half = rows // 2
+        grid[:half] += grid[rows - half : rows]
+        rows -= half
+    return grid[0]
 
 
 def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
-    """``<adag^p a^p bdag^r b^r>`` for p + r <= ``order``, sharing the lowerings.
+    """``<adag^p a^p bdag^r b^r>`` for p + r <= ``order``, from one probability grid.
 
-    A diagonal moment is ``vdot(L, L)`` with ``L = a^p b^r psi``: lowering both
-    sides of the inner product never raises past the cutoff. Each lowered grid
-    is made once, so the five second-order moments take five lowerings, the two
-    first-order ones two, written into two reused grids.
+    Every diagonal moment is a weighted sum of the probabilities
+    ``p_jk = |psi_jk|^2``: with row sums ``r_j`` and column sums ``c_k``,
+    ``<adag a> = sum_j j r_j``, ``<adag^2 a^2> = sum_j j(j-1) r_j``, the b
+    moments the same over ``c_k``, and ``<n_a n_b> = sum_j j sum_k k p_jk``.
+    Each sum is pairwise (numpy's along a row, :func:`_column_sums` down the
+    columns), so the rounding error grows with the logarithm of the number of
+    cells, and every term is non-negative, so it is a relative error. The
+    probabilities take one real grid, half a complex one, and the squares of
+    the imaginary parts another while they are added in.
     """
     if not isinstance(state, FockState):
         raise ParameterError("number_moments requires a normalized FockState")
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order!r}")
 
-    def norm2(lowered: np.ndarray) -> complex:
-        return complex(np.vdot(lowered, lowered))
-
-    # each lowered grid is overwritten once its moments are taken, which keeps
-    # memory at two grids beside the state
     psi = state.amplitudes
-    low = _lower(psi, 0)
-    a = norm2(low)
+    probs = np.square(psi.real)
+    probs += np.square(psi.imag)
+    levels = np.arange(state.dim, dtype=np.float64)
+    rows = probs.sum(axis=1)
+    probs *= levels  # k p_jk
+    weighted_rows = probs.sum(axis=1) if order == 2 else None
+    weighted_cols = _column_sums(probs)  # k c_k
+    a = float((levels * rows).sum())
+    b = float(weighted_cols.sum())
     if order == 1:
-        return NumberMoments(a, norm2(_lower(psi, 1, low)))
-    low2 = _lower(low, 0)
-    aa = norm2(low2)
-    ab = norm2(_lower(low, 1, low2))
-    b = norm2(_lower(psi, 1, low))
-    return NumberMoments(a, b, aa=aa, bb=norm2(_lower(low, 1, low2)), ab=ab)
+        return NumberMoments(a, b)
+    # j(j-1) and (k-1) from j, k = 1 on, where both are non-negative
+    aa = float((levels[1:] * levels[:-1] * rows[1:]).sum())
+    bb = float((levels[:-1] * weighted_cols[1:]).sum())
+    ab = float((levels * weighted_rows).sum())
+    return NumberMoments(a, b, aa=aa, bb=bb, ab=ab)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coherence import CoherenceReport, analyze
 from .errors import ParameterError
-from .fock import FockState
+from .fock import FockState, vdot
 from .particle import SectorDecomposition, decompose_sectors, qfi_particle
 from .schwinger import jz_moments, phase_shift
 
@@ -133,6 +133,8 @@ def qfi_fidelity(
     ``phi0 == 0`` the base is the state's own grid, as exp(-i 0 Jz) is the
     identity. So the route holds at most two grids beside the state at a
     time (three at any other origin), plus numpy's fixed-size ufunc buffers.
+    Both inner products are :func:`mzi_qfi.fock.vdot`, which reads the grids
+    in place.
     """
     if not 1e-5 <= step <= 1e-2:
         raise ParameterError(f"fidelity step must lie in [1e-5, 1e-2], got {step!r}")
@@ -143,9 +145,7 @@ def qfi_fidelity(
         derivative = phase_shift(state, phi0 + h).amplitudes.copy()
         derivative -= phase_shift(state, phi0 - h).amplitudes
         derivative /= 2.0 * h
-        return 4.0 * (
-            np.vdot(derivative, derivative).real - abs(np.vdot(derivative, base)) ** 2
-        )
+        return 4.0 * (vdot(derivative, derivative).real - abs(vdot(derivative, base)) ** 2)
 
     if not richardson:
         return estimate(step)

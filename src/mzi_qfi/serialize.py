@@ -24,7 +24,7 @@ from typing import Iterable, List, Mapping, Sequence
 import numpy as np
 
 from .errors import CutoffExceededError, NormalizationError, StateFileError
-from .fock import FockState
+from .fock import FockState, vdot
 
 
 class NormalizationWarning(UserWarning):
@@ -187,7 +187,7 @@ def state_from_document(doc: object, origin: str = "<state>") -> FockState:
         seen.add((j, k))
         grid[j, k] = complex(float(entry["re"]), float(entry["im"]))
 
-    norm = float(np.linalg.norm(grid))
+    norm = math.sqrt(vdot(grid, grid).real)
     if norm == 0.0:
         raise NormalizationError(f"{origin}: amplitudes have zero norm")
     deviation = abs(norm - 1.0)

@@ -486,7 +486,7 @@ def _entangled_coherent_alpha(nbar: float) -> float:
 
 def mean_photon_number(state: FockState) -> float:
     moments = number_moments(state, order=1)
-    return moments.a.real + moments.b.real
+    return moments.a + moments.b
 
 
 def _nearest_count(family: Family, nbar: float) -> int:

@@ -14,14 +14,13 @@ inner product separately, a rotation and a sector decomposition visit all
 a phase shift evaluates its phase at every cell, the fidelity route holds
 every grid of its central differences at once, coherent amplitudes run
 forward from the vacuum level whatever its size, and a truncation loss is a
-forward sum of one-mode tails in 40-digit decimal arithmetic. The lowering is
-a copy of the package's original one, so a change to the package's lowering
-shows up as a difference, and the number moments lower into a fresh grid
-each time where the package reuses two. The rotation and the decomposition
-read the sector layout of ``mzi_qfi.fock`` one sector at a time. The rotation
-runs each sector through the per-sector form of the package's kernel, which
-shares the package's basis cache; the two fix the operands of every block
-product.
+forward sum of one-mode tails in 40-digit decimal arithmetic. The number
+moments are also summed exactly: every cell's weighted probability is split
+into floats whose sum it is exactly, and ``math.fsum`` rounds their total
+once. The rotation and the decomposition read the sector layout of
+``mzi_qfi.fock`` one sector at a time. The rotation runs each sector through
+the per-sector form of the package's kernel, which shares the package's basis
+cache; the two fix the operands of every block product.
 The earlier rotation, one complex ``eigh`` per sector and axis, is kept here
 as a second, independent route.
 """
@@ -33,7 +32,7 @@ import numpy as np
 
 from mzi_qfi.coherence import INTENSITY_FLOOR, PATH_SYMMETRY_TOL, CoherenceReport
 from mzi_qfi.errors import ParameterError, TruncationOverflowError
-from mzi_qfi.fock import FockState, NumberMoments, sector_kets
+from mzi_qfi.fock import FockState, NumberMoments, sector_kets, vdot
 from mzi_qfi.particle import WEIGHT_FLOOR, Sector, SectorDecomposition
 from mzi_qfi.schwinger import _EulerRotation, _jx_basis, phase_shift, sector_generator_matrix
 
@@ -49,20 +48,44 @@ def _lower(grid, axis):
     return out
 
 
-def allocating_number_moments(state, order=2):
-    """``fock.number_moments`` with every lowering written into a freshly zeroed grid."""
+def _split(x):
+    """Veltkamp's split: x = hi + lo exactly, each with at most 26 significant bits."""
+    scaled = 134217729.0 * x  # 2^27 + 1
+    hi = scaled - (scaled - x)
+    return hi, x - hi
 
-    def norm2(lowered):
-        return complex(np.vdot(lowered, lowered))
 
-    low = _lower(state.amplitudes, 0)
-    a = norm2(low)
+def _two_product(x, y):
+    """Dekker's product: x * y = p + e exactly, with p = fl(x * y), barring underflow."""
+    p = x * y
+    xh, xl = _split(x)
+    yh, yl = _split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def fsum_number_moments(state, order=2):
+    """``fock.number_moments`` exactly rounded: one ``math.fsum`` of exact pieces per moment.
+
+    Each term w |psi_jk|^2, with the integer weight w of the moment, is the sum
+    of eight floats, four each for w re^2 and w im^2: the square as two floats,
+    each times w as two more. Only products too small for their rounding error
+    to be a normal float, under about 1e-270, may be inexact.
+    """
+    psi = state.amplitudes
+    cells = np.nonzero(psi)
+    j, k = (index.astype(np.float64) for index in cells)
+    squares = []
+    for part in (psi.real[cells], psi.imag[cells]):
+        squares.extend(_two_product(part, part))
+
+    def moment(weight):
+        pieces = [piece for square in squares for piece in _two_product(weight, square)]
+        return math.fsum(np.concatenate(pieces).tolist())
+
+    first = (moment(j), moment(k))
     if order == 1:
-        return NumberMoments(a, norm2(_lower(state.amplitudes, 1)))
-    aa = norm2(_lower(low, 0))
-    ab = norm2(_lower(low, 1))
-    low = _lower(state.amplitudes, 1)
-    return NumberMoments(a, norm2(low), aa=aa, bb=norm2(_lower(low, 1)), ab=ab)
+        return NumberMoments(*first)
+    return NumberMoments(*first, aa=moment(j * (j - 1)), bb=moment(k * (k - 1)), ab=moment(j * k))
 
 
 def ladder_moment(state, p, q, r, s):
@@ -363,9 +386,7 @@ def allocating_qfi_fidelity(state, step, phi0=0.0, richardson=True):
         plus = phase_shift(state, phi0 + h).amplitudes
         minus = phase_shift(state, phi0 - h).amplitudes
         derivative = (plus - minus) / (2.0 * h)
-        return 4.0 * (
-            np.vdot(derivative, derivative).real - abs(np.vdot(derivative, base)) ** 2
-        )
+        return 4.0 * (vdot(derivative, derivative).real - abs(vdot(derivative, base)) ** 2)
 
     if not richardson:
         return estimate(step)

@@ -23,12 +23,7 @@ from mzi_qfi.serialize import (
     write_state_file,
 )
 from mzi_qfi.states import ProbeSpec, build
-from oracles import (
-    dense_rotation,
-    ladder_analyze,
-    ladder_number_moments,
-    truncation_loss_reference,
-)
+from oracles import dense_decompose_sectors, dense_rotation, truncation_loss_reference
 
 
 def run_cli(capsys, *argv):
@@ -174,13 +169,28 @@ REFERENCE_CASES = [
 
 @pytest.mark.parametrize("argv", REFERENCE_CASES, ids=" ".join)
 def test_analyze_document_matches_reference_paths(capsys, monkeypatch, argv):
-    # the dense sector loop and one ladder moment per field, in place of the fast paths
+    # the dense sector loops of the rotation and the decomposition, in place of the fast paths
     fast = run_cli(capsys, *argv)
     monkeypatch.setattr(schwinger, "apply_rotation", dense_rotation)
-    monkeypatch.setattr(cli, "analyze", ladder_analyze)
-    for module in (schwinger, states):
-        monkeypatch.setattr(module, "number_moments", ladder_number_moments)
+    monkeypatch.setattr(cli, "decompose_sectors", dense_decompose_sectors)
     assert run_cli(capsys, *argv) == fast
+
+
+@pytest.mark.parametrize("argv", [["--family", "twin-fock", "--n", "150"],
+                                  ["--family", "tsv", "--nbar", "7"]], ids=" ".join)
+def test_analyze_document_does_not_depend_on_blas_threads(argv):
+    # OpenBLAS splits a dot of more than 10 000 cells across its threads, which
+    # changes how the dot rounds; no sum that reaches the document may go through it
+    # (twin-fock n = 150 exits 2, a known fidelity-step defect, so the exit code is compared too)
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "mzi_qfi.cli", "analyze", *argv], env=env,
+                              capture_output=True, check=False)
+        assert proc.stdout
+        outputs.add((proc.returncode, proc.stdout, proc.stderr))
+    assert len(outputs) == 1
 
 
 class TestAnalyzeCommand:

@@ -3,7 +3,7 @@
 import pytest
 
 import mzi_qfi
-from mzi_qfi import fock, particle, schwinger, states
+from mzi_qfi import coherence, fock, particle, schwinger, states
 
 PUBLIC_NAMES = [
     "CoherenceReport",
@@ -78,6 +78,8 @@ def test_ladder_layer_is_gone(module, name):
     (fock, "_raise"), (fock, "_grid_of"), (schwinger, "_TAGS"), (schwinger, "_number_j_moment"),
     (schwinger.SpinDirection, "as_tuple"), (states, "squeezed_vacuum_reference"),
     (particle, "_sector_ks"), (schwinger, "_sector_kvals"), (schwinger, "_photon_totals"),
+    (fock, "_lower"), (coherence, "_real_moment"), (coherence, "_HERMITICITY_TOL"),
+    (schwinger, "_real"), (schwinger, "_J_IMAG_TOL"),
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)

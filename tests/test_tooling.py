@@ -75,3 +75,38 @@ def test_stage_memory_counts_what_a_call_allocates():
 def test_stage_memory_refuses_a_package_imported_from_elsewhere(tmp_path):
     with pytest.raises(SystemExit, match="not from"):
         load_tool("stage_memory").main([str(tmp_path)])
+
+
+def test_cli_fields_reads_each_document_format():
+    tool = load_tool("cli_fields")
+    assert tool.fields('{"a": {"b": [1.5, null]}, "c": "ok"}') == {
+        "a.b[0]": "1.5", "a.b[1]": "null", "c": '"ok"'}
+    assert tool.fields("family,qfi\ntsv,4.5\n") == {"[0].family": "tsv", "[0].qfi": "4.5"}
+    assert tool.fields("schema: mzi-qfi/1\nrows:\n  -\n    nbar: 4\n  - undefined\n") == {
+        "schema": "mzi-qfi/1", "rows[0].nbar": "4", "rows[1]": "undefined"}
+
+
+def test_cli_fields_tells_a_moved_float_from_any_other_change():
+    compare = load_tool("cli_fields").compare
+    assert compare('{"f": 144.0, "n": 3}', '{"f": 144, "n": 3}') == ({}, [])
+    moves, breaks = compare('{"f": 2.0, "g": [1e-300]}', '{"f": 2.0000000000000004, "g": [0.0]}')
+    assert moves == {"f": (pytest.approx(4.44e-16, rel=1e-3), pytest.approx(2.22e-16, rel=1e-3)),
+                     "g[0]": (1e-300, 1.0)}
+    assert breaks == []
+    for old, new in (('{"cutoff": 40}', '{"cutoff": 41}'), ('{"f": 1.5}', '{"f": null}'),
+                     ('{"s": "ok"}', '{"s": "MISMATCH"}'), ('{"f": 1.5}', '{"g": 1.5}'),
+                     ("a,b\ntrue,1.5\n", "a,b\nfalse,1.5\n")):
+        assert compare(old, new)[1], (old, new)
+
+
+def test_cli_fields_finds_no_change_against_its_own_checkout(monkeypatch, capsys):
+    tool = load_tool("cli_fields")
+    monkeypatch.setattr(tool.cli_digest, "invocations", lambda: [
+        ({}, ["analyze", "--family", "noon", "--n", "2"]),
+        ({}, ["analyze", "--family", "noon", "--n", "0"]),  # a usage error
+        ({}, ["sweep", "--family", "coherent", "--nbar", "1,2"]),
+    ])
+    assert tool.main([str(ROOT)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "0 of 3 invocations print different stdout"
+    assert len(out) == 2  # the header of an empty table

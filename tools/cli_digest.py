@@ -87,13 +87,23 @@ def invocations() -> List[Invocation]:
     return list(unique.values())
 
 
-def digest(root: Path, env: Dict[str, str], argv: Sequence[str]) -> str:
-    """Run ``mzi-qfi argv`` from ``root/src`` in a fresh interpreter and digest what it wrote."""
+def run(root: Path, env: Dict[str, str], argv: Sequence[str]) -> subprocess.CompletedProcess:
+    """Run ``mzi-qfi argv`` from ``root/src`` in a fresh interpreter, capturing its bytes."""
     run_env = {key: value for key, value in os.environ.items() if key != "MZI_QFI_CUTOFF_CEILING"}
     run_env.update(env, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-m", "mzi_qfi.cli", *argv], env=run_env,
+    return subprocess.run([sys.executable, "-m", "mzi_qfi.cli", *argv], env=run_env,
                           capture_output=True, check=False)
-    command = shlex.join([f"{key}={value}" for key, value in env.items()] + list(argv))
+
+
+def command_line(env: Dict[str, str], argv: Sequence[str]) -> str:
+    """The invocation as one shell line, its environment overrides first."""
+    return shlex.join([f"{key}={value}" for key, value in env.items()] + list(argv))
+
+
+def digest(root: Path, env: Dict[str, str], argv: Sequence[str]) -> str:
+    """Run ``mzi-qfi argv`` from ``root/src`` in a fresh interpreter and digest what it wrote."""
+    proc = run(root, env, argv)
+    command = command_line(env, argv)
     return " ".join([hashlib.sha256(proc.stdout).hexdigest(),
                      hashlib.sha256(proc.stderr).hexdigest(), str(proc.returncode), command])
 
