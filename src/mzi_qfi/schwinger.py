@@ -12,20 +12,24 @@ with Euler angles read off its spin-1/2 element. Rz is a diagonal phase, and
 Rx goes through the real eigenbasis of the Jx block, whose eigenvalues are
 exactly k - n/2. That basis depends on the photon number n alone, so one
 byte-bounded cache serves every axis and cutoff; a rotation about a new axis
-runs no eigendecomposition. A sector above the cutoff, held only in part, is
-rotated exactly and restricted to the cells the grid holds. A rotation on a
-cutoff-c grid costs one O(c^2) scan for the occupied sectors, one vectorized
-pass over their cells (gather, both Rz phases, the cos/sin mixing, the norm
-and the scatter; the mixing in blocks of at most ``MIX_COLUMNS`` columns),
-and four real matrix products per occupied sector, so a fixed-photon-number
-probe pays for a single block. Jz is diagonal in the number basis, so its
-moments come from the number moments of :mod:`mzi_qfi.fock`.
+runs no eigendecomposition. The cache keeps only the rows k <= n/2 of the
+eigenvectors with m >= 0: swapping the modes and the parity of k imply the
+rest. A sector above the cutoff, held only in part, is rotated exactly and
+restricted to the cells the grid holds. A rotation on a cutoff-c grid costs
+one O(c^2) scan for the occupied sectors, one vectorized pass over their
+cells (gather, both Rz phases, the mirror signs and the cos/sin mixing, the
+norm and the scatter; the mixing in blocks of at most ``MIX_COLUMNS``
+columns), and four real matrix products per occupied sector, each with a
+cell and its mirror as four real columns, so a fixed-photon-number probe
+pays for a single block. Jz is diagonal in the number basis, so its moments
+come from the number moments of :mod:`mzi_qfi.fock`.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Literal, Sequence, Tuple, Union
@@ -39,7 +43,6 @@ from .fock import (
     SectorLayout,
     number_moments,
     occupied_sectors,
-    photon_totals,
     sector_kets,
     sector_layout,
 )
@@ -108,29 +111,45 @@ def sector_generator_matrix(n: int, cutoff: int, v: DirectionLike) -> np.ndarray
     return h
 
 
-#: Byte budget of the cached Jx eigenbases. The basis of sector n takes
-#: (n+1)(n//2+1) * 8 bytes, so the budget holds every sector up to n = 584 at
+#: Byte budget of the cached Jx eigenbases. The stored block of sector n takes
+#: (n//2+1)^2 * 8 bytes, so the budget holds every sector up to n = 736 at
 #: once, which covers every sector of a grid at the default cutoff ceiling.
 BASIS_CACHE_BYTES = 256 * 2**20
 
 
 def _jx_eigenbasis(n: int) -> np.ndarray:
-    """Eigenvectors of Jx on the complete sector n for m = n/2 - n//2, ..., n/2.
+    """Rows k <= n/2 of the eigenvectors of Jx on the complete sector n, for m >= 0.
 
-    A real (n+1) x (n//2+1) array, column j for m = j + (n+1)//2 - n/2. The
-    other half is implied: with P = diag((-1)^k), P Jx P = -Jx, so P maps the
-    eigenvector of m to that of -m.
+    A real (n//2+1) x (n//2+1) block: row k for the ket |k, n-k>, column j
+    for m = j + (n+1)//2 - n/2. Two symmetries of Jx imply the rest of the
+    basis. Swapping the modes, k -> n-k, maps the eigenvector of m to s_j
+    times itself, with s_j = (-1)^(n//2 - j) (the Wigner relation
+    d_{-m',m} = (-1)^(j-m) d_{m',m} of d^j(pi/2)), so row n-k is s_j times
+    row k. With P = diag((-1)^k), P Jx P = -Jx, so P maps the eigenvector of
+    m to that of -m. Each entry is the mean of the four values that one
+    ``eigh`` gives it through these symmetries, so the implied basis obeys
+    both exactly and is as orthonormal as the ``eigh``'s own. The block is a
+    new array, not a view that would keep the whole ``eigh`` result alive.
     """
-    _, basis = np.linalg.eigh(sector_generator_matrix(n, n, X_AXIS).real)
-    half = np.ascontiguousarray(basis[:, (n + 1) // 2 :])
-    half.flags.writeable = False
-    return half
+    size = n // 2 + 1
+    block = np.empty((size, size))  # first: made after the transients, it would pin their heap
+    _, vectors = np.linalg.eigh(sector_generator_matrix(n, n, X_AXIS).real)
+    half = vectors[:, (n + 1) // 2 :]
+    # P times the eigenvector of -m, signed to agree with that of m
+    partner = (-1.0) ** np.arange(n + 1)[:, None] * vectors[:, n // 2 :: -1]
+    partner *= np.sign(np.einsum("kj,kj->j", half, partner))
+    partner += half
+    np.multiply((-1.0) ** (n // 2 - np.arange(size)), partner[::-1][:size], out=block)  # s_j
+    block += partner[:size]
+    block /= 4
+    block.flags.writeable = False
+    return block
 
 
 class _BasisCache:
-    """Jx eigenbases keyed by photon number alone, least recently used first out.
+    """Stored Jx eigenbasis blocks keyed by photon number alone, least recently used first out.
 
-    ``resident_bytes`` never exceeds ``limit``: a basis larger than the limit
+    ``resident_bytes`` never exceeds ``limit``: a block larger than the limit
     is computed but not kept. ``misses`` counts the eigendecompositions run.
     """
 
@@ -208,14 +227,9 @@ class _EulerRotation:
         self.offset = top
 
 
-#: Half-basis columns mixed in one pass. It bounds the temporaries of a
-#: rotation however many sectors it rotates.
+#: Basis columns mixed in one pass. It bounds the temporaries of a rotation
+#: however many sectors it rotates.
 MIX_COLUMNS = 2048
-
-
-def _pairs(vector: np.ndarray) -> np.ndarray:
-    """A contiguous complex vector as a (size, 2) float view, for real matrix products."""
-    return vector.view(np.float64).reshape(-1, 2)
 
 
 def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockState:
@@ -231,32 +245,40 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     exact eigenvalues Lambda = k - n/2. The eigenvector o of m > 0 and P o,
     that of -m, contribute together 2 cos(beta m) (e e^T + d d^T) - 2i
     sin(beta m) (e d^T + d e^T), where e and d are the parts of o on even and
-    odd k (m = 0 contributes e e^T + d d^T). So the even and odd cells of a
-    sector are rotated by four real products with the cached half basis, and
-    a coupling that parity forbids is exactly 0. Every other step, from the
-    gather of the cells to the scatter of the result, is one pass over the
-    cells of all occupied sectors (:func:`mzi_qfi.fock.sector_layout`); the
-    cos/sin mixing between the products is one pass per ``MIX_COLUMNS``
-    columns of projections.
+    odd k (m = 0 contributes e e^T + d d^T). So the projections of a sector's
+    even and odd cells are mixed by cos and sin, and a coupling that parity
+    forbids is exactly 0. Row n-k of the basis is s_j times row k (see
+    :func:`_jx_eigenbasis`), so only the rows k <= n/2 are read: each such
+    cell is paired with its mirror n-k, the rows of one parity project both
+    at once, and the mirror's projection joins the parity of n-k with the
+    signs s_j. That is four real products per sector, each with four real
+    columns. Every other step, from the gather of the cells to the scatter of
+    the result, is one pass over the cells of all occupied sectors
+    (:func:`mzi_qfi.fock.sector_layout`); the signs and the cos/sin mixing
+    between the products are one pass per block of at most ``MIX_COLUMNS``
+    columns of projections, with the sectors of even and of odd n apart.
 
     A sector above the cutoff, which the grid holds only in part, uses the
-    rows of the basis for the cells it holds: the exact spin n/2 rotation
-    restricted to them. The weight rotated off the grid is dropped. That
-    weight is why the rotation requires negligible weight above the cutoff.
-    The rotated vectors are renormalized together.
+    rows of the basis for the cells it holds, k from n - cutoff to cutoff,
+    which pair off with their mirrors like those of a complete sector: the
+    exact spin n/2 rotation restricted to them. The weight rotated off the
+    grid is dropped. That weight is why the rotation requires negligible
+    weight above the cutoff, summed over the cells of the runs above it. The
+    rotated vectors are renormalized together.
     """
     grid = state.amplitudes
     cutoff = state.cutoff
     occupied = occupied_sectors(grid)
+    layout = sector_layout(occupied, cutoff)
     if occupied[-1] > cutoff:
-        excess = float(np.sum(state.probabilities()[photon_totals(cutoff) > cutoff]))
+        start = layout.offsets[bisect_right(occupied, cutoff)]  # the first run above the cutoff
+        excess = float(np.sum(np.abs(grid[layout.rows[start:], layout.cols[start:]]) ** 2))
         if excess >= 1e-12:
             raise TruncationOverflowError(
                 f"weight {excess:.3e} sits above cutoff {cutoff}; "
                 "enlarge the grid before rotating"
             )
     rotation = _EulerRotation(v, angle, occupied[-1])
-    layout = sector_layout(occupied, cutoff)
     rotated = _rotate_runs(grid, layout, rotation)
     if rotation.left is not None:
         rotated *= rotation.left[_phase_index(layout, rotation)]
@@ -274,76 +296,124 @@ def _phase_index(layout: SectorLayout, rotation: _EulerRotation) -> np.ndarray:
     return index
 
 
-def _parity_blocks(
+def _mirror_pairs(
     grid: np.ndarray, layout: SectorLayout, rotation: _EulerRotation
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The laid-out cells after Rz(gamma), the even-k cells of every run first, then the odd-k.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The laid-out cells k <= n/2 after Rz(gamma), each beside its mirror n-k.
 
-    Returns the layout positions of the even-k and of the odd-k cells, then
-    their amplitudes, in which the cells of one parity of a run are contiguous.
-    The gathered cells are dropped on return, so they take no memory while the
-    sectors are rotated.
+    Returns a (cells, 2) array of layout positions, the cell's and its
+    mirror's, and the (cells, 2) complex array they hold, the cells of each
+    run together in k order. The middle cell k = n/2 of an even sector is its
+    own mirror, so its mirror column holds 0. The gathered cells are dropped
+    on return, so they take no memory while the sectors are rotated.
     """
-    rows = layout.rows
+    rows, cols = layout.rows, layout.cols
     amps = layout.take(grid)
     if rotation.right is not None:
         np.multiply(rotation.right[_phase_index(layout, rotation)], amps, out=amps)
-    at_even, at_odd = (~rows & 1).nonzero()[0], (rows & 1).nonzero()[0]
-    return at_even, at_odd, amps[at_even], amps[at_odd]
+    lower = (rows <= cols).nonzero()[0]
+    index = np.empty((len(lower), 2), dtype=np.intp)
+    index[:, 0] = lower
+    index[:, 1] = cols[lower] - rows[lower]  # n - 2k, from the cell to its mirror
+    index[:, 1] += lower
+    pairs = amps[index]
+    pairs[index[:, 0] == index[:, 1], 1] = 0
+    return index, pairs
 
 
 def _rotate_runs(grid: np.ndarray, layout: SectorLayout, rotation: _EulerRotation) -> np.ndarray:
     """Rx(beta) Rz(gamma) on the cells of ``layout``, returned in layout order.
 
-    The cells of one parity of a run are one contiguous operand of its real
-    products (see :func:`_parity_blocks`).
+    The even k, or the odd k, of a run's paired cells are one (cells, 4) real
+    operand of its products, every other row of the pairs (see
+    :func:`_mirror_pairs`). The sectors of even and of odd n are mixed in
+    separate blocks, since their mirrors join the projections differently.
     """
-    at_even, at_odd, evens, odds = _parity_blocks(grid, layout, rotation)
-    even_pairs, odd_pairs = _pairs(evens), _pairs(odds)
-    # The projections on the half bases, n//2 + 1 columns per run, of the even
-    # cells in row 0: room for every run, or for a block of runs and the widest.
+    index, pairs = _mirror_pairs(grid, layout, rotation)
+    quads = pairs.view(np.float64)
+    # room for the projections of every run, or for a block of runs and the widest
     columns = sum(layout.sectors) // 2 + len(layout.sectors)
-    widest = layout.sectors[-1] // 2 + 1
-    y = np.empty((2, min(columns, max(MIX_COLUMNS, widest))), dtype=np.complex128)
-    y_even, y_odd = y.view(np.float64).reshape(2, -1, 2)
-    block = []  # the runs whose projections sit in y
-    e = o = h = 0  # where the run's even cells, odd cells and columns start
-    offsets = layout.offsets
-    for n, low, start, stop in zip(layout.sectors, layout.lows, offsets, offsets[1:]):
-        h_end = h + n // 2 + 1
-        if h_end > y.shape[1]:
-            _finish(block, y[:, :h], rotation)
-            block, h, h_end = [], 0, n // 2 + 1
-        basis = _jx_basis(n)
-        top, first = low + stop - start, low + low % 2  # one past the last k, the first even k
-        even, odd = basis[first:top:2], basis[2 * low + 1 - first : top : 2]
-        e_end, o_end = e + len(even), o + len(odd)
-        even_cells, odd_cells = even_pairs[e:e_end], odd_pairs[o:o_end]
-        even_y, odd_y = y_even[h:h_end], y_odd[h:h_end]
-        np.matmul(even.T, even_cells, out=even_y)
-        np.matmul(odd.T, odd_cells, out=odd_y)
-        block.append((n, even, odd, even_cells, odd_cells, even_y, odd_y))
-        e, o, h = e_end, o_end, h_end
-    _finish(block, y[:, :h], rotation)
+    width = min(columns, max(MIX_COLUMNS, layout.sectors[-1] // 2 + 1))
+    blocks = {}  # by the parity of n
+    start = 0  # where the run's paired cells start
+    for n, low in zip(layout.sectors, layout.lows):
+        block = blocks.get(n % 2)
+        if block is None:
+            block = blocks[n % 2] = _Block(width, n % 2, rotation)
+        stop = start + n // 2 + 1 - low
+        stored = _jx_basis(n)
+        first = low % 2  # the first even k, from the run's start
+        even_cells = quads[start + first : stop : 2]
+        odd_cells = quads[start + 1 - first : stop : 2]
+        block.project(n, stored[low + first :: 2], stored[low + 1 - first :: 2],
+                      even_cells, odd_cells)
+        start = stop
+    for block in blocks.values():
+        block.finish()
     rotated = np.empty(len(layout.rows), dtype=np.complex128)
-    rotated[at_even], rotated[at_odd] = evens, odds
+    rotated[index[:, 1]] = pairs[:, 1]
+    rotated[index[:, 0]] = pairs[:, 0]  # last, for the middle cell, its own mirror
     return rotated
 
 
-def _finish(block: list, y: np.ndarray, rotation: _EulerRotation) -> None:
-    """Mix the projections ``y`` of the runs in ``block``, then rotate them back onto their cells.
+class _Block:
+    """Runs of sectors of one parity of n whose projections wait to be mixed.
 
-    Row 0 of ``y`` holds the projections of the even cells, row 1 those of the
-    odd cells; each becomes cos * itself + sin * the other, in place.
+    ``f[0]`` holds the projections on the stored blocks, n//2 + 1 columns per
+    run, of the even cells k <= n/2 and of their mirrors, ``f[1]`` those of
+    the odd cells. ``table[:, q]`` holds the rotation's cos and sin entries of
+    that parity and the signs s_j of the sectors with (n//2) % 2 = q; a run
+    reads its first n//2 + 1 columns.
     """
-    cos = np.concatenate([rotation.cos[run[0] % 2 : run[0] + 1 : 2] for run in block])
-    sin = np.concatenate([rotation.sin[run[0] % 2 : run[0] + 1 : 2] for run in block])
-    swapped = sin * y[::-1]
-    np.multiply(cos, y, out=y)
-    y += swapped
-    for _, even, odd, even_cells, odd_cells, even_y, odd_y in block:
-        np.matmul(even, even_y, out=even_cells)
-        np.matmul(odd, odd_y, out=odd_cells)
+
+    __slots__ = ("f", "quads", "crossed", "table", "runs", "used")
+
+    def __init__(self, width: int, parity: int, rotation: _EulerRotation) -> None:
+        self.f = np.empty((2, width, 2), dtype=np.complex128)
+        self.quads = self.f.view(np.float64)
+        self.crossed = parity == 1  # the mirror n-k of an odd sector has the other parity
+        cos = rotation.cos[parity::2]
+        self.table = np.empty((3, 2, len(cos)), dtype=np.complex128)
+        self.table[0], self.table[1] = cos, rotation.sin[parity::2]
+        self.table[2] = 1.0
+        self.table[2, 0, 1::2] = self.table[2, 1, ::2] = -1.0
+        self.runs: list = []
+        self.used = 0
+
+    def project(self, n: int, even: np.ndarray, odd: np.ndarray,
+                even_cells: np.ndarray, odd_cells: np.ndarray) -> None:
+        """Project the paired cells of sector n on the even and odd rows of its stored block."""
+        if self.used + n // 2 + 1 > self.f.shape[1]:
+            self.finish()
+        h, self.used = self.used, self.used + n // 2 + 1
+        even_f, odd_f = self.quads[0, h : self.used], self.quads[1, h : self.used]
+        np.matmul(even.T, even_cells, out=even_f)
+        np.matmul(odd.T, odd_cells, out=odd_f)
+        self.runs.append((n, even, odd, even_cells, odd_cells, even_f, odd_f))
+
+    def finish(self) -> None:
+        """Mix the waiting projections, then rotate them back onto their cells.
+
+        A mirror's projection, times the signs s_j, joins that of its parity.
+        Each parity's projection y becomes cos * y + sin * the other's, and
+        the mirror column becomes s_j times that of the mirrors' parity, so
+        the products back give each cell and its mirror. Once joined, the
+        mirror column is free working space.
+        """
+        table = self.table
+        cos, sin, s = np.concatenate(
+            [table[:, run[0] // 2 % 2, : run[0] // 2 + 1] for run in self.runs], axis=1)
+        y, mirrors = self.f[:, : self.used, 0], self.f[:, : self.used, 1]
+        mirrors *= s
+        y += mirrors[::-1] if self.crossed else mirrors
+        np.multiply(sin, y[::-1], out=mirrors)
+        np.multiply(cos, y, out=y)
+        y += mirrors
+        np.multiply(y[::-1] if self.crossed else y, s, out=mirrors)
+        for _, even, odd, even_cells, odd_cells, even_f, odd_f in self.runs:
+            np.matmul(even, even_f, out=even_cells)
+            np.matmul(odd, odd_f, out=odd_cells)
+        self.runs, self.used = [], 0
 
 
 def beam_splitter(state: FockState, which: Literal["first", "second"] = "first") -> FockState:

@@ -267,34 +267,48 @@ def poisson_magnitudes_reference(radius, dim):
     return np.array(magnitudes)
 
 
-def _real_matmul(matrix, vector):
-    """``matrix @ vector`` for a real matrix and a complex vector, as one real product."""
-    pairs = np.ascontiguousarray(vector).view(np.float64).reshape(-1, 2)
-    return (matrix @ pairs).view(np.complex128).ravel()
-
-
 def _rotate_sector(n, ks, amps, rotation):
     """Rz(alpha) Rx(beta) Rz(gamma) on the amplitudes ``amps`` of |k, n-k>, k in ``ks``.
 
     The per-sector form of the package's rotation, which batches every other
     step over all occupied sectors: the same four real products with the
-    cached half basis, on the same contiguous (size, 2) operands, and the same
-    elementwise phases and cos/sin mixing, applied to one sector at a time.
+    cached rows k <= n/2 of the basis, on the same (cells, 4) operands (each
+    cell k <= n/2 beside its mirror n-k, whose column is 0 for the middle
+    cell; the even k, or the odd k, as every other row of them), and the same
+    elementwise phases, mirror signs and cos/sin mixing, applied to one
+    sector at a time.
     """
     start = 2 * ks[0] - n + rotation.offset  # t = 2m of the first cell
     phases = slice(start, start + 2 * len(ks) - 1, 2)
     if rotation.right is not None:
         amps = rotation.right[phases] * amps
+    low, size = ks[0], n // 2 + 1
     cos, sin = rotation.cos[n % 2 : n + 1 : 2], rotation.sin[n % 2 : n + 1 : 2]
-    basis = _jx_basis(n)
-    first = ks[0] % 2  # position in ks of the first even k
-    even = basis[ks[0] + first : ks[-1] + 1 : 2]
-    odd = basis[ks[0] + 1 - first : ks[-1] + 1 : 2]
-    y_even = _real_matmul(even.T, amps[first::2])
-    y_odd = _real_matmul(odd.T, amps[1 - first :: 2])
+    signs = (-1.0) ** (n // 2 - np.arange(size))
+    stored = _jx_basis(n)
+    at = np.arange(size - low)  # the cells k <= n/2
+    mirror = len(ks) - 1 - at  # k -> n - k
+    pairs = np.stack([amps[at], np.where(mirror == at, 0, amps[mirror])], axis=1)
+    quads = pairs.view(np.float64)
+    parities = []
+    for first in (low % 2, 1 - low % 2):  # the position of the first even k, then odd k
+        rows = stored[low + first :: 2]
+        projections = (rows.T @ quads[first::2]).view(np.complex128)
+        parities.append((slice(first, None, 2), rows, projections))
+    (_, _, even_f), (_, _, odd_f) = parities
+    # an odd sector's mirrors have the other parity
+    even_mirrors, odd_mirrors = (odd_f, even_f) if n % 2 else (even_f, odd_f)
+    y_even = even_f[:, 0] + even_mirrors[:, 1] * signs
+    y_odd = odd_f[:, 0] + odd_mirrors[:, 1] * signs
+    z_even = cos * y_even + sin * y_odd
+    z_odd = cos * y_odd + sin * y_even
+    back_even = np.stack([z_even, (z_odd if n % 2 else z_even) * signs], axis=1)
+    back_odd = np.stack([z_odd, (z_even if n % 2 else z_odd) * signs], axis=1)
+    for (cells, rows, _), back in zip(parities, (back_even, back_odd)):
+        quads[cells] = rows @ back.view(np.float64)
     out = np.empty_like(amps)
-    out[first::2] = _real_matmul(even, cos * y_even + sin * y_odd)
-    out[1 - first :: 2] = _real_matmul(odd, cos * y_odd + sin * y_even)
+    out[mirror] = pairs[:, 1]
+    out[at] = pairs[:, 0]  # after its mirror column, for the middle cell
     if rotation.left is not None:
         out *= rotation.left[phases]
     return out

@@ -1,4 +1,5 @@
-"""Each public stage's transient memory stays within its budget.
+"""Each public stage's transient memory stays within its budget, and the
+rotation cache keeps only the rows k <= n/2 of each sector's basis.
 
 The peaks are those ``tools/stage_memory.py`` prints: the tracemalloc
 high-water mark of a warm call above what was held before it, in grids of
@@ -8,6 +9,7 @@ high-water mark of a warm call above what was held before it, in grids of
 import pytest
 
 from conftest import load_tool
+from mzi_qfi import ProbeSpec, build, mzi_unitary, schwinger
 
 stage_memory = load_tool("stage_memory")
 
@@ -56,3 +58,16 @@ def test_stage_peaks_within_budget(label, family, params, cutoff):
         if peak > budget:
             over[stage] = (peak, round(peak / grid, 4), budget)
     assert not over, over
+
+
+def test_rotation_cache_holds_only_the_rows_k_up_to_half(monkeypatch):
+    # every sector n <= 320 of the coherent probe keeps its (n//2+1)^2 block,
+    # 21.2 MiB in all; the complete eigenvectors with m >= 0, (n+1)(n//2+1)
+    # doubles each, would take 42.4 MiB
+    cache = schwinger._BasisCache(schwinger.BASIS_CACHE_BYTES)
+    monkeypatch.setattr(schwinger, "_jx_basis", cache)
+    state = build(ProbeSpec("coherent", {"alpha": 8.0}, 160))
+    mzi_unitary(state, 0.3)
+    assert len(cache._bases) == 321
+    assert cache.resident_bytes <= 22 * 2**20
+    assert all(block.base is None for block in cache._bases.values())

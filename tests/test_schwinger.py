@@ -73,6 +73,24 @@ def rotation_oracle(state: FockState, v, angle: float) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
+def assert_stored_block_diagonalizes_jx(n: int) -> None:
+    """The cached rows k <= n/2 of sector n, with the rows and columns they imply,
+    are an orthonormal basis that diagonalizes Jx with its exact eigenvalues."""
+    stored = _jx_basis(n)
+    assert stored.shape == (n // 2 + 1, n // 2 + 1) and stored.base is None
+    signs = (-1.0) ** (n // 2 - np.arange(n // 2 + 1))
+    half = np.vstack([stored, (signs * stored)[: n - n // 2][::-1]])  # row n-k = s_j row k
+    parity = (-1.0) ** np.arange(n + 1)
+    mirrored = parity[:, None] * half[:, ::-1][:, : n - n // 2]  # m = -n/2, ..., < 0
+    basis = np.hstack([mirrored, half])
+    jx = sector_generator_matrix(n, n, X_AXIS)
+    exact = np.arange(n + 1) - n / 2
+    # the bound of n <= 32, grown beyond with the norm n/2 of Jx; the eigh's
+    # own complete basis reaches 3.9e-13 at n = 400
+    assert np.abs(basis @ np.diag(exact) @ basis.T - jx).max() < 1e-13 * max(1, n / 32)
+    assert np.abs(basis.T @ basis - np.eye(n + 1)).max() < 1e-14
+
+
 class TestJMoments:
     def test_single_photon_jz(self):
         assert np.isclose(jz_moments(make_fock(1, 0, 4))[0], 0.5)
@@ -173,7 +191,7 @@ class TestRotations:
 
     @pytest.mark.parametrize("v", [X_AXIS, Y_AXIS, (0.48, -0.6, 0.64)])
     def test_matches_dense_sector_loop_bit_for_bit_when_mixed_in_blocks(self, v):
-        # 321 sectors whose half bases have far more than MIX_COLUMNS columns in all
+        # 321 sectors whose stored blocks have far more than MIX_COLUMNS columns in all
         state = build(ProbeSpec("coherent", {"alpha": 8.0}, 160))
         assert sum(n // 2 + 1 for n in range(321)) > 10 * MIX_COLUMNS
         got, expected = apply_rotation(state, v, 0.9), dense_rotation(state, v, 0.9)
@@ -265,18 +283,19 @@ class TestRotations:
         assert photon_totals.cache_info().currsize <= 4
 
     def test_basis_cache_stays_within_its_bytes(self):
-        cache = _BasisCache(limit=3 * 41 * 21 * 8)
-        for n in [40, 10, 40, 39, 38, 3, 41, 40, 50, 2, 37, 36, 35, 0, 40]:
+        cache = _BasisCache(limit=3 * 21 * 21 * 8)
+        for n in [40, 10, 40, 39, 38, 3, 41, 40, 72, 2, 37, 36, 35, 0, 40]:
             basis = cache(n)
-            assert basis.shape == (n + 1, n // 2 + 1)
+            assert basis.shape == (n // 2 + 1, n // 2 + 1)
             assert cache.resident_bytes == sum(b.nbytes for b in cache._bases.values())
             assert cache.resident_bytes <= cache.limit
-        assert 50 not in cache._bases  # larger than the whole budget: computed, not kept
+            if n == 72:  # larger than the whole budget: computed, not kept
+                assert basis.nbytes > cache.limit and 72 not in cache._bases
         assert list(cache._bases) == [36, 35, 0, 40]  # least recently used first out
         assert _jx_basis.resident_bytes <= _jx_basis.limit == BASIS_CACHE_BYTES
 
     def test_basis_cache_accounting_survives_threads(self):
-        cache = _BasisCache(limit=4 * 25 * 13 * 8)
+        cache = _BasisCache(limit=4 * 13 * 13 * 8)
         order = np.random.default_rng(7).integers(0, 25, size=(6, 300))
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -293,16 +312,14 @@ class TestRotations:
         assert cache.resident_bytes == sum(b.nbytes for b in cache._bases.values())
         assert cache.resident_bytes <= cache.limit
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 31])
-    def test_half_basis_and_its_mirror_diagonalize_jx(self, n):
-        half = _jx_basis(n)
-        parity = (-1.0) ** np.arange(n + 1)
-        mirrored = parity[:, None] * half[:, ::-1][:, : n - n // 2]  # m = -n/2, ..., < 0
-        basis = np.hstack([mirrored, half])
-        jx = sector_generator_matrix(n, n, X_AXIS)
-        exact = np.arange(n + 1) - n / 2
-        assert np.abs(basis @ np.diag(exact) @ basis.T - jx).max() < 1e-13
-        assert np.abs(basis.T @ basis - np.eye(n + 1)).max() < 1e-14
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 31, 320, 399, 400])
+    def test_stored_rows_and_their_mirrors_diagonalize_jx(self, n):
+        assert_stored_block_diagonalizes_jx(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(0, 40), st.integers(0, 400)))
+    def test_stored_rows_and_their_mirrors_diagonalize_jx_up_to_400(self, n):
+        assert_stored_block_diagonalizes_jx(n)
 
     def test_rotation_requires_headroom(self):
         # all support on the truncated corner sector

@@ -53,6 +53,22 @@ def test_cli_digest_hashes_what_each_invocation_writes(capsys):
         assert err_hash == hashlib.sha256(captured.err.encode()).hexdigest()
 
 
+def test_cli_digest_reads_a_state_file_under_a_placeholder_path(capsys, tmp_path):
+    digest = load_tool("cli_digest")
+    env, argv = next(run for run in digest.invocations() if digest.STATE_FILE in run[1])
+    out_hash, err_hash, code, command = digest.digest(ROOT, env, argv).split(" ", 3)
+    assert command == " ".join(argv)
+    path = tmp_path / "state.json"
+    path.write_text(digest.STATE_DOCUMENT)
+    assert cli.main([str(path) if arg == digest.STATE_FILE else arg for arg in argv]) == 0
+    captured = capsys.readouterr()
+    out = captured.out.replace(str(path), digest.STATE_FILE)
+    assert f'"state_file": "{digest.STATE_FILE}"' in out
+    assert int(code) == 0 and captured.err == ""
+    assert out_hash == hashlib.sha256(out.encode()).hexdigest()
+    assert err_hash == hashlib.sha256(b"").hexdigest()
+
+
 def test_stage_memory_prints_every_stage_of_every_probe(monkeypatch, capsys):
     tool = load_tool("stage_memory")
     monkeypatch.setattr(tool, "PROBES", (("noon n=6", "noon", {"n": 6}, 40),

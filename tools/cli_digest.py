@@ -14,8 +14,11 @@ The optional argument is the root of the checkout whose ``src/`` is run; by
 default it is this one. The invocation list is this checkout's, whichever
 ``src/`` runs it. It covers every family and alias from ``--nbar``, the
 fixed-n families from ``--n``, explicit cutoffs, ``table1`` in each format,
-the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings and every usage
-error of ``tests/test_cli.py``.
+the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, a state file
+read with ``--state-file`` and every usage error of ``tests/test_cli.py``.
+The state file is ``STATE_DOCUMENT``, written to a new temporary directory
+for each run; its path is ``STATE_FILE`` in the printed command line and in
+the digested output.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -47,6 +51,14 @@ SWEEPS = (
     ["sweep", "--family", "tsv", "--nbar", "2,4,8"],
 )
 CEILINGS = ("1024", "2048")
+#: A state whose norm is 1 + 2.4e-11: the reader divides it by its norm, which
+#: it does not report, so every moment of the document depends on that norm.
+STATE_DOCUMENT = (
+    '{"cutoff": 2, "amplitudes": [{"ja": 0, "jb": 0, "re": 0.48000000005, "im": 0.0}, '
+    '{"ja": 1, "jb": 2, "re": 0.6, "im": 0.0}, {"ja": 2, "jb": 1, "re": 0.0, "im": 0.64}]}'
+)
+#: Stands for the path of the state file, in an invocation and in what it prints.
+STATE_FILE = "STATE_FILE"
 
 Invocation = Tuple[Dict[str, str], List[str]]
 
@@ -80,6 +92,7 @@ def invocations() -> List[Invocation]:
         runs += [(env, list(argv)) for argv in SWEEPS]
         runs += [(env, ["analyze", "--family", family, "--nbar", "10"])
                  for family in ("tsv", "tmsv", "amplified-bell")]
+    runs.append(({}, ["analyze", "--state-file", STATE_FILE]))
     runs += [({}, ["analyze", "--family", *args]) for args in _usage_errors()]
     unique: Dict[Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...]], Invocation] = {}
     for env, argv in runs:  # noon --n 0 is also a usage error
@@ -88,11 +101,25 @@ def invocations() -> List[Invocation]:
 
 
 def run(root: Path, env: Dict[str, str], argv: Sequence[str]) -> subprocess.CompletedProcess:
-    """Run ``mzi-qfi argv`` from ``root/src`` in a fresh interpreter, capturing its bytes."""
+    """Run ``mzi-qfi argv`` from ``root/src`` in a fresh interpreter, capturing its bytes.
+
+    A ``STATE_FILE`` argument is replaced by the path of a new copy of
+    ``STATE_DOCUMENT``, and that path by ``STATE_FILE`` in what the run wrote.
+    """
     run_env = {key: value for key, value in os.environ.items() if key != "MZI_QFI_CUTOFF_CEILING"}
     run_env.update(env, PYTHONPATH=str(root / "src"))
-    return subprocess.run([sys.executable, "-m", "mzi_qfi.cli", *argv], env=run_env,
-                          capture_output=True, check=False)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "state.json")
+        if STATE_FILE in argv:
+            with open(path, "w") as handle:
+                handle.write(STATE_DOCUMENT)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mzi_qfi.cli", *(path if arg == STATE_FILE else arg
+                                                    for arg in argv)],
+            env=run_env, capture_output=True, check=False)
+    proc.stdout = proc.stdout.replace(path.encode(), STATE_FILE.encode())
+    proc.stderr = proc.stderr.replace(path.encode(), STATE_FILE.encode())
+    return proc
 
 
 def command_line(env: Dict[str, str], argv: Sequence[str]) -> str:
