@@ -30,8 +30,6 @@ from .particle import (
     Sector,
     SectorDecomposition,
     decompose_sectors,
-    locality_check,
-    multiqubit_oracle,
     particle_moments,
     qfi_particle,
     sector_moments,
@@ -87,9 +85,7 @@ __all__ = [
     "classify_scaling",
     "decompose_sectors",
     "inner",
-    "locality_check",
     "make_fock",
-    "multiqubit_oracle",
     "mzi_unitary",
     "pad_to",
     "particle_moments",

@@ -13,23 +13,18 @@ The phase-sensitivity decomposition F = n Var[sigma_z] + n(n-1) Cov[sigma_z,
 sigma_z] makes the covariance an entanglement witness: product sectors have
 zero covariance and are shot-noise limited. Sectors are read in the layout
 that :mod:`mzi_qfi.fock` keeps, and a decomposition reads only occupied ones.
-
-A brute-force oracle builds the symmetric 2^n qubit vector explicitly
-(n <= 10) and evaluates the same quantities directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import List, Optional
 
 import numpy as np
 
 from .errors import ParameterError, SectorSupportError
 from .fock import FockState, occupied_sectors, photon_totals, sector_kets, sector_layout
-from .schwinger import DirectionLike, _direction
 
 #: Sector weights below this are dropped from decompositions.
 WEIGHT_FLOOR = 1e-14
@@ -39,15 +34,6 @@ FIXED_N_WEIGHT = 1.0 - 1e-9
 
 #: Default covariance threshold for the entanglement witness.
 WITNESS_TOL = 1e-9
-
-ORACLE_MAX_N = 10
-
-# Single-particle Pauli matrices in the basis (|nu>, |mu>): index 1 means the
-# photon sits in arm a, so sigma_z = diag(-1, +1).
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128)
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class Sector:
@@ -246,102 +232,3 @@ def qfi_particle(decomp: SectorDecomposition, witness_tol: float = WITNESS_TOL) 
     if top.n == 0:
         return 0.0  # vacuum: no particles, nothing to estimate with
     return sector_moments(top, witness_tol).f_particle
-
-
-# ---------------------------------------------------------------------------
-# explicit multi-qubit oracle (n <= ORACLE_MAX_N)
-# ---------------------------------------------------------------------------
-
-
-def _bit_table(n: int) -> np.ndarray:
-    basis = np.arange(2**n)
-    return (basis[:, None] >> np.arange(n)[None, :]) & 1
-
-
-def symmetric_qubit_vector(sector_state: FockState, n: int) -> np.ndarray:
-    """Map sector amplitudes c_k on |k, n-k> to the symmetric 2^n qubit vector.
-
-    Each of the C(n, k) bitstrings with k set bits (k photons in arm a)
-    receives c_k / sqrt(C(n, k)).
-    """
-    if n < 1 or n > ORACLE_MAX_N:
-        raise ParameterError(f"oracle supports 1 <= n <= {ORACLE_MAX_N}, got {n}")
-    actual = _single_sector_n(sector_state)
-    if actual != n:
-        raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
-    ks = sector_kets(n, sector_state.cutoff)
-    coeff = np.zeros(n + 1, dtype=np.complex128)
-    coeff[ks] = sector_state.amplitudes[ks, n - ks]
-    counts = _bit_table(n).sum(axis=1)
-    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
-    return coeff[counts] / np.sqrt(binom[counts])
-
-
-def multiqubit_oracle(
-    sector_state: FockState, n: int, witness_tol: float = WITNESS_TOL
-) -> ParticleReport:
-    """Pauli statistics evaluated directly in the 2^n qubit space."""
-    vec = symmetric_qubit_vector(sector_state, n)
-    probs = np.abs(vec) ** 2
-    bits = _bit_table(n)
-    z = 2.0 * bits - 1.0
-    mean_z = float(probs @ z[:, 0])
-    mean_zz = float(probs @ (z[:, 0] * z[:, 1])) if n >= 2 else None
-    return _report_from_z_stats(n, mean_z, mean_zz, witness_tol)
-
-
-def dicke_isometry(n: int) -> np.ndarray:
-    """Isometry from the n+1 symmetric states into the 2^n qubit space.
-
-    Column k is the normalized equal superposition of bitstrings with k set
-    bits, matching the |k, n-k> sector basis.
-    """
-    counts = _bit_table(n).sum(axis=1)
-    s = np.zeros((2**n, n + 1), dtype=np.complex128)
-    for k in range(n + 1):
-        s[counts == k, k] = 1.0 / math.sqrt(math.comb(n, k))
-    return s
-
-
-def collective_spin_matrix(n: int, v: DirectionLike) -> np.ndarray:
-    """v . J on the full 2^n space, J being half the sum of Pauli vectors."""
-    d = _direction(v)
-    single = (d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z) / 2
-    eye = np.eye(2, dtype=np.complex128)
-    total = np.zeros((2**n, 2**n), dtype=np.complex128)
-    for i in range(n):
-        factors = [single if j == i else eye for j in range(n)]
-        total += reduce(np.kron, factors)
-    return total
-
-
-def hermitian_exponential(h: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-i gamma h) for a Hermitian matrix h, from its eigendecomposition."""
-    evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * gamma * evals)) @ evecs.conj().T
-
-
-def locality_defect(n: int, v: DirectionLike, gamma: float) -> float:
-    """Operator distance, on the symmetric subspace, between the collective
-    rotation exp(-i gamma v.J) and the n-fold tensor power of the matching
-    single-qubit rotation."""
-    if n < 1:
-        raise ParameterError(f"locality check needs n >= 1, got {n}")
-    d = _direction(v)
-    u_full = hermitian_exponential(collective_spin_matrix(n, d), gamma)
-    single = hermitian_exponential((d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z) / 2, gamma)
-    u_tensor = reduce(np.kron, [single] * n)
-    s = dicke_isometry(n)
-    diff = s.conj().T @ (u_full - u_tensor) @ s
-    return float(np.linalg.norm(diff, 2))
-
-
-def locality_check(n: int, v: DirectionLike, gamma: float, tol: float = 1e-10) -> bool:
-    """True when the collective rotation factorizes into per-particle rotations."""
-    return locality_defect(n, v, gamma) < tol
-
-
-def reduced_single_particle(qubit_vector: np.ndarray, n: int) -> np.ndarray:
-    """2x2 reduced density matrix of one particle of a symmetric n-qubit vector."""
-    psi = qubit_vector.reshape(2**(n - 1), 2) if n > 1 else qubit_vector.reshape(1, 2)
-    return psi.conj().T @ psi

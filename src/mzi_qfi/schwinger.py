@@ -7,22 +7,22 @@ as one Hermitian block per fixed-n sector; :func:`sector_generator_matrix` is
 the package's only definition of them. Each complete sector carries a spin
 n/2 representation. The sector layout is read from :mod:`mzi_qfi.fock`.
 
-A rotation exp(-i angle J_v) is written as Rz(alpha) Rx(beta) Rz(gamma),
-with Euler angles read off its spin-1/2 element. Rz is a diagonal phase, and
-Rx goes through the real eigenbasis of the Jx block, whose eigenvalues are
-exactly k - n/2. That basis depends on the photon number n alone, so one
-byte-bounded cache serves every axis and cutoff; a rotation about a new axis
-runs no eigendecomposition. The cache keeps only the rows k <= n/2 of the
-eigenvectors with m >= 0: swapping the modes and the parity of k imply the
-rest. A sector above the cutoff, held only in part, is rotated exactly and
-restricted to the cells the grid holds. A rotation on a cutoff-c grid costs
-one O(c^2) scan for the occupied sectors, one vectorized pass over their
-cells (gather, both Rz phases, the mirror signs and the cos/sin mixing, the
-norm and the scatter; the mixing in blocks of at most ``MIX_COLUMNS``
-columns), and four real matrix products per occupied sector, each with a
-cell and its mirror as four real columns, so a fixed-photon-number probe
-pays for a single block. Jz is diagonal in the number basis, so its moments
-come from the number moments of :mod:`mzi_qfi.fock`.
+A rotation exp(-i angle J_v) is written as Rz(alpha) Rx(beta) Rz(gamma), with
+Euler angles read off its spin-1/2 element. Rz is a diagonal phase, and Rx
+goes through the real eigenbasis of the Jx block, whose eigenvalues are
+exactly k - n/2. That basis depends on the photon number n alone and follows
+from the three-term recurrence of its eigen-equation, with no eigensolver, so
+one byte-bounded cache serves every axis and cutoff. It keeps only the rows
+k <= n/2 of the eigenvectors with m >= 0: swapping the modes and the parity
+of k imply the rest. A sector above the cutoff, held only in part, is rotated
+exactly and restricted to the cells the grid holds. A rotation on a cutoff-c
+grid costs one O(c^2) scan for the occupied sectors, one vectorized pass over
+their cells (gather, both Rz phases, the mirror signs and the cos/sin mixing,
+the norm and the scatter; the mixing in blocks of at most ``MIX_COLUMNS``
+columns), and four real matrix products per occupied sector, each with a cell
+and its mirror as four real columns, so a fixed-photon-number probe pays for
+a single block. Jz is diagonal in the number basis, so its moments come from
+the number moments of :mod:`mzi_qfi.fock`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Literal, Sequence, Tuple, Union
 
@@ -91,6 +90,11 @@ def jz_moments(state: FockState) -> Tuple[float, float]:
     return (moments.a - moments.b) / 2, (na2 - 2 * moments.ab + nb2) / 4
 
 
+def _ladder_coupling(n: int, k: np.ndarray) -> np.ndarray:
+    """c_k = sqrt((k+1)(n-k)) = <k+1, n-k-1| adag b |k, n-k>, twice Jx's element (k+1, k)."""
+    return np.sqrt((k + 1) * (n - k))
+
+
 def sector_generator_matrix(n: int, cutoff: int, v: DirectionLike) -> np.ndarray:
     """Hermitian block of v . J on the total-photon-number-n sector.
 
@@ -103,17 +107,14 @@ def sector_generator_matrix(n: int, cutoff: int, v: DirectionLike) -> np.ndarray
     h = np.zeros((size, size), dtype=np.complex128)
     np.fill_diagonal(h, d.z * (ks - n / 2))
     if size > 1:
-        kl = ks[:-1].astype(float)
-        coupling = np.sqrt((kl + 1) * (n - kl)) / 2  # <k+1, n-k-1| adag b |k, n-k>
-        off = (d.x - 1j * d.y) * coupling
+        off = (d.x - 1j * d.y) * (_ladder_coupling(n, ks[:-1].astype(float)) / 2)
         h[np.arange(1, size), np.arange(size - 1)] = off
         h[np.arange(size - 1), np.arange(1, size)] = np.conj(off)
     return h
 
 
-#: Byte budget of the cached Jx eigenbases. The stored block of sector n takes
-#: (n//2+1)^2 * 8 bytes, so the budget holds every sector up to n = 736 at
-#: once, which covers every sector of a grid at the default cutoff ceiling.
+#: Byte budget of the kept Jx eigenbasis blocks, (n//2+1)^2 * 8 bytes for sector n:
+#: every sector up to n = 736 fits at once, a grid at the default cutoff ceiling.
 BASIS_CACHE_BYTES = 256 * 2**20
 
 
@@ -121,59 +122,59 @@ def _jx_eigenbasis(n: int) -> np.ndarray:
     """Rows k <= n/2 of the eigenvectors of Jx on the complete sector n, for m >= 0.
 
     A real (n//2+1) x (n//2+1) block: row k for the ket |k, n-k>, column j
-    for m = j + (n+1)//2 - n/2. Two symmetries of Jx imply the rest of the
-    basis. Swapping the modes, k -> n-k, maps the eigenvector of m to s_j
-    times itself, with s_j = (-1)^(n//2 - j) (the Wigner relation
-    d_{-m',m} = (-1)^(j-m) d_{m',m} of d^j(pi/2)), so row n-k is s_j times
-    row k. With P = diag((-1)^k), P Jx P = -Jx, so P maps the eigenvector of
-    m to that of -m. Each entry is the mean of the four values that one
-    ``eigh`` gives it through these symmetries, so the implied basis obeys
-    both exactly and is as orthonormal as the ``eigh``'s own. The block is a
-    new array, not a view that would keep the whole ``eigh`` result alive.
+    for m = j + (n+1)//2 - n/2. Swapping the modes makes row n-k s_j times
+    row k, s_j = (-1)^(n//2 - j) (the Wigner relation d_{-m',m} =
+    (-1)^(j-m) d_{m',m} of d^j(pi/2)), and P = diag((-1)^k) maps m to -m.
+    Each column runs Jx v = m v, c_k v_{k+1} = 2m v_k - c_{k-1} v_{k-1}, from
+    v_0 = 1 at the edge inward, the stable way: from where v is classically
+    forbidden to where it oscillates. A column past 2^400 is scaled by 2^-400,
+    so none overflows; the middle row of a column with s_j = -1 is exactly 0;
+    the norms are pairwise numpy sums. No BLAS or LAPACK call touches it.
     """
     size = n // 2 + 1
-    block = np.empty((size, size))  # first: made after the transients, it would pin their heap
-    _, vectors = np.linalg.eigh(sector_generator_matrix(n, n, X_AXIS).real)
-    half = vectors[:, (n + 1) // 2 :]
-    # P times the eigenvector of -m, signed to agree with that of m
-    partner = (-1.0) ** np.arange(n + 1)[:, None] * vectors[:, n // 2 :: -1]
-    partner *= np.sign(np.einsum("kj,kj->j", half, partner))
-    partner += half
-    np.multiply((-1.0) ** (n // 2 - np.arange(size)), partner[::-1][:size], out=block)  # s_j
-    block += partner[:size]
-    block /= 4
+    block = np.empty((size, size))
+    twice_m = 2.0 * np.arange(size) + n % 2
+    coupling = _ladder_coupling(n, np.arange(size, dtype=float))
+    block[0] = 1.0
+    for k in range(size - 1):
+        row = np.multiply(twice_m, block[k], out=block[k + 1])
+        if k:
+            row -= coupling[k - 1] * block[k - 1]
+        row /= coupling[k]
+        if np.abs(row).max() > 2.0**400:
+            block[: k + 2, np.abs(row) > 2.0**400] *= 2.0**-400
+    if n % 2 == 0:
+        block[-1, 1 - n // 2 % 2 :: 2] = 0.0  # s_j = -1
+    squares = np.square(block.T, order="C")  # contiguous columns, for the pairwise sums
+    squares[:, -1] /= 2 - n % 2  # the middle row of an even sector is its own mirror
+    block /= np.sqrt(2 * squares.sum(axis=1))
     block.flags.writeable = False
     return block
 
 
 class _BasisCache:
-    """Stored Jx eigenbasis blocks keyed by photon number alone, least recently used first out.
+    """Stored Jx eigenbasis blocks keyed by photon number alone, each kept for good if it fits.
 
-    ``resident_bytes`` never exceeds ``limit``: a block larger than the limit
-    is computed but not kept. ``misses`` counts the eigendecompositions run.
+    A block that would take ``resident_bytes`` past ``limit`` is built on each use, so a
+    scan over more sectors keeps the first ones it reaches. ``misses`` counts the blocks built.
     """
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self.resident_bytes = 0
         self.misses = 0
-        self._bases: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self._bases: "dict[int, np.ndarray]" = {}
         self._lock = threading.Lock()
 
     def __call__(self, n: int) -> np.ndarray:
-        with self._lock:
-            basis = self._bases.get(n)
-            if basis is not None:
-                self._bases.move_to_end(n)
-                return basis
-        basis = _jx_eigenbasis(n)
-        with self._lock:
-            self.misses += 1
-            if n not in self._bases and basis.nbytes <= self.limit:
-                self._bases[n] = basis
-                self.resident_bytes += basis.nbytes
-                while self.resident_bytes > self.limit:
-                    self.resident_bytes -= self._bases.popitem(last=False)[1].nbytes
+        basis = self._bases.get(n)
+        if basis is None:
+            basis = _jx_eigenbasis(n)
+            with self._lock:
+                self.misses += 1
+                if n not in self._bases and self.resident_bytes + basis.nbytes <= self.limit:
+                    self._bases[n] = basis
+                    self.resident_bytes += basis.nbytes
         return basis
 
 
@@ -236,10 +237,9 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     """exp(-i angle J_v)|state>, applied sector by sector as Rz Rx Rz.
 
     Only the occupied sectors (:func:`mzi_qfi.fock.occupied_sectors`) are
-    rotated, each through the Euler angles of the rotation and the real Jx
-    eigenbasis of its photon number, which one cache shares across every axis
-    and cutoff. An amplitude whose square underflows still occupies its sector,
-    since it rotates into the result.
+    rotated, each through the Euler angles and the cached Jx eigenbasis of its
+    photon number. An amplitude whose square underflows still occupies its
+    sector, since it rotates into the result.
 
     Rz is a diagonal phase. Rx(beta) = O_n exp(-i beta Lambda) O_n^T, with the
     exact eigenvalues Lambda = k - n/2. The eigenvector o of m > 0 and P o,

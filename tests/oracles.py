@@ -23,18 +23,38 @@ the per-sector form of the package's kernel, which shares the package's basis
 cache; the two fix the operands of every block product.
 The earlier rotation, one complex ``eigh`` per sector and axis, is kept here
 as a second, independent route.
+
+The particle picture is checked in the space it describes: a fixed-n sector
+becomes the symmetric 2^n qubit vector (n <= 10), whose Pauli statistics,
+collective rotations and single-particle reductions are evaluated directly.
 """
 
 import math
 from decimal import Decimal, localcontext
+from functools import reduce
 
 import numpy as np
 
 from mzi_qfi.coherence import INTENSITY_FLOOR, PATH_SYMMETRY_TOL, CoherenceReport
-from mzi_qfi.errors import ParameterError, TruncationOverflowError
+from mzi_qfi.errors import ParameterError, SectorSupportError, TruncationOverflowError
 from mzi_qfi.fock import FockState, NumberMoments, sector_kets, vdot
-from mzi_qfi.particle import WEIGHT_FLOOR, Sector, SectorDecomposition
-from mzi_qfi.schwinger import _EulerRotation, _jx_basis, phase_shift, sector_generator_matrix
+from mzi_qfi.particle import (
+    WEIGHT_FLOOR,
+    WITNESS_TOL,
+    ParticleReport,
+    Sector,
+    SectorDecomposition,
+    _report_from_z_stats,
+    _single_sector_n,
+)
+from mzi_qfi.schwinger import (
+    DirectionLike,
+    _direction,
+    _EulerRotation,
+    _jx_basis,
+    phase_shift,
+    sector_generator_matrix,
+)
 
 
 def _lower(grid, axis):
@@ -460,3 +480,110 @@ def truncation_loss_reference(family, value, cutoff):
             return float(2 * tail - tail * tail)
         tail = _decimal_tail((-x).exp(), lambda n: x / (n + 1), cutoff + 1)
         return float(tail / (1 + (-x).exp()))
+
+
+# ---------------------------------------------------------------------------
+# the particle picture, made explicit in the 2^n qubit space (n <= ORACLE_MAX_N)
+# ---------------------------------------------------------------------------
+
+ORACLE_MAX_N = 10
+
+# Single-particle Pauli matrices in the basis (|nu>, |mu>): index 1 means the
+# photon sits in arm a, so sigma_z = diag(-1, +1).
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=np.complex128)
+SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+
+
+def _bit_table(n: int) -> np.ndarray:
+    basis = np.arange(2**n)
+    return (basis[:, None] >> np.arange(n)[None, :]) & 1
+
+
+def symmetric_qubit_vector(sector_state: FockState, n: int) -> np.ndarray:
+    """Map sector amplitudes c_k on |k, n-k> to the symmetric 2^n qubit vector.
+
+    Each of the C(n, k) bitstrings with k set bits (k photons in arm a)
+    receives c_k / sqrt(C(n, k)).
+    """
+    if n < 1 or n > ORACLE_MAX_N:
+        raise ParameterError(f"oracle supports 1 <= n <= {ORACLE_MAX_N}, got {n}")
+    actual = _single_sector_n(sector_state)
+    if actual != n:
+        raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
+    ks = sector_kets(n, sector_state.cutoff)
+    coeff = np.zeros(n + 1, dtype=np.complex128)
+    coeff[ks] = sector_state.amplitudes[ks, n - ks]
+    counts = _bit_table(n).sum(axis=1)
+    binom = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)
+    return coeff[counts] / np.sqrt(binom[counts])
+
+
+def multiqubit_oracle(
+    sector_state: FockState, n: int, witness_tol: float = WITNESS_TOL
+) -> ParticleReport:
+    """Pauli statistics evaluated directly in the 2^n qubit space."""
+    vec = symmetric_qubit_vector(sector_state, n)
+    probs = np.abs(vec) ** 2
+    bits = _bit_table(n)
+    z = 2.0 * bits - 1.0
+    mean_z = float(probs @ z[:, 0])
+    mean_zz = float(probs @ (z[:, 0] * z[:, 1])) if n >= 2 else None
+    return _report_from_z_stats(n, mean_z, mean_zz, witness_tol)
+
+
+def dicke_isometry(n: int) -> np.ndarray:
+    """Isometry from the n+1 symmetric states into the 2^n qubit space.
+
+    Column k is the normalized equal superposition of bitstrings with k set
+    bits, matching the |k, n-k> sector basis.
+    """
+    counts = _bit_table(n).sum(axis=1)
+    s = np.zeros((2**n, n + 1), dtype=np.complex128)
+    for k in range(n + 1):
+        s[counts == k, k] = 1.0 / math.sqrt(math.comb(n, k))
+    return s
+
+
+def collective_spin_matrix(n: int, v: DirectionLike) -> np.ndarray:
+    """v . J on the full 2^n space, J being half the sum of Pauli vectors."""
+    d = _direction(v)
+    single = (d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z) / 2
+    eye = np.eye(2, dtype=np.complex128)
+    total = np.zeros((2**n, 2**n), dtype=np.complex128)
+    for i in range(n):
+        factors = [single if j == i else eye for j in range(n)]
+        total += reduce(np.kron, factors)
+    return total
+
+
+def hermitian_exponential(h: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-i gamma h) for a Hermitian matrix h, from its eigendecomposition."""
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * gamma * evals)) @ evecs.conj().T
+
+
+def locality_defect(n: int, v: DirectionLike, gamma: float) -> float:
+    """Operator distance, on the symmetric subspace, between the collective
+    rotation exp(-i gamma v.J) and the n-fold tensor power of the matching
+    single-qubit rotation."""
+    if n < 1:
+        raise ParameterError(f"locality check needs n >= 1, got {n}")
+    d = _direction(v)
+    u_full = hermitian_exponential(collective_spin_matrix(n, d), gamma)
+    single = hermitian_exponential((d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z) / 2, gamma)
+    u_tensor = reduce(np.kron, [single] * n)
+    s = dicke_isometry(n)
+    diff = s.conj().T @ (u_full - u_tensor) @ s
+    return float(np.linalg.norm(diff, 2))
+
+
+def locality_check(n: int, v: DirectionLike, gamma: float, tol: float = 1e-10) -> bool:
+    """True when the collective rotation factorizes into per-particle rotations."""
+    return locality_defect(n, v, gamma) < tol
+
+
+def reduced_single_particle(qubit_vector: np.ndarray, n: int) -> np.ndarray:
+    """2x2 reduced density matrix of one particle of a symmetric n-qubit vector."""
+    psi = qubit_vector.reshape(2**(n - 1), 2) if n > 1 else qubit_vector.reshape(1, 2)
+    return psi.conj().T @ psi

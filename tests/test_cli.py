@@ -177,6 +177,7 @@ def test_analyze_document_matches_reference_paths(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [["--family", "twin-fock", "--n", "150"],
+                                  ["--family", "fraternal-twin-fock", "--n", "200"],
                                   ["--family", "tsv", "--nbar", "7"]], ids=" ".join)
 def test_analyze_document_does_not_depend_on_blas_threads(argv):
     # OpenBLAS splits a dot of more than 10 000 cells across its threads, which

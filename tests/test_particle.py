@@ -9,24 +9,22 @@ from hypothesis import strategies as st
 from conftest import random_direction, sparse_states
 from mzi_qfi.errors import ParameterError, SectorSupportError
 from mzi_qfi.fock import FockState, make_fock
-from mzi_qfi.particle import (
-    collective_spin_matrix,
-    decompose_sectors,
-    dicke_isometry,
-    hermitian_exponential,
-    locality_check,
-    locality_defect,
-    multiqubit_oracle,
-    particle_moments,
-    qfi_particle,
-    reduced_single_particle,
-    sector_moments,
-    symmetric_qubit_vector,
-)
+from mzi_qfi.particle import decompose_sectors, particle_moments, qfi_particle, sector_moments
 from mzi_qfi.qfi import qfi_variance
 from mzi_qfi.schwinger import beam_splitter, sector_generator_matrix
 from mzi_qfi.states import ProbeSpec, build, solve_param_for_nbar
-from oracles import dense_decompose_sectors, ladder_j_moment
+from oracles import (
+    collective_spin_matrix,
+    dense_decompose_sectors,
+    dicke_isometry,
+    hermitian_exponential,
+    ladder_j_moment,
+    locality_check,
+    locality_defect,
+    multiqubit_oracle,
+    reduced_single_particle,
+    symmetric_qubit_vector,
+)
 
 from scipy.linalg import expm
 

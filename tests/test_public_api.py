@@ -34,9 +34,7 @@ PUBLIC_NAMES = [
     "classify_scaling",
     "decompose_sectors",
     "inner",
-    "locality_check",
     "make_fock",
-    "multiqubit_oracle",
     "mzi_unitary",
     "pad_to",
     "particle_moments",
@@ -80,6 +78,8 @@ def test_ladder_layer_is_gone(module, name):
     (particle, "_sector_ks"), (schwinger, "_sector_kvals"), (schwinger, "_photon_totals"),
     (fock, "_lower"), (coherence, "_real_moment"), (coherence, "_HERMITICITY_TOL"),
     (schwinger, "_real"), (schwinger, "_J_IMAG_TOL"),
+    (mzi_qfi, "locality_check"), (mzi_qfi, "multiqubit_oracle"),
+    (particle, "locality_check"), (particle, "multiqubit_oracle"),
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)

@@ -27,6 +27,7 @@ from mzi_qfi.schwinger import (
     _BasisCache,
     _euler_angles,
     _jx_basis,
+    _jx_eigenbasis,
     apply_rotation,
     beam_splitter,
     jz_moments,
@@ -85,8 +86,8 @@ def assert_stored_block_diagonalizes_jx(n: int) -> None:
     basis = np.hstack([mirrored, half])
     jx = sector_generator_matrix(n, n, X_AXIS)
     exact = np.arange(n + 1) - n / 2
-    # the bound of n <= 32, grown beyond with the norm n/2 of Jx; the eigh's
-    # own complete basis reaches 3.9e-13 at n = 400
+    # the bound of n <= 32, grown beyond with the norm n/2 of Jx; an eigh's
+    # complete basis reaches 3.9e-13 at n = 400, the recurrence's 2.0e-13
     assert np.abs(basis @ np.diag(exact) @ basis.T - jx).max() < 1e-13 * max(1, n / 32)
     assert np.abs(basis.T @ basis - np.eye(n + 1)).max() < 1e-14
 
@@ -291,8 +292,21 @@ class TestRotations:
             assert cache.resident_bytes <= cache.limit
             if n == 72:  # larger than the whole budget: computed, not kept
                 assert basis.nbytes > cache.limit and 72 not in cache._bases
-        assert list(cache._bases) == [36, 35, 0, 40]  # least recently used first out
+        assert list(cache._bases) == [40, 10, 39, 38, 3, 2, 0]  # each kept if it fit when built
         assert _jx_basis.resident_bytes <= _jx_basis.limit == BASIS_CACHE_BYTES
+
+    def test_basis_cache_rescans_warm_past_its_bytes(self):
+        # the same ascending scan over more blocks than fit, twice: the second
+        # builds only the blocks that never fit (evicting the least recently
+        # used would rebuild every one, each just before the scan needs it)
+        scan = range(41)
+        cache = _BasisCache(limit=sum((n // 2 + 1) ** 2 * 8 for n in range(30)))
+        for n in scan:
+            cache(n)
+        assert list(cache._bases) == list(range(30)) and cache.misses == len(scan)
+        for n in scan:
+            cache(n)
+        assert cache.misses == len(scan) + len(range(30, 41))
 
     def test_basis_cache_accounting_survives_threads(self):
         cache = _BasisCache(limit=4 * 13 * 13 * 8)
@@ -315,6 +329,33 @@ class TestRotations:
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 31, 320, 399, 400])
     def test_stored_rows_and_their_mirrors_diagonalize_jx(self, n):
         assert_stored_block_diagonalizes_jx(n)
+
+    @pytest.mark.parametrize("n", [2600, 4096])
+    def test_large_sector_blocks_are_finite_unit_eigenvectors(self, n):
+        # 2600 is the top sector of a ceiling-1300 grid; run from v_0 = 1, the
+        # eigenvector of m = n/2 grows by about 2^(n/2) before it is normalized
+        stored = _jx_eigenbasis(n)  # built, not kept in the shared cache
+        assert np.isfinite(stored).all()
+        size = n // 2 + 1
+        signs = (-1.0) ** (n // 2 - np.arange(size))
+        middle = n % 2 == 0
+        norms = 2 * np.sum(stored**2, axis=0) - middle * stored[-1] ** 2
+        assert np.abs(norms - 1).max() < 1e-14
+        # Jx v = m v on the rows k <= n/2, one O(n) row at a time; the implied
+        # row n//2 + 1 is s_j times row n - n//2 - 1. The rows above mirror
+        # these, and m < 0 is their parity image. With unit norms, small
+        # residuals also bound the overlaps, as distinct m are 1 or more apart.
+        rows = np.vstack([stored, signs * stored[n - n // 2 - 1]])
+        k = np.arange(size, dtype=float)
+        half_coupling = np.sqrt((k + 1) * (n - k)) / 2  # <k+1, n-k-1| Jx |k, n-k>
+        m = np.arange(size) + (n + 1) // 2 - n / 2
+        worst = 0.0
+        for row in range(size):
+            jx_v = half_coupling[row] * rows[row + 1]
+            if row:
+                jx_v += half_coupling[row - 1] * rows[row - 1]
+            worst = max(worst, np.abs(jx_v - m * rows[row]).max())
+        assert worst < 1e-13 * n / 32
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.integers(0, 40), st.integers(0, 400)))
