@@ -3,9 +3,11 @@
 The generators are Jx = (adag b + bdag a)/2, Jy = -i(adag b - bdag a)/2,
 Jz = (adag a - bdag b)/2, and J0 = (adag a + bdag b)/2, so the total photon
 number is 2*J0. They conserve total photon number, so each acts on the grid
-as one Hermitian block per fixed-n sector; :func:`sector_generator_matrix` is
-the package's only definition of them. Each complete sector carries a spin
-n/2 representation. The sector layout is read from :mod:`mzi_qfi.fock`.
+as one Hermitian block per fixed-n sector, and each complete sector carries
+a spin n/2 representation. The package never forms those blocks: it rotates
+through the closed-form eigenbasis of Jx below, and tests check the result
+against their matrix exponential. The sector layout is read from
+:mod:`mzi_qfi.fock`.
 
 A rotation exp(-i angle J_v) is written as Rz(alpha) Rx(beta) Rz(gamma), with
 Euler angles read off its spin-1/2 element. Rz is a diagonal phase, and Rx
@@ -15,36 +17,37 @@ from the three-term recurrence of its eigen-equation, with no eigensolver, so
 one byte-bounded cache serves every axis and cutoff. It keeps only the rows
 k <= n/2 of the eigenvectors with m >= 0: swapping the modes and the parity
 of k imply the rest. A sector above the cutoff, held only in part, is rotated
-exactly and restricted to the cells the grid holds. A rotation on a cutoff-c
-grid costs one O(c^2) scan for the occupied sectors, one vectorized pass over
-their cells (gather, both Rz phases, the mirror signs and the cos/sin mixing,
-the norm and the scatter; the mixing in blocks of at most ``MIX_COLUMNS``
-columns), and four real matrix products per occupied sector, each with a cell
-and its mirror as four real columns, so a fixed-photon-number probe pays for
-a single block. Jz is diagonal in the number basis, so its moments come from
-the number moments of :mod:`mzi_qfi.fock`.
+exactly and restricted to the cells the grid holds.
+
+What a rotation needs of the grid alone is planned once per grid: one O(c^2)
+scan for the occupied sectors, their layout, the weight check, the pairing of
+each cell k <= n/2 with its mirror n-k, and the groups of sectors mixed
+together. The plan and the grid's coordinates in the Jx basis after Rz(gamma)
+are kept for the last grid rotated, so a fringe scan, whose phases |phi| < pi
+share gamma = -pi/2, projects its probe once. A rotation then costs two real
+matrix products per occupied sector for the coordinates, when the grid or
+gamma is new, and two back, each with a cell and its mirror as four real columns, so a
+fixed-photon-number probe pays for a single block; and one vectorized pass
+over the cells (the cos/sin mixing in groups of at most ``MIX_COLUMNS``
+columns, the left phase, the norm and the scatter). Jz is diagonal in the
+number basis, so its moments come from the number moments of
+:mod:`mzi_qfi.fock`.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Literal, Sequence, Tuple, Union
+from typing import List, Literal, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, TruncationOverflowError
-from .fock import (
-    FockState,
-    SectorLayout,
-    number_moments,
-    occupied_sectors,
-    sector_kets,
-    sector_layout,
-)
+from .fock import FockState, number_moments, occupied_sectors, sector_layout
 
 
 @dataclass(frozen=True)
@@ -93,24 +96,6 @@ def jz_moments(state: FockState) -> Tuple[float, float]:
 def _ladder_coupling(n: int, k: np.ndarray) -> np.ndarray:
     """c_k = sqrt((k+1)(n-k)) = <k+1, n-k-1| adag b |k, n-k>, twice Jx's element (k+1, k)."""
     return np.sqrt((k + 1) * (n - k))
-
-
-def sector_generator_matrix(n: int, cutoff: int, v: DirectionLike) -> np.ndarray:
-    """Hermitian block of v . J on the total-photon-number-n sector.
-
-    Basis kets are |k, n-k> for the k values that fit inside the grid; for
-    n <= cutoff this is the complete spin n/2 representation.
-    """
-    d = _direction(v)
-    ks = sector_kets(n, cutoff)
-    size = len(ks)
-    h = np.zeros((size, size), dtype=np.complex128)
-    np.fill_diagonal(h, d.z * (ks - n / 2))
-    if size > 1:
-        off = (d.x - 1j * d.y) * (_ladder_coupling(n, ks[:-1].astype(float)) / 2)
-        h[np.arange(1, size), np.arange(size - 1)] = off
-        h[np.arange(size - 1), np.arange(1, size)] = np.conj(off)
-    return h
 
 
 #: Byte budget of the kept Jx eigenbasis blocks, (n//2+1)^2 * 8 bytes for sector n:
@@ -199,6 +184,17 @@ def _euler_angles(v: DirectionLike, angle: float) -> Tuple[float, float, float]:
     return sigma + delta, beta, sigma - delta
 
 
+def _phase_table(angle: float, m: np.ndarray) -> Optional[np.ndarray]:
+    """exp(-i angle t/2) for t = -top..top, at t + top, from m = t/2 for t = 0..top; None for 0.
+
+    Only the half t >= 0 is exponentiated: the half t < 0 is its conjugate.
+    """
+    if not angle:
+        return None
+    half = np.exp(-1j * angle * m)
+    return np.concatenate((half[:0:-1].conj(), half))
+
+
 class _EulerRotation:
     """exp(-i angle J_v) = Rz(alpha) Rx(beta) Rz(gamma), tabulated by t = 2m.
 
@@ -208,29 +204,200 @@ class _EulerRotation:
     (see :func:`apply_rotation`), both complex so that they multiply complex
     vectors without a cast. ``left[t + offset]`` and ``right[t + offset]`` are
     exp(-i alpha t/2) and exp(-i gamma t/2) for t = -top..top, or None when
-    that angle is 0. Each entry is the same whatever ``top`` is.
+    that angle is 0. Each entry is the same whatever ``top`` is. ``gamma``
+    keys a state's Jx-basis coordinates, which Rz(gamma) alone decides.
     """
 
-    __slots__ = ("cos", "sin", "left", "right", "offset")
+    __slots__ = ("gamma", "cos", "sin", "left", "right", "offset")
 
     def __init__(self, v: DirectionLike, angle: float, top: int) -> None:
-        alpha, beta, gamma = _euler_angles(v, angle)
+        alpha, beta, self.gamma = _euler_angles(v, angle)
         m = np.arange(top + 1) / 2
         weight = np.where(m > 0, 2.0, 1.0)
         beta_m = beta * m
         self.cos = (weight * np.cos(beta_m)).astype(np.complex128)
         self.sin = -1j * (weight * np.sin(beta_m))
-        self.left = self.right = None
-        if alpha or gamma:
-            signed_m = np.arange(-top, top + 1) / 2
-            self.left = np.exp(-1j * alpha * signed_m) if alpha else None
-            self.right = np.exp(-1j * gamma * signed_m) if gamma else None
+        self.left = _phase_table(alpha, m)
+        self.right = _phase_table(self.gamma, m)
         self.offset = top
 
 
-#: Basis columns mixed in one pass. It bounds the temporaries of a rotation
-#: however many sectors it rotates.
+#: Columns of coordinates mixed in one pass. It bounds the work buffers of a
+#: rotation's mixing however many sectors it rotates.
 MIX_COLUMNS = 2048
+
+
+class _Group(NamedTuple):
+    """Runs of sectors of one parity of n whose coordinates are mixed in one pass.
+
+    Each run is n, the first even and the first odd row of its stored block
+    that it reads, the first row of its paired cells with even k and with odd
+    k, the row past its last, and its first and last columns of the group,
+    which are ``columns`` of the plan. An odd sector's mirrors have the other
+    parity, so its group is ``crossed``.
+    """
+
+    crossed: bool
+    columns: slice
+    runs: Tuple[Tuple[int, int, int, int, int, int, int, int], ...]
+
+
+class _Plan(NamedTuple):
+    """What rotating one grid needs of the grid alone, whatever the rotation.
+
+    ``flats`` holds the flat grid index of each cell of the occupied sectors
+    (:func:`mzi_qfi.fock.sector_layout`), ``phases`` its entry t + ``top`` in
+    the Rz tables, and ``unpair`` its place among the ``pairs`` rows of
+    paired cells: row q holds a cell k <= n/2 at 2q and its mirror n-k at
+    2q + 1, which is 0 for the middle cell of an even sector. A sector n has
+    n//2 + 1 columns of coordinates, j = 0..n//2, in the columns of its
+    group; ``gather`` holds each column's t = 2j + n % 2, its entry of the
+    rotation's cos and sin tables, and ``signs`` its s_j.
+    """
+
+    top: int
+    flats: np.ndarray
+    phases: np.ndarray
+    unpair: np.ndarray
+    pairs: int
+    gather: np.ndarray
+    signs: np.ndarray
+    groups: Tuple[_Group, ...]
+
+
+def _plan(grid: np.ndarray) -> _Plan:
+    """The rotation plan of ``grid``; raises if it holds weight above its cutoff."""
+    cutoff = grid.shape[0] - 1
+    occupied = occupied_sectors(grid)
+    _, lows, offsets, rows, cols = sector_layout(occupied, cutoff)
+    rows, cols = rows.astype(np.int32), cols.astype(np.int32)
+    flats = rows * (cutoff + 1)
+    flats += cols
+    top = occupied[-1]
+    if top > cutoff:
+        above = offsets[bisect_right(occupied, cutoff)]  # the first run above the cutoff
+        excess = float(np.sum(np.abs(grid.reshape(-1).take(flats[above:])) ** 2))
+        if excess >= 1e-12:
+            raise TruncationOverflowError(
+                f"weight {excess:.3e} sits above cutoff {cutoff}; "
+                "enlarge the grid before rotating"
+            )
+    width = max(MIX_COLUMNS, top // 2 + 1)
+    grouped: List[list] = []  # the runs of each group
+    last: List[list] = [[], []]  # by the parity of n, the runs of its last group
+    used = [width, width]  # and their columns, as if full before the first run
+    shifts = []
+    start = 0
+    for n, low in zip(occupied, lows):
+        parity, size = n % 2, n // 2 + 1
+        shifts.append(start - low)
+        if used[parity] + size > width:
+            last[parity], used[parity] = [], 0
+            grouped.append(last[parity])
+        h = used[parity]
+        used[parity] += size
+        first = low % 2  # the first even k, from the run's start
+        stop = start + size - low
+        last[parity].append((n, low + first, low + 1 - first, start + first, start + 1 - first,
+                             stop, h, h + size))
+        start = stop
+    # a run of sector n from k = low, whose pairs start at row s, holds k in pair
+    # row s + min(k, n-k) - low, as the cell when k <= n-k and as the mirror if not
+    unpair = np.minimum(rows, cols)
+    unpair += np.array(shifts, dtype=np.int32).repeat(np.diff(offsets))
+    unpair *= 2
+    unpair += rows > cols
+    phases = np.subtract(rows, cols, out=rows)
+    phases += top
+    del cols
+    # column c of a run from column h holds j = c - h: t = 2j + n % 2 and s_j = (-1)^(n//2 - j)
+    sectors = np.array([run[0] for runs in grouped for run in runs], dtype=np.int32)
+    sizes = sectors // 2 + 1
+    column = np.cumsum(sizes, dtype=np.int32) - sizes
+    at = np.arange(column[-1] + sizes[-1], dtype=np.int32)
+    gather = 2 * at
+    gather -= (2 * column - sectors % 2).repeat(sizes)
+    at -= (column + sectors // 2).repeat(sizes)
+    signs = (at & 1).astype(np.int8)
+    signs *= -2
+    signs += 1
+    groups = []
+    edge = 0
+    for runs in grouped:
+        columns = runs[-1][7]
+        groups.append(_Group(runs[0][0] % 2 == 1, slice(edge, edge + columns), tuple(runs)))
+        edge += columns
+    return _Plan(top, flats, phases, unpair, start, gather, signs, tuple(groups))
+
+
+def _rotate(
+    plan: _Plan, rotation: _EulerRotation, grid: np.ndarray, coordinates: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rz(alpha) Rx(beta) Rz(gamma) on the cells of ``plan``, in layout order, and the coordinates.
+
+    The coordinates are the (2, columns) projections O^T Rz(gamma) psi of the
+    paired cells: row 0 on the even rows of the stored blocks, row 1 on the
+    odd ones, each joined by the projections of the mirrors of that parity,
+    times the signs s_j. When ``coordinates`` is None they are computed from
+    ``grid`` and returned read-only. Each parity's coordinates y then become
+    cos * y + sin * the other's, and the mirror column s_j times that of the
+    mirrors' parity, so the products back give each cell and its mirror.
+    """
+    project = coordinates is None
+    if project:
+        amps = grid.reshape(-1).take(plan.flats)
+        if rotation.right is not None:
+            np.multiply(rotation.right.take(plan.phases), amps, out=amps)
+        pairs = np.zeros((plan.pairs, 2), dtype=np.complex128)
+        pairs.reshape(-1)[plan.unpair] = amps
+        del amps
+        coordinates = np.empty((2, len(plan.gather)), dtype=np.complex128)
+    else:
+        pairs = np.empty((plan.pairs, 2), dtype=np.complex128)
+    quads = pairs.view(np.float64)
+    for group in plan.groups:
+        columns = group.columns
+        y, gather, signs = coordinates[:, columns], plan.gather[columns], plan.signs[columns]
+        f = np.empty((2, len(gather), 2), dtype=np.complex128)
+        f_quads = f.view(np.float64)
+        z, mirrors = f[:, :, 0], f[:, :, 1]
+        operands = []
+        for n, even_row, odd_row, even_cell, odd_cell, stop, h, end in group.runs:
+            stored = _jx_basis(n)
+            operands.append((stored[even_row::2], quads[even_cell:stop:2], f_quads[0, h:end],
+                             stored[odd_row::2], quads[odd_cell:stop:2], f_quads[1, h:end]))
+        if project:
+            for even, even_cells, even_f, odd, odd_cells, odd_f in operands:
+                np.matmul(even.T, even_cells, out=even_f)
+                np.matmul(odd.T, odd_cells, out=odd_f)
+            mirrors *= signs
+            np.add(z, mirrors[::-1] if group.crossed else mirrors, out=y)
+        np.multiply(rotation.sin.take(gather), y[::-1], out=mirrors)
+        np.multiply(rotation.cos.take(gather), y, out=z)
+        z += mirrors
+        np.multiply(z[::-1] if group.crossed else z, signs, out=mirrors)
+        for even, even_cells, even_f, odd, odd_cells, odd_f in operands:
+            np.matmul(even, even_f, out=even_cells)
+            np.matmul(odd, odd_f, out=odd_cells)
+    coordinates.flags.writeable = False
+    rotated = pairs.reshape(-1).take(plan.unpair)
+    del pairs, quads, f, f_quads, z, mirrors, operands  # the pairs and every view of them
+    if rotation.left is not None:
+        rotated *= rotation.left.take(plan.phases)
+    return rotated, coordinates
+
+
+#: The last grid rotated, its plan, and its coordinates for the last gamma:
+#: (weak reference to the grid, plan, gamma, coordinates), or None.
+_memo: Optional[tuple] = None
+
+
+def _forget(ref: "weakref.ref") -> None:
+    """Drop the memo when the grid it belongs to is collected."""
+    global _memo
+    memo = _memo
+    if memo is not None and memo[0] is ref:
+        _memo = None
 
 
 def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockState:
@@ -252,168 +419,50 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     cell is paired with its mirror n-k, the rows of one parity project both
     at once, and the mirror's projection joins the parity of n-k with the
     signs s_j. That is four real products per sector, each with four real
-    columns. Every other step, from the gather of the cells to the scatter of
-    the result, is one pass over the cells of all occupied sectors
-    (:func:`mzi_qfi.fock.sector_layout`); the signs and the cos/sin mixing
-    between the products are one pass per block of at most ``MIX_COLUMNS``
-    columns of projections, with the sectors of even and of odd n apart.
+    columns: two to the coordinates O^T Rz(gamma) psi and two back. Every
+    other step, from the gather of the cells to the scatter of the result, is
+    one pass over the cells of all occupied sectors; the signs and the cos/sin
+    mixing between the products are one pass per group of at most
+    ``MIX_COLUMNS`` columns of coordinates, with the sectors of even and of
+    odd n apart.
+
+    What depends on the grid alone, its occupied sectors, their layout
+    (:func:`mzi_qfi.fock.sector_layout`), the weight check, the pairing of
+    each cell with its mirror, its Rz table entries and the groups, is a
+    plan built on the first rotation of a grid. The plan and the grid's
+    coordinates for the last gamma are kept, for one grid at a time, until
+    another grid is rotated or this one is collected. A fringe scan,
+    ``mzi_unitary`` at |phi| < pi, has gamma = -pi/2 at every phase, so
+    after its first point each costs only the mixing, the products back,
+    the left phase, the norm and the scatter. The plan is never changed and
+    the coordinates are read-only and replaced in one assignment, so threads
+    may rotate at once; each call works in buffers of its own.
 
     A sector above the cutoff, which the grid holds only in part, uses the
     rows of the basis for the cells it holds, k from n - cutoff to cutoff,
     which pair off with their mirrors like those of a complete sector: the
     exact spin n/2 rotation restricted to them. The weight rotated off the
     grid is dropped. That weight is why the rotation requires negligible
-    weight above the cutoff, summed over the cells of the runs above it. The
-    rotated vectors are renormalized together.
+    weight above the cutoff, summed over the cells of the runs above it, on
+    every call. The rotated vectors are renormalized together.
     """
+    global _memo
     grid = state.amplitudes
-    cutoff = state.cutoff
-    occupied = occupied_sectors(grid)
-    layout = sector_layout(occupied, cutoff)
-    if occupied[-1] > cutoff:
-        start = layout.offsets[bisect_right(occupied, cutoff)]  # the first run above the cutoff
-        excess = float(np.sum(np.abs(grid[layout.rows[start:], layout.cols[start:]]) ** 2))
-        if excess >= 1e-12:
-            raise TruncationOverflowError(
-                f"weight {excess:.3e} sits above cutoff {cutoff}; "
-                "enlarge the grid before rotating"
-            )
-    rotation = _EulerRotation(v, angle, occupied[-1])
-    rotated = _rotate_runs(grid, layout, rotation)
-    if rotation.left is not None:
-        rotated *= rotation.left[_phase_index(layout, rotation)]
+    memo = _memo
+    if memo is None or memo[0]() is not grid:
+        memo = (weakref.ref(grid, _forget), _plan(grid), None, None)
+    ref, plan, gamma, coordinates = memo
+    rotation = _EulerRotation(v, angle, plan.top)
+    if gamma != rotation.gamma:
+        coordinates = None
+    rotated, kept = _rotate(plan, rotation, grid, coordinates)
+    if kept is not coordinates:
+        _memo = (ref, plan, rotation.gamma, kept)
     real, imag = rotated.real, rotated.imag  # np.linalg.norm's sum, without its dispatch
     rotated /= math.sqrt(real.dot(real) + imag.dot(imag))
-    out = np.zeros_like(grid)
-    out[layout.rows, layout.cols] = rotated
-    return FockState(out, cutoff, state.truncation_loss)
-
-
-def _phase_index(layout: SectorLayout, rotation: _EulerRotation) -> np.ndarray:
-    """Where each laid-out cell, at t = 2m = 2k - n, reads the rotation's Rz tables."""
-    index = layout.rows - layout.cols
-    index += rotation.offset
-    return index
-
-
-def _mirror_pairs(
-    grid: np.ndarray, layout: SectorLayout, rotation: _EulerRotation
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The laid-out cells k <= n/2 after Rz(gamma), each beside its mirror n-k.
-
-    Returns a (cells, 2) array of layout positions, the cell's and its
-    mirror's, and the (cells, 2) complex array they hold, the cells of each
-    run together in k order. The middle cell k = n/2 of an even sector is its
-    own mirror, so its mirror column holds 0. The gathered cells are dropped
-    on return, so they take no memory while the sectors are rotated.
-    """
-    rows, cols = layout.rows, layout.cols
-    amps = layout.take(grid)
-    if rotation.right is not None:
-        np.multiply(rotation.right[_phase_index(layout, rotation)], amps, out=amps)
-    lower = (rows <= cols).nonzero()[0]
-    index = np.empty((len(lower), 2), dtype=np.intp)
-    index[:, 0] = lower
-    index[:, 1] = cols[lower] - rows[lower]  # n - 2k, from the cell to its mirror
-    index[:, 1] += lower
-    pairs = amps[index]
-    pairs[index[:, 0] == index[:, 1], 1] = 0
-    return index, pairs
-
-
-def _rotate_runs(grid: np.ndarray, layout: SectorLayout, rotation: _EulerRotation) -> np.ndarray:
-    """Rx(beta) Rz(gamma) on the cells of ``layout``, returned in layout order.
-
-    The even k, or the odd k, of a run's paired cells are one (cells, 4) real
-    operand of its products, every other row of the pairs (see
-    :func:`_mirror_pairs`). The sectors of even and of odd n are mixed in
-    separate blocks, since their mirrors join the projections differently.
-    """
-    index, pairs = _mirror_pairs(grid, layout, rotation)
-    quads = pairs.view(np.float64)
-    # room for the projections of every run, or for a block of runs and the widest
-    columns = sum(layout.sectors) // 2 + len(layout.sectors)
-    width = min(columns, max(MIX_COLUMNS, layout.sectors[-1] // 2 + 1))
-    blocks = {}  # by the parity of n
-    start = 0  # where the run's paired cells start
-    for n, low in zip(layout.sectors, layout.lows):
-        block = blocks.get(n % 2)
-        if block is None:
-            block = blocks[n % 2] = _Block(width, n % 2, rotation)
-        stop = start + n // 2 + 1 - low
-        stored = _jx_basis(n)
-        first = low % 2  # the first even k, from the run's start
-        even_cells = quads[start + first : stop : 2]
-        odd_cells = quads[start + 1 - first : stop : 2]
-        block.project(n, stored[low + first :: 2], stored[low + 1 - first :: 2],
-                      even_cells, odd_cells)
-        start = stop
-    for block in blocks.values():
-        block.finish()
-    rotated = np.empty(len(layout.rows), dtype=np.complex128)
-    rotated[index[:, 1]] = pairs[:, 1]
-    rotated[index[:, 0]] = pairs[:, 0]  # last, for the middle cell, its own mirror
-    return rotated
-
-
-class _Block:
-    """Runs of sectors of one parity of n whose projections wait to be mixed.
-
-    ``f[0]`` holds the projections on the stored blocks, n//2 + 1 columns per
-    run, of the even cells k <= n/2 and of their mirrors, ``f[1]`` those of
-    the odd cells. ``table[:, q]`` holds the rotation's cos and sin entries of
-    that parity and the signs s_j of the sectors with (n//2) % 2 = q; a run
-    reads its first n//2 + 1 columns.
-    """
-
-    __slots__ = ("f", "quads", "crossed", "table", "runs", "used")
-
-    def __init__(self, width: int, parity: int, rotation: _EulerRotation) -> None:
-        self.f = np.empty((2, width, 2), dtype=np.complex128)
-        self.quads = self.f.view(np.float64)
-        self.crossed = parity == 1  # the mirror n-k of an odd sector has the other parity
-        cos = rotation.cos[parity::2]
-        self.table = np.empty((3, 2, len(cos)), dtype=np.complex128)
-        self.table[0], self.table[1] = cos, rotation.sin[parity::2]
-        self.table[2] = 1.0
-        self.table[2, 0, 1::2] = self.table[2, 1, ::2] = -1.0
-        self.runs: list = []
-        self.used = 0
-
-    def project(self, n: int, even: np.ndarray, odd: np.ndarray,
-                even_cells: np.ndarray, odd_cells: np.ndarray) -> None:
-        """Project the paired cells of sector n on the even and odd rows of its stored block."""
-        if self.used + n // 2 + 1 > self.f.shape[1]:
-            self.finish()
-        h, self.used = self.used, self.used + n // 2 + 1
-        even_f, odd_f = self.quads[0, h : self.used], self.quads[1, h : self.used]
-        np.matmul(even.T, even_cells, out=even_f)
-        np.matmul(odd.T, odd_cells, out=odd_f)
-        self.runs.append((n, even, odd, even_cells, odd_cells, even_f, odd_f))
-
-    def finish(self) -> None:
-        """Mix the waiting projections, then rotate them back onto their cells.
-
-        A mirror's projection, times the signs s_j, joins that of its parity.
-        Each parity's projection y becomes cos * y + sin * the other's, and
-        the mirror column becomes s_j times that of the mirrors' parity, so
-        the products back give each cell and its mirror. Once joined, the
-        mirror column is free working space.
-        """
-        table = self.table
-        cos, sin, s = np.concatenate(
-            [table[:, run[0] // 2 % 2, : run[0] // 2 + 1] for run in self.runs], axis=1)
-        y, mirrors = self.f[:, : self.used, 0], self.f[:, : self.used, 1]
-        mirrors *= s
-        y += mirrors[::-1] if self.crossed else mirrors
-        np.multiply(sin, y[::-1], out=mirrors)
-        np.multiply(cos, y, out=y)
-        y += mirrors
-        np.multiply(y[::-1] if self.crossed else y, s, out=mirrors)
-        for _, even, odd, even_cells, odd_cells, even_f, odd_f in self.runs:
-            np.matmul(even, even_f, out=even_cells)
-            np.matmul(odd, odd_f, out=odd_cells)
-        self.runs, self.used = [], 0
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    out.reshape(-1)[plan.flats] = rotated
+    return FockState(out, state.cutoff, state.truncation_loss)
 
 
 def beam_splitter(state: FockState, which: Literal["first", "second"] = "first") -> FockState:

@@ -1,11 +1,11 @@
 """Reference implementations: an independent definition of the generators,
 and the straightforward forms that the optimized paths must match bit for bit.
 
-The raising and lowering operators, and the Schwinger generators and their
-moments built from them, live only here: the package defines the generators
-once, as the sector blocks its rotations exponentiate, and needs only the
-diagonal number moments. Tests check those blocks against this ladder
-definition.
+The raising and lowering operators, the Schwinger generators and their
+moments built from them, and the generators' sector blocks live only here:
+the package rotates through the closed-form Jx eigenbasis and needs only the
+diagonal number moments. Tests check the sector blocks against the ladder
+definition, and the rotations against the blocks' matrix exponential.
 
 The other references are the straightforward form of a computation the
 package now does with less work: every ladder moment lowers both sides of its
@@ -52,9 +52,28 @@ from mzi_qfi.schwinger import (
     _direction,
     _EulerRotation,
     _jx_basis,
+    _ladder_coupling,
     phase_shift,
-    sector_generator_matrix,
 )
+
+
+def sector_generator_matrix(n: int, cutoff: int, v: DirectionLike) -> np.ndarray:
+    """Hermitian block of v . J on the total-photon-number-n sector.
+
+    Basis kets are |k, n-k> for the k values that fit inside the grid; for
+    n <= cutoff this is the complete spin n/2 representation. Its coupling
+    c_k is the one the package's Jx basis recurrence reads.
+    """
+    d = _direction(v)
+    ks = sector_kets(n, cutoff)
+    size = len(ks)
+    h = np.zeros((size, size), dtype=np.complex128)
+    np.fill_diagonal(h, d.z * (ks - n / 2))
+    if size > 1:
+        off = (d.x - 1j * d.y) * (_ladder_coupling(n, ks[:-1].astype(float)) / 2)
+        h[np.arange(1, size), np.arange(size - 1)] = off
+        h[np.arange(size - 1), np.arange(1, size)] = np.conj(off)
+    return h
 
 
 def _lower(grid, axis):

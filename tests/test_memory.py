@@ -21,19 +21,23 @@ TWO_GRID_STAGES = ("qfi_fidelity", "build_report")
 
 #: The peak of every other stage in grids, rounded up to a hundredth, as
 #: measured when the fidelity route was brought to two grids and the number
-#: moments to one probability grid (half a grid) and its squares.
+#: moments to one probability grid (half a grid) and its squares. The cold
+#: rotation's was measured when the rotation plan and the Jx-basis
+#: coordinates of the last grid rotated came to be kept: for tsv, about one
+#: grid of coordinates (n//2 + 1 columns of each parity for each of its 301
+#: even sectors) and half a grid of plan.
 BUDGETS = {
     "tsv xi=1.2": {
         "build": 2.01, "analyze": 1.01, "decompose_sectors": 1.27, "qfi_variance": 1.01,
-        "schmidt": 0.42, "phase_shift": 1.11, "mzi_unitary": 2.07,
+        "schmidt": 0.42, "phase_shift": 1.11, "mzi_unitary": 2.07, "mzi_unitary_cold": 3.40,
     },
     "amplified-bell xi=1.2": {
         "build": 2.19, "analyze": 1.01, "decompose_sectors": 1.27, "qfi_variance": 1.01,
-        "schmidt": 0.67, "phase_shift": 1.11, "mzi_unitary": 2.07,
+        "schmidt": 0.67, "phase_shift": 1.11, "mzi_unitary": 2.07, "mzi_unitary_cold": 3.38,
     },
     "twin-fock n=200": {
         "build": 2.02, "analyze": 1.01, "decompose_sectors": 0.19, "qfi_variance": 1.01,
-        "schmidt": 0.19, "phase_shift": 1.06, "mzi_unitary": 1.03,
+        "schmidt": 0.19, "phase_shift": 1.06, "mzi_unitary": 1.03, "mzi_unitary_cold": 1.03,
     },
 }
 

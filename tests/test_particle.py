@@ -11,7 +11,7 @@ from mzi_qfi.errors import ParameterError, SectorSupportError
 from mzi_qfi.fock import FockState, make_fock
 from mzi_qfi.particle import decompose_sectors, particle_moments, qfi_particle, sector_moments
 from mzi_qfi.qfi import qfi_variance
-from mzi_qfi.schwinger import beam_splitter, sector_generator_matrix
+from mzi_qfi.schwinger import beam_splitter
 from mzi_qfi.states import ProbeSpec, build, solve_param_for_nbar
 from oracles import (
     collective_spin_matrix,
@@ -23,6 +23,7 @@ from oracles import (
     locality_defect,
     multiqubit_oracle,
     reduced_single_particle,
+    sector_generator_matrix,
     symmetric_qubit_vector,
 )
 

@@ -80,6 +80,7 @@ def test_ladder_layer_is_gone(module, name):
     (schwinger, "_real"), (schwinger, "_J_IMAG_TOL"),
     (mzi_qfi, "locality_check"), (mzi_qfi, "multiqubit_oracle"),
     (particle, "locality_check"), (particle, "multiqubit_oracle"),
+    (schwinger, "sector_generator_matrix"),
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)

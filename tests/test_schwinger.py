@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 import threading
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import random_direction, random_two_mode_state, sparse_states
+from mzi_qfi import schwinger
 from mzi_qfi.errors import TruncationOverflowError
 from mzi_qfi.fock import (
     FockState,
@@ -33,7 +35,6 @@ from mzi_qfi.schwinger import (
     jz_moments,
     mzi_unitary,
     phase_shift,
-    sector_generator_matrix,
 )
 from mzi_qfi.states import ProbeSpec, build, coherent_vector, mean_photon_number
 from oracles import (
@@ -42,6 +43,7 @@ from oracles import (
     oracle_apply_generator,
     per_axis_eigh_rotation,
     phase_shift_formula,
+    sector_generator_matrix,
 )
 
 EPSILON = {("jx", "jy"): "jz", ("jy", "jz"): "jx", ("jz", "jx"): "jy"}
@@ -263,19 +265,72 @@ class TestRotations:
         assert out.truncation_loss == coarse.truncation_loss > 1e-10
         assert abs(mean_photon_number(out) - mean_photon_number(coarse)) < 1e-12
 
-    def test_single_sector_probe_rotates_one_block(self, sector_reads):
-        state = build(ProbeSpec("fock-pair", {"n": 200}))
+    def test_single_sector_probe_lays_out_once(self, sector_reads):
+        built = build(ProbeSpec("fock-pair", {"n": 200}))
+        state = FockState(built.amplitudes.copy(), built.cutoff)  # a grid no other test rotates
         assert state.cutoff == 400
         apply_rotation(state, X_AXIS, 0.3)  # the basis of sector 400, cold or warm
+        # one layout read for the one occupied sector, none for the 800 empty ones
+        assert sector_reads == [400]
         v = np.array([0.2718, -0.3141, 0.5772])  # an axis no other test rotates about
         v = tuple(v / np.linalg.norm(v))
         misses = _jx_basis.misses
         apply_rotation(state, v, 0.7)
-        assert _jx_basis.misses == misses  # a new axis needs no new basis
-        # one layout read for the one occupied sector, none for the 800 empty ones
-        sector_reads.clear()
         apply_rotation(state, v, 1.1)
-        assert sector_reads == [400]
+        mzi_unitary(state, 0.2)
+        assert _jx_basis.misses == misses  # a new axis needs no new basis
+        assert sector_reads == [400]  # and no new layout: the state's plan is kept
+
+    def test_interleaved_scans_match_dense_sector_loop_bit_for_bit(self, rng):
+        # each state's plan and coordinates are reused across phases of one gamma,
+        # and replaced for another gamma or another state; the Y axis has
+        # gamma = -pi/2 for |phi| < pi and +pi/2 past it
+        states = [build(ProbeSpec("coherent", {"alpha": 2.0}, 30)),  # with partial sectors
+                  random_two_mode_state(rng, 12, 12), make_fock(2, 5, 7)]
+        steps = [(Y_AXIS, 0.3), (Y_AXIS, 1.2), (tuple(random_direction(rng)), 2.1),
+                 (Y_AXIS, -2.0), (Y_AXIS, 0.3), (Y_AXIS, 3.5), (Y_AXIS, 4.0),
+                 (X_AXIS, 0.8), (tuple(random_direction(rng)), -5.2), (Y_AXIS, 0.0)]
+        for state in states + states[::-1]:
+            for v, angle in steps:
+                got = apply_rotation(state, v, angle).amplitudes
+                expected = dense_rotation(state, v, angle).amplitudes
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (v, angle)
+
+    def test_plan_is_dropped_with_its_state(self):
+        state = make_fock(3, 2, 6)
+        mzi_unitary(state, 0.4)
+        assert schwinger._memo[0]() is state.amplitudes
+        del state
+        gc.collect()
+        assert schwinger._memo is None
+
+    def test_scans_in_threads_match_bit_for_bit(self):
+        states = [build(ProbeSpec("coherent", {"alpha": 2.0}, 30)),
+                  build(ProbeSpec("twin-fock", {"n": 10}))]
+        steps = [(Y_AXIS, 0.25 * i) for i in range(12)] + [((0.48, -0.6, 0.64), 0.9), (X_AXIS, 1.3)]
+        expected = [[dense_rotation(state, v, angle).amplitudes.view(np.uint64)
+                     for v, angle in steps] for state in states]
+        mismatches = []
+
+        def scan(i):
+            for _ in range(4):
+                for (v, angle), want in zip(steps, expected[i]):
+                    got = apply_rotation(states[i], v, angle).amplitudes.view(np.uint64)
+                    if not np.array_equal(got, want):
+                        mismatches.append((i, v, angle))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=scan, args=(i,)) for i in (0, 1, 0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
 
     def test_rotating_at_many_cutoffs_keeps_four_totals_grids(self):
         state = build(ProbeSpec("coherent", {"alpha": 2.0}))
@@ -363,11 +418,13 @@ class TestRotations:
         assert_stored_block_diagonalizes_jx(n)
 
     def test_rotation_requires_headroom(self):
-        # all support on the truncated corner sector
+        # all support on the truncated corner sector, refused on every call
         grid = np.zeros((3, 3), dtype=complex)
         grid[2, 2] = 1.0
-        with pytest.raises(TruncationOverflowError):
-            apply_rotation(FockState(grid, 2), X_AXIS, 0.3)
+        state = FockState(grid, 2)
+        for v in (X_AXIS, X_AXIS, Y_AXIS):
+            with pytest.raises(TruncationOverflowError, match="weight 1.000e[+]00 sits above cutoff 2"):
+                apply_rotation(state, v, 0.3)
 
 
 class TestBeamSplitter:
