@@ -15,6 +15,14 @@ sectors at once, :func:`sector_layout`.
 :func:`number_moments` and :func:`vdot` sum over a grid in numpy alone, not
 through BLAS, whose dot products split long vectors across threads and so
 round differently with the thread count.
+
+A state may know its photon number. ``FockState._sector`` is n when every
+nonzero amplitude lies in sector n, and None when that is not known. It is
+set only where it is known by construction: :func:`make_fock` sets j + k,
+:func:`pad_to` and :func:`mzi_qfi.schwinger.phase_shift` pass their input's
+tag on, and :func:`mzi_qfi.schwinger.apply_rotation` sets it when the
+rotated grid occupies one sector. Grids from elsewhere are never scanned for
+it. :func:`number_moments` then reads only the cells of that sector.
 """
 
 from __future__ import annotations
@@ -74,12 +82,21 @@ class FockState:
     keeps the squared norm the constructor checks, ``vdot(psi, psi).real``,
     for readers that need it again; it is not an argument and takes no part
     in ``repr`` or equality, which compares the arrays with ``np.array_equal``.
+
+    ``_sector``, a keyword-only argument that is neither in ``repr`` nor in
+    equality either, promises that every nonzero amplitude sits in the
+    photon-number sector it names, the cells |k, n-k> of
+    :func:`sector_kets`; None promises nothing. It is not checked: only the
+    package's constructors of single-sector states set it (see the module
+    docstring), and ``dataclasses.replace`` would carry it to new amplitudes,
+    so a caller that replaces them passes ``_sector=None``.
     """
 
     amplitudes: np.ndarray
     cutoff: int
     truncation_loss: float = 0.0
     _norm_squared: float = field(init=False, repr=False, compare=False)
+    _sector: Optional[int] = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -209,7 +226,7 @@ def make_fock(j: int, k: int, cutoff: int) -> FockState:
         )
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     grid[j, k] = 1.0
-    return FockState(grid, cutoff, 0.0)
+    return FockState(grid, cutoff, 0.0, _sector=j + k)
 
 
 def pad_to(state: FockState, cutoff: int) -> FockState:
@@ -220,7 +237,7 @@ def pad_to(state: FockState, cutoff: int) -> FockState:
         return state
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     grid[: state.dim, : state.dim] = state.amplitudes
-    return FockState(grid, cutoff, state.truncation_loss)
+    return FockState(grid, cutoff, state.truncation_loss, _sector=state._sector)
 
 
 def _common_grids(x: FockState, y: FockState) -> Tuple[np.ndarray, np.ndarray]:
@@ -309,6 +326,13 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     cells, and every term is non-negative, so it is a relative error. The
     probabilities take one real grid, half a complex one, and the squares of
     the imaginary parts another while they are added in.
+
+    A state that knows its photon number n (``FockState._sector``) costs
+    O(c) instead: only the at most c + 1 cells of sector n are gathered and
+    squared, and their p and k p are scattered into the row and column sums.
+    In such a grid every row and every column holds at most one nonzero
+    cell, and adding zeros to a float is exact, so the dense sums would
+    return that one term unchanged: both ways give the same bits.
     """
     if not isinstance(state, FockState):
         raise ParameterError("number_moments requires a normalized FockState")
@@ -316,13 +340,27 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
         raise ParameterError(f"order must be 1 or 2, got {order!r}")
 
     psi = state.amplitudes
-    probs = np.square(psi.real)
-    probs += np.square(psi.imag)
-    levels = np.arange(state.dim, dtype=np.float64)
-    rows = probs.sum(axis=1)
-    probs *= levels  # k p_jk
-    weighted_rows = probs.sum(axis=1) if order == 2 else None
-    weighted_cols = _column_sums(probs)  # k c_k
+    n = state._sector
+    if n is None:
+        probs = np.square(psi.real)
+        probs += np.square(psi.imag)
+        levels = np.arange(state.dim, dtype=np.float64)
+        rows = probs.sum(axis=1)
+        probs *= levels  # k p_jk
+        weighted_rows = probs.sum(axis=1) if order == 2 else None
+        weighted_cols = _column_sums(probs)  # k c_k
+    else:
+        js = sector_kets(n, state.cutoff)  # the cells (j, n - j), one per row and column
+        ks = n - js
+        cells = psi[js, ks]
+        probs = np.square(cells.real)
+        probs += np.square(cells.imag)
+        rows, weighted_rows, weighted_cols = np.zeros((3, state.dim))
+        rows[js] = probs
+        probs *= ks  # k p_jk, with k exact as a float
+        weighted_rows[js] = probs
+        weighted_cols[ks] = probs
+        levels = np.arange(state.dim, dtype=np.float64)
     a = float((levels * rows).sum())
     b = float(weighted_cols.sum())
     if order == 1:

@@ -29,9 +29,11 @@ matrix products per occupied sector for the coordinates, when the grid or
 gamma is new, and two back, each with a cell and its mirror as four real columns, so a
 fixed-photon-number probe pays for a single block; and one vectorized pass
 over the cells (the cos/sin mixing in groups of at most ``MIX_COLUMNS``
-columns, the left phase, the norm and the scatter). Jz is diagonal in the
-number basis, so its moments come from the number moments of
-:mod:`mzi_qfi.fock`.
+columns, the left phase, the norm and the scatter). A result that occupies
+one sector, as every rotation of a fixed-photon-number probe does, carries
+that sector as its ``FockState._sector`` tag, so its number moments cost
+O(c), not O(c^2). Jz is diagonal in the number basis, so its moments come
+from the number moments of :mod:`mzi_qfi.fock`.
 """
 
 from __future__ import annotations
@@ -204,11 +206,13 @@ class _EulerRotation:
     (see :func:`apply_rotation`), both complex so that they multiply complex
     vectors without a cast. ``left[t + offset]`` and ``right[t + offset]`` are
     exp(-i alpha t/2) and exp(-i gamma t/2) for t = -top..top, or None when
-    that angle is 0. Each entry is the same whatever ``top`` is. ``gamma``
-    keys a state's Jx-basis coordinates, which Rz(gamma) alone decides.
+    that angle is 0; ``right`` is built on its first read, since only a
+    projection to new coordinates reads it. Each entry is the same whatever
+    ``top`` is. ``gamma`` keys a state's Jx-basis coordinates, which
+    Rz(gamma) alone decides.
     """
 
-    __slots__ = ("gamma", "cos", "sin", "left", "right", "offset")
+    __slots__ = ("gamma", "cos", "sin", "left", "offset", "_right")
 
     def __init__(self, v: DirectionLike, angle: float, top: int) -> None:
         alpha, beta, self.gamma = _euler_angles(v, angle)
@@ -218,8 +222,14 @@ class _EulerRotation:
         self.cos = (weight * np.cos(beta_m)).astype(np.complex128)
         self.sin = -1j * (weight * np.sin(beta_m))
         self.left = _phase_table(alpha, m)
-        self.right = _phase_table(self.gamma, m)
         self.offset = top
+        self._right = False  # not built yet
+
+    @property
+    def right(self) -> Optional[np.ndarray]:
+        if self._right is False:
+            self._right = _phase_table(self.gamma, np.arange(self.offset + 1) / 2)
+        return self._right
 
 
 #: Columns of coordinates mixed in one pass. It bounds the work buffers of a
@@ -245,6 +255,7 @@ class _Group(NamedTuple):
 class _Plan(NamedTuple):
     """What rotating one grid needs of the grid alone, whatever the rotation.
 
+    ``occupied`` lists the photon numbers of the occupied sectors, ascending;
     ``flats`` holds the flat grid index of each cell of the occupied sectors
     (:func:`mzi_qfi.fock.sector_layout`), ``phases`` its entry t + ``top`` in
     the Rz tables, and ``unpair`` its place among the ``pairs`` rows of
@@ -255,6 +266,7 @@ class _Plan(NamedTuple):
     rotation's cos and sin tables, and ``signs`` its s_j.
     """
 
+    occupied: List[int]
     top: int
     flats: np.ndarray
     phases: np.ndarray
@@ -327,7 +339,7 @@ def _plan(grid: np.ndarray) -> _Plan:
         columns = runs[-1][7]
         groups.append(_Group(runs[0][0] % 2 == 1, slice(edge, edge + columns), tuple(runs)))
         edge += columns
-    return _Plan(top, flats, phases, unpair, start, gather, signs, tuple(groups))
+    return _Plan(occupied, top, flats, phases, unpair, start, gather, signs, tuple(groups))
 
 
 def _rotate(
@@ -346,8 +358,9 @@ def _rotate(
     project = coordinates is None
     if project:
         amps = grid.reshape(-1).take(plan.flats)
-        if rotation.right is not None:
-            np.multiply(rotation.right.take(plan.phases), amps, out=amps)
+        right = rotation.right
+        if right is not None:
+            np.multiply(right.take(plan.phases), amps, out=amps)
         pairs = np.zeros((plan.pairs, 2), dtype=np.complex128)
         pairs.reshape(-1)[plan.unpair] = amps
         del amps
@@ -445,6 +458,9 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     grid is dropped. That weight is why the rotation requires negligible
     weight above the cutoff, summed over the cells of the runs above it, on
     every call. The rotated vectors are renormalized together.
+
+    When the grid occupies a single sector n, the result carries n as its
+    ``_sector`` tag (see :class:`mzi_qfi.fock.FockState`).
     """
     global _memo
     grid = state.amplitudes
@@ -462,7 +478,8 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     rotated /= math.sqrt(real.dot(real) + imag.dot(imag))
     out = np.zeros(grid.shape, dtype=np.complex128)
     out.reshape(-1)[plan.flats] = rotated
-    return FockState(out, state.cutoff, state.truncation_loss)
+    sector = plan.occupied[0] if len(plan.occupied) == 1 else None
+    return FockState(out, state.cutoff, state.truncation_loss, _sector=sector)
 
 
 def beam_splitter(state: FockState, which: Literal["first", "second"] = "first") -> FockState:
@@ -480,12 +497,13 @@ def phase_shift(state: FockState, phi: float) -> FockState:
     Diagonal in the number basis, hence exact at any cutoff. The phase depends
     on j - k alone, so it is evaluated once for each of the 2c+1 differences
     d = c, ..., -c; row j of the grid's phases is the window of that table
-    starting at d = j.
+    starting at d = j. The result keeps the input's ``_sector`` tag.
     """
     differences = np.arange(state.cutoff, -state.cutoff - 1, -1)
     table = np.exp(-1j * phi * differences / 2)
     phases = sliding_window_view(table, state.dim)[::-1]
-    return FockState(phases * state.amplitudes, state.cutoff, state.truncation_loss)
+    return FockState(phases * state.amplitudes, state.cutoff, state.truncation_loss,
+                     _sector=state._sector)
 
 
 def mzi_unitary(state: FockState, phi: float) -> FockState:

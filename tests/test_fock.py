@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_two_mode_state, sparse_states
+from conftest import random_direction, random_two_mode_state, sparse_states
 from mzi_qfi import particle, schwinger
 from mzi_qfi.errors import (
     CutoffExceededError,
@@ -28,6 +28,7 @@ from mzi_qfi.fock import (
     state_distance,
     vdot,
 )
+from mzi_qfi.serialize import read_state_file, write_state_file
 from mzi_qfi.states import ProbeSpec, build
 from oracles import _lower, ladder_moment, oracle_raise
 
@@ -312,3 +313,83 @@ class TestSectorLayout:
                      r"\+ *[\w.()]+\[None, *:\]", r"np\.(add\.outer|indices|[om]grid|meshgrid)"):
             assert not re.search(grid, source), grid  # the levels of a j + k grid
         assert "lru_cache" not in source
+
+
+FIXED_N_FAMILIES = ("twin-fock", "fraternal-twin-fock", "separable-coherent-probe",
+                    "fock-pair", "noon")
+
+
+def moment_bits(moments):
+    """The fields of ``moments`` that were computed, as uint64 bit patterns."""
+    values = [value for value in dataclasses.astuple(moments) if value is not None]
+    return np.array(values).view(np.uint64)
+
+
+def untagged(state):
+    return FockState(state.amplitudes, state.cutoff, state.truncation_loss)
+
+
+def tagged_states(rng):
+    """Single-sector states carrying their tag: fixed-n probes after random-axis
+    rotations, the two cells of noon, the vacuum, and sectors partly above the cutoff."""
+    for family in FIXED_N_FAMILIES:
+        for n in (1, 2, 3, 8, 64, 200):
+            probe = build(ProbeSpec(family, {"n": n}))
+            for _ in range(2):
+                axis = tuple(random_direction(rng))
+                yield f"{family} n={n}", schwinger.apply_rotation(probe, axis, rng.uniform(0.1, 6))
+    noon = build(ProbeSpec("noon", {"n": 5}))
+    yield "noon", FockState(noon.amplitudes, noon.cutoff, _sector=5)
+    yield "vacuum", make_fock(0, 0, 3)
+    yield "above the cutoff", make_fock(5, 4, 5)
+    grid = np.zeros((6, 6), dtype=complex)
+    ks = sector_kets(8, 5)
+    grid[ks, 8 - ks] = rng.normal(size=len(ks)) + 1j * rng.normal(size=len(ks))
+    yield "partial sector", FockState(grid / np.linalg.norm(grid), 5, 1e-13, _sector=8)
+
+
+class TestSectorTag:
+    def test_tagged_moments_are_the_dense_moments_bit_for_bit(self, rng):
+        compared = 0
+        for label, state in tagged_states(rng):
+            assert state._sector is not None, label
+            for order in (1, 2):
+                tagged = moment_bits(number_moments(state, order))
+                dense = moment_bits(number_moments(untagged(state), order))
+                assert np.array_equal(tagged, dense), (label, order)
+                compared += 1
+        assert compared == 2 * (5 * 6 * 2 + 4)
+
+    def test_every_tag_the_package_sets_names_the_one_occupied_sector(self):
+        fock_pair = build(ProbeSpec("fock-pair", {"n": 3}))
+        states = [make_fock(2, 1, 4), make_fock(0, 0, 0), pad_to(make_fock(2, 3, 3), 6),
+                  fock_pair, schwinger.phase_shift(fock_pair, 0.4),
+                  schwinger.beam_splitter(fock_pair), schwinger.mzi_unitary(fock_pair, 0.3)]
+        states += [build(ProbeSpec(family, {"n": 4})) for family in FIXED_N_FAMILIES[:4]]
+        noon = build(ProbeSpec("noon", {"n": 4}))
+        states.append(schwinger.apply_rotation(noon, (0.6, -0.48, 0.64), 0.7))
+        for state in states:
+            assert occupied_sectors(state.amplitudes) == [state._sector]
+
+    def test_tags_only_what_is_known_by_construction(self, tmp_path):
+        coherent = build(ProbeSpec("coherent", {"alpha": 1.5}, 40))
+        tsv = build(ProbeSpec("twin-squeezed-vacuum", {"xi": 0.5}, 60))
+        for probe in (coherent, tsv):
+            assert probe._sector is None
+            assert schwinger.mzi_unitary(probe, 0.3)._sector is None
+            assert schwinger.phase_shift(probe, 0.3)._sector is None
+        assert build(ProbeSpec("noon", {"n": 3}))._sector is None  # assembled from a grid
+        twin = build(ProbeSpec("twin-fock", {"n": 3}))
+        assert FockState.from_grid(twin.amplitudes)._sector is None
+        write_state_file(twin, str(tmp_path / "twin.json"))
+        assert read_state_file(str(tmp_path / "twin.json"))._sector is None
+        assert all(s.state._sector is None for s in particle.decompose_sectors(twin).sectors)
+
+    def test_tag_takes_no_part_in_repr_or_equality(self):
+        state = make_fock(1, 2, 3)
+        plain = untagged(state)
+        assert state._sector == 3 and plain._sector is None
+        assert state == plain and repr(state) == repr(plain) and "_sector" not in repr(state)
+        field = {f.name: f for f in dataclasses.fields(FockState)}["_sector"]
+        flags = (field.default, field.kw_only, field.repr, field.compare)
+        assert flags == (None, True, False, False)

@@ -25,19 +25,25 @@ TWO_GRID_STAGES = ("qfi_fidelity", "build_report")
 #: rotation's was measured when the rotation plan and the Jx-basis
 #: coordinates of the last grid rotated came to be kept: for tsv, about one
 #: grid of coordinates (n//2 + 1 columns of each parity for each of its 301
-#: even sectors) and half a grid of plan.
+#: even sectors) and half a grid of plan. A state that knows its one
+#: occupied sector, such as twin-fock and its rotations, takes its moments
+#: from the cells of that sector alone, so its ``analyze``, ``qfi_variance``
+#: and ``analyze_rotated`` hold a few vectors of c + 1 floats.
 BUDGETS = {
     "tsv xi=1.2": {
         "build": 2.01, "analyze": 1.01, "decompose_sectors": 1.27, "qfi_variance": 1.01,
-        "schmidt": 0.42, "phase_shift": 1.11, "mzi_unitary": 2.07, "mzi_unitary_cold": 3.40,
+        "schmidt": 0.42, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 1.01,
+        "mzi_unitary_cold": 3.40,
     },
     "amplified-bell xi=1.2": {
         "build": 2.19, "analyze": 1.01, "decompose_sectors": 1.27, "qfi_variance": 1.01,
-        "schmidt": 0.67, "phase_shift": 1.11, "mzi_unitary": 2.07, "mzi_unitary_cold": 3.38,
+        "schmidt": 0.67, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 1.01,
+        "mzi_unitary_cold": 3.38,
     },
     "twin-fock n=200": {
-        "build": 2.02, "analyze": 1.01, "decompose_sectors": 0.19, "qfi_variance": 1.01,
-        "schmidt": 0.19, "phase_shift": 1.06, "mzi_unitary": 1.03, "mzi_unitary_cold": 1.03,
+        "build": 2.02, "analyze": 0.02, "decompose_sectors": 0.19, "qfi_variance": 0.02,
+        "schmidt": 0.19, "phase_shift": 1.06, "mzi_unitary": 1.03, "analyze_rotated": 0.02,
+        "mzi_unitary_cold": 1.03,
     },
 }
 

@@ -296,6 +296,18 @@ class TestRotations:
                 expected = dense_rotation(state, v, angle).amplitudes
                 assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (v, angle)
 
+    def test_kept_coordinates_leave_the_right_phases_unbuilt(self, monkeypatch):
+        state = random_two_mode_state(np.random.default_rng(5), 9, 9)
+        mzi_unitary(state, 0.3)  # projects, with gamma = -pi/2
+        angles = []
+        recording = schwinger._phase_table
+        monkeypatch.setattr(schwinger, "_phase_table",
+                            lambda angle, m: angles.append(angle) or recording(angle, m))
+        got = mzi_unitary(state, 0.9).amplitudes
+        assert angles == [math.pi / 2]  # the left table alone
+        expected = dense_rotation(state, Y_AXIS, 0.9).amplitudes
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_plan_is_dropped_with_its_state(self):
         state = make_fock(3, 2, 6)
         mzi_unitary(state, 0.4)
