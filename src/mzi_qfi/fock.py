@@ -10,7 +10,8 @@ The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
 probabilities. Rotations act on photon-number sectors instead (see
 :mod:`mzi_qfi.schwinger`), laid out by :func:`sector_kets`,
 :func:`photon_totals`, :func:`occupied_sectors` and, for the cells of many
-sectors at once, :func:`sector_layout`.
+sectors at once, :func:`sector_layout`; :func:`sector_cells` reads the cells
+of one sector as a view.
 
 :func:`number_moments` and :func:`vdot` sum over a grid in numpy alone, not
 through BLAS, whose dot products split long vectors across threads and so
@@ -20,16 +21,18 @@ A state may know its photon number. ``FockState._sector`` is n when every
 nonzero amplitude lies in sector n, and None when that is not known. It is
 set only where it is known by construction: :func:`make_fock` sets j + k,
 :func:`pad_to` and :func:`mzi_qfi.schwinger.phase_shift` pass their input's
-tag on, and :func:`mzi_qfi.schwinger.apply_rotation` sets it when the
-rotated grid occupies one sector. Grids from elsewhere are never scanned for
-it. :func:`number_moments` then reads only the cells of that sector.
+tag on, :func:`mzi_qfi.schwinger.apply_rotation` sets it when the rotated
+grid occupies one sector, and :attr:`mzi_qfi.particle.Sector.state` sets the
+sector's n. Grids from elsewhere are never scanned for it. The norm check of
+a tagged state and :func:`number_moments` then read only the cells of that
+sector.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from typing import List, Literal, NamedTuple, Optional, Sequence, Tuple
@@ -79,26 +82,30 @@ class FockState:
     ``truncation_loss`` is the probability discarded before the grid was
     renormalized; it is zero for states assembled directly from basis kets.
     Instances are immutable and safe to share across threads. ``_norm_squared``
-    keeps the squared norm the constructor checks, ``vdot(psi, psi).real``,
-    for readers that need it again; it is not an argument and takes no part
-    in ``repr`` or equality, which compares the arrays with ``np.array_equal``.
+    keeps the squared norm the constructor checks, for readers that need it
+    again; it is not an argument and takes no part in ``repr`` or equality,
+    which compares the arrays with ``np.array_equal``.
 
-    ``_sector``, a keyword-only argument that is neither in ``repr`` nor in
-    equality either, promises that every nonzero amplitude sits in the
-    photon-number sector it names, the cells |k, n-k> of
-    :func:`sector_kets`; None promises nothing. It is not checked: only the
-    package's constructors of single-sector states set it (see the module
-    docstring), and ``dataclasses.replace`` would carry it to new amplitudes,
-    so a caller that replaces them passes ``_sector=None``.
+    ``_in_sector``, a keyword-only argument, promises that every nonzero
+    amplitude sits in the photon-number sector it names, the cells |k, n-k>
+    of :func:`sector_kets`; None, the default, promises nothing. The state
+    keeps it as ``_sector``, which is neither an argument nor in ``repr`` or
+    equality either. It is not checked: only the package's constructors of
+    single-sector states pass it (see the module docstring). The norm is
+    checked as ``vdot(psi, psi).real`` over the cells of that sector alone,
+    at most c + 1 of them, and over the whole grid, one complex dot, when no
+    sector is known. ``dataclasses.replace`` passes no ``_in_sector``, so a
+    replaced state knows no sector and is checked over every cell.
     """
 
     amplitudes: np.ndarray
     cutoff: int
     truncation_loss: float = 0.0
     _norm_squared: float = field(init=False, repr=False, compare=False)
-    _sector: Optional[int] = field(default=None, kw_only=True, repr=False, compare=False)
+    _sector: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    _in_sector: InitVar[Optional[int]] = field(default=None, kw_only=True)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _in_sector: Optional[int]) -> None:
         grid = np.asarray(self.amplitudes, dtype=np.complex128)
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
             raise ParameterError(f"amplitude grid must be square, got shape {grid.shape}")
@@ -108,14 +115,19 @@ class FockState:
             )
         if self.truncation_loss < 0:
             raise ParameterError("truncation_loss must be non-negative")
-        # one complex dot; written so that a NaN or infinite norm fails the check
-        norm_squared = float(np.vdot(grid, grid).real)
+        # written so that a NaN or infinite norm fails the check
+        if _in_sector is None:
+            norm_squared = float(np.vdot(grid, grid).real)
+        else:
+            cells = sector_cells(grid, _in_sector)  # every other cell is zero
+            norm_squared = vdot(cells, cells).real
         nrm = math.sqrt(norm_squared)
         if not abs(nrm - 1.0) <= _NORM_TOL:
             raise NormalizationError(f"state norm {nrm!r} deviates from 1 beyond {_NORM_TOL}")
         grid.flags.writeable = False
         object.__setattr__(self, "amplitudes", grid)
         object.__setattr__(self, "_norm_squared", norm_squared)
+        object.__setattr__(self, "_sector", _in_sector)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -163,6 +175,20 @@ def sector_kets(n: int, cutoff: int) -> np.ndarray:
     ks = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
     ks.flags.writeable = False
     return ks
+
+
+def sector_cells(grid: np.ndarray, n: int) -> np.ndarray:
+    """The amplitudes of ``grid`` on |k, n-k>, k in ``sector_kets``, as a view where it can.
+
+    Cell (k, n-k) lies ``cutoff`` flat places after (k-1, n-k+1), so the run
+    is one strided slice of the flattened grid (a copy if ``grid`` is not
+    C-contiguous).
+    """
+    cutoff = grid.shape[0] - 1
+    low = max(0, n - cutoff)
+    count = max(0, min(n, cutoff) + 1 - low)
+    start, step = low * cutoff + n, cutoff or 1
+    return grid.reshape(-1)[start : start + count * step : step]
 
 
 @lru_cache(maxsize=4)
@@ -226,7 +252,7 @@ def make_fock(j: int, k: int, cutoff: int) -> FockState:
         )
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     grid[j, k] = 1.0
-    return FockState(grid, cutoff, 0.0, _sector=j + k)
+    return FockState(grid, cutoff, 0.0, _in_sector=j + k)
 
 
 def pad_to(state: FockState, cutoff: int) -> FockState:
@@ -237,7 +263,7 @@ def pad_to(state: FockState, cutoff: int) -> FockState:
         return state
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
     grid[: state.dim, : state.dim] = state.amplitudes
-    return FockState(grid, cutoff, state.truncation_loss, _sector=state._sector)
+    return FockState(grid, cutoff, state.truncation_loss, _in_sector=state._sector)
 
 
 def _common_grids(x: FockState, y: FockState) -> Tuple[np.ndarray, np.ndarray]:
@@ -352,7 +378,7 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     else:
         js = sector_kets(n, state.cutoff)  # the cells (j, n - j), one per row and column
         ks = n - js
-        cells = psi[js, ks]
+        cells = sector_cells(psi, n)
         probs = np.square(cells.real)
         probs += np.square(cells.imag)
         rows, weighted_rows, weighted_cols = np.zeros((3, state.dim))

@@ -24,7 +24,14 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ParameterError, SectorSupportError
-from .fock import FockState, occupied_sectors, photon_totals, sector_kets, sector_layout
+from .fock import (
+    FockState,
+    occupied_sectors,
+    photon_totals,
+    sector_cells,
+    sector_kets,
+    sector_layout,
+)
 
 #: Sector weights below this are dropped from decompositions.
 WEIGHT_FLOOR = 1e-14
@@ -64,11 +71,14 @@ class Sector:
 
     @property
     def state(self) -> FockState:
-        """The sector as a normalized state on a ``cutoff`` grid, built on each access."""
+        """The sector as a normalized state on a ``cutoff`` grid, built on each access.
+
+        The state knows its photon number n (``FockState._sector``), so its
+        norm check and its number moments read only the cells of ``coeffs``.
+        """
         grid = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=np.complex128)
-        ks = self.ks
-        grid[ks, self.n - ks] = self.coeffs
-        return FockState(grid, self.cutoff)
+        sector_cells(grid, self.n)[:] = self.coeffs
+        return FockState(grid, self.cutoff, _in_sector=self.n)
 
 
 @dataclass(frozen=True)
@@ -207,7 +217,7 @@ def particle_moments(
     if n < 1:
         raise ParameterError(f"particle statistics need n >= 1, got {n}")
     ks = sector_kets(n, sector_state.cutoff)
-    probs = np.abs(sector_state.amplitudes[ks, n - ks]) ** 2
+    probs = np.abs(sector_cells(sector_state.amplitudes, n)) ** 2
     off = sector_state._norm_squared - float(np.sum(probs))  # the norm FockState checked
     if off > SECTOR_SUPPORT_TOL:
         actual = _single_sector_n(sector_state)

@@ -31,9 +31,9 @@ fixed-photon-number probe pays for a single block; and one vectorized pass
 over the cells (the cos/sin mixing in groups of at most ``MIX_COLUMNS``
 columns, the left phase, the norm and the scatter). A result that occupies
 one sector, as every rotation of a fixed-photon-number probe does, carries
-that sector as its ``FockState._sector`` tag, so its number moments cost
-O(c), not O(c^2). Jz is diagonal in the number basis, so its moments come
-from the number moments of :mod:`mzi_qfi.fock`.
+that sector as its ``FockState._sector`` tag, so its norm check and its
+number moments cost O(c), not O(c^2). Jz is diagonal in the number basis,
+so its moments come from the number moments of :mod:`mzi_qfi.fock`.
 """
 
 from __future__ import annotations
@@ -479,7 +479,7 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     out = np.zeros(grid.shape, dtype=np.complex128)
     out.reshape(-1)[plan.flats] = rotated
     sector = plan.occupied[0] if len(plan.occupied) == 1 else None
-    return FockState(out, state.cutoff, state.truncation_loss, _sector=sector)
+    return FockState(out, state.cutoff, state.truncation_loss, _in_sector=sector)
 
 
 def beam_splitter(state: FockState, which: Literal["first", "second"] = "first") -> FockState:
@@ -503,7 +503,7 @@ def phase_shift(state: FockState, phi: float) -> FockState:
     table = np.exp(-1j * phi * differences / 2)
     phases = sliding_window_view(table, state.dim)[::-1]
     return FockState(phases * state.amplitudes, state.cutoff, state.truncation_loss,
-                     _sector=state._sector)
+                     _in_sector=state._sector)
 
 
 def mzi_unitary(state: FockState, phi: float) -> FockState:

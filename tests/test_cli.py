@@ -178,11 +178,14 @@ def test_analyze_document_matches_reference_paths(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [["--family", "twin-fock", "--n", "150"],
                                   ["--family", "fraternal-twin-fock", "--n", "200"],
-                                  ["--family", "tsv", "--nbar", "7"]], ids=" ".join)
+                                  ["--family", "tsv", "--nbar", "7"],
+                                  ["--family", "amplified-bell", "--nbar", "12"]], ids=" ".join)
 def test_analyze_document_does_not_depend_on_blas_threads(argv):
     # OpenBLAS splits a dot of more than 10 000 cells across its threads, which
     # changes how the dot rounds; no sum that reaches the document may go through it
-    # (twin-fock n = 150 exits 2, a known fidelity-step defect, so the exit code is compared too)
+    # (twin-fock n = 150 exits 2, a known fidelity-step defect, so the exit code is compared too).
+    # The Schmidt values of tsv (rank 1) and amplified-bell (rank 2, two blocks of 12 100
+    # cells at cutoff 219) come from crosses, which LAPACK sees only as 1 x 1 cores
     src = Path(__file__).resolve().parent.parent / "src"
     outputs = set()
     for threads in ("1", "2"):

@@ -6,10 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_two_mode_state
-from mzi_qfi.entanglement import SEPARABILITY_TOL, _support_singular_values, schmidt
+from mzi_qfi import entanglement
+from mzi_qfi.entanglement import (
+    CROSS_TOL,
+    MAX_CROSSES,
+    SEPARABILITY_TOL,
+    _block_singular_values,
+    _support_singular_values,
+    schmidt,
+)
 from mzi_qfi.fock import FockState, make_fock
 from mzi_qfi.qfi import qfi_variance
-from mzi_qfi.schwinger import beam_splitter, phase_shift
+from mzi_qfi.schwinger import beam_splitter, mzi_unitary, phase_shift
 from mzi_qfi.states import (
     FAMILIES,
     ProbeSpec,
@@ -179,30 +187,121 @@ def test_diagonal_and_fixed_n_probes_run_no_svd(svd_shapes, spec):
     assert np.abs(np.array(report.schmidt_values) - full[full > 1e-12]).max() <= 1e-14
 
 
-def test_twin_squeezed_vacuum_runs_one_quarter_size_svd(svd_shapes):
+@pytest.fixture
+def gathered_blocks(monkeypatch):
+    """Shapes of the support blocks whose singular values are taken, in call order."""
+    shapes = []
+    block_values = entanglement._block_singular_values
+
+    def recording(grid, rows, cols):
+        shapes.append((len(rows), len(cols)))
+        return block_values(grid, rows, cols)
+
+    monkeypatch.setattr(entanglement, "_block_singular_values", recording)
+    return shapes
+
+
+def test_twin_squeezed_vacuum_takes_one_cross_of_a_quarter_grid(svd_shapes, gathered_blocks):
     state = build(ProbeSpec("twin-squeezed-vacuum", {"xi": 0.9}))
     schmidt(state)
     half = state.cutoff // 2 + 1  # the even photon numbers of each mode
-    assert svd_shapes == [(half, half)]
+    assert gathered_blocks == [(half, half)]
+    assert svd_shapes == [(1, 1)]  # the core of one cross, and no SVD of the block
 
 
 @pytest.mark.parametrize("nbar", [4.0, 12.0])
-def test_amplified_bell_runs_two_half_size_svds(svd_shapes, nbar):
+def test_amplified_bell_takes_one_cross_of_each_half(svd_shapes, gathered_blocks, nbar):
     state, _, _ = build_for_nbar("amplified-bell", nbar)
     schmidt(state)
-    assert len(svd_shapes) == 2
-    assert sum(rows for rows, _ in svd_shapes) == state.cutoff + 1
-    assert all(rows == cols for rows, cols in svd_shapes)
+    assert len(gathered_blocks) == 2
+    assert sum(rows for rows, _ in gathered_blocks) == state.cutoff + 1
+    assert all(rows == cols for rows, cols in gathered_blocks)
+    assert svd_shapes == [(1, 1), (1, 1)]
 
 
-def test_subnormal_cells_count_as_support(svd_shapes):
+def test_subnormal_cells_count_as_support(svd_shapes, gathered_blocks):
     grid = np.zeros((4, 4), dtype=np.complex128)
     grid[0, 0] = 1.0
     grid[1, 2] = 5e-320
     grid[2, 1] = complex(0.0, 1e-170)  # its square underflows to 0
     assert _support_singular_values(grid).tolist() == [1.0, 1e-170, 5e-320]
-    assert svd_shapes == []
+    assert svd_shapes == [] and gathered_blocks == []
     grid[3, 0] = 0.5  # rows 0 and 3 share column 0; the subnormal cell joins column 2
     grid[0, 2] = 5e-324
-    _support_singular_values(grid)
-    assert svd_shapes == [(3, 2)]
+    values = _support_singular_values(grid)
+    assert gathered_blocks == [(3, 2)]  # rows 0, 1, 3 and columns 0, 2
+    # one cross through the cell 1.0 leaves only the subnormals, far below CROSS_TOL
+    assert svd_shapes == [(1, 1)]
+    assert values[1] == 1e-170 and len(values) == 2
+    assert abs(values[0] - math.sqrt(1.25)) <= 4e-16
+
+
+def test_rotated_probe_falls_back_to_the_svd_of_its_blocks(svd_shapes, gathered_blocks):
+    # a rotated squeezed-vacuum pair is a product state up to what the rotation
+    # drops and rounds, about 1e-10 here, which no cross removes: its even block
+    # takes one cross and then its SVD, its odd block, which holds only that, its SVD
+    state = mzi_unitary(build(ProbeSpec("twin-squeezed-vacuum", {"xi": 0.8}, 100)), 0.3)
+    report = schmidt(state)
+    assert gathered_blocks == [(51, 51), (50, 50)]
+    assert svd_shapes == gathered_blocks
+    full = full_svd_schmidt_values(state)
+    assert np.abs(np.array(report.schmidt_values) - full[full > 1e-12]).max() <= 1e-14
+
+
+@st.composite
+def cross_blocks(draw):
+    """A complex block of unit Frobenius norm, the number of nonzero values it is
+    built from, and its kind.
+
+    Blocks of rank 1 to ``MAX_CROSSES`` have flat or spread spectra and any
+    shape; one of their rows or columns may be scaled down to tiny or
+    subnormal cells. Rank-1 blocks may have every cell perturbed by noise of
+    1e-17 (below ``CROSS_TOL``) or 1e-13 (rounding that no cross removes).
+    Blocks of full rank above ``MAX_CROSSES`` have a flat spectrum.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["clean", "tiny cells", "noise 1e-17", "noise 1e-13", "full"]))
+    if kind == "full":
+        rank = draw(st.integers(MAX_CROSSES + 1, 24))
+        rows, cols = rank + draw(st.integers(0, 8)), rank + draw(st.integers(0, 8))
+        values = np.ones(rank)
+    else:
+        rank = 1 if kind.startswith("noise") else draw(st.integers(1, MAX_CROSSES))
+        rows, cols = draw(st.integers(rank, 40)), draw(st.integers(rank, 40))
+        spread = draw(st.booleans())
+        values = 10.0 ** rng.uniform(-3, 0, size=rank) if spread else np.ones(rank)
+    if draw(st.booleans()):
+        rows, cols = cols, rows
+    block = (_isometry(rng, rows, rank) * values) @ _isometry(rng, cols, rank).conj().T
+    if kind == "tiny cells" and max(rows, cols) > 1:  # a scaled row or column keeps the rank
+        factor = draw(st.sampled_from([1e-170, 1e-310, 1e-320]))
+        if cols == 1 or (rows > 1 and draw(st.booleans())):
+            block[rng.integers(rows)] *= factor
+        else:
+            block[:, rng.integers(cols)] *= factor
+    if kind.startswith("noise"):
+        block /= np.linalg.norm(block)
+        scale = float(kind.split()[1])
+        block += scale * (rng.normal(size=block.shape) + 1j * rng.normal(size=block.shape))
+    block /= np.linalg.norm(block)
+    return block, rank, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(cross_blocks())
+def test_cross_values_match_the_full_svd(case):
+    block, rank, kind = case
+    values = _block_singular_values(block, np.arange(block.shape[0]), np.arange(block.shape[1]))
+    full = np.linalg.svd(block, compute_uv=False)
+    kept = len(values)
+    assert np.all(values[:-1] >= values[1:])
+    assert np.abs(values - full[:kept]).max() <= 1e-14
+    assert np.all(full[kept:] <= CROSS_TOL + 1e-15)  # what the crosses leave out
+    if kind in ("noise 1e-13", "full"):
+        assert kept == min(block.shape)  # an SVD
+    elif rank == 1:
+        assert kept == 1  # one cross
+    elif kind == "clean":  # unless the residual grows on the way and an SVD takes over
+        assert kept in (rank, min(block.shape))
+    else:  # a tiny row or column may carry a value below CROSS_TOL
+        assert kept <= rank or kept == min(block.shape)

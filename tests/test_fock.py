@@ -23,6 +23,7 @@ from mzi_qfi.fock import (
     occupied_sectors,
     pad_to,
     photon_totals,
+    sector_cells,
     sector_kets,
     sector_layout,
     state_distance,
@@ -296,6 +297,18 @@ class TestSectorLayout:
         assert np.array_equal(single.rows, np.arange(401))
         assert np.array_equal(single.cols, 400 - np.arange(401))
 
+    def test_sector_cells_are_a_strided_view_of_the_kets(self):
+        for cutoff in range(6):
+            grid = np.arange((cutoff + 1) ** 2, dtype=complex).reshape(cutoff + 1, cutoff + 1)
+            for n in range(2 * cutoff + 3):
+                ks = sector_kets(n, cutoff)
+                cells = sector_cells(grid, n)
+                assert np.array_equal(cells, grid[ks, n - ks]), (cutoff, n)
+                assert np.shares_memory(cells, grid) or not len(ks)
+        transposed = np.arange(16, dtype=complex).reshape(4, 4).T
+        ks = sector_kets(4, 3)
+        assert np.array_equal(sector_cells(transposed, 4), transposed[ks, 4 - ks])
+
     @settings(max_examples=50, deadline=None)
     @given(sparse_states())
     def test_layout_takes_the_cells_of_its_runs(self, state):
@@ -339,13 +352,13 @@ def tagged_states(rng):
                 axis = tuple(random_direction(rng))
                 yield f"{family} n={n}", schwinger.apply_rotation(probe, axis, rng.uniform(0.1, 6))
     noon = build(ProbeSpec("noon", {"n": 5}))
-    yield "noon", FockState(noon.amplitudes, noon.cutoff, _sector=5)
+    yield "noon", FockState(noon.amplitudes, noon.cutoff, _in_sector=5)
     yield "vacuum", make_fock(0, 0, 3)
     yield "above the cutoff", make_fock(5, 4, 5)
     grid = np.zeros((6, 6), dtype=complex)
     ks = sector_kets(8, 5)
     grid[ks, 8 - ks] = rng.normal(size=len(ks)) + 1j * rng.normal(size=len(ks))
-    yield "partial sector", FockState(grid / np.linalg.norm(grid), 5, 1e-13, _sector=8)
+    yield "partial sector", FockState(grid / np.linalg.norm(grid), 5, 1e-13, _in_sector=8)
 
 
 class TestSectorTag:
@@ -366,6 +379,8 @@ class TestSectorTag:
                   fock_pair, schwinger.phase_shift(fock_pair, 0.4),
                   schwinger.beam_splitter(fock_pair), schwinger.mzi_unitary(fock_pair, 0.3)]
         states += [build(ProbeSpec(family, {"n": 4})) for family in FIXED_N_FAMILIES[:4]]
+        coherent = build(ProbeSpec("coherent", {"alpha": 1.5}, 24))
+        states += [sector.state for sector in particle.decompose_sectors(coherent).sectors]
         noon = build(ProbeSpec("noon", {"n": 4}))
         states.append(schwinger.apply_rotation(noon, (0.6, -0.48, 0.64), 0.7))
         for state in states:
@@ -383,7 +398,7 @@ class TestSectorTag:
         assert FockState.from_grid(twin.amplitudes)._sector is None
         write_state_file(twin, str(tmp_path / "twin.json"))
         assert read_state_file(str(tmp_path / "twin.json"))._sector is None
-        assert all(s.state._sector is None for s in particle.decompose_sectors(twin).sectors)
+        assert all(s.state._sector == s.n for s in particle.decompose_sectors(twin).sectors)
 
     def test_tag_takes_no_part_in_repr_or_equality(self):
         state = make_fock(1, 2, 3)
@@ -391,5 +406,30 @@ class TestSectorTag:
         assert state._sector == 3 and plain._sector is None
         assert state == plain and repr(state) == repr(plain) and "_sector" not in repr(state)
         field = {f.name: f for f in dataclasses.fields(FockState)}["_sector"]
-        flags = (field.default, field.kw_only, field.repr, field.compare)
-        assert flags == (None, True, False, False)
+        flags = (field.default, field.init, field.repr, field.compare)
+        assert flags == (None, False, False, False)
+        argument = inspect.signature(FockState).parameters["_in_sector"]
+        assert (argument.kind, argument.default) == (inspect.Parameter.KEYWORD_ONLY, None)
+
+    def test_replace_drops_the_tag(self):
+        moved = dataclasses.replace(make_fock(1, 0, 2), amplitudes=make_fock(0, 2, 2).amplitudes)
+        assert moved._sector is None
+        assert number_moments(moved).b == 2.0
+        assert dataclasses.replace(make_fock(1, 0, 2), truncation_loss=1e-13)._sector is None
+        grid = make_fock(1, 0, 2).amplitudes.copy()
+        grid[2, 2] = 0.5  # outside sector 1, so the grid's norm is sqrt(1.25)
+        with pytest.raises(NormalizationError):
+            dataclasses.replace(make_fock(1, 0, 2), amplitudes=grid)
+
+    def test_tagged_norm_check_reads_only_the_sector(self, monkeypatch, rng):
+        ks = sector_kets(7, 5)
+        grid = np.zeros((6, 6), dtype=complex)
+        grid[ks, 7 - ks] = rng.normal(size=len(ks)) + 1j * rng.normal(size=len(ks))
+        grid /= np.linalg.norm(grid)
+        dense = FockState(grid, 5)._norm_squared
+        monkeypatch.setattr(np, "vdot", None)  # the whole-grid dot is not taken
+        state = FockState(grid, 5, _in_sector=7)
+        assert state._sector == 7
+        assert abs(state._norm_squared - dense) <= 4e-16
+        with pytest.raises(NormalizationError):
+            FockState(2 * grid, 5, _in_sector=7)

@@ -11,8 +11,9 @@ own grid is built before a stage is measured, so it is not counted. Each
 stage is called once untraced first, so the caches a call fills (the
 ``photon_totals`` grids, the rotation's Jx bases) are not counted, which
 makes ``mzi_unitary`` a warm rotation of a probe already planned.
-``analyze_rotated`` is ``analyze`` of that rotation's result, a fringe
-point, made before the stage is measured. ``mzi_unitary_cold`` rotates a
+``analyze_rotated`` and ``schmidt_rotated`` are ``analyze`` and ``schmidt``
+of that rotation's result, a fringe point, made before either stage is
+measured. ``mzi_unitary_cold`` rotates a
 fresh copy of the probe on each call, made before the call is measured, so
 its peak counts the rotation plan and Jx-basis coordinates kept for that
 copy as well.
@@ -43,7 +44,7 @@ PROBES = (
 STAGES = (
     "build", "analyze", "decompose_sectors", "qfi_variance", "qfi_fidelity",
     "build_report", "schmidt", "phase_shift", "mzi_unitary", "analyze_rotated",
-    "mzi_unitary_cold",
+    "schmidt_rotated", "mzi_unitary_cold",
 )
 
 
@@ -81,11 +82,12 @@ def stage_peaks(family: str, params: dict, cutoff) -> Tuple[int, Dict[str, int]]
         "phase_shift": lambda: mzi_qfi.phase_shift(state, 0.3),
         "mzi_unitary": lambda: mzi_qfi.mzi_unitary(state, 0.3),
         "analyze_rotated": lambda: mzi_qfi.analyze(rotated[0]),
+        "schmidt_rotated": lambda: mzi_qfi.schmidt(rotated[0]),
         "mzi_unitary_cold": lambda: mzi_qfi.mzi_unitary(fresh.pop(), 0.3),
     }
     peaks = {}
     for stage in STAGES:
-        if stage == "analyze_rotated":
+        if stage.endswith("_rotated") and not rotated:
             rotated.append(mzi_qfi.mzi_unitary(state, 0.3))
         if stage == "mzi_unitary_cold":
             fresh.extend(mzi_qfi.FockState(state.amplitudes.copy(), state.cutoff) for _ in range(2))
