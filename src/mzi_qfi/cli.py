@@ -20,7 +20,7 @@ from .coherence import PATH_SYMMETRY_TOL, analyze
 from .entanglement import SEPARABILITY_TOL, schmidt
 from .errors import MziError
 from .fock import FockState
-from .particle import FIXED_N_WEIGHT, SectorDecomposition, decompose_sectors, sector_moments
+from .particle import SectorDecomposition, decompose_sectors, sector_moments
 from .qfi import DEFAULT_FIDELITY_STEP, build_report
 from .states import FAMILIES, FAMILY_ALIASES, ProbeSpec, build, build_for_nbar, resolve_family
 
@@ -313,10 +313,10 @@ def _sweep_row(family: str, target: float) -> tuple[dict, bool]:
     coherence = analyze(state)
     decomposition = decompose_sectors(state)
     qfi_report = build_report(state, coherence, decomposition)
-    dominant = decomposition.dominant()
+    sector = decomposition.fixed_n_sector()
     cov = None
-    if dominant.weight > FIXED_N_WEIGHT and dominant.n >= 1:
-        cov = sector_moments(dominant).cov_sigma_z
+    if sector is not None and sector.n >= 1:
+        cov = sector_moments(sector).cov_sigma_z
     row.update(
         status="ok",
         nbar=coherence.nbar,

@@ -20,12 +20,11 @@ round differently with the thread count.
 A state may know its photon number. ``FockState._sector`` is n when every
 nonzero amplitude lies in sector n, and None when that is not known. It is
 set only where it is known by construction: :func:`make_fock` sets j + k,
-:func:`pad_to` and :func:`mzi_qfi.schwinger.phase_shift` pass their input's
-tag on, :func:`mzi_qfi.schwinger.apply_rotation` sets it when the rotated
-grid occupies one sector, and :attr:`mzi_qfi.particle.Sector.state` sets the
-sector's n. Grids from elsewhere are never scanned for it. The norm check of
-a tagged state and :func:`number_moments` then read only the cells of that
-sector.
+the noon builder sets n, :func:`pad_to` and :func:`mzi_qfi.schwinger.phase_shift`
+pass their input's tag on, :func:`mzi_qfi.schwinger.apply_rotation` sets it
+when the rotated grid occupies one sector, and ``Sector.state`` sets the
+sector's n. Grids from elsewhere are never scanned for it. The norm check,
+:func:`number_moments` and ``particle_moments`` then read only that sector.
 """
 
 from __future__ import annotations
@@ -69,10 +68,12 @@ def cutoff_ceiling() -> int:
     return value
 
 
-def check_truncation_loss(loss: float, ceiling: float) -> None:
-    """Raise ``TruncationLossError`` if ``loss`` exceeds ``ceiling``."""
-    if loss > ceiling:
-        raise TruncationLossError(f"truncation loss {loss:.3e} exceeds ceiling {ceiling:.3e}")
+def check_truncation_loss(loss: float) -> None:
+    """Raise ``TruncationLossError`` if ``loss`` exceeds ``DEFAULT_LOSS_CEILING``."""
+    if loss > DEFAULT_LOSS_CEILING:
+        raise TruncationLossError(
+            f"truncation loss {loss:.3e} exceeds ceiling {DEFAULT_LOSS_CEILING:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,14 @@ class FockState:
 
     ``truncation_loss`` is the probability discarded before the grid was
     renormalized; it is zero for states assembled directly from basis kets.
-    Instances are immutable and safe to share across threads. ``_norm_squared``
-    keeps the squared norm the constructor checks, for readers that need it
-    again; it is not an argument and takes no part in ``repr`` or equality,
-    which compares the arrays with ``np.array_equal``.
+    Instances are immutable and safe to share across threads. Equality
+    compares the arrays with ``np.array_equal``.
 
     ``_in_sector``, a keyword-only argument, promises that every nonzero
     amplitude sits in the photon-number sector it names, the cells |k, n-k>
     of :func:`sector_kets`; None, the default, promises nothing. The state
     keeps it as ``_sector``, which is neither an argument nor in ``repr`` or
-    equality either. It is not checked: only the package's constructors of
+    equality. It is not checked: only the package's constructors of
     single-sector states pass it (see the module docstring). The norm is
     checked as ``vdot(psi, psi).real`` over the cells of that sector alone,
     at most c + 1 of them, and over the whole grid, one complex dot, when no
@@ -101,7 +100,6 @@ class FockState:
     amplitudes: np.ndarray
     cutoff: int
     truncation_loss: float = 0.0
-    _norm_squared: float = field(init=False, repr=False, compare=False)
     _sector: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _in_sector: InitVar[Optional[int]] = field(default=None, kw_only=True)
 
@@ -126,7 +124,6 @@ class FockState:
             raise NormalizationError(f"state norm {nrm!r} deviates from 1 beyond {_NORM_TOL}")
         grid.flags.writeable = False
         object.__setattr__(self, "amplitudes", grid)
-        object.__setattr__(self, "_norm_squared", norm_squared)
         object.__setattr__(self, "_sector", _in_sector)
 
     def __eq__(self, other: object) -> bool:
@@ -136,15 +133,10 @@ class FockState:
         return same and np.array_equal(self.amplitudes, other.amplitudes)
 
     @classmethod
-    def from_grid(
-        cls,
-        grid: np.ndarray,
-        truncation_loss: float = 0.0,
-        loss_ceiling: float = DEFAULT_LOSS_CEILING,
-    ) -> "FockState":
-        """Renormalize ``grid`` and wrap it, enforcing the loss ceiling."""
+    def from_grid(cls, grid: np.ndarray, truncation_loss: float = 0.0) -> "FockState":
+        """Renormalize ``grid`` and wrap it, enforcing ``DEFAULT_LOSS_CEILING``."""
         grid = np.asarray(grid, dtype=np.complex128)  # the division below copies
-        check_truncation_loss(truncation_loss, loss_ceiling)
+        check_truncation_loss(truncation_loss)
         nrm = math.sqrt(vdot(grid, grid).real)
         if nrm == 0.0:
             raise NormalizationError("cannot normalize a zero amplitude grid")

@@ -27,7 +27,6 @@ from .errors import ParameterError, SectorSupportError
 from .fock import (
     FockState,
     occupied_sectors,
-    photon_totals,
     sector_cells,
     sector_kets,
     sector_layout,
@@ -39,7 +38,7 @@ WEIGHT_FLOOR = 1e-14
 #: Dominant-sector weight required to treat a state as having fixed photon number.
 FIXED_N_WEIGHT = 1.0 - 1e-9
 
-#: Default covariance threshold for the entanglement witness.
+#: Covariance threshold for the entanglement witness.
 WITNESS_TOL = 1e-9
 
 @dataclass(frozen=True)
@@ -90,6 +89,13 @@ class SectorDecomposition:
 
     def dominant(self) -> Sector:
         return max(self.sectors, key=lambda s: s.weight)
+
+    def fixed_n_sector(self) -> Optional[Sector]:
+        """The dominant sector if its weight exceeds ``FIXED_N_WEIGHT`` (fixed photon number)."""
+        if not self.sectors:
+            return None
+        top = self.dominant()
+        return top if top.weight > FIXED_N_WEIGHT else None
 
 
 @dataclass(frozen=True)
@@ -142,30 +148,12 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
     return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)
 
 
-#: Weight outside the requested sector above which a state is rejected.
+#: Weight outside its dominant sector above which :func:`particle_moments`
+#: rejects a state that does not know its sector.
 SECTOR_SUPPORT_TOL = 1e-12
 
 
-def _outside_sector_error(off: float, n: int) -> SectorSupportError:
-    return SectorSupportError(
-        f"state carries weight {off:.3e} outside photon-number sector {n}; "
-        "decompose into sectors first"
-    )
-
-
-def _single_sector_n(state: FockState) -> int:
-    weights = np.abs(state.amplitudes) ** 2
-    totals = photon_totals(state.cutoff)
-    n = int(np.round(float(np.sum(weights * totals))))
-    off = float(np.sum(weights[totals != n]))
-    if off > SECTOR_SUPPORT_TOL:
-        raise _outside_sector_error(off, n)
-    return n
-
-
-def _report_from_z_stats(
-    n: int, mean_z: float, mean_zz: Optional[float], witness_tol: float
-) -> ParticleReport:
+def _report_from_z_stats(n: int, mean_z: float, mean_zz: Optional[float]) -> ParticleReport:
     var_z = 1.0 - mean_z**2  # sigma_z^2 is the identity on a qubit
     if n == 1:
         cov_z = 0.0  # no particle pairs, covariance term absent by convention
@@ -179,13 +167,11 @@ def _report_from_z_stats(
         var_sigma_z=var_z,
         cov_sigma_z=cov_z,
         f_particle=f_particle,
-        witness_entangled=cov_z > witness_tol,
+        witness_entangled=cov_z > WITNESS_TOL,
     )
 
 
-def _sector_report(
-    n: int, ks: np.ndarray, probs: np.ndarray, witness_tol: float
-) -> ParticleReport:
+def _sector_report(n: int, ks: np.ndarray, probs: np.ndarray) -> ParticleReport:
     """Pauli statistics from the number distribution ``probs`` on |k, n-k>.
 
     With dz = 2k - n = 2 Jz on each ket, the bridge gives
@@ -196,49 +182,55 @@ def _sector_report(
     mean_zz = None
     if n >= 2:
         mean_zz = (float(probs @ (dz * dz)) - n) / (n * (n - 1))
-    return _report_from_z_stats(n, mean_z, mean_zz, witness_tol)
+    return _report_from_z_stats(n, mean_z, mean_zz)
 
 
-def sector_moments(sector: Sector, witness_tol: float = WITNESS_TOL) -> ParticleReport:
+def sector_moments(sector: Sector) -> ParticleReport:
     """Pauli statistics of one sector of a decomposition, in O(n)."""
     if sector.n < 1:
         raise ParameterError(f"particle statistics need n >= 1, got {sector.n}")
-    return _sector_report(sector.n, sector.ks, np.abs(sector.coeffs) ** 2, witness_tol)
+    return _sector_report(sector.n, sector.ks, np.abs(sector.coeffs) ** 2)
 
 
-def particle_moments(
-    sector_state: FockState, n: int, witness_tol: float = WITNESS_TOL
-) -> ParticleReport:
+def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
     """Pauli statistics of a state confined to photon-number sector ``n``.
 
-    Reads the sector's anti-diagonal of the grid; the state's total weight
-    must lie on it.
+    A state that knows its sector (``FockState._sector``) is taken at its
+    word. Any other state is decomposed first, and its dominant sector is its
+    sector once all but ``SECTOR_SUPPORT_TOL`` of its weight lies there. That
+    sector must be ``n``. The statistics come from the grid's own cells of
+    sector ``n``, at most n + 1 of them, as :func:`sector_moments` reads them
+    from a decomposition's normalized vector.
     """
     if n < 1:
         raise ParameterError(f"particle statistics need n >= 1, got {n}")
-    ks = sector_kets(n, sector_state.cutoff)
-    probs = np.abs(sector_cells(sector_state.amplitudes, n)) ** 2
-    off = sector_state._norm_squared - float(np.sum(probs))  # the norm FockState checked
-    if off > SECTOR_SUPPORT_TOL:
-        actual = _single_sector_n(sector_state)
-        if actual == n:
-            raise _outside_sector_error(off, n)
+    actual = sector_state._sector
+    if actual is None:
+        decomp = decompose_sectors(sector_state)
+        top = decomp.dominant()
+        off = decomp.weights_sum - top.weight
+        if off > SECTOR_SUPPORT_TOL:
+            raise SectorSupportError(
+                f"state carries weight {off:.3e} outside photon-number sector {top.n}; "
+                "decompose into sectors first"
+            )
+        actual = top.n
+    if actual != n:
         raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
-    return _sector_report(n, ks, probs, witness_tol)
+    probs = np.abs(sector_cells(sector_state.amplitudes, n)) ** 2
+    return _sector_report(n, sector_kets(n, sector_state.cutoff), probs)
 
 
-def qfi_particle(decomp: SectorDecomposition, witness_tol: float = WITNESS_TOL) -> Optional[float]:
+def qfi_particle(decomp: SectorDecomposition) -> Optional[float]:
     """Particle-picture phase information, defined only at fixed photon number.
 
     Returns ``None`` when the state has particle-number fluctuations (no
     sector holds essentially all the weight); per-sector reports remain
     available through :func:`sector_moments`.
     """
-    if not decomp.sectors:
+    sector = decomp.fixed_n_sector()
+    if sector is None:
         return None
-    top = decomp.dominant()
-    if top.weight <= FIXED_N_WEIGHT:
-        return None
-    if top.n == 0:
+    if sector.n == 0:
         return 0.0  # vacuum: no particles, nothing to estimate with
-    return sector_moments(top, witness_tol).f_particle
+    return sector_moments(sector).f_particle

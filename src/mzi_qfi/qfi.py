@@ -118,10 +118,9 @@ def qfi_path_symmetric(report: CoherenceReport) -> Optional[float]:
 def qfi_fidelity(
     state: FockState,
     step: float = DEFAULT_FIDELITY_STEP,
-    phi0: float = 0.0,
     richardson: bool = True,
 ) -> float:
-    """Finite-difference route around any phase origin.
+    """Finite-difference route around the phase origin.
 
     The derivative state is approximated by central differences of the exact
     phase shift; Richardson extrapolation over steps (h, h/2) cancels the
@@ -129,21 +128,20 @@ def qfi_fidelity(
 
     Each difference is formed in one writable grid: a copy of the +h shifted
     grid, from which the -h shifted grid is subtracted and which is then
-    divided by 2h, in place, each shifted state dropped once it is used. At
-    ``phi0 == 0`` the base is the state's own grid, as exp(-i 0 Jz) is the
-    identity. So the route holds at most two grids beside the state at a
-    time (three at any other origin), plus numpy's fixed-size ufunc buffers.
-    Both inner products are :func:`mzi_qfi.fock.vdot`, which reads the grids
-    in place.
+    divided by 2h, in place, each shifted state dropped once it is used. The
+    base is the state's own grid, as exp(-i 0 Jz) is the identity. So the
+    route holds at most two grids beside the state at a time, plus numpy's
+    fixed-size ufunc buffers. Both inner products are
+    :func:`mzi_qfi.fock.vdot`, which reads the grids in place.
     """
     if not 1e-5 <= step <= 1e-2:
         raise ParameterError(f"fidelity step must lie in [1e-5, 1e-2], got {step!r}")
 
-    base = state.amplitudes if phi0 == 0 else phase_shift(state, phi0).amplitudes
+    base = state.amplitudes
 
     def estimate(h: float) -> float:
-        derivative = phase_shift(state, phi0 + h).amplitudes.copy()
-        derivative -= phase_shift(state, phi0 - h).amplitudes
+        derivative = phase_shift(state, h).amplitudes.copy()
+        derivative -= phase_shift(state, -h).amplitudes
         derivative /= 2.0 * h
         return 4.0 * (vdot(derivative, derivative).real - abs(vdot(derivative, base)) ** 2)
 

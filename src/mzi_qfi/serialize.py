@@ -159,6 +159,11 @@ def read_state_file(path: str) -> FockState:
     return state_from_document(doc, origin=path)
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``json`` reads true and false as ``bool``, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def state_from_document(doc: object, origin: str = "<state>") -> FockState:
     if not isinstance(doc, dict):
         raise StateFileError(f"{origin}: top level must be an object")
@@ -167,7 +172,7 @@ def state_from_document(doc: object, origin: str = "<state>") -> FockState:
         entries = doc["amplitudes"]
     except KeyError as exc:
         raise StateFileError(f"{origin}: missing required key {exc}") from exc
-    if not isinstance(cutoff, int) or cutoff < 0:
+    if not _is_int(cutoff) or cutoff < 0:
         raise StateFileError(f"{origin}: cutoff must be a non-negative integer")
     if not isinstance(entries, list) or not entries:
         raise StateFileError(f"{origin}: amplitudes must be a non-empty list")
@@ -178,14 +183,21 @@ def state_from_document(doc: object, origin: str = "<state>") -> FockState:
         if not isinstance(entry, dict) or not {"ja", "jb", "re", "im"} <= set(entry):
             raise StateFileError(f"{origin}: each amplitude needs keys ja, jb, re, im")
         j, k = entry["ja"], entry["jb"]
-        if not isinstance(j, int) or not isinstance(k, int) or j < 0 or k < 0:
+        if not _is_int(j) or not _is_int(k) or j < 0 or k < 0:
             raise StateFileError(f"{origin}: ja/jb must be non-negative integers")
+        real, imag = entry["re"], entry["im"]
+        # a float may be NaN or infinite: the norm check below rejects those
+        if not all(_is_int(part) or isinstance(part, float) for part in (real, imag)):
+            raise StateFileError(f"{origin}: re/im must be numbers")
         if j > cutoff or k > cutoff:
             raise CutoffExceededError(f"{origin}: index ({j}, {k}) exceeds cutoff {cutoff}")
         if (j, k) in seen:
             raise StateFileError(f"{origin}: duplicate amplitude entry for ({j}, {k})")
         seen.add((j, k))
-        grid[j, k] = complex(float(entry["re"]), float(entry["im"]))
+        try:
+            grid[j, k] = complex(float(real), float(imag))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise StateFileError(f"{origin}: re/im must lie within the float range") from exc
 
     norm = math.sqrt(vdot(grid, grid).real)
     if norm == 0.0:

@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import ParameterError, TruncationLossError, UnattainableTargetError
 from .fock import (
-    DEFAULT_LOSS_CEILING,
     FockState,
     check_truncation_loss,
     cutoff_ceiling,
@@ -400,25 +399,23 @@ def _grid_amplified_bell(xi: float, cutoff: int) -> np.ndarray:
     return u * np.outer(v1, v0) + v * np.outer(v0, v1)
 
 
-def _auto_cutoff(
-    loss_at: Callable[[int], float], loss_target: float, ceiling: int
-) -> Tuple[int, float]:
-    """Smallest cutoff with loss below target, and that loss, by bisection.
+def _auto_cutoff(loss_at: Callable[[int], float], ceiling: int) -> Tuple[int, float]:
+    """Smallest cutoff with loss below ``AUTO_LOSS_TARGET``, and that loss, by bisection.
 
     The loss falls monotonically with the cutoff, so one look at the ceiling
     decides whether the target can be met at all.
     """
     loss = loss_at(ceiling)
-    if not loss < loss_target:
+    if not loss < AUTO_LOSS_TARGET:
         raise TruncationLossError(
             f"cutoff ceiling {ceiling} leaves truncation loss {loss:.3e} "
-            f"above the {loss_target:.1e} target"
+            f"above the {AUTO_LOSS_TARGET:.1e} target"
         )
     lo, hi = -1, ceiling
     while hi - lo > 1:
         mid = (lo + hi) // 2
         mid_loss = loss_at(mid)
-        if mid_loss < loss_target:
+        if mid_loss < AUTO_LOSS_TARGET:
             hi, loss = mid, mid_loss
         else:
             lo = mid
@@ -438,7 +435,7 @@ def _noon_state(n: int, cutoff: Optional[int]) -> FockState:
     if n > n_cut:
         raise ParameterError(f"cutoff {n_cut} cannot hold a {n}-photon branch")
     grid[n, 0] = grid[0, n] = 1 / math.sqrt(2)
-    return FockState(grid, n_cut, 0.0)
+    return FockState(grid, n_cut, 0.0, _in_sector=n)
 
 
 #: Loss target for automatic cutoff selection. Tighter than the construction
@@ -630,7 +627,7 @@ def resolve_family(name: str) -> Family:
     return _BY_NAME[FAMILY_ALIASES.get(name, name)]
 
 
-def build(spec: ProbeSpec, loss_target: float = AUTO_LOSS_TARGET) -> FockState:
+def build(spec: ProbeSpec) -> FockState:
     """Construct the normalized probe state described by ``spec``."""
     family, params = _BY_NAME[spec.family], spec.params
     if set(params) != {family.key}:
@@ -641,10 +638,9 @@ def build(spec: ProbeSpec, loss_target: float = AUTO_LOSS_TARGET) -> FockState:
     if family.state is not None:
         return family.state(value, spec.cutoff)
     if spec.cutoff is not None:
-        cutoff, ceiling = spec.cutoff, DEFAULT_LOSS_CEILING
+        cutoff = spec.cutoff
         loss = family.loss(value, cutoff)
-        check_truncation_loss(loss, ceiling)  # before building a grid the state cannot use
+        check_truncation_loss(loss)  # before building a grid the state cannot use
     else:
-        cutoff, loss = _auto_cutoff(lambda c: family.loss(value, c), loss_target, cutoff_ceiling())
-        ceiling = max(loss_target, DEFAULT_LOSS_CEILING)
-    return FockState.from_grid(family.grid(value, cutoff), loss, loss_ceiling=ceiling)
+        cutoff, loss = _auto_cutoff(lambda c: family.loss(value, c), cutoff_ceiling())
+    return FockState.from_grid(family.grid(value, cutoff), loss)

@@ -37,15 +37,14 @@ import numpy as np
 
 from mzi_qfi.coherence import INTENSITY_FLOOR, PATH_SYMMETRY_TOL, CoherenceReport
 from mzi_qfi.errors import ParameterError, SectorSupportError, TruncationOverflowError
-from mzi_qfi.fock import FockState, NumberMoments, sector_kets, vdot
+from mzi_qfi.fock import FockState, NumberMoments, photon_totals, sector_kets, vdot
 from mzi_qfi.particle import (
+    SECTOR_SUPPORT_TOL,
     WEIGHT_FLOOR,
-    WITNESS_TOL,
     ParticleReport,
     Sector,
     SectorDecomposition,
     _report_from_z_stats,
-    _single_sector_n,
 )
 from mzi_qfi.schwinger import (
     DirectionLike,
@@ -430,14 +429,14 @@ def phase_shift_formula(state, phi):
     return FockState(phases * state.amplitudes, state.cutoff, state.truncation_loss)
 
 
-def allocating_qfi_fidelity(state, step, phi0=0.0, richardson=True):
-    """``qfi.qfi_fidelity`` with every grid its own: the base shifted by ``phi0`` even at 0,
+def allocating_qfi_fidelity(state, step, richardson=True):
+    """``qfi.qfi_fidelity`` with every grid its own: the base shifted by 0 all the same,
     and both shifted grids, their difference and the quotient held at once."""
-    base = phase_shift(state, phi0).amplitudes
+    base = phase_shift(state, 0.0).amplitudes
 
     def estimate(h):
-        plus = phase_shift(state, phi0 + h).amplitudes
-        minus = phase_shift(state, phi0 - h).amplitudes
+        plus = phase_shift(state, h).amplitudes
+        minus = phase_shift(state, -h).amplitudes
         derivative = (plus - minus) / (2.0 * h)
         return 4.0 * (vdot(derivative, derivative).real - abs(vdot(derivative, base)) ** 2)
 
@@ -523,13 +522,15 @@ def symmetric_qubit_vector(sector_state: FockState, n: int) -> np.ndarray:
     """Map sector amplitudes c_k on |k, n-k> to the symmetric 2^n qubit vector.
 
     Each of the C(n, k) bitstrings with k set bits (k photons in arm a)
-    receives c_k / sqrt(C(n, k)).
+    receives c_k / sqrt(C(n, k)). All but ``SECTOR_SUPPORT_TOL`` of the
+    state's weight must lie in sector n, whether or not the state knows its sector.
     """
     if n < 1 or n > ORACLE_MAX_N:
         raise ParameterError(f"oracle supports 1 <= n <= {ORACLE_MAX_N}, got {n}")
-    actual = _single_sector_n(sector_state)
-    if actual != n:
-        raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
+    weights = np.abs(sector_state.amplitudes) ** 2
+    off = float(np.sum(weights[photon_totals(sector_state.cutoff) != n]))
+    if off > SECTOR_SUPPORT_TOL:
+        raise SectorSupportError(f"state carries weight {off:.3e} outside sector {n}")
     ks = sector_kets(n, sector_state.cutoff)
     coeff = np.zeros(n + 1, dtype=np.complex128)
     coeff[ks] = sector_state.amplitudes[ks, n - ks]
@@ -538,9 +539,7 @@ def symmetric_qubit_vector(sector_state: FockState, n: int) -> np.ndarray:
     return coeff[counts] / np.sqrt(binom[counts])
 
 
-def multiqubit_oracle(
-    sector_state: FockState, n: int, witness_tol: float = WITNESS_TOL
-) -> ParticleReport:
+def multiqubit_oracle(sector_state: FockState, n: int) -> ParticleReport:
     """Pauli statistics evaluated directly in the 2^n qubit space."""
     vec = symmetric_qubit_vector(sector_state, n)
     probs = np.abs(vec) ** 2
@@ -548,7 +547,7 @@ def multiqubit_oracle(
     z = 2.0 * bits - 1.0
     mean_z = float(probs @ z[:, 0])
     mean_zz = float(probs @ (z[:, 0] * z[:, 1])) if n >= 2 else None
-    return _report_from_z_stats(n, mean_z, mean_zz, witness_tol)
+    return _report_from_z_stats(n, mean_z, mean_zz)
 
 
 def dicke_isometry(n: int) -> np.ndarray:

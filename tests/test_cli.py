@@ -26,6 +26,24 @@ from mzi_qfi.states import ProbeSpec, build
 from oracles import dense_decompose_sectors, dense_rotation, truncation_loss_reference
 
 
+#: State documents whose values have the wrong JSON type, each with the message that rejects it.
+#: A JSON boolean is not an integer, though Python's ``json`` reads it as ``bool``, an int.
+MALFORMED_STATE_DOCUMENTS = [
+    pytest.param('{"cutoff": 1, "amplitudes": [{"ja": 0, "jb": 0, "re": "abc", "im": 0.0}]}',
+                 "re/im must be numbers", id="string-re"),
+    pytest.param('{"cutoff": 1, "amplitudes": [{"ja": 0, "jb": 0, "re": null, "im": 0.0}]}',
+                 "re/im must be numbers", id="null-re"),
+    pytest.param('{"cutoff": 1, "amplitudes": [{"ja": 0, "jb": 0, "re": [1], "im": 0.0}]}',
+                 "re/im must be numbers", id="list-re"),
+    pytest.param('{"cutoff": true, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, "im": 0.0}]}',
+                 "cutoff must be a non-negative integer", id="boolean-cutoff"),
+    pytest.param('{"cutoff": 1, "amplitudes": [{"ja": false, "jb": true, "re": 1.0, "im": 0.0}]}',
+                 "ja/jb must be non-negative integers", id="boolean-indices"),
+    pytest.param('{"cutoff": 1, "amplitudes": [{"ja": 0, "jb": 0, "re": 1%s, "im": 0.0}]}'
+                 % ("0" * 400), "re/im must lie within the float range", id="huge-integer-re"),
+]
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -139,6 +157,11 @@ class TestStateFiles:
         }
         with pytest.raises(StateFileError, match="duplicate"):
             state_from_document(doc)
+
+    @pytest.mark.parametrize("text,message", MALFORMED_STATE_DOCUMENTS)
+    def test_malformed_values_rejected(self, text, message):
+        with pytest.raises(StateFileError, match=f"^<state>: {message}$"):
+            state_from_document(json.loads(text))
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -498,6 +521,15 @@ class TestErrorContract:
         assert json.loads(err) == {"schema": "mzi-qfi/1", "error": {
             "code": "bad-norm",
             "message": f"{path}: norm nan deviates from 1 beyond the 1e-6 acceptance window"}}
+
+    @pytest.mark.parametrize("text,message", MALFORMED_STATE_DOCUMENTS)
+    def test_malformed_state_file(self, capsys, tmp_path, text, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        exit_code, out, err = run_cli(capsys, "analyze", "--state-file", str(path))
+        assert (exit_code, out) == (1, "")
+        assert json.loads(err) == {"schema": "mzi-qfi/1", "error": {
+            "code": "bad-state-file", "message": f"{path}: {message}"}}
 
     @pytest.mark.parametrize("value", ["-1", "-0.5", "-1e3", "-inf", "-Infinity", "-nan"])
     def test_negative_nbar_needs_no_equals_sign(self, capsys, value):

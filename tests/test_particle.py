@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_direction, sparse_states
+from mzi_qfi import particle
 from mzi_qfi.errors import ParameterError, SectorSupportError
 from mzi_qfi.fock import FockState, make_fock
 from mzi_qfi.particle import decompose_sectors, particle_moments, qfi_particle, sector_moments
@@ -215,15 +216,20 @@ class TestParticleMoments:
             rebuilt = n * report.var_sigma_z + n * (n - 1) * report.cov_sigma_z
             assert rebuilt == report.f_particle
 
-    def test_reads_the_norm_the_state_checked(self, monkeypatch, rng):
-        # the support check reuses FockState's squared norm instead of a second O(c^2) dot
+    def test_tagged_state_makes_no_whole_grid_pass(self, monkeypatch, rng):
+        # an untagged state is decomposed to find its sector; a tagged one is read
+        # on its own cells, and both give the same bits
         state = random_sector_state(rng, 5)
+        tagged = FockState(state.amplitudes, state.cutoff, _in_sector=5)
         expected = particle_moments(state, 5)
-        calls = []
-        vdot = np.vdot
-        monkeypatch.setattr(np, "vdot", lambda *args: calls.append(args) or vdot(*args))
-        assert particle_moments(state, 5) == expected
-        assert calls == []
+
+        def whole_grid_pass(_):
+            raise AssertionError("decompose_sectors called")
+
+        monkeypatch.setattr(particle, "decompose_sectors", whole_grid_pass)
+        assert particle_moments(tagged, 5) == expected
+        with pytest.raises(AssertionError, match="decompose_sectors called"):
+            particle_moments(state, 5)
 
     def test_multi_sector_rejected(self):
         mixed = fixed_n_superposition({(1, 0): 1.0, (2, 0): 1.0}, 3)

@@ -1,5 +1,8 @@
 """The package's public surface, pinned so that adding or removing a name is deliberate."""
 
+import inspect
+import types
+
 import pytest
 
 import mzi_qfi
@@ -52,6 +55,61 @@ PUBLIC_NAMES = [
     "write_state_file",
 ]
 
+#: The parameter names of every public callable: each function, each class's
+#: constructor and each public method a class defines. The errors take a message
+#: alone and are left out.
+PUBLIC_SIGNATURES = {
+    "CoherenceReport": ("nbar_a nbar_b nbar g2_a g2_b g2_ab var_na var_nb cov_nab "
+                        "path_symmetric tol"),
+    "CoherenceReport.as_dict": "self",
+    "FockState": "amplitudes cutoff truncation_loss _in_sector",
+    "FockState.from_grid": "grid truncation_loss",
+    "FockState.probabilities": "self",
+    "ModeEntanglementReport": "schmidt_values entropy entropy_bits separable tol",
+    "ModeEntanglementReport.as_dict": "self",
+    "ParticleReport": "n mean_sigma_z var_sigma_z cov_sigma_z f_particle witness_entangled",
+    "ParticleReport.as_dict": "self",
+    "ProbeSpec": "family params cutoff",
+    "QfiReport": ("f_variance f_mode f_path_symmetric f_fidelity f_particle "
+                  "crb scaling route_agreement routes_consistent reasons"),
+    "QfiReport.as_dict": "self",
+    "ScalingClass": "sub_shot_noise ratio_shot_noise ratio_heisenberg",
+    "ScalingClass.as_dict": "self",
+    "Sector": "n weight coeffs cutoff",
+    "SectorDecomposition": "sectors weights_sum",
+    "SectorDecomposition.dominant": "self",
+    "SectorDecomposition.fixed_n_sector": "self",
+    "SpinDirection": "x y z",
+    "SpinDirection.from_sequence": "v",
+    "analyze": "state tol",
+    "apply_rotation": "state v angle",
+    "beam_splitter": "state which",
+    "build": "spec",
+    "build_for_nbar": "family nbar cutoff",
+    "build_report": "state coherence_report decomposition step richardson",
+    "classify_scaling": "f nbar",
+    "decompose_sectors": "state",
+    "inner": "x y",
+    "make_fock": "j k cutoff",
+    "mzi_unitary": "state phi",
+    "pad_to": "state cutoff",
+    "particle_moments": "sector_state n",
+    "phase_shift": "state phi",
+    "qfi_fidelity": "state step richardson",
+    "qfi_mode": "report",
+    "qfi_particle": "decomp",
+    "qfi_path_symmetric": "report",
+    "qfi_variance": "state",
+    "read_state_file": "path",
+    "schmidt": "state tol",
+    "sector_moments": "sector",
+    "solve_param_for_nbar": "family nbar",
+    "state_distance": "x y",
+    "write_state_file": "state path",
+}
+
+METHOD_TYPES = (types.FunctionType, classmethod, staticmethod)
+
 #: The ladder-operator layer; the generators are defined by the sector blocks alone.
 LADDER_NAMES = ["LadderState", "StateLike", "MomentSpec", "moment", "apply_ladder",
                 "RAISE_HEADROOM", "j_moment", "apply_generator", "GeneratorTag"]
@@ -59,6 +117,27 @@ LADDER_NAMES = ["LadderState", "StateLike", "MomentSpec", "moment", "apply_ladde
 
 def test_all_is_pinned():
     assert mzi_qfi.__all__ == PUBLIC_NAMES
+
+
+def public_signatures():
+    """The parameter names, space-separated, of each callable that PUBLIC_SIGNATURES pins."""
+    def names(obj):
+        return " ".join(inspect.signature(obj).parameters)
+
+    found = {}
+    for name in mzi_qfi.__all__:
+        obj = getattr(mzi_qfi, name)
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        found[name] = names(obj)
+        for attr, value in vars(obj).items() if isinstance(obj, type) else ():
+            if not attr.startswith("_") and isinstance(value, METHOD_TYPES):
+                found[f"{name}.{attr}"] = names(getattr(obj, attr))
+    return found
+
+
+def test_signatures_are_pinned():
+    assert public_signatures() == PUBLIC_SIGNATURES
 
 
 @pytest.mark.parametrize("name", PUBLIC_NAMES)
@@ -81,6 +160,8 @@ def test_ladder_layer_is_gone(module, name):
     (mzi_qfi, "locality_check"), (mzi_qfi, "multiqubit_oracle"),
     (particle, "locality_check"), (particle, "multiqubit_oracle"),
     (schwinger, "sector_generator_matrix"),
+    (fock.FockState, "_norm_squared"), (particle, "_single_sector_n"),
+    (particle, "_outside_sector_error"),
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)

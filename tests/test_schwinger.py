@@ -36,7 +36,13 @@ from mzi_qfi.schwinger import (
     mzi_unitary,
     phase_shift,
 )
-from mzi_qfi.states import ProbeSpec, build, coherent_vector, mean_photon_number
+from mzi_qfi.states import (
+    ProbeSpec,
+    build,
+    coherent_vector,
+    mean_photon_number,
+    resolve_family,
+)
 from oracles import (
     dense_rotation,
     ladder_j_moment,
@@ -258,9 +264,12 @@ class TestRotations:
         assert abs(per_axis_eigh_rotation(state, X_AXIS, math.pi / 2).amplitudes[1, 160]) > 1e-13
 
     def test_keeps_the_loss_of_a_coarse_state(self):
-        # a state built to a loose loss target rotates: the loss ceiling guards
+        # a state truncated above the loss ceiling rotates: the ceiling guards
         # construction, not rotation
-        coarse = pad_to(build(ProbeSpec("coherent", {"alpha": 2.0}), loss_target=1e-6), 24)
+        coherent = resolve_family("coherent")
+        grid = coherent.grid(2.0, 12)
+        state = FockState(grid / np.linalg.norm(grid), 12, coherent.loss(2.0, 12))
+        coarse = pad_to(state, 24)
         out = mzi_unitary(coarse, 0.3)
         assert out.truncation_loss == coarse.truncation_loss > 1e-10
         assert abs(mean_photon_number(out) - mean_photon_number(coarse)) < 1e-12
