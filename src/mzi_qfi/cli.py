@@ -11,6 +11,7 @@ nulls.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from typing import Dict, List, Optional
@@ -18,7 +19,7 @@ from typing import Dict, List, Optional
 from . import catalog, serialize
 from .coherence import PATH_SYMMETRY_TOL, analyze
 from .entanglement import SEPARABILITY_TOL, schmidt
-from .errors import MziError
+from .errors import MziError, ParameterError
 from .fock import FockState
 from .particle import SectorDecomposition, decompose_sectors, sector_moments
 from .qfi import DEFAULT_FIDELITY_STEP, build_report
@@ -272,6 +273,9 @@ def _table1_csv(doc: dict) -> str:
 
 
 def cmd_table1(args) -> int:
+    for flag, tol in (("atol", args.atol), ("rtol", args.rtol)):
+        if not 0 <= tol < math.inf:
+            raise ParameterError(f"--{flag} must be finite and non-negative, got {tol!r}")
     rows = [_table1_row(row, args.nbar, args.atol, args.rtol) for row in catalog.TABLE1]
     mismatches = sum(
         1 for row in rows for cell in row["cells"].values() if cell["status"] == "MISMATCH"

@@ -9,6 +9,7 @@ coerced to zero or infinity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,8 +61,8 @@ def analyze(state: FockState, tol: float = PATH_SYMMETRY_TOL) -> CoherenceReport
     ``path_symmetric`` is true when the mode intensities and intra-mode pair
     coherences agree within ``tol`` (two dark modes also count as symmetric).
     """
-    if tol <= 0:
-        raise ParameterError("path-symmetry tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"path-symmetry tolerance must be positive and finite, got {tol!r}")
     moments = number_moments(state)
     nbar_a, nbar_b = moments.a, moments.b
     pairs_a, pairs_b = moments.aa, moments.bb  # <adag^2 a^2> = <n_a (n_a - 1)>

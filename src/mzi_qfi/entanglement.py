@@ -279,8 +279,8 @@ def schmidt(state: FockState, tol: float = SEPARABILITY_TOL) -> ModeEntanglement
     or anti-diagonal on its support, or a product state, costs no SVD of its
     grid. Values below ``CROSS_TOL`` of a crossed block are left out.
     """
-    if tol <= 0:
-        raise ParameterError("separability tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"separability tolerance must be positive and finite, got {tol!r}")
     values = _support_singular_values(state.amplitudes)
     squared = values**2
     logs = np.log(squared, out=np.zeros_like(squared), where=squared > 0)  # 0 log 0 = 0

@@ -7,11 +7,11 @@ States are immutable, normalized :class:`FockState` values.
 The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
 (intensities, pair coherences, and Jz = (n_a - n_b)/2). They have one core,
 :func:`number_moments`, which reads them all off one grid of occupation
-probabilities. Rotations act on photon-number sectors instead (see
-:mod:`mzi_qfi.schwinger`), laid out by :func:`sector_kets`,
-:func:`photon_totals`, :func:`occupied_sectors` and, for the cells of many
-sectors at once, :func:`sector_layout`; :func:`sector_cells` reads the cells
-of one sector as a view.
+probabilities. Rotations and decompositions act on photon-number sectors
+instead, laid out by :func:`sector_kets` and, for a rotation's many sectors,
+:func:`sector_layout`. :func:`sector_cells` is the one reader of a sector's
+cells, as a view, and :func:`occupied_sectors` the one judge of which sectors
+a state occupies: its tag, or one scan through :func:`photon_totals`.
 
 :func:`number_moments` and :func:`vdot` sum over a grid in numpy alone, not
 through BLAS, whose dot products split long vectors across threads and so
@@ -24,7 +24,8 @@ the noon builder sets n, :func:`pad_to` and :func:`mzi_qfi.schwinger.phase_shift
 pass their input's tag on, :func:`mzi_qfi.schwinger.apply_rotation` sets it
 when the rotated grid occupies one sector, and ``Sector.state`` sets the
 sector's n. Grids from elsewhere are never scanned for it. The norm check,
-:func:`number_moments` and ``particle_moments`` then read only that sector.
+:func:`number_moments`, :func:`occupied_sectors` (so the decomposition and the
+rotation plan) and ``particle_moments`` then read only that sector.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache
 from itertools import accumulate
 from typing import List, Literal, NamedTuple, Optional, Sequence, Tuple
 
@@ -183,17 +183,22 @@ def sector_cells(grid: np.ndarray, n: int) -> np.ndarray:
     return grid.reshape(-1)[start : start + count * step : step]
 
 
-@lru_cache(maxsize=4)
 def photon_totals(cutoff: int) -> np.ndarray:
-    """Total photon number j + k of each cell of a cutoff grid; read-only int32, four are kept."""
+    """Total photon number j + k of each cell of a cutoff grid, as int32."""
     levels = np.arange(cutoff + 1, dtype=np.int32)
-    totals = levels[:, None] + levels[None, :]
-    totals.flags.writeable = False
-    return totals
+    return levels[:, None] + levels[None, :]
 
 
-def occupied_sectors(grid: np.ndarray) -> List[int]:
-    """Photon numbers, ascending, of the sectors where ``nonzero_cells(grid)`` holds."""
+def occupied_sectors(state: FockState) -> List[int]:
+    """Photon numbers, ascending, of the sectors ``state`` occupies.
+
+    A state that knows its photon number (``FockState._sector``) occupies
+    that sector alone. Any other state is scanned: it occupies the sectors
+    where ``nonzero_cells`` holds.
+    """
+    if state._sector is not None:
+        return [state._sector]
+    grid = state.amplitudes
     totals = photon_totals(grid.shape[0] - 1)[nonzero_cells(grid)]
     return np.bincount(totals).nonzero()[0].tolist()
 
@@ -211,12 +216,6 @@ class SectorLayout(NamedTuple):
     offsets: List[int]
     rows: np.ndarray
     cols: np.ndarray
-
-    def take(self, grid: np.ndarray) -> np.ndarray:
-        """The amplitudes of the laid-out cells of ``grid``, in layout order."""
-        flat = self.rows * grid.shape[1]
-        flat += self.cols
-        return grid.reshape(-1)[flat]
 
 
 def sector_layout(sectors: Sequence[int], cutoff: int) -> SectorLayout:

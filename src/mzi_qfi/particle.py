@@ -11,8 +11,9 @@ collective-spin moments into single-particle Pauli statistics:
 
 The phase-sensitivity decomposition F = n Var[sigma_z] + n(n-1) Cov[sigma_z,
 sigma_z] makes the covariance an entanglement witness: product sectors have
-zero covariance and are shot-noise limited. Sectors are read in the layout
-that :mod:`mzi_qfi.fock` keeps, and a decomposition reads only occupied ones.
+zero covariance and are shot-noise limited. Every sector is read in place
+through :func:`mzi_qfi.fock.sector_cells`, and a decomposition reads only the
+sectors :func:`mzi_qfi.fock.occupied_sectors` names.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ParameterError, SectorSupportError
-from .fock import (
-    FockState,
-    occupied_sectors,
-    sector_cells,
-    sector_kets,
-    sector_layout,
-)
+from .fock import FockState, occupied_sectors, sector_cells, sector_kets
 
 #: Sector weights below this are dropped from decompositions.
 WEIGHT_FLOOR = 1e-14
@@ -125,24 +120,21 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
 
     Each kept sector holds only its anti-diagonal, the vector of amplitudes
     on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
-    all. An empty sector, which would add exactly 0.0 to ``weights_sum``, is not read.
-    The occupied cells are gathered and squared at once; each weight is then
-    the sum over its own contiguous run, as if the sector were read alone.
+    all. Only the sectors of :func:`mzi_qfi.fock.occupied_sectors` are read,
+    each in place through :func:`mzi_qfi.fock.sector_cells`, so a state that
+    knows its photon number reads its one sector and scans nothing. An empty
+    sector, which would add exactly 0.0 to ``weights_sum``, is not read.
     """
-    layout = sector_layout(occupied_sectors(state.amplitudes), state.cutoff)
-    cells = layout.take(state.amplitudes)
-    runs = zip(layout.sectors, layout.offsets, layout.offsets[1:])
-    del layout  # its cell indices are not needed past the gather
-    probs = np.abs(cells)
-    probs **= 2
+    grid = np.ascontiguousarray(state.amplitudes)  # so that each sector is a view, not a copy
     sectors = []
     weights_sum = 0.0
-    for n, start, stop in runs:
-        weight = float(np.sum(probs[start:stop]))
+    for n in occupied_sectors(state):
+        cells = sector_cells(grid, n)
+        weight = float(np.square(np.abs(cells)).sum())
         weights_sum += weight
         if weight < WEIGHT_FLOOR:
             continue
-        coeffs = cells[start:stop] / math.sqrt(weight)
+        coeffs = cells / math.sqrt(weight)
         coeffs.flags.writeable = False
         sectors.append(Sector(n=n, weight=weight, coeffs=coeffs, cutoff=min(n, state.cutoff)))
     return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)

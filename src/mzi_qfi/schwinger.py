@@ -19,12 +19,13 @@ k <= n/2 of the eigenvectors with m >= 0: swapping the modes and the parity
 of k imply the rest. A sector above the cutoff, held only in part, is rotated
 exactly and restricted to the cells the grid holds.
 
-What a rotation needs of the grid alone is planned once per grid: one O(c^2)
-scan for the occupied sectors, their layout, the weight check, the pairing of
-each cell k <= n/2 with its mirror n-k, and the groups of sectors mixed
-together. The plan and the grid's coordinates in the Jx basis after Rz(gamma)
-are kept for the last grid rotated, so a fringe scan, whose phases |phi| < pi
-share gamma = -pi/2, projects its probe once. A rotation then costs two real
+What a rotation needs of the grid alone is planned once per grid: the
+occupied sectors (an O(c^2) scan unless the state knows its photon number),
+their layout, the weight check, the pairing of each cell k <= n/2 with its
+mirror n-k, and the groups of sectors mixed together. The plan and the
+grid's coordinates in the Jx basis after Rz(gamma) are kept for the last grid
+rotated, so a fringe scan, whose phases |phi| < pi share gamma = -pi/2,
+projects its probe once. A rotation then costs two real
 matrix products per occupied sector for the coordinates, when the grid or
 gamma is new, and two back, each with a cell and its mirror as four real columns, so a
 fixed-photon-number probe pays for a single block; and one vectorized pass
@@ -277,10 +278,10 @@ class _Plan(NamedTuple):
     groups: Tuple[_Group, ...]
 
 
-def _plan(grid: np.ndarray) -> _Plan:
-    """The rotation plan of ``grid``; raises if it holds weight above its cutoff."""
-    cutoff = grid.shape[0] - 1
-    occupied = occupied_sectors(grid)
+def _plan(state: FockState) -> _Plan:
+    """The rotation plan of ``state``'s grid; raises if it holds weight above its cutoff."""
+    grid, cutoff = state.amplitudes, state.cutoff
+    occupied = occupied_sectors(state)
     _, lows, offsets, rows, cols = sector_layout(occupied, cutoff)
     rows, cols = rows.astype(np.int32), cols.astype(np.int32)
     flats = rows * (cutoff + 1)
@@ -466,7 +467,7 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     grid = state.amplitudes
     memo = _memo
     if memo is None or memo[0]() is not grid:
-        memo = (weakref.ref(grid, _forget), _plan(grid), None, None)
+        memo = (weakref.ref(grid, _forget), _plan(state), None, None)
     ref, plan, gamma, coordinates = memo
     rotation = _EulerRotation(v, angle, plan.top)
     if gamma != rotation.gamma:

@@ -177,7 +177,10 @@ def state_from_document(doc: object, origin: str = "<state>") -> FockState:
     if not isinstance(entries, list) or not entries:
         raise StateFileError(f"{origin}: amplitudes must be a non-empty list")
 
-    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    try:
+        grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    except (MemoryError, ValueError) as exc:  # numpy's "array is too big" is a ValueError
+        raise StateFileError(f"{origin}: cannot allocate a grid of cutoff {cutoff}") from exc
     seen = set()
     for entry in entries:
         if not isinstance(entry, dict) or not {"ja", "jb", "re", "im"} <= set(entry):

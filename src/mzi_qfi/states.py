@@ -81,6 +81,8 @@ def _displacement(family: Family, value: ParamValue) -> complex:
     value = complex(value)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ParameterError(f"displacement must be finite, got {family.key}={value!r}")
+    if not math.isfinite(value.real * value.real + value.imag * value.imag):
+        raise ParameterError(f"|{family.key}|^2 must be finite, got {family.key}={value!r}")
     return value
 
 

@@ -45,15 +45,19 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def sector_reads(monkeypatch) -> list:
-    """The photon numbers of the sectors ``particle`` and ``schwinger`` lay out, in order."""
+    """The photon numbers of the sectors ``particle`` reads and ``schwinger`` lays out, in order."""
     reads = []
 
-    def recording(sectors, cutoff):
+    def read(grid, n):
+        reads.append(int(n))
+        return fock.sector_cells(grid, n)
+
+    def lay_out(sectors, cutoff):
         reads.extend(int(n) for n in sectors)
         return fock.sector_layout(sectors, cutoff)
 
-    for module in (particle, schwinger):
-        monkeypatch.setattr(module, "sector_layout", recording)
+    monkeypatch.setattr(particle, "sector_cells", read)
+    monkeypatch.setattr(schwinger, "sector_layout", lay_out)
     return reads
 
 

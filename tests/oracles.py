@@ -11,7 +11,8 @@ The other references are the straightforward form of a computation the
 package now does with less work: every ladder moment lowers both sides of its
 inner product separately, a rotation and a sector decomposition visit all
 2c+1 photon-number sectors, the Schmidt spectrum is one SVD of the whole grid,
-a phase shift evaluates its phase at every cell, the fidelity route holds
+a phase shift evaluates its phase at every cell, a decomposition gathers the
+cells of all its occupied sectors at once, the fidelity route holds
 every grid of its central differences at once, coherent amplitudes run
 forward from the vacuum level whatever its size, and a truncation loss is a
 forward sum of one-mode tails in 40-digit decimal arithmetic. The number
@@ -37,7 +38,14 @@ import numpy as np
 
 from mzi_qfi.coherence import INTENSITY_FLOOR, PATH_SYMMETRY_TOL, CoherenceReport
 from mzi_qfi.errors import ParameterError, SectorSupportError, TruncationOverflowError
-from mzi_qfi.fock import FockState, NumberMoments, photon_totals, sector_kets, vdot
+from mzi_qfi.fock import (
+    FockState,
+    NumberMoments,
+    photon_totals,
+    sector_kets,
+    sector_layout,
+    vdot,
+)
 from mzi_qfi.particle import (
     SECTOR_SUPPORT_TOL,
     WEIGHT_FLOOR,
@@ -156,8 +164,8 @@ def ladder_number_moments(state, order=2):
 
 def ladder_analyze(state, tol=PATH_SYMMETRY_TOL):
     """``coherence.analyze`` with one ladder moment per field."""
-    if tol <= 0:
-        raise ParameterError("path-symmetry tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"path-symmetry tolerance must be positive and finite, got {tol!r}")
 
     def real_moment(p, q, r, s):
         value = ladder_moment(state, p, q, r, s)
@@ -412,6 +420,31 @@ def dense_decompose_sectors(state):
         if weight < WEIGHT_FLOOR:
             continue
         coeffs = amps / math.sqrt(weight)
+        sectors.append(Sector(n=n, weight=weight, coeffs=coeffs, cutoff=min(n, state.cutoff)))
+    return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)
+
+
+def layout_decompose_sectors(state):
+    """``particle.decompose_sectors`` as one gather of every cell of the occupied sectors.
+
+    The occupied sectors are those with a nonzero cell, found by ``np.nonzero``
+    whatever the state's tag, and laid out by ``fock.sector_layout``. Their
+    cells are gathered and squared at once, and each weight is the sum over
+    its own contiguous run.
+    """
+    grid = state.amplitudes
+    j, k = np.nonzero(grid)
+    layout = sector_layout(sorted(set((j + k).tolist())), state.cutoff)
+    cells = grid[layout.rows, layout.cols]
+    probs = np.abs(cells) ** 2
+    sectors = []
+    weights_sum = 0.0
+    for n, start, stop in zip(layout.sectors, layout.offsets, layout.offsets[1:]):
+        weight = float(np.sum(probs[start:stop]))
+        weights_sum += weight
+        if weight < WEIGHT_FLOOR:
+            continue
+        coeffs = cells[start:stop] / math.sqrt(weight)
         sectors.append(Sector(n=n, weight=weight, coeffs=coeffs, cutoff=min(n, state.cutoff)))
     return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)
 

@@ -409,12 +409,27 @@ ANALYZE_ERRORS = [*_flag_errors()] + [
     (["coherent", "--alpha", "nan"], "bad-parameter",
      "displacement must be finite, got alpha=(nan+0j)"),
     (["ecs", "--alpha", "inf"], "bad-parameter", "displacement must be finite, got alpha=(inf+0j)"),
+    (["coherent", "--alpha", "1e155"], "bad-parameter",
+     "|alpha|^2 must be finite, got alpha=(1e+155+0j)"),
+    (["ecs", "--alpha", "1e155j"], "bad-parameter", "|alpha|^2 must be finite, got alpha=1e+155j"),
+    *[(["noon", "--n", "2", flag, value], "bad-parameter",
+       f"{name} tolerance must be positive and finite, got {float(value)!r}")
+      for flag, name in (("--path-tol", "path-symmetry"), ("--sep-tol", "separability"))
+      for value in ("nan", "inf", "-1")],
+]
+
+#: (arguments after ``table1``, error code, message) of every usage error
+TABLE1_ERRORS = [
+    ([flag, value], "bad-parameter",
+     f"{flag} must be finite and non-negative, got {float(value)!r}")
+    for flag in ("--atol", "--rtol") for value in ("nan", "inf", "-1")
 ]
 
 #: Parameters far past anything the cutoff ceiling can hold; building their grids would overflow.
 EXTREME_PARAMETERS = [
     ["tsv", "--xi", "1000"], ["tmsv", "--chi", "800"], ["coherent", "--alpha", "1e6"],
     ["ecs", "--alpha", "1e6"], ["amplified-bell", "--xi", "1000"], ["tsv", "--xi", "inf"],
+    ["coherent", "--alpha", "1e154"],  # |alpha|^2 = 1e308 is still a float
 ]
 
 
@@ -495,6 +510,14 @@ class TestErrorContract:
         assert json.loads(err) == {"schema": "mzi-qfi/1",
                                    "error": {"code": code, "message": message}}
 
+    @pytest.mark.parametrize("args,code,message", TABLE1_ERRORS, ids=lambda v: " ".join(v)
+                             if isinstance(v, list) else "")
+    def test_table1_error(self, capsys, args, code, message):
+        exit_code, out, err = run_cli(capsys, "table1", *args)
+        assert (exit_code, out) == (1, "")
+        assert json.loads(err) == {"schema": "mzi-qfi/1",
+                                   "error": {"code": code, "message": message}}
+
     @pytest.mark.parametrize("args", EXTREME_PARAMETERS, ids=" ".join)
     def test_extreme_parameters_fail_on_the_loss_alone(self, capsys, args):
         # the loss search fails at the ceiling before any grid is built: no
@@ -521,6 +544,17 @@ class TestErrorContract:
         assert json.loads(err) == {"schema": "mzi-qfi/1", "error": {
             "code": "bad-norm",
             "message": f"{path}: norm nan deviates from 1 beyond the 1e-6 acceptance window"}}
+
+    def test_oversized_cutoff_in_state_file(self, capsys, tmp_path):
+        # numpy refuses a grid of this size before it allocates anything
+        path = tmp_path / "oversized.json"
+        path.write_text('{"cutoff": 1000000000, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, '
+                        '"im": 0.0}]}')
+        exit_code, out, err = run_cli(capsys, "analyze", "--state-file", str(path))
+        assert (exit_code, out) == (1, "")
+        assert json.loads(err) == {"schema": "mzi-qfi/1", "error": {
+            "code": "bad-state-file",
+            "message": f"{path}: cannot allocate a grid of cutoff 1000000000"}}
 
     @pytest.mark.parametrize("text,message", MALFORMED_STATE_DOCUMENTS)
     def test_malformed_state_file(self, capsys, tmp_path, text, message):

@@ -7,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_direction, sparse_states
-from mzi_qfi import particle
+from mzi_qfi import fock, particle
 from mzi_qfi.errors import ParameterError, SectorSupportError
 from mzi_qfi.fock import FockState, make_fock
 from mzi_qfi.particle import decompose_sectors, particle_moments, qfi_particle, sector_moments
 from mzi_qfi.qfi import qfi_variance
-from mzi_qfi.schwinger import beam_splitter
-from mzi_qfi.states import ProbeSpec, build, solve_param_for_nbar
+from mzi_qfi.schwinger import apply_rotation, beam_splitter, mzi_unitary
+from mzi_qfi.states import FAMILIES, ProbeSpec, build, build_for_nbar, solve_param_for_nbar
 from oracles import (
     collective_spin_matrix,
     dense_decompose_sectors,
     dicke_isometry,
     hermitian_exponential,
     ladder_j_moment,
+    layout_decompose_sectors,
     locality_check,
     locality_defect,
     multiqubit_oracle,
@@ -41,6 +42,19 @@ def fixed_n_superposition(entries, cutoff):
 def random_sector_state(rng, n):
     entries = {(k, n - k): rng.normal() + 1j * rng.normal() for k in range(n + 1)}
     return fixed_n_superposition(entries, n)
+
+
+def assert_same_bits(got, expected):
+    """Two decompositions hold the same sectors, weights and coefficients, bit for bit."""
+
+    def bits(value):
+        return np.asarray(value, dtype=np.float64).view(np.uint64).tolist()
+
+    assert bits(got.weights_sum) == bits(expected.weights_sum)
+    assert [s.n for s in got.sectors] == [s.n for s in expected.sectors]
+    for sector, reference in zip(got.sectors, expected.sectors):
+        assert bits(sector.weight) == bits(reference.weight)
+        assert bits(sector.coeffs.view(np.float64)) == bits(reference.coeffs.view(np.float64))
 
 
 def reembedded_sector(state, n):
@@ -133,16 +147,31 @@ class TestDecomposition:
     @settings(max_examples=200, deadline=None)
     @given(sparse_states())
     def test_matches_dense_sector_loop_bit_for_bit(self, state):
-        got, expected = decompose_sectors(state), dense_decompose_sectors(state)
+        assert_same_bits(decompose_sectors(state), dense_decompose_sectors(state))
 
-        def bits(value):
-            return np.asarray(value, dtype=np.float64).view(np.uint64).tolist()
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_states())
+    def test_matches_the_layout_gather_bit_for_bit(self, state):
+        expected = layout_decompose_sectors(state)
+        assert_same_bits(decompose_sectors(state), expected)
+        fortran = FockState(np.asfortranarray(state.amplitudes), state.cutoff)
+        assert not fortran.amplitudes.flags.c_contiguous
+        assert_same_bits(decompose_sectors(fortran), expected)
 
-        assert bits(got.weights_sum) == bits(expected.weights_sum)
-        assert [s.n for s in got.sectors] == [s.n for s in expected.sectors]
-        for sector, reference in zip(got.sectors, expected.sectors):
-            assert bits(sector.weight) == bits(reference.weight)
-            assert bits(sector.coeffs.view(np.float64)) == bits(reference.coeffs.view(np.float64))
+    def test_probes_match_the_layout_gather_bit_for_bit(self, rng):
+        states = [build_for_nbar(family, 4.0)[0] for family in FAMILIES]
+        for family in ("twin-fock", "noon", "fraternal-twin-fock", "separable-coherent-probe",
+                       "fock-pair"):
+            probe = build(ProbeSpec(family, {"n": 12}))
+            rotated = apply_rotation(probe, tuple(random_direction(rng)), rng.uniform(0.1, 6))
+            assert rotated._sector is not None
+            states += [rotated, FockState(rotated.amplitudes, rotated.cutoff)]  # and untagged
+        for state in states:
+            expected = layout_decompose_sectors(state)
+            assert_same_bits(decompose_sectors(state), expected)
+            fortran = FockState(np.asfortranarray(state.amplitudes), state.cutoff,
+                                _in_sector=state._sector)
+            assert_same_bits(decompose_sectors(fortran), expected)
 
     def test_fixed_n_probe_reads_one_sector(self, sector_reads):
         state = build(ProbeSpec("fock-pair", {"n": 200}))
@@ -150,6 +179,20 @@ class TestDecomposition:
         sector_reads.clear()  # the build's beam splitter read it too
         assert [s.n for s in decompose_sectors(state).sectors] == [400]
         assert sector_reads == [400]  # none for the 800 empty sectors
+
+    def test_tagged_state_is_decomposed_and_planned_without_a_scan(self, monkeypatch):
+        probe = build(ProbeSpec("twin-fock", {"n": 30}))
+        # a grid of its own, so that its first rotation plans it
+        state = FockState(probe.amplitudes.copy(), probe.cutoff, _in_sector=probe._sector)
+
+        def scan(grid):
+            raise AssertionError("an O(c^2) scan of a state that knows its sector")
+
+        monkeypatch.setattr(fock, "nonzero_cells", scan)
+        assert [s.n for s in decompose_sectors(state).sectors] == [60]
+        assert mzi_unitary(state, 0.3)._sector == 60
+        with pytest.raises(AssertionError, match="scan"):
+            decompose_sectors(FockState(state.amplitudes, state.cutoff))  # untagged: scanned
 
     def test_equality_compares_values(self):
         spec = ProbeSpec("twin-fock", {"n": 2})

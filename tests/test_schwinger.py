@@ -17,7 +17,6 @@ from mzi_qfi.fock import (
     make_fock,
     nonzero_cells,
     pad_to,
-    photon_totals,
     state_distance,
 )
 from mzi_qfi.schwinger import (
@@ -352,12 +351,6 @@ class TestRotations:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
         assert not mismatches
-
-    def test_rotating_at_many_cutoffs_keeps_four_totals_grids(self):
-        state = build(ProbeSpec("coherent", {"alpha": 2.0}))
-        for cutoff in range(40, 60):
-            apply_rotation(pad_to(state, cutoff), Y_AXIS, 0.4)
-        assert photon_totals.cache_info().currsize <= 4
 
     def test_basis_cache_stays_within_its_bytes(self):
         cache = _BasisCache(limit=3 * 21 * 21 * 8)

@@ -69,6 +69,22 @@ def test_cli_digest_reads_a_state_file_under_a_placeholder_path(capsys, tmp_path
     assert err_hash == hashlib.sha256(b"").hexdigest()
 
 
+def test_cli_digest_reads_an_oversized_state_file_as_an_error(capsys, tmp_path):
+    digest = load_tool("cli_digest")
+    placeholder = digest.OVERSIZED_STATE_FILE
+    env, argv = next(run for run in digest.invocations() if placeholder in run[1])
+    out_hash, err_hash, code, _ = digest.digest(ROOT, env, argv).split(" ", 3)
+    path = tmp_path / "oversized.json"
+    path.write_text(digest.STATE_DOCUMENTS[placeholder])
+    assert cli.main([str(path) if arg == placeholder else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.replace(str(path), placeholder)
+    assert f'"message": "{placeholder}: cannot allocate' in err
+    assert int(code) == 1 and captured.out == ""
+    assert out_hash == hashlib.sha256(b"").hexdigest()
+    assert err_hash == hashlib.sha256(err.encode()).hexdigest()
+
+
 def test_stage_memory_prints_every_stage_of_every_probe(monkeypatch, capsys):
     tool = load_tool("stage_memory")
     monkeypatch.setattr(tool, "PROBES", (("noon n=6", "noon", {"n": 6}, 40),

@@ -14,11 +14,12 @@ The optional argument is the root of the checkout whose ``src/`` is run; by
 default it is this one. The invocation list is this checkout's, whichever
 ``src/`` runs it. It covers every family and alias from ``--nbar``, the
 fixed-n families from ``--n``, explicit cutoffs, ``table1`` in each format,
-the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, a state file
-read with ``--state-file`` and every usage error of ``tests/test_cli.py``.
-The state file is ``STATE_DOCUMENT``, written to a new temporary directory
-for each run; its path is ``STATE_FILE`` in the printed command line and in
-the digested output.
+the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, two state files
+read with ``--state-file`` and every usage error of ``analyze`` and ``table1``
+in ``tests/test_cli.py``. Each state file is written to a new temporary
+directory for each run, from the document its placeholder names in
+``STATE_DOCUMENTS``; its path is that placeholder in the printed command line
+and in the digested output.
 """
 
 import hashlib
@@ -57,20 +58,28 @@ STATE_DOCUMENT = (
     '{"cutoff": 2, "amplitudes": [{"ja": 0, "jb": 0, "re": 0.48000000005, "im": 0.0}, '
     '{"ja": 1, "jb": 2, "re": 0.6, "im": 0.0}, {"ja": 2, "jb": 1, "re": 0.0, "im": 0.64}]}'
 )
-#: Stands for the path of the state file, in an invocation and in what it prints.
+#: A state whose cutoff numpy refuses to allocate a grid for.
+OVERSIZED_STATE_DOCUMENT = (
+    '{"cutoff": 1000000000, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, "im": 0.0}]}'
+)
+#: Stand for the path of each state file, in an invocation and in what it prints.
 STATE_FILE = "STATE_FILE"
+OVERSIZED_STATE_FILE = "OVERSIZED_STATE_FILE"
+STATE_DOCUMENTS = {STATE_FILE: STATE_DOCUMENT, OVERSIZED_STATE_FILE: OVERSIZED_STATE_DOCUMENT}
 
 Invocation = Tuple[Dict[str, str], List[str]]
 
 
-def _usage_errors() -> List[List[str]]:
-    """The arguments after ``analyze --family`` of every case in ``tests/test_cli.py``."""
+def _usage_errors() -> Tuple[List[List[str]], List[List[str]]]:
+    """The arguments after ``analyze --family``, and after ``table1``, of every case in
+    ``tests/test_cli.py``."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     try:
         import test_cli
     finally:
         del sys.path[:2]
-    return [args for args, _, _ in test_cli.ANALYZE_ERRORS]
+    return ([args for args, _, _ in test_cli.ANALYZE_ERRORS],
+            [args for args, _, _ in test_cli.TABLE1_ERRORS])
 
 
 def invocations() -> List[Invocation]:
@@ -92,8 +101,10 @@ def invocations() -> List[Invocation]:
         runs += [(env, list(argv)) for argv in SWEEPS]
         runs += [(env, ["analyze", "--family", family, "--nbar", "10"])
                  for family in ("tsv", "tmsv", "amplified-bell")]
-    runs.append(({}, ["analyze", "--state-file", STATE_FILE]))
-    runs += [({}, ["analyze", "--family", *args]) for args in _usage_errors()]
+    runs += [({}, ["analyze", "--state-file", path]) for path in STATE_DOCUMENTS]
+    analyze_errors, table1_errors = _usage_errors()
+    runs += [({}, ["analyze", "--family", *args]) for args in analyze_errors]
+    runs += [({}, ["table1", *args]) for args in table1_errors]
     unique: Dict[Tuple[Tuple[Tuple[str, str], ...], Tuple[str, ...]], Invocation] = {}
     for env, argv in runs:  # noon --n 0 is also a usage error
         unique.setdefault((tuple(env.items()), tuple(argv)), (env, argv))
@@ -103,22 +114,24 @@ def invocations() -> List[Invocation]:
 def run(root: Path, env: Dict[str, str], argv: Sequence[str]) -> subprocess.CompletedProcess:
     """Run ``mzi-qfi argv`` from ``root/src`` in a fresh interpreter, capturing its bytes.
 
-    A ``STATE_FILE`` argument is replaced by the path of a new copy of
-    ``STATE_DOCUMENT``, and that path by ``STATE_FILE`` in what the run wrote.
+    An argument that is a placeholder of ``STATE_DOCUMENTS`` is replaced by
+    the path of a new copy of its document, and that path by the placeholder
+    in what the run wrote.
     """
     run_env = {key: value for key, value in os.environ.items() if key != "MZI_QFI_CUTOFF_CEILING"}
     run_env.update(env, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "state.json")
-        if STATE_FILE in argv:
-            with open(path, "w") as handle:
-                handle.write(STATE_DOCUMENT)
+        paths = {}
+        for placeholder in STATE_DOCUMENTS.keys() & set(argv):
+            paths[placeholder] = os.path.join(directory, f"{placeholder.lower()}.json")
+            with open(paths[placeholder], "w") as handle:
+                handle.write(STATE_DOCUMENTS[placeholder])
         proc = subprocess.run(
-            [sys.executable, "-m", "mzi_qfi.cli", *(path if arg == STATE_FILE else arg
-                                                    for arg in argv)],
+            [sys.executable, "-m", "mzi_qfi.cli", *(paths.get(arg, arg) for arg in argv)],
             env=run_env, capture_output=True, check=False)
-    proc.stdout = proc.stdout.replace(path.encode(), STATE_FILE.encode())
-    proc.stderr = proc.stderr.replace(path.encode(), STATE_FILE.encode())
+    for placeholder, path in paths.items():
+        proc.stdout = proc.stdout.replace(path.encode(), placeholder.encode())
+        proc.stderr = proc.stderr.replace(path.encode(), placeholder.encode())
     return proc
 
 

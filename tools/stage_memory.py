@@ -8,9 +8,9 @@ where the peak is the high-water mark, measured by ``tracemalloc``, of what
 the stage allocates above what was held when it was called, its result
 included, and a grid is one complex (cutoff+1)^2 amplitude grid. The probe's
 own grid is built before a stage is measured, so it is not counted. Each
-stage is called once untraced first, so the caches a call fills (the
-``photon_totals`` grids, the rotation's Jx bases) are not counted, which
-makes ``mzi_unitary`` a warm rotation of a probe already planned.
+stage is called once untraced first, so the cache a call fills, the
+rotation's Jx bases, is not counted, which makes ``mzi_unitary`` a warm
+rotation of a probe already planned.
 ``analyze_rotated`` and ``schmidt_rotated`` are ``analyze`` and ``schmidt``
 of that rotation's result, a fringe point, made before either stage is
 measured. ``mzi_unitary_cold`` rotates a
