@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from . import catalog, serialize
 from .coherence import PATH_SYMMETRY_TOL, analyze
-from .entanglement import SEPARABILITY_TOL, schmidt
+from .entanglement import SEPARABILITY_TOL, check_separability_tol, schmidt
 from .errors import MziError, ParameterError
 from .fock import FockState
 from .particle import SectorDecomposition, decompose_sectors, sector_moments
@@ -169,6 +169,7 @@ def _sector_documents(decomposition: SectorDecomposition) -> dict:
 def cmd_analyze(args) -> int:
     state, info = _probe_state(args)
     coherence = analyze(state, tol=args.path_tol)
+    check_separability_tol(args.sep_tol)  # before the work that precedes schmidt
     decomposition = decompose_sectors(state)
     qfi_report = build_report(
         state,

@@ -267,6 +267,12 @@ def _support_singular_values(grid: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(values))[::-1]
 
 
+def check_separability_tol(tol: float) -> None:
+    """Raise ``ParameterError`` unless ``tol`` is a positive, finite :func:`schmidt` tolerance."""
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"separability tolerance must be positive and finite, got {tol!r}")
+
+
 def schmidt(state: FockState, tol: float = SEPARABILITY_TOL) -> ModeEntanglementReport:
     """Schmidt decomposition of a normalized state across the mode partition.
 
@@ -279,8 +285,7 @@ def schmidt(state: FockState, tol: float = SEPARABILITY_TOL) -> ModeEntanglement
     or anti-diagonal on its support, or a product state, costs no SVD of its
     grid. Values below ``CROSS_TOL`` of a crossed block are left out.
     """
-    if not 0 < tol < math.inf:
-        raise ParameterError(f"separability tolerance must be positive and finite, got {tol!r}")
+    check_separability_tol(tol)
     values = _support_singular_values(state.amplitudes)
     squared = values**2
     logs = np.log(squared, out=np.zeros_like(squared), where=squared > 0)  # 0 log 0 = 0

@@ -9,9 +9,10 @@ The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
 :func:`number_moments`, which reads them all off one grid of occupation
 probabilities. Rotations and decompositions act on photon-number sectors
 instead, laid out by :func:`sector_kets` and, for a rotation's many sectors,
-:func:`sector_layout`. :func:`sector_cells` is the one reader of a sector's
-cells, as a view, and :func:`occupied_sectors` the one judge of which sectors
-a state occupies: its tag, or one scan through :func:`photon_totals`.
+:func:`sector_layout`. :func:`sector_cells` is the one reader of a grid's
+sector, as a view, :func:`state_cells` the one reader of a state's sectors,
+and :func:`occupied_sectors` the one judge of which sectors a state
+occupies: its tag, or one scan through :func:`photon_totals`.
 
 :func:`number_moments` and :func:`vdot` sum over a grid in numpy alone, not
 through BLAS, whose dot products split long vectors across threads and so
@@ -26,6 +27,18 @@ when the rotated grid occupies one sector, and ``Sector.state`` sets the
 sector's n. Grids from elsewhere are never scanned for it. The norm check,
 :func:`number_moments`, :func:`occupied_sectors` (so the decomposition and the
 rotation plan) and ``particle_moments`` then read only that sector.
+
+Three of those constructors make a state that holds only its sector's cells,
+in :func:`sector_kets` order, and builds its grid on the first read of
+``amplitudes`` (``FockState._from_cells``): ``Sector.state``,
+:func:`mzi_qfi.schwinger.apply_rotation` when the rotated grid occupies one
+sector, and :func:`mzi_qfi.schwinger.phase_shift` of a state that knows its
+sector. Their norm is checked on the cells, and :func:`state_cells` hands
+the cells to :func:`number_moments`, equality, ``decompose_sectors``,
+``particle_moments`` and ``phase_shift``, so a fixed-photon-number fringe
+point or a decomposed sector costs O(c) until something else, such as
+``schmidt``, the fidelity route, :func:`pad_to`, a rotation's plan or a
+state file, reads its grid.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ import math
 import os
 from dataclasses import InitVar, dataclass, field
 from itertools import accumulate
-from typing import List, Literal, NamedTuple, Optional, Sequence, Tuple
+from typing import ClassVar, List, Literal, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +81,18 @@ def cutoff_ceiling() -> int:
     return value
 
 
+def _check_loss(loss: float) -> None:
+    if loss < 0:
+        raise ParameterError("truncation_loss must be non-negative")
+
+
+def _check_norm(norm_squared: float) -> None:
+    # written so that a NaN or infinite norm fails the check
+    nrm = math.sqrt(norm_squared)
+    if not abs(nrm - 1.0) <= _NORM_TOL:
+        raise NormalizationError(f"state norm {nrm!r} deviates from 1 beyond {_NORM_TOL}")
+
+
 def check_truncation_loss(loss: float) -> None:
     """Raise ``TruncationLossError`` if ``loss`` exceeds ``DEFAULT_LOSS_CEILING``."""
     if loss > DEFAULT_LOSS_CEILING:
@@ -83,7 +108,8 @@ class FockState:
     ``truncation_loss`` is the probability discarded before the grid was
     renormalized; it is zero for states assembled directly from basis kets.
     Instances are immutable and safe to share across threads. Equality
-    compares the arrays with ``np.array_equal``.
+    compares the arrays with ``np.array_equal``; two states that know the
+    same sector compare that sector's cells alone, every other cell being 0.
 
     ``_in_sector``, a keyword-only argument, promises that every nonzero
     amplitude sits in the photon-number sector it names, the cells |k, n-k>
@@ -95,6 +121,12 @@ class FockState:
     at most c + 1 of them, and over the whole grid, one complex dot, when no
     sector is known. ``dataclasses.replace`` passes no ``_in_sector``, so a
     replaced state knows no sector and is checked over every cell.
+
+    A single-sector state may instead hold just its sector's cells, read-only
+    in ``_cells`` (see :meth:`_from_cells`; None for a state held by its
+    grid). Its ``amplitudes`` grid is built on the first read, zeros with the
+    cells scattered through :func:`sector_cells`, and stored read-only, once,
+    so every reader, in any thread, gets the same grid.
     """
 
     amplitudes: np.ndarray
@@ -102,6 +134,7 @@ class FockState:
     truncation_loss: float = 0.0
     _sector: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     _in_sector: InitVar[Optional[int]] = field(default=None, kw_only=True)
+    _cells: ClassVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, _in_sector: Optional[int]) -> None:
         grid = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -111,26 +144,57 @@ class FockState:
             raise ParameterError(
                 f"grid shape {grid.shape} inconsistent with cutoff {self.cutoff}"
             )
-        if self.truncation_loss < 0:
-            raise ParameterError("truncation_loss must be non-negative")
-        # written so that a NaN or infinite norm fails the check
+        _check_loss(self.truncation_loss)
         if _in_sector is None:
-            norm_squared = float(np.vdot(grid, grid).real)
+            _check_norm(float(np.vdot(grid, grid).real))
         else:
             cells = sector_cells(grid, _in_sector)  # every other cell is zero
-            norm_squared = vdot(cells, cells).real
-        nrm = math.sqrt(norm_squared)
-        if not abs(nrm - 1.0) <= _NORM_TOL:
-            raise NormalizationError(f"state norm {nrm!r} deviates from 1 beyond {_NORM_TOL}")
+            _check_norm(vdot(cells, cells).real)
         grid.flags.writeable = False
         object.__setattr__(self, "amplitudes", grid)
         object.__setattr__(self, "_sector", _in_sector)
 
+    @classmethod
+    def _from_cells(
+        cls, cells: np.ndarray, n: int, cutoff: int, truncation_loss: float = 0.0
+    ) -> "FockState":
+        """The state of sector ``n`` with amplitudes ``cells`` on |k, n-k>, k in ``sector_kets``.
+
+        Its norm is checked over the cells, as for a grid with ``_in_sector=n``;
+        they are kept read-only, and no grid is built until ``amplitudes`` is read.
+        """
+        cells = np.asarray(cells, dtype=np.complex128)
+        if cells.shape != (_sector_span(n, cutoff)[1],):
+            raise ParameterError(
+                f"{cells.shape} cells do not fill sector {n} of a cutoff {cutoff} grid"
+            )
+        _check_loss(truncation_loss)
+        _check_norm(vdot(cells, cells).real)
+        cells.flags.writeable = False
+        state = object.__new__(cls)
+        state.__dict__.update(cutoff=cutoff, truncation_loss=truncation_loss, _sector=n,
+                              _cells=cells)
+        return state
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only when ``name`` is not in the instance: a cell-held grid not yet built
+        cells = self.__dict__.get("_cells") if name == "amplitudes" else None
+        if cells is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        grid = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=np.complex128)
+        sector_cells(grid, self._sector)[:] = cells
+        grid.flags.writeable = False
+        return self.__dict__.setdefault("amplitudes", grid)  # the first grid stored wins
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        same = (self.cutoff, self.truncation_loss) == (other.cutoff, other.truncation_loss)
-        return same and np.array_equal(self.amplitudes, other.amplitudes)
+        if (self.cutoff, self.truncation_loss) != (other.cutoff, other.truncation_loss):
+            return False
+        n = self._sector
+        if n is not None and n == other._sector:
+            return np.array_equal(*(state_cells(state, [n])[0] for state in (self, other)))
+        return np.array_equal(self.amplitudes, other.amplitudes)
 
     @classmethod
     def from_grid(cls, grid: np.ndarray, truncation_loss: float = 0.0) -> "FockState":
@@ -162,9 +226,16 @@ def nonzero_cells(grid: np.ndarray) -> np.ndarray:
     return parts.view(np.uint16) != 0
 
 
+def _sector_span(n: int, cutoff: int) -> Tuple[int, int]:
+    """The first k of sector ``n`` on a ``cutoff`` grid, and the number of its cells there."""
+    low = max(0, n - cutoff)
+    return low, max(0, min(n, cutoff) + 1 - low)
+
+
 def sector_kets(n: int, cutoff: int) -> np.ndarray:
     """The run of k, read-only, for which a ``cutoff`` grid holds the ket |k, n-k>."""
-    ks = np.arange(max(0, n - cutoff), min(n, cutoff) + 1)
+    low, count = _sector_span(n, cutoff)
+    ks = np.arange(low, low + count)
     ks.flags.writeable = False
     return ks
 
@@ -177,10 +248,24 @@ def sector_cells(grid: np.ndarray, n: int) -> np.ndarray:
     C-contiguous).
     """
     cutoff = grid.shape[0] - 1
-    low = max(0, n - cutoff)
-    count = max(0, min(n, cutoff) + 1 - low)
+    low, count = _sector_span(n, cutoff)
     start, step = low * cutoff + n, cutoff or 1
     return grid.reshape(-1)[start : start + count * step : step]
+
+
+def state_cells(state: FockState, sectors: Sequence[int]) -> List[np.ndarray]:
+    """The amplitudes of ``state`` on each of ``sectors``, in ``sector_kets`` order.
+
+    A state that holds its cells (see :class:`FockState`), asked for its own
+    sector, returns them, read-only, and builds no grid. Otherwise each
+    sector is read through :func:`sector_cells` from the grid made
+    C-contiguous once, so each is a view, and a grid of another memory order
+    is copied once, not once per sector.
+    """
+    if state._cells is not None and len(sectors) == 1 and sectors[0] == state._sector:
+        return [state._cells]
+    grid = np.ascontiguousarray(state.amplitudes)
+    return [sector_cells(grid, n) for n in sectors]
 
 
 def photon_totals(cutoff: int) -> np.ndarray:
@@ -345,7 +430,8 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     the imaginary parts another while they are added in.
 
     A state that knows its photon number n (``FockState._sector``) costs
-    O(c) instead: only the at most c + 1 cells of sector n are gathered and
+    O(c) instead: only the at most c + 1 cells of sector n are read
+    (:func:`state_cells`, so a state that holds its cells builds no grid) and
     squared, and their p and k p are scattered into the row and column sums.
     In such a grid every row and every column holds at most one nonzero
     cell, and adding zeros to a float is exact, so the dense sums would
@@ -356,9 +442,9 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order!r}")
 
-    psi = state.amplitudes
     n = state._sector
     if n is None:
+        psi = state.amplitudes
         probs = np.square(psi.real)
         probs += np.square(psi.imag)
         levels = np.arange(state.dim, dtype=np.float64)
@@ -369,7 +455,7 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     else:
         js = sector_kets(n, state.cutoff)  # the cells (j, n - j), one per row and column
         ks = n - js
-        cells = sector_cells(psi, n)
+        [cells] = state_cells(state, [n])
         probs = np.square(cells.real)
         probs += np.square(cells.imag)
         rows, weighted_rows, weighted_cols = np.zeros((3, state.dim))

@@ -11,9 +11,10 @@ collective-spin moments into single-particle Pauli statistics:
 
 The phase-sensitivity decomposition F = n Var[sigma_z] + n(n-1) Cov[sigma_z,
 sigma_z] makes the covariance an entanglement witness: product sectors have
-zero covariance and are shot-noise limited. Every sector is read in place
-through :func:`mzi_qfi.fock.sector_cells`, and a decomposition reads only the
-sectors :func:`mzi_qfi.fock.occupied_sectors` names.
+zero covariance and are shot-noise limited. Every sector is read through
+:func:`mzi_qfi.fock.state_cells`, in place or from the cells a state holds,
+and a decomposition reads only the sectors
+:func:`mzi_qfi.fock.occupied_sectors` names.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ParameterError, SectorSupportError
-from .fock import FockState, occupied_sectors, sector_cells, sector_kets
+from .fock import FockState, occupied_sectors, sector_kets, state_cells
 
 #: Sector weights below this are dropped from decompositions.
 WEIGHT_FLOOR = 1e-14
@@ -65,14 +66,14 @@ class Sector:
 
     @property
     def state(self) -> FockState:
-        """The sector as a normalized state on a ``cutoff`` grid, built on each access.
+        """The sector as a normalized state on a ``cutoff`` grid, holding ``coeffs`` as its cells.
 
-        The state knows its photon number n (``FockState._sector``), so its
-        norm check and its number moments read only the cells of ``coeffs``.
+        The state knows its photon number n (``FockState._sector``) and holds
+        no grid until its ``amplitudes`` are read, so its norm check, its
+        number moments and :func:`particle_moments` cost O(n). Each access
+        makes a new state around the same read-only ``coeffs``.
         """
-        grid = np.zeros((self.cutoff + 1, self.cutoff + 1), dtype=np.complex128)
-        sector_cells(grid, self.n)[:] = self.coeffs
-        return FockState(grid, self.cutoff, _in_sector=self.n)
+        return FockState._from_cells(self.coeffs, self.n, self.cutoff)
 
 
 @dataclass(frozen=True)
@@ -121,15 +122,15 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
     Each kept sector holds only its anti-diagonal, the vector of amplitudes
     on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
     all. Only the sectors of :func:`mzi_qfi.fock.occupied_sectors` are read,
-    each in place through :func:`mzi_qfi.fock.sector_cells`, so a state that
-    knows its photon number reads its one sector and scans nothing. An empty
-    sector, which would add exactly 0.0 to ``weights_sum``, is not read.
+    each through :func:`mzi_qfi.fock.state_cells`, so a state that knows its
+    photon number reads its one sector and scans nothing, and a state that
+    holds its cells builds no grid. An empty sector, which would add exactly
+    0.0 to ``weights_sum``, is not read.
     """
-    grid = np.ascontiguousarray(state.amplitudes)  # so that each sector is a view, not a copy
+    occupied = occupied_sectors(state)
     sectors = []
     weights_sum = 0.0
-    for n in occupied_sectors(state):
-        cells = sector_cells(grid, n)
+    for n, cells in zip(occupied, state_cells(state, occupied)):
         weight = float(np.square(np.abs(cells)).sum())
         weights_sum += weight
         if weight < WEIGHT_FLOOR:
@@ -191,8 +192,9 @@ def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
     word. Any other state is decomposed first, and its dominant sector is its
     sector once all but ``SECTOR_SUPPORT_TOL`` of its weight lies there. That
     sector must be ``n``. The statistics come from the grid's own cells of
-    sector ``n``, at most n + 1 of them, as :func:`sector_moments` reads them
-    from a decomposition's normalized vector.
+    sector ``n``, at most n + 1 of them (those a state holds, without a grid,
+    through :func:`mzi_qfi.fock.state_cells`), as :func:`sector_moments` reads
+    them from a decomposition's normalized vector.
     """
     if n < 1:
         raise ParameterError(f"particle statistics need n >= 1, got {n}")
@@ -209,7 +211,8 @@ def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
         actual = top.n
     if actual != n:
         raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
-    probs = np.abs(sector_cells(sector_state.amplitudes, n)) ** 2
+    [cells] = state_cells(sector_state, [n])
+    probs = np.abs(cells) ** 2
     return _sector_report(n, sector_kets(n, sector_state.cutoff), probs)
 
 

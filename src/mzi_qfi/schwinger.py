@@ -30,10 +30,12 @@ matrix products per occupied sector for the coordinates, when the grid or
 gamma is new, and two back, each with a cell and its mirror as four real columns, so a
 fixed-photon-number probe pays for a single block; and one vectorized pass
 over the cells (the cos/sin mixing in groups of at most ``MIX_COLUMNS``
-columns, the left phase, the norm and the scatter). A result that occupies
-one sector, as every rotation of a fixed-photon-number probe does, carries
-that sector as its ``FockState._sector`` tag, so its norm check and its
-number moments cost O(c), not O(c^2). Jz is diagonal in the number basis,
+columns, the left phase, the norm and, for a result of several sectors,
+the scatter into a new grid). A result that occupies one sector, as every
+rotation of a fixed-photon-number probe does, carries that sector as its
+``FockState._sector`` tag and holds only that sector's cells, so it
+allocates no grid, and its norm check and its number moments cost O(c), not
+O(c^2). Jz is diagonal in the number basis,
 so its moments come from the number moments of :mod:`mzi_qfi.fock`.
 """
 
@@ -50,7 +52,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, TruncationOverflowError
-from .fock import FockState, number_moments, occupied_sectors, sector_layout
+from .fock import (
+    FockState,
+    number_moments,
+    occupied_sectors,
+    sector_kets,
+    sector_layout,
+    state_cells,
+)
 
 
 @dataclass(frozen=True)
@@ -448,9 +457,10 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     another grid is rotated or this one is collected. A fringe scan,
     ``mzi_unitary`` at |phi| < pi, has gamma = -pi/2 at every phase, so
     after its first point each costs only the mixing, the products back,
-    the left phase, the norm and the scatter. The plan is never changed and
-    the coordinates are read-only and replaced in one assignment, so threads
-    may rotate at once; each call works in buffers of its own.
+    the left phase and the norm (and the scatter, for several sectors). The
+    plan is never changed and the coordinates are read-only and replaced in
+    one assignment, so threads may rotate at once; each call works in
+    buffers of its own.
 
     A sector above the cutoff, which the grid holds only in part, uses the
     rows of the basis for the cells it holds, k from n - cutoff to cutoff,
@@ -461,7 +471,9 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     every call. The rotated vectors are renormalized together.
 
     When the grid occupies a single sector n, the result carries n as its
-    ``_sector`` tag (see :class:`mzi_qfi.fock.FockState`).
+    ``_sector`` tag and holds only that sector's rotated cells, with no grid
+    until its ``amplitudes`` are read (see :class:`mzi_qfi.fock.FockState`):
+    a fixed-photon-number fringe point allocates O(c), not a zeroed grid.
     """
     global _memo
     grid = state.amplitudes
@@ -477,10 +489,12 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
         _memo = (ref, plan, rotation.gamma, kept)
     real, imag = rotated.real, rotated.imag  # np.linalg.norm's sum, without its dispatch
     rotated /= math.sqrt(real.dot(real) + imag.dot(imag))
+    if len(plan.occupied) == 1:  # the layout of one sector is its kets in k order
+        return FockState._from_cells(rotated, plan.occupied[0], state.cutoff,
+                                     state.truncation_loss)
     out = np.zeros(grid.shape, dtype=np.complex128)
     out.reshape(-1)[plan.flats] = rotated
-    sector = plan.occupied[0] if len(plan.occupied) == 1 else None
-    return FockState(out, state.cutoff, state.truncation_loss, _in_sector=sector)
+    return FockState(out, state.cutoff, state.truncation_loss)
 
 
 def beam_splitter(state: FockState, which: Literal["first", "second"] = "first") -> FockState:
@@ -498,13 +512,20 @@ def phase_shift(state: FockState, phi: float) -> FockState:
     Diagonal in the number basis, hence exact at any cutoff. The phase depends
     on j - k alone, so it is evaluated once for each of the 2c+1 differences
     d = c, ..., -c; row j of the grid's phases is the window of that table
-    starting at d = j. The result keeps the input's ``_sector`` tag.
+    starting at d = j. A state that knows its sector n keeps its tag, and its
+    result holds only the cells of sector n (:func:`mzi_qfi.fock.state_cells`),
+    each times the entry of its d = 2k - n, with no grid until one is read.
     """
     differences = np.arange(state.cutoff, -state.cutoff - 1, -1)
     table = np.exp(-1j * phi * differences / 2)
+    n = state._sector
+    if n is not None:
+        [cells] = state_cells(state, [n])
+        ks = sector_kets(n, state.cutoff)
+        phased = table.take(state.cutoff + n - 2 * ks) * cells  # the grid's operand order
+        return FockState._from_cells(phased, n, state.cutoff, state.truncation_loss)
     phases = sliding_window_view(table, state.dim)[::-1]
-    return FockState(phases * state.amplitudes, state.cutoff, state.truncation_loss,
-                     _in_sector=state._sector)
+    return FockState(phases * state.amplitudes, state.cutoff, state.truncation_loss)
 
 
 def mzi_unitary(state: FockState, phi: float) -> FockState:

@@ -48,15 +48,15 @@ def sector_reads(monkeypatch) -> list:
     """The photon numbers of the sectors ``particle`` reads and ``schwinger`` lays out, in order."""
     reads = []
 
-    def read(grid, n):
-        reads.append(int(n))
-        return fock.sector_cells(grid, n)
+    def read(state, sectors):
+        reads.extend(int(n) for n in sectors)
+        return fock.state_cells(state, sectors)
 
     def lay_out(sectors, cutoff):
         reads.extend(int(n) for n in sectors)
         return fock.sector_layout(sectors, cutoff)
 
-    monkeypatch.setattr(particle, "sector_cells", read)
+    monkeypatch.setattr(particle, "state_cells", read)
     monkeypatch.setattr(schwinger, "sector_layout", lay_out)
     return reads
 

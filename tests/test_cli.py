@@ -510,6 +510,26 @@ class TestErrorContract:
         assert json.loads(err) == {"schema": "mzi-qfi/1",
                                    "error": {"code": code, "message": message}}
 
+    def test_separability_tolerance_is_checked_before_the_decomposition(self, capsys,
+                                                                         monkeypatch):
+        def decompose(state):
+            raise AssertionError("the decomposition ran before --sep-tol was checked")
+
+        monkeypatch.setattr(cli, "decompose_sectors", decompose)
+        cases = [(["tsv", "--nbar", "7", "--sep-tol", value], "bad-parameter",
+                  f"separability tolerance must be positive and finite, got {float(value)!r}")
+                 for value in ("nan", "inf", "-1", "0")]
+        cases += [  # a bad probe and a bad --path-tol keep their own errors
+            (["tsv", "--xi", "-0.3", "--sep-tol", "nan"], "bad-parameter",
+             "squeezing must be non-negative, got xi=-0.3"),
+            (["tsv", "--nbar", "7", "--path-tol", "-1", "--sep-tol", "nan"], "bad-parameter",
+             "path-symmetry tolerance must be positive and finite, got -1.0"),
+        ]
+        for args, code, message in cases:
+            exit_code, out, err = run_cli(capsys, "analyze", "--family", *args)
+            assert (exit_code, out) == (1, ""), args
+            assert json.loads(err)["error"] == {"code": code, "message": message}, args
+
     @pytest.mark.parametrize("args,code,message", TABLE1_ERRORS, ids=lambda v: " ".join(v)
                              if isinstance(v, list) else "")
     def test_table1_error(self, capsys, args, code, message):

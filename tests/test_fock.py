@@ -2,17 +2,23 @@ import dataclasses
 import inspect
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_direction, random_two_mode_state, sparse_states
+from conftest import _SPECIAL_AMPLITUDES, random_direction, random_two_mode_state, sparse_states
 from mzi_qfi import particle, schwinger
+from mzi_qfi.coherence import analyze
+from mzi_qfi.entanglement import schmidt
 from mzi_qfi.errors import (
     CutoffExceededError,
+    MziError,
     NormalizationError,
+    ParameterError,
     TruncationLossError,
 )
 from mzi_qfi.fock import (
@@ -29,7 +35,8 @@ from mzi_qfi.fock import (
     state_distance,
     vdot,
 )
-from mzi_qfi.serialize import read_state_file, write_state_file
+from mzi_qfi.qfi import qfi_fidelity
+from mzi_qfi.serialize import read_state_file, state_to_document, write_state_file
 from mzi_qfi.states import ProbeSpec, build
 from oracles import _lower, ladder_moment, oracle_raise
 
@@ -420,3 +427,177 @@ class TestSectorTag:
         assert state._sector == 7
         with pytest.raises(NormalizationError):
             FockState(2 * grid, 5, _in_sector=7)
+
+
+def result_bits(value):
+    """A bit-exact image of a result: arrays by their bytes, every float by its ``repr``."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, FockState):
+        return (value.cutoff, repr(value.truncation_loss), value._sector,
+                result_bits(value.amplitudes))
+    if isinstance(value, particle.SectorDecomposition):
+        return repr(value.weights_sum), [(s.n, repr(s.weight), s.cutoff, result_bits(s.coeffs))
+                                         for s in value.sectors]
+    return repr(value)
+
+
+#: Every reader of a state of sector n, from the cells a state holds or from its grid.
+READS = {
+    "amplitudes": lambda state, n: state.amplitudes,
+    "number_moments": lambda state, n: number_moments(state),
+    "analyze": lambda state, n: analyze(state),
+    "decompose_sectors": lambda state, n: particle.decompose_sectors(state),
+    "particle_moments": particle.particle_moments,
+    "schmidt": lambda state, n: schmidt(state),
+    "phase_shift": lambda state, n: schwinger.phase_shift(state, 0.7),
+    "qfi_fidelity": lambda state, n: qfi_fidelity(state),
+    "mzi_unitary": lambda state, n: schwinger.mzi_unitary(state, 0.3),
+    "state_to_document": lambda state, n: state_to_document(state),
+}
+
+
+def read_outcome(read, state, n):
+    try:
+        return result_bits(read(state, n))
+    except MziError as exc:  # sectors past the cutoff do not rotate, the vacuum has no particles
+        return type(exc).__name__, str(exc)
+
+
+def assert_twins_agree(cells, n, cutoff, loss=0.0):
+    """A state holding ``cells`` of sector ``n`` reads the bits of one holding the same grid.
+
+    The grid is read once with the tag, ``_in_sector=n``, and once without,
+    through the dense paths. Each read gets fresh states, so that no read
+    finds a grid an earlier one built.
+    """
+    ks = sector_kets(n, cutoff)
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    grid[ks, n - ks] = cells
+
+    def held():
+        state = FockState._from_cells(cells, n, cutoff, loss)
+        assert "amplitudes" not in vars(state)
+        return state
+
+    def twin():
+        return FockState(grid.copy(), cutoff, loss, _in_sector=n)
+
+    for name, read in READS.items():
+        expected = read_outcome(read, twin(), n)
+        assert read_outcome(read, held(), n) == expected, name
+        if name != "phase_shift":  # an untagged phase shift is an untagged grid
+            assert read_outcome(read, untagged(twin()), n) == expected, name
+    shifted, dense = (schwinger.phase_shift(state, 0.7) for state in (held(), untagged(twin())))
+    # the dense shift holds zeros of either sign outside the sector
+    assert result_bits(shifted._cells) == result_bits(sector_cells(dense.amplitudes, n).copy())
+    assert np.array_equal(shifted.amplitudes, dense.amplitudes)
+    assert held() == twin() and twin() == held() and held() == untagged(twin())
+
+
+@st.composite
+def sector_cell_runs(draw, max_cutoff: int = 10):
+    """(cells, n, cutoff, loss): the normalized cells of one sector, n up to 2 * cutoff.
+
+    Cells may be exact zeros, negative zeros, or amplitudes whose square
+    underflows or is subnormal, as in ``conftest.sparse_states``.
+    """
+    cutoff = draw(st.integers(0, max_cutoff))
+    n = draw(st.integers(0, 2 * cutoff))
+    count = len(sector_kets(n, cutoff))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["normal", "normal", *_SPECIAL_AMPLITUDES]),
+                          min_size=count, max_size=count))
+    if "normal" not in kinds:
+        kinds[0] = "normal"
+    normal = np.array([kind == "normal" for kind in kinds])
+    cells = np.where(normal, rng.normal(size=count) + 1j * rng.normal(size=count), 0)
+    cells /= np.linalg.norm(cells)
+    for i, kind in enumerate(kinds):
+        if kind != "normal":
+            cells[i] = _SPECIAL_AMPLITUDES[kind]
+    return cells, n, cutoff, draw(st.sampled_from([0.0, 3e-13]))
+
+
+class TestCellHeldStates:
+    @settings(max_examples=150, deadline=None)
+    @given(sector_cell_runs())
+    def test_held_cells_read_as_their_grid_bit_for_bit(self, run):
+        assert_twins_agree(*run)
+
+    def test_rotated_probes_hold_their_cells_and_read_as_their_grid(self, rng):
+        compared = 0
+        for family in FIXED_N_FAMILIES:
+            for n in (1, 6, 24):
+                probe = build(ProbeSpec(family, {"n": n}))
+                state = probe
+                for _ in range(2):  # a rotation, then a rotation of that rotation
+                    state = schwinger.apply_rotation(state, tuple(random_direction(rng)),
+                                                     rng.uniform(0.1, 6))
+                    assert state._cells is not None and "amplitudes" not in vars(state)
+                    assert_twins_agree(state._cells, state._sector, state.cutoff)
+                    compared += 1
+        assert compared == 2 * 3 * len(FIXED_N_FAMILIES)
+
+    def test_sector_states_and_phase_shifts_hold_their_cells(self):
+        coherent = build(ProbeSpec("coherent", {"alpha": 1.5}, 16))
+        for sector in particle.decompose_sectors(coherent).sectors:
+            state = sector.state
+            assert state._cells is sector.coeffs and not state._cells.flags.writeable
+            shifted = schwinger.phase_shift(state, 0.4)
+            assert shifted._sector == sector.n and shifted._cells is not None
+            assert "amplitudes" not in vars(state) and "amplitudes" not in vars(shifted)
+        assert schwinger.phase_shift(coherent, 0.4)._cells is None  # untagged: a grid
+
+    def test_equality_of_one_sector_reads_the_cells(self):
+        probe = build(ProbeSpec("twin-fock", {"n": 3}))
+        state, other = (schwinger.mzi_unitary(probe, phi) for phi in (0.3, 0.4))
+        same = FockState._from_cells(state._cells.copy(), 6, state.cutoff)
+        assert state == same and state != other and other != same
+        assert "amplitudes" not in vars(state) | vars(other) | vars(same)
+        assert state != FockState._from_cells(state._cells, 6, state.cutoff, 1e-15)
+        assert state != pad_to(state, 7) and state != make_fock(3, 3, 6)
+        assert state == untagged(state)  # through the grid
+
+    def test_replace_builds_the_grid_and_drops_the_cells(self):
+        state = schwinger.mzi_unitary(build(ProbeSpec("twin-fock", {"n": 3})), 0.3)
+        moved = dataclasses.replace(state, truncation_loss=1e-13)
+        assert moved._sector is None and moved._cells is None
+        assert np.array_equal(moved.amplitudes, state.amplitudes)
+        assert not hasattr(state, "_norm_squared")
+
+    def test_cells_are_checked_like_a_tagged_grid(self):
+        cells = np.array([0.6, 0.8j])
+        assert FockState._from_cells(cells, 3, 2)._sector == 3
+        with pytest.raises(NormalizationError):
+            FockState._from_cells(2 * cells, 3, 2)
+        with pytest.raises(ParameterError):
+            FockState._from_cells(cells, 3, 2, -1e-15)
+        with pytest.raises(ParameterError, match="do not fill sector 2"):
+            FockState._from_cells(cells, 2, 2)  # sector 2 of a cutoff 2 grid has 3 cells
+
+    def test_concurrent_first_reads_share_one_read_only_grid(self):
+        probe = build(ProbeSpec("twin-fock", {"n": 100}))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for phase in np.linspace(0.1, 3.0, 10):
+                state = schwinger.mzi_unitary(probe, phase)
+                assert "amplitudes" not in vars(state)
+                barrier = threading.Barrier(8)
+                grids = [None] * 8
+
+                def read(i):
+                    barrier.wait(timeout=30)
+                    grids[i] = state.amplitudes
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert all(grid is state.amplitudes for grid in grids)
+                assert not state.amplitudes.flags.writeable
+        finally:
+            sys.setswitchinterval(interval)

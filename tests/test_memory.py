@@ -9,7 +9,15 @@ high-water mark of a warm call above what was held before it, in grids of
 import pytest
 
 from conftest import load_tool
-from mzi_qfi import ProbeSpec, build, mzi_unitary, schwinger
+from mzi_qfi import (
+    ProbeSpec,
+    analyze,
+    build,
+    decompose_sectors,
+    mzi_unitary,
+    particle_moments,
+    schwinger,
+)
 
 stage_memory = load_tool("stage_memory")
 
@@ -37,23 +45,34 @@ TWO_GRID_STAGES = ("qfi_fidelity", "build_report")
 #: sector in place: a scan of an untagged grid for its occupied sectors (a
 #: quarter grid of int32 photon totals and the masks) and the sectors'
 #: vectors; a state that knows its sector reads that sector's cells alone.
+#: ``sector_states`` and twin-fock's ``build``, ``phase_shift``,
+#: ``mzi_unitary`` and ``mzi_unitary_cold`` were measured when single-sector
+#: states came to hold their cells and build no grid until one is read:
+#: ``Sector.state`` holds its sector's vector, and a rotation or phase shift
+#: of a fixed-n probe holds its c + 1 cells. Twin-fock's ``build`` keeps the
+#: one grid of its basis ket, and ``mzi_unitary_cold`` the plan of a fresh
+#: untagged copy, whose scan takes a quarter grid.
 BUDGETS = {
     "tsv xi=1.2": {
         "build": 2.01, "analyze": 1.01, "decompose_sectors": 0.44, "qfi_variance": 1.01,
         "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 1.01,
-        "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.40,
+        "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.40, "sector_states": 0.03,
     },
     "amplified-bell xi=1.2": {
         "build": 2.19, "analyze": 1.01, "decompose_sectors": 0.44, "qfi_variance": 1.01,
         "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 1.01,
-        "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.38,
+        "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.38, "sector_states": 0.03,
     },
     "twin-fock n=200": {
-        "build": 2.02, "analyze": 0.02, "decompose_sectors": 0.01, "qfi_variance": 0.02,
-        "schmidt": 0.19, "phase_shift": 1.06, "mzi_unitary": 1.03, "analyze_rotated": 0.02,
-        "schmidt_rotated": 0.19, "mzi_unitary_cold": 1.03,
+        "build": 1.03, "analyze": 0.02, "decompose_sectors": 0.01, "qfi_variance": 0.02,
+        "schmidt": 0.19, "phase_shift": 0.02, "mzi_unitary": 0.03, "analyze_rotated": 0.02,
+        "schmidt_rotated": 0.19, "mzi_unitary_cold": 0.44, "sector_states": 0.01,
     },
 }
+
+#: The peak, in grids, of a read that needs no grid: a sector's state and its
+#: particle statistics, or a fringe point of a fixed-n probe and its moments.
+NO_GRID = 0.05
 
 
 def test_every_stage_has_a_budget():
@@ -76,6 +95,22 @@ def test_stage_peaks_within_budget(label, family, params, cutoff):
         if peak > budget:
             over[stage] = (peak, round(peak / grid, 4), budget)
     assert not over, over
+
+
+def test_sector_states_and_fixed_n_fringe_points_build_no_grid():
+    probe = build(ProbeSpec("twin-fock", {"n": 200}))
+    [sector] = decompose_sectors(probe).sectors
+
+    def sector_statistics():
+        return particle_moments(sector.state, sector.n)
+
+    def fringe_point():
+        return analyze(mzi_unitary(probe, 0.3))
+
+    for call, cutoff in ((sector_statistics, sector.cutoff), (fringe_point, probe.cutoff)):
+        call()  # the Jx basis, and the probe's grid and rotation plan
+        peak = stage_memory.transient_peak(call)
+        assert peak < NO_GRID * stage_memory.grid_bytes(cutoff), (call.__name__, peak)
 
 
 def test_rotation_cache_holds_only_the_rows_k_up_to_half(monkeypatch):

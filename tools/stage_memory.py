@@ -6,17 +6,21 @@ For every probe and stage it prints one line:
 
 where the peak is the high-water mark, measured by ``tracemalloc``, of what
 the stage allocates above what was held when it was called, its result
-included, and a grid is one complex (cutoff+1)^2 amplitude grid. The probe's
-own grid is built before a stage is measured, so it is not counted. Each
-stage is called once untraced first, so the cache a call fills, the
-rotation's Jx bases, is not counted, which makes ``mzi_unitary`` a warm
-rotation of a probe already planned.
+included, and a grid is one complex (cutoff+1)^2 amplitude grid. The probe
+is built before a stage is measured, so it is not counted. Each stage is
+called once untraced first, so what a call fills is not counted: the
+rotation's Jx bases, and the grid of a probe that holds only its sector's
+cells, built on its first read. That makes ``mzi_unitary`` a warm rotation
+of a probe already planned.
 ``analyze_rotated`` and ``schmidt_rotated`` are ``analyze`` and ``schmidt``
 of that rotation's result, a fringe point, made before either stage is
 measured. ``mzi_unitary_cold`` rotates a
 fresh copy of the probe on each call, made before the call is measured, so
 its peak counts the rotation plan and Jx-basis coordinates kept for that
-copy as well.
+copy as well. ``sector_states`` takes the particle statistics of every
+sector of the probe with n >= 1 through ``Sector.state``, as
+``particle_moments(s.state, s.n)``, on a decomposition made before the stage
+is measured.
 
     python3 tools/stage_memory.py > change.txt
     python3 tools/stage_memory.py /path/to/other/checkout > other.txt
@@ -44,7 +48,7 @@ PROBES = (
 STAGES = (
     "build", "analyze", "decompose_sectors", "qfi_variance", "qfi_fidelity",
     "build_report", "schmidt", "phase_shift", "mzi_unitary", "analyze_rotated",
-    "schmidt_rotated", "mzi_unitary_cold",
+    "schmidt_rotated", "mzi_unitary_cold", "sector_states",
 )
 
 
@@ -71,6 +75,7 @@ def stage_peaks(family: str, params: dict, cutoff) -> Tuple[int, Dict[str, int]]
     state = mzi_qfi.build(spec)
     rotated = []  # the fringe point, made before either call
     fresh = []  # copies of the probe for the cold rotation, made before either call
+    decomposed = []  # the probe's decomposition, made before either call
     calls = {
         "build": lambda: mzi_qfi.build(spec),
         "analyze": lambda: mzi_qfi.analyze(state),
@@ -84,6 +89,8 @@ def stage_peaks(family: str, params: dict, cutoff) -> Tuple[int, Dict[str, int]]
         "analyze_rotated": lambda: mzi_qfi.analyze(rotated[0]),
         "schmidt_rotated": lambda: mzi_qfi.schmidt(rotated[0]),
         "mzi_unitary_cold": lambda: mzi_qfi.mzi_unitary(fresh.pop(), 0.3),
+        "sector_states": lambda: [mzi_qfi.particle_moments(s.state, s.n)
+                                  for s in decomposed[0].sectors if s.n >= 1],
     }
     peaks = {}
     for stage in STAGES:
@@ -91,6 +98,8 @@ def stage_peaks(family: str, params: dict, cutoff) -> Tuple[int, Dict[str, int]]
             rotated.append(mzi_qfi.mzi_unitary(state, 0.3))
         if stage == "mzi_unitary_cold":
             fresh.extend(mzi_qfi.FockState(state.amplitudes.copy(), state.cutoff) for _ in range(2))
+        if stage == "sector_states":
+            decomposed.append(mzi_qfi.decompose_sectors(state))
         calls[stage]()
         peaks[stage] = transient_peak(calls[stage])
     return state.cutoff, peaks
