@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 usage or input error, 2 route disagreement beyond
 tolerance, 3 at least one MISMATCH against the closed-form catalog (table1).
+On exit 2, ``analyze`` writes one canonical JSON line to stderr for each
+pair of routes that misses its allowance (see ``QfiReport.disagreements``).
 
 Sweep CSV columns, in order: family, nbar_target, status, nbar, qfi, g2,
 g2_ab, entropy, cov_sigma_z. UNDEFINED values are empty CSV cells and JSON
@@ -22,7 +24,7 @@ from .entanglement import SEPARABILITY_TOL, check_separability_tol, schmidt
 from .errors import MziError, ParameterError
 from .fock import FockState
 from .particle import SectorDecomposition, decompose_sectors, sector_moments
-from .qfi import DEFAULT_FIDELITY_STEP, build_report
+from .qfi import build_report
 from .states import FAMILIES, FAMILY_ALIASES, ProbeSpec, build, build_for_nbar, resolve_family
 
 EXIT_OK = 0
@@ -191,6 +193,9 @@ def cmd_analyze(args) -> int:
     if args.dump_state is not None:
         serialize.write_state_file(state, args.dump_state)
     _emit(_format_doc(doc, args.format), args.out)
+    for record in qfi_report.disagreements:
+        line = {"schema": SCHEMA, "route_disagreement": record}
+        sys.stderr.write(serialize.canonical_json_line(line))
     return EXIT_OK if qfi_report.routes_consistent else EXIT_ROUTE_DISAGREEMENT
 
 
@@ -393,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--state-file", metavar="PATH", default=None,
                       help="load the probe from a JSON state file instead of a family")
     p_an.add_argument("--cutoff", type=int, default=None, help="explicit per-mode cutoff")
-    p_an.add_argument("--fidelity-step", type=float, default=DEFAULT_FIDELITY_STEP,
-                      help="finite-difference step for the fidelity route")
+    p_an.add_argument("--fidelity-step", type=float, default=None,
+                      help="finite-difference step for the fidelity route, in [1e-5, 1e-2] "
+                           "(default: 0.02 over the widest |j - k| the probe holds)")
     p_an.add_argument("--raw-fidelity-difference", action="store_true",
                       help="skip Richardson extrapolation (exploratory mode)")
     p_an.add_argument("--path-tol", type=float, default=PATH_SYMMETRY_TOL,

@@ -26,7 +26,8 @@ pass their input's tag on, :func:`mzi_qfi.schwinger.apply_rotation` sets it
 when the rotated grid occupies one sector, and ``Sector.state`` sets the
 sector's n. Grids from elsewhere are never scanned for it. The norm check,
 :func:`number_moments`, :func:`occupied_sectors` (so the decomposition and the
-rotation plan) and ``particle_moments`` then read only that sector.
+rotation plan), ``particle_moments`` and the fidelity route then read only
+that sector.
 
 Three of those constructors make a state that holds only its sector's cells,
 in :func:`sector_kets` order, and builds its grid on the first read of
@@ -35,10 +36,10 @@ in :func:`sector_kets` order, and builds its grid on the first read of
 sector, and :func:`mzi_qfi.schwinger.phase_shift` of a state that knows its
 sector. Their norm is checked on the cells, and :func:`state_cells` hands
 the cells to :func:`number_moments`, equality, ``decompose_sectors``,
-``particle_moments`` and ``phase_shift``, so a fixed-photon-number fringe
-point or a decomposed sector costs O(c) until something else, such as
-``schmidt``, the fidelity route, :func:`pad_to`, a rotation's plan or a
-state file, reads its grid.
+``particle_moments``, ``phase_shift`` and the fidelity route's weights, so
+a fixed-photon-number fringe point or a decomposed sector costs O(c) until
+something else, such as ``schmidt``, :func:`pad_to`, a rotation's plan or
+a state file, reads its grid.
 """
 
 from __future__ import annotations

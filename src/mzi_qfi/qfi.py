@@ -10,7 +10,8 @@ computed alongside it:
                      path-symmetric probes
   * fidelity route - central differences of the phase-shifted state through
                      F = 4 (<dpsi|dpsi> - |<dpsi|psi>|^2), Richardson
-                     extrapolated by default
+                     extrapolated by default, from the probe's weight on
+                     each difference d = j - k
   * particle route - n Var[sigma_z] + n(n-1) Cov[sigma_z, sigma_z] for
                      fixed-photon-number probes
 
@@ -21,15 +22,15 @@ with a reason string; they never collapse to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .coherence import CoherenceReport, analyze
 from .errors import ParameterError
-from .fock import FockState, vdot
+from .fock import FockState, sector_kets, state_cells
 from .particle import SectorDecomposition, decompose_sectors, qfi_particle
-from .schwinger import jz_moments, phase_shift
+from .schwinger import difference_phases, jz_moments
 
 #: Below this the information is treated as zero and the CRB is undefined.
 CRB_FLOOR = 1e-12
@@ -41,7 +42,15 @@ FIDELITY_ROUTE_RTOL = 1e-6
 FIDELITY_ROUTE_ATOL = 1e-9
 PARTICLE_ROUTE_ATOL = 1e-9
 
-DEFAULT_FIDELITY_STEP = 1e-3
+#: The default fidelity step is this over the widest |j - k| the probe holds.
+FIDELITY_STEP_SCALE = 0.02
+#: The range of every fidelity step, the default one clamped to it.
+MIN_FIDELITY_STEP = 1e-5
+MAX_FIDELITY_STEP = 1e-2
+
+#: Cells of a grid squared at once by :func:`difference_weights`, in two
+#: float buffers: 64 KiB, under a twentieth of a grid from cutoff 300 up.
+FIDELITY_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,14 @@ class ScalingClass:
 
 @dataclass(frozen=True)
 class QfiReport:
-    """All computed routes plus their cross-validation summary."""
+    """All computed routes plus their cross-validation summary.
+
+    ``disagreements`` holds one record for each pair of routes that misses
+    its allowance, with ``routes`` (the pair's two values by name), the
+    ``residual`` (the first, by name, minus the second), the ``allowance``
+    and the ``fidelity_step`` the fidelity route took. It explains a report
+    that is not ``routes_consistent`` and is not part of ``as_dict``.
+    """
 
     f_variance: float
     f_mode: Optional[float]
@@ -74,6 +90,7 @@ class QfiReport:
     route_agreement: float
     routes_consistent: bool
     reasons: Dict[str, str]
+    disagreements: Tuple[dict, ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -115,9 +132,76 @@ def qfi_path_symmetric(report: CoherenceReport) -> Optional[float]:
     return report.nbar + (report.nbar**2 / 2.0) * (report.g2_a - report.g2_ab)
 
 
+def difference_weights(state: FockState) -> np.ndarray:
+    """p[c - d], the weight of ``state`` on the cells (j, k) with j - k = d, for d = c, ..., -c.
+
+    A state that knows its sector n is read by its cells alone
+    (:func:`mzi_qfi.fock.state_cells`, so one that holds them builds no
+    grid): cell k of the sector lies on d = 2k - n, one cell to each d. Any
+    other grid is read in one pass, blocks of about ``FIDELITY_BLOCK_CELLS``
+    cells at a time, squared as |psi|^2 = re^2 + im^2 into two buffers of
+    that size. Each row's squares are then added to the entries of its
+    differences, row after row, so each p(d) sums its cells in order of j,
+    from 0. Adding zeros to a float is exact, so a grid of one sector gives
+    the bits its cells give.
+    """
+    cutoff = state.cutoff
+    weights = np.zeros(2 * cutoff + 1)
+    n = state._sector
+    if n is not None:
+        [cells] = state_cells(state, [n])
+        probs = np.square(cells.real)
+        probs += np.square(cells.imag)
+        weights[cutoff + n - 2 * sector_kets(n, cutoff)] = probs
+        return weights
+    grid = state.amplitudes
+    rows = min(state.dim, max(1, FIDELITY_BLOCK_CELLS // state.dim))
+    probs, squares = np.empty((2, rows, state.dim))
+    for top in range(0, state.dim, rows):
+        block = grid[top : top + rows]
+        block_probs = np.square(block.real, out=probs[: len(block)])
+        block_probs += np.square(block.imag, out=squares[: len(block)])
+        for j, row in enumerate(block_probs, top):
+            window = weights[cutoff - j : 2 * cutoff + 1 - j]  # d = j, ..., j - c
+            window += row
+    return weights
+
+
+def _default_step(differences: np.ndarray) -> float:
+    """``FIDELITY_STEP_SCALE`` over the widest of ``differences``, clamped; the largest step at 0."""
+    spread = int(np.abs(differences).max())
+    if spread == 0:
+        return MAX_FIDELITY_STEP
+    return min(max(FIDELITY_STEP_SCALE / spread, MIN_FIDELITY_STEP), MAX_FIDELITY_STEP)
+
+
+def _fidelity(state: FockState, step: Optional[float], richardson: bool) -> Tuple[float, float]:
+    """:func:`qfi_fidelity` and the step it took."""
+    if step is not None and not MIN_FIDELITY_STEP <= step <= MAX_FIDELITY_STEP:
+        raise ParameterError(f"fidelity step must lie in [1e-5, 1e-2], got {step!r}")
+    weights = difference_weights(state)
+    held = np.flatnonzero(weights)
+    differences = state.cutoff - held
+    weights = weights[held]
+    if step is None:
+        step = _default_step(differences)
+
+    def estimate(h: float) -> float:
+        delta = difference_phases(h, differences)  # 2h g(d)
+        delta -= difference_phases(-h, differences)
+        norm = float(((np.square(delta.real) + np.square(delta.imag)) * weights).sum())
+        overlap = complex((delta.real * weights).sum(), -(delta.imag * weights).sum())
+        return (norm - abs(overlap) ** 2) / (h * h)  # 4 (<dpsi|dpsi> - |<dpsi|psi>|^2)
+
+    if not richardson:
+        return estimate(step), step
+    coarse, fine = estimate(step), estimate(step / 2)
+    return (4.0 * fine - coarse) / 3.0, step
+
+
 def qfi_fidelity(
     state: FockState,
-    step: float = DEFAULT_FIDELITY_STEP,
+    step: Optional[float] = None,
     richardson: bool = True,
 ) -> float:
     """Finite-difference route around the phase origin.
@@ -126,29 +210,27 @@ def qfi_fidelity(
     phase shift; Richardson extrapolation over steps (h, h/2) cancels the
     leading O(h^2) error and is required at acceptance tolerances.
 
-    Each difference is formed in one writable grid: a copy of the +h shifted
-    grid, from which the -h shifted grid is subtracted and which is then
-    divided by 2h, in place, each shifted state dropped once it is used. The
-    base is the state's own grid, as exp(-i 0 Jz) is the identity. So the
-    route holds at most two grids beside the state at a time, plus numpy's
-    fixed-size ufunc buffers. Both inner products are
-    :func:`mzi_qfi.fock.vdot`, which reads the grids in place.
+    :func:`mzi_qfi.schwinger.phase_shift` multiplies cell (j, k) by
+    T_h(d) = exp(-i h d/2), d = j - k, from the table
+    :func:`mzi_qfi.schwinger.difference_phases`. So the central difference is
+    g(d) psi_jk with g(d) = (T_h(d) - T_-h(d))/2h, and with p(d) the weight
+    of the cells on d (:func:`difference_weights`),
+    <dpsi|dpsi> = sum_d |g(d)|^2 p(d) and <dpsi|psi> = sum_d conj(g(d)) p(d).
+    The state is read once, for p: in one pass over the grid, or over the
+    cells of the sector of a state that knows it, which builds no grid. Each
+    step then costs O(c), on the d where p(d) > 0: the sums, numpy's pairwise
+    ones over the products of each d in order of d, are taken of
+    T_h(d) - T_-h(d), and the estimate is divided by h^2 once. The route
+    stays a difference of the phase evolution itself, not the closed form
+    sin(hd/2), which would tie it to the variance route.
+
+    By default h = ``FIDELITY_STEP_SCALE`` / max|d| over the d where
+    p(d) > 0, clamped to [1e-5, 1e-2], and 1e-2 when only d = 0 holds
+    weight: the error of the extrapolated difference grows like
+    (h max|d|)^4, so a fixed step fails for wide probes. An explicit ``step``
+    must lie in [1e-5, 1e-2].
     """
-    if not 1e-5 <= step <= 1e-2:
-        raise ParameterError(f"fidelity step must lie in [1e-5, 1e-2], got {step!r}")
-
-    base = state.amplitudes
-
-    def estimate(h: float) -> float:
-        derivative = phase_shift(state, h).amplitudes.copy()
-        derivative -= phase_shift(state, -h).amplitudes
-        derivative /= 2.0 * h
-        return 4.0 * (vdot(derivative, derivative).real - abs(vdot(derivative, base)) ** 2)
-
-    if not richardson:
-        return estimate(step)
-    coarse, fine = estimate(step), estimate(step / 2)
-    return (4.0 * fine - coarse) / 3.0
+    return _fidelity(state, step, richardson)[0]
 
 
 def classify_scaling(f: float, nbar: float) -> ScalingClass:
@@ -162,21 +244,21 @@ def classify_scaling(f: float, nbar: float) -> ScalingClass:
     )
 
 
-def _pair_ok(name_a: str, a: float, name_b: str, b: float) -> bool:
-    delta = abs(a - b)
+def _allowance(name_a: str, a: float, name_b: str) -> float:
+    """How far the route ``name_b`` may lie from ``name_a``, whose value is ``a``."""
     pair = {name_a, name_b}
     if "f_fidelity" in pair:
-        return delta <= FIDELITY_ROUTE_ATOL + FIDELITY_ROUTE_RTOL * abs(a)
+        return FIDELITY_ROUTE_ATOL + FIDELITY_ROUTE_RTOL * abs(a)
     if "f_particle" in pair:
-        return delta <= PARTICLE_ROUTE_ATOL
-    return delta <= MODE_ROUTE_ATOL + MODE_ROUTE_RTOL * abs(a)
+        return PARTICLE_ROUTE_ATOL
+    return MODE_ROUTE_ATOL + MODE_ROUTE_RTOL * abs(a)
 
 
 def build_report(
     state: FockState,
     coherence_report: Optional[CoherenceReport] = None,
     decomposition: Optional[SectorDecomposition] = None,
-    step: float = DEFAULT_FIDELITY_STEP,
+    step: Optional[float] = None,
     richardson: bool = True,
 ) -> QfiReport:
     """Evaluate every route on one state and cross-validate them."""
@@ -200,7 +282,7 @@ def build_report(
             reasons["f_path_symmetric"] = "probe is not path-symmetric"
         else:
             reasons["f_path_symmetric"] = "pair coherence undefined on a dark mode"
-    f_fidelity = qfi_fidelity(state, step=step, richardson=richardson)
+    f_fidelity, step = _fidelity(state, step, richardson)
     if not richardson:
         reasons["f_fidelity"] = (
             "raw central difference (exploratory); excluded from the consistency gate"
@@ -225,14 +307,21 @@ def build_report(
 
     names = sorted(routes)
     agreement = 0.0
-    consistent = True
+    disagreements: List[dict] = []
     for i, name_a in enumerate(names):
         for name_b in names[i + 1 :]:
-            agreement = max(agreement, abs(routes[name_a] - routes[name_b]))
+            a, b = routes[name_a], routes[name_b]
+            agreement = max(agreement, abs(a - b))
             if not richardson and "f_fidelity" in (name_a, name_b):
                 continue  # the documented fidelity tolerance presumes extrapolation
-            if not _pair_ok(name_a, routes[name_a], name_b, routes[name_b]):
-                consistent = False
+            allowance = _allowance(name_a, a, name_b)
+            if not abs(a - b) <= allowance:
+                disagreements.append({
+                    "routes": {name_a: a, name_b: b},
+                    "residual": a - b,
+                    "allowance": allowance,
+                    "fidelity_step": step,
+                })
 
     return QfiReport(
         f_variance=f_variance,
@@ -243,14 +332,15 @@ def build_report(
         crb=crb,
         scaling=scaling,
         route_agreement=agreement,
-        routes_consistent=consistent,
+        routes_consistent=not disagreements,
         reasons=reasons,
+        disagreements=tuple(disagreements),
     )
 
 
 __all__ = [
     "CRB_FLOOR",
-    "DEFAULT_FIDELITY_STEP",
+    "FIDELITY_STEP_SCALE",
     "QfiReport",
     "ScalingClass",
     "build_report",

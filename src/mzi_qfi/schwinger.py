@@ -506,18 +506,28 @@ def beam_splitter(state: FockState, which: Literal["first", "second"] = "first")
     raise ParameterError(f"which must be 'first' or 'second', got {which!r}")
 
 
+def difference_phases(phi: float, differences: np.ndarray) -> np.ndarray:
+    """exp(-i phi d/2), the phase of exp(-i phi Jz) on a cell (j, k), for each d = j - k given.
+
+    The one table of :func:`phase_shift`, which the fidelity route
+    (:func:`mzi_qfi.qfi.qfi_fidelity`) differentiates; each entry depends on
+    its d alone.
+    """
+    return np.exp(-1j * phi * differences / 2)
+
+
 def phase_shift(state: FockState, phi: float) -> FockState:
     """exp(-i phi Jz)|state>: multiply amplitude (j, k) by exp(-i phi (j-k)/2).
 
     Diagonal in the number basis, hence exact at any cutoff. The phase depends
     on j - k alone, so it is evaluated once for each of the 2c+1 differences
-    d = c, ..., -c; row j of the grid's phases is the window of that table
-    starting at d = j. A state that knows its sector n keeps its tag, and its
-    result holds only the cells of sector n (:func:`mzi_qfi.fock.state_cells`),
-    each times the entry of its d = 2k - n, with no grid until one is read.
+    d = c, ..., -c (:func:`difference_phases`); row j of the grid's phases is
+    the window of that table starting at d = j. A state that knows its sector
+    n keeps its tag, and its result holds only the cells of sector n
+    (:func:`mzi_qfi.fock.state_cells`), each times the entry of its
+    d = 2k - n, with no grid until one is read.
     """
-    differences = np.arange(state.cutoff, -state.cutoff - 1, -1)
-    table = np.exp(-1j * phi * differences / 2)
+    table = difference_phases(phi, np.arange(state.cutoff, -state.cutoff - 1, -1))
     n = state._sector
     if n is not None:
         [cells] = state_cells(state, [n])

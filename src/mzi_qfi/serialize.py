@@ -78,6 +78,14 @@ def canonical_json(obj) -> str:
     return "".join(pieces)
 
 
+def canonical_json_line(obj) -> str:
+    """:func:`canonical_json` on one line: each line's indent dropped, the lines joined by spaces.
+
+    No line break sits inside a value, as ``json.dumps`` escapes one in a string.
+    """
+    return " ".join(line.lstrip() for line in canonical_json(obj).splitlines()) + "\n"
+
+
 def render_csv(columns: Sequence[str], rows: Iterable[Mapping]) -> str:
     """Fixed-column CSV with canonical float formatting; None becomes an empty cell."""
     def cell(value) -> str:

@@ -106,3 +106,27 @@ def sparse_states(draw, max_cutoff: int = 10):
     if above in ("underflow", "small"):
         grid[cells[-1]] = 1e-170 if above == "underflow" else 1e-7
     return FockState(grid, cutoff)
+
+
+@st.composite
+def sector_cell_runs(draw, max_cutoff: int = 10):
+    """(cells, n, cutoff, loss): the normalized cells of one sector, n up to 2 * cutoff.
+
+    Cells may be exact zeros, negative zeros, or amplitudes whose square
+    underflows or is subnormal, as in :func:`sparse_states`.
+    """
+    cutoff = draw(st.integers(0, max_cutoff))
+    n = draw(st.integers(0, 2 * cutoff))
+    count = len(fock.sector_kets(n, cutoff))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["normal", "normal", *_SPECIAL_AMPLITUDES]),
+                          min_size=count, max_size=count))
+    if "normal" not in kinds:
+        kinds[0] = "normal"
+    normal = np.array([kind == "normal" for kind in kinds])
+    cells = np.where(normal, rng.normal(size=count) + 1j * rng.normal(size=count), 0)
+    cells /= np.linalg.norm(cells)
+    for i, kind in enumerate(kinds):
+        if kind != "normal":
+            cells[i] = _SPECIAL_AMPLITUDES[kind]
+    return cells, n, cutoff, draw(st.sampled_from([0.0, 3e-13]))

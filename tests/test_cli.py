@@ -206,7 +206,7 @@ def test_analyze_document_matches_reference_paths(capsys, monkeypatch, argv):
 def test_analyze_document_does_not_depend_on_blas_threads(argv):
     # OpenBLAS splits a dot of more than 10 000 cells across its threads, which
     # changes how the dot rounds; no sum that reaches the document may go through it
-    # (twin-fock n = 150 exits 2, a known fidelity-step defect, so the exit code is compared too).
+    # (the exit code and stderr are compared too).
     # The Schmidt values of tsv (rank 1) and amplified-bell (rank 2, two blocks of 12 100
     # cells at cutoff 219) come from crosses, which LAPACK sees only as 1 x 1 cores
     src = Path(__file__).resolve().parent.parent / "src"
@@ -218,6 +218,10 @@ def test_analyze_document_does_not_depend_on_blas_threads(argv):
         assert proc.stdout
         outputs.add((proc.returncode, proc.stdout, proc.stderr))
     assert len(outputs) == 1
+
+
+FIXED_N_FAMILIES = ["twin-fock", "noon", "fraternal-twin-fock", "separable-coherent-probe",
+                    "fock-pair"]
 
 
 class TestAnalyzeCommand:
@@ -309,9 +313,68 @@ class TestAnalyzeCommand:
     def test_route_disagreement_exits_two(self, capsys, monkeypatch):
         import mzi_qfi.qfi as qfi_module
 
-        monkeypatch.setattr(qfi_module, "qfi_fidelity", lambda *a, **k: 123.0)
-        code, _, _ = run_cli(capsys, "analyze", "--family", "noon", "--n", "2")
+        argv = ["analyze", "--family", "noon", "--n", "2"]
+        _, passing, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (123.0, 0.005))
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
+        # stdout is the document, with the fidelity value the route returned
+        doc = json.loads(out)
+        assert doc["qfi"]["f_fidelity"] == 123.0
+        assert doc["qfi"]["routes_consistent"] is False
+        expected = json.loads(passing)
+        expected["qfi"].update(f_fidelity=123.0, route_agreement=doc["qfi"]["route_agreement"],
+                               routes_consistent=False)
+        assert doc == expected
+        # stderr holds one canonical JSON line for each failing pair: fidelity against
+        # each of the four other routes, which agree with each other
+        lines = err.splitlines()
+        assert len(lines) == 4
+        others = set()
+        for line in lines:
+            record = json.loads(line)
+            assert serialize.canonical_json_line(record) == line + "\n"
+            assert record["schema"] == "mzi-qfi/1"
+            failing = record["route_disagreement"]
+            assert set(failing) == {"routes", "residual", "allowance", "fidelity_step"}
+            (name_a, a), (name_b, b) = failing["routes"].items()
+            assert name_a == "f_fidelity" and a == 123.0
+            others.add(name_b)
+            assert failing["residual"] == a - b
+            assert failing["allowance"] == 1e-9 + 1e-6 * 123.0
+            assert failing["fidelity_step"] == 0.005
+        assert others == {"f_mode", "f_particle", "f_path_symmetric", "f_variance"}
+
+    @pytest.mark.parametrize("family", FIXED_N_FAMILIES)
+    @pytest.mark.parametrize("n", [128, 200, 300, 600])
+    def test_wide_fixed_n_probes_keep_their_routes_consistent(self, capsys, family, n):
+        # the default fidelity step keeps h max|j - k| at 0.02 for any |j - k| up to 2000
+        code, out, err = run_cli(capsys, "analyze", "--family", family, "--n", str(n))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["qfi"]["routes_consistent"] is True
+
+    def test_small_noon_probe_stays_inside_its_allowance(self, capsys):
+        # noon n = 3 takes h = 0.02 / 3, near the largest step allowed
+        code, out, _ = run_cli(capsys, "analyze", "--family", "noon", "--n", "3")
+        qfi = json.loads(out)["qfi"]
+        allowance = 1e-9 + 1e-6 * qfi["f_fidelity"]
+        assert code == 0
+        assert abs(qfi["f_fidelity"] - qfi["f_variance"]) < allowance / 1000
+
+    def test_an_explicit_fidelity_step_keeps_its_meaning(self, capsys):
+        # at h = 1e-3, h max|d| = 0.128 for twin-fock n = 128: its fidelity route misses
+        # every other route, and stderr names each pair with the step it took
+        code, _, err = run_cli(capsys, "analyze", "--family", "twin-fock", "--n", "128",
+                               "--fidelity-step", "1e-3")
+        assert code == 2
+        records = [json.loads(line)["route_disagreement"] for line in err.splitlines()]
+        assert [list(record["routes"]) for record in records] == [
+            ["f_fidelity", name] for name in ("f_mode", "f_particle", "f_path_symmetric",
+                                              "f_variance")
+        ]
+        for record in records:
+            assert record["fidelity_step"] == 1e-3
+            assert -0.07 < record["residual"] < -record["allowance"]
 
 
 class TestUsageErrors:
@@ -467,7 +530,9 @@ options:
                         family
   --cutoff CUTOFF       explicit per-mode cutoff
   --fidelity-step FIDELITY_STEP
-                        finite-difference step for the fidelity route
+                        finite-difference step for the fidelity route, in
+                        [1e-5, 1e-2] (default: 0.02 over the widest |j - k|
+                        the probe holds)
   --raw-fidelity-difference
                         skip Richardson extrapolation (exploratory mode)
   --path-tol PATH_TOL   path-symmetry tolerance

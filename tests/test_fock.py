@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _SPECIAL_AMPLITUDES, random_direction, random_two_mode_state, sparse_states
+from conftest import random_direction, random_two_mode_state, sector_cell_runs, sparse_states
 from mzi_qfi import particle, schwinger
 from mzi_qfi.coherence import analyze
 from mzi_qfi.entanglement import schmidt
@@ -493,30 +493,6 @@ def assert_twins_agree(cells, n, cutoff, loss=0.0):
     assert result_bits(shifted._cells) == result_bits(sector_cells(dense.amplitudes, n).copy())
     assert np.array_equal(shifted.amplitudes, dense.amplitudes)
     assert held() == twin() and twin() == held() and held() == untagged(twin())
-
-
-@st.composite
-def sector_cell_runs(draw, max_cutoff: int = 10):
-    """(cells, n, cutoff, loss): the normalized cells of one sector, n up to 2 * cutoff.
-
-    Cells may be exact zeros, negative zeros, or amplitudes whose square
-    underflows or is subnormal, as in ``conftest.sparse_states``.
-    """
-    cutoff = draw(st.integers(0, max_cutoff))
-    n = draw(st.integers(0, 2 * cutoff))
-    count = len(sector_kets(n, cutoff))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kinds = draw(st.lists(st.sampled_from(["normal", "normal", *_SPECIAL_AMPLITUDES]),
-                          min_size=count, max_size=count))
-    if "normal" not in kinds:
-        kinds[0] = "normal"
-    normal = np.array([kind == "normal" for kind in kinds])
-    cells = np.where(normal, rng.normal(size=count) + 1j * rng.normal(size=count), 0)
-    cells /= np.linalg.norm(cells)
-    for i, kind in enumerate(kinds):
-        if kind != "normal":
-            cells[i] = _SPECIAL_AMPLITUDES[kind]
-    return cells, n, cutoff, draw(st.sampled_from([0.0, 3e-13]))
 
 
 class TestCellHeldStates:

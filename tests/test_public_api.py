@@ -71,7 +71,7 @@ PUBLIC_SIGNATURES = {
     "ParticleReport.as_dict": "self",
     "ProbeSpec": "family params cutoff",
     "QfiReport": ("f_variance f_mode f_path_symmetric f_fidelity f_particle "
-                  "crb scaling route_agreement routes_consistent reasons"),
+                  "crb scaling route_agreement routes_consistent reasons disagreements"),
     "QfiReport.as_dict": "self",
     "ScalingClass": "sub_shot_noise ratio_shot_noise ratio_heisenberg",
     "ScalingClass.as_dict": "self",

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_two_mode_state, sparse_states
+from conftest import random_two_mode_state, sector_cell_runs, sparse_states
 from mzi_qfi.coherence import analyze
 from mzi_qfi.errors import ParameterError
-from mzi_qfi.fock import make_fock
+from mzi_qfi.fock import FockState, make_fock, sector_kets
 from mzi_qfi.qfi import (
     build_report,
     classify_scaling,
@@ -18,7 +18,7 @@ from mzi_qfi.qfi import (
 )
 from mzi_qfi.schwinger import phase_shift
 from mzi_qfi.states import FAMILIES, ProbeSpec, build, build_for_nbar
-from oracles import allocating_qfi_fidelity
+from oracles import allocating_qfi_fidelity, difference_weight_fidelity
 
 
 class TestVarianceRoute:
@@ -115,24 +115,37 @@ class TestFidelityRoute:
             qfi_fidelity(make_fock(1, 0, 2), step=step)
 
 
-#: (step, richardson) of every bit comparison with the allocating route
+#: (step, richardson) of every comparison with the references; None is the default step
 FIDELITY_SETTINGS = [
-    (step, richardson) for step in (1e-5, 1e-3, 1e-2) for richardson in (True, False)
+    (step, richardson) for step in (1e-5, 1e-3, 1e-2, None) for richardson in (True, False)
 ]
+
+#: How far the route may lie from the allocating one, relative to 4 <Jz^2>, an
+#: upper bound of every estimate's <dpsi|dpsi> term. The two round differently:
+#: T_h(d) - T_-h(d) loses about eps / (h |d|) of itself in either, at most
+#: 2.2e-11 at h = 1e-5, and in trials over such states the two agreed within 3.1e-11.
+ALLOCATING_RTOL = 1e-9
+
+
+def bits(value):
+    return np.asarray(value, dtype=np.float64).view(np.uint64).item()
 
 
 def assert_same_fidelity_bits(state):
-    def bits(value):
-        return np.asarray(value, dtype=np.float64).view(np.uint64).item()
-
+    levels = np.arange(state.dim)
+    jz_square = np.sum(state.probabilities() * np.subtract.outer(levels, levels) ** 2) / 4
     for step, richardson in FIDELITY_SETTINGS:
         got = qfi_fidelity(state, step=step, richardson=richardson)
-        expected = allocating_qfi_fidelity(state, step, richardson=richardson)
+        expected = difference_weight_fidelity(state, step, richardson=richardson)
         assert bits(got) == bits(expected), (step, richardson)
+        if step is not None:
+            allocating = allocating_qfi_fidelity(state, step, richardson=richardson)
+            assert abs(got - allocating) <= ALLOCATING_RTOL * 4 * jz_square, (step, richardson)
 
 
 class TestFidelityBits:
-    """The in-place differences give the allocating route's bits, at every setting."""
+    """The route gives the bits of its per-cell reference at every setting, and
+    agrees with the allocating central differences."""
 
     @settings(max_examples=100, deadline=None)
     @given(sparse_states())
@@ -143,6 +156,31 @@ class TestFidelityBits:
     @pytest.mark.parametrize("nbar", [1.0, 4.0, 7.0])
     def test_families(self, family, nbar):
         assert_same_fidelity_bits(build_for_nbar(family, nbar)[0])
+
+
+class TestFidelityOfOneSector:
+    """A state of one sector gives the route the same weights however it is held."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sector_cell_runs(max_cutoff=40))
+    def test_every_holding_of_a_sector_gives_the_same_bits(self, run):
+        cells, n, cutoff, loss = run
+        ks = sector_kets(n, cutoff)
+        grid = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+        grid[ks, n - ks] = cells
+        held = FockState._from_cells(cells, n, cutoff, loss)
+        copies = {
+            "tagged": FockState(grid.copy(), cutoff, loss, _in_sector=n),
+            "untagged": FockState(grid.copy(), cutoff, loss),
+            "fortran": FockState(np.asfortranarray(grid), cutoff, loss),
+        }
+        assert cutoff == 0 or not copies["fortran"].amplitudes.flags.c_contiguous
+        for step, richardson in FIDELITY_SETTINGS:
+            expected = bits(qfi_fidelity(held, step, richardson))
+            for name, copy in copies.items():
+                assert bits(qfi_fidelity(copy, step, richardson)) == expected, name
+        assert bits(build_report(held).f_fidelity) == bits(qfi_fidelity(held))
+        assert "amplitudes" not in vars(held)
 
 
 class TestScaling:
@@ -206,11 +244,24 @@ class TestFullReport:
         state = build(ProbeSpec("noon", {"n": 4}))
         # a 3e-7 relative offset: inside the finite-difference tolerance,
         # far outside the algebraic-identity one
-        monkeypatch.setattr(qfi_module, "qfi_fidelity", lambda *a, **k: 16.0 + 5e-6)
+        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (16.0 + 5e-6, 1e-3))
         report = build_report(state)
         assert report.routes_consistent
-        monkeypatch.setattr(qfi_module, "qfi_fidelity", lambda *a, **k: 16.0 + 5e-4)
-        assert not build_report(state).routes_consistent
+        assert report.disagreements == ()
+        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (16.0 + 5e-4, 1e-3))
+        report = build_report(state)
+        assert not report.routes_consistent
+        # each other route misses the fidelity route, by its allowance at the first name
+        assert {tuple(record["routes"]) for record in report.disagreements} == {
+            ("f_fidelity", name) for name in ("f_mode", "f_particle", "f_path_symmetric",
+                                              "f_variance")
+        }
+        for record in report.disagreements:
+            (name_a, a), (name_b, b) = record["routes"].items()
+            assert record["residual"] == a - b
+            assert record["allowance"] in (1e-9 + 1e-6 * abs(a), 1e-9)
+            assert abs(record["residual"]) > record["allowance"]
+            assert record["fidelity_step"] == 1e-3
 
     def test_heavily_squeezed_probe_stays_consistent(self, monkeypatch):
         monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "512")
