@@ -12,41 +12,36 @@ instead, laid out by :func:`sector_kets` and, for a rotation's many sectors,
 :func:`sector_layout`. :func:`sector_cells` is the one reader of a grid's
 sector, as a view, :func:`state_cells` the one reader of a state's sectors,
 and :func:`occupied_sectors` the one judge of which sectors a state
-occupies: its tag, or one scan through :func:`photon_totals`.
+occupies: the sector whose cells it holds, or one scan through
+:func:`photon_totals`.
 
-:func:`number_moments` and :func:`vdot` sum over a grid in numpy alone, not
-through BLAS, whose dot products split long vectors across threads and so
-round differently with the thread count.
+:func:`number_moments` and :func:`squared_norm` sum over a grid in numpy
+alone, not through BLAS, whose dot products split long vectors across
+threads and so round differently with the thread count.
 
-A state may know its photon number. ``FockState._sector`` is n when every
-nonzero amplitude lies in sector n, and None when that is not known. It is
-set only where it is known by construction: :func:`make_fock` sets j + k,
-the noon builder sets n, :func:`pad_to` and :func:`mzi_qfi.schwinger.phase_shift`
-pass their input's tag on, :func:`mzi_qfi.schwinger.apply_rotation` sets it
-when the rotated grid occupies one sector, and ``Sector.state`` sets the
-sector's n. Grids from elsewhere are never scanned for it. The norm check,
-:func:`number_moments`, :func:`occupied_sectors` (so the decomposition and the
-rotation plan), ``particle_moments`` and the fidelity route then read only
-that sector.
-
-Three of those constructors make a state that holds only its sector's cells,
-in :func:`sector_kets` order, and builds its grid on the first read of
-``amplitudes`` (``FockState._from_cells``): ``Sector.state``,
-:func:`mzi_qfi.schwinger.apply_rotation` when the rotated grid occupies one
-sector, and :func:`mzi_qfi.schwinger.phase_shift` of a state that knows its
-sector. Their norm is checked on the cells, and :func:`state_cells` hands
-the cells to :func:`number_moments`, equality, ``decompose_sectors``,
-``particle_moments``, ``phase_shift`` and the fidelity route's weights, so
-a fixed-photon-number fringe point or a decomposed sector costs O(c) until
-something else, such as ``schmidt``, :func:`pad_to`, a rotation's plan or
-a state file, reads its grid.
+A state is held in one of two ways. A state that knows its photon number n
+holds just the cells of sector n, in :func:`sector_kets` order, read-only
+(``FockState._from_cells``); ``FockState._sector`` is n and ``_cells`` the
+cells, and its grid is built on the first read of ``amplitudes``. Every
+other state holds a grid, and both are None. Only constructors that know
+the sector by construction make the first kind: :func:`make_fock`, the noon
+builder, :func:`pad_to` of such a state, ``Sector.state``,
+:func:`mzi_qfi.schwinger.phase_shift` of such a state, and
+:func:`mzi_qfi.schwinger.apply_rotation` when its result occupies one
+sector. Grids from elsewhere are never scanned for a sector. The norm
+check, equality, :func:`number_moments`, :func:`occupied_sectors` (so the
+decomposition), ``particle_moments``, the rotation and its plan,
+``phase_shift`` and the fidelity route's weights read the cells, so a
+fixed-photon-number probe, a point of its fringe or a decomposed sector
+costs O(c) until something else, such as ``schmidt``, :func:`inner` or a
+state file, reads its grid.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import ClassVar, List, Literal, NamedTuple, Optional, Sequence, Tuple
 
@@ -109,35 +104,27 @@ class FockState:
     ``truncation_loss`` is the probability discarded before the grid was
     renormalized; it is zero for states assembled directly from basis kets.
     Instances are immutable and safe to share across threads. Equality
-    compares the arrays with ``np.array_equal``; two states that know the
-    same sector compare that sector's cells alone, every other cell being 0.
+    compares the arrays with ``np.array_equal``; two states that hold cells
+    of the same sector compare those cells alone, every other cell being 0.
+    The norm is checked as :func:`squared_norm` over the whole grid.
 
-    ``_in_sector``, a keyword-only argument, promises that every nonzero
-    amplitude sits in the photon-number sector it names, the cells |k, n-k>
-    of :func:`sector_kets`; None, the default, promises nothing. The state
-    keeps it as ``_sector``, which is neither an argument nor in ``repr`` or
-    equality. It is not checked: only the package's constructors of
-    single-sector states pass it (see the module docstring). The norm is
-    checked as ``vdot(psi, psi).real`` over the cells of that sector alone,
-    at most c + 1 of them, and over the whole grid, one complex dot, when no
-    sector is known. ``dataclasses.replace`` passes no ``_in_sector``, so a
-    replaced state knows no sector and is checked over every cell.
-
-    A single-sector state may instead hold just its sector's cells, read-only
-    in ``_cells`` (see :meth:`_from_cells`; None for a state held by its
-    grid). Its ``amplitudes`` grid is built on the first read, zeros with the
-    cells scattered through :func:`sector_cells`, and stored read-only, once,
-    so every reader, in any thread, gets the same grid.
+    A state that knows its photon number n holds just the cells of sector n
+    instead, read-only in ``_cells``, and n in ``_sector`` (see
+    :meth:`_from_cells`); both are None for a state held by its grid, and
+    neither is an argument, a field or part of ``repr``. Its ``amplitudes``
+    grid is built on the first read, zeros with the cells scattered through
+    :func:`sector_cells`, and stored read-only, once, so every reader, in
+    any thread, gets the same grid. ``dataclasses.replace`` passes that grid
+    to the constructor, so a replaced state holds a grid.
     """
 
     amplitudes: np.ndarray
     cutoff: int
     truncation_loss: float = 0.0
-    _sector: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    _in_sector: InitVar[Optional[int]] = field(default=None, kw_only=True)
+    _sector: ClassVar[Optional[int]] = None
     _cells: ClassVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self, _in_sector: Optional[int]) -> None:
+    def __post_init__(self) -> None:
         grid = np.asarray(self.amplitudes, dtype=np.complex128)
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
             raise ParameterError(f"amplitude grid must be square, got shape {grid.shape}")
@@ -146,14 +133,9 @@ class FockState:
                 f"grid shape {grid.shape} inconsistent with cutoff {self.cutoff}"
             )
         _check_loss(self.truncation_loss)
-        if _in_sector is None:
-            _check_norm(float(np.vdot(grid, grid).real))
-        else:
-            cells = sector_cells(grid, _in_sector)  # every other cell is zero
-            _check_norm(vdot(cells, cells).real)
+        _check_norm(squared_norm(grid))
         grid.flags.writeable = False
         object.__setattr__(self, "amplitudes", grid)
-        object.__setattr__(self, "_sector", _in_sector)
 
     @classmethod
     def _from_cells(
@@ -161,8 +143,8 @@ class FockState:
     ) -> "FockState":
         """The state of sector ``n`` with amplitudes ``cells`` on |k, n-k>, k in ``sector_kets``.
 
-        Its norm is checked over the cells, as for a grid with ``_in_sector=n``;
-        they are kept read-only, and no grid is built until ``amplitudes`` is read.
+        Its norm is checked over the cells; they are kept read-only, and no
+        grid is built until ``amplitudes`` is read.
         """
         cells = np.asarray(cells, dtype=np.complex128)
         if cells.shape != (_sector_span(n, cutoff)[1],):
@@ -170,7 +152,7 @@ class FockState:
                 f"{cells.shape} cells do not fill sector {n} of a cutoff {cutoff} grid"
             )
         _check_loss(truncation_loss)
-        _check_norm(vdot(cells, cells).real)
+        _check_norm(squared_norm(cells))
         cells.flags.writeable = False
         state = object.__new__(cls)
         state.__dict__.update(cutoff=cutoff, truncation_loss=truncation_loss, _sector=n,
@@ -192,9 +174,8 @@ class FockState:
             return NotImplemented
         if (self.cutoff, self.truncation_loss) != (other.cutoff, other.truncation_loss):
             return False
-        n = self._sector
-        if n is not None and n == other._sector:
-            return np.array_equal(*(state_cells(state, [n])[0] for state in (self, other)))
+        if self._cells is not None and self._sector == other._sector:
+            return np.array_equal(self._cells, other._cells)
         return np.array_equal(self.amplitudes, other.amplitudes)
 
     @classmethod
@@ -202,7 +183,7 @@ class FockState:
         """Renormalize ``grid`` and wrap it, enforcing ``DEFAULT_LOSS_CEILING``."""
         grid = np.asarray(grid, dtype=np.complex128)  # the division below copies
         check_truncation_loss(truncation_loss)
-        nrm = math.sqrt(vdot(grid, grid).real)
+        nrm = math.sqrt(squared_norm(grid))
         if nrm == 0.0:
             raise NormalizationError("cannot normalize a zero amplitude grid")
         return cls(grid / nrm, grid.shape[0] - 1, truncation_loss)
@@ -278,9 +259,9 @@ def photon_totals(cutoff: int) -> np.ndarray:
 def occupied_sectors(state: FockState) -> List[int]:
     """Photon numbers, ascending, of the sectors ``state`` occupies.
 
-    A state that knows its photon number (``FockState._sector``) occupies
-    that sector alone. Any other state is scanned: it occupies the sectors
-    where ``nonzero_cells`` holds.
+    A state that holds the cells of its sector (``FockState._sector``)
+    occupies that sector alone. Any other state is scanned: it occupies the
+    sectors where ``nonzero_cells`` holds.
     """
     if state._sector is not None:
         return [state._sector]
@@ -327,20 +308,32 @@ def make_fock(j: int, k: int, cutoff: int) -> FockState:
         raise CutoffExceededError(
             f"occupation ({j}, {k}) exceeds cutoff {cutoff} (or is negative)"
         )
-    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    grid[j, k] = 1.0
-    return FockState(grid, cutoff, 0.0, _in_sector=j + k)
+    low, count = _sector_span(j + k, cutoff)
+    cells = np.zeros(count, dtype=np.complex128)
+    cells[j - low] = 1.0
+    return FockState._from_cells(cells, j + k, cutoff)
 
 
 def pad_to(state: FockState, cutoff: int) -> FockState:
-    """Embed ``state`` in a larger grid by zero padding (moments are unchanged)."""
+    """Embed ``state`` in a larger grid by zero padding (moments are unchanged).
+
+    A state that holds the cells of its sector n gets them back in the larger
+    cutoff's run of sector n, which starts no later, and builds no grid.
+    """
     if cutoff < state.cutoff:
         raise ParameterError(f"cannot pad cutoff {state.cutoff} down to {cutoff}")
     if cutoff == state.cutoff:
         return state
-    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    grid[: state.dim, : state.dim] = state.amplitudes
-    return FockState(grid, cutoff, state.truncation_loss, _in_sector=state._sector)
+    cells, n = state._cells, state._sector
+    if cells is None:
+        grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+        grid[: state.dim, : state.dim] = state.amplitudes
+        return FockState(grid, cutoff, state.truncation_loss)
+    low, count = _sector_span(n, cutoff)
+    start = _sector_span(n, state.cutoff)[0] - low
+    padded = np.zeros(count, dtype=np.complex128)
+    padded[start : start + len(cells)] = cells
+    return FockState._from_cells(padded, n, cutoff, state.truncation_loss)
 
 
 def _common_grids(x: FockState, y: FockState) -> Tuple[np.ndarray, np.ndarray]:
@@ -370,21 +363,14 @@ def state_distance(x: FockState, y: FockState) -> float:
     return float(np.linalg.norm(gx - phase * gy))
 
 
-def vdot(x: np.ndarray, y: np.ndarray) -> complex:
-    """``np.vdot(x, y)`` of two complex grids of one shape, summed by numpy alone.
+def squared_norm(x: np.ndarray) -> float:
+    """``np.vdot(x, x).real`` of a complex array, summed by numpy alone.
 
-    The real part is one einsum over the grids' float64 views, the imaginary
-    part two over their strided halves, so C-contiguous grids are read in
-    place, with no temporary. The imaginary part of ``vdot(x, x)`` is zero and
-    is not summed.
+    One einsum over the array's float64 view, so a C-contiguous array is read
+    in place, with no temporary.
     """
     xs = np.ascontiguousarray(x).reshape(-1).view(np.float64)
-    ys = xs if y is x else np.ascontiguousarray(y).reshape(-1).view(np.float64)
-    real = float(np.einsum("i,i->", xs, ys))
-    if y is x:
-        return complex(real, 0.0)
-    imag = np.einsum("i,i->", xs[::2], ys[1::2]) - np.einsum("i,i->", xs[1::2], ys[::2])
-    return complex(real, float(imag))
+    return float(np.einsum("i,i->", xs, xs))
 
 
 @dataclass(frozen=True)
@@ -430,9 +416,8 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     probabilities take one real grid, half a complex one, and the squares of
     the imaginary parts another while they are added in.
 
-    A state that knows its photon number n (``FockState._sector``) costs
-    O(c) instead: only the at most c + 1 cells of sector n are read
-    (:func:`state_cells`, so a state that holds its cells builds no grid) and
+    A state that holds the cells of its sector n (``FockState._cells``)
+    costs O(c) instead: only those at most c + 1 cells are read and
     squared, and their p and k p are scattered into the row and column sums.
     In such a grid every row and every column holds at most one nonzero
     cell, and adding zeros to a float is exact, so the dense sums would
@@ -443,8 +428,8 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order!r}")
 
-    n = state._sector
-    if n is None:
+    cells = state._cells
+    if cells is None:
         psi = state.amplitudes
         probs = np.square(psi.real)
         probs += np.square(psi.imag)
@@ -454,9 +439,9 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
         weighted_rows = probs.sum(axis=1) if order == 2 else None
         weighted_cols = _column_sums(probs)  # k c_k
     else:
+        n = state._sector
         js = sector_kets(n, state.cutoff)  # the cells (j, n - j), one per row and column
         ks = n - js
-        [cells] = state_cells(state, [n])
         probs = np.square(cells.real)
         probs += np.square(cells.imag)
         rows, weighted_rows, weighted_cols = np.zeros((3, state.dim))

@@ -122,9 +122,8 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
     Each kept sector holds only its anti-diagonal, the vector of amplitudes
     on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
     all. Only the sectors of :func:`mzi_qfi.fock.occupied_sectors` are read,
-    each through :func:`mzi_qfi.fock.state_cells`, so a state that knows its
-    photon number reads its one sector and scans nothing, and a state that
-    holds its cells builds no grid. An empty sector, which would add exactly
+    each through :func:`mzi_qfi.fock.state_cells`, so a state that holds the
+    cells of its sector reads them, with no scan and no grid. An empty sector, which would add exactly
     0.0 to ``weights_sum``, is not read.
     """
     occupied = occupied_sectors(state)
@@ -188,8 +187,8 @@ def sector_moments(sector: Sector) -> ParticleReport:
 def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
     """Pauli statistics of a state confined to photon-number sector ``n``.
 
-    A state that knows its sector (``FockState._sector``) is taken at its
-    word. Any other state is decomposed first, and its dominant sector is its
+    A state that holds the cells of its sector (``FockState._sector``) is
+    taken at its word. Any other state is decomposed first, and its dominant sector is its
     sector once all but ``SECTOR_SUPPORT_TOL`` of its weight lies there. That
     sector must be ``n``. The statistics come from the grid's own cells of
     sector ``n``, at most n + 1 of them (those a state holds, without a grid,

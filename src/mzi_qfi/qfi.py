@@ -28,7 +28,7 @@ import numpy as np
 
 from .coherence import CoherenceReport, analyze
 from .errors import ParameterError
-from .fock import FockState, sector_kets, state_cells
+from .fock import FockState, sector_kets
 from .particle import SectorDecomposition, decompose_sectors, qfi_particle
 from .schwinger import difference_phases, jz_moments
 
@@ -135,10 +135,9 @@ def qfi_path_symmetric(report: CoherenceReport) -> Optional[float]:
 def difference_weights(state: FockState) -> np.ndarray:
     """p[c - d], the weight of ``state`` on the cells (j, k) with j - k = d, for d = c, ..., -c.
 
-    A state that knows its sector n is read by its cells alone
-    (:func:`mzi_qfi.fock.state_cells`, so one that holds them builds no
-    grid): cell k of the sector lies on d = 2k - n, one cell to each d. Any
-    other grid is read in one pass, blocks of about ``FIDELITY_BLOCK_CELLS``
+    A state that holds the cells of its sector n is read by those cells
+    alone, with no grid: cell k of the sector lies on d = 2k - n, one cell
+    to each d. Any other grid is read in one pass, blocks of about ``FIDELITY_BLOCK_CELLS``
     cells at a time, squared as |psi|^2 = re^2 + im^2 into two buffers of
     that size. Each row's squares are then added to the entries of its
     differences, row after row, so each p(d) sums its cells in order of j,
@@ -147,9 +146,8 @@ def difference_weights(state: FockState) -> np.ndarray:
     """
     cutoff = state.cutoff
     weights = np.zeros(2 * cutoff + 1)
-    n = state._sector
-    if n is not None:
-        [cells] = state_cells(state, [n])
+    cells, n = state._cells, state._sector
+    if cells is not None:
         probs = np.square(cells.real)
         probs += np.square(cells.imag)
         weights[cutoff + n - 2 * sector_kets(n, cutoff)] = probs

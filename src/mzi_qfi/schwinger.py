@@ -19,24 +19,25 @@ k <= n/2 of the eigenvectors with m >= 0: swapping the modes and the parity
 of k imply the rest. A sector above the cutoff, held only in part, is rotated
 exactly and restricted to the cells the grid holds.
 
-What a rotation needs of the grid alone is planned once per grid: the
-occupied sectors (an O(c^2) scan unless the state knows its photon number),
-their layout, the weight check, the pairing of each cell k <= n/2 with its
-mirror n-k, and the groups of sectors mixed together. The plan and the
-grid's coordinates in the Jx basis after Rz(gamma) are kept for the last grid
-rotated, so a fringe scan, whose phases |phi| < pi share gamma = -pi/2,
-projects its probe once. A rotation then costs two real
-matrix products per occupied sector for the coordinates, when the grid or
-gamma is new, and two back, each with a cell and its mirror as four real columns, so a
-fixed-photon-number probe pays for a single block; and one vectorized pass
-over the cells (the cos/sin mixing in groups of at most ``MIX_COLUMNS``
-columns, the left phase, the norm and, for a result of several sectors,
-the scatter into a new grid). A result that occupies one sector, as every
-rotation of a fixed-photon-number probe does, carries that sector as its
-``FockState._sector`` tag and holds only that sector's cells, so it
-allocates no grid, and its norm check and its number moments cost O(c), not
-O(c^2). Jz is diagonal in the number basis,
-so its moments come from the number moments of :mod:`mzi_qfi.fock`.
+A rotation reads what the state holds: the cells of its one sector, for a
+state that knows its photon number (see :class:`mzi_qfi.fock.FockState`),
+or its grid. What it needs of that array alone is planned once per array:
+the occupied sectors (an O(c^2) scan of a grid), their layout, the weight
+check, the pairing of each cell k <= n/2 with its mirror n-k, and the groups
+of sectors mixed together. The plan and the array's coordinates in the Jx
+basis after Rz(gamma) are kept for the last array rotated, so a fringe scan,
+whose phases |phi| < pi share gamma = -pi/2, projects its probe once. A
+rotation then costs two real matrix products per occupied sector for the
+coordinates, when the array or gamma is new, and two back, each with a cell
+and its mirror as four real columns, so a fixed-photon-number probe pays for
+a single block; and one vectorized pass over the cells (the cos/sin mixing
+in groups of at most ``MIX_COLUMNS`` columns, the left phase, the norm and,
+for a result of several sectors, the scatter into a new grid). A result
+that occupies one sector, as every rotation of a fixed-photon-number probe
+does, holds only that sector's cells, so a fixed-photon-number probe and
+every rotation of it allocate no grid, and their norm checks and number
+moments cost O(c), not O(c^2). Jz is diagonal in the number basis, so its
+moments come from the number moments of :mod:`mzi_qfi.fock`.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .fock import (
     occupied_sectors,
     sector_kets,
     sector_layout,
-    state_cells,
 )
 
 
@@ -263,11 +263,13 @@ class _Group(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """What rotating one grid needs of the grid alone, whatever the rotation.
+    """What rotating one state needs of the array it holds alone, whatever the rotation.
 
     ``occupied`` lists the photon numbers of the occupied sectors, ascending;
-    ``flats`` holds the flat grid index of each cell of the occupied sectors
-    (:func:`mzi_qfi.fock.sector_layout`), ``phases`` its entry t + ``top`` in
+    ``flats`` holds the index in the flattened array of each cell of the
+    occupied sectors (:func:`mzi_qfi.fock.sector_layout`): its flat grid
+    index, or its place among the cells a state holds, which are the layout
+    of their one sector. ``phases`` holds its entry t + ``top`` in
     the Rz tables, and ``unpair`` its place among the ``pairs`` rows of
     paired cells: row q holds a cell k <= n/2 at 2q and its mirror n-k at
     2q + 1, which is 0 for the middle cell of an even sector. A sector n has
@@ -287,18 +289,21 @@ class _Plan(NamedTuple):
     groups: Tuple[_Group, ...]
 
 
-def _plan(state: FockState) -> _Plan:
-    """The rotation plan of ``state``'s grid; raises if it holds weight above its cutoff."""
-    grid, cutoff = state.amplitudes, state.cutoff
+def _plan(state: FockState, held: np.ndarray) -> _Plan:
+    """The rotation plan of ``held``, the array ``state`` holds; raises on weight above the cutoff."""
+    cutoff = state.cutoff
     occupied = occupied_sectors(state)
     _, lows, offsets, rows, cols = sector_layout(occupied, cutoff)
     rows, cols = rows.astype(np.int32), cols.astype(np.int32)
-    flats = rows * (cutoff + 1)
-    flats += cols
+    if state._cells is None:
+        flats = rows * (cutoff + 1)
+        flats += cols
+    else:
+        flats = np.arange(len(rows), dtype=np.int32)
     top = occupied[-1]
     if top > cutoff:
         above = offsets[bisect_right(occupied, cutoff)]  # the first run above the cutoff
-        excess = float(np.sum(np.abs(grid.reshape(-1).take(flats[above:])) ** 2))
+        excess = float(np.sum(np.abs(held.reshape(-1).take(flats[above:])) ** 2))
         if excess >= 1e-12:
             raise TruncationOverflowError(
                 f"weight {excess:.3e} sits above cutoff {cutoff}; "
@@ -353,7 +358,7 @@ def _plan(state: FockState) -> _Plan:
 
 
 def _rotate(
-    plan: _Plan, rotation: _EulerRotation, grid: np.ndarray, coordinates: Optional[np.ndarray]
+    plan: _Plan, rotation: _EulerRotation, held: np.ndarray, coordinates: Optional[np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Rz(alpha) Rx(beta) Rz(gamma) on the cells of ``plan``, in layout order, and the coordinates.
 
@@ -361,13 +366,14 @@ def _rotate(
     paired cells: row 0 on the even rows of the stored blocks, row 1 on the
     odd ones, each joined by the projections of the mirrors of that parity,
     times the signs s_j. When ``coordinates`` is None they are computed from
-    ``grid`` and returned read-only. Each parity's coordinates y then become
-    cos * y + sin * the other's, and the mirror column s_j times that of the
-    mirrors' parity, so the products back give each cell and its mirror.
+    ``held``, the array the plan was made for, and returned read-only. Each
+    parity's coordinates y then become cos * y + sin * the other's, and the
+    mirror column s_j times that of the mirrors' parity, so the products back
+    give each cell and its mirror.
     """
     project = coordinates is None
     if project:
-        amps = grid.reshape(-1).take(plan.flats)
+        amps = held.reshape(-1).take(plan.flats)
         right = rotation.right
         if right is not None:
             np.multiply(right.take(plan.phases), amps, out=amps)
@@ -410,13 +416,13 @@ def _rotate(
     return rotated, coordinates
 
 
-#: The last grid rotated, its plan, and its coordinates for the last gamma:
-#: (weak reference to the grid, plan, gamma, coordinates), or None.
+#: The last array rotated, its plan, and its coordinates for the last gamma:
+#: (weak reference to the array, its sector or None, plan, gamma, coordinates), or None.
 _memo: Optional[tuple] = None
 
 
 def _forget(ref: "weakref.ref") -> None:
-    """Drop the memo when the grid it belongs to is collected."""
+    """Drop the memo when the array it belongs to is collected."""
     global _memo
     memo = _memo
     if memo is not None and memo[0] is ref:
@@ -449,18 +455,19 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     ``MIX_COLUMNS`` columns of coordinates, with the sectors of even and of
     odd n apart.
 
-    What depends on the grid alone, its occupied sectors, their layout
-    (:func:`mzi_qfi.fock.sector_layout`), the weight check, the pairing of
-    each cell with its mirror, its Rz table entries and the groups, is a
-    plan built on the first rotation of a grid. The plan and the grid's
-    coordinates for the last gamma are kept, for one grid at a time, until
-    another grid is rotated or this one is collected. A fringe scan,
-    ``mzi_unitary`` at |phi| < pi, has gamma = -pi/2 at every phase, so
-    after its first point each costs only the mixing, the products back,
-    the left phase and the norm (and the scatter, for several sectors). The
-    plan is never changed and the coordinates are read-only and replaced in
-    one assignment, so threads may rotate at once; each call works in
-    buffers of its own.
+    The rotation reads what the state holds: the cells of its one sector, or
+    its grid. What depends on that array alone, its occupied sectors, their
+    layout (:func:`mzi_qfi.fock.sector_layout`), the weight check, the
+    pairing of each cell with its mirror, its Rz table entries and the
+    groups, is a plan built on the first rotation of the array. The plan and
+    the array's coordinates for the last gamma are kept, for one array at a
+    time, until another array is rotated or this one is collected. A
+    fringe scan, ``mzi_unitary`` at |phi| < pi, has gamma = -pi/2 at every
+    phase, so after its first point each costs only the mixing, the products
+    back, the left phase and the norm (and the scatter, for several
+    sectors). The plan is never changed and the coordinates are read-only
+    and replaced in one assignment, so threads may rotate at once; each call
+    works in buffers of its own.
 
     A sector above the cutoff, which the grid holds only in part, uses the
     rows of the basis for the cells it holds, k from n - cutoff to cutoff,
@@ -470,29 +477,30 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     weight above the cutoff, summed over the cells of the runs above it, on
     every call. The rotated vectors are renormalized together.
 
-    When the grid occupies a single sector n, the result carries n as its
-    ``_sector`` tag and holds only that sector's rotated cells, with no grid
-    until its ``amplitudes`` are read (see :class:`mzi_qfi.fock.FockState`):
-    a fixed-photon-number fringe point allocates O(c), not a zeroed grid.
+    When the state occupies a single sector n, the result holds only that
+    sector's rotated cells, with no grid until its ``amplitudes`` are read
+    (see :class:`mzi_qfi.fock.FockState`): a fixed-photon-number fringe
+    point allocates O(c), not a zeroed grid.
     """
     global _memo
-    grid = state.amplitudes
+    sector = state._sector  # None for a state held by its grid
+    held = state.amplitudes if sector is None else state._cells
     memo = _memo
-    if memo is None or memo[0]() is not grid:
-        memo = (weakref.ref(grid, _forget), _plan(state), None, None)
-    ref, plan, gamma, coordinates = memo
+    if memo is None or memo[0]() is not held or memo[1] != sector:
+        memo = (weakref.ref(held, _forget), sector, _plan(state, held), None, None)
+    ref, sector, plan, gamma, coordinates = memo
     rotation = _EulerRotation(v, angle, plan.top)
     if gamma != rotation.gamma:
         coordinates = None
-    rotated, kept = _rotate(plan, rotation, grid, coordinates)
+    rotated, kept = _rotate(plan, rotation, held, coordinates)
     if kept is not coordinates:
-        _memo = (ref, plan, rotation.gamma, kept)
+        _memo = (ref, sector, plan, rotation.gamma, kept)
     real, imag = rotated.real, rotated.imag  # np.linalg.norm's sum, without its dispatch
     rotated /= math.sqrt(real.dot(real) + imag.dot(imag))
     if len(plan.occupied) == 1:  # the layout of one sector is its kets in k order
         return FockState._from_cells(rotated, plan.occupied[0], state.cutoff,
                                      state.truncation_loss)
-    out = np.zeros(grid.shape, dtype=np.complex128)
+    out = np.zeros((state.dim, state.dim), dtype=np.complex128)
     out.reshape(-1)[plan.flats] = rotated
     return FockState(out, state.cutoff, state.truncation_loss)
 
@@ -522,15 +530,14 @@ def phase_shift(state: FockState, phi: float) -> FockState:
     Diagonal in the number basis, hence exact at any cutoff. The phase depends
     on j - k alone, so it is evaluated once for each of the 2c+1 differences
     d = c, ..., -c (:func:`difference_phases`); row j of the grid's phases is
-    the window of that table starting at d = j. A state that knows its sector
-    n keeps its tag, and its result holds only the cells of sector n
-    (:func:`mzi_qfi.fock.state_cells`), each times the entry of its
-    d = 2k - n, with no grid until one is read.
+    the window of that table starting at d = j. The result of a state that
+    holds the cells of its sector n holds only the cells of sector n, each
+    times the entry of its d = 2k - n, with no grid until one is read.
     """
     table = difference_phases(phi, np.arange(state.cutoff, -state.cutoff - 1, -1))
-    n = state._sector
-    if n is not None:
-        [cells] = state_cells(state, [n])
+    cells = state._cells
+    if cells is not None:
+        n = state._sector
         ks = sector_kets(n, state.cutoff)
         phased = table.take(state.cutoff + n - 2 * ks) * cells  # the grid's operand order
         return FockState._from_cells(phased, n, state.cutoff, state.truncation_loss)

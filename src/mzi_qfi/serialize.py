@@ -24,7 +24,7 @@ from typing import Iterable, List, Mapping, Sequence
 import numpy as np
 
 from .errors import CutoffExceededError, NormalizationError, StateFileError
-from .fock import FockState, vdot
+from .fock import FockState, squared_norm
 
 
 class NormalizationWarning(UserWarning):
@@ -210,7 +210,7 @@ def state_from_document(doc: object, origin: str = "<state>") -> FockState:
         except OverflowError as exc:  # an integer beyond the float range
             raise StateFileError(f"{origin}: re/im must lie within the float range") from exc
 
-    norm = math.sqrt(vdot(grid, grid).real)
+    norm = math.sqrt(squared_norm(grid))
     if norm == 0.0:
         raise NormalizationError(f"{origin}: amplitudes have zero norm")
     deviation = abs(norm - 1.0)

@@ -433,11 +433,11 @@ def _fixed_n_state(j: int, k: int, cutoff: Optional[int], split: bool) -> FockSt
 
 def _noon_state(n: int, cutoff: Optional[int]) -> FockState:
     n_cut = n if cutoff is None else cutoff
-    grid = np.zeros((n_cut + 1, n_cut + 1), dtype=np.complex128)
     if n > n_cut:
         raise ParameterError(f"cutoff {n_cut} cannot hold a {n}-photon branch")
-    grid[n, 0] = grid[0, n] = 1 / math.sqrt(2)
-    return FockState(grid, n_cut, 0.0, _in_sector=n)
+    cells = np.zeros(n + 1, dtype=np.complex128)  # |k, n-k> for k = 0..n
+    cells[n] = cells[0] = 1 / math.sqrt(2)
+    return FockState._from_cells(cells, n, n_cut)
 
 
 #: Loss target for automatic cutoff selection. Tighter than the construction

@@ -45,7 +45,6 @@ from mzi_qfi.fock import (
     photon_totals,
     sector_kets,
     sector_layout,
-    vdot,
 )
 from mzi_qfi.particle import (
     SECTOR_SUPPORT_TOL,
@@ -430,7 +429,7 @@ def layout_decompose_sectors(state):
     """``particle.decompose_sectors`` as one gather of every cell of the occupied sectors.
 
     The occupied sectors are those with a nonzero cell, found by ``np.nonzero``
-    whatever the state's tag, and laid out by ``fock.sector_layout``. Their
+    however the state is held, and laid out by ``fock.sector_layout``. Their
     cells are gathered and squared at once, and each weight is the sum over
     its own contiguous run.
     """
@@ -511,7 +510,7 @@ def allocating_qfi_fidelity(state, step, richardson=True):
         plus = phase_shift(state, h).amplitudes
         minus = phase_shift(state, -h).amplitudes
         derivative = (plus - minus) / (2.0 * h)
-        return 4.0 * (vdot(derivative, derivative).real - abs(vdot(derivative, base)) ** 2)
+        return 4.0 * (np.vdot(derivative, derivative).real - abs(np.vdot(derivative, base)) ** 2)
 
     if not richardson:
         return estimate(step)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_direction, random_two_mode_state, sector_cell_runs, sparse_states
-from mzi_qfi import particle, schwinger
+from mzi_qfi import fock, particle, schwinger
 from mzi_qfi.coherence import analyze
 from mzi_qfi.entanglement import schmidt
 from mzi_qfi.errors import (
@@ -32,8 +32,8 @@ from mzi_qfi.fock import (
     sector_cells,
     sector_kets,
     sector_layout,
+    squared_norm,
     state_distance,
-    vdot,
 )
 from mzi_qfi.qfi import qfi_fidelity
 from mzi_qfi.serialize import read_state_file, state_to_document, write_state_file
@@ -91,10 +91,11 @@ class TestLadder:
 
 class TestInner:
     def test_grid_vdot_matches_numpy(self, rng):
-        x, y = (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)) for _ in range(2))
-        for a, b in ((x, y), (x, x), (x.T, y), (y, x[::-1])):  # also views that are not C-contiguous
-            assert vdot(a, b) == pytest.approx(np.vdot(a, b), rel=1e-14)
-        assert vdot(x, x).imag == 0.0
+        x = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        for a in (x, x.T, x[::-1], x[2]):  # also views that are not C-contiguous, and a vector
+            norm_squared = squared_norm(a)
+            assert type(norm_squared) is float
+            assert norm_squared == pytest.approx(np.vdot(a, a).real, rel=1e-14)
 
     def test_self_overlap(self):
         assert np.isclose(inner(make_fock(1, 0, 3), make_fock(1, 0, 3)), 1.0)
@@ -193,7 +194,7 @@ class TestFockStateInvariants:
         state = FockState(grid, 5, 1e-15)
         assert not hasattr(state, "_norm_squared")
         assert [f.name for f in dataclasses.fields(FockState)] == [
-            "amplitudes", "cutoff", "truncation_loss", "_sector"]
+            "amplitudes", "cutoff", "truncation_loss"]
         with pytest.raises(TypeError):
             FockState(grid, 5, 0.0, 1.0)
 
@@ -339,8 +340,8 @@ def untagged(state):
     return FockState(state.amplitudes, state.cutoff, state.truncation_loss)
 
 
-def tagged_states(rng):
-    """Single-sector states carrying their tag: fixed-n probes after random-axis
+def held_states(rng):
+    """Single-sector states holding their cells: fixed-n probes after random-axis
     rotations, the two cells of noon, the vacuum, and sectors partly above the cutoff."""
     for family in FIXED_N_FAMILIES:
         for n in (1, 2, 3, 8, 64, 200):
@@ -351,17 +352,17 @@ def tagged_states(rng):
     yield "noon", build(ProbeSpec("noon", {"n": 5}))
     yield "vacuum", make_fock(0, 0, 3)
     yield "above the cutoff", make_fock(5, 4, 5)
-    grid = np.zeros((6, 6), dtype=complex)
-    ks = sector_kets(8, 5)
-    grid[ks, 8 - ks] = rng.normal(size=len(ks)) + 1j * rng.normal(size=len(ks))
-    yield "partial sector", FockState(grid / np.linalg.norm(grid), 5, 1e-13, _in_sector=8)
+    cells = rng.normal(size=3) + 1j * rng.normal(size=3)  # k = 3, 4, 5 of sector 8
+    yield "partial sector", FockState._from_cells(cells / np.linalg.norm(cells), 8, 5, 1e-13)
 
 
 class TestSectorTag:
+    """``FockState._sector``, the photon number of a state that holds its cells."""
+
     def test_tagged_moments_are_the_dense_moments_bit_for_bit(self, rng):
         compared = 0
-        for label, state in tagged_states(rng):
-            assert state._sector is not None, label
+        for label, state in held_states(rng):
+            assert state._sector is not None and state._cells is not None, label
             for order in (1, 2):
                 tagged = moment_bits(number_moments(state, order))
                 dense = moment_bits(number_moments(untagged(state), order))
@@ -382,6 +383,33 @@ class TestSectorTag:
         for state in states:
             assert occupied_sectors(untagged(state)) == [state._sector]  # a scan of its grid
 
+    def test_a_state_knows_its_sector_exactly_when_it_holds_its_cells(self):
+        coherent = build(ProbeSpec("coherent", {"alpha": 1.5}, 24))
+        fock_pair = build(ProbeSpec("fock-pair", {"n": 3}))
+        states = [make_fock(2, 1, 4), make_fock(0, 0, 0), make_fock(5, 4, 5),
+                  pad_to(make_fock(2, 3, 3), 6), pad_to(make_fock(3, 3, 3), 4),
+                  pad_to(coherent, 30)]
+        for n in (1, 4, 30):
+            states += [build(ProbeSpec(family, {"n": n})) for family in FIXED_N_FAMILIES]
+        for probe in (fock_pair, coherent):
+            states += [schwinger.phase_shift(probe, 0.4), schwinger.beam_splitter(probe),
+                       schwinger.apply_rotation(probe, (0.6, -0.48, 0.64), 0.7)]
+        states += [sector.state for sector in particle.decompose_sectors(coherent).sectors]
+        known = 0
+        for state in states:
+            assert (state._sector is None) == (state._cells is None)
+            known += state._sector is not None
+        assert known == len(states) - 4  # all but the coherent probe's pad, shift and rotations
+
+    def test_a_grid_cannot_promise_a_sector(self):
+        grid = np.zeros((4, 4), dtype=complex)
+        grid[1, 2] = 1.0
+        with pytest.raises(TypeError):
+            FockState(grid, 3, _in_sector=3)
+        grid[1, 1] = 5.0  # a second sector, and a norm of sqrt(26)
+        with pytest.raises(NormalizationError):
+            FockState(grid, 3)
+
     def test_tags_only_what_is_known_by_construction(self, tmp_path):
         coherent = build(ProbeSpec("coherent", {"alpha": 1.5}, 40))
         tsv = build(ProbeSpec("twin-squeezed-vacuum", {"xi": 0.5}, 60))
@@ -401,11 +429,9 @@ class TestSectorTag:
         plain = untagged(state)
         assert state._sector == 3 and plain._sector is None
         assert state == plain and repr(state) == repr(plain) and "_sector" not in repr(state)
-        field = {f.name: f for f in dataclasses.fields(FockState)}["_sector"]
-        flags = (field.default, field.init, field.repr, field.compare)
-        assert flags == (None, False, False, False)
-        argument = inspect.signature(FockState).parameters["_in_sector"]
-        assert (argument.kind, argument.default) == (inspect.Parameter.KEYWORD_ONLY, None)
+        assert "_sector" not in {f.name for f in dataclasses.fields(FockState)}
+        assert list(inspect.signature(FockState).parameters) == [
+            "amplitudes", "cutoff", "truncation_loss"]
 
     def test_replace_drops_the_tag(self):
         moved = dataclasses.replace(make_fock(1, 0, 2), amplitudes=make_fock(0, 2, 2).amplitudes)
@@ -419,14 +445,25 @@ class TestSectorTag:
 
     def test_tagged_norm_check_reads_only_the_sector(self, monkeypatch, rng):
         ks = sector_kets(7, 5)
+        cells = rng.normal(size=len(ks)) + 1j * rng.normal(size=len(ks))
+        cells /= np.linalg.norm(cells)
         grid = np.zeros((6, 6), dtype=complex)
-        grid[ks, 7 - ks] = rng.normal(size=len(ks)) + 1j * rng.normal(size=len(ks))
-        grid /= np.linalg.norm(grid)
-        monkeypatch.setattr(np, "vdot", None)  # the whole-grid dot is not taken
-        state = FockState(grid, 5, _in_sector=7)
-        assert state._sector == 7
+        grid[ks, 7 - ks] = cells
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return squared_norm(x)
+
+        monkeypatch.setattr(fock, "squared_norm", counted)
+        monkeypatch.setattr(np, "vdot", None)  # BLAS's dot is taken by neither
+        state = FockState._from_cells(cells, 7, 5)
+        assert state._sector == 7 and sizes == [len(ks)]
+        assert FockState(grid, 5) == state and sizes == [len(ks), 36]
         with pytest.raises(NormalizationError):
-            FockState(2 * grid, 5, _in_sector=7)
+            FockState._from_cells(2 * cells, 7, 5)
+        with pytest.raises(NormalizationError):
+            FockState(2 * grid, 5)
 
 
 def result_bits(value):
@@ -467,9 +504,8 @@ def read_outcome(read, state, n):
 def assert_twins_agree(cells, n, cutoff, loss=0.0):
     """A state holding ``cells`` of sector ``n`` reads the bits of one holding the same grid.
 
-    The grid is read once with the tag, ``_in_sector=n``, and once without,
-    through the dense paths. Each read gets fresh states, so that no read
-    finds a grid an earlier one built.
+    The grid is read through the dense paths. Each read gets fresh states,
+    so that no read finds a grid an earlier one built.
     """
     ks = sector_kets(n, cutoff)
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
@@ -481,18 +517,17 @@ def assert_twins_agree(cells, n, cutoff, loss=0.0):
         return state
 
     def twin():
-        return FockState(grid.copy(), cutoff, loss, _in_sector=n)
+        return FockState(grid.copy(), cutoff, loss)
 
     for name, read in READS.items():
-        expected = read_outcome(read, twin(), n)
-        assert read_outcome(read, held(), n) == expected, name
-        if name != "phase_shift":  # an untagged phase shift is an untagged grid
-            assert read_outcome(read, untagged(twin()), n) == expected, name
-    shifted, dense = (schwinger.phase_shift(state, 0.7) for state in (held(), untagged(twin())))
+        if name != "phase_shift":  # the phase shift of a grid is a grid
+            assert read_outcome(read, held(), n) == read_outcome(read, twin(), n), name
+    shifted, dense = (schwinger.phase_shift(state, 0.7) for state in (held(), twin()))
+    assert shifted._sector == n and "amplitudes" not in vars(shifted)
     # the dense shift holds zeros of either sign outside the sector
     assert result_bits(shifted._cells) == result_bits(sector_cells(dense.amplitudes, n).copy())
     assert np.array_equal(shifted.amplitudes, dense.amplitudes)
-    assert held() == twin() and twin() == held() and held() == untagged(twin())
+    assert held() == twin() and twin() == held()
 
 
 class TestCellHeldStates:
@@ -514,6 +549,45 @@ class TestCellHeldStates:
                     assert_twins_agree(state._cells, state._sector, state.cutoff)
                     compared += 1
         assert compared == 2 * 3 * len(FIXED_N_FAMILIES)
+
+    def test_fixed_n_builds_hold_their_cells(self):
+        for family in FIXED_N_FAMILIES:
+            for n, cutoff in ((1, None), (4, 9), (200, None)):
+                state = build(ProbeSpec(family, {"n": n}, cutoff))
+                assert state._cells is not None and "amplitudes" not in vars(state), family
+
+    def test_one_cells_array_rotates_at_two_cutoffs_as_its_grids(self, rng):
+        n = 6
+        cells = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        cells /= np.linalg.norm(cells)
+        cells.flags.writeable = False
+        ks = np.arange(n + 1)
+        held, dense = {}, {}
+        for cutoff in (6, 9):
+            held[cutoff] = FockState._from_cells(cells, n, cutoff)
+            grid = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+            grid[ks, n - ks] = cells
+            dense[cutoff] = FockState(grid, cutoff)
+        axis = tuple(random_direction(rng))
+        rotations = [(schwinger.Y_AXIS, phi) for phi in (0.3, -0.8, 2.1)] + [(axis, 1.3)]
+        expected = {(cutoff, i): result_bits(schwinger.apply_rotation(dense[cutoff], *rotation))
+                    for i, rotation in enumerate(rotations) for cutoff in dense}
+        for i, rotation in enumerate(rotations):  # alternately: the cells' plan serves both
+            for cutoff, state in held.items():
+                rotated = schwinger.apply_rotation(state, *rotation)
+                assert schwinger._memo[0]() is cells
+                assert result_bits(rotated) == expected[cutoff, i]
+        assert "amplitudes" not in vars(held[6]) | vars(held[9])
+
+    def test_pad_to_of_a_partial_sector_matches_the_dense_pad(self, rng):
+        cells = rng.normal(size=3) + 1j * rng.normal(size=3)  # k = 3, 4, 5 of sector 8
+        state = FockState._from_cells(cells / np.linalg.norm(cells), 8, 5, 1e-13)
+        for cutoff in (6, 7, 8, 11):
+            padded, dense = pad_to(state, cutoff), pad_to(untagged(state), cutoff)
+            assert padded._sector == 8 and "amplitudes" not in vars(padded)
+            assert padded.truncation_loss == dense.truncation_loss == 1e-13
+            assert result_bits(padded.amplitudes) == result_bits(dense.amplitudes)
+        assert pad_to(state, 5) is state
 
     def test_sector_states_and_phase_shifts_hold_their_cells(self):
         coherent = build(ProbeSpec("coherent", {"alpha": 1.5}, 16))
@@ -542,7 +616,7 @@ class TestCellHeldStates:
         assert np.array_equal(moved.amplitudes, state.amplitudes)
         assert not hasattr(state, "_norm_squared")
 
-    def test_cells_are_checked_like_a_tagged_grid(self):
+    def test_cells_are_checked_like_a_grid(self):
         cells = np.array([0.6, 0.8j])
         assert FockState._from_cells(cells, 3, 2)._sector == 3
         with pytest.raises(NormalizationError):

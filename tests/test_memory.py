@@ -42,9 +42,11 @@ stage_memory = load_tool("stage_memory")
 #: ``mzi_unitary`` and ``mzi_unitary_cold`` were measured when single-sector
 #: states came to hold their cells and build no grid until one is read:
 #: ``Sector.state`` holds its sector's vector, and a rotation or phase shift
-#: of a fixed-n probe holds its c + 1 cells. Twin-fock's ``build`` keeps the
-#: one grid of its basis ket, and ``mzi_unitary_cold`` the plan of a fresh
-#: untagged copy, whose scan takes a quarter grid. ``qfi_fidelity`` and
+#: of a fixed-n probe holds its c + 1 cells. Twin-fock's ``build`` was
+#: measured when the basis ket came to hold its one sector's cells as well:
+#: it and its beam splitter's plan and result take a few vectors of c + 1
+#: entries. ``mzi_unitary_cold`` holds the plan of a fresh copy held by its
+#: grid, whose scan takes a quarter grid. ``qfi_fidelity`` and
 #: ``build_report`` were measured when the fidelity route came to read the
 #: probe once for its weight on each j - k: two float buffers of
 #: ``qfi.FIDELITY_BLOCK_CELLS`` cells for a grid, a few vectors of c + 1
@@ -64,7 +66,7 @@ BUDGETS = {
         "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.38, "sector_states": 0.03,
     },
     "twin-fock n=200": {
-        "build": 1.03, "analyze": 0.02, "decompose_sectors": 0.01, "qfi_variance": 0.02,
+        "build": 0.03, "analyze": 0.02, "decompose_sectors": 0.01, "qfi_variance": 0.02,
         "qfi_fidelity": 0.02, "build_report": 0.02,
         "schmidt": 0.19, "phase_shift": 0.02, "mzi_unitary": 0.03, "analyze_rotated": 0.02,
         "schmidt_rotated": 0.19, "mzi_unitary_cold": 0.44, "sector_states": 0.01,

@@ -169,8 +169,7 @@ class TestDecomposition:
         for state in states:
             expected = layout_decompose_sectors(state)
             assert_same_bits(decompose_sectors(state), expected)
-            fortran = FockState(np.asfortranarray(state.amplitudes), state.cutoff,
-                                _in_sector=state._sector)
+            fortran = FockState(np.asfortranarray(state.amplitudes), state.cutoff)
             assert_same_bits(decompose_sectors(fortran), expected)
 
     def test_fixed_n_probe_reads_one_sector(self, sector_reads):
@@ -182,8 +181,8 @@ class TestDecomposition:
 
     def test_tagged_state_is_decomposed_and_planned_without_a_scan(self, monkeypatch):
         probe = build(ProbeSpec("twin-fock", {"n": 30}))
-        # a grid of its own, so that its first rotation plans it
-        state = FockState(probe.amplitudes.copy(), probe.cutoff, _in_sector=probe._sector)
+        # cells of its own, so that its first rotation plans them
+        state = FockState._from_cells(probe._cells.copy(), probe._sector, probe.cutoff)
 
         def scan(grid):
             raise AssertionError("an O(c^2) scan of a state that knows its sector")
@@ -263,7 +262,7 @@ class TestParticleMoments:
         # an untagged state is decomposed to find its sector; a tagged one is read
         # on its own cells, and both give the same bits
         state = random_sector_state(rng, 5)
-        tagged = FockState(state.amplitudes, state.cutoff, _in_sector=5)
+        tagged = FockState._from_cells(fock.sector_cells(state.amplitudes, 5), 5, state.cutoff)
         expected = particle_moments(state, 5)
 
         def whole_grid_pass(_):

@@ -62,7 +62,7 @@ PUBLIC_SIGNATURES = {
     "CoherenceReport": ("nbar_a nbar_b nbar g2_a g2_b g2_ab var_na var_nb cov_nab "
                         "path_symmetric tol"),
     "CoherenceReport.as_dict": "self",
-    "FockState": "amplitudes cutoff truncation_loss _in_sector",
+    "FockState": "amplitudes cutoff truncation_loss",
     "FockState.from_grid": "grid truncation_loss",
     "FockState.probabilities": "self",
     "ModeEntanglementReport": "schmidt_values entropy entropy_bits separable tol",
@@ -161,7 +161,7 @@ def test_ladder_layer_is_gone(module, name):
     (particle, "locality_check"), (particle, "multiqubit_oracle"),
     (schwinger, "sector_generator_matrix"),
     (fock.FockState, "_norm_squared"), (particle, "_single_sector_n"),
-    (particle, "_outside_sector_error"),
+    (particle, "_outside_sector_error"), (fock.FockState, "_in_sector"), (fock, "vdot"),
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)

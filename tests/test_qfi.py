@@ -170,7 +170,6 @@ class TestFidelityOfOneSector:
         grid[ks, n - ks] = cells
         held = FockState._from_cells(cells, n, cutoff, loss)
         copies = {
-            "tagged": FockState(grid.copy(), cutoff, loss, _in_sector=n),
             "untagged": FockState(grid.copy(), cutoff, loss),
             "fortran": FockState(np.asfortranarray(grid), cutoff, loss),
         }

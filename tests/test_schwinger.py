@@ -317,10 +317,13 @@ class TestRotations:
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_plan_is_dropped_with_its_state(self):
-        state = make_fock(3, 2, 6)
+        state = make_fock(3, 2, 6)  # it holds its cells, and they key its plan
+        grid = FockState(state.amplitudes.copy(), 6)
         mzi_unitary(state, 0.4)
-        assert schwinger._memo[0]() is state.amplitudes
-        del state
+        assert schwinger._memo[0]() is state._cells
+        mzi_unitary(grid, 0.4)
+        assert schwinger._memo[0]() is grid.amplitudes
+        del state, grid
         gc.collect()
         assert schwinger._memo is None
 
