@@ -284,9 +284,18 @@ def schmidt(state: FockState, tol: float = SEPARABILITY_TOL) -> ModeEntanglement
     an SVD of a block only where they fall back, so a grid that is diagonal
     or anti-diagonal on its support, or a product state, costs no SVD of its
     grid. Values below ``CROSS_TOL`` of a crossed block are left out.
+
+    A state that holds the cells of its sector (see
+    :class:`mzi_qfi.fock.FockState`) builds no grid: each of its nonzero
+    cells is alone in its row and its column, a block of its own, so its
+    values are the sorted moduli of those cells, the bits of its grid's.
     """
     check_separability_tol(tol)
-    values = _support_singular_values(state.amplitudes)
+    cells = state._cells
+    if cells is None:
+        values = _support_singular_values(state.amplitudes)
+    else:
+        values = np.sort(np.abs(cells[nonzero_cells(cells)]))[::-1]
     squared = values**2
     logs = np.log(squared, out=np.zeros_like(squared), where=squared > 0)  # 0 log 0 = 0
     entropy = max(0.0, float(-np.sum(squared * logs)))  # clip round-off

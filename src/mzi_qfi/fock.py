@@ -12,12 +12,25 @@ instead, laid out by :func:`sector_kets` and, for a rotation's many sectors,
 :func:`sector_layout`. :func:`sector_cells` is the one reader of a grid's
 sector, as a view, :func:`state_cells` the one reader of a state's sectors,
 and :func:`occupied_sectors` the one judge of which sectors a state
-occupies: the sector whose cells it holds, or one scan through
-:func:`photon_totals`.
+occupies: the sector whose cells it holds, or one scan of its grid.
 
 :func:`number_moments` and :func:`squared_norm` sum over a grid in numpy
 alone, not through BLAS, whose dot products split long vectors across
 threads and so round differently with the thread count.
+
+Every dense pass over a grid larger than eight strips of ``STRIP_CELLS``
+cells (cutoff 180) reads it a strip of rows at a time (:func:`strip_rows`),
+so that its temporaries are a few strips, not grids: the moments, the
+sector scan, the fidelity route's weights
+(:func:`mzi_qfi.qfi.difference_weights`) and the amplified Bell builder.
+Each keeps the bits of the whole-grid pass it replaces. A sum along a row
+is numpy's pairwise sum of that row alone, whatever strip holds it. The
+moments' column sums are :func:`_column_sums`' pairwise fold down the rows:
+its first round adds row ``top + i`` onto row i, with ``top`` the rows it
+keeps, so the strips store the first ``top`` rows in a half-height
+accumulator and add each later row onto its row as it arrives, and the
+fold's later rounds run on that accumulator. The tree of additions, and so
+every rounding, is the whole grid's.
 
 A state is held in one of two ways. A state that knows its photon number n
 holds just the cells of sector n, in :func:`sector_kets` order, read-only
@@ -31,10 +44,10 @@ builder, :func:`pad_to` of such a state, ``Sector.state``,
 sector. Grids from elsewhere are never scanned for a sector. The norm
 check, equality, :func:`number_moments`, :func:`occupied_sectors` (so the
 decomposition), ``particle_moments``, the rotation and its plan,
-``phase_shift`` and the fidelity route's weights read the cells, so a
-fixed-photon-number probe, a point of its fringe or a decomposed sector
-costs O(c) until something else, such as ``schmidt``, :func:`inner` or a
-state file, reads its grid.
+``phase_shift``, the fidelity route's weights and ``schmidt`` read the
+cells, so a fixed-photon-number probe, a point of its fringe or a
+decomposed sector costs O(c) until something else, such as :func:`inner`
+or a state file, reads its grid.
 """
 
 from __future__ import annotations
@@ -61,6 +74,23 @@ DEFAULT_CUTOFF_CEILING = 256
 DEFAULT_LOSS_CEILING = 1e-10
 
 _NORM_TOL = 1e-12
+
+#: Cells of a grid that one strip of a dense pass reads: 32 KiB per float
+#: buffer, under a fortieth of a grid from cutoff 300 up.
+STRIP_CELLS = 4096
+
+
+def strip_rows(dim: int) -> int:
+    """Rows of a ``dim``-column grid in one strip of a dense pass.
+
+    A grid of at most eight strips' cells (up to cutoff 180, 512 KiB) is
+    one strip: there the numpy calls of many strips would cost more time
+    than their smaller temporaries save. A larger grid takes about
+    ``STRIP_CELLS`` cells a strip, at least one row.
+    """
+    if dim * dim <= 8 * STRIP_CELLS:
+        return dim
+    return max(1, STRIP_CELLS // dim)
 
 
 def cutoff_ceiling() -> int:
@@ -180,13 +210,22 @@ class FockState:
 
     @classmethod
     def from_grid(cls, grid: np.ndarray, truncation_loss: float = 0.0) -> "FockState":
-        """Renormalize ``grid`` and wrap it, enforcing ``DEFAULT_LOSS_CEILING``."""
-        grid = np.asarray(grid, dtype=np.complex128)  # the division below copies
+        """Renormalize a copy of ``grid`` and wrap it, enforcing ``DEFAULT_LOSS_CEILING``."""
+        return cls._normalized(np.array(grid, dtype=np.complex128), truncation_loss)
+
+    @classmethod
+    def _normalized(cls, grid: np.ndarray, truncation_loss: float) -> "FockState":
+        """:meth:`from_grid` of a complex grid that is the caller's to give: divided in place.
+
+        ``grid /= nrm`` gives the bits of ``grid / nrm``, with no second grid.
+        The state holds ``grid`` itself, read-only.
+        """
         check_truncation_loss(truncation_loss)
         nrm = math.sqrt(squared_norm(grid))
         if nrm == 0.0:
             raise NormalizationError("cannot normalize a zero amplitude grid")
-        return cls(grid / nrm, grid.shape[0] - 1, truncation_loss)
+        grid /= nrm
+        return cls(grid, grid.shape[0] - 1, truncation_loss)
 
     @property
     def dim(self) -> int:
@@ -250,24 +289,32 @@ def state_cells(state: FockState, sectors: Sequence[int]) -> List[np.ndarray]:
     return [sector_cells(grid, n) for n in sectors]
 
 
-def photon_totals(cutoff: int) -> np.ndarray:
-    """Total photon number j + k of each cell of a cutoff grid, as int32."""
-    levels = np.arange(cutoff + 1, dtype=np.int32)
-    return levels[:, None] + levels[None, :]
-
-
 def occupied_sectors(state: FockState) -> List[int]:
     """Photon numbers, ascending, of the sectors ``state`` occupies.
 
     A state that holds the cells of its sector (``FockState._sector``)
     occupies that sector alone. Any other state is scanned: it occupies the
-    sectors where ``nonzero_cells`` holds.
+    sectors where ``nonzero_cells`` holds, read one strip of rows at a time
+    (:func:`strip_rows`). Each strip's booleans are laid out skewed, row r
+    of the strip r places further right than row 0, so that the cells of
+    sector j + k share one column; a column with a nonzero cell is an
+    occupied sector.
     """
     if state._sector is not None:
         return [state._sector]
     grid = state.amplitudes
-    totals = photon_totals(grid.shape[0] - 1)[nonzero_cells(grid)]
-    return np.bincount(totals).nonzero()[0].tolist()
+    dim = grid.shape[0]
+    occupied = np.zeros(2 * dim - 1, dtype=bool)
+    step = strip_rows(dim)
+    for top in range(0, dim, step):
+        held = nonzero_cells(grid[top : top + step])
+        rows, width = len(held), dim + len(held) - 1
+        # row r at r (width + 1), which is place r of row r when rows are width apart
+        skewed = np.zeros(rows * (width + 1), dtype=bool)
+        skewed.reshape(rows, width + 1)[:, :dim] = held
+        columns = skewed[: rows * width].reshape(rows, width)
+        occupied[top : top + width] |= np.logical_or.reduce(columns, axis=0)
+    return np.flatnonzero(occupied).tolist()
 
 
 class SectorLayout(NamedTuple):
@@ -403,6 +450,58 @@ def _column_sums(grid: np.ndarray) -> np.ndarray:
     return grid[0]
 
 
+def _sum_rows(probs: np.ndarray, levels: np.ndarray, sums: np.ndarray) -> None:
+    """Row sums of ``probs`` into ``sums[0]``; ``probs *= levels``, summed into any ``sums[1]``."""
+    np.add.reduce(probs, axis=1, out=sums[0])
+    probs *= levels  # k p_jk
+    if len(sums) == 2:
+        np.add.reduce(probs, axis=1, out=sums[1])
+
+
+def _grid_sums(grid: np.ndarray, levels: np.ndarray, order: int) -> Tuple[np.ndarray, ...]:
+    """The row sums r_j, the sums ``sum_k k p_jk`` (order 2, else None) and the ``k c_k`` of a grid.
+
+    A grid of one strip (:func:`strip_rows`) is squared whole, p = re^2 +
+    im^2, its rows summed, multiplied by k and summed again, and folded by
+    :func:`_column_sums`. A larger one is read in one pass, a strip at a
+    time. The first ``top`` rows, those that :func:`_column_sums`' first
+    round keeps, are squared into a half-height accumulator, the imaginary
+    squares a strip at a time, and summed the same way. Each later row
+    ``top + i`` is squared into a strip buffer, summed the same way and
+    added onto row i: that first round, in its operand order, so
+    :func:`_column_sums` finishes the fold with the bits of the whole
+    grid's. Either way the squares are in C order, so a Fortran-ordered
+    grid sums as its C-ordered copy does.
+    """
+    dim = grid.shape[0]
+    step = strip_rows(dim)
+    if step == dim:
+        if not grid.flags.c_contiguous:  # a copy of at most eight strips
+            grid = np.ascontiguousarray(grid)
+        probs = np.square(grid.real)
+        probs += np.square(grid.imag)
+        rows = np.add.reduce(probs, axis=1)
+        probs *= levels  # k p_jk
+        weighted_rows = np.add.reduce(probs, axis=1) if order == 2 else None
+        return rows, weighted_rows, _column_sums(probs)
+    top = dim - dim // 2
+    folded = np.square(grid[:top].real, order="C")
+    squares = np.empty((step, dim))
+    for start in range(0, top, step):
+        block = grid[start : min(start + step, top)]
+        folded[start : start + len(block)] += np.square(block.imag, out=squares[: len(block)])
+    sums = np.empty((order, dim))  # r_j, then sum_k k p_jk
+    _sum_rows(folded, levels, sums[:, :top])
+    probs = np.empty((step, dim))
+    for start in range(top, dim, step):
+        block = grid[start : start + step]
+        strip = np.square(block.real, out=probs[: len(block)])
+        strip += np.square(block.imag, out=squares[: len(block)])
+        _sum_rows(strip, levels, sums[:, start : start + len(block)])
+        folded[start - top : start - top + len(block)] += strip
+    return sums[0], sums[1] if order == 2 else None, _column_sums(folded)
+
+
 def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     """``<adag^p a^p bdag^r b^r>`` for p + r <= ``order``, from one probability grid.
 
@@ -413,8 +512,10 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     Each sum is pairwise (numpy's along a row, :func:`_column_sums` down the
     columns), so the rounding error grows with the logarithm of the number of
     cells, and every term is non-negative, so it is a relative error. The
-    probabilities take one real grid, half a complex one, and the squares of
-    the imaginary parts another while they are added in.
+    grid is read by :func:`_grid_sums`: a grid of more than one strip takes
+    a half-height accumulator of k p, a quarter of a complex grid, and two
+    strip buffers; a smaller one takes one real grid, half a complex one,
+    and the squares of the imaginary parts another while they are added in.
 
     A state that holds the cells of its sector n (``FockState._cells``)
     costs O(c) instead: only those at most c + 1 cells are read and
@@ -429,15 +530,9 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
         raise ParameterError(f"order must be 1 or 2, got {order!r}")
 
     cells = state._cells
+    levels = np.arange(state.dim, dtype=np.float64)
     if cells is None:
-        psi = state.amplitudes
-        probs = np.square(psi.real)
-        probs += np.square(psi.imag)
-        levels = np.arange(state.dim, dtype=np.float64)
-        rows = probs.sum(axis=1)
-        probs *= levels  # k p_jk
-        weighted_rows = probs.sum(axis=1) if order == 2 else None
-        weighted_cols = _column_sums(probs)  # k c_k
+        rows, weighted_rows, weighted_cols = _grid_sums(state.amplitudes, levels, order)
     else:
         n = state._sector
         js = sector_kets(n, state.cutoff)  # the cells (j, n - j), one per row and column
@@ -449,7 +544,6 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
         probs *= ks  # k p_jk, with k exact as a float
         weighted_rows[js] = probs
         weighted_cols[ks] = probs
-        levels = np.arange(state.dim, dtype=np.float64)
     a = float((levels * rows).sum())
     b = float(weighted_cols.sum())
     if order == 1:

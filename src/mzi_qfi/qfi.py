@@ -21,6 +21,7 @@ with a reason string; they never collapse to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .coherence import CoherenceReport, analyze
 from .errors import ParameterError
-from .fock import FockState, sector_kets
+from .fock import FockState, sector_kets, strip_rows
 from .particle import SectorDecomposition, decompose_sectors, qfi_particle
 from .schwinger import difference_phases, jz_moments
 
@@ -47,11 +48,6 @@ FIDELITY_STEP_SCALE = 0.02
 #: The range of every fidelity step, the default one clamped to it.
 MIN_FIDELITY_STEP = 1e-5
 MAX_FIDELITY_STEP = 1e-2
-
-#: Cells of a grid squared at once by :func:`difference_weights`, in two
-#: float buffers: 64 KiB, under a twentieth of a grid from cutoff 300 up.
-FIDELITY_BLOCK_CELLS = 4096
-
 
 @dataclass(frozen=True)
 class ScalingClass:
@@ -137,12 +133,12 @@ def difference_weights(state: FockState) -> np.ndarray:
 
     A state that holds the cells of its sector n is read by those cells
     alone, with no grid: cell k of the sector lies on d = 2k - n, one cell
-    to each d. Any other grid is read in one pass, blocks of about ``FIDELITY_BLOCK_CELLS``
-    cells at a time, squared as |psi|^2 = re^2 + im^2 into two buffers of
-    that size. Each row's squares are then added to the entries of its
-    differences, row after row, so each p(d) sums its cells in order of j,
-    from 0. Adding zeros to a float is exact, so a grid of one sector gives
-    the bits its cells give.
+    to each d. Any other grid is read in one pass, a strip of rows at a time
+    (:func:`mzi_qfi.fock.strip_rows`), squared as |psi|^2 = re^2 + im^2 into
+    two buffers of that size. Each row's squares are then added to the
+    entries of its differences, row after row, so each p(d) sums its cells
+    in order of j, from 0. Adding zeros to a float is exact, so a grid of
+    one sector gives the bits its cells give.
     """
     cutoff = state.cutoff
     weights = np.zeros(2 * cutoff + 1)
@@ -153,7 +149,7 @@ def difference_weights(state: FockState) -> np.ndarray:
         weights[cutoff + n - 2 * sector_kets(n, cutoff)] = probs
         return weights
     grid = state.amplitudes
-    rows = min(state.dim, max(1, FIDELITY_BLOCK_CELLS // state.dim))
+    rows = strip_rows(state.dim)
     probs, squares = np.empty((2, rows, state.dim))
     for top in range(0, state.dim, rows):
         block = grid[top : top + rows]
@@ -288,7 +284,7 @@ def build_report(
     if f_particle is None:
         reasons["f_particle"] = "particle fluctuations present"
 
-    crb = 1.0 / np.sqrt(f_variance) if f_variance > CRB_FLOOR else None
+    crb = 1.0 / math.sqrt(f_variance) if f_variance > CRB_FLOOR else None  # np.sqrt's bits
     if crb is None:
         reasons["crb"] = "information below floor; no finite phase bound"
     scaling = classify_scaling(f_variance, coherence_report.nbar) if coherence_report.nbar > 0 else None

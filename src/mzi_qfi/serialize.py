@@ -14,12 +14,14 @@ State files hold one amplitude entry per occupied basis ket:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import tempfile
 import warnings
-from typing import Iterable, List, Mapping, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,47 +37,70 @@ def fmt_float(value: float) -> str:
     return "%.17g" % value
 
 
-def _render(obj, pieces: List[str], indent: int) -> None:
-    pad = "  " * indent
+@functools.lru_cache(maxsize=1024)
+def _key_prefix(key: str) -> str:
+    """``"key": `` for a key that is exactly a ``str``, once per key."""
+    return encode_basestring_ascii(key) + ": "
+
+
+def _object(items, pad: str) -> str:
+    """The ``(key, value)`` pairs ``items`` as a JSON object, its last brace indented by ``pad``."""
+    inner = pad + "  "
+    lines = [inner + (_key_prefix(key) if type(key) is str else json.dumps(str(key)) + ": ")
+             + _json(value, inner) for key, value in items]
+    return "{\n" + ",\n".join(lines) + "\n" + pad + "}" if lines else "{}"
+
+
+def _array(values, pad: str) -> str:
+    """``values`` as a JSON array, its closing bracket indented by ``pad``."""
+    inner = pad + "  "
+    lines = [inner + _json(value, inner) for value in values]
+    return "[\n" + ",\n".join(lines) + "\n" + pad + "]" if lines else "[]"
+
+
+def _json(obj, pad: str) -> str:
+    """``obj`` as canonical JSON, the lines inside its brackets indented by ``pad`` plus two spaces.
+
+    Values of exactly the JSON types take a test of their type each; any
+    other value, such as a numpy scalar, a tuple or another ``Mapping``, is
+    written by :func:`_json_other`.
+    """
+    kind = type(obj)
+    if kind is float:
+        return "%.17g" % obj if math.isfinite(obj) else "null"
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is dict:
+        return _object(obj.items(), pad)
+    if kind is list:
+        return _array(obj, pad)
+    if kind is int:
+        return str(obj)
+    if kind is bool:
+        return "true" if obj else "false"
     if obj is None:
-        pieces.append("null")
-    elif isinstance(obj, bool):
-        pieces.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        pieces.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        pieces.append(fmt_float(float(obj)) if math.isfinite(obj) else "null")
-    elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
-    elif isinstance(obj, Mapping):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            pieces.append(f'{pad}  {json.dumps(str(key))}: ')
-            _render(value, pieces, indent + 1)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for i, value in enumerate(obj):
-            pieces.append(pad + "  ")
-            _render(value, pieces, indent + 1)
-            pieces.append(",\n" if i < len(obj) - 1 else "\n")
-        pieces.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return "null"
+    return _json_other(obj, pad)
+
+
+def _json_other(obj, pad: str) -> str:
+    """:func:`_json` of a value not exactly of a JSON type: ints, floats, strings and
+    containers by ``isinstance``, so numpy scalars, tuples and other ``Mapping``s too."""
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return fmt_float(float(obj)) if math.isfinite(obj) else "null"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, Mapping):
+        return _object(obj.items(), pad)
+    if isinstance(obj, (list, tuple)):
+        return _array(obj, pad)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    pieces: List[str] = []
-    _render(obj, pieces, 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    return _json(obj, "") + "\n"
 
 
 def canonical_json_line(obj) -> str:

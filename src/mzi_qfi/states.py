@@ -38,6 +38,7 @@ from .fock import (
     cutoff_ceiling,
     make_fock,
     number_moments,
+    strip_rows,
 )
 from .schwinger import beam_splitter
 
@@ -394,11 +395,22 @@ def _loss_amplified_bell(xi: float, cutoff: int) -> float:
 
 def _grid_amplified_bell(xi: float, cutoff: int) -> np.ndarray:
     # Per-mode squeezers on the split single photon u|1,0> + v|0,1>, expanded
-    # term by term so the closed-form squeezed vectors keep full precision.
+    # term by term so the closed-form squeezed vectors keep full precision:
+    # u np.outer(v1, v0) + v np.outer(v0, v1), a strip of rows at a time,
+    # each product with its operands in that order, so with the same bits
     u, v = _split_photon_amplitudes()
     v0 = squeezed_vacuum_vector(xi, cutoff + 1)
     v1 = squeezed_one_vector(xi, cutoff + 1)
-    return u * np.outer(v1, v0) + v * np.outer(v0, v1)
+    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    step = strip_rows(cutoff + 1)
+    second = np.empty((step, cutoff + 1), dtype=np.complex128)
+    for top in range(0, cutoff + 1, step):
+        rows = slice(top, top + step)
+        first = np.multiply(v1[rows, None], v0, out=grid[rows])
+        np.multiply(u, first, out=first)
+        other = np.multiply(v0[rows, None], v1, out=second[: len(first)])
+        first += np.multiply(v, other, out=other)
+    return grid
 
 
 def _auto_cutoff(loss_at: Callable[[int], float], ceiling: int) -> Tuple[int, float]:
@@ -645,4 +657,4 @@ def build(spec: ProbeSpec) -> FockState:
         check_truncation_loss(loss)  # before building a grid the state cannot use
     else:
         cutoff, loss = _auto_cutoff(lambda c: family.loss(value, c), cutoff_ceiling())
-    return FockState.from_grid(family.grid(value, cutoff), loss)
+    return FockState._normalized(family.grid(value, cutoff), loss)  # the grid is ours: in place

@@ -16,7 +16,11 @@ cells of all its occupied sectors at once, the fidelity route holds
 every grid of its central differences at once or sums its weights on each
 difference j - k cell by cell, coherent amplitudes run
 forward from the vacuum level whatever its size, and a truncation loss is a
-forward sum of one-mode tails in 40-digit decimal arithmetic. The number
+forward sum of one-mode tails in 40-digit decimal arithmetic, the number
+moments square a whole grid and fold its columns in place, the occupied
+sectors are found through a whole j + k grid, the amplified Bell grid is
+two whole outer products, and the canonical JSON writer tests every
+value with ``isinstance``, one piece at a time. The number
 moments are also summed exactly: every cell's weighted probability is split
 into floats whose sum it is exactly, and ``math.fsum`` rounds their total
 once. The rotation and the decomposition read the sector layout of
@@ -31,7 +35,9 @@ becomes the symmetric 2^n qubit vector (n <= 10), whose Pauli statistics,
 collective rotations and single-particle reductions are evaluated directly.
 """
 
+import json
 import math
+from collections.abc import Mapping
 from decimal import Decimal, localcontext
 from functools import reduce
 
@@ -42,7 +48,7 @@ from mzi_qfi.errors import ParameterError, SectorSupportError, TruncationOverflo
 from mzi_qfi.fock import (
     FockState,
     NumberMoments,
-    photon_totals,
+    nonzero_cells,
     sector_kets,
     sector_layout,
 )
@@ -54,6 +60,8 @@ from mzi_qfi.particle import (
     SectorDecomposition,
     _report_from_z_stats,
 )
+from mzi_qfi.serialize import fmt_float
+from mzi_qfi.states import _split_photon_amplitudes, squeezed_one_vector, squeezed_vacuum_vector
 from mzi_qfi.schwinger import (
     DirectionLike,
     _direction,
@@ -133,6 +141,96 @@ def fsum_number_moments(state, order=2):
     if order == 1:
         return NumberMoments(*first)
     return NumberMoments(*first, aa=moment(j * (j - 1)), bb=moment(k * (k - 1)), ab=moment(j * k))
+
+
+def photon_totals(cutoff):
+    """Total photon number j + k of each cell of a cutoff grid, as int32."""
+    levels = np.arange(cutoff + 1, dtype=np.int32)
+    return levels[:, None] + levels[None, :]
+
+
+def totals_occupied_sectors(state):
+    """``fock.occupied_sectors`` of a state's grid, through a whole j + k grid."""
+    grid = state.amplitudes
+    totals = photon_totals(grid.shape[0] - 1)[nonzero_cells(grid)]
+    return np.bincount(totals).nonzero()[0].tolist()
+
+
+def whole_grid_number_moments(state, order=2):
+    """``fock.number_moments`` of a state's grid, squared whole and its columns folded in place."""
+    psi = state.amplitudes
+    probs = np.square(psi.real)
+    probs += np.square(psi.imag)
+    levels = np.arange(state.dim, dtype=np.float64)
+    rows = probs.sum(axis=1)
+    probs *= levels  # k p_jk
+    weighted_rows = probs.sum(axis=1) if order == 2 else None
+    height = probs.shape[0]
+    while height > 1:  # the column sums, pairwise down the rows, into row 0
+        half = height // 2
+        probs[:half] += probs[height - half : height]
+        height -= half
+    weighted_cols = probs[0]
+    a = float((levels * rows).sum())
+    b = float(weighted_cols.sum())
+    if order == 1:
+        return NumberMoments(a, b)
+    aa = float((levels[1:] * levels[:-1] * rows[1:]).sum())
+    bb = float((levels[:-1] * weighted_cols[1:]).sum())
+    ab = float((levels * weighted_rows).sum())
+    return NumberMoments(a, b, aa=aa, bb=bb, ab=ab)
+
+
+def outer_amplified_bell_grid(xi, cutoff):
+    """The unnormalized amplified Bell grid as two whole outer products."""
+    u, v = _split_photon_amplitudes()
+    v0 = squeezed_vacuum_vector(xi, cutoff + 1)
+    v1 = squeezed_one_vector(xi, cutoff + 1)
+    return u * np.outer(v1, v0) + v * np.outer(v0, v1)
+
+
+def _render(obj, pieces, indent):
+    pad = "  " * indent
+    if obj is None:
+        pieces.append("null")
+    elif isinstance(obj, bool):
+        pieces.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        pieces.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        pieces.append(fmt_float(float(obj)) if math.isfinite(obj) else "null")
+    elif isinstance(obj, str):
+        pieces.append(json.dumps(obj))
+    elif isinstance(obj, Mapping):
+        if not obj:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            pieces.append(f'{pad}  {json.dumps(str(key))}: ')
+            _render(value, pieces, indent + 1)
+            pieces.append(",\n" if i < len(obj) - 1 else "\n")
+        pieces.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for i, value in enumerate(obj):
+            pieces.append(pad + "  ")
+            _render(value, pieces, indent + 1)
+            pieces.append(",\n" if i < len(obj) - 1 else "\n")
+        pieces.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def piecewise_canonical_json(obj):
+    """``serialize.canonical_json``, an ``isinstance`` test of every value, one piece at a time."""
+    pieces = []
+    _render(obj, pieces, 0)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def ladder_moment(state, p, q, r, s):

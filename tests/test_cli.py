@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sparse_states
 from mzi_qfi import catalog, cli, schwinger, serialize, states
@@ -23,7 +26,12 @@ from mzi_qfi.serialize import (
     write_state_file,
 )
 from mzi_qfi.states import ProbeSpec, build
-from oracles import dense_decompose_sectors, dense_rotation, truncation_loss_reference
+from oracles import (
+    dense_decompose_sectors,
+    dense_rotation,
+    piecewise_canonical_json,
+    truncation_loss_reference,
+)
 
 
 #: State documents whose values have the wrong JSON type, each with the message that rejects it.
@@ -91,6 +99,77 @@ class TestCanonicalJson:
         doc = {"n": math.nan, "p": math.inf, "m": np.float64(-np.inf), "x": [1.5, math.nan]}
         assert json.loads(canonical_json(doc)) == {"n": None, "p": None, "m": None,
                                                    "x": [1.5, None]}
+
+
+class _Frozen(Mapping):
+    """A read-only ``Mapping`` that is not a ``dict``."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+_NUMPY_SCALARS = st.one_of(
+    st.floats(width=64).map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**80, 2**80),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, 5e-324, 2.2e-308]),
+    st.text(), _NUMPY_SCALARS,
+)
+_KEYS = st.one_of(st.text(), st.integers(-5, 5), st.floats(allow_nan=False), st.none())
+DOCUMENTS = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=3).map(tuple),
+    st.dictionaries(_KEYS, children, max_size=4),
+    st.dictionaries(st.text(), children, max_size=3).map(OrderedDict),
+    st.dictionaries(st.text(), children, max_size=3).map(_Frozen),
+), max_leaves=25)
+
+
+def one_line(text):
+    return " ".join(line.lstrip() for line in text.splitlines()) + "\n"
+
+
+class TestCanonicalJsonWriter:
+    """The type-exact writer against the ``isinstance`` writer it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(DOCUMENTS)
+    def test_matches_the_piecewise_writer(self, doc):
+        expected = piecewise_canonical_json(doc)
+        assert canonical_json(doc) == expected
+        assert serialize.canonical_json_line(doc) == one_line(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(DOCUMENTS, st.sampled_from([np.bool_(True), 1j, {1}, b"x", object(), np.array([1.0])]))
+    def test_raises_where_the_piecewise_writer_raises(self, doc, bad):
+        doc = {"doc": doc, "bad": [bad]}
+        with pytest.raises(TypeError) as expected:
+            piecewise_canonical_json(doc)
+        with pytest.raises(TypeError) as got:
+            canonical_json(doc)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("argv", [["analyze", "--family", "amplified-bell", "--nbar", "4"],
+                                      ["analyze", "--family", "twin-fock", "--n", "3"],
+                                      ["table1"]], ids=lambda argv: argv[-1])
+    def test_cli_documents_take_only_the_exact_path(self, argv, capsys, monkeypatch):
+        def other(obj, pad):
+            raise AssertionError(f"{type(obj).__name__} left the exact path")
+
+        monkeypatch.setattr(serialize, "_json_other", other)
+        cli.main(argv)  # table1 exits 1 on the paper's mismatched rows
+        assert json.loads(capsys.readouterr().out)
 
 
 class TestStateFiles:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_direction, random_two_mode_state, sector_cell_runs, sparse_states
 from mzi_qfi import fock, particle, schwinger
+from mzi_qfi import states as states_module
 from mzi_qfi.coherence import analyze
 from mzi_qfi.entanglement import schmidt
 from mzi_qfi.errors import (
@@ -28,7 +29,6 @@ from mzi_qfi.fock import (
     number_moments,
     occupied_sectors,
     pad_to,
-    photon_totals,
     sector_cells,
     sector_kets,
     sector_layout,
@@ -38,7 +38,14 @@ from mzi_qfi.fock import (
 from mzi_qfi.qfi import qfi_fidelity
 from mzi_qfi.serialize import read_state_file, state_to_document, write_state_file
 from mzi_qfi.states import ProbeSpec, build
-from oracles import _lower, ladder_moment, oracle_raise
+from oracles import (
+    _lower,
+    ladder_moment,
+    oracle_raise,
+    outer_amplified_bell_grid,
+    totals_occupied_sectors,
+    whole_grid_number_moments,
+)
 
 
 class TestMakeFock:
@@ -263,11 +270,6 @@ class TestSectorLayout:
             assert ks.tolist() == [k for k in range(n + 1) if k <= cutoff and n - k <= cutoff]
             assert not ks.flags.writeable
 
-    def test_photon_totals_is_j_plus_k(self):
-        totals = photon_totals(3)
-        assert totals.tolist() == [[j + k for k in range(4)] for j in range(4)]
-        assert totals.dtype == np.int32
-
     @settings(max_examples=100, deadline=None)
     @given(sparse_states())
     def test_occupied_sectors_are_those_with_a_nonzero_cell(self, state):
@@ -324,6 +326,124 @@ class TestSectorLayout:
                      r"\+ *[\w.()]+\[None, *:\]", r"np\.(add\.outer|indices|[om]grid|meshgrid)"):
             assert not re.search(grid, source), grid  # the levels of a j + k grid
         assert "lru_cache" not in source
+
+
+#: Strip sizes under which every way a grid can split into strips is met at a small cutoff.
+SMALL_STRIPS = (16, 64, 256)
+
+
+def special_grid(rng, dim, fill):
+    """A normalized random grid with a share ``fill`` of nonzero cells, and corner-case cells.
+
+    It holds -0.0 cells, subnormal ones and ones whose square underflows, so
+    that the moments and the scan meet each.
+    """
+    grid = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    grid[rng.random((dim, dim)) >= fill] = 0
+    if not grid.any():
+        grid[rng.integers(dim), rng.integers(dim)] = 1.0
+    grid /= np.linalg.norm(grid)
+    for value in (complex(-0.0, -0.0), complex(0.0, -5e-320), 1e-170 + 0j, complex(-0.0, 3e-310)):
+        empty = np.argwhere(grid == 0)
+        if len(empty):
+            grid[tuple(empty[rng.integers(len(empty))])] = value
+    return grid
+
+
+def memory_orders(grid):
+    """``grid`` C-ordered, Fortran-ordered and as a strided view into a larger array."""
+    wide = np.zeros((grid.shape[0], 2 * grid.shape[1]), dtype=complex)
+    wide[:, ::2] = grid
+    return {"C": grid, "Fortran": np.asfortranarray(grid), "strided": wide[:, ::2]}
+
+
+class TestStrips:
+    """Dense passes read a strip of rows at a time, with the bits of the whole-grid passes."""
+
+    def test_strip_rows(self, monkeypatch):
+        assert fock.strip_rows(1) == 1 and fock.strip_rows(181) == 181  # 181^2 <= 8 * 4096
+        assert fock.strip_rows(182) == 4096 // 182 and fock.strip_rows(301) == 13
+        assert fock.strip_rows(5000) == 1
+        monkeypatch.setattr(fock, "STRIP_CELLS", 16)
+        assert [fock.strip_rows(dim) for dim in (11, 12, 16, 17)] == [11, 1, 1, 1]
+
+    @pytest.mark.parametrize("strip_cells", SMALL_STRIPS + (4096,))
+    def test_dense_moments_match_the_whole_grid_bit_for_bit(self, strip_cells, monkeypatch, rng):
+        monkeypatch.setattr(fock, "STRIP_CELLS", strip_cells)
+        dims = list(range(1, 72)) if strip_cells < 4096 else [180, 181, 182, 183, 196, 301]
+        compared = 0
+        for dim in dims:
+            grid = special_grid(rng, dim, rng.choice([0.05, 0.5, 1.0]))
+            expected = [moment_bits(whole_grid_number_moments(FockState(grid, dim - 1), order))
+                        for order in (1, 2)]
+            for label, held in memory_orders(grid).items():
+                state = FockState(held, dim - 1)
+                for order in (1, 2):
+                    # every memory order sums as the C-ordered grid does
+                    got = moment_bits(number_moments(state, order))
+                    assert np.array_equal(got, expected[order - 1]), (dim, label, order)
+                    compared += 1
+        assert compared == 6 * len(dims)
+
+    def test_strided_grids_match_the_whole_grid_in_their_own_order(self, monkeypatch, rng):
+        # the whole-grid pass sums the rows of a Fortran grid in another order than
+        # of its C copy, but of a strided C-ordered view in the same order
+        monkeypatch.setattr(fock, "STRIP_CELLS", 64)
+        for dim in (7, 23, 40):
+            state = FockState(memory_orders(special_grid(rng, dim, 1.0))["strided"], dim - 1)
+            for order in (1, 2):
+                assert np.array_equal(moment_bits(number_moments(state, order)),
+                                      moment_bits(whole_grid_number_moments(state, order)))
+
+    @pytest.mark.parametrize("strip_cells", SMALL_STRIPS + (4096,))
+    def test_scan_matches_the_whole_grid_scan(self, strip_cells, monkeypatch, rng):
+        monkeypatch.setattr(fock, "STRIP_CELLS", strip_cells)
+        dims = list(range(1, 72)) if strip_cells < 4096 else [181, 182, 301]
+        for dim in dims:
+            for fill in (0.0, 0.02, 0.3, 1.0):
+                grid = special_grid(rng, dim, fill)
+                expected = totals_occupied_sectors(FockState(grid, dim - 1))
+                for label, held in memory_orders(grid).items():
+                    assert occupied_sectors(FockState(held, dim - 1)) == expected, (dim, label)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_states(max_cutoff=40), st.sampled_from(SMALL_STRIPS))
+    def test_scan_in_small_strips_finds_the_nonzero_cells(self, state, strip_cells):
+        saved = fock.STRIP_CELLS
+        fock.STRIP_CELLS = strip_cells
+        try:
+            j, k = np.nonzero(state.amplitudes)
+            assert occupied_sectors(state) == sorted(set((j + k).tolist()))
+        finally:
+            fock.STRIP_CELLS = saved
+
+    @pytest.mark.parametrize("strip_cells", (16, 4096))
+    def test_continuous_builds_normalize_todays_grids(self, strip_cells, monkeypatch):
+        monkeypatch.setattr(fock, "STRIP_CELLS", strip_cells)
+        cases = {"twin-squeezed-vacuum": 0.6, "entangled-coherent": 1.5 - 0.5j,
+                 "amplified-bell": 0.6, "coherent": 2.0 + 1.0j, "two-mode-squeezed-vacuum": 0.6}
+        cutoffs = (40, 41, 63, 64) if strip_cells == 16 else (180, 181, 182, 300)
+        for family, value in cases.items():
+            record = states_module.resolve_family(family)
+            todays = outer_amplified_bell_grid if family == "amplified-bell" else record.grid
+            for cutoff in cutoffs:
+                state = build(ProbeSpec(family, {record.key: value}, cutoff))
+                grid = todays(record.check(record, value), cutoff)
+                loss = record.loss(record.check(record, value), cutoff)
+                expected = FockState.from_grid(grid, loss)
+                assert result_bits(state) == result_bits(expected), (family, cutoff)
+
+    def test_build_normalizes_its_grid_in_place(self, monkeypatch):
+        made = []
+
+        def grid(value, cutoff):
+            made.append(states_module._grid_twin_squeezed(value, cutoff))
+            return made[-1]
+
+        record = states_module._BY_NAME["twin-squeezed-vacuum"]
+        monkeypatch.setitem(states_module._BY_NAME, record.name, record._replace(grid=grid))
+        state = build(ProbeSpec(record.name, {"xi": 0.5}, 30))
+        assert state.amplitudes is made[0] and not made[0].flags.writeable
 
 
 FIXED_N_FAMILIES = ("twin-fock", "fraternal-twin-fock", "separable-coherent-probe",
@@ -535,6 +655,21 @@ class TestCellHeldStates:
     @given(sector_cell_runs())
     def test_held_cells_read_as_their_grid_bit_for_bit(self, run):
         assert_twins_agree(*run)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sector_cell_runs())
+    def test_schmidt_of_held_cells_builds_no_grid(self, run):
+        cells, n, cutoff, loss = run
+        held = FockState._from_cells(cells, n, cutoff, loss)
+        report = schmidt(held)
+        assert "amplitudes" not in vars(held)
+        assert result_bits(report) == result_bits(schmidt(untagged(held)))
+
+    def test_schmidt_of_rotated_probes_builds_no_grid(self, rng):
+        for label, state in held_states(rng):
+            report = schmidt(state)
+            assert "amplitudes" not in vars(state), label
+            assert result_bits(report) == result_bits(schmidt(untagged(state))), label
 
     def test_rotated_probes_hold_their_cells_and_read_as_their_grid(self, rng):
         compared = 0

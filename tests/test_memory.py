@@ -21,55 +21,58 @@ from mzi_qfi import (
 
 stage_memory = load_tool("stage_memory")
 
-#: The peak of every stage in grids, rounded up to a hundredth, as measured
-#: when the number moments came to one probability grid (half a grid) and
-#: its squares. The cold rotation's was measured when the rotation plan and the Jx-basis
+#: The peak of every stage in grids, rounded up to a hundredth. The cold
+#: rotation's was measured when the rotation plan and the Jx-basis
 #: coordinates of the last grid rotated came to be kept: for tsv, about one
 #: grid of coordinates (n//2 + 1 columns of each parity for each of its 301
 #: even sectors) and half a grid of plan. A state that knows its one
 #: occupied sector, such as twin-fock and its rotations, takes its moments
 #: from the cells of that sector alone, so its ``analyze``, ``qfi_variance``
-#: and ``analyze_rotated`` hold a few vectors of c + 1 floats. ``schmidt``
-#: was measured when the Schmidt values of low-rank blocks came to be taken
-#: by crosses, in place on the gathered block (a quarter grid for these
-#: probes) with steps of ``entanglement.CHUNK_CELLS`` cells; ``schmidt_rotated``,
-#: whose blocks fall back to an SVD, holds at most what it held before then.
-#: ``decompose_sectors`` was measured when it came to read each occupied
-#: sector in place: a scan of an untagged grid for its occupied sectors (a
-#: quarter grid of int32 photon totals and the masks) and the sectors'
-#: vectors; a state that knows its sector reads that sector's cells alone.
-#: ``sector_states`` and twin-fock's ``build``, ``phase_shift``,
-#: ``mzi_unitary`` and ``mzi_unitary_cold`` were measured when single-sector
-#: states came to hold their cells and build no grid until one is read:
-#: ``Sector.state`` holds its sector's vector, and a rotation or phase shift
-#: of a fixed-n probe holds its c + 1 cells. Twin-fock's ``build`` was
-#: measured when the basis ket came to hold its one sector's cells as well:
-#: it and its beam splitter's plan and result take a few vectors of c + 1
-#: entries. ``mzi_unitary_cold`` holds the plan of a fresh copy held by its
-#: grid, whose scan takes a quarter grid. ``qfi_fidelity`` and
-#: ``build_report`` were measured when the fidelity route came to read the
-#: probe once for its weight on each j - k: two float buffers of
-#: ``qfi.FIDELITY_BLOCK_CELLS`` cells for a grid, a few vectors of c + 1
-#: floats for a state that knows its sector. ``build_report`` then peaks in
-#: ``analyze``.
+#: and ``analyze_rotated`` hold a few vectors of c + 1 floats. tsv's and
+#: amplified-bell's ``schmidt`` were measured when the Schmidt values of
+#: low-rank blocks came to be taken by crosses, in place on the gathered
+#: block (a quarter grid for these probes) with steps of
+#: ``entanglement.CHUNK_CELLS`` cells; their ``schmidt_rotated``, whose blocks
+#: fall back to an SVD, holds at most what it held before then.
+#: ``sector_states`` and twin-fock's ``phase_shift`` and ``mzi_unitary`` were
+#: measured when single-sector states came to hold their cells and build no
+#: grid until one is read: ``Sector.state`` holds its sector's vector, and a
+#: rotation or phase shift of a fixed-n probe holds its c + 1 cells.
+#: Twin-fock's ``build`` was measured when the basis ket came to hold its one
+#: sector's cells as well: it and its beam splitter's plan and result take a
+#: few vectors of c + 1 entries. ``qfi_fidelity`` was measured when the
+#: fidelity route came to read the probe once for its weight on each j - k:
+#: two float buffers of a strip, ``fock.STRIP_CELLS`` cells, for a grid, a
+#: few vectors of c + 1 floats for a state that knows its sector.
+#:
+#: The rest were measured when every dense pass came to read a grid a strip
+#: of rows at a time. ``build`` of tsv and amplified-bell holds the grid it
+#: normalizes in place, plus numpy's buffers for one outer product (tsv) or
+#: a strip of the second (amplified-bell). ``analyze``, ``qfi_variance``,
+#: ``analyze_rotated`` and ``build_report``, which peaks in ``analyze``, take
+#: the number moments' half-height accumulator of k p (a quarter grid) and
+#: two strip buffers. ``decompose_sectors`` takes strip-sized booleans for
+#: its scan, and then the sectors' vectors it returns. Twin-fock's
+#: ``schmidt`` and ``schmidt_rotated`` read the cells of its one sector, and
+#: its ``mzi_unitary_cold`` scans the grid of its fresh copy in strips.
 BUDGETS = {
     "tsv xi=1.2": {
-        "build": 2.01, "analyze": 1.01, "decompose_sectors": 0.44, "qfi_variance": 1.01,
-        "qfi_fidelity": 0.05, "build_report": 1.01,
-        "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 1.01,
+        "build": 1.19, "analyze": 0.33, "decompose_sectors": 0.14, "qfi_variance": 0.33,
+        "qfi_fidelity": 0.05, "build_report": 0.33,
+        "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 0.33,
         "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.40, "sector_states": 0.03,
     },
     "amplified-bell xi=1.2": {
-        "build": 2.19, "analyze": 1.01, "decompose_sectors": 0.44, "qfi_variance": 1.01,
-        "qfi_fidelity": 0.05, "build_report": 1.01,
-        "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 1.01,
+        "build": 1.14, "analyze": 0.33, "decompose_sectors": 0.16, "qfi_variance": 0.33,
+        "qfi_fidelity": 0.05, "build_report": 0.33,
+        "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 0.33,
         "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.38, "sector_states": 0.03,
     },
     "twin-fock n=200": {
         "build": 0.03, "analyze": 0.02, "decompose_sectors": 0.01, "qfi_variance": 0.02,
         "qfi_fidelity": 0.02, "build_report": 0.02,
-        "schmidt": 0.19, "phase_shift": 0.02, "mzi_unitary": 0.03, "analyze_rotated": 0.02,
-        "schmidt_rotated": 0.19, "mzi_unitary_cold": 0.44, "sector_states": 0.01,
+        "schmidt": 0.01, "phase_shift": 0.02, "mzi_unitary": 0.03, "analyze_rotated": 0.02,
+        "schmidt_rotated": 0.01, "mzi_unitary_cold": 0.04, "sector_states": 0.01,
     },
 }
 

@@ -6,7 +6,7 @@ import types
 import pytest
 
 import mzi_qfi
-from mzi_qfi import coherence, fock, particle, schwinger, states
+from mzi_qfi import coherence, fock, particle, qfi, schwinger, states
 
 PUBLIC_NAMES = [
     "CoherenceReport",
@@ -162,6 +162,7 @@ def test_ladder_layer_is_gone(module, name):
     (schwinger, "sector_generator_matrix"),
     (fock.FockState, "_norm_squared"), (particle, "_single_sector_n"),
     (particle, "_outside_sector_error"), (fock.FockState, "_in_sector"), (fock, "vdot"),
+    (fock, "photon_totals"), (qfi, "FIDELITY_BLOCK_CELLS"),
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)
