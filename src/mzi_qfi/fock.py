@@ -7,8 +7,10 @@ States are immutable, normalized :class:`FockState` values.
 The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
 (intensities, pair coherences, and Jz = (n_a - n_b)/2). They have one core,
 :func:`number_moments`, which reads them all off one grid of occupation
-probabilities. Rotations and decompositions act on photon-number sectors
-instead, laid out by :func:`sector_kets` and, for a rotation's many sectors,
+probabilities, once per state: the immutable state keeps them, so every
+later call on it, in any stage, reads no cell. Rotations and
+decompositions act on photon-number sectors instead, laid out by
+:func:`sector_kets` and, for a rotation's many sectors,
 :func:`sector_layout`. :func:`sector_cells` is the one reader of a grid's
 sector, as a view, :func:`state_cells` the one reader of a state's sectors,
 and :func:`occupied_sectors` the one judge of which sectors a state
@@ -22,7 +24,8 @@ Every dense pass over a grid larger than eight strips of ``STRIP_CELLS``
 cells (cutoff 180) reads it a strip of rows at a time (:func:`strip_rows`),
 so that its temporaries are a few strips, not grids: the moments, the
 sector scan, the fidelity route's weights
-(:func:`mzi_qfi.qfi.difference_weights`) and the amplified Bell builder.
+(:func:`mzi_qfi.qfi.difference_weights`) and the twin squeezed vacuum and
+amplified Bell builders.
 Each keeps the bits of the whole-grid pass it replaces. A sum along a row
 is numpy's pairwise sum of that row alone, whatever strip holds it. The
 moments' column sums are :func:`_column_sums`' pairwise fold down the rows:
@@ -146,6 +149,10 @@ class FockState:
     :func:`sector_cells`, and stored read-only, once, so every reader, in
     any thread, gets the same grid. ``dataclasses.replace`` passes that grid
     to the constructor, so a replaced state holds a grid.
+
+    ``_moments`` is None until :func:`number_moments` first reads the state,
+    and then the moments it read, kept the same way: stored once, the first
+    stored winning. A replaced state takes its own.
     """
 
     amplitudes: np.ndarray
@@ -153,6 +160,7 @@ class FockState:
     truncation_loss: float = 0.0
     _sector: ClassVar[Optional[int]] = None
     _cells: ClassVar[Optional[np.ndarray]] = None
+    _moments: ClassVar[Optional[NumberMoments]] = None
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -451,15 +459,14 @@ def _column_sums(grid: np.ndarray) -> np.ndarray:
 
 
 def _sum_rows(probs: np.ndarray, levels: np.ndarray, sums: np.ndarray) -> None:
-    """Row sums of ``probs`` into ``sums[0]``; ``probs *= levels``, summed into any ``sums[1]``."""
+    """Row sums of ``probs`` into ``sums[0]``; ``probs *= levels``, summed into ``sums[1]``."""
     np.add.reduce(probs, axis=1, out=sums[0])
     probs *= levels  # k p_jk
-    if len(sums) == 2:
-        np.add.reduce(probs, axis=1, out=sums[1])
+    np.add.reduce(probs, axis=1, out=sums[1])
 
 
-def _grid_sums(grid: np.ndarray, levels: np.ndarray, order: int) -> Tuple[np.ndarray, ...]:
-    """The row sums r_j, the sums ``sum_k k p_jk`` (order 2, else None) and the ``k c_k`` of a grid.
+def _grid_sums(grid: np.ndarray, levels: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The row sums r_j, the sums ``sum_k k p_jk`` and the ``k c_k`` of a grid.
 
     A grid of one strip (:func:`strip_rows`) is squared whole, p = re^2 +
     im^2, its rows summed, multiplied by k and summed again, and folded by
@@ -482,15 +489,14 @@ def _grid_sums(grid: np.ndarray, levels: np.ndarray, order: int) -> Tuple[np.nda
         probs += np.square(grid.imag)
         rows = np.add.reduce(probs, axis=1)
         probs *= levels  # k p_jk
-        weighted_rows = np.add.reduce(probs, axis=1) if order == 2 else None
-        return rows, weighted_rows, _column_sums(probs)
+        return rows, np.add.reduce(probs, axis=1), _column_sums(probs)
     top = dim - dim // 2
     folded = np.square(grid[:top].real, order="C")
     squares = np.empty((step, dim))
     for start in range(0, top, step):
         block = grid[start : min(start + step, top)]
         folded[start : start + len(block)] += np.square(block.imag, out=squares[: len(block)])
-    sums = np.empty((order, dim))  # r_j, then sum_k k p_jk
+    sums = np.empty((2, dim))  # r_j, then sum_k k p_jk
     _sum_rows(folded, levels, sums[:, :top])
     probs = np.empty((step, dim))
     for start in range(top, dim, step):
@@ -499,7 +505,7 @@ def _grid_sums(grid: np.ndarray, levels: np.ndarray, order: int) -> Tuple[np.nda
         strip += np.square(block.imag, out=squares[: len(block)])
         _sum_rows(strip, levels, sums[:, start : start + len(block)])
         folded[start - top : start - top + len(block)] += strip
-    return sums[0], sums[1] if order == 2 else None, _column_sums(folded)
+    return sums[0], sums[1], _column_sums(folded)
 
 
 def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
@@ -523,16 +529,31 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     In such a grid every row and every column holds at most one nonzero
     cell, and adding zeros to a float is exact, so the dense sums would
     return that one term unchanged: both ways give the same bits.
+
+    The state is read once. The first call of either order takes the second
+    order moments and stores them in the state (``FockState._moments``),
+    the first stored winning, as a cell-held state stores its grid; every
+    later call returns them, so ``analyze``, the variance route and a
+    report on one state share one pass. An order-1 call returns their ``a``
+    and ``b``, which are the bits an order-1 pass would give: the sums that
+    make them do not depend on the order.
     """
     if not isinstance(state, FockState):
         raise ParameterError("number_moments requires a normalized FockState")
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order!r}")
+    moments = state._moments
+    if moments is None:
+        moments = state.__dict__.setdefault("_moments", _second_order_moments(state))
+    return moments if order == 2 else NumberMoments(moments.a, moments.b)
 
+
+def _second_order_moments(state: FockState) -> NumberMoments:
+    """The moments of :func:`number_moments` to second order, read off the state."""
     cells = state._cells
     levels = np.arange(state.dim, dtype=np.float64)
     if cells is None:
-        rows, weighted_rows, weighted_cols = _grid_sums(state.amplitudes, levels, order)
+        rows, weighted_rows, weighted_cols = _grid_sums(state.amplitudes, levels)
     else:
         n = state._sector
         js = sector_kets(n, state.cutoff)  # the cells (j, n - j), one per row and column
@@ -546,8 +567,6 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
         weighted_cols[ks] = probs
     a = float((levels * rows).sum())
     b = float(weighted_cols.sum())
-    if order == 1:
-        return NumberMoments(a, b)
     # j(j-1) and (k-1) from j, k = 1 on, where both are non-negative
     aa = float((levels[1:] * levels[:-1] * rows[1:]).sum())
     bb = float((levels[:-1] * weighted_cols[1:]).sum())

@@ -36,7 +36,12 @@ from .schwinger import difference_phases, jz_moments
 #: Below this the information is treated as zero and the CRB is undefined.
 CRB_FLOOR = 1e-12
 
-#: Route-agreement tolerances (absolute, relative on the variance route).
+#: Route-agreement tolerances, absolute and relative. A pair's relative
+#: tolerance scales the value of its alphabetically first route, the one
+#: ``build_report`` passes to ``_allowance`` as ``a``: f_fidelity against any
+#: other, then f_mode against f_path_symmetric or f_variance, and
+#: f_path_symmetric against f_variance. A pair with f_particle (and not
+#: f_fidelity) takes ``PARTICLE_ROUTE_ATOL`` alone.
 MODE_ROUTE_ATOL = 1e-9
 MODE_ROUTE_RTOL = 1e-9
 FIDELITY_ROUTE_RTOL = 1e-6
@@ -239,7 +244,11 @@ def classify_scaling(f: float, nbar: float) -> ScalingClass:
 
 
 def _allowance(name_a: str, a: float, name_b: str) -> float:
-    """How far the route ``name_b`` may lie from ``name_a``, whose value is ``a``."""
+    """How far the route ``name_b`` may lie from ``name_a``, whose value ``a`` scales it.
+
+    ``build_report`` passes each pair in sorted order of names, so ``a`` is
+    the value of the alphabetically first route, never ``f_variance``'s.
+    """
     pair = {name_a, name_b}
     if "f_fidelity" in pair:
         return FIDELITY_ROUTE_ATOL + FIDELITY_ROUTE_RTOL * abs(a)

@@ -6,8 +6,11 @@ validator, its builder, and the map from a target mean photon number to the
 parameter. ``build``, the nbar solve and the CLI read only these records, so
 a new family is one record here plus its published row in ``catalog.TABLE1``.
 
-Continuous families invert their exact untruncated mean in closed form;
-fixed-photon-number families round to the nearest attainable photon total.
+Continuous families invert their exact untruncated mean in closed form, and
+report the realized mean, that of the state ``build`` makes at its automatic
+cutoff, in closed form too: the cutoff search and one-mode vectors of
+O(cutoff) entries give it, and the solve builds no grid. Fixed-photon-number
+families round to the nearest attainable photon total.
 Squeezed families use closed-form single-mode amplitudes, the two-mode squeezed
 vacuum its geometric number-correlated form, coherent probes Poisson
 amplitudes; fixed-photon-number families are assembled from basis kets and the
@@ -302,6 +305,23 @@ def _poisson_tail(mu: float, first: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _probabilities(v: np.ndarray) -> np.ndarray:
+    """|v|^2 = re^2 + im^2 of a one-mode vector."""
+    probs = np.square(v.real)
+    probs += np.square(v.imag)
+    return probs
+
+
+def _mean_level(v: np.ndarray) -> float:
+    """m(v) = sum_j j |v_j|^2 / sum_j |v_j|^2: the mean level of ``v`` normalized.
+
+    Summed by numpy alone, pairwise, as :func:`mzi_qfi.fock.number_moments`
+    sums, not through BLAS.
+    """
+    probs = _probabilities(v)
+    return float((np.arange(len(v)) * probs).sum() / probs.sum())
+
+
 def _either(t0: float, t1: float) -> float:
     """1 - (1 - t0)(1 - t1): the chance that either of two independent tails is hit.
 
@@ -319,19 +339,37 @@ def _loss_twin_squeezed(xi: float, cutoff: int) -> float:
 
 
 def _grid_twin_squeezed(xi: float, cutoff: int) -> np.ndarray:
+    # np.outer(v, v), a strip of rows at a time, with its operands in that order
     v = squeezed_vacuum_vector(xi, cutoff + 1)
-    return np.outer(v, v)
+    column = v[:, None]
+    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    step = strip_rows(cutoff + 1)
+    for top in range(0, cutoff + 1, step):
+        np.multiply(column[top : top + step], v, out=grid[top : top + step])
+    return grid
+
+
+def _mean_twin_squeezed(xi: float, cutoff: int) -> float:
+    return 2 * _mean_level(squeezed_vacuum_vector(xi, cutoff + 1))
 
 
 def _loss_tmsv(chi: float, cutoff: int) -> float:
     return math.exp(2 * (cutoff + 1) * _log_tanh(chi))  # tanh^{2(c+1)} chi
 
 
+def _tmsv_diagonal(chi: float, cutoff: int) -> np.ndarray:
+    """The amplitudes tanh^n chi / cosh chi of the cells |n, n>, n = 0..cutoff."""
+    return np.tanh(chi) ** np.arange(cutoff + 1) / np.cosh(chi)
+
+
 def _grid_tmsv(chi: float, cutoff: int) -> np.ndarray:
-    n = np.arange(cutoff + 1)
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    grid[n, n] = np.tanh(chi) ** n / np.cosh(chi)
+    np.fill_diagonal(grid, _tmsv_diagonal(chi, cutoff))
     return grid
+
+
+def _mean_tmsv(chi: float, cutoff: int) -> float:
+    return 2 * _mean_level(_tmsv_diagonal(chi, cutoff))  # n photons in each mode of |n, n>
 
 
 @functools.cache
@@ -366,6 +404,12 @@ def _grid_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     )
 
 
+def _mean_coherent(alpha: complex, cutoff: int) -> float:
+    u, v = _split_photon_amplitudes()
+    return (_mean_level(coherent_vector(u * alpha, cutoff + 1))
+            + _mean_level(coherent_vector(v * alpha, cutoff + 1)))
+
+
 def _loss_entangled_coherent(alpha: complex, cutoff: int) -> float:
     # the branches lose disjoint cells, (j > c, 0) and (0, k > c), each the
     # Poisson tail T: 2T / (2(1 + e^{-|alpha|^2}))
@@ -382,6 +426,14 @@ def _grid_entangled_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     grid[0, :] += v
     grid /= math.sqrt(2.0 * (1.0 + math.exp(-abs(alpha) ** 2)))
     return grid
+
+
+def _mean_entangled_coherent(alpha: complex, cutoff: int) -> float:
+    # cells (j, 0) and (0, j) hold v_j and (0, 0) holds 2 v_0, so with p = |v|^2
+    # the mean is 2 sum_j j p_j over the norm 2 sum_{j >= 1} p_j + 4 p_0
+    probs = _probabilities(coherent_vector(alpha, cutoff + 1))
+    weighted = (np.arange(cutoff + 1) * probs).sum()
+    return float(2 * weighted / (2 * probs[1:].sum() + 4 * probs[0]))
 
 
 def _loss_amplified_bell(xi: float, cutoff: int) -> float:
@@ -411,6 +463,13 @@ def _grid_amplified_bell(xi: float, cutoff: int) -> np.ndarray:
         other = np.multiply(v0[rows, None], v1, out=second[: len(first)])
         first += np.multiply(v, other, out=other)
     return grid
+
+
+def _mean_amplified_bell(xi: float, cutoff: int) -> float:
+    # the two terms share no cell, and their weights |u|^2 and |v|^2 multiply
+    # the same product of norms, so each mode's mean is half of m(v0) + m(v1)
+    return (_mean_level(squeezed_vacuum_vector(xi, cutoff + 1))
+            + _mean_level(squeezed_one_vector(xi, cutoff + 1)))
 
 
 def _auto_cutoff(loss_at: Callable[[int], float], ceiling: int) -> Tuple[int, float]:
@@ -518,34 +577,33 @@ def _nearest_count(family: Family, nbar: float) -> int:
 
 
 def _solve_for_nbar(
-    name: str, nbar: float
-) -> Tuple[Dict[str, ParamValue], float, Optional[FockState]]:
-    """Parameters, realized nbar, and the auto-cutoff state built to measure it.
-
-    The state is ``None`` for fixed-photon-number families, whose realized
-    value needs no build.
-    """
-    if name not in _BY_NAME:
-        raise ParameterError(f"unknown family {name!r}")
+    family: str, nbar: float
+) -> Tuple[Dict[str, ParamValue], float, Optional[int]]:
+    """Parameters, realized nbar, and the automatic cutoff (None for a fixed-n family)."""
+    if family not in _BY_NAME:
+        raise ParameterError(f"unknown family {family!r}")
     if not nbar > 0:
         raise UnattainableTargetError(f"target mean photon number must be positive, got {nbar!r}")
     if nbar == math.inf:
         raise UnattainableTargetError(f"target mean photon number must be finite, got {nbar!r}")
-    family = _BY_NAME[name]
-    if family.photons is not None:
-        n = _nearest_count(family, nbar)
-        return {"n": n}, float(family.photons(n)), None
-    params: Dict[str, ParamValue] = {family.key: family.param_for_nbar(nbar)}
-    state = build(ProbeSpec(name, params))
-    return params, mean_photon_number(state), state
+    record = _BY_NAME[family]
+    if record.photons is not None:
+        n = _nearest_count(record, nbar)
+        return {"n": n}, float(record.photons(n)), None
+    param = record.param_for_nbar(nbar)
+    value = record.check(record, param)  # as ``build`` reads it
+    cutoff, _ = _auto_cutoff(lambda c: record.loss(value, c), cutoff_ceiling())
+    return {record.key: param}, record.mean(value, cutoff), cutoff
 
 
 def solve_param_for_nbar(family: str, nbar: float) -> Tuple[Dict[str, ParamValue], float]:
     """Parameters hitting the target mean photon number, plus the realized value.
 
     Continuous families invert their exact untruncated mean (2 sinh^2 xi,
-    2 sinh^2 chi, 1 + 4 sinh^2 xi, |alpha|^2, |alpha|^2 / (1 + e^{-|alpha|^2}))
-    and report the mean of the state built from the result, which raises
+    2 sinh^2 chi, 1 + 4 sinh^2 xi, |alpha|^2, |alpha|^2 / (1 + e^{-|alpha|^2})).
+    They report the mean of the normalized state that ``build`` makes from the
+    result at its automatic cutoff, in closed form from the family's one-mode
+    vectors (``Family.mean``), with no grid; the cutoff search raises
     ``TruncationLossError`` when that state does not fit under the cutoff
     ceiling. Integer families round to the nearest attainable value and report
     it.
@@ -559,13 +617,14 @@ def build_for_nbar(
 ) -> Tuple[FockState, Dict[str, ParamValue], float]:
     """Solve for the target and build, returning the state, parameters and realized nbar.
 
-    Without an explicit cutoff the state built during the solve is returned
-    as it is; with one, the solve still runs (and can still fail) first.
+    The solve builds no grid, so the state is built once, by ``build``:
+    without an explicit cutoff at the one the solve's search chose, which
+    gives the state the automatic search would, with no second search. With
+    an explicit cutoff the solve still runs (and can still fail) first, and
+    the realized nbar is still that of the automatic cutoff's state.
     """
-    params, realized, state = _solve_for_nbar(family, nbar)
-    if state is None or cutoff is not None:
-        state = build(ProbeSpec(family, params, cutoff))
-    return state, params, realized
+    params, realized, chosen = _solve_for_nbar(family, nbar)
+    return build(ProbeSpec(family, params, chosen if cutoff is None else cutoff)), params, realized
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +642,9 @@ class Family(NamedTuple):
     gives ``grid(value, cutoff)``, the unnormalized grid at a cutoff;
     ``loss(value, cutoff)``, the exact probability that grid discards, summed
     forward over the one-mode tails and falling monotonically with the
-    cutoff; and ``param_for_nbar``, the closed-form inverse of its
-    untruncated mean.
+    cutoff; ``mean(value, cutoff)``, the mean photon number of that grid
+    normalized, in O(cutoff) from the one-mode vectors its builder uses; and
+    ``param_for_nbar``, the closed-form inverse of its untruncated mean.
 
     A named tuple rather than a frozen dataclass: the class is made at import,
     where the dataclass machinery would add about 1 ms to every CLI start.
@@ -598,28 +658,33 @@ class Family(NamedTuple):
     state: Optional[Callable[[int, Optional[int]], FockState]] = None
     grid: Optional[Callable[[ParamValue, int], np.ndarray]] = None
     loss: Optional[Callable[[ParamValue, int], float]] = None
+    mean: Optional[Callable[[ParamValue, int], float]] = None
     param_for_nbar: Optional[Callable[[float], float]] = None
 
 
 #: Every family, in the order of the benchmark table.
 _REGISTRY = (
     Family("twin-squeezed-vacuum", "xi", _squeezing, grid=_grid_twin_squeezed,
-           loss=_loss_twin_squeezed, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
+           loss=_loss_twin_squeezed, mean=_mean_twin_squeezed,
+           param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
     Family("twin-fock", "n", _photon_count, photons=lambda n: 2 * n,
            state=lambda n, cutoff: _fixed_n_state(n, n, cutoff, split=True)),
     Family("entangled-coherent", "alpha", _displacement, grid=_grid_entangled_coherent,
-           loss=_loss_entangled_coherent, param_for_nbar=_entangled_coherent_alpha),
+           loss=_loss_entangled_coherent, mean=_mean_entangled_coherent,
+           param_for_nbar=_entangled_coherent_alpha),
     Family("noon", "n", _photon_count, min_n=1, photons=lambda n: n, state=_noon_state),
     Family("amplified-bell", "xi", _squeezing, grid=_grid_amplified_bell,
-           loss=_loss_amplified_bell, param_for_nbar=_amplified_bell_xi),
+           loss=_loss_amplified_bell, mean=_mean_amplified_bell,
+           param_for_nbar=_amplified_bell_xi),
     Family("fraternal-twin-fock", "n", _photon_count, photons=lambda n: 2 * n + 1,
            state=lambda n, cutoff: _fixed_n_state(n + 1, n, cutoff, split=True)),
     Family("coherent", "alpha", _displacement, grid=_grid_coherent, loss=_loss_coherent,
-           param_for_nbar=math.sqrt),
+           mean=_mean_coherent, param_for_nbar=math.sqrt),
     Family("separable-coherent-probe", "n", _photon_count, photons=lambda n: n,
            state=lambda n, cutoff: _fixed_n_state(n, 0, cutoff, split=True)),
     Family("two-mode-squeezed-vacuum", "chi", _squeezing, grid=_grid_tmsv,
-           loss=_loss_tmsv, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
+           loss=_loss_tmsv, mean=_mean_tmsv,
+           param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
     Family("fock-pair", "n", _photon_count, photons=lambda n: 2 * n,
            state=lambda n, cutoff: _fixed_n_state(n, n, cutoff, split=False)),
 )

@@ -18,9 +18,10 @@ difference j - k cell by cell, coherent amplitudes run
 forward from the vacuum level whatever its size, and a truncation loss is a
 forward sum of one-mode tails in 40-digit decimal arithmetic, the number
 moments square a whole grid and fold its columns in place, the occupied
-sectors are found through a whole j + k grid, the amplified Bell grid is
-two whole outer products, and the canonical JSON writer tests every
-value with ``isinstance``, one piece at a time. The number
+sectors are found through a whole j + k grid, the twin squeezed vacuum
+grid is one whole outer product and the amplified Bell grid two, and the
+canonical JSON writer tests every value with ``isinstance``, one piece at a
+time. The number
 moments are also summed exactly: every cell's weighted probability is split
 into floats whose sum it is exactly, and ``math.fsum`` rounds their total
 once. The rotation and the decomposition read the sector layout of
@@ -156,6 +157,17 @@ def totals_occupied_sectors(state):
     return np.bincount(totals).nonzero()[0].tolist()
 
 
+#: A moment's computed value may differ from the exactly rounded one by
+#: ceil(log2 cells) + 4 ulps, relative to the value: every sum is pairwise over
+#: at most all the cells, and each term is non-negative, so no sum cancels.
+EPS = np.finfo(np.float64).eps
+
+
+def moment_bound(state):
+    """The relative rounding bound of a number moment of ``state``, summed over its grid."""
+    return (math.ceil(math.log2(state.dim**2)) + 4) * EPS
+
+
 def whole_grid_number_moments(state, order=2):
     """``fock.number_moments`` of a state's grid, squared whole and its columns folded in place."""
     psi = state.amplitudes
@@ -179,6 +191,12 @@ def whole_grid_number_moments(state, order=2):
     bb = float((levels[:-1] * weighted_cols[1:]).sum())
     ab = float((levels * weighted_rows).sum())
     return NumberMoments(a, b, aa=aa, bb=bb, ab=ab)
+
+
+def outer_twin_squeezed_grid(xi, cutoff):
+    """The unnormalized twin squeezed vacuum grid as one whole outer product."""
+    v = squeezed_vacuum_vector(xi, cutoff + 1)
+    return np.outer(v, v)
 
 
 def outer_amplified_bell_grid(xi, cutoff):

@@ -16,6 +16,7 @@ from oracles import (
     ladder_j_moment,
     ladder_moment,
     ladder_number_moments,
+    moment_bound,
 )
 
 
@@ -118,16 +119,7 @@ def test_variances_are_nonnegative(rng):
         assert report.var_nb >= -1e-10
 
 
-#: A moment's computed value may differ from the exactly rounded one by
-#: ceil(log2 cells) + 4 ulps, relative to the value: every sum is pairwise over
-#: at most all the cells, and each term is non-negative, so no sum cancels.
-EPS = np.finfo(np.float64).eps
-
 FIELDS = ("a", "b", "aa", "bb", "ab")
-
-
-def moment_bound(state):
-    return (math.ceil(math.log2(state.dim**2)) + 4) * EPS
 
 
 def assert_moments_within_bound(got, expected, state):

@@ -24,6 +24,7 @@ from mzi_qfi.errors import (
 )
 from mzi_qfi.fock import (
     FockState,
+    NumberMoments,
     inner,
     make_fock,
     number_moments,
@@ -35,7 +36,7 @@ from mzi_qfi.fock import (
     squared_norm,
     state_distance,
 )
-from mzi_qfi.qfi import qfi_fidelity
+from mzi_qfi.qfi import build_report, qfi_fidelity, qfi_variance
 from mzi_qfi.serialize import read_state_file, state_to_document, write_state_file
 from mzi_qfi.states import ProbeSpec, build
 from oracles import (
@@ -43,6 +44,7 @@ from oracles import (
     ladder_moment,
     oracle_raise,
     outer_amplified_bell_grid,
+    outer_twin_squeezed_grid,
     totals_occupied_sectors,
     whole_grid_number_moments,
 )
@@ -425,7 +427,8 @@ class TestStrips:
         cutoffs = (40, 41, 63, 64) if strip_cells == 16 else (180, 181, 182, 300)
         for family, value in cases.items():
             record = states_module.resolve_family(family)
-            todays = outer_amplified_bell_grid if family == "amplified-bell" else record.grid
+            todays = {"amplified-bell": outer_amplified_bell_grid,
+                      "twin-squeezed-vacuum": outer_twin_squeezed_grid}.get(family, record.grid)
             for cutoff in cutoffs:
                 state = build(ProbeSpec(family, {record.key: value}, cutoff))
                 grid = todays(record.check(record, value), cutoff)
@@ -784,5 +787,87 @@ class TestCellHeldStates:
                 assert not any(thread.is_alive() for thread in threads)
                 assert all(grid is state.amplitudes for grid in grids)
                 assert not state.amplitudes.flags.writeable
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestMomentsOnce:
+    """A state's number moments are taken once and kept in the state."""
+
+    def counted_passes(self, monkeypatch):
+        passes = []
+        original = fock._grid_sums
+        monkeypatch.setattr(fock, "_grid_sums",
+                            lambda *args: passes.append(args[0].shape) or original(*args))
+        return passes
+
+    @pytest.mark.parametrize("family, params", [
+        ("twin-squeezed-vacuum", {"xi": 1.0}), ("amplified-bell", {"xi": 0.8}),
+        ("coherent", {"alpha": 2.0 + 1.0j}),
+    ])
+    def test_one_dense_pass_per_analyze_and_report(self, family, params, monkeypatch):
+        state = build(ProbeSpec(family, params, 190))  # more than one strip
+        passes = self.counted_passes(monkeypatch)
+        report = build_report(state, analyze(state))
+        assert passes == [(191, 191)]
+        build_report(state)
+        analyze(state)
+        qfi_variance(state)
+        number_moments(state, 1)
+        assert len(passes) == 1
+        fresh = FockState(state.amplitudes, state.cutoff, state.truncation_loss)
+        assert build_report(fresh) == report and len(passes) == 2
+
+    def test_cell_held_states_take_no_dense_pass(self, monkeypatch):
+        probe = build(ProbeSpec("twin-fock", {"n": 60}))
+        passes = self.counted_passes(monkeypatch)
+        build_report(probe, analyze(probe))
+        assert passes == [] and probe._moments is number_moments(probe)
+
+    def test_the_first_result_is_kept(self, rng):
+        state = FockState(special_grid(rng, 40, 0.5), 39)
+        first = number_moments(state)
+        assert state._moments is first and number_moments(state) is first
+        assert number_moments(state, 1) == NumberMoments(first.a, first.b)
+        assert dataclasses.replace(state)._moments is None  # a new state takes its own
+
+    @pytest.mark.parametrize("strip_cells", SMALL_STRIPS + (4096,))
+    def test_order_one_and_two_agree_bit_for_bit(self, strip_cells, monkeypatch, rng):
+        monkeypatch.setattr(fock, "STRIP_CELLS", strip_cells)
+        dims = list(range(1, 60)) if strip_cells < 4096 else [180, 181, 182, 183, 301, 400]
+        for dim in dims:
+            grid = special_grid(rng, dim, rng.choice([0.05, 0.5, 1.0]))
+            expected = moment_bits(whole_grid_number_moments(FockState(grid, dim - 1), 1))
+            for label, held in memory_orders(grid).items():
+                # order 1 first on one state, order 2 first on another
+                first_one, first_two = FockState(held, dim - 1), FockState(held, dim - 1)
+                one = number_moments(first_one, 1)
+                two = number_moments(first_two, 2)
+                assert np.array_equal(moment_bits(one), expected), (dim, label)
+                assert np.array_equal(moment_bits(NumberMoments(two.a, two.b)), expected)
+                assert first_one._moments == two
+
+    def test_concurrent_first_calls_share_one_result(self, rng):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                state = FockState(special_grid(rng, 200, 1.0), 199)  # more than one strip
+                barrier = threading.Barrier(8)
+                results = [None] * 8
+
+                def read(i):
+                    barrier.wait(timeout=30)
+                    results[i] = number_moments(state, 2 - i % 2)
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                kept = state._moments
+                assert all(result is kept for result in results[::2])
+                assert all(result == NumberMoments(kept.a, kept.b) for result in results[1::2])
         finally:
             sys.setswitchinterval(interval)

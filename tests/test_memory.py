@@ -47,17 +47,20 @@ stage_memory = load_tool("stage_memory")
 #:
 #: The rest were measured when every dense pass came to read a grid a strip
 #: of rows at a time. ``build`` of tsv and amplified-bell holds the grid it
-#: normalizes in place, plus numpy's buffers for one outer product (tsv) or
-#: a strip of the second (amplified-bell). ``analyze``, ``qfi_variance``,
+#: normalizes in place, plus numpy's buffers for a strip of its outer
+#: products; tsv's was measured when its one outer product came to be
+#: written a strip at a time too. ``analyze``, ``qfi_variance``,
 #: ``analyze_rotated`` and ``build_report``, which peaks in ``analyze``, take
 #: the number moments' half-height accumulator of k p (a quarter grid) and
-#: two strip buffers. ``decompose_sectors`` takes strip-sized booleans for
-#: its scan, and then the sectors' vectors it returns. Twin-fock's
+#: two strip buffers: a state keeps its moments, so each is measured on a
+#: fresh copy of its state, whose moments are not yet taken.
+#: ``decompose_sectors`` takes strip-sized booleans for its scan, and then
+#: the sectors' vectors it returns. Twin-fock's
 #: ``schmidt`` and ``schmidt_rotated`` read the cells of its one sector, and
 #: its ``mzi_unitary_cold`` scans the grid of its fresh copy in strips.
 BUDGETS = {
     "tsv xi=1.2": {
-        "build": 1.19, "analyze": 0.33, "decompose_sectors": 0.14, "qfi_variance": 0.33,
+        "build": 1.10, "analyze": 0.33, "decompose_sectors": 0.14, "qfi_variance": 0.33,
         "qfi_fidelity": 0.05, "build_report": 0.33,
         "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 0.33,
         "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.40, "sector_states": 0.03,

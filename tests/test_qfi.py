@@ -262,6 +262,36 @@ class TestFullReport:
             assert abs(record["residual"]) > record["allowance"]
             assert record["fidelity_step"] == 1e-3
 
+    def test_each_pair_is_scaled_by_its_alphabetically_first_route(self, monkeypatch):
+        import mzi_qfi.qfi as qfi_module
+
+        # noon n = 4 has every route; give each a value of its own
+        values = {"f_fidelity": 16.5, "f_mode": -17.0, "f_particle": 18.0,
+                  "f_path_symmetric": 19.0, "f_variance": 20.0}
+        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (values["f_fidelity"], 1e-3))
+        for name in ("f_mode", "f_path_symmetric", "f_variance"):
+            monkeypatch.setattr(qfi_module, name.replace("f_", "qfi_"),
+                                lambda *a, name=name: values[name])
+        monkeypatch.setattr(qfi_module, "qfi_particle", lambda *a: values["f_particle"])
+        calls = []
+        allowance = qfi_module._allowance
+        monkeypatch.setattr(qfi_module, "_allowance",
+                            lambda *args: calls.append(args) or allowance(*args))
+        build_report(build(ProbeSpec("noon", {"n": 4})))
+        fidelity = 1e-9 + 1e-6 * abs(values["f_fidelity"])
+        expected = {
+            ("f_fidelity", "f_mode"): fidelity, ("f_fidelity", "f_particle"): fidelity,
+            ("f_fidelity", "f_path_symmetric"): fidelity, ("f_fidelity", "f_variance"): fidelity,
+            ("f_mode", "f_particle"): 1e-9, ("f_mode", "f_path_symmetric"): 1e-9 + 1e-9 * 17.0,
+            ("f_mode", "f_variance"): 1e-9 + 1e-9 * 17.0,
+            ("f_particle", "f_path_symmetric"): 1e-9, ("f_particle", "f_variance"): 1e-9,
+            ("f_path_symmetric", "f_variance"): 1e-9 + 1e-9 * 19.0,
+        }
+        assert {(name_a, name_b) for name_a, _, name_b in calls} == set(expected)
+        for name_a, a, name_b in calls:
+            assert a == values[name_a]
+            assert allowance(name_a, a, name_b) == expected[name_a, name_b], (name_a, name_b)
+
     def test_heavily_squeezed_probe_stays_consistent(self, monkeypatch):
         monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "512")
         state = build(ProbeSpec("twin-squeezed-vacuum", {"xi": 1.5}))

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mzi_qfi import states
@@ -17,7 +17,7 @@ from mzi_qfi.errors import (
     TruncationLossError,
     UnattainableTargetError,
 )
-from mzi_qfi.fock import cutoff_ceiling, inner, make_fock
+from mzi_qfi.fock import FockState, cutoff_ceiling, inner, make_fock
 from mzi_qfi.particle import decompose_sectors
 from mzi_qfi.schwinger import beam_splitter
 from mzi_qfi.states import (
@@ -35,6 +35,7 @@ from mzi_qfi.states import (
 )
 from oracles import (
     forward_coherent_vector,
+    moment_bound,
     poisson_magnitudes_reference,
     squeezed_vacuum_reference,
     truncation_loss_reference,
@@ -379,9 +380,10 @@ class TestSolveForNbar:
         assert abs(realized - target) < 1e-8
         assert abs(mean_photon_number(state) - target) < 1e-8
 
-    # continuous families return the solve's own build; an integer family's solve builds nothing
+    # the solve builds nothing, so the one build, at the cutoff the solve chose, is the state's
     @pytest.mark.parametrize("family,target", [
         ("coherent", 4.0), ("twin-squeezed-vacuum", 3.0), ("noon", 3.0),
+        ("entangled-coherent", 1e-9), ("two-mode-squeezed-vacuum", 6.0), ("amplified-bell", 5.0),
     ])
     def test_build_for_nbar_builds_once(self, monkeypatch, family, target):
         calls = []
@@ -390,18 +392,49 @@ class TestSolveForNbar:
         state, params, realized = build_for_nbar(family, target)
         assert len(calls) == 1
         expected = build(ProbeSpec(family, params))
-        assert np.array_equal(state.amplitudes, expected.amplitudes)
+        assert state == expected  # the automatic build's cutoff, truncation loss and grid
         assert solve_param_for_nbar(family, target) == (params, realized)
 
     def test_build_for_nbar_with_explicit_cutoff_still_solves_first(self, monkeypatch):
-        cutoffs = []
-        original = states.build
+        # the solve's cutoff search runs first, and can fail; then one build at the cutoff
+        events = []
+        search, original = states._auto_cutoff, states.build
+        monkeypatch.setattr(states, "_auto_cutoff",
+                            lambda *args: events.append("search") or search(*args))
         monkeypatch.setattr(states, "build",
-                            lambda spec: cutoffs.append(spec.cutoff) or original(spec))
+                            lambda spec: events.append(spec.cutoff) or original(spec))
         state, _, _ = build_for_nbar("coherent", 4.0, cutoff=40)
-        assert cutoffs == [None, 40] and state.cutoff == 40
+        assert events == ["search", 40] and state.cutoff == 40
         with pytest.raises(TruncationLossError, match="ceiling 256"):
             build_for_nbar("twin-squeezed-vacuum", 8.0, cutoff=20)
+        assert events == ["search", 40, "search"]
+
+    def test_solve_builds_no_grid(self, monkeypatch):
+        calls = []
+        normalized = FockState._normalized.__func__
+        monkeypatch.setattr(states, "build", lambda spec: calls.append(spec))
+        monkeypatch.setattr(FockState, "_normalized", classmethod(
+            lambda cls, grid, loss: calls.append(grid) or normalized(cls, grid, loss)))
+        for family in FAMILIES:
+            solve_param_for_nbar(family, 4.0)
+        solve_param_for_nbar("entangled-coherent", 1e-9)
+        assert calls == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(CONTINUOUS_FAMILIES), st.floats(1e-9, 20.0))
+    @example("entangled-coherent", 1e-9)
+    @example("entangled-coherent", 1e-12)
+    @example("coherent", 400.0)
+    @example("amplified-bell", 1.0)
+    def test_realized_nbar_is_the_built_state_mean(self, family, target):
+        # the closed-form mean lies within the moments' rounding bound of the
+        # mean read off the state the solve's parameters build
+        assume(family != "amplified-bell" or target >= 1.0)
+        with mock.patch.dict(os.environ, {"MZI_QFI_CUTOFF_CEILING": "4096"}):
+            params, realized = solve_param_for_nbar(family, target)
+            state = build(ProbeSpec(family, params))
+        built = mean_photon_number(state)
+        assert abs(realized - built) <= moment_bound(state) * built, (realized, built)
 
     def test_ceiling_raises_truncation_loss(self):
         with pytest.raises(TruncationLossError, match="ceiling 256"):

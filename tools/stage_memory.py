@@ -14,7 +14,11 @@ cells, built on its first read. That makes ``mzi_unitary`` a warm rotation
 of a probe already planned.
 ``analyze_rotated`` and ``schmidt_rotated`` are ``analyze`` and ``schmidt``
 of that rotation's result, a fringe point, made before either stage is
-measured. ``mzi_unitary_cold`` rotates a
+measured. A state keeps its number moments once they are taken, so the
+stages that take them, ``analyze``, ``qfi_variance``, ``build_report`` and
+``analyze_rotated``, run each call on a fresh copy of the probe or fringe
+point, made before the call is measured: a copy shares its grid or cells,
+and the moments pass is measured cold. ``mzi_unitary_cold`` rotates a
 fresh copy of the probe on each call, made before the call is measured, so
 its peak counts the rotation plan and Jx-basis coordinates kept for that
 copy as well. ``sector_states`` takes the particle statistics of every
@@ -51,6 +55,9 @@ STAGES = (
     "schmidt_rotated", "mzi_unitary_cold", "sector_states",
 )
 
+#: The stages that take the number moments, each call on a fresh copy of its state.
+MOMENTS_STAGES = ("analyze", "qfi_variance", "build_report", "analyze_rotated")
+
 
 def transient_peak(call: Callable[[], object]) -> int:
     """Bytes ``call()`` allocates at its peak above what was allocated before it."""
@@ -67,6 +74,15 @@ def transient_peak(call: Callable[[], object]) -> int:
             tracemalloc.stop()
 
 
+def fresh_copy(state):
+    """A new state holding ``state``'s grid or sector cells, shared, and nothing read off them."""
+    import mzi_qfi
+
+    if state._cells is not None:
+        return mzi_qfi.FockState._from_cells(state._cells, state._sector, state.cutoff)
+    return mzi_qfi.FockState(state.amplitudes, state.cutoff)
+
+
 def stage_peaks(family: str, params: dict, cutoff) -> Tuple[int, Dict[str, int]]:
     """The probe's cutoff and each stage's warm transient peak in bytes, in ``STAGES`` order."""
     import mzi_qfi
@@ -76,17 +92,18 @@ def stage_peaks(family: str, params: dict, cutoff) -> Tuple[int, Dict[str, int]]
     rotated = []  # the fringe point, made before either call
     fresh = []  # copies of the probe for the cold rotation, made before either call
     decomposed = []  # the probe's decomposition, made before either call
+    copies = []  # fresh copies for a moments stage, made before either call
     calls = {
         "build": lambda: mzi_qfi.build(spec),
-        "analyze": lambda: mzi_qfi.analyze(state),
+        "analyze": lambda: mzi_qfi.analyze(copies.pop()),
         "decompose_sectors": lambda: mzi_qfi.decompose_sectors(state),
-        "qfi_variance": lambda: mzi_qfi.qfi_variance(state),
+        "qfi_variance": lambda: mzi_qfi.qfi_variance(copies.pop()),
         "qfi_fidelity": lambda: mzi_qfi.qfi_fidelity(state),
-        "build_report": lambda: mzi_qfi.build_report(state),
+        "build_report": lambda: mzi_qfi.build_report(copies.pop()),
         "schmidt": lambda: mzi_qfi.schmidt(state),
         "phase_shift": lambda: mzi_qfi.phase_shift(state, 0.3),
         "mzi_unitary": lambda: mzi_qfi.mzi_unitary(state, 0.3),
-        "analyze_rotated": lambda: mzi_qfi.analyze(rotated[0]),
+        "analyze_rotated": lambda: mzi_qfi.analyze(copies.pop()),
         "schmidt_rotated": lambda: mzi_qfi.schmidt(rotated[0]),
         "mzi_unitary_cold": lambda: mzi_qfi.mzi_unitary(fresh.pop(), 0.3),
         "sector_states": lambda: [mzi_qfi.particle_moments(s.state, s.n)
@@ -100,6 +117,9 @@ def stage_peaks(family: str, params: dict, cutoff) -> Tuple[int, Dict[str, int]]
             fresh.extend(mzi_qfi.FockState(state.amplitudes.copy(), state.cutoff) for _ in range(2))
         if stage == "sector_states":
             decomposed.append(mzi_qfi.decompose_sectors(state))
+        if stage in MOMENTS_STAGES:
+            source = rotated[0] if stage == "analyze_rotated" else state
+            copies.extend(fresh_copy(source) for _ in range(2))
         calls[stage]()
         peaks[stage] = transient_peak(calls[stage])
     return state.cutoff, peaks
