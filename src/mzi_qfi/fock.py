@@ -8,7 +8,9 @@ The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
 (intensities, pair coherences, and Jz = (n_a - n_b)/2). They have one core,
 :func:`number_moments`, which reads them all off one grid of occupation
 probabilities, once per state: the immutable state keeps them, so every
-later call on it, in any stage, reads no cell. Rotations and
+later call on it, in any stage, reads no cell. A state keeps what is read
+off it the same way: the grid of a cell-held state, once built, its number
+moments and its rotation plan (:class:`FockState`). Rotations and
 decompositions act on photon-number sectors instead, laid out by
 :func:`sector_kets` and, for a rotation's many sectors,
 :func:`sector_layout`. :func:`sector_cells` is the one reader of a grid's
@@ -59,7 +61,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import ClassVar, List, Literal, NamedTuple, Optional, Sequence, Tuple
+from typing import ClassVar, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,7 +154,12 @@ class FockState:
 
     ``_moments`` is None until :func:`number_moments` first reads the state,
     and then the moments it read, kept the same way: stored once, the first
-    stored winning. A replaced state takes its own.
+    stored winning. ``_rotation`` is None until the state is first rotated
+    (:func:`mzi_qfi.schwinger.apply_rotation`), and then the rotation plan of
+    the array it holds, the last gamma and the array's coordinates for that
+    gamma, replaced in one assignment when a rotation projects new ones. So
+    what is read off a state, its grid, its moments and its rotation plan,
+    lives as long as the state does. A replaced state takes its own.
     """
 
     amplitudes: np.ndarray
@@ -161,6 +168,7 @@ class FockState:
     _sector: ClassVar[Optional[int]] = None
     _cells: ClassVar[Optional[np.ndarray]] = None
     _moments: ClassVar[Optional[NumberMoments]] = None
+    _rotation: ClassVar[Optional[tuple]] = None
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -433,15 +441,14 @@ class NumberMoments:
     """Diagonal normal-ordered moments ``<adag^p a^p bdag^r b^r>`` of one state.
 
     ``a`` is ``<adag a>``, ``aa`` is ``<adag^2 a^2>``, ``ab`` is
-    ``<adag bdag a b>``, and so on; the second-order fields are ``None`` when
-    only first order was asked for.
+    ``<adag bdag a b>``, and ``b`` and ``bb`` are those of mode b.
     """
 
     a: float
     b: float
-    aa: Optional[float] = None
-    bb: Optional[float] = None
-    ab: Optional[float] = None
+    aa: float
+    bb: float
+    ab: float
 
 
 def _column_sums(grid: np.ndarray) -> np.ndarray:
@@ -508,8 +515,8 @@ def _grid_sums(grid: np.ndarray, levels: np.ndarray) -> Tuple[np.ndarray, ...]:
     return sums[0], sums[1], _column_sums(folded)
 
 
-def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
-    """``<adag^p a^p bdag^r b^r>`` for p + r <= ``order``, from one probability grid.
+def number_moments(state: FockState) -> NumberMoments:
+    """``<adag^p a^p bdag^r b^r>`` for p + r <= 2, from one probability grid.
 
     Every diagonal moment is a weighted sum of the probabilities
     ``p_jk = |psi_jk|^2``: with row sums ``r_j`` and column sums ``c_k``,
@@ -530,22 +537,18 @@ def number_moments(state: FockState, order: Literal[1, 2] = 2) -> NumberMoments:
     cell, and adding zeros to a float is exact, so the dense sums would
     return that one term unchanged: both ways give the same bits.
 
-    The state is read once. The first call of either order takes the second
-    order moments and stores them in the state (``FockState._moments``),
-    the first stored winning, as a cell-held state stores its grid; every
-    later call returns them, so ``analyze``, the variance route and a
-    report on one state share one pass. An order-1 call returns their ``a``
-    and ``b``, which are the bits an order-1 pass would give: the sums that
-    make them do not depend on the order.
+    The state is read once. The first call stores the moments in the state
+    (``FockState._moments``), the first stored winning, as a cell-held state
+    stores its grid; every later call returns that record, so ``analyze``,
+    the variance route, the mean photon number and a report on one state
+    share one pass.
     """
     if not isinstance(state, FockState):
         raise ParameterError("number_moments requires a normalized FockState")
-    if order not in (1, 2):
-        raise ParameterError(f"order must be 1 or 2, got {order!r}")
     moments = state._moments
     if moments is None:
         moments = state.__dict__.setdefault("_moments", _second_order_moments(state))
-    return moments if order == 2 else NumberMoments(moments.a, moments.b)
+    return moments
 
 
 def _second_order_moments(state: FockState) -> NumberMoments:

@@ -1,7 +1,7 @@
 """Quantum Fisher information of a phase-encoded probe, by several routes.
 
 The phase enters through exp(-i phi Jz), so for a pure probe the information
-is F = 4 Var[Jz]. That variance route is normative; three validators are
+is F = 4 Var[Jz]. That variance route is normative; four validators are
 computed alongside it:
 
   * mode route     - F = nbar + nbar_a^2 (g2_a - 1) + nbar_b^2 (g2_b - 1)

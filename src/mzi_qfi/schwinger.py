@@ -21,18 +21,20 @@ exactly and restricted to the cells the grid holds.
 
 A rotation reads what the state holds: the cells of its one sector, for a
 state that knows its photon number (see :class:`mzi_qfi.fock.FockState`),
-or its grid. What it needs of that array alone is planned once per array:
+or its grid. What it needs of that array alone is planned once per state:
 the occupied sectors (an O(c^2) scan of a grid), their layout, the weight
 check, the pairing of each cell k <= n/2 with its mirror n-k, and the groups
-of sectors mixed together. The plan and the array's coordinates in the Jx
-basis after Rz(gamma) are kept for the last array rotated, so a fringe scan,
-whose phases |phi| < pi share gamma = -pi/2, projects its probe once. A
-rotation then costs two real matrix products per occupied sector for the
-coordinates, when the array or gamma is new, and two back, each with a cell
-and its mirror as four real columns, so a fixed-photon-number probe pays for
-a single block; and one vectorized pass over the cells (the cos/sin mixing
-in groups of at most ``MIX_COLUMNS`` columns, the left phase, the norm and,
-for a result of several sectors, the scatter into a new grid). A result
+of sectors mixed together. The state keeps the plan and its coordinates in
+the Jx basis after Rz(gamma) for the last gamma, as it keeps its number
+moments, so a fringe scan, whose phases |phi| < pi share gamma = -pi/2,
+projects its probe once, and scans of several states, alternated or in
+threads, keep a plan each. A rotation then costs two real matrix products
+per occupied sector for the coordinates, when the state or gamma is new,
+and two back, each with a cell and its mirror as four real columns, so a
+fixed-photon-number probe pays for a single block; and one vectorized pass
+over the cells (the cos/sin mixing in groups of at most ``MIX_COLUMNS``
+columns, the left phase, the norm and, for a result of several sectors, the
+scatter into a new grid). A result
 that occupies one sector, as every rotation of a fixed-photon-number probe
 does, holds only that sector's cells, so a fixed-photon-number probe and
 every rotation of it allocate no grid, and their norm checks and number
@@ -44,7 +46,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Literal, NamedTuple, Optional, Sequence, Tuple, Union
@@ -71,8 +72,8 @@ class SpinDirection:
     z: float
 
     def __post_init__(self) -> None:
-        nrm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if abs(nrm - 1.0) > 1e-12:
+        nrm = math.hypot(self.x, self.y, self.z)  # no overflow in the squares
+        if not abs(nrm - 1.0) <= 1e-12:  # so that a NaN norm fails too
             raise ParameterError(f"spin direction must be unit norm, got |v| = {nrm!r}")
 
     @classmethod
@@ -99,7 +100,7 @@ def jz_moments(state: FockState) -> Tuple[float, float]:
     With Jz = (n_a - n_b)/2, <Jz^2> = (<n_a^2> - 2 <n_a n_b> + <n_b^2>)/4, where
     <n^2> = <adag^2 a^2> + <adag a> is read from the normal-ordered moments.
     """
-    moments = number_moments(state, 2)
+    moments = number_moments(state)
     na2 = moments.aa + moments.a
     nb2 = moments.bb + moments.b
     return (moments.a - moments.b) / 2, (na2 - 2 * moments.ab + nb2) / 4
@@ -416,19 +417,6 @@ def _rotate(
     return rotated, coordinates
 
 
-#: The last array rotated, its plan, and its coordinates for the last gamma:
-#: (weak reference to the array, its sector or None, plan, gamma, coordinates), or None.
-_memo: Optional[tuple] = None
-
-
-def _forget(ref: "weakref.ref") -> None:
-    """Drop the memo when the array it belongs to is collected."""
-    global _memo
-    memo = _memo
-    if memo is not None and memo[0] is ref:
-        _memo = None
-
-
 def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockState:
     """exp(-i angle J_v)|state>, applied sector by sector as Rz Rx Rz.
 
@@ -459,15 +447,15 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     its grid. What depends on that array alone, its occupied sectors, their
     layout (:func:`mzi_qfi.fock.sector_layout`), the weight check, the
     pairing of each cell with its mirror, its Rz table entries and the
-    groups, is a plan built on the first rotation of the array. The plan and
-    the array's coordinates for the last gamma are kept, for one array at a
-    time, until another array is rotated or this one is collected. A
-    fringe scan, ``mzi_unitary`` at |phi| < pi, has gamma = -pi/2 at every
-    phase, so after its first point each costs only the mixing, the products
-    back, the left phase and the norm (and the scatter, for several
-    sectors). The plan is never changed and the coordinates are read-only
-    and replaced in one assignment, so threads may rotate at once; each call
-    works in buffers of its own.
+    groups, is a plan built on the first rotation of the state. The state
+    keeps the plan, the last gamma and its coordinates for that gamma in
+    ``FockState._rotation`` for as long as it lives. A fringe scan,
+    ``mzi_unitary`` at |phi| < pi, has gamma = -pi/2 at every phase, so
+    after its first point each costs only the mixing, the products back, the
+    left phase and the norm (and the scatter, for several sectors). The plan
+    is never changed and the coordinates are read-only, and the three are
+    replaced together in one assignment, so threads may rotate at once; each
+    call works in buffers of its own.
 
     A sector above the cutoff, which the grid holds only in part, uses the
     rows of the basis for the cells it holds, k from n - cutoff to cutoff,
@@ -482,19 +470,16 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     (see :class:`mzi_qfi.fock.FockState`): a fixed-photon-number fringe
     point allocates O(c), not a zeroed grid.
     """
-    global _memo
-    sector = state._sector  # None for a state held by its grid
-    held = state.amplitudes if sector is None else state._cells
-    memo = _memo
-    if memo is None or memo[0]() is not held or memo[1] != sector:
-        memo = (weakref.ref(held, _forget), sector, _plan(state, held), None, None)
-    ref, sector, plan, gamma, coordinates = memo
+    if not math.isfinite(angle):
+        raise ParameterError(f"rotation angle must be finite, got {angle!r}")
+    held = state.amplitudes if state._cells is None else state._cells
+    plan, gamma, coordinates = state._rotation or (_plan(state, held), None, None)
     rotation = _EulerRotation(v, angle, plan.top)
     if gamma != rotation.gamma:
         coordinates = None
     rotated, kept = _rotate(plan, rotation, held, coordinates)
     if kept is not coordinates:
-        _memo = (ref, sector, plan, rotation.gamma, kept)
+        state.__dict__["_rotation"] = (plan, rotation.gamma, kept)
     real, imag = rotated.real, rotated.imag  # np.linalg.norm's sum, without its dispatch
     rotated /= math.sqrt(real.dot(real) + imag.dot(imag))
     if len(plan.occupied) == 1:  # the layout of one sector is its kets in k order
@@ -534,6 +519,8 @@ def phase_shift(state: FockState, phi: float) -> FockState:
     holds the cells of its sector n holds only the cells of sector n, each
     times the entry of its d = 2k - n, with no grid until one is read.
     """
+    if not math.isfinite(phi):
+        raise ParameterError(f"phase must be finite, got {phi!r}")
     table = difference_phases(phi, np.arange(state.cutoff, -state.cutoff - 1, -1))
     cells = state._cells
     if cells is not None:

@@ -555,7 +555,7 @@ def _entangled_coherent_alpha(nbar: float) -> float:
 
 
 def mean_photon_number(state: FockState) -> float:
-    moments = number_moments(state, order=1)
+    moments = number_moments(state)
     return moments.a + moments.b
 
 

@@ -119,7 +119,7 @@ def _two_product(x, y):
     return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
 
 
-def fsum_number_moments(state, order=2):
+def fsum_number_moments(state):
     """``fock.number_moments`` exactly rounded: one ``math.fsum`` of exact pieces per moment.
 
     Each term w |psi_jk|^2, with the integer weight w of the moment, is the sum
@@ -138,10 +138,8 @@ def fsum_number_moments(state, order=2):
         pieces = [piece for square in squares for piece in _two_product(weight, square)]
         return math.fsum(np.concatenate(pieces).tolist())
 
-    first = (moment(j), moment(k))
-    if order == 1:
-        return NumberMoments(*first)
-    return NumberMoments(*first, aa=moment(j * (j - 1)), bb=moment(k * (k - 1)), ab=moment(j * k))
+    return NumberMoments(moment(j), moment(k), aa=moment(j * (j - 1)), bb=moment(k * (k - 1)),
+                         ab=moment(j * k))
 
 
 def photon_totals(cutoff):
@@ -168,7 +166,7 @@ def moment_bound(state):
     return (math.ceil(math.log2(state.dim**2)) + 4) * EPS
 
 
-def whole_grid_number_moments(state, order=2):
+def whole_grid_number_moments(state):
     """``fock.number_moments`` of a state's grid, squared whole and its columns folded in place."""
     psi = state.amplitudes
     probs = np.square(psi.real)
@@ -176,7 +174,7 @@ def whole_grid_number_moments(state, order=2):
     levels = np.arange(state.dim, dtype=np.float64)
     rows = probs.sum(axis=1)
     probs *= levels  # k p_jk
-    weighted_rows = probs.sum(axis=1) if order == 2 else None
+    weighted_rows = probs.sum(axis=1)
     height = probs.shape[0]
     while height > 1:  # the column sums, pairwise down the rows, into row 0
         half = height // 2
@@ -185,8 +183,6 @@ def whole_grid_number_moments(state, order=2):
     weighted_cols = probs[0]
     a = float((levels * rows).sum())
     b = float(weighted_cols.sum())
-    if order == 1:
-        return NumberMoments(a, b)
     aa = float((levels[1:] * levels[:-1] * rows[1:]).sum())
     bb = float((levels[:-1] * weighted_cols[1:]).sum())
     ab = float((levels * weighted_rows).sum())
@@ -266,13 +262,11 @@ def ladder_moment(state, p, q, r, s):
     return complex(np.vdot(left, right))
 
 
-def ladder_number_moments(state, order=2):
+def ladder_number_moments(state):
     """The diagonal moments of ``fock.number_moments``, one ladder moment each."""
-    first = (ladder_moment(state, 1, 1, 0, 0), ladder_moment(state, 0, 0, 1, 1))
-    if order == 1:
-        return NumberMoments(*first)
     return NumberMoments(
-        *first,
+        ladder_moment(state, 1, 1, 0, 0),
+        ladder_moment(state, 0, 0, 1, 1),
         aa=ladder_moment(state, 2, 2, 0, 0),
         bb=ladder_moment(state, 0, 0, 2, 2),
         ab=ladder_moment(state, 1, 1, 1, 1),

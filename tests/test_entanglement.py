@@ -144,6 +144,17 @@ def test_mode_entanglement_not_needed_for_heisenberg_scaling():
     assert qfi_variance(state) > nbar**2
 
 
+@pytest.mark.parametrize("gap, separable", [(2e-9, False), (5e-10, True)])
+def test_separability_tolerance_is_1e_9(gap, separable):
+    # (1 - gap)|0,0> + sqrt(1 - (1 - gap)^2)|1,1>, whose largest Schmidt value is 1 - gap
+    grid = np.zeros((2, 2), dtype=complex)
+    grid[0, 0] = 1 - gap
+    grid[1, 1] = math.sqrt(1 - (1 - gap) ** 2)
+    report = schmidt(FockState(grid, 1))
+    assert 1 - report.schmidt_values[0] == pytest.approx(gap, rel=1e-6)
+    assert report.separable is separable
+
+
 @settings(max_examples=300, deadline=None)
 @given(block_states())
 def test_support_blocks_match_the_full_svd(state):

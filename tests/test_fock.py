@@ -24,7 +24,6 @@ from mzi_qfi.errors import (
 )
 from mzi_qfi.fock import (
     FockState,
-    NumberMoments,
     inner,
     make_fock,
     number_moments,
@@ -94,7 +93,7 @@ class TestLadder:
     def test_raise_then_lower_is_number_plus_one(self, rng):
         psi = random_two_mode_state(rng, 10, 5)
         down = _lower(oracle_raise(psi.amplitudes, 1), 1)
-        nb = number_moments(psi, 1).b
+        nb = number_moments(psi).b
         assert np.isclose(np.vdot(psi.amplitudes, down).real, nb + 1.0, atol=1e-12)
 
 
@@ -134,7 +133,7 @@ class TestMoment:
         # the geometric number distribution sums to a mean of sinh(chi)^2 per mode
         chi = 0.7
         state = build(ProbeSpec("two-mode-squeezed-vacuum", {"chi": chi}))
-        got = number_moments(state, 1).a
+        got = number_moments(state).a
         lam = math.tanh(chi) ** 2
         series = sum(n * (1 - lam) * lam**n for n in range(200))
         assert np.isclose(series, math.sinh(chi) ** 2, atol=1e-12)
@@ -376,16 +375,13 @@ class TestStrips:
         compared = 0
         for dim in dims:
             grid = special_grid(rng, dim, rng.choice([0.05, 0.5, 1.0]))
-            expected = [moment_bits(whole_grid_number_moments(FockState(grid, dim - 1), order))
-                        for order in (1, 2)]
+            expected = moment_bits(whole_grid_number_moments(FockState(grid, dim - 1)))
             for label, held in memory_orders(grid).items():
-                state = FockState(held, dim - 1)
-                for order in (1, 2):
-                    # every memory order sums as the C-ordered grid does
-                    got = moment_bits(number_moments(state, order))
-                    assert np.array_equal(got, expected[order - 1]), (dim, label, order)
-                    compared += 1
-        assert compared == 6 * len(dims)
+                # every memory order sums as the C-ordered grid does
+                got = moment_bits(number_moments(FockState(held, dim - 1)))
+                assert np.array_equal(got, expected), (dim, label)
+                compared += 1
+        assert compared == 3 * len(dims)
 
     def test_strided_grids_match_the_whole_grid_in_their_own_order(self, monkeypatch, rng):
         # the whole-grid pass sums the rows of a Fortran grid in another order than
@@ -393,9 +389,8 @@ class TestStrips:
         monkeypatch.setattr(fock, "STRIP_CELLS", 64)
         for dim in (7, 23, 40):
             state = FockState(memory_orders(special_grid(rng, dim, 1.0))["strided"], dim - 1)
-            for order in (1, 2):
-                assert np.array_equal(moment_bits(number_moments(state, order)),
-                                      moment_bits(whole_grid_number_moments(state, order)))
+            assert np.array_equal(moment_bits(number_moments(state)),
+                                  moment_bits(whole_grid_number_moments(state)))
 
     @pytest.mark.parametrize("strip_cells", SMALL_STRIPS + (4096,))
     def test_scan_matches_the_whole_grid_scan(self, strip_cells, monkeypatch, rng):
@@ -454,9 +449,8 @@ FIXED_N_FAMILIES = ("twin-fock", "fraternal-twin-fock", "separable-coherent-prob
 
 
 def moment_bits(moments):
-    """The fields of ``moments`` that were computed, as uint64 bit patterns."""
-    values = [value for value in dataclasses.astuple(moments) if value is not None]
-    return np.array(values).view(np.uint64)
+    """The fields of ``moments`` as uint64 bit patterns."""
+    return np.array(dataclasses.astuple(moments)).view(np.uint64)
 
 
 def untagged(state):
@@ -486,12 +480,11 @@ class TestSectorTag:
         compared = 0
         for label, state in held_states(rng):
             assert state._sector is not None and state._cells is not None, label
-            for order in (1, 2):
-                tagged = moment_bits(number_moments(state, order))
-                dense = moment_bits(number_moments(untagged(state), order))
-                assert np.array_equal(tagged, dense), (label, order)
-                compared += 1
-        assert compared == 2 * (5 * 6 * 2 + 4)
+            tagged = moment_bits(number_moments(state))
+            dense = moment_bits(number_moments(untagged(state)))
+            assert np.array_equal(tagged, dense), label
+            compared += 1
+        assert compared == 5 * 6 * 2 + 4
 
     def test_every_tag_the_package_sets_names_the_one_occupied_sector(self):
         fock_pair = build(ProbeSpec("fock-pair", {"n": 3}))
@@ -700,7 +693,7 @@ class TestCellHeldStates:
         cells /= np.linalg.norm(cells)
         cells.flags.writeable = False
         ks = np.arange(n + 1)
-        held, dense = {}, {}
+        held, dense, plans = {}, {}, {}
         for cutoff in (6, 9):
             held[cutoff] = FockState._from_cells(cells, n, cutoff)
             grid = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
@@ -710,11 +703,12 @@ class TestCellHeldStates:
         rotations = [(schwinger.Y_AXIS, phi) for phi in (0.3, -0.8, 2.1)] + [(axis, 1.3)]
         expected = {(cutoff, i): result_bits(schwinger.apply_rotation(dense[cutoff], *rotation))
                     for i, rotation in enumerate(rotations) for cutoff in dense}
-        for i, rotation in enumerate(rotations):  # alternately: the cells' plan serves both
+        for i, rotation in enumerate(rotations):  # alternately: each state keeps its own plan
             for cutoff, state in held.items():
                 rotated = schwinger.apply_rotation(state, *rotation)
-                assert schwinger._memo[0]() is cells
+                assert plans.setdefault(cutoff, state._rotation[0]) is state._rotation[0]
                 assert result_bits(rotated) == expected[cutoff, i]
+        assert plans[6] is not plans[9]
         assert "amplitudes" not in vars(held[6]) | vars(held[9])
 
     def test_pad_to_of_a_partial_sector_matches_the_dense_pad(self, rng):
@@ -813,7 +807,7 @@ class TestMomentsOnce:
         build_report(state)
         analyze(state)
         qfi_variance(state)
-        number_moments(state, 1)
+        number_moments(state)
         assert len(passes) == 1
         fresh = FockState(state.amplitudes, state.cutoff, state.truncation_loss)
         assert build_report(fresh) == report and len(passes) == 2
@@ -828,24 +822,7 @@ class TestMomentsOnce:
         state = FockState(special_grid(rng, 40, 0.5), 39)
         first = number_moments(state)
         assert state._moments is first and number_moments(state) is first
-        assert number_moments(state, 1) == NumberMoments(first.a, first.b)
         assert dataclasses.replace(state)._moments is None  # a new state takes its own
-
-    @pytest.mark.parametrize("strip_cells", SMALL_STRIPS + (4096,))
-    def test_order_one_and_two_agree_bit_for_bit(self, strip_cells, monkeypatch, rng):
-        monkeypatch.setattr(fock, "STRIP_CELLS", strip_cells)
-        dims = list(range(1, 60)) if strip_cells < 4096 else [180, 181, 182, 183, 301, 400]
-        for dim in dims:
-            grid = special_grid(rng, dim, rng.choice([0.05, 0.5, 1.0]))
-            expected = moment_bits(whole_grid_number_moments(FockState(grid, dim - 1), 1))
-            for label, held in memory_orders(grid).items():
-                # order 1 first on one state, order 2 first on another
-                first_one, first_two = FockState(held, dim - 1), FockState(held, dim - 1)
-                one = number_moments(first_one, 1)
-                two = number_moments(first_two, 2)
-                assert np.array_equal(moment_bits(one), expected), (dim, label)
-                assert np.array_equal(moment_bits(NumberMoments(two.a, two.b)), expected)
-                assert first_one._moments == two
 
     def test_concurrent_first_calls_share_one_result(self, rng):
         interval = sys.getswitchinterval()
@@ -858,7 +835,7 @@ class TestMomentsOnce:
 
                 def read(i):
                     barrier.wait(timeout=30)
-                    results[i] = number_moments(state, 2 - i % 2)
+                    results[i] = number_moments(state)
 
                 threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
                 for thread in threads:
@@ -866,8 +843,6 @@ class TestMomentsOnce:
                 for thread in threads:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads)
-                kept = state._moments
-                assert all(result is kept for result in results[::2])
-                assert all(result == NumberMoments(kept.a, kept.b) for result in results[1::2])
+                assert all(result is state._moments for result in results)
         finally:
             sys.setswitchinterval(interval)

@@ -23,7 +23,7 @@ stage_memory = load_tool("stage_memory")
 
 #: The peak of every stage in grids, rounded up to a hundredth. The cold
 #: rotation's was measured when the rotation plan and the Jx-basis
-#: coordinates of the last grid rotated came to be kept: for tsv, about one
+#: coordinates of a rotated state came to be kept: for tsv, about one
 #: grid of coordinates (n//2 + 1 columns of each parity for each of its 301
 #: even sectors) and half a grid of plan. A state that knows its one
 #: occupied sector, such as twin-fock and its rotations, takes its moments

@@ -162,7 +162,8 @@ def test_ladder_layer_is_gone(module, name):
     (schwinger, "sector_generator_matrix"),
     (fock.FockState, "_norm_squared"), (particle, "_single_sector_n"),
     (particle, "_outside_sector_error"), (fock.FockState, "_in_sector"), (fock, "vdot"),
-    (fock, "photon_totals"), (qfi, "FIDELITY_BLOCK_CELLS"),
+    (fock, "photon_totals"), (qfi, "FIDELITY_BLOCK_CELLS"), (schwinger, "_memo"),
+    (schwinger, "_forget"),
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)

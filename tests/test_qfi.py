@@ -222,6 +222,17 @@ class TestFullReport:
         assert report.crb is None
         assert "crb" in report.reasons
 
+    @pytest.mark.parametrize("weight, bounded", [(2e-12, True), (5e-13, False)])
+    def test_crb_floor_is_1e_12(self, weight, bounded):
+        # sqrt(1 - w)|0,0> + sqrt(w)|1,0> has F = 4 Var[Jz] = w (1 - w)
+        grid = np.zeros((2, 2), dtype=complex)
+        grid[0, 0], grid[1, 0] = math.sqrt(1 - weight), math.sqrt(weight)
+        report = build_report(FockState(grid, 1))
+        assert report.f_variance == pytest.approx(weight, rel=1e-9)
+        assert (report.crb is not None) is bounded and ("crb" in report.reasons) is not bounded
+        if bounded:
+            assert report.crb == 1 / math.sqrt(report.f_variance)
+
     def test_vacuum_scaling_undefined(self):
         report = build_report(make_fock(0, 0, 1))
         assert report.scaling is None

@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from scipy.linalg import expm
 
 from conftest import random_direction, random_two_mode_state, sparse_states
 from mzi_qfi import schwinger
-from mzi_qfi.errors import TruncationOverflowError
+from mzi_qfi.errors import ParameterError, TruncationOverflowError
 from mzi_qfi.fock import (
     FockState,
     make_fock,
@@ -290,8 +292,8 @@ class TestRotations:
         assert sector_reads == [400]  # and no new layout: the state's plan is kept
 
     def test_interleaved_scans_match_dense_sector_loop_bit_for_bit(self, rng):
-        # each state's plan and coordinates are reused across phases of one gamma,
-        # and replaced for another gamma or another state; the Y axis has
+        # each state keeps its plan, and its coordinates are reused across phases
+        # of one gamma and replaced for another gamma; the Y axis has
         # gamma = -pi/2 for |phi| < pi and +pi/2 past it
         states = [build(ProbeSpec("coherent", {"alpha": 2.0}, 30)),  # with partial sectors
                   random_two_mode_state(rng, 12, 12), make_fock(2, 5, 7)]
@@ -316,16 +318,44 @@ class TestRotations:
         expected = dense_rotation(state, Y_AXIS, 0.9).amplitudes
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    def test_plan_is_dropped_with_its_state(self):
-        state = make_fock(3, 2, 6)  # it holds its cells, and they key its plan
+    def test_plan_is_kept_on_its_state_and_dropped_with_it(self):
+        state = make_fock(3, 2, 6)  # it holds its cells, and its plan is theirs
         grid = FockState(state.amplitudes.copy(), 6)
-        mzi_unitary(state, 0.4)
-        assert schwinger._memo[0]() is state._cells
-        mzi_unitary(grid, 0.4)
-        assert schwinger._memo[0]() is grid.amplitudes
-        del state, grid
+        flats = []
+        for held in (state, grid):
+            assert held._rotation is None
+            mzi_unitary(held, 0.4)
+            plan, gamma, coordinates = held._rotation
+            assert gamma == -math.pi / 2 and not coordinates.flags.writeable
+            mzi_unitary(held, 0.9)  # the same gamma: the same record
+            assert held._rotation[0] is plan and held._rotation[2] is coordinates
+            flats.append(weakref.ref(plan.flats))
+        del state, grid, held, plan, coordinates
         gc.collect()
-        assert schwinger._memo is None
+        assert [ref() for ref in flats] == [None, None]
+
+    def test_a_replaced_state_plans_afresh_with_the_same_bits(self, rng):
+        for state in (make_fock(3, 2, 6), random_two_mode_state(rng, 9, 9)):
+            steps = [(Y_AXIS, 0.4), (tuple(random_direction(rng)), 1.1)]
+            expected = [apply_rotation(state, *step).amplitudes.view(np.uint64) for step in steps]
+            replaced = dataclasses.replace(state)
+            assert state._rotation is not None and replaced._rotation is None
+            for step, want in zip(steps, expected):
+                assert np.array_equal(apply_rotation(replaced, *step).amplitudes.view(np.uint64),
+                                      want)
+            assert replaced._rotation[0] is not state._rotation[0]
+
+    def test_interleaved_scans_plan_each_state_once(self, monkeypatch):
+        states = [build(ProbeSpec("coherent", {"alpha": 2.0}, 30)),
+                  build(ProbeSpec("twin-fock", {"n": 10}))]
+        planned = []
+        original = schwinger._plan
+        monkeypatch.setattr(schwinger, "_plan",
+                            lambda state, held: planned.append(state) or original(state, held))
+        for i in range(5):
+            for state in states:
+                mzi_unitary(state, 0.1 * (i + 1))
+        assert list(map(id, planned)) == list(map(id, states))  # a plan each, kept
 
     def test_scans_in_threads_match_bit_for_bit(self):
         states = [build(ProbeSpec("coherent", {"alpha": 2.0}, 30)),
@@ -518,3 +548,20 @@ class TestAlgebra:
     def test_direction_must_be_unit(self):
         with pytest.raises(Exception):
             SpinDirection(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("v", [(math.nan, 0.0, 0.0), (0.6, math.nan, 0.8),
+                                   (math.inf, 0.0, 0.0), (1e200, 0.0, 0.0)])
+    def test_a_non_finite_direction_is_a_parameter_error(self, v):
+        with pytest.raises(ParameterError, match="unit norm"):
+            SpinDirection(*v)
+        with pytest.raises(ParameterError, match="unit norm"):
+            apply_rotation(make_fock(2, 1, 4), v, 0.3)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_angle_or_phase_is_a_parameter_error(self, angle, rng):
+        for state in (make_fock(2, 1, 4), random_two_mode_state(rng, 4, 4)):
+            for rotate in (lambda: apply_rotation(state, X_AXIS, angle),
+                           lambda: mzi_unitary(state, angle), lambda: phase_shift(state, angle)):
+                with pytest.raises(ParameterError, match="must be finite"):
+                    rotate()
+            assert state._rotation is None  # rejected before any work
