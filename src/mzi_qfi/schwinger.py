@@ -17,7 +17,8 @@ from the three-term recurrence of its eigen-equation, with no eigensolver, so
 one byte-bounded cache serves every axis and cutoff. It keeps only the rows
 k <= n/2 of the eigenvectors with m >= 0: swapping the modes and the parity
 of k imply the rest. A sector above the cutoff, held only in part, is rotated
-exactly and restricted to the cells the grid holds.
+exactly and restricted to the cells the grid holds, so the cache keeps of
+its block only the rows of those cells, k >= n - cutoff.
 
 A rotation reads what the state holds: the cells of its one sector, for a
 state that knows its photon number (see :class:`mzi_qfi.fock.FockState`),
@@ -111,8 +112,11 @@ def _ladder_coupling(n: int, k: np.ndarray) -> np.ndarray:
     return np.sqrt((k + 1) * (n - k))
 
 
-#: Byte budget of the kept Jx eigenbasis blocks, (n//2+1)^2 * 8 bytes for sector n:
-#: every sector up to n = 736 fits at once, a grid at the default cutoff ceiling.
+#: Byte budget of the kept Jx eigenbasis rows: (n//2 - low + 1)(n//2 + 1) * 8 bytes
+#: for sector n kept from row low, which is n - c above the cutoff c of a grid and 0
+#: for a full block. The full blocks of every sector up to n = 736 fit at once, and
+#: so do the rows of every sector of a dense grid with cutoff up to 510 (32.6 MiB
+#: at the default cutoff ceiling, 256).
 BASIS_CACHE_BYTES = 256 * 2**20
 
 
@@ -128,6 +132,7 @@ def _jx_eigenbasis(n: int) -> np.ndarray:
     forbidden to where it oscillates. A column past 2^400 is scaled by 2^-400,
     so none overflows; the middle row of a column with s_j = -1 is exactly 0;
     the norms are pairwise numpy sums. No BLAS or LAPACK call touches it.
+    :class:`_BasisCache` keeps a copy of the rows a grid reads, with their bits.
     """
     size = n // 2 + 1
     block = np.empty((size, size))
@@ -151,29 +156,44 @@ def _jx_eigenbasis(n: int) -> np.ndarray:
 
 
 class _BasisCache:
-    """Stored Jx eigenbasis blocks keyed by photon number alone, each kept for good if it fits.
+    """Rows of the Jx eigenbasis blocks keyed by photon number alone, each kept for good if it fits.
 
-    A block that would take ``resident_bytes`` past ``limit`` is built on each use, so a
-    scan over more sectors keeps the first ones it reaches. ``misses`` counts the blocks built.
+    ``cache(n, low)`` returns ``(first, rows)``: rows k = first..n//2 of the block of
+    sector n (:func:`_jx_eigenbasis`), with ``first <= low``. A grid with cutoff c
+    reads only the rows from k = n - c of a sector n above it, so the cache keeps,
+    of each block, only the rows from the lowest ``low`` asked for so far: a copy of
+    them, built from the full block, so each value keeps its bits. It replaces a
+    stored block only with one that starts at a lower row, and a read takes the
+    block and its first row together, so a replacement in another thread is
+    harmless. A block that would take ``resident_bytes`` past ``limit`` is built on
+    each use, so a scan over more sectors keeps the first ones it reaches.
+    ``misses`` counts the blocks built.
     """
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self.resident_bytes = 0
         self.misses = 0
-        self._bases: "dict[int, np.ndarray]" = {}
+        self._bases: "dict[int, Tuple[int, np.ndarray]]" = {}
         self._lock = threading.Lock()
 
-    def __call__(self, n: int) -> np.ndarray:
-        basis = self._bases.get(n)
-        if basis is None:
-            basis = _jx_eigenbasis(n)
+    def __call__(self, n: int, low: int = 0) -> Tuple[int, np.ndarray]:
+        entry = self._bases.get(n)
+        if entry is None or entry[0] > low:
+            rows = _jx_eigenbasis(n)
+            if low:
+                rows = rows[low:].copy()  # not a view, which would keep the whole block
+                rows.flags.writeable = False
+            entry = (low, rows)
             with self._lock:
                 self.misses += 1
-                if n not in self._bases and self.resident_bytes + basis.nbytes <= self.limit:
-                    self._bases[n] = basis
-                    self.resident_bytes += basis.nbytes
-        return basis
+                stored = self._bases.get(n)
+                if stored is None or stored[0] > low:
+                    grown = rows.nbytes - (0 if stored is None else stored[1].nbytes)
+                    if self.resident_bytes + grown <= self.limit:
+                        self._bases[n] = entry
+                        self.resident_bytes += grown
+        return entry
 
 
 _jx_basis = _BasisCache(BASIS_CACHE_BYTES)
@@ -251,11 +271,11 @@ MIX_COLUMNS = 2048
 class _Group(NamedTuple):
     """Runs of sectors of one parity of n whose coordinates are mixed in one pass.
 
-    Each run is n, the first even and the first odd row of its stored block
-    that it reads, the first row of its paired cells with even k and with odd
-    k, the row past its last, and its first and last columns of the group,
-    which are ``columns`` of the plan. An odd sector's mirrors have the other
-    parity, so its group is ``crossed``.
+    Each run is n, the first even and the first odd row k of its sector's
+    block that it reads, the first row of its paired cells with even k and
+    with odd k, the row past its last, and its first and last columns of the
+    group, which are ``columns`` of the plan. An odd sector's mirrors have
+    the other parity, so its group is ``crossed``.
     """
 
     crossed: bool
@@ -393,9 +413,10 @@ def _rotate(
         z, mirrors = f[:, :, 0], f[:, :, 1]
         operands = []
         for n, even_row, odd_row, even_cell, odd_cell, stop, h, end in group.runs:
-            stored = _jx_basis(n)
-            operands.append((stored[even_row::2], quads[even_cell:stop:2], f_quads[0, h:end],
-                             stored[odd_row::2], quads[odd_cell:stop:2], f_quads[1, h:end]))
+            first, stored = _jx_basis(n, min(even_row, odd_row))
+            operands.append((stored[even_row - first::2], quads[even_cell:stop:2],
+                             f_quads[0, h:end], stored[odd_row - first::2],
+                             quads[odd_cell:stop:2], f_quads[1, h:end]))
         if project:
             for even, even_cells, even_f, odd, odd_cells, odd_f in operands:
                 np.matmul(even.T, even_cells, out=even_f)
@@ -460,10 +481,11 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     A sector above the cutoff, which the grid holds only in part, uses the
     rows of the basis for the cells it holds, k from n - cutoff to cutoff,
     which pair off with their mirrors like those of a complete sector: the
-    exact spin n/2 rotation restricted to them. The weight rotated off the
-    grid is dropped. That weight is why the rotation requires negligible
-    weight above the cutoff, summed over the cells of the runs above it, on
-    every call. The rotated vectors are renormalized together.
+    exact spin n/2 rotation restricted to them. The cache keeps only the rows
+    k >= n - cutoff of such a sector's block, for the lowest cutoff that has
+    rotated it. The weight rotated off the grid is dropped. That weight is
+    why the rotation requires negligible weight above the cutoff, summed over
+    the cells of the runs above it, on every call. The rotated vectors are renormalized together.
 
     When the state occupies a single sector n, the result holds only that
     sector's rotated cells, with no grid until its ``amplitudes`` are read
@@ -521,6 +543,8 @@ def phase_shift(state: FockState, phi: float) -> FockState:
     """
     if not math.isfinite(phi):
         raise ParameterError(f"phase must be finite, got {phi!r}")
+    if not math.isfinite(phi * state.cutoff):  # phi d overflows for some |d| <= c
+        raise ParameterError(f"phase {phi!r} times cutoff {state.cutoff} must be finite")
     table = difference_phases(phi, np.arange(state.cutoff, -state.cutoff - 1, -1))
     cells = state._cells
     if cells is not None:

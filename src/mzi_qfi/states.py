@@ -472,12 +472,18 @@ def _mean_amplified_bell(xi: float, cutoff: int) -> float:
             + _mean_level(squeezed_one_vector(xi, cutoff + 1)))
 
 
-def _auto_cutoff(loss_at: Callable[[int], float], ceiling: int) -> Tuple[int, float]:
-    """Smallest cutoff with loss below ``AUTO_LOSS_TARGET``, and that loss, by bisection.
+@functools.lru_cache(maxsize=64)
+def _auto_cutoff(family: Family, value: ParamValue, ceiling: int) -> Tuple[int, float]:
+    """Smallest cutoff with a continuous family's loss at a checked value below
+    ``AUTO_LOSS_TARGET``, and that loss, by bisection.
 
     The loss falls monotonically with the cutoff, so one look at the ceiling
-    decides whether the target can be met at all.
+    decides whether the target can be met at all. The search is a pure
+    function of its arguments, so it is kept: solving for a target nbar and
+    then building the parameters found searches once, and a changed
+    ``MZI_QFI_CUTOFF_CEILING`` is a new search.
     """
+    loss_at = functools.partial(family.loss, value)
     loss = loss_at(ceiling)
     if not loss < AUTO_LOSS_TARGET:
         raise TruncationLossError(
@@ -592,7 +598,7 @@ def _solve_for_nbar(
         return {"n": n}, float(record.photons(n)), None
     param = record.param_for_nbar(nbar)
     value = record.check(record, param)  # as ``build`` reads it
-    cutoff, _ = _auto_cutoff(lambda c: record.loss(value, c), cutoff_ceiling())
+    cutoff, _ = _auto_cutoff(record, value, cutoff_ceiling())
     return {record.key: param}, record.mean(value, cutoff), cutoff
 
 
@@ -721,5 +727,5 @@ def build(spec: ProbeSpec) -> FockState:
         loss = family.loss(value, cutoff)
         check_truncation_loss(loss)  # before building a grid the state cannot use
     else:
-        cutoff, loss = _auto_cutoff(lambda c: family.loss(value, c), cutoff_ceiling())
+        cutoff, loss = _auto_cutoff(family, value, cutoff_ceiling())
     return FockState._normalized(family.grid(value, cutoff), loss)  # the grid is ours: in place

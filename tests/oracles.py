@@ -429,7 +429,7 @@ def _rotate_sector(n, ks, amps, rotation):
 
     The per-sector form of the package's rotation, which batches every other
     step over all occupied sectors: the same four real products with the
-    cached rows k <= n/2 of the basis, on the same (cells, 4) operands (each
+    cached rows k = ks[0]..n/2 of the basis, on the same (cells, 4) operands (each
     cell k <= n/2 beside its mirror n-k, whose column is 0 for the middle
     cell; the even k, or the odd k, as every other row of them), and the same
     elementwise phases, mirror signs and cos/sin mixing, applied to one
@@ -442,14 +442,14 @@ def _rotate_sector(n, ks, amps, rotation):
     low, size = ks[0], n // 2 + 1
     cos, sin = rotation.cos[n % 2 : n + 1 : 2], rotation.sin[n % 2 : n + 1 : 2]
     signs = (-1.0) ** (n // 2 - np.arange(size))
-    stored = _jx_basis(n)
+    kept, stored = _jx_basis(n, low)  # the rows from k = kept <= low
     at = np.arange(size - low)  # the cells k <= n/2
     mirror = len(ks) - 1 - at  # k -> n - k
     pairs = np.stack([amps[at], np.where(mirror == at, 0, amps[mirror])], axis=1)
     quads = pairs.view(np.float64)
     parities = []
     for first in (low % 2, 1 - low % 2):  # the position of the first even k, then odd k
-        rows = stored[low + first :: 2]
+        rows = stored[low + first - kept :: 2]
         projections = (rows.T @ quads[first::2]).view(np.complex128)
         parities.append((slice(first, None, 2), rows, projections))
     (_, _, even_f), (_, _, odd_f) = parities

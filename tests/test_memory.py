@@ -1,5 +1,6 @@
 """Each public stage's transient memory stays within its budget, and the
-rotation cache keeps only the rows k <= n/2 of each sector's basis.
+rotation cache keeps only the rows k <= n/2 of each sector's basis that a
+grid holds.
 
 The peaks are those ``tools/stage_memory.py`` prints: the tracemalloc
 high-water mark of a warm call above what was held before it, in grids of
@@ -120,13 +121,14 @@ def test_sector_states_and_fixed_n_fringe_points_build_no_grid():
 
 
 def test_rotation_cache_holds_only_the_rows_k_up_to_half(monkeypatch):
-    # every sector n <= 320 of the coherent probe keeps its (n//2+1)^2 block,
-    # 21.2 MiB in all; the complete eigenvectors with m >= 0, (n+1)(n//2+1)
-    # doubles each, would take 42.4 MiB
+    # every sector n <= 160 of the coherent probe keeps its (n//2+1)^2 block,
+    # and each sector n above keeps only the rows k >= n - 160 that the grid
+    # holds, 8.0 MiB in all; the full blocks would take 21.2 MiB, and the
+    # complete eigenvectors with m >= 0, (n+1)(n//2+1) doubles each, 42.4 MiB
     cache = schwinger._BasisCache(schwinger.BASIS_CACHE_BYTES)
     monkeypatch.setattr(schwinger, "_jx_basis", cache)
     state = build(ProbeSpec("coherent", {"alpha": 8.0}, 160))
     mzi_unitary(state, 0.3)
     assert len(cache._bases) == 321
-    assert cache.resident_bytes <= 22 * 2**20
-    assert all(block.base is None for block in cache._bases.values())
+    assert cache.resident_bytes <= 8.5 * 2**20
+    assert all(block.base is None for _, block in cache._bases.values())

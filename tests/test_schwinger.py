@@ -3,6 +3,7 @@ import gc
 import math
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -84,9 +85,11 @@ def rotation_oracle(state: FockState, v, angle: float) -> np.ndarray:
 
 
 def assert_stored_block_diagonalizes_jx(n: int) -> None:
-    """The cached rows k <= n/2 of sector n, with the rows and columns they imply,
-    are an orthonormal basis that diagonalizes Jx with its exact eigenvalues."""
-    stored = _jx_basis(n)
+    """The cached rows k <= n/2 of sector n, asked for from k = 0, with the rows and
+    columns they imply, are an orthonormal basis that diagonalizes Jx with its exact
+    eigenvalues."""
+    first, stored = _jx_basis(n)
+    assert first == 0
     assert stored.shape == (n // 2 + 1, n // 2 + 1) and stored.base is None
     signs = (-1.0) ** (n // 2 - np.arange(n // 2 + 1))
     half = np.vstack([stored, (signs * stored)[: n - n // 2][::-1]])  # row n-k = s_j row k
@@ -99,6 +102,16 @@ def assert_stored_block_diagonalizes_jx(n: int) -> None:
     # complete basis reaches 3.9e-13 at n = 400, the recurrence's 2.0e-13
     assert np.abs(basis @ np.diag(exact) @ basis.T - jx).max() < 1e-13 * max(1, n / 32)
     assert np.abs(basis.T @ basis - np.eye(n + 1)).max() < 1e-14
+
+
+def tailed_grid(rng: np.random.Generator, cutoff: int) -> np.ndarray:
+    """A random normalized grid whose every cell is nonzero, so every sector up to 2 cutoff
+    is occupied; the cells above the cutoff are scaled by 1e-9, far below the
+    rotation's allowance."""
+    grid = rng.normal(size=(cutoff + 1, cutoff + 1, 2)).view(complex)[..., 0]
+    levels = np.arange(cutoff + 1)
+    grid[levels[:, None] + levels > cutoff] *= 1e-9
+    return grid / np.linalg.norm(grid)
 
 
 class TestJMoments:
@@ -388,14 +401,33 @@ class TestRotations:
     def test_basis_cache_stays_within_its_bytes(self):
         cache = _BasisCache(limit=3 * 21 * 21 * 8)
         for n in [40, 10, 40, 39, 38, 3, 41, 40, 72, 2, 37, 36, 35, 0, 40]:
-            basis = cache(n)
-            assert basis.shape == (n // 2 + 1, n // 2 + 1)
-            assert cache.resident_bytes == sum(b.nbytes for b in cache._bases.values())
+            first, basis = cache(n)
+            assert first == 0 and basis.shape == (n // 2 + 1, n // 2 + 1)
+            assert cache.resident_bytes == sum(b.nbytes for _, b in cache._bases.values())
             assert cache.resident_bytes <= cache.limit
             if n == 72:  # larger than the whole budget: computed, not kept
                 assert basis.nbytes > cache.limit and 72 not in cache._bases
         assert list(cache._bases) == [40, 10, 39, 38, 3, 2, 0]  # each kept if it fit when built
         assert _jx_basis.resident_bytes <= _jx_basis.limit == BASIS_CACHE_BYTES
+
+    def test_basis_cache_keeps_the_rows_asked_for_and_grows_them_downward(self):
+        cache = _BasisCache(limit=BASIS_CACHE_BYTES)
+        full = _jx_eigenbasis(40)
+        for low, first in [(12, 12), (15, 12), (20, 12), (5, 5), (12, 5), (0, 0), (9, 0)]:
+            kept, rows = cache(40, low)
+            assert kept == first <= low and rows.base is None and not rows.flags.writeable
+            assert np.array_equal(rows.view(np.uint64), full[first:].view(np.uint64))
+            assert cache.resident_bytes == rows.nbytes
+        assert cache.misses == 3  # rows from 12, then from 5, then all
+
+    def test_basis_cache_keeps_a_stored_block_when_its_superset_does_not_fit(self):
+        size = 40 // 2 + 1
+        cache = _BasisCache(limit=(size - 12) * size * 8)
+        first, _ = cache(40, 12)
+        assert first == 12 and cache.resident_bytes == cache.limit
+        first, rows = cache(40, 5)  # built, not kept
+        assert first == 5 and cache._bases[40][0] == 12
+        assert cache.resident_bytes == cache.limit and cache.misses == 2
 
     def test_basis_cache_rescans_warm_past_its_bytes(self):
         # the same ascending scan over more blocks than fit, twice: the second
@@ -412,12 +444,17 @@ class TestRotations:
 
     def test_basis_cache_accounting_survives_threads(self):
         cache = _BasisCache(limit=4 * 13 * 13 * 8)
-        order = np.random.default_rng(7).integers(0, 25, size=(6, 300))
+        # each call asks for the rows of sector n from a random low, so stored
+        # blocks are replaced by supersets while other threads read them
+        rng = np.random.default_rng(7)
+        order = rng.integers(0, 25, size=(6, 300))
+        lows = rng.integers(0, order // 2 + 1)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=lambda ns=ns: [cache(int(n)) for n in ns])
-                       for ns in order]
+            threads = [threading.Thread(target=lambda calls=calls: [cache(int(n), int(low))
+                                                                    for n, low in calls])
+                       for calls in np.stack([order, lows], axis=2)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -425,7 +462,7 @@ class TestRotations:
         finally:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
-        assert cache.resident_bytes == sum(b.nbytes for b in cache._bases.values())
+        assert cache.resident_bytes == sum(b.nbytes for _, b in cache._bases.values())
         assert cache.resident_bytes <= cache.limit
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 30, 31, 320, 399, 400])
@@ -474,6 +511,98 @@ class TestRotations:
                 apply_rotation(state, v, 0.3)
 
 
+class TestTrimmedBasisRows:
+    """A grid with cutoff c reads the rows k >= n - c of a sector n above it, and the
+    cache keeps only the rows asked for: rotations through them carry the bits of
+    rotations through the full blocks of :func:`_jx_eigenbasis`."""
+
+    CUTOFFS = (64, 160)
+
+    @staticmethod
+    def scans(rng):
+        """For each cutoff, grid-held states with sectors above it, and the rotations of a scan."""
+        scans = {}
+        for cutoff in TestTrimmedBasisRows.CUTOFFS:
+            grids = [tailed_grid(rng, cutoff),
+                     build(ProbeSpec("coherent", {"alpha": 3.0}, cutoff)).amplitudes]
+            steps = [(Y_AXIS, 0.3), (Y_AXIS, -1.7), (tuple(random_direction(rng)), 2.6),
+                     (tuple(random_direction(rng)), -0.9)]
+            scans[cutoff] = grids, steps
+        return scans
+
+    @staticmethod
+    def scan(cutoff, grids, steps):
+        """The bits of each rotation of a scan of a fresh state of each grid."""
+        bits = []
+        for grid in grids:
+            state = FockState(grid, cutoff)
+            bits.extend(apply_rotation(state, v, angle).amplitudes.view(np.uint64)
+                        for v, angle in steps)
+        return bits
+
+    @pytest.mark.parametrize("order", [(64, 160, 64), (160, 64), "threads"],
+                             ids=["64-160-64", "160-64", "threads"])
+    def test_trimmed_rows_rotate_with_the_bits_of_full_blocks(self, monkeypatch, order):
+        scans = self.scans(np.random.default_rng(28))
+        full = {}
+
+        def full_rows(n, low=0):
+            if n not in full:
+                full[n] = _jx_eigenbasis(n)
+            return 0, full[n]
+
+        monkeypatch.setattr(schwinger, "_jx_basis", full_rows)
+        expected = {cutoff: self.scan(cutoff, *scans[cutoff]) for cutoff in self.CUTOFFS}
+        del full
+        cache = _BasisCache(BASIS_CACHE_BYTES)
+        monkeypatch.setattr(schwinger, "_jx_basis", cache)
+        passes = []  # (cutoff, bits) of each scan
+        if order == "threads":
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=lambda c=cutoff: passes.append(
+                    (c, self.scan(c, *scans[c])))) for cutoff in self.CUTOFFS]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(thread.is_alive() for thread in threads)
+        else:
+            for i, cutoff in enumerate(order):
+                misses = cache.misses
+                passes.append((cutoff, self.scan(cutoff, *scans[cutoff])))
+                if i and cutoff == 64:  # after cutoff 160, every row it reads is kept
+                    assert cache.misses == misses
+        assert len(passes) == len(self.CUTOFFS if order == "threads" else order)
+        for cutoff, bits in passes:
+            assert len(bits) == len(expected[cutoff])
+            for want, got in zip(expected[cutoff], bits):
+                assert np.array_equal(got, want), (order, cutoff)
+        # every sector is kept from the lowest row any grid asked for
+        assert {n: first for n, (first, _) in cache._bases.items()} == {
+            n: max(0, n - 160) for n in range(321)}
+        assert all(rows.base is None for _, rows in cache._bases.values())
+        assert cache.resident_bytes == sum(rows.nbytes for _, rows in cache._bases.values())
+
+    def test_trimmed_rows_fit_where_full_blocks_overflow(self, monkeypatch):
+        # a cache that cannot hold the full blocks of a cutoff-20 grid, 49448
+        # bytes, holds the rows it reads, 19888, so a second rotation builds none
+        cutoff = 20
+        sectors = range(2 * cutoff + 1)
+        cache = _BasisCache(limit=sum((n // 2 - max(0, n - cutoff) + 1) * (n // 2 + 1) * 8
+                                      for n in sectors))
+        assert sum((n // 2 + 1) ** 2 * 8 for n in sectors) > cache.limit
+        monkeypatch.setattr(schwinger, "_jx_basis", cache)
+        grid = tailed_grid(np.random.default_rng(3), cutoff)
+        apply_rotation(FockState(grid, cutoff), Y_AXIS, 0.4)
+        assert cache.misses == len(sectors) and cache.resident_bytes == cache.limit
+        apply_rotation(FockState(grid, cutoff), (0.48, -0.6, 0.64), 1.3)
+        assert cache.misses == len(sectors)
+
+
 class TestBeamSplitter:
     def test_second_inverts_first(self, rng):
         psi = random_two_mode_state(rng, 9, 6)
@@ -510,6 +639,24 @@ class TestPhaseShift:
             got = phase_shift(psi, phi).amplitudes
             expected = phase_shift_formula(psi, phi).amplitudes
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), cutoff
+
+
+    @pytest.mark.parametrize("phi", [1e308, -1e308, 2e307])
+    def test_phase_overflowing_times_the_cutoff_is_refused_up_front(self, phi):
+        cells = make_fock(2, 1, 16)
+        for state in (cells, FockState(cells.amplitudes.copy(), 16)):  # cells, then a grid
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParameterError, match="times cutoff 16 must be finite"):
+                    phase_shift(state, phi)
+        assert cells._cells is not None and state._cells is None
+
+    def test_huge_phase_within_the_cutoff_still_shifts(self):
+        # 2e307 times 4 is finite, as is every phase of the table
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = phase_shift(make_fock(2, 1, 4), 2e307)
+        assert np.isfinite(out.amplitudes).all()
 
 
 class TestMziUnitary:

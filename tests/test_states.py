@@ -409,6 +409,36 @@ class TestSolveForNbar:
             build_for_nbar("twin-squeezed-vacuum", 8.0, cutoff=20)
         assert events == ["search", 40, "search"]
 
+    @pytest.mark.parametrize("family,target", [
+        ("coherent", 4.0), ("twin-squeezed-vacuum", 3.0), ("entangled-coherent", 2.5),
+        ("two-mode-squeezed-vacuum", 6.0), ("amplified-bell", 5.0),
+    ])
+    def test_solve_then_build_searches_once(self, family, target):
+        states._auto_cutoff.cache_clear()
+        params, _ = solve_param_for_nbar(family, target)
+        state = build(ProbeSpec(family, params))
+        assert states._auto_cutoff.cache_info()[:2] == (1, 1)  # (hits, misses)
+        expected, _, _ = build_for_nbar(family, target)
+        assert states._auto_cutoff.cache_info()[:2] == (2, 1)
+        assert (state.cutoff, state.truncation_loss) == (expected.cutoff, expected.truncation_loss)
+        assert np.array_equal(state.amplitudes.view(np.uint64), expected.amplitudes.view(np.uint64))
+
+    def test_a_new_cutoff_ceiling_searches_afresh(self, monkeypatch):
+        states._auto_cutoff.cache_clear()
+        monkeypatch.delenv("MZI_QFI_CUTOFF_CEILING", raising=False)
+        spec = ProbeSpec("twin-squeezed-vacuum", {"xi": 1.2})
+        cutoff = build(spec).cutoff
+        build(spec)
+        assert states._auto_cutoff.cache_info()[:2] == (1, 1)  # (hits, misses)
+        monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "512")
+        assert build(spec).cutoff == cutoff
+        assert states._auto_cutoff.cache_info()[:2] == (1, 2)
+        monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "24")
+        for _ in range(2):  # a failed search is not kept
+            with pytest.raises(TruncationLossError, match="ceiling 24"):
+                build(spec)
+        assert states._auto_cutoff.cache_info()[:2] == (1, 4)
+
     def test_solve_builds_no_grid(self, monkeypatch):
         calls = []
         normalized = FockState._normalized.__func__

@@ -92,10 +92,14 @@ def test_stage_memory_prints_every_stage_of_every_probe(monkeypatch, capsys):
     assert tool.main([]) == 0
     rows = [line.rsplit(maxsplit=4) for line in capsys.readouterr().out.splitlines()]
     assert [(label, stage) for label, _, stage, _, _ in rows] == [
-        (label, stage) for label, *_ in tool.PROBES for stage in tool.STAGES]
+        (label, stage) for label, *_ in tool.PROBES for stage in tool.STAGES + ("basis_cache",)]
     for _, cutoff, _, peak, grids in rows:
         assert cutoff == "40" and int(peak) > 0
         assert float(grids) == pytest.approx(int(peak) / tool.grid_bytes(40), abs=0.005)
+    # noon n=6 occupies sector 6 alone, whose block is 4 x 4 doubles; tsv the
+    # even sectors 2m <= 80, each from its row 2m - 40 that the grid holds
+    assert [int(peak) for _, _, stage, peak, _ in rows if stage == "basis_cache"] == [
+        4 * 4 * 8, sum((m - max(0, 2 * m - 40) + 1) * (m + 1) * 8 for m in range(41))]
 
 
 def test_stage_memory_counts_what_a_call_allocates():

@@ -26,6 +26,11 @@ sector of the probe with n >= 1 through ``Sector.state``, as
 ``particle_moments(s.state, s.n)``, on a decomposition made before the stage
 is measured.
 
+After a probe's stages, one more line, ``basis_cache``, gives the bytes the
+rotation's Jx-basis cache gained over them, in the same columns: each probe
+runs its stages on a fresh cache, the package's own budget, which is put back
+afterwards.
+
     python3 tools/stage_memory.py > change.txt
     python3 tools/stage_memory.py /path/to/other/checkout > other.txt
     diff other.txt change.txt
@@ -143,9 +148,17 @@ def _import_from(root: Path) -> None:
 
 def main(args: Sequence[str]) -> int:
     _import_from(Path(args[0]) if args else ROOT)
+    from mzi_qfi import schwinger
+
     lines: List[str] = []
     for label, family, params, cutoff in PROBES:
-        chosen, peaks = stage_peaks(family, params, cutoff)
+        cache = schwinger._BasisCache(schwinger.BASIS_CACHE_BYTES)
+        shared, schwinger._jx_basis = schwinger._jx_basis, cache
+        try:
+            chosen, peaks = stage_peaks(family, params, cutoff)
+        finally:
+            schwinger._jx_basis = shared
+        peaks["basis_cache"] = cache.resident_bytes
         for stage, peak in peaks.items():
             lines.append(f"{label:<22} {chosen:>6} {stage:<18} {peak:>10} "
                          f"{peak / grid_bytes(chosen):6.2f}")
