@@ -1,7 +1,8 @@
 """Command-line front end: analyze probes, audit the benchmark table, sweep.
 
-Exit codes: 0 success, 1 usage or input error, 2 route disagreement beyond
-tolerance, 3 at least one MISMATCH against the closed-form catalog (table1).
+Exit codes: 0 success, 1 usage or input error or a failed allocation (code
+``out-of-memory``), 2 route disagreement beyond tolerance, 3 at least one
+MISMATCH against the closed-form catalog (table1).
 On exit 2, ``analyze`` writes one canonical JSON line to stderr for each
 pair of routes that misses its allowance (see ``QfiReport.disagreements``).
 
@@ -443,10 +444,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MziError as exc:
+    except (MziError, MemoryError) as exc:
+        code = "out-of-memory" if isinstance(exc, MemoryError) else exc.code
         error_doc = {
             "schema": SCHEMA,
-            "error": {"code": exc.code, "message": str(exc)},
+            "error": {"code": code, "message": str(exc) or "out of memory"},
         }
         sys.stderr.write(serialize.canonical_json(error_doc))
         return EXIT_USAGE

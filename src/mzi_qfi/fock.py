@@ -4,13 +4,15 @@ Amplitude grids are indexed ``[j, k]`` for the basis ket ``|j, k>`` with
 ``j`` photons in mode a and ``k`` photons in mode b, ``0 <= j, k <= cutoff``.
 States are immutable, normalized :class:`FockState` values.
 
-The package needs only the diagonal number moments ``<adag^p a^p bdag^r b^r>``
-(intensities, pair coherences, and Jz = (n_a - n_b)/2). They have one core,
-:func:`number_moments`, which reads them all off one grid of occupation
-probabilities, once per state: the immutable state keeps them, so every
-later call on it, in any stage, reads no cell. A state keeps what is read
-off it the same way: the grid of a cell-held state, once built, its number
-moments and its rotation plan (:class:`FockState`). Rotations and
+The package needs only two sums of a state's occupation probabilities
+``p_jk = |psi_jk|^2``: the diagonal number moments
+``<adag^p a^p bdag^r b^r>`` (intensities, pair coherences, and
+Jz = (n_a - n_b)/2) of :func:`number_moments`, and the weight p(d) on each
+difference d = j - k of :func:`difference_weights`, which the fidelity route
+reads. One read takes both, once per state: the immutable state keeps them,
+so every later call on it, in any stage, reads no cell. A state keeps what
+is read off it the same way: the grid of a cell-held state, once built, its
+probabilities' sums and its rotation plan (:class:`FockState`). Rotations and
 decompositions act on photon-number sectors instead, laid out by
 :func:`sector_kets` and, for a rotation's many sectors,
 :func:`sector_layout`. :func:`sector_cells` is the one reader of a grid's
@@ -18,16 +20,17 @@ sector, as a view, :func:`state_cells` the one reader of a state's sectors,
 and :func:`occupied_sectors` the one judge of which sectors a state
 occupies: the sector whose cells it holds, or one scan of its grid.
 
-:func:`number_moments` and :func:`squared_norm` sum over a grid in numpy
-alone, not through BLAS, whose dot products split long vectors across
-threads and so round differently with the thread count.
+That read and :func:`squared_norm` sum over a grid in numpy alone, not
+through BLAS, whose dot products split long vectors across threads and so
+round differently with the thread count.
 
 Every dense pass over a grid larger than eight strips of ``STRIP_CELLS``
 cells (cutoff 180) reads it a strip of rows at a time (:func:`strip_rows`),
-so that its temporaries are a few strips, not grids: the moments, the
-sector scan, the fidelity route's weights
-(:func:`mzi_qfi.qfi.difference_weights`) and the twin squeezed vacuum and
-amplified Bell builders.
+so that its temporaries are a few strips, not grids: the probabilities'
+read (:func:`_grid_sums`), the sector scan, and the twin squeezed vacuum
+and amplified Bell builders. The sector scan stays a pass of its own: it
+asks which amplitudes are nonzero, not which p > 0, and a rotation plan
+takes it on a fresh grid without paying for the moments.
 Each keeps the bits of the whole-grid pass it replaces. A sum along a row
 is numpy's pairwise sum of that row alone, whatever strip holds it. The
 moments' column sums are :func:`_column_sums`' pairwise fold down the rows:
@@ -47,12 +50,11 @@ builder, :func:`pad_to` of such a state, ``Sector.state``,
 :func:`mzi_qfi.schwinger.phase_shift` of such a state, and
 :func:`mzi_qfi.schwinger.apply_rotation` when its result occupies one
 sector. Grids from elsewhere are never scanned for a sector. The norm
-check, equality, :func:`number_moments`, :func:`occupied_sectors` (so the
-decomposition), ``particle_moments``, the rotation and its plan,
-``phase_shift``, the fidelity route's weights and ``schmidt`` read the
-cells, so a fixed-photon-number probe, a point of its fringe or a
-decomposed sector costs O(c) until something else, such as :func:`inner`
-or a state file, reads its grid.
+check, equality, the probabilities' read, :func:`occupied_sectors` (so
+the decomposition), ``particle_moments``, the rotation and its plan,
+``phase_shift`` and ``schmidt`` read the cells, so a fixed-photon-number
+probe, a point of its fringe or a decomposed sector costs O(c) until
+something else, such as :func:`inner` or a state file, reads its grid.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import ClassVar, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -152,14 +154,16 @@ class FockState:
     any thread, gets the same grid. ``dataclasses.replace`` passes that grid
     to the constructor, so a replaced state holds a grid.
 
-    ``_moments`` is None until :func:`number_moments` first reads the state,
-    and then the moments it read, kept the same way: stored once, the first
-    stored winning. ``_rotation`` is None until the state is first rotated
-    (:func:`mzi_qfi.schwinger.apply_rotation`), and then the rotation plan of
-    the array it holds, the last gamma and the array's coordinates for that
-    gamma, replaced in one assignment when a rotation projects new ones. So
-    what is read off a state, its grid, its moments and its rotation plan,
-    lives as long as the state does. A replaced state takes its own.
+    ``_read`` is None until the state's probabilities are first read, by
+    :func:`number_moments` or :func:`difference_weights`, and then what that
+    one read took, the number moments and p(d), kept the same way: stored
+    once, the first stored winning. ``_rotation`` is None until the state is
+    first rotated (:func:`mzi_qfi.schwinger.apply_rotation`), and then the
+    rotation plan of the array it holds, the last gamma and the array's
+    coordinates for that gamma, replaced in one assignment when a rotation
+    projects new ones. So what is read off a state, its grid, its
+    probabilities' sums and its rotation plan, lives as long as the state
+    does. A replaced state takes its own.
     """
 
     amplitudes: np.ndarray
@@ -167,7 +171,7 @@ class FockState:
     truncation_loss: float = 0.0
     _sector: ClassVar[Optional[int]] = None
     _cells: ClassVar[Optional[np.ndarray]] = None
-    _moments: ClassVar[Optional[NumberMoments]] = None
+    _read: ClassVar[Optional[Tuple[NumberMoments, np.ndarray]]] = None
     _rotation: ClassVar[Optional[tuple]] = None
 
     def __post_init__(self) -> None:
@@ -472,47 +476,75 @@ def _sum_rows(probs: np.ndarray, levels: np.ndarray, sums: np.ndarray) -> None:
     np.add.reduce(probs, axis=1, out=sums[1])
 
 
-def _grid_sums(grid: np.ndarray, levels: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """The row sums r_j, the sums ``sum_k k p_jk`` and the ``k c_k`` of a grid.
+def _add_differences(probs: np.ndarray, j: int, weights: np.ndarray, scratch: np.ndarray) -> None:
+    """Add row i of ``probs``, row j + i of a grid, to ``weights[c - d]`` over its d = j + i - k.
 
-    A grid of one strip (:func:`strip_rows`) is squared whole, p = re^2 +
-    im^2, its rows summed, multiplied by k and summed again, and folded by
-    :func:`_column_sums`. A larger one is read in one pass, a strip at a
-    time. The first ``top`` rows, those that :func:`_column_sums`' first
-    round keeps, are squared into a half-height accumulator, the imaginary
-    squares a strip at a time, and summed the same way. Each later row
-    ``top + i`` is squared into a strip buffer, summed the same way and
-    added onto row i: that first round, in its operand order, so
-    :func:`_column_sums` finishes the fold with the bits of the whole
-    grid's. Either way the squares are in C order, so a Fortran-ordered
-    grid sums as its C-ordered copy does.
+    Each entry of ``weights`` takes its terms in order of rows, as a loop
+    adding one row after another would, with one numpy sum for all the rows:
+    ``scratch`` holds the entries the rows reach as its first row, and under
+    them the rows, each one place left of the row before, so that a column
+    holds the terms of one d, with zeros around them. ``np.add.reduce`` down
+    the columns of a C-ordered layout adds the rows one after another, not
+    pairwise, and adding a zero to a float is exact. A loop over the rows
+    would take one numpy call per row, about twice the time at cutoff 160.
+    """
+    count, dim = probs.shape
+    width = dim + count - 1  # d = j + count - 1, ..., j - c
+    window = weights[dim - j - count : dim - j - count + width]
+    skewed = scratch[: (count + 1) * (width + 1)].reshape(count + 1, width + 1)
+    skewed[0, :width] = window
+    skewed[1:] = 0
+    # row i at place count - 1 - i of row i + 1, when rows are width apart
+    rows = skewed.reshape(-1)[width + count : (count + 1) * width + count]
+    rows.reshape(count, width)[:, :dim] = probs
+    np.add.reduce(skewed[:, :width], axis=0, out=window)
+
+
+def _grid_sums(
+    grid: np.ndarray, levels: np.ndarray, weights: np.ndarray
+) -> Tuple[np.ndarray, ...]:
+    """The row sums r_j, the sums ``sum_k k p_jk`` and the ``k c_k`` of a grid, and p(d).
+
+    The grid is read in one pass, a strip of rows (:func:`strip_rows`) at a
+    time, squared as p = re^2 + im^2 in C order, so a Fortran-ordered grid
+    sums as its C-ordered copy does. Each strip's squares are added to
+    ``weights[c - d]`` over their d = j - k (:func:`_add_differences`), so
+    each p(d) sums its cells in order of j, from 0. The rows are then summed,
+    multiplied by k and summed again. The first ``top`` rows, those that
+    :func:`_column_sums`' first round keeps, are squared into a half-height
+    accumulator; each later row ``top + i`` is squared into a strip buffer
+    and added onto row i: that first round, in its operand order, so
+    :func:`_column_sums` finishes the fold with the bits of the whole grid's.
     """
     dim = grid.shape[0]
     step = strip_rows(dim)
-    if step == dim:
-        if not grid.flags.c_contiguous:  # a copy of at most eight strips
-            grid = np.ascontiguousarray(grid)
-        probs = np.square(grid.real)
-        probs += np.square(grid.imag)
-        rows = np.add.reduce(probs, axis=1)
-        probs *= levels  # k p_jk
-        return rows, np.add.reduce(probs, axis=1), _column_sums(probs)
     top = dim - dim // 2
-    folded = np.square(grid[:top].real, order="C")
-    squares = np.empty((step, dim))
-    for start in range(0, top, step):
-        block = grid[start : min(start + step, top)]
-        folded[start : start + len(block)] += np.square(block.imag, out=squares[: len(block)])
+    height = min(step, top)
+    folded = np.empty((top, dim))
+    probs = np.empty((height, dim))
+    scratch = np.empty((height + 1) * (dim + height))  # imaginary squares, then skewed rows
     sums = np.empty((2, dim))  # r_j, then sum_k k p_jk
-    _sum_rows(folded, levels, sums[:, :top])
-    probs = np.empty((step, dim))
-    for start in range(top, dim, step):
-        block = grid[start : start + step]
-        strip = np.square(block.real, out=probs[: len(block)])
-        strip += np.square(block.imag, out=squares[: len(block)])
-        _sum_rows(strip, levels, sums[:, start : start + len(block)])
-        folded[start - top : start - top + len(block)] += strip
+    for start in chain(range(0, top, step), range(top, dim, step)):
+        stop = min(start + step, top if start < top else dim)
+        block = grid[start:stop]
+        strip = folded[start:stop] if start < top else probs[: stop - start]
+        np.square(block.real, out=strip)
+        strip += np.square(block.imag, out=scratch[: strip.size].reshape(strip.shape))
+        _add_differences(strip, start, weights, scratch)
+        _sum_rows(strip, levels, sums[:, start:stop])
+        if start >= top:
+            folded[start - top : stop - top] += strip
     return sums[0], sums[1], _column_sums(folded)
+
+
+def _read(state: FockState) -> Tuple[NumberMoments, np.ndarray]:
+    """The number moments and p(d) of ``state``, read once and kept in it (``FockState._read``)."""
+    if not isinstance(state, FockState):
+        raise ParameterError("reading probabilities requires a normalized FockState")
+    read = state._read
+    if read is None:
+        read = state.__dict__.setdefault("_read", _read_probabilities(state))
+    return read
 
 
 def number_moments(state: FockState) -> NumberMoments:
@@ -525,10 +557,9 @@ def number_moments(state: FockState) -> NumberMoments:
     Each sum is pairwise (numpy's along a row, :func:`_column_sums` down the
     columns), so the rounding error grows with the logarithm of the number of
     cells, and every term is non-negative, so it is a relative error. The
-    grid is read by :func:`_grid_sums`: a grid of more than one strip takes
-    a half-height accumulator of k p, a quarter of a complex grid, and two
-    strip buffers; a smaller one takes one real grid, half a complex one,
-    and the squares of the imaginary parts another while they are added in.
+    grid is read by :func:`_grid_sums`, which takes a half-height accumulator
+    of k p, a quarter of a complex grid, and two buffers of a strip, or of
+    that accumulator's height for a grid of one strip.
 
     A state that holds the cells of its sector n (``FockState._cells``)
     costs O(c) instead: only those at most c + 1 cells are read and
@@ -537,41 +568,52 @@ def number_moments(state: FockState) -> NumberMoments:
     cell, and adding zeros to a float is exact, so the dense sums would
     return that one term unchanged: both ways give the same bits.
 
-    The state is read once. The first call stores the moments in the state
-    (``FockState._moments``), the first stored winning, as a cell-held state
-    stores its grid; every later call returns that record, so ``analyze``,
-    the variance route, the mean photon number and a report on one state
-    share one pass.
+    The state is read once, for its moments and its :func:`difference_weights`
+    together. The first read stores both in the state (``FockState._read``),
+    the first stored winning, as a cell-held state stores its grid; every
+    later call returns that record, so ``analyze``, the variance route, the
+    fidelity route and a report on one state share one pass.
     """
-    if not isinstance(state, FockState):
-        raise ParameterError("number_moments requires a normalized FockState")
-    moments = state._moments
-    if moments is None:
-        moments = state.__dict__.setdefault("_moments", _second_order_moments(state))
-    return moments
+    return _read(state)[0]
 
 
-def _second_order_moments(state: FockState) -> NumberMoments:
-    """The moments of :func:`number_moments` to second order, read off the state."""
-    cells = state._cells
+def difference_weights(state: FockState) -> np.ndarray:
+    """p[c - d], the weight of ``state`` on the cells (j, k) with j - k = d, for d = c, ..., -c.
+
+    Taken in the one read of the state that takes its :func:`number_moments`,
+    and kept with them, read-only. A grid's p(d) sums its cells in order of
+    j, from 0; a state that holds the cells of its sector n has one cell on
+    each d = 2k - n, so its p(d) is that cell's p, the bits its grid gives.
+    """
+    return _read(state)[1]
+
+
+def _read_probabilities(state: FockState) -> Tuple[NumberMoments, np.ndarray]:
+    """The moments of :func:`number_moments` and the p(d) of :func:`difference_weights`."""
+    cells, cutoff = state._cells, state.cutoff
     levels = np.arange(state.dim, dtype=np.float64)
+    weights = np.zeros(2 * cutoff + 1)
     if cells is None:
-        rows, weighted_rows, weighted_cols = _grid_sums(state.amplitudes, levels)
+        rows, weighted_rows, weighted_cols = _grid_sums(state.amplitudes, levels, weights)
     else:
         n = state._sector
-        js = sector_kets(n, state.cutoff)  # the cells (j, n - j), one per row and column
+        js = sector_kets(n, cutoff)  # the cells (j, n - j), one per row and column
         ks = n - js
         probs = np.square(cells.real)
         probs += np.square(cells.imag)
         rows, weighted_rows, weighted_cols = np.zeros((3, state.dim))
         rows[js] = probs
+        # one cell on each d = j - k, c - d falling by 2 from cell to cell
+        last = cutoff - js[-1] + ks[-1]
+        weights[last : last + 2 * len(js) : 2] = probs[::-1]
         probs *= ks  # k p_jk, with k exact as a float
         weighted_rows[js] = probs
         weighted_cols[ks] = probs
+    weights.flags.writeable = False
     a = float((levels * rows).sum())
     b = float(weighted_cols.sum())
     # j(j-1) and (k-1) from j, k = 1 on, where both are non-negative
     aa = float((levels[1:] * levels[:-1] * rows[1:]).sum())
     bb = float((levels[:-1] * weighted_cols[1:]).sum())
     ab = float((levels * weighted_rows).sum())
-    return NumberMoments(a, b, aa=aa, bb=bb, ab=ab)
+    return NumberMoments(a, b, aa=aa, bb=bb, ab=ab), weights

@@ -29,7 +29,7 @@ import numpy as np
 
 from .coherence import CoherenceReport, analyze
 from .errors import ParameterError
-from .fock import FockState, sector_kets, strip_rows
+from .fock import FockState, difference_weights
 from .particle import SectorDecomposition, decompose_sectors, qfi_particle
 from .schwinger import difference_phases, jz_moments
 
@@ -133,39 +133,6 @@ def qfi_path_symmetric(report: CoherenceReport) -> Optional[float]:
     return report.nbar + (report.nbar**2 / 2.0) * (report.g2_a - report.g2_ab)
 
 
-def difference_weights(state: FockState) -> np.ndarray:
-    """p[c - d], the weight of ``state`` on the cells (j, k) with j - k = d, for d = c, ..., -c.
-
-    A state that holds the cells of its sector n is read by those cells
-    alone, with no grid: cell k of the sector lies on d = 2k - n, one cell
-    to each d. Any other grid is read in one pass, a strip of rows at a time
-    (:func:`mzi_qfi.fock.strip_rows`), squared as |psi|^2 = re^2 + im^2 into
-    two buffers of that size. Each row's squares are then added to the
-    entries of its differences, row after row, so each p(d) sums its cells
-    in order of j, from 0. Adding zeros to a float is exact, so a grid of
-    one sector gives the bits its cells give.
-    """
-    cutoff = state.cutoff
-    weights = np.zeros(2 * cutoff + 1)
-    cells, n = state._cells, state._sector
-    if cells is not None:
-        probs = np.square(cells.real)
-        probs += np.square(cells.imag)
-        weights[cutoff + n - 2 * sector_kets(n, cutoff)] = probs
-        return weights
-    grid = state.amplitudes
-    rows = strip_rows(state.dim)
-    probs, squares = np.empty((2, rows, state.dim))
-    for top in range(0, state.dim, rows):
-        block = grid[top : top + rows]
-        block_probs = np.square(block.real, out=probs[: len(block)])
-        block_probs += np.square(block.imag, out=squares[: len(block)])
-        for j, row in enumerate(block_probs, top):
-            window = weights[cutoff - j : 2 * cutoff + 1 - j]  # d = j, ..., j - c
-            window += row
-    return weights
-
-
 def _default_step(differences: np.ndarray) -> float:
     """``FIDELITY_STEP_SCALE`` over the widest of ``differences``, clamped; the largest step at 0."""
     spread = int(np.abs(differences).max())
@@ -213,12 +180,13 @@ def qfi_fidelity(
     T_h(d) = exp(-i h d/2), d = j - k, from the table
     :func:`mzi_qfi.schwinger.difference_phases`. So the central difference is
     g(d) psi_jk with g(d) = (T_h(d) - T_-h(d))/2h, and with p(d) the weight
-    of the cells on d (:func:`difference_weights`),
+    of the cells on d (:func:`mzi_qfi.fock.difference_weights`),
     <dpsi|dpsi> = sum_d |g(d)|^2 p(d) and <dpsi|psi> = sum_d conj(g(d)) p(d).
-    The state is read once, for p: in one pass over the grid, or over the
-    cells of the sector of a state that knows it, which builds no grid. Each
-    step then costs O(c), on the d where p(d) > 0: the sums, numpy's pairwise
-    ones over the products of each d in order of d, are taken of
+    p is taken in the state's one read of its probabilities, with its number
+    moments, and kept in the state, so a state that ``analyze`` has read is
+    not read again. Each step then costs O(c), on the d where p(d) > 0: the
+    sums, numpy's pairwise ones over the products of each d in order of d,
+    are taken of
     T_h(d) - T_-h(d), and the estimate is divided by h^2 once. The route
     stays a difference of the phase evolution itself, not the closed form
     sin(hd/2), which would tie it to the variance route.

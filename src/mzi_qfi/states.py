@@ -40,7 +40,6 @@ from .fock import (
     check_truncation_loss,
     cutoff_ceiling,
     make_fock,
-    number_moments,
     strip_rows,
 )
 from .schwinger import beam_splitter
@@ -558,11 +557,6 @@ def _entangled_coherent_alpha(nbar: float) -> float:
             lo = mid
         else:
             hi = mid
-
-
-def mean_photon_number(state: FockState) -> float:
-    moments = number_moments(state)
-    return moments.a + moments.b
 
 
 def _nearest_count(family: Family, nbar: float) -> int:

@@ -17,7 +17,8 @@ every grid of its central differences at once or sums its weights on each
 difference j - k cell by cell, coherent amplitudes run
 forward from the vacuum level whatever its size, and a truncation loss is a
 forward sum of one-mode tails in 40-digit decimal arithmetic, the number
-moments square a whole grid and fold its columns in place, the occupied
+moments square a whole grid and fold its columns in place, the weights on
+each difference j - k square a whole grid and add its rows, the occupied
 sectors are found through a whole j + k grid, the twin squeezed vacuum
 grid is one whole outer product and the amplified Bell grid two, and the
 canonical JSON writer tests every value with ``isinstance``, one piece at a
@@ -50,6 +51,7 @@ from mzi_qfi.fock import (
     FockState,
     NumberMoments,
     nonzero_cells,
+    number_moments,
     sector_kets,
     sector_layout,
 )
@@ -187,6 +189,24 @@ def whole_grid_number_moments(state):
     bb = float((levels[:-1] * weighted_cols[1:]).sum())
     ab = float((levels * weighted_rows).sum())
     return NumberMoments(a, b, aa=aa, bb=bb, ab=ab)
+
+
+def mean_photon_number(state):
+    """<n_a> + <n_b> of ``state``, from its kept number moments."""
+    moments = number_moments(state)
+    return moments.a + moments.b
+
+
+def whole_grid_difference_weights(state):
+    """``fock.difference_weights`` of a state's grid: squared whole, its rows added in j order."""
+    psi = state.amplitudes
+    probs = np.square(psi.real)
+    probs += np.square(psi.imag)
+    cutoff = state.cutoff
+    weights = np.zeros(2 * cutoff + 1)
+    for j, row in enumerate(probs):
+        weights[cutoff - j : 2 * cutoff + 1 - j] += row  # d = j, ..., j - c
+    return weights
 
 
 def outer_twin_squeezed_grid(xi, cutoff):

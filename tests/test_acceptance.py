@@ -21,10 +21,11 @@ from mzi_qfi.fock import FockState, make_fock
 from mzi_qfi.particle import decompose_sectors, particle_moments, qfi_particle
 from mzi_qfi.qfi import qfi_fidelity, qfi_mode, qfi_path_symmetric, qfi_variance
 from mzi_qfi.schwinger import apply_rotation, beam_splitter
-from mzi_qfi.states import ProbeSpec, build, build_for_nbar, mean_photon_number
+from mzi_qfi.states import ProbeSpec, build, build_for_nbar
 from oracles import (
     ladder_j_moment,
     locality_defect,
+    mean_photon_number,
     multiqubit_oracle,
     oracle_apply_generator,
     sector_generator_matrix,

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -297,6 +298,43 @@ def test_analyze_document_does_not_depend_on_blas_threads(argv):
         assert proc.stdout
         outputs.add((proc.returncode, proc.stdout, proc.stderr))
     assert len(outputs) == 1
+
+
+#: The address space of the child in which an allocation is made to fail: room for
+#: the interpreter and numpy, and far less than either allocation below.
+CHILD_ADDRESS_SPACE = 2**30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "coherent", "--alpha", "2", "--cutoff", "50000"],  # a 37.3 GiB grid
+    ["--family", "twin-fock", "--n", "20000"],  # a 2.98 GiB Jx basis
+])
+def test_a_failed_allocation_is_an_error_document(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "mzi_qfi.cli", "analyze", *argv], env=env,
+                          capture_output=True, text=True, preexec_fn=_limit_address_space,
+                          timeout=120, check=False)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    error = json.loads(proc.stderr)
+    assert error["schema"] == "mzi-qfi/1" and error["error"]["code"] == "out-of-memory"
+    assert error["error"]["message"].startswith("Unable to allocate")
+
+
+def test_a_memory_error_without_a_message_is_named(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "analyze", exhausted)
+    exit_code, out, err = run_cli(capsys, "analyze", "--family", "coherent", "--alpha", "1")
+    assert (exit_code, out) == (1, "")
+    assert json.loads(err) == {"schema": "mzi-qfi/1", "error": {
+        "code": "out-of-memory", "message": "out of memory"}}
 
 
 FIXED_N_FAMILIES = ["twin-fock", "noon", "fraternal-twin-fock", "separable-coherent-probe",

@@ -9,13 +9,14 @@ from mzi_qfi.coherence import INTENSITY_FLOOR, analyze
 from mzi_qfi.fock import FockState, NumberMoments, make_fock, number_moments
 from mzi_qfi.qfi import qfi_variance
 from mzi_qfi.schwinger import apply_rotation, mzi_unitary, phase_shift
-from mzi_qfi.states import FAMILIES, ProbeSpec, build, build_for_nbar, mean_photon_number
+from mzi_qfi.states import FAMILIES, ProbeSpec, build, build_for_nbar
 from oracles import (
     fsum_number_moments,
     ladder_analyze,
     ladder_j_moment,
     ladder_moment,
     ladder_number_moments,
+    mean_photon_number,
     moment_bound,
 )
 

@@ -23,10 +23,9 @@ from mzi_qfi.states import (
     ProbeSpec,
     build,
     build_for_nbar,
-    mean_photon_number,
     resolve_family,
 )
-from oracles import full_svd_schmidt_values
+from oracles import full_svd_schmidt_values, mean_photon_number
 
 #: Amplitudes that count as support although they are far below every threshold.
 SUBNORMALS = (complex(5e-320, 0.0), complex(0.0, -5e-320), complex(-5e-324, 5e-324))

@@ -24,6 +24,7 @@ from mzi_qfi.errors import (
 )
 from mzi_qfi.fock import (
     FockState,
+    difference_weights,
     inner,
     make_fock,
     number_moments,
@@ -45,6 +46,7 @@ from oracles import (
     outer_amplified_bell_grid,
     outer_twin_squeezed_grid,
     totals_occupied_sectors,
+    whole_grid_difference_weights,
     whole_grid_number_moments,
 )
 
@@ -383,6 +385,23 @@ class TestStrips:
                 compared += 1
         assert compared == 3 * len(dims)
 
+    @pytest.mark.parametrize("strip_cells", SMALL_STRIPS + (4096,))
+    def test_difference_weights_match_the_whole_grid_bit_for_bit(self, strip_cells, monkeypatch,
+                                                                 rng):
+        monkeypatch.setattr(fock, "STRIP_CELLS", strip_cells)
+        dims = list(range(1, 60)) if strip_cells < 4096 else [180, 181, 182, 183, 301, 400]
+        compared = 0
+        for dim in dims:
+            grid = special_grid(rng, dim, rng.choice([0.05, 0.5, 1.0]))
+            expected = whole_grid_difference_weights(FockState(grid, dim - 1))
+            for label, held in memory_orders(grid).items():
+                weights = difference_weights(FockState(held, dim - 1))
+                assert np.array_equal(weights.view(np.uint64), expected.view(np.uint64)), (dim,
+                                                                                           label)
+                assert not weights.flags.writeable
+                compared += 1
+        assert compared == 3 * len(dims)
+
     def test_strided_grids_match_the_whole_grid_in_their_own_order(self, monkeypatch, rng):
         # the whole-grid pass sums the rows of a Fortran grid in another order than
         # of its C copy, but of a strided C-ordered view in the same order
@@ -485,6 +504,13 @@ class TestSectorTag:
             assert np.array_equal(tagged, dense), label
             compared += 1
         assert compared == 5 * 6 * 2 + 4
+
+    def test_tagged_difference_weights_are_the_dense_ones_bit_for_bit(self, rng):
+        for label, state in held_states(rng):
+            tagged = difference_weights(state)
+            assert "amplitudes" not in vars(state), label  # read off the cells alone
+            dense = difference_weights(untagged(state))
+            assert np.array_equal(tagged.view(np.uint64), dense.view(np.uint64)), label
 
     def test_every_tag_the_package_sets_names_the_one_occupied_sector(self):
         fock_pair = build(ProbeSpec("fock-pair", {"n": 3}))
@@ -785,8 +811,8 @@ class TestCellHeldStates:
             sys.setswitchinterval(interval)
 
 
-class TestMomentsOnce:
-    """A state's number moments are taken once and kept in the state."""
+class TestReadOnce:
+    """A state's probabilities are read once, for its number moments and p(d), and kept."""
 
     def counted_passes(self, monkeypatch):
         passes = []
@@ -795,6 +821,19 @@ class TestMomentsOnce:
                             lambda *args: passes.append(args[0].shape) or original(*args))
         return passes
 
+    def squared_cells(self, monkeypatch, grid):
+        """The entries of ``grid``'s real and imaginary parts that ``np.square`` reads from now."""
+        squared = []
+        square = np.square
+
+        def counting(x, *args, **kwargs):
+            if np.may_share_memory(x, grid):
+                squared.append(x.size)
+            return square(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "square", counting)
+        return squared
+
     @pytest.mark.parametrize("family, params", [
         ("twin-squeezed-vacuum", {"xi": 1.0}), ("amplified-bell", {"xi": 0.8}),
         ("coherent", {"alpha": 2.0 + 1.0j}),
@@ -802,27 +841,46 @@ class TestMomentsOnce:
     def test_one_dense_pass_per_analyze_and_report(self, family, params, monkeypatch):
         state = build(ProbeSpec(family, params, 190))  # more than one strip
         passes = self.counted_passes(monkeypatch)
-        report = build_report(state, analyze(state))
+        squared = self.squared_cells(monkeypatch, state.amplitudes)
+        report = build_report(state, analyze(state), particle.decompose_sectors(state))
         assert passes == [(191, 191)]
+        assert sum(squared) == 2 * 191**2  # each cell's two parts squared once, fidelity included
         build_report(state)
         analyze(state)
         qfi_variance(state)
+        qfi_fidelity(state)
         number_moments(state)
-        assert len(passes) == 1
+        assert len(passes) == 1 and sum(squared) == 2 * 191**2
         fresh = FockState(state.amplitudes, state.cutoff, state.truncation_loss)
         assert build_report(fresh) == report and len(passes) == 2
+
+    def test_a_cold_fidelity_route_takes_the_one_read_and_keeps_it(self, monkeypatch):
+        grid = build(ProbeSpec("twin-squeezed-vacuum", {"xi": 1.0}, 190)).amplitudes
+        state = FockState(grid, 190)
+        passes = self.counted_passes(monkeypatch)
+        squared = self.squared_cells(monkeypatch, grid)
+        qfi_fidelity(state)
+        assert passes == [(191, 191)] and sum(squared) == 2 * 191**2
+        moments, weights = state._read
+        assert number_moments(state) is moments and difference_weights(state) is weights
+        build_report(state, analyze(state))
+        assert len(passes) == 1 and sum(squared) == 2 * 191**2
 
     def test_cell_held_states_take_no_dense_pass(self, monkeypatch):
         probe = build(ProbeSpec("twin-fock", {"n": 60}))
         passes = self.counted_passes(monkeypatch)
         build_report(probe, analyze(probe))
-        assert passes == [] and probe._moments is number_moments(probe)
+        assert passes == [] and "amplitudes" not in vars(probe)
+        assert probe._read == (number_moments(probe), difference_weights(probe))
+        assert probe._read[1] is difference_weights(probe)
 
     def test_the_first_result_is_kept(self, rng):
         state = FockState(special_grid(rng, 40, 0.5), 39)
         first = number_moments(state)
-        assert state._moments is first and number_moments(state) is first
-        assert dataclasses.replace(state)._moments is None  # a new state takes its own
+        weights = difference_weights(state)
+        assert state._read[0] is first and number_moments(state) is first
+        assert state._read[1] is weights and not weights.flags.writeable
+        assert dataclasses.replace(state)._read is None  # a new state takes its own
 
     def test_concurrent_first_calls_share_one_result(self, rng):
         interval = sys.getswitchinterval()
@@ -835,7 +893,7 @@ class TestMomentsOnce:
 
                 def read(i):
                     barrier.wait(timeout=30)
-                    results[i] = number_moments(state)
+                    results[i] = (number_moments, difference_weights)[i % 2](state)
 
                 threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
                 for thread in threads:
@@ -843,6 +901,6 @@ class TestMomentsOnce:
                 for thread in threads:
                     thread.join(timeout=30)
                 assert not any(thread.is_alive() for thread in threads)
-                assert all(result is state._moments for result in results)
+                assert all(result is state._read[i % 2] for i, result in enumerate(results))
         finally:
             sys.setswitchinterval(interval)

@@ -42,9 +42,9 @@ stage_memory = load_tool("stage_memory")
 #: Twin-fock's ``build`` was measured when the basis ket came to hold its one
 #: sector's cells as well: it and its beam splitter's plan and result take a
 #: few vectors of c + 1 entries. ``qfi_fidelity`` was measured when the
-#: fidelity route came to read the probe once for its weight on each j - k:
-#: two float buffers of a strip, ``fock.STRIP_CELLS`` cells, for a grid, a
-#: few vectors of c + 1 floats for a state that knows its sector.
+#: fidelity route came to take its weight on each j - k from the one read
+#: that takes the number moments, kept in the state: its warm call reads
+#: that p(d) and holds a few vectors of 2c + 1 floats.
 #:
 #: The rest were measured when every dense pass came to read a grid a strip
 #: of rows at a time. ``build`` of tsv and amplified-bell holds the grid it
@@ -52,9 +52,10 @@ stage_memory = load_tool("stage_memory")
 #: products; tsv's was measured when its one outer product came to be
 #: written a strip at a time too. ``analyze``, ``qfi_variance``,
 #: ``analyze_rotated`` and ``build_report``, which peaks in ``analyze``, take
-#: the number moments' half-height accumulator of k p (a quarter grid) and
-#: two strip buffers: a state keeps its moments, so each is measured on a
-#: fresh copy of its state, whose moments are not yet taken.
+#: the number moments' half-height accumulator of k p (a quarter grid), two
+#: strip buffers and the p(d) of 2c + 1 floats that the same read keeps: a
+#: state keeps what it read, so each is measured on a fresh copy of its
+#: state, not yet read.
 #: ``decompose_sectors`` takes strip-sized booleans for its scan, and then
 #: the sectors' vectors it returns. Twin-fock's
 #: ``schmidt`` and ``schmidt_rotated`` read the cells of its one sector, and
@@ -62,13 +63,13 @@ stage_memory = load_tool("stage_memory")
 BUDGETS = {
     "tsv xi=1.2": {
         "build": 1.10, "analyze": 0.33, "decompose_sectors": 0.14, "qfi_variance": 0.33,
-        "qfi_fidelity": 0.05, "build_report": 0.33,
+        "qfi_fidelity": 0.02, "build_report": 0.33,
         "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 0.33,
         "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.40, "sector_states": 0.03,
     },
     "amplified-bell xi=1.2": {
         "build": 1.14, "analyze": 0.33, "decompose_sectors": 0.16, "qfi_variance": 0.33,
-        "qfi_fidelity": 0.05, "build_report": 0.33,
+        "qfi_fidelity": 0.02, "build_report": 0.33,
         "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 0.33,
         "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.38, "sector_states": 0.03,
     },

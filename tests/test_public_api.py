@@ -163,7 +163,8 @@ def test_ladder_layer_is_gone(module, name):
     (fock.FockState, "_norm_squared"), (particle, "_single_sector_n"),
     (particle, "_outside_sector_error"), (fock.FockState, "_in_sector"), (fock, "vdot"),
     (fock, "photon_totals"), (qfi, "FIDELITY_BLOCK_CELLS"), (schwinger, "_memo"),
-    (schwinger, "_forget"),
+    (schwinger, "_forget"), (states, "mean_photon_number"), (fock.FockState, "_moments"),
+    (fock, "_second_order_moments"),
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)

@@ -42,12 +42,12 @@ from mzi_qfi.states import (
     ProbeSpec,
     build,
     coherent_vector,
-    mean_photon_number,
     resolve_family,
 )
 from oracles import (
     dense_rotation,
     ladder_j_moment,
+    mean_photon_number,
     oracle_apply_generator,
     per_axis_eigh_rotation,
     phase_shift_formula,

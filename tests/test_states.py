@@ -27,7 +27,6 @@ from mzi_qfi.states import (
     build,
     build_for_nbar,
     coherent_vector,
-    mean_photon_number,
     resolve_family,
     solve_param_for_nbar,
     squeezed_one_vector,
@@ -35,6 +34,7 @@ from mzi_qfi.states import (
 )
 from oracles import (
     forward_coherent_vector,
+    mean_photon_number,
     moment_bound,
     poisson_magnitudes_reference,
     squeezed_vacuum_reference,

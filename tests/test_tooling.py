@@ -146,3 +146,37 @@ def test_cli_fields_finds_no_change_against_its_own_checkout(monkeypatch, capsys
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "0 of 3 invocations print different stdout"
     assert len(out) == 2  # the header of an empty table
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring
+of two lines."""
+
+import math  # a trailing comment
+
+# a comment line
+LIMIT = 3
+
+
+class Box:
+    """One line."""
+
+    def area(self, side):
+        """Two
+        lines."""
+        text = """a string
+        that spans three
+        lines"""
+        return math.pow(side, 2), text
+'''
+
+
+def test_code_lines_leaves_out_comments_docstrings_and_blank_lines(capsys, tmp_path):
+    tool = load_tool("code_lines")
+    # import, LIMIT, class, def, the three lines of text, return
+    assert tool.code_lines(CODE_LINES_FIXTURE) == 8
+    package = tmp_path / "src" / "mzi_qfi"
+    package.mkdir(parents=True)
+    (package / "box.py").write_text(CODE_LINES_FIXTURE)
+    (package / "empty.py").write_text('"""Nothing but a docstring."""\n')
+    assert tool.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["box.py", "8", "empty.py", "0", "total", "8"]

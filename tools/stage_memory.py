@@ -14,11 +14,14 @@ cells, built on its first read. That makes ``mzi_unitary`` a warm rotation
 of a probe already planned.
 ``analyze_rotated`` and ``schmidt_rotated`` are ``analyze`` and ``schmidt``
 of that rotation's result, a fringe point, made before either stage is
-measured. A state keeps its number moments once they are taken, so the
-stages that take them, ``analyze``, ``qfi_variance``, ``build_report`` and
+measured. A state keeps what one read of its probabilities takes, its
+number moments and its weight p(d) on each j - k, so the stages that take
+the moments, ``analyze``, ``qfi_variance``, ``build_report`` and
 ``analyze_rotated``, run each call on a fresh copy of the probe or fringe
 point, made before the call is measured: a copy shares its grid or cells,
-and the moments pass is measured cold. ``mzi_unitary_cold`` rotates a
+and the read is measured cold. ``qfi_fidelity`` is measured warm, on the
+probe: it reads the kept p(d), and the read itself is measured under
+``analyze``. ``mzi_unitary_cold`` rotates a
 fresh copy of the probe on each call, made before the call is measured, so
 its peak counts the rotation plan and Jx-basis coordinates kept for that
 copy as well. ``sector_states`` takes the particle statistics of every
