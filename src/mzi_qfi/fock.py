@@ -126,6 +126,21 @@ def _check_norm(norm_squared: float) -> None:
         raise NormalizationError(f"state norm {nrm!r} deviates from 1 beyond {_NORM_TOL}")
 
 
+#: The most bytes one numpy array may take.
+_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
+
+
+def check_addressable(cutoff: int) -> None:
+    """Raise ``MemoryError`` for a cutoff whose grid no numpy array can hold.
+
+    Any state can be read as its grid, so such a cutoff is refused before
+    anything is allocated, not where numpy would raise a ``ValueError`` about
+    the size of one of the arrays it takes.
+    """
+    if 16 * (cutoff + 1) ** 2 > _MAX_ARRAY_BYTES:  # complex128 cells
+        raise MemoryError(f"cutoff {cutoff} needs a grid of more than {_MAX_ARRAY_BYTES} bytes")
+
+
 def check_truncation_loss(loss: float) -> None:
     """Raise ``TruncationLossError`` if ``loss`` exceeds ``DEFAULT_LOSS_CEILING``."""
     if loss > DEFAULT_LOSS_CEILING:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CutoffExceededError, NormalizationError, StateFileError
-from .fock import FockState, squared_norm
+from .fock import FockState, check_addressable, squared_norm
 
 
 class NormalizationWarning(UserWarning):
@@ -211,8 +211,9 @@ def state_from_document(doc: object, origin: str = "<state>") -> FockState:
         raise StateFileError(f"{origin}: amplitudes must be a non-empty list")
 
     try:
+        check_addressable(cutoff)
         grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    except (MemoryError, ValueError) as exc:  # numpy's "array is too big" is a ValueError
+    except MemoryError as exc:
         raise StateFileError(f"{origin}: cannot allocate a grid of cutoff {cutoff}") from exc
     seen = set()
     for entry in entries:

@@ -6,10 +6,9 @@ validator, its builder, and the map from a target mean photon number to the
 parameter. ``build``, the nbar solve and the CLI read only these records, so
 a new family is one record here plus its published row in ``catalog.TABLE1``.
 
-Continuous families invert their exact untruncated mean in closed form, and
-report the realized mean, that of the state ``build`` makes at its automatic
-cutoff, in closed form too: the cutoff search and one-mode vectors of
-O(cutoff) entries give it, and the solve builds no grid. Fixed-photon-number
+Continuous families invert their exact untruncated mean in closed form and
+report the target as realized; the solve runs the cutoff search, so an
+unattainable target fails there, and builds no grid. Fixed-photon-number
 families round to the nearest attainable photon total.
 Squeezed families use closed-form single-mode amplitudes, the two-mode squeezed
 vacuum its geometric number-correlated form, coherent probes Poisson
@@ -37,6 +36,7 @@ import numpy as np
 from .errors import ParameterError, TruncationLossError, UnattainableTargetError
 from .fock import (
     FockState,
+    check_addressable,
     check_truncation_loss,
     cutoff_ceiling,
     make_fock,
@@ -304,23 +304,6 @@ def _poisson_tail(mu: float, first: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _probabilities(v: np.ndarray) -> np.ndarray:
-    """|v|^2 = re^2 + im^2 of a one-mode vector."""
-    probs = np.square(v.real)
-    probs += np.square(v.imag)
-    return probs
-
-
-def _mean_level(v: np.ndarray) -> float:
-    """m(v) = sum_j j |v_j|^2 / sum_j |v_j|^2: the mean level of ``v`` normalized.
-
-    Summed by numpy alone, pairwise, as :func:`mzi_qfi.fock.number_moments`
-    sums, not through BLAS.
-    """
-    probs = _probabilities(v)
-    return float((np.arange(len(v)) * probs).sum() / probs.sum())
-
-
 def _either(t0: float, t1: float) -> float:
     """1 - (1 - t0)(1 - t1): the chance that either of two independent tails is hit.
 
@@ -348,27 +331,15 @@ def _grid_twin_squeezed(xi: float, cutoff: int) -> np.ndarray:
     return grid
 
 
-def _mean_twin_squeezed(xi: float, cutoff: int) -> float:
-    return 2 * _mean_level(squeezed_vacuum_vector(xi, cutoff + 1))
-
-
 def _loss_tmsv(chi: float, cutoff: int) -> float:
     return math.exp(2 * (cutoff + 1) * _log_tanh(chi))  # tanh^{2(c+1)} chi
 
 
-def _tmsv_diagonal(chi: float, cutoff: int) -> np.ndarray:
-    """The amplitudes tanh^n chi / cosh chi of the cells |n, n>, n = 0..cutoff."""
-    return np.tanh(chi) ** np.arange(cutoff + 1) / np.cosh(chi)
-
-
 def _grid_tmsv(chi: float, cutoff: int) -> np.ndarray:
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    np.fill_diagonal(grid, _tmsv_diagonal(chi, cutoff))
+    # the cells |n, n>, n = 0..cutoff, hold tanh^n chi / cosh chi
+    np.fill_diagonal(grid, np.tanh(chi) ** np.arange(cutoff + 1) / np.cosh(chi))
     return grid
-
-
-def _mean_tmsv(chi: float, cutoff: int) -> float:
-    return 2 * _mean_level(_tmsv_diagonal(chi, cutoff))  # n photons in each mode of |n, n>
 
 
 @functools.cache
@@ -403,12 +374,6 @@ def _grid_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     )
 
 
-def _mean_coherent(alpha: complex, cutoff: int) -> float:
-    u, v = _split_photon_amplitudes()
-    return (_mean_level(coherent_vector(u * alpha, cutoff + 1))
-            + _mean_level(coherent_vector(v * alpha, cutoff + 1)))
-
-
 def _loss_entangled_coherent(alpha: complex, cutoff: int) -> float:
     # the branches lose disjoint cells, (j > c, 0) and (0, k > c), each the
     # Poisson tail T: 2T / (2(1 + e^{-|alpha|^2}))
@@ -425,14 +390,6 @@ def _grid_entangled_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     grid[0, :] += v
     grid /= math.sqrt(2.0 * (1.0 + math.exp(-abs(alpha) ** 2)))
     return grid
-
-
-def _mean_entangled_coherent(alpha: complex, cutoff: int) -> float:
-    # cells (j, 0) and (0, j) hold v_j and (0, 0) holds 2 v_0, so with p = |v|^2
-    # the mean is 2 sum_j j p_j over the norm 2 sum_{j >= 1} p_j + 4 p_0
-    probs = _probabilities(coherent_vector(alpha, cutoff + 1))
-    weighted = (np.arange(cutoff + 1) * probs).sum()
-    return float(2 * weighted / (2 * probs[1:].sum() + 4 * probs[0]))
 
 
 def _loss_amplified_bell(xi: float, cutoff: int) -> float:
@@ -464,13 +421,6 @@ def _grid_amplified_bell(xi: float, cutoff: int) -> np.ndarray:
     return grid
 
 
-def _mean_amplified_bell(xi: float, cutoff: int) -> float:
-    # the two terms share no cell, and their weights |u|^2 and |v|^2 multiply
-    # the same product of norms, so each mode's mean is half of m(v0) + m(v1)
-    return (_mean_level(squeezed_vacuum_vector(xi, cutoff + 1))
-            + _mean_level(squeezed_one_vector(xi, cutoff + 1)))
-
-
 @functools.lru_cache(maxsize=64)
 def _auto_cutoff(family: Family, value: ParamValue, ceiling: int) -> Tuple[int, float]:
     """Smallest cutoff with a continuous family's loss at a checked value below
@@ -478,9 +428,9 @@ def _auto_cutoff(family: Family, value: ParamValue, ceiling: int) -> Tuple[int, 
 
     The loss falls monotonically with the cutoff, so one look at the ceiling
     decides whether the target can be met at all. The search is a pure
-    function of its arguments, so it is kept: solving for a target nbar and
-    then building the parameters found searches once, and a changed
-    ``MZI_QFI_CUTOFF_CEILING`` is a new search.
+    function of its arguments, so it is kept, and this cache is what makes
+    solving for a target nbar and then building the parameters found one
+    search; a changed ``MZI_QFI_CUTOFF_CEILING`` is a new search.
     """
     loss_at = functools.partial(family.loss, value)
     loss = loss_at(ceiling)
@@ -500,20 +450,17 @@ def _auto_cutoff(family: Family, value: ParamValue, ceiling: int) -> Tuple[int, 
     return hi, loss
 
 
-def _fixed_n_state(j: int, k: int, cutoff: Optional[int], split: bool) -> FockState:
-    total = j + k
-    n_cut = total if cutoff is None else cutoff
-    state = make_fock(j, k, n_cut)
+def _fixed_n_state(j: int, k: int, cutoff: int, split: bool) -> FockState:
+    state = make_fock(j, k, cutoff)
     return beam_splitter(state, "first") if split else state
 
 
-def _noon_state(n: int, cutoff: Optional[int]) -> FockState:
-    n_cut = n if cutoff is None else cutoff
-    if n > n_cut:
-        raise ParameterError(f"cutoff {n_cut} cannot hold a {n}-photon branch")
+def _noon_state(n: int, cutoff: int) -> FockState:
+    if n > cutoff:
+        raise ParameterError(f"cutoff {cutoff} cannot hold a {n}-photon branch")
     cells = np.zeros(n + 1, dtype=np.complex128)  # |k, n-k> for k = 0..n
     cells[n] = cells[0] = 1 / math.sqrt(2)
-    return FockState._from_cells(cells, n, n_cut)
+    return FockState._from_cells(cells, n, cutoff)
 
 
 #: Loss target for automatic cutoff selection. Tighter than the construction
@@ -546,9 +493,11 @@ def _entangled_coherent_alpha(nbar: float) -> float:
 
     The mean is increasing in x and lies in [x/2, x), so x is bracketed by
     [nbar, 2 nbar]; halving runs until the bracket holds no float between
-    its ends.
+    its ends. Where the bracket overflows, e^{-x} cannot move the mean off x.
     """
     lo, hi = nbar, 2.0 * nbar
+    if lo + hi == math.inf:
+        return math.sqrt(nbar)
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -576,10 +525,17 @@ def _nearest_count(family: Family, nbar: float) -> int:
     return max(int(round(n_exact)), n_min)
 
 
-def _solve_for_nbar(
-    family: str, nbar: float
-) -> Tuple[Dict[str, ParamValue], float, Optional[int]]:
-    """Parameters, realized nbar, and the automatic cutoff (None for a fixed-n family)."""
+def solve_param_for_nbar(family: str, nbar: float) -> Tuple[Dict[str, ParamValue], float]:
+    """Parameters hitting the target mean photon number, plus the realized value.
+
+    Continuous families invert their exact untruncated mean (2 sinh^2 xi,
+    2 sinh^2 chi, 1 + 4 sinh^2 xi, |alpha|^2, |alpha|^2 / (1 + e^{-|alpha|^2}))
+    and report the target, which that inverse meets to rounding. They still
+    run the cutoff search, with no grid, so a state that does not fit under
+    the cutoff ceiling raises ``TruncationLossError`` here, and ``build``
+    finds the search kept. Integer families round to the nearest attainable
+    value and report it.
+    """
     if family not in _BY_NAME:
         raise ParameterError(f"unknown family {family!r}")
     if not nbar > 0:
@@ -589,27 +545,10 @@ def _solve_for_nbar(
     record = _BY_NAME[family]
     if record.photons is not None:
         n = _nearest_count(record, nbar)
-        return {"n": n}, float(record.photons(n)), None
+        return {"n": n}, float(record.photons(n))
     param = record.param_for_nbar(nbar)
-    value = record.check(record, param)  # as ``build`` reads it
-    cutoff, _ = _auto_cutoff(record, value, cutoff_ceiling())
-    return {record.key: param}, record.mean(value, cutoff), cutoff
-
-
-def solve_param_for_nbar(family: str, nbar: float) -> Tuple[Dict[str, ParamValue], float]:
-    """Parameters hitting the target mean photon number, plus the realized value.
-
-    Continuous families invert their exact untruncated mean (2 sinh^2 xi,
-    2 sinh^2 chi, 1 + 4 sinh^2 xi, |alpha|^2, |alpha|^2 / (1 + e^{-|alpha|^2})).
-    They report the mean of the normalized state that ``build`` makes from the
-    result at its automatic cutoff, in closed form from the family's one-mode
-    vectors (``Family.mean``), with no grid; the cutoff search raises
-    ``TruncationLossError`` when that state does not fit under the cutoff
-    ceiling. Integer families round to the nearest attainable value and report
-    it.
-    """
-    params, realized, _ = _solve_for_nbar(family, nbar)
-    return params, realized
+    _auto_cutoff(record, record.check(record, param), cutoff_ceiling())  # the key ``build`` asks
+    return {record.key: param}, float(nbar)
 
 
 def build_for_nbar(
@@ -617,14 +556,12 @@ def build_for_nbar(
 ) -> Tuple[FockState, Dict[str, ParamValue], float]:
     """Solve for the target and build, returning the state, parameters and realized nbar.
 
-    The solve builds no grid, so the state is built once, by ``build``:
-    without an explicit cutoff at the one the solve's search chose, which
-    gives the state the automatic search would, with no second search. With
-    an explicit cutoff the solve still runs (and can still fail) first, and
-    the realized nbar is still that of the automatic cutoff's state.
+    The state is ``build``'s from the solved parameters. Without an explicit
+    cutoff its search is the solve's, kept by ``_auto_cutoff``, so the call
+    searches once; with one the solve still runs (and can still fail) first.
     """
-    params, realized, chosen = _solve_for_nbar(family, nbar)
-    return build(ProbeSpec(family, params, chosen if cutoff is None else cutoff)), params, realized
+    params, realized = solve_param_for_nbar(family, nbar)
+    return build(ProbeSpec(family, params, cutoff)), params, realized
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +575,12 @@ class Family(NamedTuple):
     ``key`` names the native parameter and ``check(family, value)`` validates
     it. A fixed-photon-number family builds with ``state(n, cutoff)``, exact
     at any cutoff that holds it; ``photons(n)`` is the total photon number of
-    that state and ``min_n`` the smallest n it builds. A continuous family
-    gives ``grid(value, cutoff)``, the unnormalized grid at a cutoff;
-    ``loss(value, cutoff)``, the exact probability that grid discards, summed
-    forward over the one-mode tails and falling monotonically with the
-    cutoff; ``mean(value, cutoff)``, the mean photon number of that grid
-    normalized, in O(cutoff) from the one-mode vectors its builder uses; and
-    ``param_for_nbar``, the closed-form inverse of its untruncated mean.
+    that state, and the cutoff ``build`` gives it by default, and ``min_n``
+    the smallest n it builds. A continuous family gives ``grid(value,
+    cutoff)``, the unnormalized grid at a cutoff; ``loss(value, cutoff)``, the
+    exact probability that grid discards, summed forward over the one-mode
+    tails and falling monotonically with the cutoff; and ``param_for_nbar``,
+    the closed-form inverse of its untruncated mean.
 
     A named tuple rather than a frozen dataclass: the class is made at import,
     where the dataclass machinery would add about 1 ms to every CLI start.
@@ -655,36 +591,31 @@ class Family(NamedTuple):
     check: Callable[[Family, ParamValue], ParamValue]
     min_n: int = 0
     photons: Optional[Callable[[int], int]] = None
-    state: Optional[Callable[[int, Optional[int]], FockState]] = None
+    state: Optional[Callable[[int, int], FockState]] = None
     grid: Optional[Callable[[ParamValue, int], np.ndarray]] = None
     loss: Optional[Callable[[ParamValue, int], float]] = None
-    mean: Optional[Callable[[ParamValue, int], float]] = None
     param_for_nbar: Optional[Callable[[float], float]] = None
 
 
 #: Every family, in the order of the benchmark table.
 _REGISTRY = (
     Family("twin-squeezed-vacuum", "xi", _squeezing, grid=_grid_twin_squeezed,
-           loss=_loss_twin_squeezed, mean=_mean_twin_squeezed,
-           param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
+           loss=_loss_twin_squeezed, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
     Family("twin-fock", "n", _photon_count, photons=lambda n: 2 * n,
            state=lambda n, cutoff: _fixed_n_state(n, n, cutoff, split=True)),
     Family("entangled-coherent", "alpha", _displacement, grid=_grid_entangled_coherent,
-           loss=_loss_entangled_coherent, mean=_mean_entangled_coherent,
-           param_for_nbar=_entangled_coherent_alpha),
+           loss=_loss_entangled_coherent, param_for_nbar=_entangled_coherent_alpha),
     Family("noon", "n", _photon_count, min_n=1, photons=lambda n: n, state=_noon_state),
     Family("amplified-bell", "xi", _squeezing, grid=_grid_amplified_bell,
-           loss=_loss_amplified_bell, mean=_mean_amplified_bell,
-           param_for_nbar=_amplified_bell_xi),
+           loss=_loss_amplified_bell, param_for_nbar=_amplified_bell_xi),
     Family("fraternal-twin-fock", "n", _photon_count, photons=lambda n: 2 * n + 1,
            state=lambda n, cutoff: _fixed_n_state(n + 1, n, cutoff, split=True)),
     Family("coherent", "alpha", _displacement, grid=_grid_coherent, loss=_loss_coherent,
-           mean=_mean_coherent, param_for_nbar=math.sqrt),
+           param_for_nbar=math.sqrt),
     Family("separable-coherent-probe", "n", _photon_count, photons=lambda n: n,
            state=lambda n, cutoff: _fixed_n_state(n, 0, cutoff, split=True)),
     Family("two-mode-squeezed-vacuum", "chi", _squeezing, grid=_grid_tmsv,
-           loss=_loss_tmsv, mean=_mean_tmsv,
-           param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
+           loss=_loss_tmsv, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
     Family("fock-pair", "n", _photon_count, photons=lambda n: 2 * n,
            state=lambda n, cutoff: _fixed_n_state(n, n, cutoff, split=False)),
 )
@@ -707,7 +638,12 @@ def resolve_family(name: str) -> Family:
 
 
 def build(spec: ProbeSpec) -> FockState:
-    """Construct the normalized probe state described by ``spec``."""
+    """Construct the normalized probe state described by ``spec``.
+
+    A fixed-photon-number state is built at its photon total unless a cutoff
+    is given. A cutoff whose grid is too large for any array raises
+    ``MemoryError`` before anything is allocated.
+    """
     family, params = _BY_NAME[spec.family], spec.params
     if set(params) != {family.key}:
         raise ParameterError(
@@ -715,11 +651,15 @@ def build(spec: ProbeSpec) -> FockState:
         )
     value = family.check(family, params[family.key])
     if family.state is not None:
-        return family.state(value, spec.cutoff)
+        cutoff = family.photons(value) if spec.cutoff is None else spec.cutoff
+        check_addressable(cutoff)
+        return family.state(value, cutoff)
     if spec.cutoff is not None:
         cutoff = spec.cutoff
+        check_addressable(cutoff)
         loss = family.loss(value, cutoff)
         check_truncation_loss(loss)  # before building a grid the state cannot use
     else:
         cutoff, loss = _auto_cutoff(family, value, cutoff_ceiling())
+        check_addressable(cutoff)
     return FockState._normalized(family.grid(value, cutoff), loss)  # the grid is ours: in place

@@ -326,6 +326,48 @@ def test_a_failed_allocation_is_an_error_document(argv):
     assert error["error"]["message"].startswith("Unable to allocate")
 
 
+#: Inputs at a cutoff whose grid no numpy array can hold, and that cutoff, which
+#: ``build`` refuses before numpy or a tail sum fails on it with a traceback.
+UNADDRESSABLE = [
+    pytest.param(["--family", "coherent", "--alpha", "2", "--cutoff", str(10**19)], 10**19,
+                 id="coherent-cutoff-1e19"),
+    pytest.param(["--family", "tmsv", "--chi", "0.3", "--cutoff", str(10**11)], 10**11,
+                 id="tmsv-cutoff-1e11"),
+    pytest.param(["--family", "noon", "--n", str(10**20)], 10**20, id="noon-n-1e20"),
+    pytest.param(["--family", "twin-fock", "--nbar", "1e18"], 10**18, id="twin-fock-nbar-1e18"),
+    pytest.param(["--family", "twin-fock", "--n", "3", "--cutoff", str(10**20)], 10**20,
+                 id="twin-fock-cutoff-1e20"),
+    pytest.param(["--family", "twin-fock", "--n", "3", "--cutoff", str(10**10)], 10**10,
+                 id="twin-fock-cutoff-1e10"),
+    # refused before its loss, whose tail sums cannot take a cutoff past the floats
+    pytest.param(["--family", "tsv", "--xi", "0.3", "--cutoff", str(10**400)], 10**400,
+                 id="tsv-cutoff-1e400"),
+]
+
+
+@pytest.mark.parametrize("argv,cutoff", UNADDRESSABLE)
+def test_an_unaddressable_grid_is_an_error_document(argv, cutoff):
+    # refused before anything is allocated; the limit only guards a regression
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "mzi_qfi.cli", "analyze", *argv], env=env,
+                          capture_output=True, text=True, preexec_fn=_limit_address_space,
+                          timeout=120, check=False)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr) == {"schema": "mzi-qfi/1", "error": {
+        "code": "out-of-memory",
+        "message": f"cutoff {cutoff} needs a grid of more than 9223372036854775807 bytes"}}
+
+
+def test_a_value_error_of_another_origin_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("not a size")
+
+    monkeypatch.setattr(cli, "analyze", broken)
+    with pytest.raises(ValueError, match="not a size"):
+        cli.main(["analyze", "--family", "coherent", "--alpha", "1"])
+
+
 def test_a_memory_error_without_a_message_is_named(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -589,6 +631,9 @@ ANALYZE_ERRORS = [*_flag_errors()] + [
     (["coherent", "--alpha", "nan"], "bad-parameter",
      "displacement must be finite, got alpha=(nan+0j)"),
     (["ecs", "--alpha", "inf"], "bad-parameter", "displacement must be finite, got alpha=(inf+0j)"),
+    *[([name, "--nbar", "1e308"], "truncation-loss",
+       "cutoff ceiling 256 leaves truncation loss 1.000e+00 above the 1.0e-14 target")
+      for name in ("coherent", "ecs")],
     (["coherent", "--alpha", "1e155"], "bad-parameter",
      "|alpha|^2 must be finite, got alpha=(1e+155+0j)"),
     (["ecs", "--alpha", "1e155j"], "bad-parameter", "|alpha|^2 must be finite, got alpha=1e+155j"),
@@ -748,7 +793,7 @@ class TestErrorContract:
             "message": f"{path}: norm nan deviates from 1 beyond the 1e-6 acceptance window"}}
 
     def test_oversized_cutoff_in_state_file(self, capsys, tmp_path):
-        # numpy refuses a grid of this size before it allocates anything
+        # a grid no numpy array can hold is refused before anything is allocated
         path = tmp_path / "oversized.json"
         path.write_text('{"cutoff": 1000000000, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, '
                         '"im": 0.0}]}')

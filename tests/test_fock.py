@@ -168,6 +168,14 @@ class TestMoment:
 
 
 class TestFockStateInvariants:
+    def test_only_a_grid_no_array_can_hold_is_refused(self):
+        # arithmetic alone: nothing is allocated on either side of the edge
+        largest = math.isqrt(np.iinfo(np.intp).max // 16) - 1
+        fock.check_addressable(largest)
+        with pytest.raises(MemoryError, match=f"^cutoff {largest + 1} needs a grid of more than "
+                                              f"{np.iinfo(np.intp).max} bytes$"):
+            fock.check_addressable(largest + 1)
+
     def test_unnormalized_grid_rejected(self):
         grid = np.zeros((3, 3), dtype=complex)
         grid[0, 0] = 0.7

@@ -164,7 +164,8 @@ def test_ladder_layer_is_gone(module, name):
     (particle, "_outside_sector_error"), (fock.FockState, "_in_sector"), (fock, "vdot"),
     (fock, "photon_totals"), (qfi, "FIDELITY_BLOCK_CELLS"), (schwinger, "_memo"),
     (schwinger, "_forget"), (states, "mean_photon_number"), (fock.FockState, "_moments"),
-    (fock, "_second_order_moments"),
+    (fock, "_second_order_moments"), (states, "_solve_for_nbar"), (states, "_mean_level"),
+    (states, "_tmsv_diagonal"), (states.Family, "mean"),
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)

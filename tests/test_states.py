@@ -35,7 +35,6 @@ from mzi_qfi.states import (
 from oracles import (
     forward_coherent_vector,
     mean_photon_number,
-    moment_bound,
     poisson_magnitudes_reference,
     squeezed_vacuum_reference,
     truncation_loss_reference,
@@ -380,7 +379,7 @@ class TestSolveForNbar:
         assert abs(realized - target) < 1e-8
         assert abs(mean_photon_number(state) - target) < 1e-8
 
-    # the solve builds nothing, so the one build, at the cutoff the solve chose, is the state's
+    # the solve builds nothing, so the one build, whose search the solve's kept, is the state's
     @pytest.mark.parametrize("family,target", [
         ("coherent", 4.0), ("twin-squeezed-vacuum", 3.0), ("noon", 3.0),
         ("entangled-coherent", 1e-9), ("two-mode-squeezed-vacuum", 6.0), ("amplified-bell", 5.0),
@@ -414,12 +413,13 @@ class TestSolveForNbar:
         ("two-mode-squeezed-vacuum", 6.0), ("amplified-bell", 5.0),
     ])
     def test_solve_then_build_searches_once(self, family, target):
+        # the solve searches and the build finds that search kept
         states._auto_cutoff.cache_clear()
-        params, _ = solve_param_for_nbar(family, target)
-        state = build(ProbeSpec(family, params))
+        state, _, _ = build_for_nbar(family, target)
         assert states._auto_cutoff.cache_info()[:2] == (1, 1)  # (hits, misses)
-        expected, _, _ = build_for_nbar(family, target)
-        assert states._auto_cutoff.cache_info()[:2] == (2, 1)
+        params, _ = solve_param_for_nbar(family, target)
+        expected = build(ProbeSpec(family, params))
+        assert states._auto_cutoff.cache_info()[:2] == (3, 1)
         assert (state.cutoff, state.truncation_loss) == (expected.cutoff, expected.truncation_loss)
         assert np.array_equal(state.amplitudes.view(np.uint64), expected.amplitudes.view(np.uint64))
 
@@ -450,21 +450,40 @@ class TestSolveForNbar:
         solve_param_for_nbar("entangled-coherent", 1e-9)
         assert calls == []
 
+    def test_solve_makes_no_one_mode_vector(self, monkeypatch):
+        # the solve inverts the untruncated mean and searches the losses: no amplitudes
+        calls = []
+        for name in ("squeezed_vacuum_vector", "squeezed_one_vector", "coherent_vector"):
+            original = getattr(states, name)
+            monkeypatch.setattr(states, name, lambda *args, original=original: (
+                calls.append(args) or original(*args)))
+        for family in FAMILIES:
+            solve_param_for_nbar(family, 4.0)
+        solve_param_for_nbar("entangled-coherent", 1e-9)
+        assert calls == []
+        build_for_nbar("coherent", 4.0)
+        assert len(calls) == 2  # the build's two arms
+
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(CONTINUOUS_FAMILIES), st.floats(1e-9, 20.0))
     @example("entangled-coherent", 1e-9)
     @example("entangled-coherent", 1e-12)
     @example("coherent", 400.0)
     @example("amplified-bell", 1.0)
-    def test_realized_nbar_is_the_built_state_mean(self, family, target):
-        # the closed-form mean lies within the moments' rounding bound of the
-        # mean read off the state the solve's parameters build
+    def test_realized_nbar_is_the_target(self, family, target):
+        # a continuous family reports the target its closed-form inverse meets, not
+        # the mean of its truncated state: ecs at 1e-9 builds at cutoff 1, without n = 2
         assume(family != "amplified-bell" or target >= 1.0)
         with mock.patch.dict(os.environ, {"MZI_QFI_CUTOFF_CEILING": "4096"}):
             params, realized = solve_param_for_nbar(family, target)
-            state = build(ProbeSpec(family, params))
-        built = mean_photon_number(state)
-        assert abs(realized - built) <= moment_bound(state) * built, (realized, built)
+        assert type(realized) is float and realized == target
+        key, forward = FORWARD_NBAR[family]
+        assert abs(forward(params[key]) - target) <= 1e-12 * target
+
+    @pytest.mark.parametrize("target", [1e308, 7e307])
+    def test_entangled_coherent_past_the_bracket_is_coherent(self, target):
+        # 2 nbar, or nbar + 2 nbar, overflows; there |alpha|^2 is the target
+        assert states._entangled_coherent_alpha(target) == math.sqrt(target)
 
     def test_ceiling_raises_truncation_loss(self):
         with pytest.raises(TruncationLossError, match="ceiling 256"):

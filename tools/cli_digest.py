@@ -15,8 +15,10 @@ default it is this one. The invocation list is this checkout's, whichever
 ``src/`` runs it. It covers every family and alias from ``--nbar``, the
 fixed-n families from ``--n``, explicit cutoffs, ``table1`` in each format,
 the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, two state files
-read with ``--state-file`` and every usage error of ``analyze`` and ``table1``
-in ``tests/test_cli.py``. Each state file is written to a new temporary
+read with ``--state-file``, cutoffs and photon numbers whose arrays numpy
+refuses to allocate, an entangled-coherent target whose double overflows a
+float, and every usage error of ``analyze`` and ``table1`` in
+``tests/test_cli.py``. Each state file is written to a new temporary
 directory for each run, from the document its placeholder names in
 ``STATE_DOCUMENTS``; its path is that placeholder in the printed command line
 and in the digested output.
@@ -52,6 +54,12 @@ SWEEPS = (
     ["sweep", "--family", "tsv", "--nbar", "2,4,8"],
 )
 CEILINGS = ("1024", "2048")
+#: Arrays numpy refuses to allocate at all, which ``build`` refuses first.
+UNADDRESSABLE = (
+    ["--family", "coherent", "--alpha", "2", "--cutoff", "10000000000000000000"],
+    ["--family", "tmsv", "--chi", "0.3", "--cutoff", "100000000000"],
+    ["--family", "noon", "--n", "100000000000000000000"],
+)
 #: A state whose norm is 1 + 2.4e-11: the reader divides it by its norm, which
 #: it does not report, so every moment of the document depends on that norm.
 STATE_DOCUMENT = (
@@ -102,6 +110,8 @@ def invocations() -> List[Invocation]:
         runs += [(env, ["analyze", "--family", family, "--nbar", "10"])
                  for family in ("tsv", "tmsv", "amplified-bell")]
     runs += [({}, ["analyze", "--state-file", path]) for path in STATE_DOCUMENTS]
+    runs += [({}, ["analyze", *args]) for args in UNADDRESSABLE]
+    runs.append(({}, ["analyze", "--family", "ecs", "--nbar", "1e308"]))  # its bracket overflows
     analyze_errors, table1_errors = _usage_errors()
     runs += [({}, ["analyze", "--family", *args]) for args in analyze_errors]
     runs += [({}, ["table1", *args]) for args in table1_errors]
