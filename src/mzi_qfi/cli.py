@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 usage or input error or a failed allocation (code
 ``out-of-memory``), 2 route disagreement beyond tolerance, 3 at least one
 MISMATCH against the closed-form catalog (table1).
-On exit 2, ``analyze`` writes one canonical JSON line to stderr for each
-pair of routes that misses its allowance (see ``QfiReport.disagreements``).
+On exit 2, ``analyze``, ``table1`` and ``sweep`` write one canonical JSON line
+to stderr for each pair of routes that misses its allowance (see
+``QfiReport.disagreements``); a line of ``table1`` or ``sweep`` also names its
+row's ``family`` and ``nbar_target``.
 
 Sweep CSV columns, in order: family, nbar_target, status, nbar, qfi, g2,
 g2_ab, entropy, cov_sigma_z. UNDEFINED values are empty CSV cells and JSON
@@ -17,15 +19,15 @@ import argparse
 import math
 import re
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from . import catalog, serialize
-from .coherence import PATH_SYMMETRY_TOL, analyze
+from .coherence import PATH_SYMMETRY_TOL, CoherenceReport, analyze, check_path_symmetry_tol
 from .entanglement import SEPARABILITY_TOL, check_separability_tol, schmidt
 from .errors import MziError, ParameterError
 from .fock import FockState
 from .particle import SectorDecomposition, decompose_sectors, sector_moments
-from .qfi import build_report
+from .qfi import QfiReport, build_report
 from .states import FAMILIES, FAMILY_ALIASES, ProbeSpec, build, build_for_nbar, resolve_family
 
 EXIT_OK = 0
@@ -103,6 +105,28 @@ def _format_doc(doc: dict, fmt: str) -> str:
     return "\n".join(_render_plain(doc)) + "\n"
 
 
+def _reports(state: FockState, path_tol: float = PATH_SYMMETRY_TOL, step: Optional[float] = None,
+             richardson: bool = True) -> tuple[CoherenceReport, SectorDecomposition, QfiReport]:
+    """The chain every command runs on a built state: its coherence report, its
+    sector decomposition, and the QFI report that reads both, each made once.
+
+    It calls this module's own ``analyze``, ``decompose_sectors`` and
+    ``build_report``, so that a caller who replaces them here sees every call.
+    """
+    coherence = analyze(state, tol=path_tol)
+    decomposition = decompose_sectors(state)
+    report = build_report(state, coherence, decomposition, step=step, richardson=richardson)
+    return coherence, decomposition, report
+
+
+def _write_disagreements(records: Sequence[dict], **row) -> None:
+    """One canonical JSON line on stderr for each record of ``QfiReport.disagreements``;
+    ``row`` names the table row of the report, if it has one."""
+    for record in records:
+        line = {"schema": SCHEMA, **row, "route_disagreement": record}
+        sys.stderr.write(serialize.canonical_json_line(line))
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -171,16 +195,11 @@ def _sector_documents(decomposition: SectorDecomposition) -> dict:
 
 def cmd_analyze(args) -> int:
     state, info = _probe_state(args)
-    coherence = analyze(state, tol=args.path_tol)
-    check_separability_tol(args.sep_tol)  # before the work that precedes schmidt
-    decomposition = decompose_sectors(state)
-    qfi_report = build_report(
-        state,
-        coherence,
-        decomposition,
-        step=args.fidelity_step,
-        richardson=not args.raw_fidelity_difference,
-    )
+    # --path-tol, then --sep-tol, before any work; the chain checks --fidelity-step
+    check_path_symmetry_tol(args.path_tol)
+    check_separability_tol(args.sep_tol)
+    coherence, decomposition, qfi_report = _reports(
+        state, args.path_tol, args.fidelity_step, not args.raw_fidelity_difference)
     info["nbar"] = coherence.nbar
     doc = {
         "schema": SCHEMA,
@@ -194,9 +213,7 @@ def cmd_analyze(args) -> int:
     if args.dump_state is not None:
         serialize.write_state_file(state, args.dump_state)
     _emit(_format_doc(doc, args.format), args.out)
-    for record in qfi_report.disagreements:
-        line = {"schema": SCHEMA, "route_disagreement": record}
-        sys.stderr.write(serialize.canonical_json_line(line))
+    _write_disagreements(qfi_report.disagreements)
     return EXIT_OK if qfi_report.routes_consistent else EXIT_ROUTE_DISAGREEMENT
 
 
@@ -211,35 +228,27 @@ def _cell(value: Optional[float], row: catalog.RowForms, which: str, nbar: float
     formula = getattr(row, which + "_text")
     if value is None:
         return {"value": None, "formula": formula, "status": "NOT-APPLICABLE"}
-    predicted = predictor(nbar)
-    delta = value - predicted
-    matched = abs(delta) <= atol + rtol * abs(predicted)
-    doc = {
-        "value": value,
-        "predicted": predicted,
-        "formula": formula,
-        "delta": delta,
-        "status": "MATCH" if matched else "MISMATCH",
-    }
-    if not matched:
+
+    def reading(mean: float) -> tuple[float, float, str]:
+        predicted = predictor(mean)
+        delta = value - predicted
+        return predicted, delta, "MATCH" if abs(delta) <= atol + rtol * abs(predicted) else "MISMATCH"
+
+    predicted, delta, status = reading(nbar)
+    doc = {"value": value, "predicted": predicted, "formula": formula, "delta": delta,
+           "status": status, "alt": None}
+    if status == "MISMATCH":
         # alternative reading: the published formula with the per-mode mean
-        alt_predicted = predictor(nbar / 2)
-        alt_delta = value - alt_predicted
-        doc["alt"] = {
-            "convention": "per-mode nbar",
-            "predicted": alt_predicted,
-            "delta": alt_delta,
-            "status": "MATCH" if abs(alt_delta) <= atol + rtol * abs(alt_predicted) else "MISMATCH",
-        }
-    else:
-        doc["alt"] = None
+        predicted, delta, status = reading(nbar / 2)
+        doc["alt"] = {"convention": "per-mode nbar", "predicted": predicted, "delta": delta,
+                      "status": status}
     return doc
 
 
-def _table1_row(row: catalog.RowForms, nbar_target: float, atol: float, rtol: float) -> dict:
+def _table1_row(row: catalog.RowForms, nbar_target: float, atol: float,
+                rtol: float) -> tuple[dict, Sequence[dict]]:
     state, params, _ = build_for_nbar(row.family, nbar_target)
-    coherence = analyze(state)
-    qfi_report = build_report(state, coherence)
+    coherence, _, qfi_report = _reports(state)
     nbar = coherence.nbar
     cells = {
         "g2": _cell(coherence.g2_a, row, "g2", nbar, atol, rtol),
@@ -257,7 +266,7 @@ def _table1_row(row: catalog.RowForms, nbar_target: float, atol: float, rtol: fl
         "cells": cells,
         "route_agreement": qfi_report.route_agreement,
         "routes_consistent": qfi_report.routes_consistent,
-    }
+    }, qfi_report.disagreements
 
 
 def _table1_csv(doc: dict) -> str:
@@ -283,7 +292,8 @@ def cmd_table1(args) -> int:
     for flag, tol in (("atol", args.atol), ("rtol", args.rtol)):
         if not 0 <= tol < math.inf:
             raise ParameterError(f"--{flag} must be finite and non-negative, got {tol!r}")
-    rows = [_table1_row(row, args.nbar, args.atol, args.rtol) for row in catalog.TABLE1]
+    rows, disagreements = zip(*(_table1_row(row, args.nbar, args.atol, args.rtol)
+                                for row in catalog.TABLE1))
     mismatches = sum(
         1 for row in rows for cell in row["cells"].values() if cell["status"] == "MISMATCH"
     )
@@ -292,12 +302,14 @@ def cmd_table1(args) -> int:
         "command": "table1",
         "nbar_target": args.nbar,
         "tolerance": {"atol": args.atol, "rtol": args.rtol},
-        "rows": rows,
+        "rows": list(rows),
         "mismatch_count": mismatches,
     }
     text = _table1_csv(doc) if args.format == "csv" else _format_doc(doc, args.format)
     _emit(text, args.out)
-    if not all(row["routes_consistent"] for row in rows):
+    for row, records in zip(rows, disagreements):
+        _write_disagreements(records, family=row["family"], nbar_target=row["nbar_target"])
+    if any(disagreements):
         return EXIT_ROUTE_DISAGREEMENT
     return EXIT_TABLE_MISMATCH if mismatches else EXIT_OK
 
@@ -312,7 +324,7 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_row(family: str, target: float) -> tuple[dict, bool]:
+def _sweep_row(family: str, target: float) -> tuple[dict, Sequence[dict]]:
     row: Dict[str, object] = {"family": family, "nbar_target": target}
     try:
         state, _, _ = build_for_nbar(family, target)
@@ -320,10 +332,8 @@ def _sweep_row(family: str, target: float) -> tuple[dict, bool]:
         row["status"] = f"unattainable: {exc}"
         for column in SWEEP_COLUMNS[3:]:
             row[column] = None
-        return row, True
-    coherence = analyze(state)
-    decomposition = decompose_sectors(state)
-    qfi_report = build_report(state, coherence, decomposition)
+        return row, ()
+    coherence, decomposition, qfi_report = _reports(state)
     sector = decomposition.fixed_n_sector()
     cov = None
     if sector is not None and sector.n >= 1:
@@ -337,7 +347,7 @@ def _sweep_row(family: str, target: float) -> tuple[dict, bool]:
         entropy=schmidt(state).entropy,
         cov_sigma_z=cov,
     )
-    return row, qfi_report.routes_consistent
+    return row, qfi_report.disagreements
 
 
 def cmd_sweep(args) -> int:
@@ -352,18 +362,16 @@ def cmd_sweep(args) -> int:
     if not targets:
         raise MziError("--nbar needs at least one value")
     family = resolve_family(args.family).name
-    rows, all_consistent = [], True
-    for target in targets:
-        row, consistent = _sweep_row(family, target)
-        rows.append(row)
-        all_consistent = all_consistent and consistent
+    rows, disagreements = zip(*(_sweep_row(family, target) for target in targets))
     if args.format == "json":
-        doc = {"schema": SCHEMA, "command": "sweep", "family": family, "rows": rows}
+        doc = {"schema": SCHEMA, "command": "sweep", "family": family, "rows": list(rows)}
         text = _format_doc(doc, "json")
     else:
         text = serialize.render_csv(SWEEP_COLUMNS, rows)
     _emit(text, args.out)
-    return EXIT_OK if all_consistent else EXIT_ROUTE_DISAGREEMENT
+    for row, records in zip(rows, disagreements):
+        _write_disagreements(records, family=family, nbar_target=row["nbar_target"])
+    return EXIT_ROUTE_DISAGREEMENT if any(disagreements) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,19 @@ class CoherenceReport:
         }
 
 
+def check_path_symmetry_tol(tol: float) -> None:
+    """Raise ``ParameterError`` unless ``tol`` is a positive, finite :func:`analyze` tolerance."""
+    if not 0 < tol < math.inf:
+        raise ParameterError(f"path-symmetry tolerance must be positive and finite, got {tol!r}")
+
+
 def analyze(state: FockState, tol: float = PATH_SYMMETRY_TOL) -> CoherenceReport:
     """Full coherence report for a normalized state.
 
     ``path_symmetric`` is true when the mode intensities and intra-mode pair
     coherences agree within ``tol`` (two dark modes also count as symmetric).
     """
-    if not 0 < tol < math.inf:
-        raise ParameterError(f"path-symmetry tolerance must be positive and finite, got {tol!r}")
+    check_path_symmetry_tol(tol)
     moments = number_moments(state)
     nbar_a, nbar_b = moments.a, moments.b
     pairs_a, pairs_b = moments.aa, moments.bb  # <adag^2 a^2> = <n_a (n_a - 1)>

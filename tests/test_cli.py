@@ -641,6 +641,13 @@ ANALYZE_ERRORS = [*_flag_errors()] + [
        f"{name} tolerance must be positive and finite, got {float(value)!r}")
       for flag, name in (("--path-tol", "path-symmetry"), ("--sep-tol", "separability"))
       for value in ("nan", "inf", "-1")],
+    # several bad flags at once: --path-tol names the error, then --sep-tol, then --fidelity-step
+    *[(["noon", "--n", "2", *flags, "--fidelity-step", "1"], "bad-parameter", message)
+      for flags, message in (
+          (["--path-tol", "-1", "--sep-tol", "-1"],
+           "path-symmetry tolerance must be positive and finite, got -1.0"),
+          (["--sep-tol", "-1"], "separability tolerance must be positive and finite, got -1.0"),
+          ([], "fidelity step must lie in [1e-5, 1e-2], got 1.0"))],
 ]
 
 #: (arguments after ``table1``, error code, message) of every usage error
@@ -857,7 +864,53 @@ class TestFamilyRegistry:
             assert f'"{name}"' not in source and f"'{name}'" not in source, name
 
 
+def _fidelity_lines(err, nbar_targets):
+    """The route_disagreement records of ``err``, by (family, nbar_target), checked line by line.
+
+    Every line is canonical JSON for a pair of the patched fidelity route (123.0) and
+    another route, and names a row whose target is in ``nbar_targets``.
+    """
+    records = {}
+    for line in err.splitlines():
+        record = json.loads(line)
+        assert serialize.canonical_json_line(record) == line + "\n"
+        assert list(record) == ["schema", "family", "nbar_target", "route_disagreement"]
+        assert record["schema"] == "mzi-qfi/1" and record["nbar_target"] in nbar_targets
+        failing = record["route_disagreement"]
+        (name_a, a), (name_b, b) = failing["routes"].items()
+        assert "f_fidelity" in (name_a, name_b) and 123.0 in (a, b)
+        assert failing["residual"] == a - b and failing["fidelity_step"] == 0.005
+        records.setdefault((record["family"], record["nbar_target"]), []).append(failing)
+    return records
+
+
 class TestTable1Command:
+    def test_route_disagreement_exits_two(self, capsys, monkeypatch):
+        import mzi_qfi.qfi as qfi_module
+
+        for fmt in ("json", "csv"):
+            code, passing, err = run_cli(capsys, "table1", "--nbar", "3", "--format", fmt)
+            assert (code, err) == (3, "")  # a consistent table1 writes nothing to stderr
+            with monkeypatch.context() as patch:
+                patch.setattr(qfi_module, "_fidelity", lambda *a, **k: (123.0, 0.005))
+                code, out, err = run_cli(capsys, "table1", "--nbar", "3", "--format", fmt)
+            assert code == 2
+            # one line per failing pair, in the rows' order: fidelity against each other route
+            records = _fidelity_lines(err, {3.0})
+            assert list(records) == [(row.family, 3.0) for row in catalog.TABLE1]
+            for failing in records.values():
+                assert 1 <= len(failing) <= 4
+                assert any("f_variance" in record["routes"] for record in failing)
+            if fmt == "csv":
+                assert out == passing.replace(",true\n", ",false\n")
+                continue
+            doc, expected = json.loads(out), json.loads(passing)
+            for row, expected_row in zip(doc["rows"], expected["rows"]):
+                assert row["route_agreement"] >= 100
+                expected_row.update(route_agreement=row["route_agreement"],
+                                    routes_consistent=False)
+            assert doc == expected
+
     def test_audit_outcome(self, capsys):
         code, out, _ = run_cli(capsys, "table1")
         assert code == 3  # known mismatching cells are flagged, not reconciled
@@ -900,6 +953,40 @@ class TestTable1Command:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_route_disagreement_exits_two(self, capsys, monkeypatch, fmt):
+        import mzi_qfi.qfi as qfi_module
+
+        argv = ["sweep", "--family", "noon", "--nbar", "0.2,2,3", "--format", fmt]
+        code, passing, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")  # a consistent sweep writes nothing to stderr
+        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (123.0, 0.005))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == passing  # no sweep column reads the fidelity route
+        # fidelity against each of the four other routes, for each attainable row
+        records = _fidelity_lines(err, {2.0, 3.0})
+        assert list(records) == [("noon", 2.0), ("noon", 3.0)]
+        for failing in records.values():
+            assert len(failing) == 4
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_twin_fock_at_the_raised_ceiling_names_only_its_failing_row(self, capsys,
+                                                                        monkeypatch, fmt):
+        # twin-fock n = 644 misses the allowance between f_particle and two other routes;
+        # n = 643 misses none
+        monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "1300")
+        code, out, err = run_cli(capsys, "sweep", "--family", "twin-fock",
+                                 "--nbar", "1286,1288", "--format", fmt)
+        assert code == 2
+        assert out.count(",ok,") == 2 if fmt == "csv" else [
+            row["status"] for row in json.loads(out)["rows"]] == ["ok", "ok"]
+        records = [json.loads(line) for line in err.splitlines()]
+        assert [(record["family"], record["nbar_target"]) for record in records] == [
+            ("twin-fock", 1288.0)] * 2
+        assert [list(record["route_disagreement"]["routes"]) for record in records] == [
+            ["f_mode", "f_particle"], ["f_particle", "f_path_symmetric"]]
+
     def test_coherent_tracks_shot_noise(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--family", "coherent",
                                "--nbar", "1,2,4,8")

@@ -101,6 +101,17 @@ class TestDecomposition:
         assert decomp.sectors[0].n == 3
         assert decomp.sectors[0].weight == 1.0
 
+    def test_sectors_under_the_weight_floor_are_dropped_but_summed(self):
+        # literal weights a decade either side of WEIGHT_FLOOR = 1e-14
+        light, trace = 1e-13, 1e-15
+        state = fixed_n_superposition({(1, 0): math.sqrt(1 - light - trace),
+                                       (1, 1): math.sqrt(light), (2, 1): math.sqrt(trace)}, 2)
+        decomp = decompose_sectors(state)
+        assert [sector.n for sector in decomp.sectors] == [1, 2]
+        assert decomp.sectors[1].weight == pytest.approx(light, rel=1e-9)
+        listed = sum(sector.weight for sector in decomp.sectors)
+        assert decomp.weights_sum - listed == pytest.approx(trace, rel=0.5)
+
     def test_weights_sum_to_one_for_factory_states(self):
         for family, params in [
             ("two-mode-squeezed-vacuum", {"chi": 0.7}),

@@ -14,7 +14,9 @@ The optional argument is the root of the checkout whose ``src/`` is run; by
 default it is this one. The invocation list is this checkout's, whichever
 ``src/`` runs it. It covers every family and alias from ``--nbar``, the
 fixed-n families from ``--n``, explicit cutoffs, ``table1`` in each format,
-the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, two state files
+the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, a twin-fock sweep
+at a ceiling of 1300 in csv and json that exits 2 on its 1288 row (so the
+digest shows where a sweep's stderr lines move), two state files
 read with ``--state-file``, cutoffs and photon numbers whose arrays numpy
 refuses to allocate, an entangled-coherent target whose double overflows a
 float, and every usage error of ``analyze`` and ``table1`` in
@@ -54,6 +56,9 @@ SWEEPS = (
     ["sweep", "--family", "tsv", "--nbar", "2,4,8"],
 )
 CEILINGS = ("1024", "2048")
+#: A sweep whose row 1288 (twin-fock n = 644) exits 2 and 1286 does not.
+DISAGREEING_SWEEP = ({"MZI_QFI_CUTOFF_CEILING": "1300"},
+                     ["sweep", "--family", "twin-fock", "--nbar", "1286,1288"])
 #: Arrays numpy refuses to allocate at all, which ``build`` refuses first.
 UNADDRESSABLE = (
     ["--family", "coherent", "--alpha", "2", "--cutoff", "10000000000000000000"],
@@ -109,6 +114,8 @@ def invocations() -> List[Invocation]:
         runs += [(env, list(argv)) for argv in SWEEPS]
         runs += [(env, ["analyze", "--family", family, "--nbar", "10"])
                  for family in ("tsv", "tmsv", "amplified-bell")]
+    env, argv = DISAGREEING_SWEEP
+    runs += [(env, [*argv, "--format", fmt]) for fmt in ("csv", "json")]
     runs += [({}, ["analyze", "--state-file", path]) for path in STATE_DOCUMENTS]
     runs += [({}, ["analyze", *args]) for args in UNADDRESSABLE]
     runs.append(({}, ["analyze", "--family", "ecs", "--nbar", "1e308"]))  # its bracket overflows
