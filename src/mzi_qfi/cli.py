@@ -27,7 +27,7 @@ from .entanglement import SEPARABILITY_TOL, check_separability_tol, schmidt
 from .errors import MziError, ParameterError
 from .fock import FockState
 from .particle import SectorDecomposition, decompose_sectors, sector_moments
-from .qfi import QfiReport, build_report
+from .qfi import QfiReport, build_report, check_fidelity_step
 from .states import FAMILIES, FAMILY_ALIASES, ProbeSpec, build, build_for_nbar, resolve_family
 
 EXIT_OK = 0
@@ -195,9 +195,10 @@ def _sector_documents(decomposition: SectorDecomposition) -> dict:
 
 def cmd_analyze(args) -> int:
     state, info = _probe_state(args)
-    # --path-tol, then --sep-tol, before any work; the chain checks --fidelity-step
+    # --path-tol, then --sep-tol, then --fidelity-step, before any work
     check_path_symmetry_tol(args.path_tol)
     check_separability_tol(args.sep_tol)
+    check_fidelity_step(args.fidelity_step)
     coherence, decomposition, qfi_report = _reports(
         state, args.path_tol, args.fidelity_step, not args.raw_fidelity_difference)
     info["nbar"] = coherence.nbar

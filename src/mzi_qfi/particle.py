@@ -31,9 +31,6 @@ from .fock import FockState, occupied_sectors, sector_kets, state_cells
 #: Sector weights below this are dropped from decompositions.
 WEIGHT_FLOOR = 1e-14
 
-#: Dominant-sector weight required to treat a state as having fixed photon number.
-FIXED_N_WEIGHT = 1.0 - 1e-9
-
 #: Covariance threshold for the entanglement witness.
 WITNESS_TOL = 1e-9
 
@@ -78,20 +75,27 @@ class Sector:
 
 @dataclass(frozen=True)
 class SectorDecomposition:
-    """Projection of a state onto its total-photon-number sectors."""
+    """Projection of a state onto its total-photon-number sectors.
+
+    ``occupied`` counts the sectors where the state holds a nonzero cell
+    (:func:`mzi_qfi.fock.occupied_sectors`), those under ``WEIGHT_FLOOR``
+    included, so it can exceed ``len(sectors)``.
+    """
 
     sectors: List[Sector]
     weights_sum: float
+    occupied: int
 
     def dominant(self) -> Sector:
         return max(self.sectors, key=lambda s: s.weight)
 
     def fixed_n_sector(self) -> Optional[Sector]:
-        """The dominant sector if its weight exceeds ``FIXED_N_WEIGHT`` (fixed photon number)."""
-        if not self.sectors:
-            return None
-        top = self.dominant()
-        return top if top.weight > FIXED_N_WEIGHT else None
+        """The sole sector of a state that occupies exactly one photon-number sector, else ``None``.
+
+        Any nonzero cell outside that sector, however small its weight, means
+        the photon number is not fixed; no weight threshold is applied.
+        """
+        return self.sectors[0] if self.occupied == 1 else None
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,9 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
     on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
     all. Only the sectors of :func:`mzi_qfi.fock.occupied_sectors` are read,
     each through :func:`mzi_qfi.fock.state_cells`, so a state that holds the
-    cells of its sector reads them, with no scan and no grid. An empty sector, which would add exactly
-    0.0 to ``weights_sum``, is not read.
+    cells of its sector reads them, with no scan and no grid. An empty
+    sector, which would add exactly 0.0 to ``weights_sum``, is not read;
+    ``occupied`` is the number of sectors read.
     """
     occupied = occupied_sectors(state)
     sectors = []
@@ -137,7 +142,7 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
         coeffs = cells / math.sqrt(weight)
         coeffs.flags.writeable = False
         sectors.append(Sector(n=n, weight=weight, coeffs=coeffs, cutoff=min(n, state.cutoff)))
-    return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)
+    return SectorDecomposition(sectors=sectors, weights_sum=weights_sum, occupied=len(occupied))
 
 
 #: Weight outside its dominant sector above which :func:`particle_moments`
@@ -218,9 +223,11 @@ def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
 def qfi_particle(decomp: SectorDecomposition) -> Optional[float]:
     """Particle-picture phase information, defined only at fixed photon number.
 
-    Returns ``None`` when the state has particle-number fluctuations (no
-    sector holds essentially all the weight); per-sector reports remain
-    available through :func:`sector_moments`.
+    Returns ``None`` when the state has particle-number fluctuations, that is
+    when it occupies more than one photon-number sector
+    (:meth:`SectorDecomposition.fixed_n_sector`); F = n Var[sigma_z] +
+    n(n-1) Cov[sigma_z, sigma_z] holds only at exactly fixed n. Per-sector
+    reports remain available through :func:`sector_moments`.
     """
     sector = decomp.fixed_n_sector()
     if sector is None:

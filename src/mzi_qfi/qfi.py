@@ -13,7 +13,15 @@ computed alongside it:
                      extrapolated by default, from the probe's weight on
                      each difference d = j - k
   * particle route - n Var[sigma_z] + n(n-1) Cov[sigma_z, sigma_z] for
-                     fixed-photon-number probes
+                     probes that occupy exactly one photon-number sector
+
+Two routes agree when they differ by at most the sum of their own error
+bounds. Every route sums terms as large as <N^2> = <(n_a + n_b)^2>, so each
+carries the round-off ``ROUTE_ROUNDOFF`` <N^2>, whatever F is. The fidelity
+route adds its truncation, ``FIDELITY_ROUTE_ATOL`` +
+``FIDELITY_ROUTE_RTOL`` |f_fidelity|, and the symmetric route the bound of
+its premise error, which the measured asymmetry of the probe gives and which
+is 0 for an exactly symmetric one.
 
 Undefined routes (dark modes, particle-number fluctuations) are ``None``
 with a reason string; they never collapse to zero.
@@ -29,24 +37,22 @@ import numpy as np
 
 from .coherence import CoherenceReport, analyze
 from .errors import ParameterError
-from .fock import FockState, difference_weights
+from .fock import FockState, difference_weights, number_moments
 from .particle import SectorDecomposition, decompose_sectors, qfi_particle
 from .schwinger import difference_phases, jz_moments
 
 #: Below this the information is treated as zero and the CRB is undefined.
 CRB_FLOOR = 1e-12
 
-#: Route-agreement tolerances, absolute and relative. A pair's relative
-#: tolerance scales the value of its alphabetically first route, the one
-#: ``build_report`` passes to ``_allowance`` as ``a``: f_fidelity against any
-#: other, then f_mode against f_path_symmetric or f_variance, and
-#: f_path_symmetric against f_variance. A pair with f_particle (and not
-#: f_fidelity) takes ``PARTICLE_ROUTE_ATOL`` alone.
-MODE_ROUTE_ATOL = 1e-9
-MODE_ROUTE_RTOL = 1e-9
+#: Each route's round-off per unit of <N^2>: 32 u, u = 2^-53 the unit
+#: round-off, about three times the largest spread of the closed-form routes,
+#: 9.8 u <N^2>, over the fixed-n probes up to cutoff 1300 and the continuous
+#: families (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+#: ch. 3-4).
+ROUTE_ROUNDOFF = 32 * 2.0**-53
+#: The fidelity route's truncation error, absolute and relative to its value.
 FIDELITY_ROUTE_RTOL = 1e-6
 FIDELITY_ROUTE_ATOL = 1e-9
-PARTICLE_ROUTE_ATOL = 1e-9
 
 #: The default fidelity step is this over the widest |j - k| the probe holds.
 FIDELITY_STEP_SCALE = 0.02
@@ -75,7 +81,8 @@ class QfiReport:
     """All computed routes plus their cross-validation summary.
 
     ``disagreements`` holds one record for each pair of routes that misses
-    its allowance, with ``routes`` (the pair's two values by name), the
+    its allowance, the sum of the two routes' own error bounds (see the
+    module), with ``routes`` (the pair's two values by name), the
     ``residual`` (the first, by name, minus the second), the ``allowance``
     and the ``fidelity_step`` the fidelity route took. It explains a report
     that is not ``routes_consistent`` and is not part of ``as_dict``.
@@ -141,10 +148,15 @@ def _default_step(differences: np.ndarray) -> float:
     return min(max(FIDELITY_STEP_SCALE / spread, MIN_FIDELITY_STEP), MAX_FIDELITY_STEP)
 
 
-def _fidelity(state: FockState, step: Optional[float], richardson: bool) -> Tuple[float, float]:
-    """:func:`qfi_fidelity` and the step it took."""
+def check_fidelity_step(step: Optional[float]) -> None:
+    """Raise ``ParameterError`` unless ``step`` is ``None`` (the default) or lies in [1e-5, 1e-2]."""
     if step is not None and not MIN_FIDELITY_STEP <= step <= MAX_FIDELITY_STEP:
         raise ParameterError(f"fidelity step must lie in [1e-5, 1e-2], got {step!r}")
+
+
+def _fidelity(state: FockState, step: Optional[float], richardson: bool) -> Tuple[float, float]:
+    """:func:`qfi_fidelity` and the step it took."""
+    check_fidelity_step(step)
     weights = difference_weights(state)
     held = np.flatnonzero(weights)
     differences = state.cutoff - held
@@ -211,18 +223,16 @@ def classify_scaling(f: float, nbar: float) -> ScalingClass:
     )
 
 
-def _allowance(name_a: str, a: float, name_b: str) -> float:
-    """How far the route ``name_b`` may lie from ``name_a``, whose value ``a`` scales it.
+def _premise_bound(report: CoherenceReport) -> float:
+    """A bound of f_mode - f_path_symmetric on a probe that ``analyze`` called symmetric.
 
-    ``build_report`` passes each pair in sorted order of names, so ``a`` is
-    the value of the alphabetically first route, never ``f_variance``'s.
+    With e = (nbar_a - nbar_b)/2 and h = (g2_a - g2_b)/2 the difference is
+    2 e^2 (g2_a + g2_ab - 2) - 2 h nbar_b^2 exactly, which is 0 when the
+    probe is exactly symmetric.
     """
-    pair = {name_a, name_b}
-    if "f_fidelity" in pair:
-        return FIDELITY_ROUTE_ATOL + FIDELITY_ROUTE_RTOL * abs(a)
-    if "f_particle" in pair:
-        return PARTICLE_ROUTE_ATOL
-    return MODE_ROUTE_ATOL + MODE_ROUTE_RTOL * abs(a)
+    e = (report.nbar_a - report.nbar_b) / 2.0
+    h = (report.g2_a - report.g2_b) / 2.0
+    return 2.0 * e * e * abs(report.g2_a + report.g2_ab - 2.0) + 2.0 * abs(h) * report.nbar_b**2
 
 
 def build_report(
@@ -268,13 +278,18 @@ def build_report(
     if scaling is None:
         reasons["scaling_class"] = "mean photon number is zero"
 
-    routes = {"f_variance": f_variance, "f_fidelity": f_fidelity}
-    if f_mode is not None:
-        routes["f_mode"] = f_mode
+    routes = {name: value for name, value in (
+        ("f_variance", f_variance), ("f_fidelity", f_fidelity), ("f_mode", f_mode),
+        ("f_path_symmetric", f_sym), ("f_particle", f_particle)) if value is not None}
+
+    # each route's own error bound, from the moments the state keeps; a pair
+    # agrees within the sum of its two routes' bounds
+    moments = number_moments(state)
+    roundoff = ROUTE_ROUNDOFF * (moments.aa + moments.a + moments.bb + moments.b + 2.0 * moments.ab)
+    bounds = dict.fromkeys(routes, roundoff)
+    bounds["f_fidelity"] += FIDELITY_ROUTE_ATOL + FIDELITY_ROUTE_RTOL * abs(f_fidelity)
     if f_sym is not None:
-        routes["f_path_symmetric"] = f_sym
-    if f_particle is not None:
-        routes["f_particle"] = f_particle
+        bounds["f_path_symmetric"] += _premise_bound(coherence_report)
 
     names = sorted(routes)
     agreement = 0.0
@@ -285,7 +300,7 @@ def build_report(
             agreement = max(agreement, abs(a - b))
             if not richardson and "f_fidelity" in (name_a, name_b):
                 continue  # the documented fidelity tolerance presumes extrapolation
-            allowance = _allowance(name_a, a, name_b)
+            allowance = bounds[name_a] + bounds[name_b]
             if not abs(a - b) <= allowance:
                 disagreements.append({
                     "routes": {name_a: a, name_b: b},

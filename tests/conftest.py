@@ -130,3 +130,26 @@ def sector_cell_runs(draw, max_cutoff: int = 10):
         if kind != "normal":
             cells[i] = _SPECIAL_AMPLITUDES[kind]
     return cells, n, cutoff, draw(st.sampled_from([0.0, 3e-13]))
+
+
+@st.composite
+def near_sector_states(draw, max_n: int = 59):
+    """A random state of one photon-number sector n plus a random remainder of weight eps.
+
+    n = 0 gives the vacuum plus a remainder. The remainder fills every other
+    cell of a grid whose cutoff lies between max(n, 1) and ``max_n``, and
+    eps is drawn log-uniformly from [1e-12, 1e-6], where a weight threshold
+    on the sector would call the state fixed-n.
+    """
+    n = draw(st.integers(0, max_n))
+    cutoff = draw(st.integers(max(n, 1), max(max_n, 1)))
+    eps = 10.0 ** draw(st.floats(-12.0, -6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (cutoff + 1, cutoff + 1)
+    grid = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ks = fock.sector_kets(n, cutoff)
+    sector = grid[ks, n - ks].copy()
+    grid[ks, n - ks] = 0
+    grid *= np.sqrt(eps) / np.linalg.norm(grid)
+    grid[ks, n - ks] = np.sqrt(1 - eps) * sector / np.linalg.norm(sector)
+    return FockState.from_grid(grid)

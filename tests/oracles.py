@@ -543,16 +543,18 @@ def dense_decompose_sectors(state):
     grid = state.amplitudes
     sectors = []
     weights_sum = 0.0
+    occupied = 0
     for n in range(2 * state.cutoff + 1):
         ks = sector_kets(n, state.cutoff)
         amps = grid[ks, n - ks]
+        occupied += bool(np.any(amps))
         weight = float(np.sum(np.abs(amps) ** 2))
         weights_sum += weight
         if weight < WEIGHT_FLOOR:
             continue
         coeffs = amps / math.sqrt(weight)
         sectors.append(Sector(n=n, weight=weight, coeffs=coeffs, cutoff=min(n, state.cutoff)))
-    return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)
+    return SectorDecomposition(sectors=sectors, weights_sum=weights_sum, occupied=occupied)
 
 
 def layout_decompose_sectors(state):
@@ -577,7 +579,8 @@ def layout_decompose_sectors(state):
             continue
         coeffs = cells[start:stop] / math.sqrt(weight)
         sectors.append(Sector(n=n, weight=weight, coeffs=coeffs, cutoff=min(n, state.cutoff)))
-    return SectorDecomposition(sectors=sectors, weights_sum=weights_sum)
+    return SectorDecomposition(sectors=sectors, weights_sum=weights_sum,
+                               occupied=len(layout.sectors))
 
 
 def full_svd_schmidt_values(state):

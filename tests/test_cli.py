@@ -500,7 +500,10 @@ class TestAnalyzeCommand:
             assert name_a == "f_fidelity" and a == 123.0
             others.add(name_b)
             assert failing["residual"] == a - b
-            assert failing["allowance"] == 1e-9 + 1e-6 * 123.0
+            # each route's round-off, 32 ulps of <N^2> = 4, and the fidelity route's
+            # truncation; noon is exactly symmetric, so no premise term is added
+            roundoff = 32 * 2.0**-53 * 4
+            assert failing["allowance"] == roundoff + (1e-9 + 1e-6 * 123.0) + roundoff
             assert failing["fidelity_step"] == 0.005
         assert others == {"f_mode", "f_particle", "f_path_symmetric", "f_variance"}
 
@@ -511,6 +514,45 @@ class TestAnalyzeCommand:
         code, out, err = run_cli(capsys, "analyze", "--family", family, "--n", str(n))
         assert (code, err) == (0, "")
         assert json.loads(out)["qfi"]["routes_consistent"] is True
+
+    @pytest.mark.parametrize("family,n", [
+        ("twin-fock", 644), ("twin-fock", 649), ("fraternal-twin-fock", 557),
+        ("fraternal-twin-fock", 622), ("fraternal-twin-fock", 623),
+        ("fraternal-twin-fock", 631), ("fraternal-twin-fock", 641)])
+    def test_fixed_n_probes_at_the_raised_ceiling_agree_within_their_roundoff(
+            self, capsys, monkeypatch, family, n):
+        # F is near 8e5 here; f_particle errs by about 1e-9, a few ulps of <N^2>
+        monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "1300")
+        code, _, err = run_cli(capsys, "analyze", "--family", family, "--n", str(n))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("args", [
+        ["tsv", "--nbar", "1e-9"], ["tsv", "--nbar", "2e-9"],
+        ["amplified-bell", "--nbar", "1.000000001"],
+        ["fock-pair", "--n", "100000"], ["separable-coherent-probe", "--n", "5000"]],
+        ids=" ".join)
+    def test_edges_of_the_range_keep_their_routes_consistent(self, capsys, args):
+        # the first three occupy several sectors, so they have no particle route;
+        # the last two are fixed-n, with <N^2> of 4e10 and 2.5e7
+        code, out, err = run_cli(capsys, "analyze", "--family", *args)
+        assert (code, err) == (0, "")
+        qfi = json.loads(out)["qfi"]
+        assert (qfi["f_particle"] is None) is (args[1] == "--nbar")
+
+    def test_a_route_off_by_a_part_in_1e12_exits_two(self, capsys, monkeypatch):
+        import mzi_qfi.qfi as qfi_module
+
+        # tsv at nbar 4 has <N^2> = 40, so two closed-form routes may differ by 2.8e-13;
+        # F = 24, so f_mode moves by 2.4e-11
+        argv = ["analyze", "--family", "tsv", "--nbar", "4"]
+        assert run_cli(capsys, *argv)[0] == 0
+        mode = qfi_module.qfi_mode
+        monkeypatch.setattr(qfi_module, "qfi_mode", lambda report: mode(report) * (1 + 1e-12))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert [sorted(json.loads(line)["route_disagreement"]["routes"])
+                for line in err.splitlines()] == [["f_mode", name] for name in (
+                    "f_path_symmetric", "f_variance")]
 
     def test_small_noon_probe_stays_inside_its_allowance(self, capsys):
         # noon n = 3 takes h = 0.02 / 3, near the largest step allowed
@@ -764,6 +806,17 @@ class TestErrorContract:
             assert (exit_code, out) == (1, ""), args
             assert json.loads(err)["error"] == {"code": code, "message": message}, args
 
+    @pytest.mark.parametrize("step", ["1", "1e-6", "nan", "-inf"])
+    def test_fidelity_step_is_checked_before_the_chain(self, capsys, monkeypatch, step):
+        calls = []
+        monkeypatch.setattr(cli, "analyze", lambda *a, **k: calls.append(a))
+        exit_code, out, err = run_cli(capsys, "analyze", "--family", "tsv", "--nbar", "7",
+                                      "--fidelity-step", step)
+        assert (exit_code, out, calls) == (1, "", [])
+        assert json.loads(err)["error"] == {
+            "code": "bad-parameter",
+            "message": f"fidelity step must lie in [1e-5, 1e-2], got {float(step)!r}"}
+
     @pytest.mark.parametrize("args,code,message", TABLE1_ERRORS, ids=lambda v: " ".join(v)
                              if isinstance(v, list) else "")
     def test_table1_error(self, capsys, args, code, message):
@@ -971,21 +1024,20 @@ class TestSweepCommand:
             assert len(failing) == 4
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_twin_fock_at_the_raised_ceiling_names_only_its_failing_row(self, capsys,
-                                                                        monkeypatch, fmt):
-        # twin-fock n = 644 misses the allowance between f_particle and two other routes;
-        # n = 643 misses none
-        monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "1300")
-        code, out, err = run_cli(capsys, "sweep", "--family", "twin-fock",
-                                 "--nbar", "1286,1288", "--format", fmt)
+    def test_wide_noon_names_only_its_failing_row(self, capsys, fmt):
+        # the step floor 1e-5 puts h max|d| at 0.2 for n = 20000, where the fidelity
+        # route errs by 1.1e-6 of F, past its 1e-6 allowance; n = 10000 errs by 6.9e-8
+        code, out, err = run_cli(capsys, "sweep", "--family", "noon",
+                                 "--nbar", "10000,20000", "--format", fmt)
         assert code == 2
         assert out.count(",ok,") == 2 if fmt == "csv" else [
             row["status"] for row in json.loads(out)["rows"]] == ["ok", "ok"]
         records = [json.loads(line) for line in err.splitlines()]
         assert [(record["family"], record["nbar_target"]) for record in records] == [
-            ("twin-fock", 1288.0)] * 2
+            ("noon", 20000.0)] * 4
         assert [list(record["route_disagreement"]["routes"]) for record in records] == [
-            ["f_mode", "f_particle"], ["f_particle", "f_path_symmetric"]]
+            ["f_fidelity", name] for name in ("f_mode", "f_particle", "f_path_symmetric",
+                                              "f_variance")]
 
     def test_coherent_tracks_shot_noise(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--family", "coherent",

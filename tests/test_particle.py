@@ -111,6 +111,18 @@ class TestDecomposition:
         assert decomp.sectors[1].weight == pytest.approx(light, rel=1e-9)
         listed = sum(sector.weight for sector in decomp.sectors)
         assert decomp.weights_sum - listed == pytest.approx(trace, rel=0.5)
+        assert decomp.occupied == 3
+
+    @pytest.mark.parametrize("amplitude", [1e-170, 1e-9, -1e-9j])
+    def test_one_nonzero_cell_outside_the_sector_means_no_fixed_n(self, amplitude):
+        # 1e-170 squares to 0: the sector keeps all the weight, and weights_sum
+        # equals it, yet the state occupies two sectors
+        state = fixed_n_superposition({(2, 1): 1.0, (0, 0): amplitude}, 3)
+        decomp = decompose_sectors(state)
+        assert decomp.occupied == 2 and decomp.fixed_n_sector() is None
+        assert qfi_particle(decomp) is None
+        pure = decompose_sectors(fixed_n_superposition({(2, 1): 1.0}, 3))
+        assert pure.occupied == 1 and pure.fixed_n_sector() == pure.sectors[0]
 
     def test_weights_sum_to_one_for_factory_states(self):
         for family, params in [

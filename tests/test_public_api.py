@@ -76,7 +76,7 @@ PUBLIC_SIGNATURES = {
     "ScalingClass": "sub_shot_noise ratio_shot_noise ratio_heisenberg",
     "ScalingClass.as_dict": "self",
     "Sector": "n weight coeffs cutoff",
-    "SectorDecomposition": "sectors weights_sum",
+    "SectorDecomposition": "sectors weights_sum occupied",
     "SectorDecomposition.dominant": "self",
     "SectorDecomposition.fixed_n_sector": "self",
     "SpinDirection": "x y z",

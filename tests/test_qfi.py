@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_two_mode_state, sector_cell_runs, sparse_states
+import mzi_qfi.qfi as qfi_module
+from conftest import near_sector_states, random_two_mode_state, sector_cell_runs, sparse_states
 from mzi_qfi.coherence import analyze
 from mzi_qfi.errors import ParameterError
-from mzi_qfi.fock import FockState, make_fock, sector_kets
+from mzi_qfi.fock import FockState, make_fock, number_moments, sector_kets
+from mzi_qfi.particle import decompose_sectors
 from mzi_qfi.qfi import (
     build_report,
     classify_scaling,
@@ -249,8 +251,6 @@ class TestFullReport:
         assert report.reasons["f_particle"] == "particle fluctuations present"
 
     def test_fidelity_pair_judged_at_its_relative_tolerance(self, monkeypatch):
-        import mzi_qfi.qfi as qfi_module
-
         state = build(ProbeSpec("noon", {"n": 4}))
         # a 3e-7 relative offset: inside the finite-difference tolerance,
         # far outside the algebraic-identity one
@@ -261,7 +261,9 @@ class TestFullReport:
         monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (16.0 + 5e-4, 1e-3))
         report = build_report(state)
         assert not report.routes_consistent
-        # each other route misses the fidelity route, by its allowance at the first name
+        # each other route misses the fidelity route, by the fidelity route's truncation
+        # and both routes' round-off at <N^2> = 16, to rounding
+        roundoff = ROUNDOFF * total_squared(state)
         assert {tuple(record["routes"]) for record in report.disagreements} == {
             ("f_fidelity", name) for name in ("f_mode", "f_particle", "f_path_symmetric",
                                               "f_variance")
@@ -269,39 +271,9 @@ class TestFullReport:
         for record in report.disagreements:
             (name_a, a), (name_b, b) = record["routes"].items()
             assert record["residual"] == a - b
-            assert record["allowance"] in (1e-9 + 1e-6 * abs(a), 1e-9)
+            assert record["allowance"] == roundoff + (1e-9 + 1e-6 * abs(a)) + roundoff
             assert abs(record["residual"]) > record["allowance"]
             assert record["fidelity_step"] == 1e-3
-
-    def test_each_pair_is_scaled_by_its_alphabetically_first_route(self, monkeypatch):
-        import mzi_qfi.qfi as qfi_module
-
-        # noon n = 4 has every route; give each a value of its own
-        values = {"f_fidelity": 16.5, "f_mode": -17.0, "f_particle": 18.0,
-                  "f_path_symmetric": 19.0, "f_variance": 20.0}
-        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (values["f_fidelity"], 1e-3))
-        for name in ("f_mode", "f_path_symmetric", "f_variance"):
-            monkeypatch.setattr(qfi_module, name.replace("f_", "qfi_"),
-                                lambda *a, name=name: values[name])
-        monkeypatch.setattr(qfi_module, "qfi_particle", lambda *a: values["f_particle"])
-        calls = []
-        allowance = qfi_module._allowance
-        monkeypatch.setattr(qfi_module, "_allowance",
-                            lambda *args: calls.append(args) or allowance(*args))
-        build_report(build(ProbeSpec("noon", {"n": 4})))
-        fidelity = 1e-9 + 1e-6 * abs(values["f_fidelity"])
-        expected = {
-            ("f_fidelity", "f_mode"): fidelity, ("f_fidelity", "f_particle"): fidelity,
-            ("f_fidelity", "f_path_symmetric"): fidelity, ("f_fidelity", "f_variance"): fidelity,
-            ("f_mode", "f_particle"): 1e-9, ("f_mode", "f_path_symmetric"): 1e-9 + 1e-9 * 17.0,
-            ("f_mode", "f_variance"): 1e-9 + 1e-9 * 17.0,
-            ("f_particle", "f_path_symmetric"): 1e-9, ("f_particle", "f_variance"): 1e-9,
-            ("f_path_symmetric", "f_variance"): 1e-9 + 1e-9 * 19.0,
-        }
-        assert {(name_a, name_b) for name_a, _, name_b in calls} == set(expected)
-        for name_a, a, name_b in calls:
-            assert a == values[name_a]
-            assert allowance(name_a, a, name_b) == expected[name_a, name_b], (name_a, name_b)
 
     def test_heavily_squeezed_probe_stays_consistent(self, monkeypatch):
         monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "512")
@@ -310,3 +282,154 @@ class TestFullReport:
         assert report.routes_consistent
         nbar = 2 * math.sinh(1.5) ** 2
         assert abs(report.f_variance - (nbar**2 + 2 * nbar)) < 1e-6 * report.f_variance
+
+
+#: Each route's round-off per unit of <N^2>, as ``qfi.ROUTE_ROUNDOFF`` states it.
+ROUNDOFF = 32 * 2.0**-53
+
+#: Every route of noon n = 4, each patched to a value of its own, far from the others.
+FAR_APART = {"f_fidelity": 16.5, "f_mode": -17.0, "f_particle": 18.0,
+             "f_path_symmetric": 19.0, "f_variance": 20.0}
+
+
+def patch_routes(monkeypatch, values):
+    """Make ``build_report`` take each route in ``values`` at the value given there."""
+    if "f_fidelity" in values:
+        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (values["f_fidelity"], 1e-3))
+    for name in ("f_mode", "f_path_symmetric", "f_variance"):
+        if name in values:
+            monkeypatch.setattr(qfi_module, name.replace("f_", "qfi_"),
+                                lambda *a, name=name: values[name])
+    if "f_particle" in values:
+        monkeypatch.setattr(qfi_module, "qfi_particle", lambda *a: values["f_particle"])
+
+
+def allowances(monkeypatch, state, values=FAR_APART):
+    """The allowance of each pair of routes that misses it, by the pair's names."""
+    patch_routes(monkeypatch, values)
+    return {frozenset(record["routes"]): record["allowance"]
+            for record in build_report(state).disagreements}
+
+
+def total_squared(state) -> float:
+    """<N^2> = <(n_a + n_b)^2> from the state's number moments."""
+    m = number_moments(state)
+    return m.aa + m.a + m.bb + m.b + 2.0 * m.ab
+
+
+def near_symmetric_twin_fock() -> FockState:
+    """Twin-fock n = 4 with |8,0> and |0,8> scaled by 1 + 3e-11 and 1 - 3e-11.
+
+    It is path-symmetric within ``PATH_SYMMETRY_TOL`` and occupies one sector;
+    the symmetric route errs by about 1.05e-9.
+    """
+    grid = build(ProbeSpec("twin-fock", {"n": 4})).amplitudes.copy()
+    grid[8, 0] *= 1 + 3e-11
+    grid[0, 8] *= 1 - 3e-11
+    return FockState.from_grid(grid)
+
+
+class TestRouteAgreement:
+    """A pair of routes agrees within the sum of its two routes' own error bounds."""
+
+    def test_each_pair_is_allowed_the_sum_of_its_routes_own_bounds(self, monkeypatch):
+        state = build(ProbeSpec("noon", {"n": 4}))
+        noon = allowances(monkeypatch, state)
+        assert len(noon) == 10  # every pair misses
+        roundoff = ROUNDOFF * total_squared(state)  # <N^2> = 16, to rounding
+        for pair, allowance in noon.items():
+            if "f_fidelity" in pair:  # the fidelity route adds its truncation
+                assert allowance == roundoff + (1e-9 + 1e-6 * 16.5) + roundoff, pair
+            else:  # the same for every closed-form pair; noon is exactly symmetric
+                assert allowance == 2 * roundoff, pair
+
+    def test_the_allowance_is_symmetric_in_the_pair(self, monkeypatch):
+        state = build(ProbeSpec("noon", {"n": 4}))
+        noon = allowances(monkeypatch, state)
+        for first, second in (("f_mode", "f_variance"), ("f_particle", "f_path_symmetric")):
+            swapped = {**FAR_APART, first: FAR_APART[second], second: FAR_APART[first]}
+            assert allowances(monkeypatch, state, swapped) == noon
+
+    def test_the_closed_form_allowance_scales_with_the_squared_photon_number(self,
+                                                                              monkeypatch):
+        # <N^2> is 16 for noon n = 4 and 64 for n = 8
+        small = allowances(monkeypatch, build(ProbeSpec("noon", {"n": 4})))
+        large = allowances(monkeypatch, build(ProbeSpec("noon", {"n": 8})))
+        for pair in small:
+            if "f_fidelity" not in pair:
+                assert large[pair] == pytest.approx(4 * small[pair], rel=1e-14), pair
+
+    def test_only_the_symmetric_route_adds_its_premise_term(self, monkeypatch):
+        state = near_symmetric_twin_fock()
+        report = analyze(state)
+        assert report.path_symmetric and report.nbar_a != report.nbar_b
+        e = (report.nbar_a - report.nbar_b) / 2
+        h = (report.g2_a - report.g2_b) / 2
+        premise = 2 * e * e * abs(report.g2_a + report.g2_ab - 2) + 2 * abs(h) * report.nbar_b**2
+        assert 1e-9 < premise < 1.1e-9
+        found = allowances(monkeypatch, state)
+        roundoff = ROUNDOFF * total_squared(state)
+        assert len(found) == 10
+        for pair, allowance in found.items():
+            own = roundoff + (1e-9 + 1e-6 * 16.5) if "f_fidelity" in pair else roundoff
+            if "f_path_symmetric" in pair:
+                assert allowance == pytest.approx(own + roundoff + premise, rel=1e-12), pair
+            else:
+                assert allowance == own + roundoff, pair
+
+    def test_premise_bound_covers_the_symmetric_routes_error(self, rng):
+        # f_mode - f_path_symmetric = 2 e^2 (g2_a + g2_ab - 2) - 2 h nbar_b^2 exactly
+        for _ in range(20):
+            report = analyze(random_two_mode_state(rng, 8, 6), tol=1e3)
+            e = (report.nbar_a - report.nbar_b) / 2
+            h = (report.g2_a - report.g2_b) / 2
+            error = qfi_mode(report) - qfi_path_symmetric(report)
+            exact = 2 * e * e * (report.g2_a + report.g2_ab - 2) - 2 * h * report.nbar_b**2
+            assert error == pytest.approx(exact, rel=1e-9, abs=1e-12)
+            assert qfi_module._premise_bound(report) >= abs(exact)
+
+    @pytest.mark.parametrize("share,consistent", [(0.9, True), (1.1, False)])
+    @pytest.mark.parametrize("route", ["f_mode", "f_fidelity"])
+    def test_a_pair_at_the_edge_of_its_allowance(self, monkeypatch, route, share, consistent):
+        # noon n = 64: F = 4096 and <N^2> = 4096, exactly symmetric, so the closed-form
+        # pairs may differ by 64 u <N^2>, 2.9e-11, and a fidelity pair by 1e-9 + 1e-6 F more
+        state = build(ProbeSpec("noon", {"n": 64}))
+        value = qfi_variance(state)
+        edge = 2 * ROUNDOFF * total_squared(state)
+        if route == "f_fidelity":
+            edge += 1e-9 + 1e-6 * value
+        values = dict.fromkeys(("f_mode", "f_particle", "f_path_symmetric", "f_fidelity"), value)
+        values[route] = value + share * edge
+        patch_routes(monkeypatch, values)
+        report = build_report(state)
+        assert report.routes_consistent is consistent
+        others = {"f_mode", "f_particle", "f_path_symmetric", "f_variance"} - {route}
+        assert {frozenset(record["routes"]) for record in report.disagreements} == (
+            set() if consistent else {frozenset((route, other)) for other in others})
+
+    def test_a_near_symmetric_probe_keeps_its_symmetric_route(self):
+        state = near_symmetric_twin_fock()
+        report = build_report(state)
+        assert report.f_path_symmetric is not None and report.f_particle is not None
+        assert report.routes_consistent, report.disagreements
+
+    def test_a_remainder_a_weight_sum_cannot_hold_has_no_particle_route(self):
+        # 1e-17 of the weight in sector 1300 is lost in the sum of the weights,
+        # yet it moves f_mode by 1.7e-11: the state is not of fixed n
+        grid = np.zeros((1301, 1301), dtype=np.complex128)
+        grid[[2, 1, 0], [0, 1, 2]] = [0.5, -math.sqrt(0.5), 0.5]  # twin-fock n = 1
+        grid[1300, 0] = math.sqrt(1e-17)
+        state = FockState.from_grid(grid)
+        decomposition = decompose_sectors(state)
+        assert decomposition.weights_sum == decomposition.dominant().weight
+        report = build_report(state, decomposition=decomposition)
+        assert report.f_particle is None
+        assert report.reasons["f_particle"] == "particle fluctuations present"
+        assert report.routes_consistent, report.disagreements
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(near_sector_states())
+    def test_near_sector_states_keep_every_pair_consistent(self, state):
+        report = build_report(state)
+        assert report.f_particle is None
+        assert report.disagreements == ()

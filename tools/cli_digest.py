@@ -14,9 +14,11 @@ The optional argument is the root of the checkout whose ``src/`` is run; by
 default it is this one. The invocation list is this checkout's, whichever
 ``src/`` runs it. It covers every family and alias from ``--nbar``, the
 fixed-n families from ``--n``, explicit cutoffs, ``table1`` in each format,
-the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, a twin-fock sweep
-at a ceiling of 1300 in csv and json that exits 2 on its 1288 row (so the
-digest shows where a sweep's stderr lines move), two state files
+the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, a noon sweep
+in csv and json that exits 2 on its 20000 row (so the digest shows where a
+sweep's stderr lines move), probes at the edges of the route-agreement rule
+(near the vacuum, near one sector, and fixed n far past the default
+ceiling), two state files
 read with ``--state-file``, cutoffs and photon numbers whose arrays numpy
 refuses to allocate, an entangled-coherent target whose double overflows a
 float, and every usage error of ``analyze`` and ``table1`` in
@@ -56,9 +58,16 @@ SWEEPS = (
     ["sweep", "--family", "tsv", "--nbar", "2,4,8"],
 )
 CEILINGS = ("1024", "2048")
-#: A sweep whose row 1288 (twin-fock n = 644) exits 2 and 1286 does not.
-DISAGREEING_SWEEP = ({"MZI_QFI_CUTOFF_CEILING": "1300"},
-                     ["sweep", "--family", "twin-fock", "--nbar", "1286,1288"])
+#: A sweep whose row 20000 (noon n = 20000) exits 2 on its fidelity route and 10000 does not.
+DISAGREEING_SWEEP = ({}, ["sweep", "--family", "noon", "--nbar", "10000,20000"])
+#: Probes whose routes agree within each route's round-off: several sectors near
+#: the vacuum or near one sector, and fixed n with <N^2> far above F.
+ROUTE_EDGES = (
+    *[({}, ["analyze", "--family", name, "--nbar", "1e-9"]) for name in ("tsv", "ecs", "tmsv")],
+    ({}, ["analyze", "--family", "amplified-bell", "--nbar", "1.000000001"]),
+    ({}, ["analyze", "--family", "fock-pair", "--n", "100000"]),
+    ({"MZI_QFI_CUTOFF_CEILING": "1300"}, ["analyze", "--family", "twin-fock", "--n", "644"]),
+)
 #: Arrays numpy refuses to allocate at all, which ``build`` refuses first.
 UNADDRESSABLE = (
     ["--family", "coherent", "--alpha", "2", "--cutoff", "10000000000000000000"],
@@ -116,6 +125,7 @@ def invocations() -> List[Invocation]:
                  for family in ("tsv", "tmsv", "amplified-bell")]
     env, argv = DISAGREEING_SWEEP
     runs += [(env, [*argv, "--format", fmt]) for fmt in ("csv", "json")]
+    runs += [(env, list(argv)) for env, argv in ROUTE_EDGES]
     runs += [({}, ["analyze", "--state-file", path]) for path in STATE_DOCUMENTS]
     runs += [({}, ["analyze", *args]) for args in UNADDRESSABLE]
     runs.append(({}, ["analyze", "--family", "ecs", "--nbar", "1e308"]))  # its bracket overflows
