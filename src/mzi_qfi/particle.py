@@ -11,7 +11,10 @@ collective-spin moments into single-particle Pauli statistics:
 
 The phase-sensitivity decomposition F = n Var[sigma_z] + n(n-1) Cov[sigma_z,
 sigma_z] makes the covariance an entanglement witness: product sectors have
-zero covariance and are shot-noise limited. Every sector is read through
+zero covariance and are shot-noise limited. A sector is called entangled when
+n(n-1) Cov[sigma_z, sigma_z], its excess over shot noise, exceeds its own
+round-off bound, ``ROUTE_ROUNDOFF`` <N^2> with <N^2> = n^2, the bound against
+which ``qfi`` judges F - nbar. Every sector is read through
 :func:`mzi_qfi.fock.state_cells`, in place or from the cells a state holds,
 and a decomposition reads only the sectors
 :func:`mzi_qfi.fock.occupied_sectors` names.
@@ -26,13 +29,10 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ParameterError, SectorSupportError
-from .fock import FockState, occupied_sectors, sector_kets, state_cells
+from .fock import ROUTE_ROUNDOFF, FockState, occupied_sectors, sector_kets, state_cells
 
 #: Sector weights below this are dropped from decompositions.
 WEIGHT_FLOOR = 1e-14
-
-#: Covariance threshold for the entanglement witness.
-WITNESS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Sector:
@@ -164,7 +164,7 @@ def _report_from_z_stats(n: int, mean_z: float, mean_zz: Optional[float]) -> Par
         var_sigma_z=var_z,
         cov_sigma_z=cov_z,
         f_particle=f_particle,
-        witness_entangled=cov_z > WITNESS_TOL,
+        witness_entangled=n * (n - 1) * cov_z > ROUTE_ROUNDOFF * n * n,
     )
 
 

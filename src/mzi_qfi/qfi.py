@@ -23,6 +23,11 @@ route adds its truncation, ``FIDELITY_ROUTE_ATOL`` +
 its premise error, which the measured asymmetry of the probe gives and which
 is 0 for an exactly symmetric one.
 
+The report's verdicts are judged against the same round-off, B =
+``ROUTE_ROUNDOFF`` <N^2>: the CRB is defined when f_variance > B, and the
+probe is sub-shot-noise when f_variance - nbar > B. Values print as
+computed; a value within B of zero is not rounded to it.
+
 Undefined routes (dark modes, particle-number fluctuations) are ``None``
 with a reason string; they never collapse to zero.
 """
@@ -37,26 +42,17 @@ import numpy as np
 
 from .coherence import CoherenceReport, analyze
 from .errors import ParameterError
-from .fock import FockState, difference_weights, number_moments
+from .fock import ROUTE_ROUNDOFF, FockState, difference_weights, number_moments
 from .particle import SectorDecomposition, decompose_sectors, qfi_particle
 from .schwinger import difference_phases, jz_moments
 
-#: Below this the information is treated as zero and the CRB is undefined.
-CRB_FLOOR = 1e-12
-
-#: Each route's round-off per unit of <N^2>: 32 u, u = 2^-53 the unit
-#: round-off, about three times the largest spread of the closed-form routes,
-#: 9.8 u <N^2>, over the fixed-n probes up to cutoff 1300 and the continuous
-#: families (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-#: ch. 3-4).
-ROUTE_ROUNDOFF = 32 * 2.0**-53
 #: The fidelity route's truncation error, absolute and relative to its value.
 FIDELITY_ROUTE_RTOL = 1e-6
 FIDELITY_ROUTE_ATOL = 1e-9
 
 #: The default fidelity step is this over the widest |j - k| the probe holds.
 FIDELITY_STEP_SCALE = 0.02
-#: The range of every fidelity step, the default one clamped to it.
+#: The range of an explicit fidelity step; the default one is at most the largest.
 MIN_FIDELITY_STEP = 1e-5
 MAX_FIDELITY_STEP = 1e-2
 
@@ -141,11 +137,9 @@ def qfi_path_symmetric(report: CoherenceReport) -> Optional[float]:
 
 
 def _default_step(differences: np.ndarray) -> float:
-    """``FIDELITY_STEP_SCALE`` over the widest of ``differences``, clamped; the largest step at 0."""
+    """``FIDELITY_STEP_SCALE`` over the widest of ``differences``, at most the largest step."""
     spread = int(np.abs(differences).max())
-    if spread == 0:
-        return MAX_FIDELITY_STEP
-    return min(max(FIDELITY_STEP_SCALE / spread, MIN_FIDELITY_STEP), MAX_FIDELITY_STEP)
+    return min(FIDELITY_STEP_SCALE / spread, MAX_FIDELITY_STEP) if spread else MAX_FIDELITY_STEP
 
 
 def check_fidelity_step(step: Optional[float]) -> None:
@@ -204,20 +198,24 @@ def qfi_fidelity(
     sin(hd/2), which would tie it to the variance route.
 
     By default h = ``FIDELITY_STEP_SCALE`` / max|d| over the d where
-    p(d) > 0, clamped to [1e-5, 1e-2], and 1e-2 when only d = 0 holds
-    weight: the error of the extrapolated difference grows like
-    (h max|d|)^4, so a fixed step fails for wide probes. An explicit ``step``
-    must lie in [1e-5, 1e-2].
+    p(d) > 0, at most 1e-2, and 1e-2 when only d = 0 holds weight: the error
+    of the extrapolated difference grows like (h max|d|)^4, so a fixed step
+    fails for wide probes, and no floor holds h max|d| above 0.02. An
+    explicit ``step`` must lie in [1e-5, 1e-2].
     """
     return _fidelity(state, step, richardson)[0]
 
 
-def classify_scaling(f: float, nbar: float) -> ScalingClass:
-    """Ratios against the shot-noise and Heisenberg benchmarks."""
+def classify_scaling(f: float, nbar: float, bound: float) -> ScalingClass:
+    """Ratios against the shot-noise and Heisenberg benchmarks.
+
+    Sub-shot-noise when f - nbar exceeds ``bound``, to which ``build_report``
+    passes its routes' round-off, ``ROUTE_ROUNDOFF`` <N^2>.
+    """
     if nbar <= 0:
         raise ParameterError(f"scaling classification needs nbar > 0, got {nbar!r}")
     return ScalingClass(
-        sub_shot_noise=f > nbar + 1e-9,
+        sub_shot_noise=f - nbar > bound,
         ratio_shot_noise=f / nbar,
         ratio_heisenberg=f / nbar**2,
     )
@@ -271,21 +269,21 @@ def build_report(
     if f_particle is None:
         reasons["f_particle"] = "particle fluctuations present"
 
-    crb = 1.0 / math.sqrt(f_variance) if f_variance > CRB_FLOOR else None  # np.sqrt's bits
+    # each route's round-off, from the moments the state keeps, judges the
+    # verdicts; a pair of routes agrees within the sum of its two routes' bounds
+    moments = number_moments(state)
+    roundoff = ROUTE_ROUNDOFF * (moments.aa + moments.a + moments.bb + moments.b + 2.0 * moments.ab)
+    crb = 1.0 / math.sqrt(f_variance) if f_variance > roundoff else None  # np.sqrt's bits
     if crb is None:
         reasons["crb"] = "information below floor; no finite phase bound"
-    scaling = classify_scaling(f_variance, coherence_report.nbar) if coherence_report.nbar > 0 else None
+    nbar = coherence_report.nbar
+    scaling = classify_scaling(f_variance, nbar, roundoff) if nbar > 0 else None
     if scaling is None:
         reasons["scaling_class"] = "mean photon number is zero"
 
     routes = {name: value for name, value in (
         ("f_variance", f_variance), ("f_fidelity", f_fidelity), ("f_mode", f_mode),
         ("f_path_symmetric", f_sym), ("f_particle", f_particle)) if value is not None}
-
-    # each route's own error bound, from the moments the state keeps; a pair
-    # agrees within the sum of its two routes' bounds
-    moments = number_moments(state)
-    roundoff = ROUTE_ROUNDOFF * (moments.aa + moments.a + moments.bb + moments.b + 2.0 * moments.ab)
     bounds = dict.fromkeys(routes, roundoff)
     bounds["f_fidelity"] += FIDELITY_ROUTE_ATOL + FIDELITY_ROUTE_RTOL * abs(f_fidelity)
     if f_sym is not None:
@@ -325,7 +323,6 @@ def build_report(
 
 
 __all__ = [
-    "CRB_FLOOR",
     "FIDELITY_STEP_SCALE",
     "QfiReport",
     "ScalingClass",

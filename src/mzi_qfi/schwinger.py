@@ -131,7 +131,9 @@ def _jx_eigenbasis(n: int) -> np.ndarray:
     v_0 = 1 at the edge inward, the stable way: from where v is classically
     forbidden to where it oscillates. A column past 2^400 is scaled by 2^-400,
     so none overflows; the middle row of a column with s_j = -1 is exactly 0;
-    the norms are pairwise numpy sums. No BLAS or LAPACK call touches it.
+    the norms are pairwise numpy sums, each of one column's squares, taken
+    256 columns at a time, so the squares never take a second block. No BLAS
+    or LAPACK call touches it.
     :class:`_BasisCache` keeps a copy of the rows a grid reads, with their bits.
     """
     size = n // 2 + 1
@@ -148,9 +150,12 @@ def _jx_eigenbasis(n: int) -> np.ndarray:
             block[: k + 2, np.abs(row) > 2.0**400] *= 2.0**-400
     if n % 2 == 0:
         block[-1, 1 - n // 2 % 2 :: 2] = 0.0  # s_j = -1
-    squares = np.square(block.T, order="C")  # contiguous columns, for the pairwise sums
-    squares[:, -1] /= 2 - n % 2  # the middle row of an even sector is its own mirror
-    block /= np.sqrt(2 * squares.sum(axis=1))
+    sums, strip = np.empty(size), np.empty((min(size, 256), size))
+    for start in range(0, size, 256):  # each column squared into a contiguous row
+        squares = np.square(block[:, start : start + 256].T, out=strip[: min(size - start, 256)])
+        squares[:, -1] /= 2 - n % 2  # the middle row of an even sector is its own mirror
+        squares.sum(axis=1, out=sums[start : start + 256])  # pairwise, row by row
+    block /= np.sqrt(2 * sums)
     block.flags.writeable = False
     return block
 

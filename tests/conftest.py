@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -153,3 +154,36 @@ def near_sector_states(draw, max_n: int = 59):
     grid *= np.sqrt(eps) / np.linalg.norm(grid)
     grid[ks, n - ks] = np.sqrt(1 - eps) * sector / np.linalg.norm(sector)
     return FockState.from_grid(grid)
+
+
+def epsilon_state(eps: float) -> FockState:
+    """a|2,0> + b|1,1> + a|0,2> with a^2 = 1/4 + eps/4 and b^2 = 1/2 - eps/2.
+
+    It holds n = 2 photons with <sigma_z> = 0, so F - n = 2 eps = n(n-1)
+    Cov[sigma_z]: its excess over shot noise and its witness are one quantity.
+    """
+    grid = np.zeros((3, 3), dtype=np.complex128)
+    grid[2, 0] = grid[0, 2] = math.sqrt(0.25 + eps / 4)
+    grid[1, 1] = math.sqrt(0.5 - eps / 2)
+    return FockState(grid, 2)
+
+
+@st.composite
+def near_shot_noise_sectors(draw, max_n: int = 300):
+    """A spin coherent state of n >= 2 photons plus a perturbation within its sector.
+
+    The spin coherent state is B|n,0>, turned about the z axis by a random
+    angle: a product of n particles on the equator, at exactly shot noise,
+    F = n. The perturbation is a random vector of the sector of relative norm
+    delta, drawn log-uniformly from [1e-17, 1e-3]. The sum is renormalized
+    and held by its cells, so the particle route reads it.
+    """
+    n = draw(st.integers(2, max_n))
+    delta = 10.0 ** draw(st.floats(-17.0, -3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probe = schwinger.beam_splitter(fock.make_fock(n, 0, n))
+    probe = schwinger.apply_rotation(probe, (0.0, 0.0, 1.0), rng.uniform(0, 2 * math.pi))
+    [cells] = fock.state_cells(probe, [n])
+    noise = rng.normal(size=cells.size) + 1j * rng.normal(size=cells.size)
+    cells = cells + delta * noise / np.linalg.norm(noise)
+    return FockState._from_cells(cells / np.linalg.norm(cells), n, n)

@@ -22,7 +22,8 @@ each difference j - k square a whole grid and add its rows, the occupied
 sectors are found through a whole j + k grid, the twin squeezed vacuum
 grid is one whole outer product and the amplified Bell grid two, and the
 canonical JSON writer tests every value with ``isinstance``, one piece at a
-time. The number
+time, and the norms of a Jx eigenbasis block square the whole block at once.
+The number
 moments are also summed exactly: every cell's weighted probability is split
 into floats whose sum it is exactly, and ``math.fsum`` rounds their total
 once. The rotation and the decomposition read the sector layout of
@@ -538,6 +539,31 @@ def per_axis_eigh_rotation(state, v, angle):
     return FockState(out / np.linalg.norm(out), state.cutoff, state.truncation_loss)
 
 
+def whole_block_jx_eigenbasis(n):
+    """``schwinger._jx_eigenbasis`` with the squares of every column taken at once.
+
+    The recurrence is the package's, step for step; the norms square the
+    whole block's C-ordered transpose and sum it row by row.
+    """
+    size = n // 2 + 1
+    block = np.empty((size, size))
+    twice_m = 2.0 * np.arange(size) + n % 2
+    coupling = _ladder_coupling(n, np.arange(size, dtype=float))
+    block[0] = 1.0
+    for k in range(size - 1):
+        row = np.multiply(twice_m, block[k], out=block[k + 1])
+        if k:
+            row -= coupling[k - 1] * block[k - 1]
+        row /= coupling[k]
+        if np.abs(row).max() > 2.0**400:
+            block[: k + 2, np.abs(row) > 2.0**400] *= 2.0**-400
+    if n % 2 == 0:
+        block[-1, 1 - n // 2 % 2 :: 2] = 0.0
+    squares = np.square(block.T, order="C")
+    squares[:, -1] /= 2 - n % 2
+    return block / np.sqrt(2 * squares.sum(axis=1))
+
+
 def dense_decompose_sectors(state):
     """``particle.decompose_sectors`` reading every sector 0..2c, empty ones included."""
     grid = state.amplitudes
@@ -614,7 +640,7 @@ def difference_weight_fidelity(state, step, richardson=True):
     held = [d for d in range(state.cutoff, -state.cutoff - 1, -1) if weights[d] > 0]
     if step is None:
         spread = max(abs(d) for d in held)
-        step = 1e-2 if spread == 0 else min(max(0.02 / spread, 1e-5), 1e-2)
+        step = 1e-2 if spread == 0 else min(0.02 / spread, 1e-2)
 
     def estimate(h):
         plus = difference_phases(h, np.array(held)).tolist()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sparse_states
+from conftest import epsilon_state, sparse_states
 from mzi_qfi import catalog, cli, schwinger, serialize, states
 from mzi_qfi.errors import CutoffExceededError, NormalizationError, StateFileError
 from mzi_qfi.fock import make_fock
@@ -422,6 +422,18 @@ class TestAnalyzeCommand:
         doc = json.loads(out)
         assert abs(doc["qfi"]["f_variance"] - 4.0) < 1e-9
 
+    def test_a_state_file_just_past_shot_noise_is_entangled(self, capsys, tmp_path):
+        # eps = 7e-10: F - nbar = 1.4e-9 and n(n-1) Cov = 1.4e-9, both far past
+        # their round-off bound, 4 ROUTE_ROUNDOFF = 1.4e-14
+        path = tmp_path / "state.json"
+        write_state_file(epsilon_state(7e-10), str(path))
+        code, out, err = run_cli(capsys, "analyze", "--state-file", str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["qfi"]["scaling_class"]["sub_shot_noise"] is True
+        assert [sector["particle"]["witness_entangled"]
+                for sector in doc["sectors"]["sectors"]] == [True]
+
     def test_dump_state_round_trip(self, capsys, tmp_path):
         path = tmp_path / "dump.json"
         code, _, _ = run_cli(capsys, "analyze", "--family", "twin-fock", "--n", "1",
@@ -529,11 +541,13 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("args", [
         ["tsv", "--nbar", "1e-9"], ["tsv", "--nbar", "2e-9"],
         ["amplified-bell", "--nbar", "1.000000001"],
-        ["fock-pair", "--n", "100000"], ["separable-coherent-probe", "--n", "5000"]],
+        ["fock-pair", "--n", "100000"], ["separable-coherent-probe", "--n", "5000"],
+        ["noon", "--n", "100000"]],
         ids=" ".join)
     def test_edges_of_the_range_keep_their_routes_consistent(self, capsys, args):
         # the first three occupy several sectors, so they have no particle route;
-        # the last two are fixed-n, with <N^2> of 4e10 and 2.5e7
+        # the last three are fixed-n, with <N^2> of 4e10, 2.5e7 and 1e10: noon's
+        # default step, 2e-7, keeps h max|d| at 0.02
         code, out, err = run_cli(capsys, "analyze", "--family", *args)
         assert (code, err) == (0, "")
         qfi = json.loads(out)["qfi"]
@@ -1024,20 +1038,14 @@ class TestSweepCommand:
             assert len(failing) == 4
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_wide_noon_names_only_its_failing_row(self, capsys, fmt):
-        # the step floor 1e-5 puts h max|d| at 0.2 for n = 20000, where the fidelity
-        # route errs by 1.1e-6 of F, past its 1e-6 allowance; n = 10000 errs by 6.9e-8
+    def test_wide_noon_holds_every_row(self, capsys, fmt):
+        # the default step keeps h max|d| at 0.02 for n = 20000, where the fidelity
+        # route errs by 1.1e-10 of F; a step floor of 1e-5 put it at 0.2, and 1.1e-6
         code, out, err = run_cli(capsys, "sweep", "--family", "noon",
                                  "--nbar", "10000,20000", "--format", fmt)
-        assert code == 2
+        assert (code, err) == (0, "")
         assert out.count(",ok,") == 2 if fmt == "csv" else [
             row["status"] for row in json.loads(out)["rows"]] == ["ok", "ok"]
-        records = [json.loads(line) for line in err.splitlines()]
-        assert [(record["family"], record["nbar_target"]) for record in records] == [
-            ("noon", 20000.0)] * 4
-        assert [list(record["route_disagreement"]["routes"]) for record in records] == [
-            ["f_fidelity", name] for name in ("f_mode", "f_particle", "f_path_symmetric",
-                                              "f_variance")]
 
     def test_coherent_tracks_shot_noise(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--family", "coherent",

@@ -87,7 +87,7 @@ PUBLIC_SIGNATURES = {
     "build": "spec",
     "build_for_nbar": "family nbar cutoff",
     "build_report": "state coherence_report decomposition step richardson",
-    "classify_scaling": "f nbar",
+    "classify_scaling": "f nbar bound",
     "decompose_sectors": "state",
     "inner": "x y",
     "make_fock": "j k cutoff",

@@ -186,23 +186,29 @@ class TestFidelityOfOneSector:
 
 class TestScaling:
     def test_heisenberg_example(self):
-        cls = classify_scaling(9.0, 3.0)
+        cls = classify_scaling(9.0, 3.0, ROUNDOFF * 9)
         assert cls.sub_shot_noise
         assert np.isclose(cls.ratio_heisenberg, 1.0)
 
     def test_shot_noise_example(self):
-        cls = classify_scaling(4.0, 4.0)
+        cls = classify_scaling(4.0, 4.0, 0.0)
         assert not cls.sub_shot_noise
         assert np.isclose(cls.ratio_shot_noise, 1.0)
 
     def test_dead_probe(self):
-        cls = classify_scaling(0.0, 2.0)
+        cls = classify_scaling(0.0, 2.0, ROUNDOFF * 4)
         assert not cls.sub_shot_noise
         assert cls.ratio_shot_noise == 0.0
 
     def test_requires_photons(self):
         with pytest.raises(ParameterError):
-            classify_scaling(1.0, 0.0)
+            classify_scaling(1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("share,sub_shot_noise", [(0.9, False), (1.1, True)])
+    def test_the_excess_is_judged_against_the_bound_given(self, share, sub_shot_noise):
+        for nbar, bound in ((2.0, ROUNDOFF * 4), (1e4, ROUNDOFF * 1e8), (1e-9, 1e-3)):
+            cls = classify_scaling(nbar + share * bound, nbar, bound)
+            assert cls.sub_shot_noise is sub_shot_noise, (nbar, bound)
 
 
 class TestCoherentFamilyBenchmark:
@@ -224,16 +230,14 @@ class TestFullReport:
         assert report.crb is None
         assert "crb" in report.reasons
 
-    @pytest.mark.parametrize("weight, bounded", [(2e-12, True), (5e-13, False)])
-    def test_crb_floor_is_1e_12(self, weight, bounded):
-        # sqrt(1 - w)|0,0> + sqrt(w)|1,0> has F = 4 Var[Jz] = w (1 - w)
+    @pytest.mark.parametrize("weight", [1e-100, 5e-13, 1e-6, 0.5])
+    def test_any_information_above_the_roundoff_has_a_crb(self, weight):
+        # sqrt(1 - w)|0,0> + sqrt(w)|1,0> has F = 4 Var[Jz] = w (1 - w) and <N^2> = w
         grid = np.zeros((2, 2), dtype=complex)
         grid[0, 0], grid[1, 0] = math.sqrt(1 - weight), math.sqrt(weight)
         report = build_report(FockState(grid, 1))
-        assert report.f_variance == pytest.approx(weight, rel=1e-9)
-        assert (report.crb is not None) is bounded and ("crb" in report.reasons) is not bounded
-        if bounded:
-            assert report.crb == 1 / math.sqrt(report.f_variance)
+        assert report.f_variance == pytest.approx(weight * (1 - weight), rel=1e-9)
+        assert report.crb == 1 / math.sqrt(report.f_variance) and "crb" not in report.reasons
 
     def test_vacuum_scaling_undefined(self):
         report = build_report(make_fock(0, 0, 1))

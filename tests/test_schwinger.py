@@ -3,6 +3,7 @@ import gc
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 
@@ -52,6 +53,7 @@ from oracles import (
     per_axis_eigh_rotation,
     phase_shift_formula,
     sector_generator_matrix,
+    whole_block_jx_eigenbasis,
 )
 
 EPSILON = {("jx", "jy"): "jz", ("jy", "jz"): "jx", ("jz", "jx"): "jy"}
@@ -495,6 +497,24 @@ class TestRotations:
                 jx_v += half_coupling[row - 1] * rows[row - 1]
             worst = max(worst, np.abs(jx_v - m * rows[row]).max())
         assert worst < 1e-13 * n / 32
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 509, 510, 511, 512, 513, 1001, 2048, 4097])
+    def test_norms_keep_the_bits_of_the_whole_block(self, n):
+        # a block of 255, 256 or 257 columns, and several strips of 256, the last short
+        stored = _jx_eigenbasis(n)
+        assert np.array_equal(stored.view(np.uint64), whole_block_jx_eigenbasis(n).view(np.uint64))
+
+    def test_a_cold_block_holds_one_strip_of_squares_beside_it(self):
+        # sector 2000: a 1001-column block of 8.0 MB and a strip of 256 of its columns,
+        # 2.0 MB; squaring the whole block would hold a second block
+        _jx_eigenbasis(10)
+        tracemalloc.start()
+        try:
+            block = _jx_eigenbasis(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes + 256 * block.shape[0] * 8 + 2**18  # and a few vectors
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.integers(0, 40), st.integers(0, 400)))

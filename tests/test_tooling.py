@@ -6,10 +6,12 @@ import importlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from conftest import ROOT, load_tool
+from conftest import ROOT, epsilon_state, load_tool
 from mzi_qfi import cli
+from mzi_qfi.serialize import read_state_file
 
 FAILING_PROPERTY = """
 from hypothesis import given, settings, strategies as st
@@ -180,3 +182,12 @@ def test_code_lines_leaves_out_comments_docstrings_and_blank_lines(capsys, tmp_p
     (package / "empty.py").write_text('"""Nothing but a docstring."""\n')
     assert tool.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["box.py", "8", "empty.py", "0", "total", "8"]
+
+
+def test_cli_digest_edge_state_is_the_epsilon_state(tmp_path):
+    digest = load_tool("cli_digest")
+    path = tmp_path / "edge.json"
+    path.write_text(digest.STATE_DOCUMENTS[digest.SHOT_NOISE_EDGE_FILE])
+    held = epsilon_state(7e-10).amplitudes
+    read = read_state_file(str(path)).amplitudes
+    assert np.array_equal(read.view(np.uint64), held.view(np.uint64))

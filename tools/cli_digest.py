@@ -15,17 +15,17 @@ default it is this one. The invocation list is this checkout's, whichever
 ``src/`` runs it. It covers every family and alias from ``--nbar``, the
 fixed-n families from ``--n``, explicit cutoffs, ``table1`` in each format,
 the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, a noon sweep
-in csv and json that exits 2 on its 20000 row (so the digest shows where a
-sweep's stderr lines move), probes at the edges of the route-agreement rule
-(near the vacuum, near one sector, and fixed n far past the default
-ceiling), two state files
-read with ``--state-file``, cutoffs and photon numbers whose arrays numpy
-refuses to allocate, an entangled-coherent target whose double overflows a
-float, and every usage error of ``analyze`` and ``table1`` in
-``tests/test_cli.py``. Each state file is written to a new temporary
-directory for each run, from the document its placeholder names in
-``STATE_DOCUMENTS``; its path is that placeholder in the printed command line
-and in the digested output.
+in csv and json up to n = 20000, probes at the edges of the route-agreement
+rule (near the vacuum, near one sector, and fixed n far past the default
+ceiling, noon n = 100000 among them), three state files read with
+``--state-file``, one of them a hair past shot noise, cutoffs and photon
+numbers whose arrays numpy refuses to allocate, an entangled-coherent target
+whose double overflows a float, and every usage error of ``analyze`` and
+``table1`` in ``tests/test_cli.py``. No invocation exits 2, so a change
+that makes two routes disagree moves an exit code. Each state file is
+written to a new temporary directory for each run, from the document its
+placeholder names in ``STATE_DOCUMENTS``; its path is that placeholder in
+the printed command line and in the digested output.
 """
 
 import hashlib
@@ -58,14 +58,16 @@ SWEEPS = (
     ["sweep", "--family", "tsv", "--nbar", "2,4,8"],
 )
 CEILINGS = ("1024", "2048")
-#: A sweep whose row 20000 (noon n = 20000) exits 2 on its fidelity route and 10000 does not.
-DISAGREEING_SWEEP = ({}, ["sweep", "--family", "noon", "--nbar", "10000,20000"])
+#: A sweep of noon up to n = 20000, where the default fidelity step must keep h max|d|
+#: at 0.02: a floor of 1e-5 under it would put row 20000 at 0.2, past its allowance.
+WIDE_NOON_SWEEP = ({}, ["sweep", "--family", "noon", "--nbar", "10000,20000"])
 #: Probes whose routes agree within each route's round-off: several sectors near
 #: the vacuum or near one sector, and fixed n with <N^2> far above F.
 ROUTE_EDGES = (
     *[({}, ["analyze", "--family", name, "--nbar", "1e-9"]) for name in ("tsv", "ecs", "tmsv")],
     ({}, ["analyze", "--family", "amplified-bell", "--nbar", "1.000000001"]),
     ({}, ["analyze", "--family", "fock-pair", "--n", "100000"]),
+    ({}, ["analyze", "--family", "noon", "--n", "100000"]),
     ({"MZI_QFI_CUTOFF_CEILING": "1300"}, ["analyze", "--family", "twin-fock", "--n", "644"]),
 )
 #: Arrays numpy refuses to allocate at all, which ``build`` refuses first.
@@ -84,10 +86,19 @@ STATE_DOCUMENT = (
 OVERSIZED_STATE_DOCUMENT = (
     '{"cutoff": 1000000000, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, "im": 0.0}]}'
 )
+#: a|2,0> + b|1,1> + a|0,2> with a^2 = 1/4 + eps/4 and eps = 7e-10: F - nbar and
+#: n(n-1) Cov[sigma_z] are both 1.4e-9, so it is sub-shot-noise and entangled.
+SHOT_NOISE_EDGE_DOCUMENT = (
+    '{"cutoff": 2, "amplitudes": [{"ja": 0, "jb": 2, "re": 0.50000000017500001, "im": 0}, '
+    '{"ja": 1, "jb": 1, "re": 0.70710678093906021, "im": 0}, '
+    '{"ja": 2, "jb": 0, "re": 0.50000000017500001, "im": 0}]}'
+)
 #: Stand for the path of each state file, in an invocation and in what it prints.
 STATE_FILE = "STATE_FILE"
 OVERSIZED_STATE_FILE = "OVERSIZED_STATE_FILE"
-STATE_DOCUMENTS = {STATE_FILE: STATE_DOCUMENT, OVERSIZED_STATE_FILE: OVERSIZED_STATE_DOCUMENT}
+SHOT_NOISE_EDGE_FILE = "SHOT_NOISE_EDGE_FILE"
+STATE_DOCUMENTS = {STATE_FILE: STATE_DOCUMENT, OVERSIZED_STATE_FILE: OVERSIZED_STATE_DOCUMENT,
+                   SHOT_NOISE_EDGE_FILE: SHOT_NOISE_EDGE_DOCUMENT}
 
 Invocation = Tuple[Dict[str, str], List[str]]
 
@@ -123,7 +134,7 @@ def invocations() -> List[Invocation]:
         runs += [(env, list(argv)) for argv in SWEEPS]
         runs += [(env, ["analyze", "--family", family, "--nbar", "10"])
                  for family in ("tsv", "tmsv", "amplified-bell")]
-    env, argv = DISAGREEING_SWEEP
+    env, argv = WIDE_NOON_SWEEP
     runs += [(env, [*argv, "--format", fmt]) for fmt in ("csv", "json")]
     runs += [(env, list(argv)) for env, argv in ROUTE_EDGES]
     runs += [({}, ["analyze", "--state-file", path]) for path in STATE_DOCUMENTS]
