@@ -55,6 +55,11 @@ the decomposition), ``particle_moments``, the rotation and its plan,
 ``phase_shift`` and ``schmidt`` read the cells, so a fixed-photon-number
 probe, a point of its fringe or a decomposed sector costs O(c) until
 something else, such as :func:`inner` or a state file, reads its grid.
+Its read of the probabilities writes the cells' p and k p into the
+zero-padded row and column sums as slices, and sums them as a grid's are
+summed; the levels it reads k off and the factors j(j-1) and j-1 of the
+sums are kept, read-only, for a few grid sizes (:func:`_levels`),
+so the read is a handful of numpy calls.
 """
 
 from __future__ import annotations
@@ -525,9 +530,11 @@ def _add_differences(probs: np.ndarray, j: int, weights: np.ndarray, scratch: np
 
 
 def _grid_sums(
-    grid: np.ndarray, levels: np.ndarray, weights: np.ndarray
-) -> Tuple[np.ndarray, ...]:
+    grid: np.ndarray, levels: np.ndarray, weights: np.ndarray, sums: np.ndarray
+) -> None:
     """The row sums r_j, the sums ``sum_k k p_jk`` and the ``k c_k`` of a grid, and p(d).
+
+    The three sums go to the rows of ``sums``, and p(d) to ``weights``.
 
     The grid is read in one pass, a strip of rows (:func:`strip_rows`) at a
     time, squared as p = re^2 + im^2 in C order, so a Fortran-ordered grid
@@ -547,7 +554,6 @@ def _grid_sums(
     folded = np.empty((top, dim))
     probs = np.empty((height, dim))
     scratch = np.empty((height + 1) * (dim + height))  # imaginary squares, then skewed rows
-    sums = np.empty((2, dim))  # r_j, then sum_k k p_jk
     for start in chain(range(0, top, step), range(top, dim, step)):
         stop = min(start + step, top if start < top else dim)
         block = grid[start:stop]
@@ -558,7 +564,7 @@ def _grid_sums(
         _sum_rows(strip, levels, sums[:, start:stop])
         if start >= top:
             folded[start - top : stop - top] += strip
-    return sums[0], sums[1], _column_sums(folded)
+    sums[2] = _column_sums(folded)
 
 
 def _read(state: FockState) -> Tuple[NumberMoments, np.ndarray]:
@@ -587,10 +593,11 @@ def number_moments(state: FockState) -> NumberMoments:
 
     A state that holds the cells of its sector n (``FockState._cells``)
     costs O(c) instead: only those at most c + 1 cells are read and
-    squared, and their p and k p are scattered into the row and column sums.
-    In such a grid every row and every column holds at most one nonzero
-    cell, and adding zeros to a float is exact, so the dense sums would
-    return that one term unchanged: both ways give the same bits.
+    squared, and their p and k p are written into the row and column sums
+    as slices, with k read off the levels that :func:`_levels` keeps. In
+    such a grid every row and every column holds at most one nonzero cell,
+    and adding zeros to a float is exact, so the dense sums would return
+    that one term unchanged: both ways give the same bits.
 
     The state is read once, for its moments and its :func:`difference_weights`
     together. The first read stores both in the state (``FockState._read``),
@@ -612,32 +619,82 @@ def difference_weights(state: FockState) -> np.ndarray:
     return _read(state)[1]
 
 
+class _KeptTables:
+    """Up to ``size`` read-only tables that ``build`` made, keyed by its arguments.
+
+    A table is built on its key's first call and kept until the tables are
+    full, when a new key starts them afresh: a scan that asks for the same
+    few tables on every call builds each once. Threads may build a table
+    twice, with the same bits, or lose one to a fresh start; no call waits.
+    """
+
+    def __init__(self, build, size: int) -> None:
+        self._build, self._size = build, size
+        self._tables: dict = {}
+
+    def __call__(self, *key):
+        table = self._tables.get(key, self)  # one read; the keeper itself is no table
+        if table is self:
+            table = self._build(*key)
+            tables = self._tables
+            if len(tables) >= self._size:
+                tables = self._tables = {}
+            table = tables.setdefault(key, table)
+        return table
+
+
+def _build_levels(dim: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of the number moments' sums for ``dim`` levels, read-only.
+
+    The levels j = 0..dim-1 as floats; the rows j, j and 1, which multiply
+    the row sums r_j, the sums ``sum_k k p_jk`` and the ``k c_k``; and the
+    rows j(j-1) and j-1 for j = 1..dim-1, which multiply r_j and ``k c_k``
+    from j = 1 on.
+    """
+    levels = np.arange(dim, dtype=np.float64)
+    factors = np.stack((levels, levels, np.ones(dim)))
+    pairs = np.stack((levels[1:] * levels[:-1], levels[:-1]))
+    for table in (levels, factors, pairs):
+        table.flags.writeable = False
+    return levels, factors, pairs
+
+
+#: The factors of the number moments, for up to sixteen grid sizes.
+_levels = _KeptTables(_build_levels, 16)
+
+
 def _read_probabilities(state: FockState) -> Tuple[NumberMoments, np.ndarray]:
-    """The moments of :func:`number_moments` and the p(d) of :func:`difference_weights`."""
+    """The moments of :func:`number_moments` and the p(d) of :func:`difference_weights`.
+
+    Both ways fill the same zero-padded row sums r_j, sums ``sum_k k p_jk``
+    and ``k c_k``, one row each of ``sums``, and sum them in the same order:
+    each moment is a numpy sum along a row of products, and a factor of 1
+    leaves ``k c_k`` as it is. A state that holds the cells of its sector n
+    writes each cell's p and k p into its row j, its column k and its
+    d = j - k as slices, with k read off the levels that :func:`_levels`
+    keeps with the other factors, so it takes a handful of numpy calls.
+    """
     cells, cutoff = state._cells, state.cutoff
-    levels = np.arange(state.dim, dtype=np.float64)
+    levels, factors, pairs = _levels(state.dim)
     weights = np.zeros(2 * cutoff + 1)
+    sums = np.zeros((3, state.dim))  # r_j, sum_k k p_jk, k c_k
     if cells is None:
-        rows, weighted_rows, weighted_cols = _grid_sums(state.amplitudes, levels, weights)
+        _grid_sums(state.amplitudes, levels, weights, sums)
     else:
-        n = state._sector
-        js = sector_kets(n, cutoff)  # the cells (j, n - j), one per row and column
-        ks = n - js
-        probs = np.square(cells.real)
+        # the cells (j, n - j) for j = low..low + count - 1, one per row and column,
+        # with k = top, top - 1, ..., and c - d falling by 2 from cell to cell
+        low, count = _sector_span(state._sector, cutoff)
+        top = state._sector - low
+        probs = np.square(cells.real, out=sums[0, low : low + count])
         probs += np.square(cells.imag)
-        rows, weighted_rows, weighted_cols = np.zeros((3, state.dim))
-        rows[js] = probs
-        # one cell on each d = j - k, c - d falling by 2 from cell to cell
-        last = cutoff - js[-1] + ks[-1]
-        weights[last : last + 2 * len(js) : 2] = probs[::-1]
-        probs *= ks  # k p_jk, with k exact as a float
-        weighted_rows[js] = probs
-        weighted_cols[ks] = probs
+        last = cutoff - (low + count - 1) + (top - count + 1)  # c - d of the last cell
+        weights[last : last + 2 * count : 2] = probs[::-1]
+        # k p_jk, with k exact as a float
+        weighted = np.multiply(probs, levels[top - count + 1 : top + 1][::-1],
+                               out=sums[1, low : low + count])
+        sums[2, top - count + 1 : top + 1] = weighted[::-1]
     weights.flags.writeable = False
-    a = float((levels * rows).sum())
-    b = float(weighted_cols.sum())
+    a, ab, b = np.add.reduce(factors * sums, axis=1).tolist()
     # j(j-1) and (k-1) from j, k = 1 on, where both are non-negative
-    aa = float((levels[1:] * levels[:-1] * rows[1:]).sum())
-    bb = float((levels[:-1] * weighted_cols[1:]).sum())
-    ab = float((levels * weighted_rows).sum())
+    aa, bb = np.add.reduce(pairs * sums[::2, 1:], axis=1).tolist()
     return NumberMoments(a, b, aa=aa, bb=bb, ab=ab), weights

@@ -206,18 +206,27 @@ def qfi_fidelity(
     return _fidelity(state, step, richardson)[0]
 
 
+#: The smallest normal float, 2^-1022.
+_SMALLEST_NORMAL = math.ldexp(1.0, -1022)
+
+
 def classify_scaling(f: float, nbar: float, bound: float) -> ScalingClass:
     """Ratios against the shot-noise and Heisenberg benchmarks.
 
     Sub-shot-noise when f - nbar exceeds ``bound``, to which ``build_report``
-    passes its routes' round-off, ``ROUTE_ROUNDOFF`` <N^2>.
+    passes its routes' round-off, ``ROUTE_ROUNDOFF`` <N^2>. The Heisenberg
+    ratio is f / nbar^2, or f / nbar / nbar where nbar^2 underflows below the
+    smallest normal float (nbar below about 1.5e-154), so a faint probe
+    gets a ratio, not a division by zero; one too large for a float is
+    infinite, written as null.
     """
     if nbar <= 0:
         raise ParameterError(f"scaling classification needs nbar > 0, got {nbar!r}")
+    heisenberg = nbar**2
     return ScalingClass(
         sub_shot_noise=f - nbar > bound,
         ratio_shot_noise=f / nbar,
-        ratio_heisenberg=f / nbar**2,
+        ratio_heisenberg=f / heisenberg if heisenberg >= _SMALLEST_NORMAL else f / nbar / nbar,
     )
 
 

@@ -24,19 +24,24 @@ A rotation reads what the state holds: the cells of its one sector, for a
 state that knows its photon number (see :class:`mzi_qfi.fock.FockState`),
 or its grid. What it needs of that array alone is planned once per state:
 the occupied sectors (an O(c^2) scan of a grid), their layout, the weight
-check, the pairing of each cell k <= n/2 with its mirror n-k, and the groups
-of sectors mixed together. The state keeps the plan and its coordinates in
-the Jx basis after Rz(gamma) for the last gamma, as it keeps its number
-moments, so a fringe scan, whose phases |phi| < pi share gamma = -pi/2,
-projects its probe once, and scans of several states, alternated or in
-threads, keep a plan each. A rotation then costs two real matrix products
-per occupied sector for the coordinates, when the state or gamma is new,
-and two back, each with a cell and its mirror as four real columns, so a
-fixed-photon-number probe pays for a single block; and one vectorized pass
-over the cells (the cos/sin mixing in groups of at most ``MIX_COLUMNS``
-columns, the left phase, the norm and, for a result of several sectors, the
-scatter into a new grid). A result
-that occupies one sector, as every rotation of a fixed-photon-number probe
+check, the pairing of each cell k <= n/2 with its mirror n-k, the groups
+of sectors mixed together, and each sector's two views of the cached rows
+that its products read, when the cache keeps them. The state keeps the
+plan and its coordinates in the Jx basis after Rz(gamma) for the last
+gamma, as it keeps its number moments, so a fringe scan, whose phases
+|phi| < pi share gamma = -pi/2, projects its probe once, and scans of
+several states, alternated or in threads, keep a plan each. A rotation
+then costs two real matrix products per occupied sector for the
+coordinates, when the state or gamma is new, and two back, each with a
+cell and its mirror as four real columns, so a fixed-photon-number probe
+pays for a single block; and one vectorized pass over the cells (the
+cos/sin mixing in groups of at most ``MIX_COLUMNS`` columns, the left
+phase, the norm and, for a result of several sectors, the scatter into a
+new grid). Its cos and sin tables cover only the t the plan reads, and its
+Rz phase tables come from a small cache, so a warm point of a
+fixed-photon-number fringe scan is a fixed handful of numpy calls beside
+its O(n) arithmetic, with no lookup or slice per sector. A result that
+occupies one sector, as every rotation of a fixed-photon-number probe
 does, holds only that sector's cells, so a fixed-photon-number probe and
 every rotation of it allocate no grid, and their norm checks and number
 moments cost O(c), not O(c^2). Jz is diagonal in the number basis, so its
@@ -57,6 +62,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParameterError, TruncationOverflowError
 from .fock import (
     FockState,
+    _KeptTables,
     number_moments,
     occupied_sectors,
     sector_kets,
@@ -200,6 +206,11 @@ class _BasisCache:
                         self.resident_bytes += grown
         return entry
 
+    def holds(self, n: int, rows: np.ndarray) -> bool:
+        """Whether ``rows``, returned for sector ``n``, is the block the cache keeps for it."""
+        entry = self._bases.get(n)
+        return entry is not None and entry[1] is rows
+
 
 _jx_basis = _BasisCache(BASIS_CACHE_BYTES)
 
@@ -222,49 +233,80 @@ def _euler_angles(v: DirectionLike, angle: float) -> Tuple[float, float, float]:
     return sigma + delta, beta, sigma - delta
 
 
-def _phase_table(angle: float, m: np.ndarray) -> Optional[np.ndarray]:
-    """exp(-i angle t/2) for t = -top..top, at t + top, from m = t/2 for t = 0..top; None for 0.
+def _build_phase_table(angle: float, ts: range) -> Optional[np.ndarray]:
+    """exp(-i angle t/2) for t = -top..top in the steps of ``ts``, read-only; None for 0.
 
-    Only the half t >= 0 is exponentiated: the half t < 0 is its conjugate.
+    ``ts`` runs over the t >= 0 up to top, of one parity or of both. Only
+    they are exponentiated, from the m = t/2 of :func:`_halves`: the t < 0
+    are their conjugates.
     """
     if not angle:
         return None
-    half = np.exp(-1j * angle * m)
-    return np.concatenate((half[:0:-1].conj(), half))
+    m = _halves(ts)[0]
+    negative = len(m) - (ts.start == 0)  # t = 0 is its own mirror
+    table = np.empty(negative + len(m), dtype=np.complex128)
+    half = np.exp(-1j * angle * m, out=table[negative:])
+    np.conjugate(half[:0:-1] if ts.start == 0 else half[::-1], out=table[:negative])
+    table.flags.writeable = False
+    return table
+
+
+def _build_halves(ts: range) -> Tuple[np.ndarray, np.ndarray]:
+    """m = t/2 and the weight w of each t in ``ts``, read-only.
+
+    w is 2 for t > 0 and 1 for t = 0 (see :func:`apply_rotation`).
+    """
+    m = np.arange(ts.start, ts.stop, ts.step) / 2
+    weight = np.where(m > 0, 2.0, 1.0)
+    m.flags.writeable = weight.flags.writeable = False
+    return m, weight
+
+
+#: The phase tables of up to eight angles and spans of t: a fringe scan's
+#: alpha = pi/2 and gamma = -pi/2, built once for a scan.
+_phase_table = _KeptTables(_build_phase_table, 8)
+
+#: The m and w of up to eight spans of t.
+_halves = _KeptTables(_build_halves, 8)
 
 
 class _EulerRotation:
     """exp(-i angle J_v) = Rz(alpha) Rx(beta) Rz(gamma), tabulated by t = 2m.
 
     The tables cover every sector with photon number n <= ``top``, whose cells
-    all have |t| <= n. ``cos[t]`` and ``sin[t]`` are w cos(beta t/2) and -i w
-    sin(beta t/2) for t = 0..top, with w = 2 for t > 0 and w = 1 for t = 0
-    (see :func:`apply_rotation`), both complex so that they multiply complex
-    vectors without a cast. ``left[t + offset]`` and ``right[t + offset]`` are
-    exp(-i alpha t/2) and exp(-i gamma t/2) for t = -top..top, or None when
-    that angle is 0; ``right`` is built on its first read, since only a
-    projection to new coordinates reads it. Each entry is the same whatever
-    ``top`` is. ``gamma`` keys a state's Jx-basis coordinates, which
-    Rz(gamma) alone decides.
+    all have |t| <= n, and with a ``parity`` only the t of that parity, as
+    for a rotation plan whose occupied n all have it: a plan of one sector
+    reads each entry of its tables. ``cos[i]`` and ``sin[i]`` are
+    w cos(beta t/2) and -i w sin(beta t/2) for the i-th t >= 0, with w = 2
+    for t > 0 and w = 1 for t = 0 (see :func:`apply_rotation`), both complex
+    so that they multiply complex vectors without a cast. ``left[i]`` and
+    ``right[i]`` are exp(-i alpha t/2) and exp(-i gamma t/2) for the i-th
+    t from -top up, so at (t + top) / ``span.step``, or None when that
+    angle is 0; they come from the kept :func:`_phase_table`, and ``right``
+    is looked up on its first read, since only a projection to new
+    coordinates reads it. ``span`` is the t >= 0 of the tables.
+    Each entry is the same whatever ``top`` and ``parity`` are. ``gamma``
+    keys a state's Jx-basis coordinates, which Rz(gamma) alone decides.
     """
 
-    __slots__ = ("gamma", "cos", "sin", "left", "offset", "_right")
+    __slots__ = ("gamma", "cos", "sin", "left", "offset", "span", "_right")
 
-    def __init__(self, v: DirectionLike, angle: float, top: int) -> None:
+    def __init__(self, v: DirectionLike, angle: float, top: int,
+                 parity: Optional[int] = None) -> None:
         alpha, beta, self.gamma = _euler_angles(v, angle)
-        m = np.arange(top + 1) / 2
-        weight = np.where(m > 0, 2.0, 1.0)
+        self.span = range(top + 1) if parity is None else range(parity, top + 1, 2)
+        m, weight = _halves(self.span)
         beta_m = beta * m
         self.cos = (weight * np.cos(beta_m)).astype(np.complex128)
         self.sin = -1j * (weight * np.sin(beta_m))
-        self.left = _phase_table(alpha, m)
+        self.left = _phase_table(alpha, self.span)
         self.offset = top
-        self._right = False  # not built yet
+        self._right = False  # not looked up yet
 
     @property
     def right(self) -> Optional[np.ndarray]:
         if self._right is False:
-            self._right = _phase_table(self.gamma, np.arange(self.offset + 1) / 2)
+            self._right = _phase_table(self.gamma, self.span)
         return self._right
 
 
@@ -276,16 +318,26 @@ MIX_COLUMNS = 2048
 class _Group(NamedTuple):
     """Runs of sectors of one parity of n whose coordinates are mixed in one pass.
 
-    Each run is n, the first even and the first odd row k of its sector's
-    block that it reads, the first row of its paired cells with even k and
-    with odd k, the row past its last, and its first and last columns of the
-    group, which are ``columns`` of the plan. An odd sector's mirrors have
-    the other parity, so its group is ``crossed``.
+    ``columns`` are the group's columns of the plan's coordinates;
+    ``gather`` picks each column's entry of the rotation's cos and sin
+    tables, a slice for a group of one run, and ``signs`` holds each
+    column's s_j. An odd sector's mirrors have the other parity, so its
+    group is ``crossed``. Each run is n; the first even and the first odd
+    row k of its sector's block that it reads; the slices of its paired
+    cells with even k and with odd k, among the plan's ``pairs`` rows; and
+    its columns of the group. ``operands`` holds, for each run, the two
+    views of the block's rows that it reads followed by its three slices
+    (:func:`_run_operands`), when the basis cache keeps the blocks of every
+    run; else it is None, and the blocks are asked for on each call, so
+    that a plan pins no block the cache did not take.
     """
 
     crossed: bool
     columns: slice
-    runs: Tuple[Tuple[int, int, int, int, int, int, int, int], ...]
+    gather: Union[slice, np.ndarray]
+    signs: np.ndarray
+    runs: Tuple[Tuple[int, int, int, slice, slice, slice], ...]
+    operands: Optional[Tuple[Tuple[np.ndarray, np.ndarray, slice, slice, slice], ...]]
 
 
 class _Plan(NamedTuple):
@@ -295,23 +347,25 @@ class _Plan(NamedTuple):
     ``flats`` holds the index in the flattened array of each cell of the
     occupied sectors (:func:`mzi_qfi.fock.sector_layout`): its flat grid
     index, or its place among the cells a state holds, which are the layout
-    of their one sector. ``phases`` holds its entry t + ``top`` in
-    the Rz tables, and ``unpair`` its place among the ``pairs`` rows of
-    paired cells: row q holds a cell k <= n/2 at 2q and its mirror n-k at
-    2q + 1, which is 0 for the middle cell of an even sector. A sector n has
-    n//2 + 1 columns of coordinates, j = 0..n//2, in the columns of its
-    group; ``gather`` holds each column's t = 2j + n % 2, its entry of the
-    rotation's cos and sin tables, and ``signs`` its s_j.
+    of their one sector. ``phases`` holds its entry in the Rz tables,
+    t + ``top`` or, for tables of one parity, (t + ``top``) / 2: a slice
+    for a plan of one sector, whose entries run in order. ``unpair`` holds
+    its place among the ``pairs`` rows of paired cells: row q holds a cell
+    k <= n/2 at 2q and its mirror n-k at 2q + 1, which is 0 for the middle
+    cell of an even sector. A sector n has n//2 + 1 columns of coordinates,
+    j = 0..n//2, in the columns of its group, ``columns`` in all.
+    ``parity`` is that of every occupied n, or None when both occur: the
+    rotation's tables hold the t of that parity alone.
     """
 
     occupied: List[int]
     top: int
+    parity: Optional[int]
     flats: np.ndarray
-    phases: np.ndarray
+    phases: Union[slice, np.ndarray]
     unpair: np.ndarray
     pairs: int
-    gather: np.ndarray
-    signs: np.ndarray
+    columns: int
     groups: Tuple[_Group, ...]
 
 
@@ -342,45 +396,86 @@ def _plan(state: FockState, held: np.ndarray) -> _Plan:
     shifts = []
     start = 0
     for n, low in zip(occupied, lows):
-        parity, size = n % 2, n // 2 + 1
+        odd, size = n % 2, n // 2 + 1
         shifts.append(start - low)
-        if used[parity] + size > width:
-            last[parity], used[parity] = [], 0
-            grouped.append(last[parity])
-        h = used[parity]
-        used[parity] += size
+        if used[odd] + size > width:
+            last[odd], used[odd] = [], 0
+            grouped.append(last[odd])
+        h = used[odd]
+        used[odd] += size
         first = low % 2  # the first even k, from the run's start
         stop = start + size - low
-        last[parity].append((n, low + first, low + 1 - first, start + first, start + 1 - first,
-                             stop, h, h + size))
+        last[odd].append((n, low + first, low + 1 - first, slice(start + first, stop, 2),
+                          slice(start + 1 - first, stop, 2), slice(h, h + size)))
         start = stop
+    parity = None if last[0] and last[1] else occupied[0] % 2
     # a run of sector n from k = low, whose pairs start at row s, holds k in pair
     # row s + min(k, n-k) - low, as the cell when k <= n-k and as the mirror if not
     unpair = np.minimum(rows, cols)
-    unpair += np.array(shifts, dtype=np.int32).repeat(np.diff(offsets))
+    counts = [stop - start for start, stop in zip(offsets, offsets[1:])]
+    unpair += np.repeat(np.array(shifts, dtype=np.int32), counts)
     unpair *= 2
     unpair += rows > cols
     phases = np.subtract(rows, cols, out=rows)
     phases += top
+    if parity is not None:  # the tables hold every other t
+        phases >>= 1
+    if len(occupied) == 1:  # t + top = 2k: the entries from k = low on, in order
+        phases = slice(lows[0], lows[0] + len(phases))
     del cols
-    # column c of a run from column h holds j = c - h: t = 2j + n % 2 and s_j = (-1)^(n//2 - j)
-    sectors = np.array([run[0] for runs in grouped for run in runs], dtype=np.int32)
-    sizes = sectors // 2 + 1
-    column = np.cumsum(sizes, dtype=np.int32) - sizes
-    at = np.arange(column[-1] + sizes[-1], dtype=np.int32)
-    gather = 2 * at
-    gather -= (2 * column - sectors % 2).repeat(sizes)
-    at -= (column + sectors // 2).repeat(sizes)
-    signs = (at & 1).astype(np.int8)
-    signs *= -2
-    signs += 1
+    # column j of a run holds s_j = (-1)^(n//2 - j), and the table entry of
+    # t = 2j + n % 2: j itself, when the tables hold one parity of t; a group of
+    # one run takes its s_j as a view and its entries as a slice, a group of
+    # several takes them from arrays over every column
+    alternating = np.ones(top // 2 + 2, dtype=np.int8)
+    alternating[1::2] = -1
+    if len(grouped) < len(occupied):
+        sectors = np.array([run[0] for runs in grouped for run in runs], dtype=np.int32)
+        sizes = sectors // 2 + 1
+        j = np.arange(sizes.sum(), dtype=np.int32)
+        j -= (np.cumsum(sizes, dtype=np.int32) - sizes).repeat(sizes)
+        all_signs = alternating.take((sectors // 2).repeat(sizes) + j & 1)
+        all_picks = j if parity is not None else 2 * j + (sectors % 2).repeat(sizes)
     groups = []
     edge = 0
     for runs in grouped:
-        columns = runs[-1][7]
-        groups.append(_Group(runs[0][0] % 2 == 1, slice(edge, edge + columns), tuple(runs)))
-        edge += columns
-    return _Plan(occupied, top, flats, phases, unpair, start, gather, signs, tuple(groups))
+        n = runs[0][0]
+        span = slice(edge, edge + runs[-1][5].stop)
+        if len(runs) > 1:
+            signs, picks = all_signs[span], all_picks[span]
+        else:
+            signs = alternating[n // 2 % 2 : n // 2 % 2 + n // 2 + 1]
+            picks = slice(0, n // 2 + 1) if parity is not None else slice(n % 2, n + 1, 2)
+        operands, kept = _run_operands(runs)
+        groups.append(_Group(n % 2 == 1, span, picks, signs, tuple(runs),
+                             tuple(operands) if kept else None))
+        edge = span.stop
+    return _Plan(occupied, top, parity, flats, phases, unpair, start, edge, tuple(groups))
+
+
+def _run_operands(runs: Sequence[tuple]) -> Tuple[list, bool]:
+    """Each run's even and odd rows of its block and its three slices, and whether all are kept.
+
+    The rows are two views of the block :data:`_jx_basis` returns, every
+    other row from the run's first even and first odd k; they are kept
+    only when that cache keeps every block, so that a plan may keep the
+    views without pinning a block the cache did not take.
+    """
+    cache = _jx_basis
+    kept = isinstance(cache, _BasisCache)
+    operands = []
+    for n, even_row, odd_row, even_cells, odd_cells, at in runs:
+        first, stored = cache(n, min(even_row, odd_row))
+        kept = kept and cache.holds(n, stored)
+        operands.append((stored[even_row - first :: 2], stored[odd_row - first :: 2],
+                         even_cells, odd_cells, at))
+    return operands, kept
+
+
+def _picked(table: np.ndarray, entries: Union[slice, np.ndarray]) -> np.ndarray:
+    """``table[entries]``: a view for a slice, and through ``take`` for int32 indices,
+    which ``take`` reads without the cast that indexing makes."""
+    return table[entries] if entries.__class__ is slice else table.take(entries)
 
 
 def _rotate(
@@ -395,51 +490,48 @@ def _rotate(
     ``held``, the array the plan was made for, and returned read-only. Each
     parity's coordinates y then become cos * y + sin * the other's, and the
     mirror column s_j times that of the mirrors' parity, so the products back
-    give each cell and its mirror.
+    give each cell and its mirror. ``rotation`` holds the tables of the
+    plan's ``top`` and ``parity``.
     """
     project = coordinates is None
     if project:
-        amps = held.reshape(-1).take(plan.flats)
+        amps = held.take(plan.flats)
         right = rotation.right
         if right is not None:
-            np.multiply(right.take(plan.phases), amps, out=amps)
+            np.multiply(_picked(right, plan.phases), amps, out=amps)
         pairs = np.zeros((plan.pairs, 2), dtype=np.complex128)
-        pairs.reshape(-1)[plan.unpair] = amps
+        pairs.put(plan.unpair, amps)
         del amps
-        coordinates = np.empty((2, len(plan.gather)), dtype=np.complex128)
+        coordinates = np.empty((2, plan.columns), dtype=np.complex128)
     else:
         pairs = np.empty((plan.pairs, 2), dtype=np.complex128)
     quads = pairs.view(np.float64)
-    for group in plan.groups:
-        columns = group.columns
-        y, gather, signs = coordinates[:, columns], plan.gather[columns], plan.signs[columns]
-        f = np.empty((2, len(gather), 2), dtype=np.complex128)
+    for crossed, columns, gather, signs, runs, operands in plan.groups:
+        y = coordinates[:, columns]
+        f = np.empty((2, len(signs), 2), dtype=np.complex128)
         f_quads = f.view(np.float64)
         z, mirrors = f[:, :, 0], f[:, :, 1]
-        operands = []
-        for n, even_row, odd_row, even_cell, odd_cell, stop, h, end in group.runs:
-            first, stored = _jx_basis(n, min(even_row, odd_row))
-            operands.append((stored[even_row - first::2], quads[even_cell:stop:2],
-                             f_quads[0, h:end], stored[odd_row - first::2],
-                             quads[odd_cell:stop:2], f_quads[1, h:end]))
+        if operands is None:
+            operands = _run_operands(runs)[0]
         if project:
-            for even, even_cells, even_f, odd, odd_cells, odd_f in operands:
-                np.matmul(even.T, even_cells, out=even_f)
-                np.matmul(odd.T, odd_cells, out=odd_f)
+            for even, odd, even_cells, odd_cells, at in operands:
+                np.matmul(even.T, quads[even_cells], out=f_quads[0, at])
+                np.matmul(odd.T, quads[odd_cells], out=f_quads[1, at])
             mirrors *= signs
-            np.add(z, mirrors[::-1] if group.crossed else mirrors, out=y)
-        np.multiply(rotation.sin.take(gather), y[::-1], out=mirrors)
-        np.multiply(rotation.cos.take(gather), y, out=z)
+            np.add(z, mirrors[::-1] if crossed else mirrors, out=y)
+        np.multiply(_picked(rotation.sin, gather), y[::-1], out=mirrors)
+        np.multiply(_picked(rotation.cos, gather), y, out=z)
         z += mirrors
-        np.multiply(z[::-1] if group.crossed else z, signs, out=mirrors)
-        for even, even_cells, even_f, odd, odd_cells, odd_f in operands:
-            np.matmul(even, even_f, out=even_cells)
-            np.matmul(odd, odd_f, out=odd_cells)
-    coordinates.flags.writeable = False
-    rotated = pairs.reshape(-1).take(plan.unpair)
+        np.multiply(z[::-1] if crossed else z, signs, out=mirrors)
+        for even, odd, even_cells, odd_cells, at in operands:
+            np.matmul(even, f_quads[0, at], out=quads[even_cells])
+            np.matmul(odd, f_quads[1, at], out=quads[odd_cells])
+    if project:
+        coordinates.flags.writeable = False
+    rotated = pairs.take(plan.unpair)
     del pairs, quads, f, f_quads, z, mirrors, operands  # the pairs and every view of them
     if rotation.left is not None:
-        rotated *= rotation.left.take(plan.phases)
+        rotated *= _picked(rotation.left, plan.phases)
     return rotated, coordinates
 
 
@@ -472,13 +564,18 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     The rotation reads what the state holds: the cells of its one sector, or
     its grid. What depends on that array alone, its occupied sectors, their
     layout (:func:`mzi_qfi.fock.sector_layout`), the weight check, the
-    pairing of each cell with its mirror, its Rz table entries and the
-    groups, is a plan built on the first rotation of the state. The state
+    pairing of each cell with its mirror, its Rz table entries, the groups
+    and the views of each sector's cached basis rows that the products
+    read, is a plan built on the first rotation of the state. The plan
+    keeps no view of a block that the basis cache did not keep within its
+    bytes; such a block is asked for on each call. The state
     keeps the plan, the last gamma and its coordinates for that gamma in
     ``FockState._rotation`` for as long as it lives. A fringe scan,
     ``mzi_unitary`` at |phi| < pi, has gamma = -pi/2 at every phase, so
-    after its first point each costs only the mixing, the products back, the
-    left phase and the norm (and the scatter, for several sectors). The plan
+    after its first point each costs only the cos and sin tables of its
+    beta, the mixing, the products back, the left phase and the norm (and
+    the scatter, for several sectors): for one sector, a few dozen numpy
+    calls whatever n is, beside O(n) arithmetic. The plan
     is never changed and the coordinates are read-only, and the three are
     replaced together in one assignment, so threads may rotate at once; each
     call works in buffers of its own.
@@ -501,7 +598,7 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
         raise ParameterError(f"rotation angle must be finite, got {angle!r}")
     held = state.amplitudes if state._cells is None else state._cells
     plan, gamma, coordinates = state._rotation or (_plan(state, held), None, None)
-    rotation = _EulerRotation(v, angle, plan.top)
+    rotation = _EulerRotation(v, angle, plan.top, plan.parity)
     if gamma != rotation.gamma:
         coordinates = None
     rotated, kept = _rotate(plan, rotation, held, coordinates)

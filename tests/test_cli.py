@@ -434,6 +434,21 @@ class TestAnalyzeCommand:
         assert [sector["particle"]["witness_entangled"]
                 for sector in doc["sectors"]["sectors"]] == [True]
 
+    def test_a_state_file_too_faint_to_square_its_nbar_has_a_ratio(self, capsys, tmp_path):
+        # nbar = 1e-200, so nbar^2 underflows to 0: the Heisenberg ratio is
+        # f / nbar / nbar, 1e200, not a ZeroDivisionError
+        path = tmp_path / "faint.json"
+        path.write_text('{"cutoff": 1, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, "im": 0.0}, '
+                        '{"ja": 1, "jb": 0, "re": 1e-100, "im": 0.0}]}')
+        code, out, err = run_cli(capsys, "analyze", "--state-file", str(path))
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        nbar, f = doc["probe"]["nbar"], doc["qfi"]["f_variance"]
+        assert nbar == pytest.approx(1e-200, rel=1e-15) and nbar**2 == 0.0
+        scaling = doc["qfi"]["scaling_class"]
+        assert scaling["sub_shot_noise"] is False
+        assert scaling["ratio_heisenberg"] == f / nbar / nbar == pytest.approx(1e200, rel=1e-9)
+
     def test_dump_state_round_trip(self, capsys, tmp_path):
         path = tmp_path / "dump.json"
         code, _, _ = run_cli(capsys, "analyze", "--family", "twin-fock", "--n", "1",

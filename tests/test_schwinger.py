@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -18,6 +18,7 @@ from mzi_qfi import schwinger
 from mzi_qfi.errors import ParameterError, TruncationOverflowError
 from mzi_qfi.fock import (
     FockState,
+    _KeptTables,
     make_fock,
     nonzero_cells,
     pad_to,
@@ -57,6 +58,12 @@ from oracles import (
 )
 
 EPSILON = {("jx", "jy"): "jz", ("jy", "jz"): "jx", ("jz", "jx"): "jy"}
+
+FIXED_N_FAMILIES = ("twin-fock", "fraternal-twin-fock", "noon", "separable-coherent-probe",
+                    "fock-pair")
+#: Each fixed-n family at its least n, at 2, 7 and 8, and at the benchmark's largest n.
+FIXED_N_PROBES = [(family, n) for family in FIXED_N_FAMILIES
+                  for n in sorted({resolve_family(family).min_n, 2, 7, 8, 200})]
 
 
 def su2_defect(state) -> float:
@@ -200,6 +207,12 @@ class TestRotations:
         ),
         st.floats(-2 * math.pi, 2 * math.pi),
     )
+    # fixed-n probes, which hold their one sector's cells
+    @example(build(ProbeSpec("twin-fock", {"n": 7})), Y_AXIS, 0.3)
+    @example(build(ProbeSpec("fraternal-twin-fock", {"n": 8})), (0.48, -0.6, 0.64), -2.5)
+    @example(build(ProbeSpec("noon", {"n": 1})), Y_AXIS, 4.0)
+    @example(build(ProbeSpec("separable-coherent-probe", {"n": 2})), X_AXIS, 1.1)
+    @example(build(ProbeSpec("fock-pair", {"n": 0})), (0.6, -0.48, 0.64), 0.7)
     def test_matches_dense_sector_loop_bit_for_bit(self, state, v, angle):
         if not isinstance(v, SpinDirection):
             v = tuple(np.asarray(v) / np.linalg.norm(v))
@@ -321,6 +334,88 @@ class TestRotations:
                 expected = dense_rotation(state, v, angle).amplitudes
                 assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (v, angle)
 
+    @pytest.mark.parametrize("family, n", FIXED_N_PROBES,
+                             ids=[f"{family}-{n}" for family, n in FIXED_N_PROBES])
+    def test_fixed_n_scans_match_dense_sector_loop_bit_for_bit(self, family, n):
+        # a warm fringe scan with new axes between its points, on the probe and on
+        # a cold copy that holds the same cells and plans afresh; the Y axis has
+        # gamma = -pi/2 for |phi| < pi and +pi/2 past it
+        probe = build(ProbeSpec(family, {"n": n}))
+        assert probe._cells is not None
+        rng = np.random.default_rng(n)
+        steps = [(Y_AXIS, math.pi * (i + 0.4) / 6) for i in range(6)]
+        steps[2:2] = [(tuple(random_direction(rng)), 2.1)]
+        steps[5:5] = [(tuple(random_direction(rng)), -0.8), (X_AXIS, math.pi / 2)]
+        steps += [(Y_AXIS, 3.6), (Y_AXIS, 0.2)]
+        cold = FockState._from_cells(probe._cells, probe._sector, probe.cutoff)
+        for state in (probe, cold):
+            for v, angle in steps:
+                got = apply_rotation(state, v, angle)
+                assert got._cells is not None  # one sector, held as its cells
+                expected = dense_rotation(state, v, angle).amplitudes
+                assert np.array_equal(got.amplitudes.view(np.uint64), expected.view(np.uint64)), \
+                    (state is cold, v, angle)
+
+    def test_a_warm_single_sector_rotation_reads_its_kept_operands(self, monkeypatch):
+        # the plan keeps its run's views of the cached block, so a warm point asks
+        # the cache for nothing, and its cos and sin tables hold the n//2 + 1
+        # entries of its sector's one parity
+        for family, n in (("twin-fock", 200), ("fraternal-twin-fock", 7), ("noon", 1)):
+            probe = build(ProbeSpec(family, {"n": n}))
+            mzi_unitary(probe, 0.3)
+            asked, rotations = [], []
+            basis = schwinger._jx_basis
+            rotate = schwinger._rotate
+            monkeypatch.setattr(schwinger, "_jx_basis",
+                                lambda *args: asked.append(args) or basis(*args))
+            monkeypatch.setattr(schwinger, "_rotate",
+                                lambda plan, rotation, *args: rotations.append(rotation)
+                                or rotate(plan, rotation, *args))
+            for phi in (0.5, 1.9, -2.2):
+                mzi_unitary(probe, phi)
+            monkeypatch.undo()
+            sector = probe._sector
+            assert asked == [] and len(rotations) == 3, family
+            for rotation in rotations:
+                assert rotation.cos.shape == rotation.sin.shape == (sector // 2 + 1,), family
+
+    def test_kept_operands_are_views_of_blocks_the_cache_holds(self, monkeypatch):
+        cache = _BasisCache(BASIS_CACHE_BYTES)
+        monkeypatch.setattr(schwinger, "_jx_basis", cache)
+        states = [build(ProbeSpec("coherent", {"alpha": 2.0}, 30)),  # with partial sectors
+                  build(ProbeSpec("twin-fock", {"n": 9})), make_fock(3, 2, 6)]
+        for state in states:
+            mzi_unitary(state, 0.3)
+            plan = state._rotation[0]
+            kept = 0
+            for group in plan.groups:
+                assert group.operands is not None
+                for (n, *_), (even, odd, *_) in zip(group.runs, group.operands):
+                    assert even.base is odd.base is cache._bases[n][1]
+                    kept += 1
+            assert kept == len(plan.occupied)
+
+    def test_a_plan_pins_no_block_the_cache_did_not_keep(self, monkeypatch):
+        built = []
+
+        class Recording(_BasisCache):
+            def __call__(self, n, low=0):
+                first, rows = super().__call__(n, low)
+                built.append(weakref.ref(rows))
+                return first, rows
+
+        monkeypatch.setattr(schwinger, "_jx_basis", Recording(limit=0))  # keeps no block
+        for state in (build(ProbeSpec("twin-fock", {"n": 9})),
+                      build(ProbeSpec("coherent", {"alpha": 2.0}, 30))):
+            expected = [dense_rotation(state, Y_AXIS, phi).amplitudes for phi in (0.3, 0.9)]
+            for phi, want in zip((0.3, 0.9), expected):
+                got = mzi_unitary(state, phi)
+                assert np.array_equal(got.amplitudes.view(np.uint64), want.view(np.uint64))
+            assert all(group.operands is None for group in state._rotation[0].groups)
+            gc.collect()
+            assert built and all(ref() is None for ref in built)  # none outlives its call
+            built.clear()
+
     def test_kept_coordinates_leave_the_right_phases_unbuilt(self, monkeypatch):
         state = random_two_mode_state(np.random.default_rng(5), 9, 9)
         mzi_unitary(state, 0.3)  # projects, with gamma = -pi/2
@@ -399,6 +494,35 @@ class TestRotations:
             sys.setswitchinterval(switch)
         assert not any(thread.is_alive() for thread in threads)
         assert not mismatches
+
+    def test_kept_tables_hold_a_few_and_survive_threads(self):
+        built = []
+        tables = _KeptTables(lambda angle, top: built.append((angle, top)) or
+                                       (angle, top), 3)
+        for key in [(0.5, 8), (0.5, 8), (-0.5, 8), (0.5, 9), (0.1, 8), (0.5, 8)]:
+            assert tables(*key) == key
+        assert built == [(0.5, 8), (-0.5, 8), (0.5, 9), (0.1, 8), (0.5, 8)]
+        assert list(tables._tables) == [(0.1, 8), (0.5, 8)]  # started afresh when full
+        wrong = []
+
+        def ask(seed):
+            rng = np.random.default_rng(seed)
+            for key in rng.integers(0, 6, size=(2000, 2)).tolist():
+                if tables(*key) != tuple(key):
+                    wrong.append(key)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong and len(tables._tables) <= 3
 
     def test_basis_cache_stays_within_its_bytes(self):
         cache = _BasisCache(limit=3 * 21 * 21 * 8)

@@ -191,3 +191,12 @@ def test_cli_digest_edge_state_is_the_epsilon_state(tmp_path):
     held = epsilon_state(7e-10).amplitudes
     read = read_state_file(str(path)).amplitudes
     assert np.array_equal(read.view(np.uint64), held.view(np.uint64))
+
+
+def test_stage_timing_times_every_stage_of_a_small_probe():
+    tool = load_tool("stage_timing")
+    assert tool.STAGES[: len(load_tool("stage_memory").STAGES)] == load_tool("stage_memory").STAGES
+    cutoff, times = tool.stage_times("twin-fock", {"n": 8}, None, repeats=2)
+    assert cutoff == 16
+    assert list(times) == list(tool.STAGES)
+    assert all(0 < seconds < 0.05 for seconds in times.values()), times

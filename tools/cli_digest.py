@@ -17,8 +17,9 @@ fixed-n families from ``--n``, explicit cutoffs, ``table1`` in each format,
 the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, a noon sweep
 in csv and json up to n = 20000, probes at the edges of the route-agreement
 rule (near the vacuum, near one sector, and fixed n far past the default
-ceiling, noon n = 100000 among them), three state files read with
-``--state-file``, one of them a hair past shot noise, cutoffs and photon
+ceiling, noon n = 100000 among them), four state files read with
+``--state-file``, one of them a hair past shot noise and one so faint that
+nbar^2 underflows, cutoffs and photon
 numbers whose arrays numpy refuses to allocate, an entangled-coherent target
 whose double overflows a float, and every usage error of ``analyze`` and
 ``table1`` in ``tests/test_cli.py``. No invocation exits 2, so a change
@@ -93,12 +94,20 @@ SHOT_NOISE_EDGE_DOCUMENT = (
     '{"ja": 1, "jb": 1, "re": 0.70710678093906021, "im": 0}, '
     '{"ja": 2, "jb": 0, "re": 0.50000000017500001, "im": 0}]}'
 )
+#: Amplitude 1 on |0,0> and 1e-100 on |1,0>: nbar = 1e-200, whose square underflows
+#: to 0, so the Heisenberg ratio is f / nbar / nbar.
+FAINT_STATE_DOCUMENT = (
+    '{"cutoff": 1, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, "im": 0.0}, '
+    '{"ja": 1, "jb": 0, "re": 1e-100, "im": 0.0}]}'
+)
 #: Stand for the path of each state file, in an invocation and in what it prints.
 STATE_FILE = "STATE_FILE"
 OVERSIZED_STATE_FILE = "OVERSIZED_STATE_FILE"
 SHOT_NOISE_EDGE_FILE = "SHOT_NOISE_EDGE_FILE"
+FAINT_STATE_FILE = "FAINT_STATE_FILE"
 STATE_DOCUMENTS = {STATE_FILE: STATE_DOCUMENT, OVERSIZED_STATE_FILE: OVERSIZED_STATE_DOCUMENT,
-                   SHOT_NOISE_EDGE_FILE: SHOT_NOISE_EDGE_DOCUMENT}
+                   SHOT_NOISE_EDGE_FILE: SHOT_NOISE_EDGE_DOCUMENT,
+                   FAINT_STATE_FILE: FAINT_STATE_DOCUMENT}
 
 Invocation = Tuple[Dict[str, str], List[str]]
 

@@ -1,0 +1,182 @@
+"""Print the in-process time of each public stage, for a fixed list of probes.
+
+For every probe and stage it prints one line:
+
+    probe cutoff stage microseconds
+
+the least time of one call over ``REPEATS`` batches, each of as many calls
+as fill about ``BATCH_SECONDS``. The stages are those of
+``tools/stage_memory.py``, set up the same way: each is called once before
+it is timed, so what a first call fills, such as the rotation's Jx bases
+and plan, is not counted, and the stages that take the number moments run
+each call on a fresh copy of their state, made before the batch. Two
+more stages follow them:
+
+- ``fringe_point``: ``analyze(mzi_unitary(probe, phi))`` at a new phase
+  each call, on the probe planned once, a point of a fringe scan;
+- ``rotation_new_axis``: ``apply_rotation`` of the planned probe about a
+  new random axis each call, so each projects the probe afresh.
+
+With no argument it times this checkout's ``src/`` in this process. With
+the roots of one or more checkouts, it times each in a child process of its
+own, alternating between them for ``ROUNDS`` rounds and keeping each
+stage's least time, and prints one column per root and, for two, their
+ratio:
+
+    python3 tools/stage_timing.py
+    python3 tools/stage_timing.py /path/to/parent .
+
+The probe and stage lists are this checkout's, whichever ``src/`` runs
+them. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) on a shared
+machine, as the timings are of single calls.
+"""
+
+import importlib.util
+import itertools
+import json
+import math
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import Callable, Dict, List, Sequence, Tuple
+
+_SPEC = importlib.util.spec_from_file_location(
+    "stage_memory", Path(__file__).resolve().with_name("stage_memory.py"))
+stage_memory = importlib.util.module_from_spec(_SPEC)  # the sibling script, not a package
+_SPEC.loader.exec_module(stage_memory)
+
+ROOT = stage_memory.ROOT
+
+#: (label, family, native parameters, explicit cutoff or None).
+PROBES = (
+    ("twin-fock n=128", "twin-fock", {"n": 128}, None),
+    ("twin-fock n=200", "twin-fock", {"n": 200}, None),
+    ("coherent alpha=8", "coherent", {"alpha": 8.0}, 160),
+)
+
+STAGES = stage_memory.STAGES + ("fringe_point", "rotation_new_axis")
+
+#: Batches per stage, and the seconds one batch should take at least.
+REPEATS = 15
+BATCH_SECONDS = 5e-3
+
+#: Alternating rounds of child processes, one per root each, when roots are given.
+ROUNDS = 3
+
+
+def least_time(call: Callable[[], object], prepare: Callable[[int], None],
+               repeats: int = REPEATS) -> float:
+    """Seconds of one ``call()``, the least over ``repeats`` batches.
+
+    ``prepare(count)`` runs untimed before each batch of ``count`` calls, to
+    make what they use up.
+    """
+    prepare(1)
+    start = time.perf_counter()
+    call()  # fills what a first call fills, and sizes the batches
+    count = max(1, min(1000, int(BATCH_SECONDS / max(time.perf_counter() - start, 1e-9))))
+    best = math.inf
+    for _ in range(repeats):
+        prepare(count)
+        start = time.perf_counter()
+        for _ in range(count):
+            call()
+        best = min(best, (time.perf_counter() - start) / count)
+    return best
+
+
+def stage_times(family: str, params: dict, cutoff, repeats: int = REPEATS
+                ) -> Tuple[int, Dict[str, float]]:
+    """The probe's cutoff and the seconds of one call of each stage, in ``STAGES`` order."""
+    import numpy as np
+
+    import mzi_qfi
+
+    spec = mzi_qfi.ProbeSpec(family, params, cutoff)
+    state = mzi_qfi.build(spec)
+    rotated = mzi_qfi.mzi_unitary(state, 0.3)  # the fringe point of the stages that read one
+    decomposed = mzi_qfi.decompose_sectors(state)
+    rng = np.random.default_rng(7)
+    phases = itertools.cycle(rng.uniform(-3.0, 3.0, 4096).tolist())
+    axes = itertools.cycle([tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(4096, 3))])
+    pool: List = []  # the states a batch pops, made before it
+
+    def copies(source) -> Callable[[int], None]:
+        return lambda count: pool.extend(stage_memory.fresh_copy(source) for _ in range(count))
+
+    def grids(count: int) -> None:
+        pool.extend(mzi_qfi.FockState(state.amplitudes.copy(), state.cutoff) for _ in range(count))
+
+    def nothing(count: int) -> None:
+        pool.clear()
+
+    calls = {
+        "build": (lambda: mzi_qfi.build(spec), nothing),
+        "analyze": (lambda: mzi_qfi.analyze(pool.pop()), copies(state)),
+        "decompose_sectors": (lambda: mzi_qfi.decompose_sectors(state), nothing),
+        "qfi_variance": (lambda: mzi_qfi.qfi_variance(pool.pop()), copies(state)),
+        "qfi_fidelity": (lambda: mzi_qfi.qfi_fidelity(state), nothing),
+        "build_report": (lambda: mzi_qfi.build_report(pool.pop()), copies(state)),
+        "schmidt": (lambda: mzi_qfi.schmidt(state), nothing),
+        "phase_shift": (lambda: mzi_qfi.phase_shift(state, 0.3), nothing),
+        "mzi_unitary": (lambda: mzi_qfi.mzi_unitary(state, 0.3), nothing),
+        "analyze_rotated": (lambda: mzi_qfi.analyze(pool.pop()), copies(rotated)),
+        "schmidt_rotated": (lambda: mzi_qfi.schmidt(rotated), nothing),
+        "mzi_unitary_cold": (lambda: mzi_qfi.mzi_unitary(pool.pop(), 0.3), grids),
+        "sector_states": (lambda: [mzi_qfi.particle_moments(s.state, s.n)
+                                   for s in decomposed.sectors if s.n >= 1], nothing),
+        "fringe_point": (lambda: mzi_qfi.analyze(mzi_qfi.mzi_unitary(state, next(phases))),
+                         nothing),
+        "rotation_new_axis": (lambda: mzi_qfi.apply_rotation(state, next(axes), 0.9), nothing),
+    }
+    times = {}
+    for stage in STAGES:
+        call, prepare = calls[stage]
+        times[stage] = least_time(call, prepare, repeats)
+        pool.clear()
+    return state.cutoff, times
+
+
+def measure(repeats: int = REPEATS) -> List[Tuple[str, int, str, float]]:
+    """(probe, cutoff, stage, seconds) of every probe and stage, in the imported ``src/``."""
+    rows = []
+    for label, family, params, cutoff in PROBES:
+        chosen, times = stage_times(family, params, cutoff, repeats)
+        rows += [(label, chosen, stage, seconds) for stage, seconds in times.items()]
+    return rows
+
+
+def _child(root: Path) -> List[Tuple[str, int, str, float]]:
+    """:func:`measure` of ``root``'s ``src/``, in a fresh interpreter."""
+    out = subprocess.run([sys.executable, __file__, "--json", str(root)], check=True,
+                         capture_output=True, text=True).stdout
+    return [tuple(row) for row in json.loads(out)]
+
+
+def main(args: Sequence[str]) -> int:
+    if args[:1] == ["--json"]:  # a child: one root, timed in this process
+        stage_memory._import_from(Path(args[1]))
+        print(json.dumps(measure()))
+        return 0
+    if not args:
+        stage_memory._import_from(ROOT)
+        for label, chosen, stage, seconds in measure():
+            print(f"{label:<18} {chosen:>6} {stage:<18} {seconds * 1e6:12.1f}")
+        return 0
+    roots = [Path(arg).resolve() for arg in args]
+    best: Dict[Tuple[str, int, str], List[float]] = {}
+    for _ in range(ROUNDS):
+        for i, root in enumerate(roots):
+            for label, chosen, stage, seconds in _child(root):
+                times = best.setdefault((label, chosen, stage), [math.inf] * len(roots))
+                times[i] = min(times[i], seconds)
+    for (label, chosen, stage), times in best.items():
+        columns = " ".join(f"{seconds * 1e6:12.1f}" for seconds in times)
+        ratio = f" {times[1] / times[0]:6.2f}" if len(times) == 2 else ""
+        print(f"{label:<18} {chosen:>6} {stage:<18} {columns}{ratio}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
