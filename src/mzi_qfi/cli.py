@@ -464,4 +464,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    import gc
+
+    # the objects made by the import go to the collector's permanent
+    # generation, so neither the command's collections nor the exit traverse them
+    gc.freeze()
     sys.exit(main())

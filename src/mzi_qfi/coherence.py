@@ -10,8 +10,7 @@ coerced to zero or infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParameterError
 from .fock import FockState, number_moments
@@ -23,8 +22,7 @@ INTENSITY_FLOOR = 1e-9
 PATH_SYMMETRY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
+class CoherenceReport(NamedTuple):
     """Intensities, pair coherences, and number moments of one probe state."""
 
     nbar_a: float

@@ -47,8 +47,7 @@ threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -71,8 +70,7 @@ MAX_CROSSES = 8
 CHUNK_CELLS = 2**13
 
 
-@dataclass(frozen=True)
-class ModeEntanglementReport:
+class ModeEntanglementReport(NamedTuple):
     """Schmidt spectrum and entropy of the arm-a | arm-b partition."""
 
     schmidt_values: Tuple[float, ...]

@@ -460,6 +460,24 @@ def squared_norm(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", xs, xs))
 
 
+#: Most terms of one BLAS dot product. OpenBLAS splits a dot of more than
+#: 10 000 terms across its threads, and the split changes how it rounds.
+DOT_TERMS = 8192
+
+
+def ordered_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``x.dot(y)`` of two real vectors, the same bits for any number of BLAS threads.
+
+    A dot of at most ``DOT_TERMS`` terms is that one call, which OpenBLAS
+    runs on one thread; a longer one adds the dots of its consecutive
+    ``DOT_TERMS``-term chunks in order.
+    """
+    if len(x) <= DOT_TERMS:
+        return float(x.dot(y))
+    return sum(float(x[i : i + DOT_TERMS].dot(y[i : i + DOT_TERMS]))
+               for i in range(0, len(x), DOT_TERMS))
+
+
 #: Round-off per unit of <N^2> = <(n_a + n_b)^2> of anything summed from a
 #: state's number moments: 32 u, u = 2^-53 the unit round-off, about three
 #: times the largest spread of the closed-form QFI routes, 9.8 u <N^2>, over
@@ -469,8 +487,7 @@ def squared_norm(x: np.ndarray) -> float:
 ROUTE_ROUNDOFF = 32 * 2.0**-53
 
 
-@dataclass(frozen=True)
-class NumberMoments:
+class NumberMoments(NamedTuple):
     """Diagonal normal-ordered moments ``<adag^p a^p bdag^r b^r>`` of one state.
 
     ``a`` is ``<adag a>``, ``aa`` is ``<adag^2 a^2>``, ``ab`` is

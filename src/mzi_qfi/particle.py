@@ -24,12 +24,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ParameterError, SectorSupportError
-from .fock import ROUTE_ROUNDOFF, FockState, occupied_sectors, sector_kets, state_cells
+from .fock import (
+    ROUTE_ROUNDOFF,
+    FockState,
+    _sector_span,
+    occupied_sectors,
+    ordered_dot,
+    sector_kets,
+    state_cells,
+)
 
 #: Sector weights below this are dropped from decompositions.
 WEIGHT_FLOOR = 1e-14
@@ -73,8 +81,7 @@ class Sector:
         return FockState._from_cells(self.coeffs, self.n, self.cutoff)
 
 
-@dataclass(frozen=True)
-class SectorDecomposition:
+class SectorDecomposition(NamedTuple):
     """Projection of a state onto its total-photon-number sectors.
 
     ``occupied`` counts the sectors where the state holds a nonzero cell
@@ -98,8 +105,7 @@ class SectorDecomposition:
         return self.sectors[0] if self.occupied == 1 else None
 
 
-@dataclass(frozen=True)
-class ParticleReport:
+class ParticleReport(NamedTuple):
     """Single-particle Pauli statistics of one fixed-n sector."""
 
     n: int
@@ -168,17 +174,19 @@ def _report_from_z_stats(n: int, mean_z: float, mean_zz: Optional[float]) -> Par
     )
 
 
-def _sector_report(n: int, ks: np.ndarray, probs: np.ndarray) -> ParticleReport:
-    """Pauli statistics from the number distribution ``probs`` on |k, n-k>.
+def _sector_report(n: int, cutoff: int, probs: np.ndarray) -> ParticleReport:
+    """Pauli statistics from the number distribution ``probs`` on |k, n-k>, k in ``sector_kets``.
 
     With dz = 2k - n = 2 Jz on each ket, the bridge gives
     <sigma_z> = <dz>/n and <sigma_z sigma_z> = (<dz^2> - n)/(n(n-1)).
+    Both dots go through :func:`mzi_qfi.fock.ordered_dot`.
     """
-    dz = 2 * ks - n
-    mean_z = float(probs @ dz) / n
+    low = _sector_span(n, cutoff)[0]
+    dz = np.arange(2 * low - n, 2 * (low + len(probs)) - n, 2, dtype=float)
+    mean_z = ordered_dot(probs, dz) / n
     mean_zz = None
     if n >= 2:
-        mean_zz = (float(probs @ (dz * dz)) - n) / (n * (n - 1))
+        mean_zz = (ordered_dot(probs, dz * dz) - n) / (n * (n - 1))
     return _report_from_z_stats(n, mean_z, mean_zz)
 
 
@@ -186,7 +194,7 @@ def sector_moments(sector: Sector) -> ParticleReport:
     """Pauli statistics of one sector of a decomposition, in O(n)."""
     if sector.n < 1:
         raise ParameterError(f"particle statistics need n >= 1, got {sector.n}")
-    return _sector_report(sector.n, sector.ks, np.abs(sector.coeffs) ** 2)
+    return _sector_report(sector.n, sector.cutoff, np.abs(sector.coeffs) ** 2)
 
 
 def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
@@ -196,9 +204,9 @@ def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
     taken at its word. Any other state is decomposed first, and its dominant sector is its
     sector once all but ``SECTOR_SUPPORT_TOL`` of its weight lies there. That
     sector must be ``n``. The statistics come from the grid's own cells of
-    sector ``n``, at most n + 1 of them (those a state holds, without a grid,
-    through :func:`mzi_qfi.fock.state_cells`), as :func:`sector_moments` reads
-    them from a decomposition's normalized vector.
+    sector ``n``, at most n + 1 of them (those a state holds, read in place
+    with no grid, or a grid's through :func:`mzi_qfi.fock.state_cells`), as
+    :func:`sector_moments` reads them from a decomposition's normalized vector.
     """
     if n < 1:
         raise ParameterError(f"particle statistics need n >= 1, got {n}")
@@ -215,9 +223,10 @@ def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
         actual = top.n
     if actual != n:
         raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
-    [cells] = state_cells(sector_state, [n])
-    probs = np.abs(cells) ** 2
-    return _sector_report(n, sector_kets(n, sector_state.cutoff), probs)
+    cells = sector_state._cells
+    if cells is None:
+        [cells] = state_cells(sector_state, [n])
+    return _sector_report(n, sector_state.cutoff, np.abs(cells) ** 2)
 
 
 def qfi_particle(decomp: SectorDecomposition) -> Optional[float]:

@@ -35,8 +35,7 @@ with a reason string; they never collapse to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -56,8 +55,7 @@ FIDELITY_STEP_SCALE = 0.02
 MIN_FIDELITY_STEP = 1e-5
 MAX_FIDELITY_STEP = 1e-2
 
-@dataclass(frozen=True)
-class ScalingClass:
+class ScalingClass(NamedTuple):
     """How the information compares with the classical and Heisenberg benchmarks."""
 
     sub_shot_noise: bool
@@ -72,8 +70,7 @@ class ScalingClass:
         }
 
 
-@dataclass(frozen=True)
-class QfiReport:
+class QfiReport(NamedTuple):
     """All computed routes plus their cross-validation summary.
 
     ``disagreements`` holds one record for each pair of routes that misses

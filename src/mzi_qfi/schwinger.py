@@ -65,6 +65,7 @@ from .fock import (
     _KeptTables,
     number_moments,
     occupied_sectors,
+    ordered_dot,
     sector_kets,
     sector_layout,
 )
@@ -605,7 +606,7 @@ def apply_rotation(state: FockState, v: DirectionLike, angle: float) -> FockStat
     if kept is not coordinates:
         state.__dict__["_rotation"] = (plan, rotation.gamma, kept)
     real, imag = rotated.real, rotated.imag  # np.linalg.norm's sum, without its dispatch
-    rotated /= math.sqrt(real.dot(real) + imag.dot(imag))
+    rotated /= math.sqrt(ordered_dot(real, real) + ordered_dot(imag, imag))
     if len(plan.occupied) == 1:  # the layout of one sector is its kets in k order
         return FockState._from_cells(rotated, plan.occupied[0], state.cutoff,
                                      state.truncation_loss)

@@ -217,6 +217,28 @@ def _log_cosh(x: float) -> float:
     return x + math.log1p(math.exp(-2 * x)) - math.log(2)
 
 
+def _first_live_chunk(log_prob: Callable[[int], float], bound: Callable[[int], float],
+                      start: int, stop: int) -> int:
+    """The first 64-term chunk start of a head from ``start`` to ``stop`` that may add to it.
+
+    A chunk whose first term is at most 1e-300 adds exactly 0, so the chunks
+    before the first one that starts above it, or at or past the mode
+    (``bound`` at most 1), are skipped; ``stop`` if every chunk adds 0. Each
+    distribution here is unimodal with ratios that do not rise past the mode,
+    so that test holds from one chunk on and a bisection finds it, looking at
+    about log2 of the number of chunks instead of each.
+    """
+    lo, hi = -1, -(-(stop - start) // 64)  # chunk hi, the stop, counts as live
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        k = start + 64 * mid
+        if bound(k) <= 1 or math.exp(log_prob(k)) > 1e-300:
+            hi = mid
+        else:
+            lo = mid
+    return min(start + 64 * hi, stop)
+
+
 def _series(log_prob: Callable[[int], float], ratio: Callable[[np.ndarray], np.ndarray],
             start: int, stop: Optional[int], bound: Callable[[int], float]) -> float:
     """sum_{start <= k < stop} p_k, or to infinity for ``stop=None``.
@@ -226,11 +248,18 @@ def _series(log_prob: Callable[[int], float], ratio: Callable[[np.ndarray], np.n
     takes its first chunk long enough for the ratio bound at ``start`` to
     decay by e^-41, and stops once ``bound(k)``, a bound on every ratio from
     k on, caps what is left below 1e-17 of the sum.
+
+    A sum with a finite ``stop`` is a head of :func:`_tail`. It starts at
+    :func:`_first_live_chunk`, on the boundary the chunks from ``start``
+    would reach, and returns once it reaches one half, a head that
+    :func:`_tail` discards; so every head below one half keeps its bits.
     """
     total, size, rho = 0.0, 64, bound(start)
     if stop is None and 0 < rho < 1:
         size = min(max(64, int(41 / -math.log(rho))), 1 << 16)
-    while stop is None or start < stop:
+    if stop is not None:
+        start = _first_live_chunk(log_prob, bound, start, stop)
+    while stop is None or (start < stop and total < 0.5):
         end = start + size if stop is None else min(start + size, stop)
         term, last = math.exp(log_prob(start)), 0.0
         # a chunk that starts below 1e-300 stays negligible, and its ratio
@@ -301,6 +330,9 @@ def _poisson_tail(mu: float, first: int) -> float:
 
 # ---------------------------------------------------------------------------
 # family grid builders and their exact truncation losses
+#
+# Each builder allocates its grid before its vectors, so a grid that no
+# memory holds is refused before their O(cutoff) work.
 # ---------------------------------------------------------------------------
 
 
@@ -322,9 +354,9 @@ def _loss_twin_squeezed(xi: float, cutoff: int) -> float:
 
 def _grid_twin_squeezed(xi: float, cutoff: int) -> np.ndarray:
     # np.outer(v, v), a strip of rows at a time, with its operands in that order
+    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
     v = squeezed_vacuum_vector(xi, cutoff + 1)
     column = v[:, None]
-    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
     step = strip_rows(cutoff + 1)
     for top in range(0, cutoff + 1, step):
         np.multiply(column[top : top + step], v, out=grid[top : top + step])
@@ -369,9 +401,9 @@ def _grid_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     # Probe inside the interferometer for coherent light injected into port a:
     # the splitter maps |alpha, 0> to the product |u alpha, v alpha>.
     u, v = _split_photon_amplitudes()
-    return np.outer(
-        coherent_vector(u * alpha, cutoff + 1), coherent_vector(v * alpha, cutoff + 1)
-    )
+    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    a, b = coherent_vector(u * alpha, cutoff + 1), coherent_vector(v * alpha, cutoff + 1)
+    return np.outer(a, b, out=grid)
 
 
 def _loss_entangled_coherent(alpha: complex, cutoff: int) -> float:
@@ -384,8 +416,8 @@ def _loss_entangled_coherent(alpha: complex, cutoff: int) -> float:
 def _grid_entangled_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     # (|alpha,0> + |0,alpha>)/sqrt(2(1 + e^{-|alpha|^2})), normalized exactly
     # including the vacuum overlap of the two branches.
-    v = coherent_vector(alpha, cutoff + 1)
     grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    v = coherent_vector(alpha, cutoff + 1)
     grid[:, 0] += v
     grid[0, :] += v
     grid /= math.sqrt(2.0 * (1.0 + math.exp(-abs(alpha) ** 2)))
@@ -407,9 +439,9 @@ def _grid_amplified_bell(xi: float, cutoff: int) -> np.ndarray:
     # u np.outer(v1, v0) + v np.outer(v0, v1), a strip of rows at a time,
     # each product with its operands in that order, so with the same bits
     u, v = _split_photon_amplitudes()
+    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
     v0 = squeezed_vacuum_vector(xi, cutoff + 1)
     v1 = squeezed_one_vector(xi, cutoff + 1)
-    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
     step = strip_rows(cutoff + 1)
     second = np.empty((step, cutoff + 1), dtype=np.complex128)
     for top in range(0, cutoff + 1, step):

@@ -23,6 +23,7 @@ sectors are found through a whole j + k grid, the twin squeezed vacuum
 grid is one whole outer product and the amplified Bell grid two, and the
 canonical JSON writer tests every value with ``isinstance``, one piece at a
 time, and the norms of a Jx eigenbasis block square the whole block at once.
+A rotation's norm adds the dots of its 8192-term slices in order (:func:`chunked_norm`).
 The number
 moments are also summed exactly: every cell's weighted probability is split
 into floats whose sum it is exactly, and ``math.fsum`` rounds their total
@@ -516,9 +517,17 @@ def dense_rotation(state, v, angle):
     rotated = np.concatenate(blocks)
     out = np.zeros_like(grid)
     out[np.concatenate([c[0] for c in cells]), np.concatenate([c[1] for c in cells])] = (
-        rotated / np.linalg.norm(rotated)
+        rotated / chunked_norm(rotated)
     )
     return FockState(out, state.cutoff, state.truncation_loss)
+
+
+def chunked_norm(x, chunk=8192):
+    """``np.linalg.norm`` of a complex vector, each of its two dots a sum, in order,
+    of the dots of consecutive ``chunk``-term slices: one dot each up to ``chunk`` terms."""
+    dots = [sum(float(part[i : i + chunk].dot(part[i : i + chunk]))
+                for i in range(0, len(part), chunk)) for part in (x.real, x.imag)]
+    return math.sqrt(dots[0] + dots[1])
 
 
 def per_axis_eigh_rotation(state, v, angle):
@@ -694,6 +703,18 @@ def _decimal_tail(p0, ratio, first):
             return total
         term *= step
         k += 1
+
+
+def walked_head(log_prob, ratio, start, stop):
+    """sum_{start <= k < stop} p_k in 64-term chunks, as ``states._series`` sums a head,
+    visiting every chunk: one that starts at or below 1e-300 adds nothing."""
+    total = 0.0
+    for first in range(start, stop, 64):
+        term = math.exp(log_prob(first))
+        if term > 1e-300:
+            products = np.cumprod(ratio(np.arange(first, min(first + 64, stop) - 1, dtype=float)))
+            total += term * (1.0 + float(products.sum()))
+    return total
 
 
 def truncation_loss_reference(family, value, cutoff):

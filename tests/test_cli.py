@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import math
@@ -282,11 +283,13 @@ def test_analyze_document_matches_reference_paths(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [["--family", "twin-fock", "--n", "150"],
                                   ["--family", "fraternal-twin-fock", "--n", "200"],
                                   ["--family", "tsv", "--nbar", "7"],
-                                  ["--family", "amplified-bell", "--nbar", "12"]], ids=" ".join)
+                                  ["--family", "amplified-bell", "--nbar", "12"],
+                                  ["--family", "noon", "--n", "30000"]], ids=" ".join)
 def test_analyze_document_does_not_depend_on_blas_threads(argv):
     # OpenBLAS splits a dot of more than 10 000 cells across its threads, which
     # changes how the dot rounds; no sum that reaches the document may go through it
-    # (the exit code and stderr are compared too).
+    # (the exit code and stderr are compared too). The particle route's dots over the
+    # 30 001 cells of noon's sector are taken in chunks of at most 8192 terms.
     # The Schmidt values of tsv (rank 1) and amplified-bell (rank 2, two blocks of 12 100
     # cells at cutoff 219) come from crosses, which LAPACK sees only as 1 x 1 cores
     src = Path(__file__).resolve().parent.parent / "src"
@@ -357,6 +360,28 @@ def test_an_unaddressable_grid_is_an_error_document(argv, cutoff):
     assert json.loads(proc.stderr) == {"schema": "mzi-qfi/1", "error": {
         "code": "out-of-memory",
         "message": f"cutoff {cutoff} needs a grid of more than 9223372036854775807 bytes"}}
+
+
+def test_a_raised_ceiling_search_past_the_grids_returns_promptly():
+    # the cutoff search skips the head chunks that add exactly 0, and the grid is
+    # allocated before its vectors, so a grid no memory holds is refused at once
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               MZI_QFI_CUTOFF_CEILING="100000000000")
+    proc = subprocess.run([sys.executable, "-m", "mzi_qfi.cli", "analyze", "--family", "coherent",
+                           "--nbar", "1e9"], env=env, capture_output=True, text=True,
+                          preexec_fn=_limit_address_space, timeout=10, check=False)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    error = json.loads(proc.stderr)["error"]
+    assert error["code"] == "out-of-memory" and error["message"].startswith("Unable to allocate")
+    assert "(500173066, 500173066)" in error["message"]
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # only ``python -m mzi_qfi.cli`` freezes the import's objects; main() runs in process
+    frozen = gc.get_freeze_count()
+    assert run_cli(capsys, "analyze", "--family", "coherent", "--alpha", "1")[0] == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_a_value_error_of_another_origin_propagates(monkeypatch):

@@ -211,7 +211,7 @@ def test_reports_within_bound_of_ladder_reports(state):
     # quotient of moments, to eight times the bound relative to its value
     report, expected = analyze(state), ladder_analyze(state)
     scale = 4 * moment_bound(state) * (1.0 + expected.nbar) ** 2
-    for field, value in vars(report).items():
+    for field, value in report._asdict().items():
         reference = getattr(expected, field)
         if field.startswith("g2") and value is not None:
             assert abs(value - reference) <= 8 * moment_bound(state) * reference, field

@@ -477,7 +477,7 @@ FIXED_N_FAMILIES = ("twin-fock", "fraternal-twin-fock", "separable-coherent-prob
 
 def moment_bits(moments):
     """The fields of ``moments`` as uint64 bit patterns."""
-    return np.array(dataclasses.astuple(moments)).view(np.uint64)
+    return np.array(tuple(moments)).view(np.uint64)
 
 
 def untagged(state):

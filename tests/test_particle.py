@@ -230,7 +230,7 @@ class TestDecomposition:
                       dataclasses.replace(sector, weight=0.5),
                       dataclasses.replace(sector, n=3)):
             assert (sector == other) is False
-        assert (first == dataclasses.replace(first, weights_sum=0.5)) is False
+        assert (first == first._replace(weights_sum=0.5)) is False
         with pytest.raises(TypeError):
             hash(sector)
 

@@ -1,6 +1,9 @@
 """The package's public surface, pinned so that adding or removing a name is deliberate."""
 
+import dataclasses
+import importlib
 import inspect
+import pkgutil
 import types
 
 import pytest
@@ -169,3 +172,18 @@ def test_ladder_layer_is_gone(module, name):
 ])
 def test_removed_helpers_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_only_records_that_need_the_machinery_are_dataclasses():
+    # a record that only carries values is a NamedTuple; a frozen dataclass is kept where
+    # construction validates a field (FockState, SpinDirection, ProbeSpec), equality
+    # compares an array (FockState, Sector) or the instance keeps memos (FockState), and
+    # for RowForms, whose rows callers change through dataclasses.replace
+    found = set()
+    for info in pkgutil.iter_modules(mzi_qfi.__path__):
+        module = importlib.import_module(f"mzi_qfi.{info.name}")
+        found |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and obj.__module__ == module.__name__
+                  and dataclasses.is_dataclass(obj)}
+    assert found == {"fock.FockState", "particle.Sector", "schwinger.SpinDirection",
+                     "states.ProbeSpec", "catalog.RowForms"}

@@ -1,11 +1,14 @@
 import dataclasses
 import gc
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +59,18 @@ from oracles import (
     sector_generator_matrix,
     whole_block_jx_eigenbasis,
 )
+
+#: A random state on the cells j + k <= 150 of a cutoff 150 grid, rotated; prints its digest.
+ROTATE_TRIANGLE = """
+import hashlib
+import numpy as np
+from mzi_qfi import FockState, apply_rotation
+rng = np.random.default_rng(2)
+grid = rng.normal(size=(151, 151)) + 1j * rng.normal(size=(151, 151))
+grid[np.add.outer(np.arange(151), np.arange(151)) > 150] = 0
+rotated = apply_rotation(FockState.from_grid(grid), (0.48, 0.6, 0.64), 0.7)
+print(hashlib.sha256(rotated.amplitudes.tobytes()).hexdigest())
+"""
 
 EPSILON = {("jx", "jy"): "jz", ("jy", "jz"): "jx", ("jz", "jx"): "jy"}
 
@@ -234,6 +249,18 @@ class TestRotations:
         assert sum(n // 2 + 1 for n in range(321)) > 10 * MIX_COLUMNS
         got, expected = apply_rotation(state, v, 0.9), dense_rotation(state, v, 0.9)
         assert np.array_equal(got.amplitudes.view(np.uint64), expected.amplitudes.view(np.uint64))
+
+    def test_rotation_does_not_depend_on_blas_threads(self):
+        # the norm of the 11 476 cells of sectors 0..150 is a dot of more than 10 000
+        # terms, which OpenBLAS would split across its threads; the products are not
+        src = Path(__file__).resolve().parent.parent / "src"
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", ROTATE_TRIANGLE], env=env,
+                                  capture_output=True, text=True, check=True)
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
     def test_nonzero_cells_is_complex_inequality(self, rng):
         values = np.array([0.0, -0.0, 5e-324, 1e-170, -2.5, np.inf, np.nan])

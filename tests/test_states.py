@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import os
 import subprocess
@@ -38,6 +40,7 @@ from oracles import (
     poisson_magnitudes_reference,
     squeezed_vacuum_reference,
     truncation_loss_reference,
+    walked_head,
 )
 
 CONTINUOUS_FAMILIES = tuple(name for name in FAMILIES if resolve_family(name).loss is not None)
@@ -213,6 +216,30 @@ def test_loss_matches_the_decimal_oracle_and_never_rises(data):
     else:  # a sum that starts below 1e-300 is dropped
         assert loss < 1e-279
     assert record.loss(value, cutoff + 1) <= loss
+
+
+def _head_cases():
+    """(mean, std, tail of the indices >= first) of one-mode distributions whose tails sum heads."""
+    for mu in (3.0, 1e3, 1e5, 2.5e5):
+        yield pytest.param(mu, math.sqrt(mu), functools.partial(states._poisson_tail, mu),
+                           id=f"poisson-{mu:g}")
+    for xi, photon in itertools.product((1.0, 4.0, 240.0), (0, 1)):
+        yield pytest.param((1 + 2 * photon) * math.sinh(xi) ** 2 / 2, math.sinh(xi) ** 2,
+                           lambda first, xi=xi, photon=photon: states._squeezed_tail(xi, first, photon),
+                           id=f"squeezed-{xi:g}-photon-{photon}")
+
+
+@pytest.mark.parametrize("mean,std,tail", _head_cases())
+def test_a_tail_keeps_the_bits_of_the_walk_through_every_head_chunk(mean, std, tail, monkeypatch):
+    # a head skips its leading chunks that add exactly 0 and stops at one half,
+    # which _tail discards: every tail is the one a walk through each chunk gives
+    firsts = sorted({max(0, min(int(mean + z * std), 10**6)) for z in (-45, -38, -3, -1, 0, 1, 5)})
+    skipping = [tail(first) for first in firsts]
+    series = states._series
+    monkeypatch.setattr(states, "_series", lambda log_prob, ratio, start, stop, bound: (
+        series(log_prob, ratio, start, stop, bound) if stop is None
+        else walked_head(log_prob, ratio, start, stop)))
+    assert [x.hex() for x in skipping] == [tail(first).hex() for first in firsts]
 
 
 class TestPathSymmetry:

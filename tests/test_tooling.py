@@ -193,6 +193,11 @@ def test_cli_digest_edge_state_is_the_epsilon_state(tmp_path):
     assert np.array_equal(read.view(np.uint64), held.view(np.uint64))
 
 
+def test_stage_timing_times_the_import_in_a_fresh_interpreter():
+    tool = load_tool("stage_timing")
+    assert 0 < tool.import_seconds(tool.ROOT, runs=1) < 5
+
+
 def test_stage_timing_times_every_stage_of_a_small_probe():
     tool = load_tool("stage_timing")
     assert tool.STAGES[: len(load_tool("stage_memory").STAGES)] == load_tool("stage_memory").STAGES

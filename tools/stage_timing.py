@@ -17,6 +17,10 @@ more stages follow them:
 - ``rotation_new_axis``: ``apply_rotation`` of the planned probe about a
   new random axis each call, so each projects the probe afresh.
 
+A last line times the package itself: ``import_cli``, the least wall time of
+``import mzi_qfi.cli`` after numpy over ``IMPORT_RUNS`` fresh interpreters,
+the start-up that every CLI process pays.
+
 With no argument it times this checkout's ``src/`` in this process. With
 the roots of one or more checkouts, it times each in a child process of its
 own, alternating between them for ``ROUNDS`` rounds and keeping each
@@ -35,6 +39,7 @@ import importlib.util
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -63,6 +68,12 @@ BATCH_SECONDS = 5e-3
 
 #: Alternating rounds of child processes, one per root each, when roots are given.
 ROUNDS = 3
+
+#: Fresh interpreters of one ``import_cli`` timing, of which the least counts.
+IMPORT_RUNS = 10
+
+IMPORT_SNIPPET = ("import time, numpy; start = time.perf_counter(); import mzi_qfi.cli; "
+                  "print(time.perf_counter() - start)")
 
 
 def least_time(call: Callable[[], object], prepare: Callable[[int], None],
@@ -138,13 +149,23 @@ def stage_times(family: str, params: dict, cutoff, repeats: int = REPEATS
     return state.cutoff, times
 
 
-def measure(repeats: int = REPEATS) -> List[Tuple[str, int, str, float]]:
-    """(probe, cutoff, stage, seconds) of every probe and stage, in the imported ``src/``."""
+def import_seconds(root: Path, runs: int = IMPORT_RUNS) -> float:
+    """Least seconds of ``import mzi_qfi.cli`` after numpy, over ``runs`` fresh interpreters
+    of ``root/src``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return min(float(subprocess.run([sys.executable, "-c", IMPORT_SNIPPET], env=env, check=True,
+                                    capture_output=True, text=True).stdout)
+               for _ in range(runs))
+
+
+def measure(root: Path, repeats: int = REPEATS) -> List[Tuple[str, int, str, float]]:
+    """(probe, cutoff, stage, seconds) of every probe and stage, in the imported ``src/``,
+    then the ``import_cli`` line of ``root``, whose ``src/`` that is."""
     rows = []
     for label, family, params, cutoff in PROBES:
         chosen, times = stage_times(family, params, cutoff, repeats)
         rows += [(label, chosen, stage, seconds) for stage, seconds in times.items()]
-    return rows
+    return rows + [("package", 0, "import_cli", import_seconds(root))]
 
 
 def _child(root: Path) -> List[Tuple[str, int, str, float]]:
@@ -157,11 +178,11 @@ def _child(root: Path) -> List[Tuple[str, int, str, float]]:
 def main(args: Sequence[str]) -> int:
     if args[:1] == ["--json"]:  # a child: one root, timed in this process
         stage_memory._import_from(Path(args[1]))
-        print(json.dumps(measure()))
+        print(json.dumps(measure(Path(args[1]))))
         return 0
     if not args:
         stage_memory._import_from(ROOT)
-        for label, chosen, stage, seconds in measure():
+        for label, chosen, stage, seconds in measure(ROOT):
             print(f"{label:<18} {chosen:>6} {stage:<18} {seconds * 1e6:12.1f}")
         return 0
     roots = [Path(arg).resolve() for arg in args]
