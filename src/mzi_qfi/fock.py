@@ -46,7 +46,8 @@ holds just the cells of sector n, in :func:`sector_kets` order, read-only
 cells, and its grid is built on the first read of ``amplitudes``. Every
 other state holds a grid, and both are None. Only constructors that know
 the sector by construction make the first kind: :func:`make_fock`, the noon
-builder, :func:`pad_to` of such a state, ``Sector.state``,
+builder and the builder of a Fock ket behind the first beam splitter in
+:mod:`mzi_qfi.states`, :func:`pad_to` of such a state, ``Sector.state``,
 :func:`mzi_qfi.schwinger.phase_shift` of such a state, and
 :func:`mzi_qfi.schwinger.apply_rotation` when its result occupies one
 sector. Grids from elsewhere are never scanned for a sector. The norm

@@ -18,7 +18,10 @@ one byte-bounded cache serves every axis and cutoff. It keeps only the rows
 k <= n/2 of the eigenvectors with m >= 0: swapping the modes and the parity
 of k imply the rest. A sector above the cutoff, held only in part, is rotated
 exactly and restricted to the cells the grid holds, so the cache keeps of
-its block only the rows of those cells, k >= n - cutoff.
+its block only the rows of those cells, k >= n - cutoff. One eigenvector of
+a block, alone, is :func:`_jx_column`, with the block's bits in O(n): a Fock
+ket behind the first beam splitter is one of them times powers of i, so
+:mod:`mzi_qfi.states` builds those probes with no rotation and no block.
 
 A rotation reads what the state holds: the cells of its one sector, for a
 state that knows its photon number (see :class:`mzi_qfi.fock.FockState`),
@@ -165,6 +168,44 @@ def _jx_eigenbasis(n: int) -> np.ndarray:
     block /= np.sqrt(2 * sums)
     block.flags.writeable = False
     return block
+
+
+def _jx_column(n: int, j: int) -> np.ndarray:
+    """Eigenvector j of :func:`_jx_eigenbasis` on the whole sector n, rows k = 0..n.
+
+    Rows k <= n/2 are column j of the block, with its bits: each takes the
+    same float steps as the block does for that column (the multiply,
+    subtract and divide of the recurrence, the 2^-400 rescale, the middle-row
+    zero, and the pairwise sum of the squares with the middle one halved), one
+    scalar at a time, so the vector costs O(n) time and memory and no block.
+    A numpy call per row, as the block's loop makes, would cost far more on
+    one column. Row n-k is s_j times row k.
+    """
+    size = n // 2 + 1
+    twice_m = 2.0 * j + n % 2
+    coupling = _ladder_coupling(n, np.arange(size, dtype=float)).tolist()
+    vector = np.empty(n + 1)
+    column = vector[:size]
+    column[0] = current = 1.0
+    previous = 0.0  # row -1: subtracting its 0.0 leaves row 1 as the block has it
+    for k in range(size - 1):
+        row = twice_m * current
+        row -= coupling[k - 1] * previous
+        row /= coupling[k]
+        if abs(row) > 2.0**400:
+            column[: k + 1] *= 2.0**-400
+            row *= 2.0**-400
+            current *= 2.0**-400
+        column[k + 1] = row
+        previous, current = current, row
+    sign = -1.0 if (n // 2 - j) % 2 else 1.0  # s_j
+    if n % 2 == 0 and sign < 0:
+        column[-1] = 0.0
+    squares = np.square(column)
+    squares[-1] /= 2 - n % 2
+    column /= np.sqrt(2 * squares.sum())
+    np.multiply(column[: n + 1 - size][::-1], sign, out=vector[size:])
+    return vector
 
 
 class _BasisCache:
@@ -370,6 +411,13 @@ class _Plan(NamedTuple):
     groups: Tuple[_Group, ...]
 
 
+def _overflow_error(excess: float, cutoff: int) -> TruncationOverflowError:
+    """The error of a rotation that would take weight ``excess`` from above ``cutoff``."""
+    return TruncationOverflowError(
+        f"weight {excess:.3e} sits above cutoff {cutoff}; enlarge the grid before rotating"
+    )
+
+
 def _plan(state: FockState, held: np.ndarray) -> _Plan:
     """The rotation plan of ``held``, the array ``state`` holds; raises on weight above the cutoff."""
     cutoff = state.cutoff
@@ -386,10 +434,7 @@ def _plan(state: FockState, held: np.ndarray) -> _Plan:
         above = offsets[bisect_right(occupied, cutoff)]  # the first run above the cutoff
         excess = float(np.sum(np.abs(held.reshape(-1).take(flats[above:])) ** 2))
         if excess >= 1e-12:
-            raise TruncationOverflowError(
-                f"weight {excess:.3e} sits above cutoff {cutoff}; "
-                "enlarge the grid before rotating"
-            )
+            raise _overflow_error(excess, cutoff)
     width = max(MIX_COLUMNS, top // 2 + 1)
     grouped: List[list] = []  # the runs of each group
     last: List[list] = [[], []]  # by the parity of n, the runs of its last group

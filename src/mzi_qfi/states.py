@@ -12,8 +12,10 @@ unattainable target fails there, and builds no grid. Fixed-photon-number
 families round to the nearest attainable photon total.
 Squeezed families use closed-form single-mode amplitudes, the two-mode squeezed
 vacuum its geometric number-correlated form, coherent probes Poisson
-amplitudes; fixed-photon-number families are assembled from basis kets and the
-beam splitter.
+amplitudes. Fixed-photon-number families hold the cells of their one sector:
+a Fock ket, noon's two cells, or a Fock ket behind the first beam splitter,
+which is one eigenvector of Jx times powers of i, built in O(n) with no
+rotation.
 
 Automatic cutoff selection picks the smallest per-mode cutoff whose discarded
 probability is below the loss target, subject to the configurable ceiling.
@@ -42,7 +44,7 @@ from .fock import (
     make_fock,
     strip_rows,
 )
-from .schwinger import beam_splitter
+from .schwinger import _jx_column, _overflow_error
 
 ParamValue = Union[int, float, complex]
 
@@ -374,16 +376,11 @@ def _grid_tmsv(chi: float, cutoff: int) -> np.ndarray:
     return grid
 
 
-@functools.cache
-def _split_photon_amplitudes() -> Tuple[complex, complex]:
-    """Arm amplitudes (u, v) of one photon behind the first splitter.
-
-    Derived from beam_splitter itself so the composed families inherit its
-    phase convention; with the exp(-i pi/2 Jx) splitter, (u, v) =
-    (1, -i)/sqrt(2). Computed on first use, not at import.
-    """
-    split = beam_splitter(make_fock(1, 0, 1), "first").amplitudes
-    return complex(split[1, 0]), complex(split[0, 1])
+#: Arm amplitudes (u, v) of one photon behind the first splitter,
+#: exp(-i pi/2 Jx)|1, 0> = u|1, 0> + v|0, 1> = (|1, 0> - i|0, 1>)/sqrt(2), with
+#: the bits a rotation of |1, 0> gives them: u real, v imaginary, |v| one ulp
+#: below |u|. The coherent and amplified-bell grids are built from them.
+_SPLIT_PHOTON = (complex(0.7071067811865476, 0.0), complex(0.0, -0.7071067811865475))
 
 
 def _intensity(alpha: complex) -> float:
@@ -400,7 +397,7 @@ def _loss_coherent(alpha: complex, cutoff: int) -> float:
 def _grid_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     # Probe inside the interferometer for coherent light injected into port a:
     # the splitter maps |alpha, 0> to the product |u alpha, v alpha>.
-    u, v = _split_photon_amplitudes()
+    u, v = _SPLIT_PHOTON
     grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
     a, b = coherent_vector(u * alpha, cutoff + 1), coherent_vector(v * alpha, cutoff + 1)
     return np.outer(a, b, out=grid)
@@ -438,7 +435,7 @@ def _grid_amplified_bell(xi: float, cutoff: int) -> np.ndarray:
     # term by term so the closed-form squeezed vectors keep full precision:
     # u np.outer(v1, v0) + v np.outer(v0, v1), a strip of rows at a time,
     # each product with its operands in that order, so with the same bits
-    u, v = _split_photon_amplitudes()
+    u, v = _SPLIT_PHOTON
     grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
     v0 = squeezed_vacuum_vector(xi, cutoff + 1)
     v1 = squeezed_one_vector(xi, cutoff + 1)
@@ -482,9 +479,32 @@ def _auto_cutoff(family: Family, value: ParamValue, ceiling: int) -> Tuple[int, 
     return hi, loss
 
 
-def _fixed_n_state(j: int, k: int, cutoff: int, split: bool) -> FockState:
-    state = make_fock(j, k, cutoff)
-    return beam_splitter(state, "first") if split else state
+#: i^t for t = 0..3.
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def _split_fock(j: int, k: int, cutoff: int) -> FockState:
+    """exp(-i pi/2 Jx)|j, k>, j >= k: a Fock ket behind the first splitter, from one Jx eigenvector.
+
+    Jx is Jy turned by Rz(-pi/2), so the splitter is Rz(-pi/2) exp(-i pi/2 Jy)
+    Rz(pi/2). It maps |j, k>, whose Jz eigenvalue is m0 = (j - k)/2, to
+    i^(q - j) d_{m,m0}(pi/2) on each ket |q, n - q> of its sector n = j + k,
+    with m = q - n/2 and d Wigner's real rotation matrix: Krawtchouk
+    amplitudes (Campos, Saleh & Teich, PRA 40, 1371, 1989). Column m0 >= 0 of
+    d(pi/2) is the eigenvector of Jx for m0 whose entry at q = 0 is positive,
+    :func:`mzi_qfi.schwinger._jx_column`'s. No rotation is made.
+
+    The splitter keeps n, so a grid whose cutoff lies below n holds none of
+    the result: that raises as a rotation of the ket would, once the ket
+    itself fits the grid.
+    """
+    n = j + k
+    if n > cutoff:
+        make_fock(j, k, cutoff)  # raises for a ket outside the grid
+        raise _overflow_error(1.0, cutoff)
+    vector = _jx_column(n, (j - k - n % 2) // 2)
+    turns = (np.arange(n + 1) - j) & 3
+    return FockState._from_cells(vector * _QUARTER_TURNS.take(turns), n, cutoff)
 
 
 def _noon_state(n: int, cutoff: int) -> FockState:
@@ -634,22 +654,22 @@ _REGISTRY = (
     Family("twin-squeezed-vacuum", "xi", _squeezing, grid=_grid_twin_squeezed,
            loss=_loss_twin_squeezed, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
     Family("twin-fock", "n", _photon_count, photons=lambda n: 2 * n,
-           state=lambda n, cutoff: _fixed_n_state(n, n, cutoff, split=True)),
+           state=lambda n, cutoff: _split_fock(n, n, cutoff)),
     Family("entangled-coherent", "alpha", _displacement, grid=_grid_entangled_coherent,
            loss=_loss_entangled_coherent, param_for_nbar=_entangled_coherent_alpha),
     Family("noon", "n", _photon_count, min_n=1, photons=lambda n: n, state=_noon_state),
     Family("amplified-bell", "xi", _squeezing, grid=_grid_amplified_bell,
            loss=_loss_amplified_bell, param_for_nbar=_amplified_bell_xi),
     Family("fraternal-twin-fock", "n", _photon_count, photons=lambda n: 2 * n + 1,
-           state=lambda n, cutoff: _fixed_n_state(n + 1, n, cutoff, split=True)),
+           state=lambda n, cutoff: _split_fock(n + 1, n, cutoff)),
     Family("coherent", "alpha", _displacement, grid=_grid_coherent, loss=_loss_coherent,
            param_for_nbar=math.sqrt),
     Family("separable-coherent-probe", "n", _photon_count, photons=lambda n: n,
-           state=lambda n, cutoff: _fixed_n_state(n, 0, cutoff, split=True)),
+           state=lambda n, cutoff: _split_fock(n, 0, cutoff)),
     Family("two-mode-squeezed-vacuum", "chi", _squeezing, grid=_grid_tmsv,
            loss=_loss_tmsv, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
     Family("fock-pair", "n", _photon_count, photons=lambda n: 2 * n,
-           state=lambda n, cutoff: _fixed_n_state(n, n, cutoff, split=False)),
+           state=lambda n, cutoff: make_fock(n, n, cutoff)),
 )
 
 _BY_NAME: Dict[str, Family] = {family.name: family for family in _REGISTRY}

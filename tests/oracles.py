@@ -66,7 +66,7 @@ from mzi_qfi.particle import (
     _report_from_z_stats,
 )
 from mzi_qfi.serialize import fmt_float
-from mzi_qfi.states import _split_photon_amplitudes, squeezed_one_vector, squeezed_vacuum_vector
+from mzi_qfi.states import _SPLIT_PHOTON, squeezed_one_vector, squeezed_vacuum_vector
 from mzi_qfi.schwinger import (
     DirectionLike,
     _direction,
@@ -219,7 +219,7 @@ def outer_twin_squeezed_grid(xi, cutoff):
 
 def outer_amplified_bell_grid(xi, cutoff):
     """The unnormalized amplified Bell grid as two whole outer products."""
-    u, v = _split_photon_amplitudes()
+    u, v = _SPLIT_PHOTON
     v0 = squeezed_vacuum_vector(xi, cutoff + 1)
     v1 = squeezed_one_vector(xi, cutoff + 1)
     return u * np.outer(v1, v0) + v * np.outer(v0, v1)

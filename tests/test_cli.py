@@ -30,7 +30,6 @@ from mzi_qfi.serialize import (
 from mzi_qfi.states import ProbeSpec, build
 from oracles import (
     dense_decompose_sectors,
-    dense_rotation,
     piecewise_canonical_json,
     truncation_loss_reference,
 )
@@ -271,11 +270,16 @@ REFERENCE_CASES = [
 ] + [["analyze", "--family", "coherent", "--nbar", "4"]]
 
 
+def _no_rotation(state, v, angle):
+    raise AssertionError("the CLI rotated a state")
+
+
 @pytest.mark.parametrize("argv", REFERENCE_CASES, ids=" ".join)
 def test_analyze_document_matches_reference_paths(capsys, monkeypatch, argv):
-    # the dense sector loops of the rotation and the decomposition, in place of the fast paths
+    # the dense sector loop of the decomposition, in place of the fast path; the
+    # documents take no rotation, the split fixed-n probes' builds included
     fast = run_cli(capsys, *argv)
-    monkeypatch.setattr(schwinger, "apply_rotation", dense_rotation)
+    monkeypatch.setattr(schwinger, "apply_rotation", _no_rotation)
     monkeypatch.setattr(cli, "decompose_sectors", dense_decompose_sectors)
     assert run_cli(capsys, *argv) == fast
 
@@ -312,21 +316,34 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
-@pytest.mark.parametrize("argv", [
-    ["--family", "coherent", "--alpha", "2", "--cutoff", "50000"],  # a 37.3 GiB grid
-    ["--family", "twin-fock", "--n", "20000"],  # a 2.98 GiB Jx basis
-])
-def test_a_failed_allocation_is_an_error_document(argv):
+def _analyze_in_limited_space(argv):
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "mzi_qfi.cli", "analyze", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "mzi_qfi.cli", "analyze", *argv], env=env,
                           capture_output=True, text=True, preexec_fn=_limit_address_space,
                           timeout=120, check=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "coherent", "--alpha", "2", "--cutoff", "50000"],  # a 37.3 GiB grid
+    ["--family", "noon", "--n", "100000000"],  # 1.49 GiB of cells in its one sector
+])
+def test_a_failed_allocation_is_an_error_document(argv):
+    proc = _analyze_in_limited_space(argv)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "Traceback" not in proc.stderr
     error = json.loads(proc.stderr)
     assert error["schema"] == "mzi-qfi/1" and error["error"]["code"] == "out-of-memory"
     assert error["error"]["message"].startswith("Unable to allocate")
+
+
+@pytest.mark.parametrize("family", ["twin-fock", "fraternal-twin-fock", "separable-coherent-probe"])
+def test_a_split_family_at_n_20000_fits_in_the_limited_space(family):
+    # each is built from one Jx eigenvector of its sector, O(n); the whole Jx
+    # basis of twin-fock's sector 40000 alone would take 2.98 GiB
+    proc = _analyze_in_limited_space(["--family", family, "--n", "20000"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["qfi"]["routes_consistent"] is True
 
 
 #: Inputs at a cutoff whose grid no numpy array can hold, and that cutoff, which

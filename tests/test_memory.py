@@ -39,9 +39,9 @@ stage_memory = load_tool("stage_memory")
 #: measured when single-sector states came to hold their cells and build no
 #: grid until one is read: ``Sector.state`` holds its sector's vector, and a
 #: rotation or phase shift of a fixed-n probe holds its c + 1 cells.
-#: Twin-fock's ``build`` was measured when the basis ket came to hold its one
-#: sector's cells as well: it and its beam splitter's plan and result take a
-#: few vectors of c + 1 entries. ``qfi_fidelity`` was measured when the
+#: Twin-fock's ``build`` was measured when it came to be one Jx eigenvector of
+#: its sector, with no rotation: a few vectors of c + 1 entries.
+#: ``qfi_fidelity`` was measured when the
 #: fidelity route came to take its weight on each j - k from the one read
 #: that takes the number moments, kept in the state: its warm call reads
 #: that p(d) and holds a few vectors of 2c + 1 floats.
@@ -133,3 +133,13 @@ def test_rotation_cache_holds_only_the_rows_k_up_to_half(monkeypatch):
     assert len(cache._bases) == 321
     assert cache.resident_bytes <= 8.5 * 2**20
     assert all(block.base is None for _, block in cache._bases.values())
+
+
+def test_a_split_fixed_n_build_takes_o_n_and_no_basis_block(monkeypatch):
+    # twin-fock n = 2000 is one eigenvector of sector 4000, about 73 bytes a cell at
+    # its peak; the Jx basis of that sector alone would take 2001^2 doubles, 32 MB
+    cache = schwinger._BasisCache(schwinger.BASIS_CACHE_BYTES)
+    monkeypatch.setattr(schwinger, "_jx_basis", cache)
+    peak = stage_memory.transient_peak(lambda: build(ProbeSpec("twin-fock", {"n": 2000})))
+    assert peak < 128 * 4001
+    assert cache.misses == 0 and not cache._bases

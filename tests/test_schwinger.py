@@ -36,6 +36,7 @@ from mzi_qfi.schwinger import (
     _BasisCache,
     _euler_angles,
     _jx_basis,
+    _jx_column,
     _jx_eigenbasis,
     apply_rotation,
     beam_splitter,
@@ -654,6 +655,20 @@ class TestRotations:
         # a block of 255, 256 or 257 columns, and several strips of 256, the last short
         stored = _jx_eigenbasis(n)
         assert np.array_equal(stored.view(np.uint64), whole_block_jx_eigenbasis(n).view(np.uint64))
+
+    def test_one_column_keeps_the_bits_of_the_block(self):
+        # every column up to n = 120, and sampled ones of large sectors, whose last
+        # columns grow past 2^400 and are rescaled; rows n-k are s_j times rows k
+        cases = [(n, range(n // 2 + 1)) for n in range(121)]
+        cases += [(n, (0, 1, n // 4, n // 2 - 1, n // 2)) for n in (401, 1000, 2048)]
+        for n, columns in cases:
+            block = _jx_eigenbasis(n)
+            for j in columns:
+                vector = _jx_column(n, j)
+                column, sign = block[:, j], (-1.0) ** (n // 2 - j)
+                assert np.array_equal(vector[: n // 2 + 1].view(np.uint64),
+                                      column.view(np.uint64)), (n, j)
+                assert np.array_equal(vector[n // 2 + 1 :], sign * column[: n - n // 2][::-1])
 
     def test_a_cold_block_holds_one_strip_of_squares_beside_it(self):
         # sector 2000: a 1001-column block of 8.0 MB and a strip of 256 of its columns,

@@ -2,9 +2,7 @@ import functools
 import itertools
 import math
 import os
-import subprocess
 import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,12 +13,14 @@ from hypothesis import strategies as st
 from mzi_qfi import states
 from mzi_qfi.coherence import analyze
 from mzi_qfi.errors import (
+    MziError,
     ParameterError,
     TruncationLossError,
     UnattainableTargetError,
 )
-from mzi_qfi.fock import FockState, cutoff_ceiling, inner, make_fock
+from mzi_qfi.fock import ROUTE_ROUNDOFF, FockState, cutoff_ceiling, inner, make_fock
 from mzi_qfi.particle import decompose_sectors
+from mzi_qfi.qfi import qfi_variance
 from mzi_qfi.schwinger import beam_splitter
 from mzi_qfi.states import (
     AUTO_LOSS_TARGET,
@@ -171,20 +171,69 @@ class TestBuilders:
         # the coherent and amplified-bell grids depend on these bits, u real and
         # v imaginary, exactly; their losses and auto-cutoffs do not, being
         # sums over the one-mode number distributions
-        u, v = states._split_photon_amplitudes()
+        u, v = states._SPLIT_PHOTON
         assert (u.real.hex(), u.imag) == ("0x1.6a09e667f3bcdp-1", 0.0)
         assert (v.real, v.imag.hex()) == (0.0, "-0x1.6a09e667f3bccp-1")
 
-    def test_split_photon_amplitudes_are_computed_once_and_not_at_import(self):
-        script = ("from mzi_qfi import states; c = states._split_photon_amplitudes.cache_info; "
-                  "before = c().misses; states.build_for_nbar('coherent', 4.0); "
-                  "states.build_for_nbar('amplified-bell', 4.0); print(before, c().misses)")
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, check=True)
-        assert proc.stdout.split() == ["0", "1"]
+    def test_split_photon_amplitudes_are_the_rotation_of_one_photon(self):
+        v, u = beam_splitter(make_fock(1, 0, 1))._cells  # on |0, 1>, then |1, 0>
+        parts = lambda pair: [part.hex() for z in pair for part in (z.real, z.imag)]
+        assert parts((u, v)) == parts(states._SPLIT_PHOTON)  # signed zeros too
+
+
+#: Each split fixed-n family: the ket (j, k) that its first splitter takes, and its F.
+SPLIT_FAMILIES = {
+    "twin-fock": (lambda n: (n, n), lambda n: 2 * n * (n + 1)),
+    "fraternal-twin-fock": (lambda n: (n + 1, n), lambda n: 2 * n * n + 4 * n + 1),
+    "separable-coherent-probe": (lambda n: (n, 0), lambda n: n),
+}
+
+#: The largest gap allowed between an amplitude of a split build and that of the
+#: rotation of its ket: 32 u, where the rotation's products leave at most 17 u up
+#: to n = 60.
+SPLIT_ROTATION_TOL = 32 * np.finfo(float).eps / 2
+
+
+class TestSplitFamilies:
+    """The split fixed-n probes, each built from one Jx eigenvector with no rotation."""
+
+    @pytest.mark.parametrize("family", SPLIT_FAMILIES)
+    def test_a_split_build_is_the_rotation_of_its_ket(self, family):
+        # amplitude by amplitude, with no global phase set aside
+        ket = SPLIT_FAMILIES[family][0]
+        for n in range(61):
+            j, k = ket(n)
+            got, want = build(ProbeSpec(family, {"n": n})), beam_splitter(make_fock(j, k, j + k))
+            assert (got._sector, got.cutoff) == (want._sector, want.cutoff)
+            assert np.max(np.abs(got._cells - want._cells)) <= SPLIT_ROTATION_TOL, n
+
+    def test_every_ket_with_j_at_least_k_splits_as_it_rotates(self):
+        # on a grid above the sector too
+        for n in range(17):
+            for j in range(n - n // 2, n + 1):
+                got = states._split_fock(j, n - j, n + 2)
+                want = beam_splitter(make_fock(j, n - j, n + 2))
+                assert np.max(np.abs(got._cells - want._cells)) <= SPLIT_ROTATION_TOL, (j, n)
+
+    @pytest.mark.parametrize("family", SPLIT_FAMILIES)
+    def test_f_lies_within_the_route_roundoff_of_its_closed_form(self, family):
+        exact = SPLIT_FAMILIES[family][1]
+        for n in [*range(61), 2000, 5000, 20000]:
+            state = build(ProbeSpec(family, {"n": n}))
+            allowance = ROUTE_ROUNDOFF * state._sector**2  # <N^2> of one sector
+            assert abs(qfi_variance(state) - exact(n)) <= allowance, n
+
+    @pytest.mark.parametrize("family", SPLIT_FAMILIES)
+    def test_a_grid_below_the_sector_refuses_it_as_a_rotation_would(self, family):
+        j, k = SPLIT_FAMILIES[family][0](2)
+        for cutoff in range(j + k):
+            errors = []
+            for make in (lambda: build(ProbeSpec(family, {"n": 2}, cutoff)),
+                         lambda: beam_splitter(make_fock(j, k, cutoff))):
+                with pytest.raises(MziError) as caught:
+                    make()
+                errors.append((type(caught.value), str(caught.value)))
+            assert errors[0] == errors[1], cutoff
 
 
 def _alphas(radius):

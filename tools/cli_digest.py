@@ -17,7 +17,9 @@ fixed-n families from ``--n``, explicit cutoffs, ``table1`` in each format,
 the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, a noon sweep
 in csv and json up to n = 20000, probes at the edges of the route-agreement
 rule (near the vacuum, near one sector, and fixed n far past the default
-ceiling, noon n = 100000 among them), four state files read with
+ceiling, noon n = 100000 among them), the three split fixed-n families at
+n = 20000, each built from one Jx eigenvector of a sector whose whole Jx
+basis would take 3 GB, four state files read with
 ``--state-file``, one of them a hair past shot noise and one so faint that
 nbar^2 underflows, cutoffs and photon
 numbers whose arrays numpy refuses to allocate, an entangled-coherent target
@@ -71,6 +73,11 @@ ROUTE_EDGES = (
     ({}, ["analyze", "--family", "noon", "--n", "100000"]),
     ({"MZI_QFI_CUTOFF_CEILING": "1300"}, ["analyze", "--family", "twin-fock", "--n", "644"]),
 )
+#: The families built as the first splitter on a Fock ket, at an n whose sector's
+#: whole Jx basis would take 3 GB: each is one eigenvector of it, O(n).
+SPLIT_AT_20000 = tuple(["analyze", "--family", family, "--n", "20000"]
+                       for family in ("twin-fock", "fraternal-twin-fock",
+                                      "separable-coherent-probe"))
 #: Arrays numpy refuses to allocate at all, which ``build`` refuses first.
 UNADDRESSABLE = (
     ["--family", "coherent", "--alpha", "2", "--cutoff", "10000000000000000000"],
@@ -146,6 +153,7 @@ def invocations() -> List[Invocation]:
     env, argv = WIDE_NOON_SWEEP
     runs += [(env, [*argv, "--format", fmt]) for fmt in ("csv", "json")]
     runs += [(env, list(argv)) for env, argv in ROUTE_EDGES]
+    runs += [({}, list(argv)) for argv in SPLIT_AT_20000]
     runs += [({}, ["analyze", "--state-file", path]) for path in STATE_DOCUMENTS]
     runs += [({}, ["analyze", *args]) for args in UNADDRESSABLE]
     runs.append(({}, ["analyze", "--family", "ecs", "--nbar", "1e308"]))  # its bracket overflows
