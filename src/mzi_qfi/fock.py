@@ -88,6 +88,9 @@ DEFAULT_LOSS_CEILING = 1e-10
 
 _NORM_TOL = 1e-12
 
+#: The smallest normal float, 2^-1022.
+_SMALLEST_NORMAL = math.ldexp(1.0, -1022)
+
 #: Cells of a grid that one strip of a dense pass reads: 32 KiB per float
 #: buffer, under a fortieth of a grid from cutoff 300 up.
 STRIP_CELLS = 4096
@@ -259,10 +262,19 @@ class FockState:
         """:meth:`from_grid` of a complex grid that is the caller's to give: divided in place.
 
         ``grid /= nrm`` gives the bits of ``grid / nrm``, with no second grid.
-        The state holds ``grid`` itself, read-only.
+        The state holds ``grid`` itself, read-only. A nonzero finite grid whose
+        squared norm is not a normal float, that underflows or overflows, is
+        first scaled by the power of two that brings its largest part into
+        [1/2, 1), which is exact but for parts that then underflow.
         """
         check_truncation_loss(truncation_loss)
-        nrm = math.sqrt(squared_norm(grid))
+        norm_squared = squared_norm(grid)
+        if not _SMALLEST_NORMAL <= norm_squared < math.inf:
+            largest = float(max(np.abs(grid.real).max(), np.abs(grid.imag).max()))
+            if 0.0 < largest < math.inf:
+                grid *= math.ldexp(1.0, -math.frexp(largest)[1])
+                norm_squared = squared_norm(grid)
+        nrm = math.sqrt(norm_squared)
         if nrm == 0.0:
             raise NormalizationError("cannot normalize a zero amplitude grid")
         grid /= nrm

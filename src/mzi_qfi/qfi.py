@@ -16,12 +16,16 @@ computed alongside it:
                      probes that occupy exactly one photon-number sector
 
 Two routes agree when they differ by at most the sum of their own error
-bounds. Every route sums terms as large as <N^2> = <(n_a + n_b)^2>, so each
-carries the round-off ``ROUTE_ROUNDOFF`` <N^2>, whatever F is. The fidelity
-route adds its truncation, ``FIDELITY_ROUTE_ATOL`` +
-``FIDELITY_ROUTE_RTOL`` |f_fidelity|, and the symmetric route the bound of
-its premise error, which the measured asymmetry of the probe gives and which
-is 0 for an exactly symmetric one.
+bounds: one rule for every pair, with no exception, and each bound derived,
+none set by hand. Every route sums terms as large as <N^2> =
+<(n_a + n_b)^2>, so each carries the round-off ``ROUTE_ROUNDOFF`` <N^2>,
+whatever F is. The fidelity route adds the remainder of its Richardson
+extrapolation and the error of the products that underflow in it, both
+from its weight on each d (see :func:`_fidelity_bound`); the symmetric
+route adds the bound of its premise error, which the measured asymmetry of
+the probe gives and which is 0 for an exactly symmetric one. The raw
+central difference claims no bound, so it agrees with every route: it is
+outside the gate.
 
 The report's verdicts are judged against the same round-off, B =
 ``ROUTE_ROUNDOFF`` <N^2>: the CRB is defined when f_variance > B, and the
@@ -41,13 +45,12 @@ import numpy as np
 
 from .coherence import CoherenceReport, analyze
 from .errors import ParameterError
-from .fock import ROUTE_ROUNDOFF, FockState, difference_weights, number_moments
+from .fock import _SMALLEST_NORMAL, ROUTE_ROUNDOFF, FockState, difference_weights, number_moments
 from .particle import SectorDecomposition, decompose_sectors, qfi_particle
 from .schwinger import difference_phases, jz_moments
 
-#: The fidelity route's truncation error, absolute and relative to its value.
-FIDELITY_ROUTE_RTOL = 1e-6
-FIDELITY_ROUTE_ATOL = 1e-9
+#: The smallest float, 2^-1074.
+_ETA = math.ldexp(1.0, -1074)
 
 #: The default fidelity step is this over the widest |j - k| the probe holds.
 FIDELITY_STEP_SCALE = 0.02
@@ -145,8 +148,63 @@ def check_fidelity_step(step: Optional[float]) -> None:
         raise ParameterError(f"fidelity step must lie in [1e-5, 1e-2], got {step!r}")
 
 
-def _fidelity(state: FockState, step: Optional[float], richardson: bool) -> Tuple[float, float]:
-    """:func:`qfi_fidelity` and the step it took."""
+def _fidelity_bound(weights: np.ndarray, differences: np.ndarray, step: float) -> float:
+    """How far the extrapolated fidelity route at ``step`` may err, but for its round-off.
+
+    Truncation. The estimate at step h is E(h) = Var_p[g], with
+    g(d) = (2/h) sin(hd/2) = d - h^2 d^3/24 + h^4 d^5/1920 - ..., so
+    E(h) = Var d - (h^2/12) Cov(d, d^3) + h^4 C + O(h^6), with
+    C = Var(d^3)/576 + Cov(d, d^5)/960. Richardson's (4 E(h/2) - E(h))/3
+    (Richardson, Phil. Trans. R. Soc. A 210, 307, 1911) weighs the h^2k term
+    of E by (4^(1-k) - 1)/3: 0 for k = 1, -1/4 for k = 2, and at most 1/3 in
+    size from k = 3 on. Its error is then -(h^4/4) C, both of whose parts
+    are >= 0, the second since d and d^5 increase together, plus a tail.
+    Over pairs, Var_p[g] = (1/2) sum p(d) p(d') (g(d) - g(d'))^2, and
+    |d^(2m+1) - d'^(2m+1)| <= (2m+1) |d - d'| D^2m with D = max|d|, so the
+    h^2k coefficient of each square is at most (d - d')^2 D^2k / (2 (2k)!).
+    Weighed by 1/3 and summed from k = 3 on, with y = h D and
+    sum_{k>=3} y^2k/(2k)! <= y^6 cosh(y)/720, that is at most
+    (d - d')^2 y^6 cosh(y)/4320, so the tail is at most
+    Var_p(d) y^6 cosh(y)/4320. As g is 1-Lipschitz, each square lies in
+    [0, (d - d')^2], so no step errs by more than 4/3 Var_p(d); the tail's
+    bound passes that before y = 3, so the cosh of min(y, 3) bounds the same
+    and never overflows. The moments are taken of x = hd, centred:
+    h^4 Var(d^3) = Var(x^3)/h^2, and so on.
+
+    Underflow. In Higham's model (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 2), a product or quotient that underflows
+    errs by |eta| <= 2^-1075 more, and a sum that underflows is exact. Each
+    estimate takes a product with p on each of its K held d, for
+    <dpsi|dpsi> and for <dpsi|psi>; squaring the latter scales its K eta by
+    2 |<dpsi|psi>| <= 4 and adds one more, so the difference errs by
+    (5K + 1) eta, and its quotient by h^2 by (5K + 1) eta / h^2 + eta. The
+    extrapolation weighs the estimate at h/2 by 4/3 and that at h by 1/3,
+    and its division by 3 adds one eta: (17/3) (5K + 1) eta / h^2 +
+    (8/3) eta in all, here with eta taken as 2^-1074, the smallest float,
+    above 2^-1075.
+    """
+    x = step * differences
+    dx = x - (weights * x).sum()
+    squares = x * x
+    cubes = squares * x
+    fifths = cubes * squares
+    var = (weights * np.square(dx)).sum()
+    leading = ((weights * np.square(cubes - (weights * cubes).sum())).sum() / 576
+               + (weights * dx * (fifths - (weights * fifths).sum())).sum() / 960) / 4
+    y = step * float(np.abs(differences).max())
+    tail = var * y**6 * math.cosh(min(y, 3.0)) / 4320
+    truncation = float(min(leading + tail, 4.0 / 3.0 * var)) / (step * step)
+    underflow = (17.0 * (5 * len(weights) + 1) / (3.0 * step * step) + 8.0 / 3.0) * _ETA
+    return truncation + underflow
+
+
+def _fidelity(
+    state: FockState, step: Optional[float], richardson: bool
+) -> Tuple[float, float, float]:
+    """:func:`qfi_fidelity`, the step it took and its bound (:func:`_fidelity_bound`).
+
+    The raw central difference claims no bound: it is infinite.
+    """
     check_fidelity_step(step)
     weights = difference_weights(state)
     held = np.flatnonzero(weights)
@@ -163,9 +221,9 @@ def _fidelity(state: FockState, step: Optional[float], richardson: bool) -> Tupl
         return (norm - abs(overlap) ** 2) / (h * h)  # 4 (<dpsi|dpsi> - |<dpsi|psi>|^2)
 
     if not richardson:
-        return estimate(step), step
+        return estimate(step), step, math.inf
     coarse, fine = estimate(step), estimate(step / 2)
-    return (4.0 * fine - coarse) / 3.0, step
+    return (4.0 * fine - coarse) / 3.0, step, _fidelity_bound(weights, differences, step)
 
 
 def qfi_fidelity(
@@ -196,15 +254,12 @@ def qfi_fidelity(
 
     By default h = ``FIDELITY_STEP_SCALE`` / max|d| over the d where
     p(d) > 0, at most 1e-2, and 1e-2 when only d = 0 holds weight: the error
-    of the extrapolated difference grows like (h max|d|)^4, so a fixed step
-    fails for wide probes, and no floor holds h max|d| above 0.02. An
-    explicit ``step`` must lie in [1e-5, 1e-2].
+    of the extrapolated difference grows like (h max|d|)^4 (its bound,
+    :func:`_fidelity_bound`), so a fixed step loses accuracy on wide probes,
+    and no floor holds h max|d| above 0.02. An explicit ``step`` must lie in
+    [1e-5, 1e-2].
     """
     return _fidelity(state, step, richardson)[0]
-
-
-#: The smallest normal float, 2^-1022.
-_SMALLEST_NORMAL = math.ldexp(1.0, -1022)
 
 
 def classify_scaling(f: float, nbar: float, bound: float) -> ScalingClass:
@@ -267,7 +322,7 @@ def build_report(
             reasons["f_path_symmetric"] = "probe is not path-symmetric"
         else:
             reasons["f_path_symmetric"] = "pair coherence undefined on a dark mode"
-    f_fidelity, step = _fidelity(state, step, richardson)
+    f_fidelity, step, fidelity_bound = _fidelity(state, step, richardson)
     if not richardson:
         reasons["f_fidelity"] = (
             "raw central difference (exploratory); excluded from the consistency gate"
@@ -291,7 +346,7 @@ def build_report(
         ("f_variance", f_variance), ("f_fidelity", f_fidelity), ("f_mode", f_mode),
         ("f_path_symmetric", f_sym), ("f_particle", f_particle)) if value is not None}
     bounds = dict.fromkeys(routes, roundoff)
-    bounds["f_fidelity"] += FIDELITY_ROUTE_ATOL + FIDELITY_ROUTE_RTOL * abs(f_fidelity)
+    bounds["f_fidelity"] += fidelity_bound
     if f_sym is not None:
         bounds["f_path_symmetric"] += _premise_bound(coherence_report)
 
@@ -302,8 +357,6 @@ def build_report(
         for name_b in names[i + 1 :]:
             a, b = routes[name_a], routes[name_b]
             agreement = max(agreement, abs(a - b))
-            if not richardson and "f_fidelity" in (name_a, name_b):
-                continue  # the documented fidelity tolerance presumes extrapolation
             allowance = bounds[name_a] + bounds[name_b]
             if not abs(a - b) <= allowance:
                 disagreements.append({

@@ -12,7 +12,9 @@ package now does with less work: every ladder moment lowers both sides of its
 inner product separately, a rotation and a sector decomposition visit all
 2c+1 photon-number sectors, the Schmidt spectrum is one SVD of the whole grid,
 a phase shift evaluates its phase at every cell, a decomposition gathers the
-cells of all its occupied sectors at once, the fidelity route holds
+cells of all its occupied sectors at once, the QFI of a state is its
+exact variance of j - k in rational arithmetic (:func:`exact_qfi`), the
+fidelity route holds
 every grid of its central differences at once or sums its weights on each
 difference j - k cell by cell, coherent amplitudes run
 forward from the vacuum level whatever its size, and a truncation loss is a
@@ -43,6 +45,7 @@ import json
 import math
 from collections.abc import Mapping
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -667,6 +670,25 @@ def difference_weight_fidelity(state, step, richardson=True):
         return estimate(step)
     coarse, fine = estimate(step), estimate(step / 2)
     return (4.0 * fine - coarse) / 3.0
+
+
+def exact_qfi(state) -> Fraction:
+    """F = Var_p[d] = sum p d^2 - (sum p d)^2 of ``state``, in exact rational arithmetic.
+
+    Each float amplitude is taken exactly, so each cell's p = re^2 + im^2 is
+    exact, with nothing rounded and nothing lost to underflow. The weights
+    are taken as they are, as every route takes them: their sum is 1 only to
+    within the state's norm check.
+    """
+    grid = state.amplitudes
+    first = second = Fraction(0)
+    for j, k in zip(*np.nonzero(grid)):
+        z = complex(grid[j, k])
+        p = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+        d = int(j) - int(k)
+        first += p * d
+        second += p * d * d
+    return second - first**2
 
 
 def allocating_qfi_fidelity(state, step, richardson=True):

@@ -20,6 +20,7 @@ from conftest import epsilon_state, sparse_states
 from mzi_qfi import catalog, cli, schwinger, serialize, states
 from mzi_qfi.errors import CutoffExceededError, NormalizationError, StateFileError
 from mzi_qfi.fock import make_fock
+from mzi_qfi.qfi import qfi_fidelity, qfi_variance
 from mzi_qfi.serialize import (
     NormalizationWarning,
     canonical_json,
@@ -491,6 +492,26 @@ class TestAnalyzeCommand:
         assert scaling["sub_shot_noise"] is False
         assert scaling["ratio_heisenberg"] == f / nbar / nbar == pytest.approx(1e200, rel=1e-9)
 
+    @pytest.mark.parametrize("eps,fidelity", [(1e-155, 2.501000000716804e-307), (1e-160, 0.0)])
+    def test_a_faint_state_file_keeps_its_fidelity_route_in_its_underflow(
+            self, capsys, tmp_path, eps, fidelity):
+        # |0,0> + eps |1,0> + (eps/2) i |0,100>: the fidelity route's products with p
+        # underflow, so it misses f_variance, 2.5e-307 or 2.5e-317, by 7.2e-317 or by
+        # all of it, far past its truncation and round-off, but inside its underflow term
+        path = tmp_path / "faint.json"
+        path.write_text(
+            '{"cutoff": 100, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, "im": 0.0}, '
+            f'{{"ja": 1, "jb": 0, "re": {eps!r}, "im": 0.0}}, '
+            f'{{"ja": 0, "jb": 100, "re": 0.0, "im": {eps / 2!r}}}]}}')
+        code, out, err = run_cli(capsys, "analyze", "--state-file", str(path))
+        assert (code, err) == (0, "")
+        qfi = json.loads(out)["qfi"]
+        assert qfi["f_fidelity"] == fidelity
+        # 2501 eps^2, to the few bits that a subnormal p holds
+        assert qfi["f_variance"] == pytest.approx(2501 * (eps * 1e150) ** 2 * 1e-300, rel=1e-4,
+                                                  abs=0)
+        assert qfi["routes_consistent"] is True
+
     def test_dump_state_round_trip(self, capsys, tmp_path):
         path = tmp_path / "dump.json"
         code, _, _ = run_cli(capsys, "analyze", "--family", "twin-fock", "--n", "1",
@@ -543,7 +564,9 @@ class TestAnalyzeCommand:
 
         argv = ["analyze", "--family", "noon", "--n", "2"]
         _, passing, _ = run_cli(capsys, *argv)
-        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (123.0, 0.005))
+        # the fidelity route's own bound, which the patched route keeps
+        bound = qfi_module._fidelity(build(ProbeSpec("noon", {"n": 2})), None, True)[2]
+        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (123.0, 0.005, bound))
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         # stdout is the document, with the fidelity value the route returned
@@ -570,9 +593,9 @@ class TestAnalyzeCommand:
             others.add(name_b)
             assert failing["residual"] == a - b
             # each route's round-off, 32 ulps of <N^2> = 4, and the fidelity route's
-            # truncation; noon is exactly symmetric, so no premise term is added
+            # bound; noon is exactly symmetric, so no premise term is added
             roundoff = 32 * 2.0**-53 * 4
-            assert failing["allowance"] == roundoff + (1e-9 + 1e-6 * 123.0) + roundoff
+            assert failing["allowance"] == roundoff + bound + roundoff
             assert failing["fidelity_step"] == 0.005
         assert others == {"f_mode", "f_particle", "f_path_symmetric", "f_variance"}
 
@@ -613,8 +636,8 @@ class TestAnalyzeCommand:
     def test_a_route_off_by_a_part_in_1e12_exits_two(self, capsys, monkeypatch):
         import mzi_qfi.qfi as qfi_module
 
-        # tsv at nbar 4 has <N^2> = 40, so two closed-form routes may differ by 2.8e-13;
-        # F = 24, so f_mode moves by 2.4e-11
+        # tsv at nbar 4 has <N^2> = 40, so two closed-form routes may differ by 2.8e-13,
+        # and the fidelity route and another by 1.3e-12; F = 24, so f_mode moves by 2.4e-11
         argv = ["analyze", "--family", "tsv", "--nbar", "4"]
         assert run_cli(capsys, *argv)[0] == 0
         mode = qfi_module.qfi_mode
@@ -622,22 +645,36 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert [sorted(json.loads(line)["route_disagreement"]["routes"])
-                for line in err.splitlines()] == [["f_mode", name] for name in (
-                    "f_path_symmetric", "f_variance")]
+                for line in err.splitlines()] == [["f_fidelity", "f_mode"], *(
+                    ["f_mode", name] for name in ("f_path_symmetric", "f_variance"))]
 
     def test_small_noon_probe_stays_inside_its_allowance(self, capsys):
         # noon n = 3 takes h = 0.02 / 3, near the largest step allowed
+        import mzi_qfi.qfi as qfi_module
+
         code, out, _ = run_cli(capsys, "analyze", "--family", "noon", "--n", "3")
         qfi = json.loads(out)["qfi"]
-        allowance = 1e-9 + 1e-6 * qfi["f_fidelity"]
+        bound = qfi_module._fidelity(build(ProbeSpec("noon", {"n": 3})), None, True)[2]
         assert code == 0
-        assert abs(qfi["f_fidelity"] - qfi["f_variance"]) < allowance / 1000
+        assert abs(qfi["f_fidelity"] - qfi["f_variance"]) <= bound
 
-    def test_an_explicit_fidelity_step_keeps_its_meaning(self, capsys):
-        # at h = 1e-3, h max|d| = 0.128 for twin-fock n = 128: its fidelity route misses
-        # every other route, and stderr names each pair with the step it took
-        code, _, err = run_cli(capsys, "analyze", "--family", "twin-fock", "--n", "128",
-                               "--fidelity-step", "1e-3")
+    def test_an_explicit_fidelity_step_keeps_its_meaning(self, capsys, monkeypatch):
+        import mzi_qfi.qfi as qfi_module
+
+        # at h = 1e-3, h max|d| = 0.128 for twin-fock n = 128: the route errs by 0.0624,
+        # inside its own bound, 0.0647, so it agrees with every other route
+        argv = ["analyze", "--family", "twin-fock", "--n", "128", "--fidelity-step", "1e-3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        state = build(ProbeSpec("twin-fock", {"n": 128}))
+        assert json.loads(out)["qfi"]["f_fidelity"] == qfi_fidelity(state, step=1e-3)
+        # a value 1.1 times the bound away misses every other route, and stderr names
+        # each pair with the step it took
+        fidelity = qfi_module._fidelity
+        planted = qfi_variance(state) - 1.1 * fidelity(state, 1e-3, True)[2]
+        monkeypatch.setattr(qfi_module, "_fidelity",
+                            lambda *a: (planted, *fidelity(*a)[1:]))
+        code, _, err = run_cli(capsys, *argv)
         assert code == 2
         records = [json.loads(line)["route_disagreement"] for line in err.splitlines()]
         assert [list(record["routes"]) for record in records] == [
@@ -646,7 +683,7 @@ class TestAnalyzeCommand:
         ]
         for record in records:
             assert record["fidelity_step"] == 1e-3
-            assert -0.07 < record["residual"] < -record["allowance"]
+            assert -0.072 < record["residual"] < -record["allowance"]
 
 
 class TestUsageErrors:
@@ -1016,7 +1053,7 @@ class TestTable1Command:
             code, passing, err = run_cli(capsys, "table1", "--nbar", "3", "--format", fmt)
             assert (code, err) == (3, "")  # a consistent table1 writes nothing to stderr
             with monkeypatch.context() as patch:
-                patch.setattr(qfi_module, "_fidelity", lambda *a, **k: (123.0, 0.005))
+                patch.setattr(qfi_module, "_fidelity", lambda *a, **k: (123.0, 0.005, 0.0))
                 code, out, err = run_cli(capsys, "table1", "--nbar", "3", "--format", fmt)
             assert code == 2
             # one line per failing pair, in the rows' order: fidelity against each other route
@@ -1084,7 +1121,7 @@ class TestSweepCommand:
         argv = ["sweep", "--family", "noon", "--nbar", "0.2,2,3", "--format", fmt]
         code, passing, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")  # a consistent sweep writes nothing to stderr
-        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (123.0, 0.005))
+        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (123.0, 0.005, 0.0))
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == passing  # no sweep column reads the fidelity route

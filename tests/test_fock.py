@@ -221,6 +221,19 @@ class TestFockStateInvariants:
         expected = grid / np.linalg.norm(grid)
         assert np.array_equal(FockState.from_grid(grid).amplitudes, expected)
 
+    @pytest.mark.parametrize("cells,expected", [
+        ([1e-160], [1.0]),  # its square is subnormal, so its norm is off by 5.6e-6
+        ([1e-170], [1.0]),  # its square underflows to 0
+        ([1e155, 1e155 / 3], [3 / math.sqrt(10), 1 / math.sqrt(10)]),  # its square overflows
+    ])
+    def test_from_grid_normalizes_a_grid_whose_squared_norm_is_not_normal(self, cells,
+                                                                          expected):
+        grid = np.zeros((3, 3), dtype=np.complex128)
+        grid[: len(cells), 1] = cells
+        amplitudes = FockState.from_grid(grid).amplitudes
+        assert amplitudes[: len(cells), 1] == pytest.approx(expected, rel=1e-15)
+        assert np.count_nonzero(amplitudes) == len(cells)
+
     def test_loss_ceiling_enforced(self):
         grid = np.zeros((3, 3), dtype=complex)
         grid[0, 0] = 1.0

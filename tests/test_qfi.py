@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 
 import mzi_qfi.qfi as qfi_module
 from conftest import near_sector_states, random_two_mode_state, sector_cell_runs, sparse_states
+from mzi_qfi import fock
 from mzi_qfi.coherence import analyze
 from mzi_qfi.errors import ParameterError
 from mzi_qfi.fock import FockState, make_fock, number_moments, sector_kets
@@ -18,9 +20,9 @@ from mzi_qfi.qfi import (
     qfi_path_symmetric,
     qfi_variance,
 )
-from mzi_qfi.schwinger import phase_shift
+from mzi_qfi.schwinger import difference_phases, phase_shift
 from mzi_qfi.states import FAMILIES, ProbeSpec, build, build_for_nbar
-from oracles import allocating_qfi_fidelity, difference_weight_fidelity
+from oracles import allocating_qfi_fidelity, difference_weight_fidelity, exact_qfi
 
 
 class TestVarianceRoute:
@@ -115,6 +117,40 @@ class TestFidelityRoute:
     def test_step_range_enforced(self, step):
         with pytest.raises(ParameterError):
             qfi_fidelity(make_fock(1, 0, 2), step=step)
+
+    @pytest.mark.parametrize("step", [1e-5, 2e-7, 1e-3, 7.8125e-05, 1e-2])
+    def test_each_difference_of_phases_is_one_rounded_sine(self, step):
+        # T_h and T_-h have the same real parts and opposite imaginary parts, bit for
+        # bit, so T_h - T_-h is -2i sin(hd/2), rounded once: no round-off of its own
+        differences = np.arange(-20000, 20001)
+        plus, minus = difference_phases(step, differences), difference_phases(-step, differences)
+        assert np.array_equal(plus.real, minus.real)
+        assert np.array_equal(plus.imag, -minus.imag)
+        assert not (plus - minus).real.any()
+
+    @pytest.mark.parametrize("family,n,step", [
+        ("noon", 3, None), ("noon", 29, None), ("noon", 55, None), ("noon", 100000, None),
+        ("twin-fock", 128, None), ("twin-fock", 128, 1e-3)])
+    def test_the_bound_is_the_routes_own_error(self, family, n, step):
+        # the extrapolated route undershoots by about its leading remainder, (h^4/4) C,
+        # which holds nearly all of the bound: a tighter bound would not hold
+        state = build(ProbeSpec(family, {"n": n}))
+        value, _, bound = qfi_module._fidelity(state, step, True)
+        residual = value - qfi_variance(state)
+        assert residual < 0
+        assert 0.95 * bound < -residual <= bound + 2 * ROUNDOFF * total_squared(state)
+
+    def test_no_step_errs_by_more_than_four_thirds_of_the_information(self):
+        # at h = 1e-2, h max|d| = 1000 for noon n = 100000: far past the series, whose
+        # tail would overflow, so the bound is 4/3 Var_p(d), 4/3 F
+        state = build(ProbeSpec("noon", {"n": 100000}))
+        value, _, bound = qfi_module._fidelity(state, 1e-2, True)
+        assert bound == pytest.approx(4 / 3 * 1e10, rel=1e-12)
+        assert abs(value - qfi_variance(state)) <= bound
+
+    def test_the_raw_difference_claims_no_bound(self):
+        state = build(ProbeSpec("noon", {"n": 4}))
+        assert qfi_module._fidelity(state, None, False)[2] == math.inf
 
 
 #: (step, richardson) of every comparison with the references; None is the default step
@@ -254,18 +290,16 @@ class TestFullReport:
         assert report.f_particle is None
         assert report.reasons["f_particle"] == "particle fluctuations present"
 
-    def test_fidelity_pair_judged_at_its_relative_tolerance(self, monkeypatch):
+    def test_fidelity_pair_judged_against_its_own_bound(self, monkeypatch):
         state = build(ProbeSpec("noon", {"n": 4}))
-        # a 3e-7 relative offset: inside the finite-difference tolerance,
-        # far outside the algebraic-identity one
-        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (16.0 + 5e-6, 1e-3))
-        report = build_report(state)
-        assert report.routes_consistent
-        assert report.disagreements == ()
-        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (16.0 + 5e-4, 1e-3))
+        # at h = 1e-3 the fidelity route may err by n^2 (hn/2)^4 / 90, 2.8e-12, and
+        # 5e-6 is far outside that
+        bound = fidelity_bound(state, 1e-3)
+        assert 2.8e-12 < bound < 2.9e-12
+        patch_routes(monkeypatch, {"f_fidelity": 16.0 + 5e-6}, step=1e-3)
         report = build_report(state)
         assert not report.routes_consistent
-        # each other route misses the fidelity route, by the fidelity route's truncation
+        # each other route misses the fidelity route, by the fidelity route's bound
         # and both routes' round-off at <N^2> = 16, to rounding
         roundoff = ROUNDOFF * total_squared(state)
         assert {tuple(record["routes"]) for record in report.disagreements} == {
@@ -275,7 +309,7 @@ class TestFullReport:
         for record in report.disagreements:
             (name_a, a), (name_b, b) = record["routes"].items()
             assert record["residual"] == a - b
-            assert record["allowance"] == roundoff + (1e-9 + 1e-6 * abs(a)) + roundoff
+            assert record["allowance"] == roundoff + bound + roundoff
             assert abs(record["residual"]) > record["allowance"]
             assert record["fidelity_step"] == 1e-3
 
@@ -296,10 +330,24 @@ FAR_APART = {"f_fidelity": 16.5, "f_mode": -17.0, "f_particle": 18.0,
              "f_path_symmetric": 19.0, "f_variance": 20.0}
 
 
-def patch_routes(monkeypatch, values):
-    """Make ``build_report`` take each route in ``values`` at the value given there."""
+#: The fidelity route as the package computes it, before any test patches it.
+FIDELITY = qfi_module._fidelity
+
+
+def fidelity_bound(state, step=None) -> float:
+    """The fidelity route's own bound at ``step``, extrapolated, but for its round-off."""
+    return FIDELITY(state, step, True)[2]
+
+
+def patch_routes(monkeypatch, values, step=None):
+    """Make ``build_report`` take each route in ``values`` at the value given there.
+
+    A patched fidelity route keeps the step and the bound of the route at
+    ``step``, the default step when it is None.
+    """
     if "f_fidelity" in values:
-        monkeypatch.setattr(qfi_module, "_fidelity", lambda *a, **k: (values["f_fidelity"], 1e-3))
+        monkeypatch.setattr(qfi_module, "_fidelity", lambda state, *a: (
+            values["f_fidelity"], *FIDELITY(state, step, True)[1:]))
     for name in ("f_mode", "f_path_symmetric", "f_variance"):
         if name in values:
             monkeypatch.setattr(qfi_module, name.replace("f_", "qfi_"),
@@ -342,8 +390,8 @@ class TestRouteAgreement:
         assert len(noon) == 10  # every pair misses
         roundoff = ROUNDOFF * total_squared(state)  # <N^2> = 16, to rounding
         for pair, allowance in noon.items():
-            if "f_fidelity" in pair:  # the fidelity route adds its truncation
-                assert allowance == roundoff + (1e-9 + 1e-6 * 16.5) + roundoff, pair
+            if "f_fidelity" in pair:  # the fidelity route adds its own bound
+                assert allowance == roundoff + fidelity_bound(state) + roundoff, pair
             else:  # the same for every closed-form pair; noon is exactly symmetric
                 assert allowance == 2 * roundoff, pair
 
@@ -375,7 +423,7 @@ class TestRouteAgreement:
         roundoff = ROUNDOFF * total_squared(state)
         assert len(found) == 10
         for pair, allowance in found.items():
-            own = roundoff + (1e-9 + 1e-6 * 16.5) if "f_fidelity" in pair else roundoff
+            own = roundoff + fidelity_bound(state) if "f_fidelity" in pair else roundoff
             if "f_path_symmetric" in pair:
                 assert allowance == pytest.approx(own + roundoff + premise, rel=1e-12), pair
             else:
@@ -396,12 +444,13 @@ class TestRouteAgreement:
     @pytest.mark.parametrize("route", ["f_mode", "f_fidelity"])
     def test_a_pair_at_the_edge_of_its_allowance(self, monkeypatch, route, share, consistent):
         # noon n = 64: F = 4096 and <N^2> = 4096, exactly symmetric, so the closed-form
-        # pairs may differ by 64 u <N^2>, 2.9e-11, and a fidelity pair by 1e-9 + 1e-6 F more
+        # pairs may differ by 64 u <N^2>, 2.9e-11, and a fidelity pair by the fidelity
+        # route's own bound more, n^2 (hn/2)^4 / 90 = 4.6e-7 at the default h = 0.02 / n
         state = build(ProbeSpec("noon", {"n": 64}))
         value = qfi_variance(state)
         edge = 2 * ROUNDOFF * total_squared(state)
         if route == "f_fidelity":
-            edge += 1e-9 + 1e-6 * value
+            edge += fidelity_bound(state)
         values = dict.fromkeys(("f_mode", "f_particle", "f_path_symmetric", "f_fidelity"), value)
         values[route] = value + share * edge
         patch_routes(monkeypatch, values)
@@ -437,3 +486,93 @@ class TestRouteAgreement:
         report = build_report(state)
         assert report.f_particle is None
         assert report.disagreements == ()
+
+
+#: The moments that the variance, mode and symmetric routes share, as fields of
+#: ``NumberMoments``: <n_a n_b>, <adag^2 a^2> and <adag a>.
+SHARED_MOMENTS = ("ab", "aa", "a")
+
+
+def misread(monkeypatch, field):
+    """Make every read of a state's probabilities scale its moment ``field`` by 1 + 1e-8."""
+    read = fock._read_probabilities
+
+    def mutant(state):
+        moments, weights = read(state)
+        return moments._replace(**{field: getattr(moments, field) * (1 + 1e-8)}), weights
+
+    monkeypatch.setattr(fock, "_read_probabilities", mutant)
+
+
+class TestMomentMutants:
+    """A shared moment read wrong moves three routes together; the fidelity route,
+    which reads p(d) instead, parts from them by more than its bound."""
+
+    @pytest.mark.parametrize("family,field", [
+        *((family, field) for family in ("twin-squeezed-vacuum", "coherent", "amplified-bell")
+          for field in SHARED_MOMENTS),
+        ("entangled-coherent", "aa"), ("entangled-coherent", "a")])
+    def test_a_moment_off_by_a_part_in_1e8_is_caught(self, monkeypatch, family, field):
+        misread(monkeypatch, field)
+        report = build_report(build_for_nbar(family, 4.0)[0])
+        assert not report.routes_consistent
+        assert all("f_fidelity" in record["routes"] for record in report.disagreements)
+
+    def test_the_entangled_coherent_state_has_no_pair_moment_to_misread(self):
+        # every cell of it has n_a = 0 or n_b = 0, so scaling <n_a n_b> changes nothing
+        assert number_moments(build_for_nbar("entangled-coherent", 4.0)[0]).ab == 0.0
+
+
+#: Probes of every family small enough for exact arithmetic: cutoffs up to 24.
+SMALL_PROBES = [
+    *(pytest.param(build_for_nbar(family, nbar)[0], id=f"{family} nbar {nbar}")
+      for family, nbar in (
+          ("twin-squeezed-vacuum", 0.2), ("entangled-coherent", 1.0), ("amplified-bell", 1.1),
+          ("coherent", 2.0), ("two-mode-squeezed-vacuum", 0.5))),
+    *(pytest.param(build(ProbeSpec(family, {"n": n})), id=f"{family} n {n}") for family in (
+        "twin-fock", "noon", "fraternal-twin-fock", "separable-coherent-probe", "fock-pair")
+      for n in (1, 3, 5)),
+]
+
+
+def check_exact(state):
+    """Every defined route of ``state`` lies within its own bound of the exact QFI.
+
+    The exact value is rounded to a float first, the best a float can hold: a
+    cell whose square underflows adds less than the smallest float to it.
+    """
+    report = build_report(state)
+    exact = Fraction(float(exact_qfi(state)))
+    roundoff = ROUNDOFF * total_squared(state)
+    bounds = dict.fromkeys(("f_variance", "f_mode", "f_particle"), roundoff)
+    bounds["f_fidelity"] = roundoff + fidelity_bound(state)
+    if report.f_path_symmetric is not None:
+        bounds["f_path_symmetric"] = roundoff + qfi_module._premise_bound(analyze(state))
+    for name, bound in bounds.items():
+        value = getattr(report, name)
+        if value is not None:
+            assert abs(Fraction(value) - exact) <= bound, (name, value, exact, bound)
+
+
+class TestExactValue:
+    """Each route against the exact QFI, not only against the other routes."""
+
+    @pytest.mark.parametrize("state", SMALL_PROBES)
+    def test_small_probes(self, state):
+        check_exact(state)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(sparse_states(max_cutoff=24))
+    def test_sparse_states(self, state):
+        check_exact(state)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(near_sector_states(max_n=24))
+    def test_near_sector_states(self, state):
+        check_exact(state)
+
+    @pytest.mark.parametrize("field", SHARED_MOMENTS)
+    def test_a_misread_moment_misses_the_exact_value(self, monkeypatch, field):
+        misread(monkeypatch, field)
+        with pytest.raises(AssertionError):
+            check_exact(build_for_nbar("twin-squeezed-vacuum", 0.2)[0])

@@ -19,9 +19,10 @@ in csv and json up to n = 20000, probes at the edges of the route-agreement
 rule (near the vacuum, near one sector, and fixed n far past the default
 ceiling, noon n = 100000 among them), the three split fixed-n families at
 n = 20000, each built from one Jx eigenvector of a sector whose whole Jx
-basis would take 3 GB, four state files read with
-``--state-file``, one of them a hair past shot noise and one so faint that
-nbar^2 underflows, cutoffs and photon
+basis would take 3 GB, six state files read with
+``--state-file``, one of them a hair past shot noise, one so faint that
+nbar^2 underflows, and two so faint that the fidelity route's products
+underflow, cutoffs and photon
 numbers whose arrays numpy refuses to allocate, an entangled-coherent target
 whose double overflows a float, and every usage error of ``analyze`` and
 ``table1`` in ``tests/test_cli.py``. No invocation exits 2, so a change
@@ -107,14 +108,28 @@ FAINT_STATE_DOCUMENT = (
     '{"cutoff": 1, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, "im": 0.0}, '
     '{"ja": 1, "jb": 0, "re": 1e-100, "im": 0.0}]}'
 )
+
+
+def underflow_state_document(eps: str, half: str) -> str:
+    """|0,0> + eps |1,0> + (eps/2) i |0,100>, whose fidelity route's products underflow."""
+    return ('{"cutoff": 100, "amplitudes": [{"ja": 0, "jb": 0, "re": 1.0, "im": 0.0}, '
+            f'{{"ja": 1, "jb": 0, "re": {eps}, "im": 0.0}}, '
+            f'{{"ja": 0, "jb": 100, "re": 0.0, "im": {half}}}]}}')
+
+
 #: Stand for the path of each state file, in an invocation and in what it prints.
 STATE_FILE = "STATE_FILE"
 OVERSIZED_STATE_FILE = "OVERSIZED_STATE_FILE"
 SHOT_NOISE_EDGE_FILE = "SHOT_NOISE_EDGE_FILE"
 FAINT_STATE_FILE = "FAINT_STATE_FILE"
+UNDERFLOW_155_FILE = "UNDERFLOW_155_FILE"
+UNDERFLOW_160_FILE = "UNDERFLOW_160_FILE"
 STATE_DOCUMENTS = {STATE_FILE: STATE_DOCUMENT, OVERSIZED_STATE_FILE: OVERSIZED_STATE_DOCUMENT,
                    SHOT_NOISE_EDGE_FILE: SHOT_NOISE_EDGE_DOCUMENT,
-                   FAINT_STATE_FILE: FAINT_STATE_DOCUMENT}
+                   FAINT_STATE_FILE: FAINT_STATE_DOCUMENT,
+                   # f_fidelity misses f_variance by 7.2e-317, and reads 0 against 2.5e-317
+                   UNDERFLOW_155_FILE: underflow_state_document("1e-155", "5e-156"),
+                   UNDERFLOW_160_FILE: underflow_state_document("1e-160", "5e-161")}
 
 Invocation = Tuple[Dict[str, str], List[str]]
 
