@@ -26,7 +26,7 @@ from .coherence import PATH_SYMMETRY_TOL, CoherenceReport, analyze, check_path_s
 from .entanglement import SEPARABILITY_TOL, check_separability_tol, schmidt
 from .errors import MziError, ParameterError
 from .fock import FockState
-from .particle import SectorDecomposition, decompose_sectors, sector_moments
+from .particle import WEIGHT_FLOOR, ParticleReport, _SectorTable, _sector_table, _statistics
 from .qfi import QfiReport, build_report, check_fidelity_step
 from .states import FAMILIES, FAMILY_ALIASES, ProbeSpec, build, build_for_nbar, resolve_family
 
@@ -106,17 +106,17 @@ def _format_doc(doc: dict, fmt: str) -> str:
 
 
 def _reports(state: FockState, path_tol: float = PATH_SYMMETRY_TOL, step: Optional[float] = None,
-             richardson: bool = True) -> tuple[CoherenceReport, SectorDecomposition, QfiReport]:
+             richardson: bool = True) -> tuple[CoherenceReport, _SectorTable, QfiReport]:
     """The chain every command runs on a built state: its coherence report, its
-    sector decomposition, and the QFI report that reads both, each made once.
+    sector table, and the QFI report that reads both, each made once.
 
-    It calls this module's own ``analyze``, ``decompose_sectors`` and
+    It calls this module's own ``analyze``, ``_sector_table`` and
     ``build_report``, so that a caller who replaces them here sees every call.
     """
     coherence = analyze(state, tol=path_tol)
-    decomposition = decompose_sectors(state)
-    report = build_report(state, coherence, decomposition, step=step, richardson=richardson)
-    return coherence, decomposition, report
+    table = _sector_table(state)
+    report = build_report(state, coherence, table, step=step, richardson=richardson)
+    return coherence, table, report
 
 
 def _write_disagreements(records: Sequence[dict], **row) -> None:
@@ -184,13 +184,17 @@ def _probe_state(args) -> tuple[FockState, dict]:
     return state, info
 
 
-def _sector_documents(decomposition: SectorDecomposition) -> dict:
-    sectors = []
-    for sector in decomposition.sectors:
-        doc = {"n": sector.n, "weight": sector.weight}
-        doc["particle"] = sector_moments(sector).as_dict() if sector.n >= 1 else None
-        sectors.append(doc)
-    return {"weights_sum": decomposition.weights_sum, "sectors": sectors}
+def _sector_documents(table: _SectorTable) -> dict:
+    """Each sector at or above ``WEIGHT_FLOOR``: its n, its weight and, past the
+    vacuum, its Pauli statistics, all from one array formula over the table."""
+    kept = table.sums[0] >= WEIGHT_FLOOR
+    ns, (weights, first, second) = table.n[kept], table.sums[:, kept]
+    columns = _statistics(ns + (ns == 0), weights, first, second)  # the vacuum's go unread
+    rows = zip(ns.tolist(), *(column.tolist() for column in columns))
+    sectors = [{"n": row[0], "weight": weight,
+                "particle": dict(zip(ParticleReport._fields, row)) if row[0] else None}
+               for weight, row in zip(weights.tolist(), rows)]
+    return {"weights_sum": table.weights_sum, "sectors": sectors}
 
 
 def cmd_analyze(args) -> int:
@@ -199,7 +203,7 @@ def cmd_analyze(args) -> int:
     check_path_symmetry_tol(args.path_tol)
     check_separability_tol(args.sep_tol)
     check_fidelity_step(args.fidelity_step)
-    coherence, decomposition, qfi_report = _reports(
+    coherence, table, qfi_report = _reports(
         state, args.path_tol, args.fidelity_step, not args.raw_fidelity_difference)
     info["nbar"] = coherence.nbar
     doc = {
@@ -209,7 +213,7 @@ def cmd_analyze(args) -> int:
         "coherence": coherence.as_dict(),
         "qfi": qfi_report.as_dict(),
         "mode_entanglement": schmidt(state, tol=args.sep_tol).as_dict(),
-        "sectors": _sector_documents(decomposition),
+        "sectors": _sector_documents(table),
     }
     if args.dump_state is not None:
         serialize.write_state_file(state, args.dump_state)
@@ -334,11 +338,10 @@ def _sweep_row(family: str, target: float) -> tuple[dict, Sequence[dict]]:
         for column in SWEEP_COLUMNS[3:]:
             row[column] = None
         return row, ()
-    coherence, decomposition, qfi_report = _reports(state)
-    sector = decomposition.fixed_n_sector()
+    coherence, table, qfi_report = _reports(state)
     cov = None
-    if sector is not None and sector.n >= 1:
-        cov = sector_moments(sector).cov_sigma_z
+    if len(table.n) == 1 and table.n[0] >= 1:  # fixed n, read from its one sector's sums
+        cov = _statistics(int(table.n[0]), *table.sums[:, 0].tolist())[2]
     row.update(
         status="ok",
         nbar=coherence.nbar,

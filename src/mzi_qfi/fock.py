@@ -16,8 +16,10 @@ probabilities' sums and its rotation plan (:class:`FockState`). Rotations and
 decompositions act on photon-number sectors instead, laid out by
 :func:`sector_kets` and, for a rotation's many sectors,
 :func:`sector_layout`. :func:`sector_cells` is the one reader of a grid's
-sector, as a view, :func:`state_cells` the one reader of a state's sectors,
-and :func:`occupied_sectors` the one judge of which sectors a state
+sector, as a view, :func:`state_cells` the one reader of a state's sectors
+as vectors (the sector table of :mod:`mzi_qfi.particle` gathers a grid's
+occupied sectors a chunk at a time to sum them), and
+:func:`occupied_sectors` the one judge of which sectors a state
 occupies: the sector whose cells it holds, or one scan of its grid.
 
 That read and :func:`squared_norm` sum over a grid in numpy alone, not
@@ -483,7 +485,7 @@ def ordered_dot(x: np.ndarray, y: np.ndarray) -> float:
 
     A dot of at most ``DOT_TERMS`` terms is that one call, which OpenBLAS
     runs on one thread; a longer one adds the dots of its consecutive
-    ``DOT_TERMS``-term chunks in order.
+    ``DOT_TERMS``-term chunks in order. A rotation's norm is its one use.
     """
     if len(x) <= DOT_TERMS:
         return float(x.dot(y))

@@ -39,14 +39,14 @@ with a reason string; they never collapse to zero.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .coherence import CoherenceReport, analyze
 from .errors import ParameterError
 from .fock import _SMALLEST_NORMAL, ROUTE_ROUNDOFF, FockState, difference_weights, number_moments
-from .particle import SectorDecomposition, decompose_sectors, qfi_particle
+from .particle import SectorDecomposition, _SectorTable, _sector_table, qfi_particle
 from .schwinger import difference_phases, jz_moments
 
 #: The smallest float, 2^-1074.
@@ -297,19 +297,20 @@ def _premise_bound(report: CoherenceReport) -> float:
 def build_report(
     state: FockState,
     coherence_report: Optional[CoherenceReport] = None,
-    decomposition: Optional[SectorDecomposition] = None,
+    decomposition: Optional[Union[SectorDecomposition, _SectorTable]] = None,
     step: Optional[float] = None,
     richardson: bool = True,
 ) -> QfiReport:
-    """Evaluate every route on one state and cross-validate them."""
+    """Evaluate every route on one state and cross-validate them.
+
+    ``decomposition`` is the state's sector decomposition or its sector table,
+    from which the particle route reads; without one, the table is read here.
+    """
     if coherence_report is None:
         coherence_report = analyze(state)
-    # the particle route first, so that a decomposition made here is not held
+    # the particle route first, so that a sector table made here is not held
     # through the fidelity route
-    if decomposition is None:
-        f_particle = qfi_particle(decompose_sectors(state))
-    else:
-        f_particle = qfi_particle(decomposition)
+    f_particle = qfi_particle(_sector_table(state) if decomposition is None else decomposition)
 
     reasons: Dict[str, str] = {}
     f_variance = qfi_variance(state)

@@ -10,7 +10,8 @@ definition, and the rotations against the blocks' matrix exponential.
 The other references are the straightforward form of a computation the
 package now does with less work: every ladder moment lowers both sides of its
 inner product separately, a rotation and a sector decomposition visit all
-2c+1 photon-number sectors, the Schmidt spectrum is one SVD of the whole grid,
+2c+1 photon-number sectors (as does the sector table's, :func:`dense_sector_table`),
+the Schmidt spectrum is one SVD of the whole grid,
 a phase shift evaluates its phase at every cell, a decomposition gathers the
 cells of all its occupied sectors at once, the QFI of a state is its
 exact variance of j - k in rational arithmetic (:func:`exact_qfi`), the
@@ -53,6 +54,7 @@ import numpy as np
 from mzi_qfi.coherence import INTENSITY_FLOOR, PATH_SYMMETRY_TOL, CoherenceReport
 from mzi_qfi.errors import ParameterError, SectorSupportError, TruncationOverflowError
 from mzi_qfi.fock import (
+    ROUTE_ROUNDOFF,
     FockState,
     NumberMoments,
     nonzero_cells,
@@ -66,7 +68,7 @@ from mzi_qfi.particle import (
     ParticleReport,
     Sector,
     SectorDecomposition,
-    _report_from_z_stats,
+    _SectorTable,
 )
 from mzi_qfi.serialize import fmt_float
 from mzi_qfi.states import _SPLIT_PHOTON, squeezed_one_vector, squeezed_vacuum_vector
@@ -595,6 +597,29 @@ def dense_decompose_sectors(state):
     return SectorDecomposition(sectors=sectors, weights_sum=weights_sum, occupied=occupied)
 
 
+def dense_sector_table(state):
+    """``particle._sector_table`` as a loop over every sector 0..2c.
+
+    A sector is occupied when one of its cells is nonzero; its sums are
+    ``np.sum`` of p, p dz and p dz dz over its cells, p = |c|^2 and dz = j - k,
+    and ``weights_sum`` adds its weights one after another.
+    """
+    grid = state.amplitudes
+    ns, sums = [], []
+    for n in range(2 * state.cutoff + 1):
+        ks = sector_kets(n, state.cutoff)
+        amps = grid[ks, n - ks]
+        if np.any(amps):
+            p = np.abs(amps) ** 2
+            dz = (2 * ks - n).astype(float)
+            ns.append(n)
+            sums.append([np.sum(p), np.sum(p * dz), np.sum(p * dz * dz)])
+    weights_sum = 0.0
+    for weight, _, _ in sums:
+        weights_sum += weight
+    return _SectorTable(np.array(ns), np.array(sums).T, weights_sum)
+
+
 def layout_decompose_sectors(state):
     """``particle.decompose_sectors`` as one gather of every cell of the occupied sectors.
 
@@ -820,8 +845,11 @@ def multiqubit_oracle(sector_state: FockState, n: int) -> ParticleReport:
     bits = _bit_table(n)
     z = 2.0 * bits - 1.0
     mean_z = float(probs @ z[:, 0])
-    mean_zz = float(probs @ (z[:, 0] * z[:, 1])) if n >= 2 else None
-    return _report_from_z_stats(n, mean_z, mean_zz)
+    var_z = 1.0 - mean_z**2
+    cov_z = float(probs @ (z[:, 0] * z[:, 1])) - mean_z**2 if n >= 2 else 0.0
+    excess = n * (n - 1) * cov_z
+    return ParticleReport(n, mean_z, var_z, cov_z, n * var_z + excess,
+                          excess > ROUTE_ROUNDOFF * n * n)
 
 
 def dicke_isometry(n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import epsilon_state, sparse_states
-from mzi_qfi import catalog, cli, schwinger, serialize, states
+from mzi_qfi import catalog, cli, particle, schwinger, serialize, states
 from mzi_qfi.errors import CutoffExceededError, NormalizationError, StateFileError
 from mzi_qfi.fock import make_fock
 from mzi_qfi.qfi import qfi_fidelity, qfi_variance
@@ -30,7 +30,7 @@ from mzi_qfi.serialize import (
 )
 from mzi_qfi.states import ProbeSpec, build
 from oracles import (
-    dense_decompose_sectors,
+    dense_sector_table,
     piecewise_canonical_json,
     truncation_loss_reference,
 )
@@ -277,12 +277,27 @@ def _no_rotation(state, v, angle):
 
 @pytest.mark.parametrize("argv", REFERENCE_CASES, ids=" ".join)
 def test_analyze_document_matches_reference_paths(capsys, monkeypatch, argv):
-    # the dense sector loop of the decomposition, in place of the fast path; the
+    # the dense sector loop of the sector table, in place of the chunked walk; the
     # documents take no rotation, the split fixed-n probes' builds included
     fast = run_cli(capsys, *argv)
     monkeypatch.setattr(schwinger, "apply_rotation", _no_rotation)
-    monkeypatch.setattr(cli, "decompose_sectors", dense_decompose_sectors)
+    monkeypatch.setattr(cli, "_sector_table", dense_sector_table)
     assert run_cli(capsys, *argv) == fast
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--family", "tsv", "--nbar", "4"],
+                                  ["analyze", "--family", "noon", "--n", "8"],
+                                  ["sweep", "--family", "noon", "--nbar", "2,8"],
+                                  ["table1"]], ids=" ".join)
+def test_the_commands_build_no_sector_and_no_particle_report(capsys, monkeypatch, argv):
+    # the documents, sweep rows and particle route read the sector table alone
+    def built(*args, **kwargs):
+        raise AssertionError("a per-sector object was built")
+
+    monkeypatch.setattr(particle, "Sector", built)
+    monkeypatch.setattr(particle, "ParticleReport", built)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 3) and out
 
 
 @pytest.mark.parametrize("argv", [["--family", "twin-fock", "--n", "150"],
@@ -293,8 +308,8 @@ def test_analyze_document_matches_reference_paths(capsys, monkeypatch, argv):
 def test_analyze_document_does_not_depend_on_blas_threads(argv):
     # OpenBLAS splits a dot of more than 10 000 cells across its threads, which
     # changes how the dot rounds; no sum that reaches the document may go through it
-    # (the exit code and stderr are compared too). The particle route's dots over the
-    # 30 001 cells of noon's sector are taken in chunks of at most 8192 terms.
+    # (the exit code and stderr are compared too). The particle route's sums over the
+    # 30 001 cells of noon's sector are numpy's pairwise sums, with no BLAS.
     # The Schmidt values of tsv (rank 1) and amplified-bell (rank 2, two blocks of 12 100
     # cells at cutoff 219) come from crosses, which LAPACK sees only as 1 x 1 cores
     src = Path(__file__).resolve().parent.parent / "src"
@@ -897,9 +912,9 @@ class TestErrorContract:
     def test_separability_tolerance_is_checked_before_the_decomposition(self, capsys,
                                                                          monkeypatch):
         def decompose(state):
-            raise AssertionError("the decomposition ran before --sep-tol was checked")
+            raise AssertionError("the sector table was read before --sep-tol was checked")
 
-        monkeypatch.setattr(cli, "decompose_sectors", decompose)
+        monkeypatch.setattr(cli, "_sector_table", decompose)
         cases = [(["tsv", "--nbar", "7", "--sep-tol", value], "bad-parameter",
                   f"separability tolerance must be positive and finite, got {float(value)!r}")
                  for value in ("nan", "inf", "-1", "0")]

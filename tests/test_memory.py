@@ -56,8 +56,9 @@ stage_memory = load_tool("stage_memory")
 #: strip buffers and the p(d) of 2c + 1 floats that the same read keeps: a
 #: state keeps what it read, so each is measured on a fresh copy of its
 #: state, not yet read.
-#: ``decompose_sectors`` takes strip-sized booleans for its scan, and then
-#: the sectors' vectors it returns. Twin-fock's
+#: ``decompose_sectors`` takes strip-sized booleans for its scan, one chunk of
+#: its sector table's walk (six rows' worth of cells), and then the sectors'
+#: vectors it returns. Twin-fock's
 #: ``schmidt`` and ``schmidt_rotated`` read the cells of its one sector, and
 #: its ``mzi_unitary_cold`` scans the grid of its fresh copy in strips.
 BUDGETS = {

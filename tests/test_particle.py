@@ -1,22 +1,29 @@
+import contextlib
 import dataclasses
+import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_direction, sparse_states
-from mzi_qfi import fock, particle
+from conftest import near_sector_states, random_direction, sparse_states
+from mzi_qfi import cli, fock, particle
 from mzi_qfi.errors import ParameterError, SectorSupportError
-from mzi_qfi.fock import FockState, make_fock
+from mzi_qfi.fock import ROUTE_ROUNDOFF, FockState, make_fock
 from mzi_qfi.particle import decompose_sectors, particle_moments, qfi_particle, sector_moments
 from mzi_qfi.qfi import qfi_variance
+from mzi_qfi.serialize import read_state_file, write_state_file
 from mzi_qfi.schwinger import apply_rotation, beam_splitter, mzi_unitary
 from mzi_qfi.states import FAMILIES, ProbeSpec, build, build_for_nbar, solve_param_for_nbar
 from oracles import (
     collective_spin_matrix,
     dense_decompose_sectors,
+    dense_sector_table,
     dicke_isometry,
     hermitian_exponential,
     ladder_j_moment,
@@ -245,6 +252,66 @@ class TestDecomposition:
             assert np.isclose(abs(sector.state.amplitudes[pairs, pairs]), 1.0)
 
 
+def analyze_document(state):
+    """The ``analyze`` document of ``state``, read back from a state file, and that state."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "state.json")
+        write_state_file(state, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["analyze", "--state-file", path])
+        return code, json.loads(out.getvalue()), read_state_file(path)
+
+
+class TestSectorTable:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_states())
+    def test_matches_the_dense_sector_loop_bit_for_bit(self, state):
+        table, dense = particle._sector_table(state), dense_sector_table(state)
+        assert table.n.tolist() == dense.n.tolist()
+        assert table.sums.view(np.uint64).tolist() == dense.sums.view(np.uint64).tolist()
+        assert table.weights_sum == dense.weights_sum
+        weights = particle._sector_table(state, moments=False).sums
+        assert weights.view(np.uint64).tolist() == dense.sums[:1].view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("strategy", [sparse_states(), near_sector_states()],
+                             ids=["sparse_states", "near_sector_states"])
+    def test_documented_sectors_match_the_oracles(self, strategy):
+        # each kept sector's statistics in the analyze document, against the ladder
+        # moments of its normalized vector (and, up to ten photons, the 2^n qubit
+        # vector), within ROUTE_ROUNDOFF n^2; every occupied sector's weight, those
+        # under the floor included, adds up to weights_sum in order
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(strategy)
+        def check(state):
+            code, doc, read = analyze_document(state)
+            assert code in (0, 2)
+            table = particle._sector_table(read)
+            total = 0.0
+            for weight in table.sums[0].tolist():
+                total += weight
+            assert total == doc["sectors"]["weights_sum"] == table.weights_sum
+            sectors = {s.n: s for s in decompose_sectors(read).sectors}
+            assert [s["n"] for s in doc["sectors"]["sectors"]] == list(sectors)
+            for entry in doc["sectors"]["sectors"]:
+                n, particle_doc = entry["n"], entry["particle"]
+                assert entry["weight"] == sectors[n].weight
+                if n == 0:
+                    assert particle_doc is None
+                    continue
+                got = [particle_doc[key] for key in
+                       ("mean_sigma_z", "var_sigma_z", "cov_sigma_z", "f_particle")]
+                references = [ladder_z_stats(sectors[n].state, n)]
+                if n <= 10:
+                    oracle = multiqubit_oracle(sectors[n].state, n)
+                    references.append((oracle.mean_sigma_z, oracle.var_sigma_z,
+                                       oracle.cov_sigma_z, oracle.f_particle))
+                for reference in references:
+                    assert np.allclose(got, reference, rtol=0.0, atol=ROUTE_ROUNDOFF * n * n)
+
+        check()
+
+
 class TestParticleMoments:
     def test_noon_three(self):
         report = particle_moments(build(ProbeSpec("noon", {"n": 3})), 3)
@@ -282,18 +349,18 @@ class TestParticleMoments:
             assert rebuilt == report.f_particle
 
     def test_tagged_state_makes_no_whole_grid_pass(self, monkeypatch, rng):
-        # an untagged state is decomposed to find its sector; a tagged one is read
-        # on its own cells, and both give the same bits
+        # an untagged state's sector table is read to find its sector; a tagged one
+        # is read on its own cells, and both give the same bits
         state = random_sector_state(rng, 5)
         tagged = FockState._from_cells(fock.sector_cells(state.amplitudes, 5), 5, state.cutoff)
         expected = particle_moments(state, 5)
 
         def whole_grid_pass(_):
-            raise AssertionError("decompose_sectors called")
+            raise AssertionError("_sector_table called")
 
-        monkeypatch.setattr(particle, "decompose_sectors", whole_grid_pass)
+        monkeypatch.setattr(particle, "_sector_table", whole_grid_pass)
         assert particle_moments(tagged, 5) == expected
-        with pytest.raises(AssertionError, match="decompose_sectors called"):
+        with pytest.raises(AssertionError, match="_sector_table called"):
             particle_moments(state, 5)
 
     def test_multi_sector_rejected(self):

@@ -17,7 +17,9 @@ fixed-n families from ``--n``, explicit cutoffs, ``table1`` in each format,
 the ``cli-cold`` benchmark's sweeps, raised cutoff ceilings, a noon sweep
 in csv and json up to n = 20000, probes at the edges of the route-agreement
 rule (near the vacuum, near one sector, and fixed n far past the default
-ceiling, noon n = 100000 among them), the three split fixed-n families at
+ceiling, noon n = 100000 among them), the three probes with the widest
+sector documents (tsv at nbar 20, tmsv and amplified-bell at nbar 40, under
+a ceiling of 1300), the three split fixed-n families at
 n = 20000, each built from one Jx eigenvector of a sector whose whole Jx
 basis would take 3 GB, six state files read with
 ``--state-file``, one of them a hair past shot noise, one so faint that
@@ -74,6 +76,11 @@ ROUTE_EDGES = (
     ({}, ["analyze", "--family", "noon", "--n", "100000"]),
     ({"MZI_QFI_CUTOFF_CEILING": "1300"}, ["analyze", "--family", "twin-fock", "--n", "644"]),
 )
+#: The probes with the most kept sectors, 314, 599 and 342 of them, so the widest
+#: sector documents of any invocation.
+WIDE_SECTOR_TABLES = tuple(
+    ({"MZI_QFI_CUTOFF_CEILING": "1300"}, ["analyze", "--family", family, "--nbar", nbar])
+    for family, nbar in (("tsv", "20"), ("tmsv", "40"), ("amplified-bell", "40")))
 #: The families built as the first splitter on a Fock ket, at an n whose sector's
 #: whole Jx basis would take 3 GB: each is one eigenvector of it, O(n).
 SPLIT_AT_20000 = tuple(["analyze", "--family", family, "--n", "20000"]
@@ -168,6 +175,7 @@ def invocations() -> List[Invocation]:
     env, argv = WIDE_NOON_SWEEP
     runs += [(env, [*argv, "--format", fmt]) for fmt in ("csv", "json")]
     runs += [(env, list(argv)) for env, argv in ROUTE_EDGES]
+    runs += [(env, list(argv)) for env, argv in WIDE_SECTOR_TABLES]
     runs += [({}, list(argv)) for argv in SPLIT_AT_20000]
     runs += [({}, ["analyze", "--state-file", path]) for path in STATE_DOCUMENTS]
     runs += [({}, ["analyze", *args]) for args in UNADDRESSABLE]

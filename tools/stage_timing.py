@@ -17,6 +17,10 @@ more stages follow them:
 - ``rotation_new_axis``: ``apply_rotation`` of the planned probe about a
   new random axis each call, so each projects the probe afresh.
 
+The probes of ``SECTOR_PROBES``, the squeezed probes with the most kept
+sectors, time ``SECTOR_STAGES`` alone: ``analyze`` and the stages of the
+sector path.
+
 A last line times the package itself: ``import_cli``, the least wall time of
 ``import mzi_qfi.cli`` after numpy over ``IMPORT_RUNS`` fresh interpreters,
 the start-up that every CLI process pays.
@@ -60,6 +64,17 @@ PROBES = (
     ("coherent alpha=8", "coherent", {"alpha": 8.0}, 160),
 )
 
+#: Probes of the sector path: ``--nbar 20``, ``--nbar 40`` and ``--nbar 40`` at the
+#: cutoffs their solved parameters take under a ceiling of 1300, where 314, 599
+#: and 342 sectors are kept and the sector path costs more than ``analyze``. A
+#: rotation moves their weight past the cutoff, so only ``SECTOR_STAGES`` are timed.
+SECTOR_PROBES = (
+    ("tsv nbar=20", "twin-squeezed-vacuum", {"xi": 1.868551121099462}, 642),
+    ("tmsv nbar=40", "two-mode-squeezed-vacuum", {"chi": 2.203285246538488}, 660),
+    ("amp-bell nbar=40", "amplified-bell", {"xi": 1.8564883255866973}, 699),
+)
+SECTOR_STAGES = ("analyze", "decompose_sectors", "build_report", "sector_states")
+
 STAGES = stage_memory.STAGES + ("fringe_point", "rotation_new_axis")
 
 #: Batches per stage, and the seconds one batch should take at least.
@@ -97,16 +112,17 @@ def least_time(call: Callable[[], object], prepare: Callable[[int], None],
     return best
 
 
-def stage_times(family: str, params: dict, cutoff, repeats: int = REPEATS
-                ) -> Tuple[int, Dict[str, float]]:
-    """The probe's cutoff and the seconds of one call of each stage, in ``STAGES`` order."""
+def stage_times(family: str, params: dict, cutoff, repeats: int = REPEATS,
+                stages: Sequence[str] = STAGES) -> Tuple[int, Dict[str, float]]:
+    """The probe's cutoff and the seconds of one call of each of ``stages``, in their order."""
     import numpy as np
 
     import mzi_qfi
 
     spec = mzi_qfi.ProbeSpec(family, params, cutoff)
     state = mzi_qfi.build(spec)
-    rotated = mzi_qfi.mzi_unitary(state, 0.3)  # the fringe point of the stages that read one
+    # the fringe point of the stages that read one
+    rotated = mzi_qfi.mzi_unitary(state, 0.3) if any("rotated" in s for s in stages) else None
     decomposed = mzi_qfi.decompose_sectors(state)
     rng = np.random.default_rng(7)
     phases = itertools.cycle(rng.uniform(-3.0, 3.0, 4096).tolist())
@@ -142,7 +158,7 @@ def stage_times(family: str, params: dict, cutoff, repeats: int = REPEATS
         "rotation_new_axis": (lambda: mzi_qfi.apply_rotation(state, next(axes), 0.9), nothing),
     }
     times = {}
-    for stage in STAGES:
+    for stage in stages:
         call, prepare = calls[stage]
         times[stage] = least_time(call, prepare, repeats)
         pool.clear()
@@ -162,9 +178,10 @@ def measure(root: Path, repeats: int = REPEATS) -> List[Tuple[str, int, str, flo
     """(probe, cutoff, stage, seconds) of every probe and stage, in the imported ``src/``,
     then the ``import_cli`` line of ``root``, whose ``src/`` that is."""
     rows = []
-    for label, family, params, cutoff in PROBES:
-        chosen, times = stage_times(family, params, cutoff, repeats)
-        rows += [(label, chosen, stage, seconds) for stage, seconds in times.items()]
+    for probes, stages in ((PROBES, STAGES), (SECTOR_PROBES, SECTOR_STAGES)):
+        for label, family, params, cutoff in probes:
+            chosen, times = stage_times(family, params, cutoff, repeats, stages)
+            rows += [(label, chosen, stage, seconds) for stage, seconds in times.items()]
     return rows + [("package", 0, "import_cli", import_seconds(root))]
 
 
