@@ -17,8 +17,9 @@ decompositions act on photon-number sectors instead, laid out by
 :func:`sector_kets` and, for a rotation's many sectors,
 :func:`sector_layout`. :func:`sector_cells` is the one reader of a grid's
 sector, as a view, :func:`state_cells` the one reader of a state's sectors
-as vectors (the sector table of :mod:`mzi_qfi.particle` gathers a grid's
-occupied sectors a chunk at a time to sum them), and
+as vectors, :func:`sector_rows` the view of a grid by sectors that the
+walks of :mod:`mzi_qfi.particle` gather a chunk of sectors at a time from,
+and
 :func:`occupied_sectors` the one judge of which sectors a state
 occupies: the sector whose cells it holds, or one scan of its grid.
 
@@ -29,8 +30,9 @@ round differently with the thread count.
 Every dense pass over a grid larger than eight strips of ``STRIP_CELLS``
 cells (cutoff 180) reads it a strip of rows at a time (:func:`strip_rows`),
 so that its temporaries are a few strips, not grids: the probabilities'
-read (:func:`_grid_sums`), the sector scan, and the twin squeezed vacuum
-and amplified Bell builders. The sector scan stays a pass of its own: it
+read (:func:`_grid_sums`), the sector scan, which reads ``SCAN_STRIPS``
+strips of its booleans at a time, and the twin squeezed vacuum and
+amplified Bell builders. The sector scan stays a pass of its own: it
 asks which amplitudes are nonzero, not which p > 0, and a rotation plan
 takes it on a fresh grid without paying for the moments.
 Each keeps the bits of the whole-grid pass it replaces. A sum along a row
@@ -98,6 +100,14 @@ _SMALLEST_NORMAL = math.ldexp(1.0, -1022)
 STRIP_CELLS = 4096
 
 
+#: Strips of rows that the sector scan (:func:`occupied_sectors`) reads at a
+#: time. Its booleans take about 4 bytes a cell, a quarter of the complex
+#: cells' 16, so four strips of them take what one strip of cells does. At
+#: cutoff 700, a scan of one strip at a time took twice as long, the rest in
+#: the numpy calls of its 140 strips.
+SCAN_STRIPS = 4
+
+
 def strip_rows(dim: int) -> int:
     """Rows of a ``dim``-column grid in one strip of a dense pass.
 
@@ -135,6 +145,18 @@ def _check_norm(norm_squared: float) -> None:
     nrm = math.sqrt(norm_squared)
     if not abs(nrm - 1.0) <= _NORM_TOL:
         raise NormalizationError(f"state norm {nrm!r} deviates from 1 beyond {_NORM_TOL}")
+
+
+def _check_norms(norms_squared: np.ndarray) -> None:
+    """:func:`_check_norm` of each of ``norms_squared``, in a few numpy calls.
+
+    numpy's square root, subtraction and comparison round as Python's do, so
+    an entry fails here exactly when it fails :func:`_check_norm`; the first
+    that fails raises its error.
+    """
+    failed = ~(np.abs(np.sqrt(norms_squared) - 1.0) <= _NORM_TOL)
+    for norm_squared in norms_squared[failed][:1].tolist():
+        _check_norm(norm_squared)
 
 
 #: The most bytes one numpy array may take.
@@ -189,7 +211,12 @@ class FockState:
     coordinates for that gamma, replaced in one assignment when a rotation
     projects new ones. So what is read off a state, its grid, its
     probabilities' sums and its rotation plan, lives as long as the state
-    does. A replaced state takes its own.
+    does. A replaced state takes its own. ``_sums`` is None but for a state
+    of a sector of :func:`mzi_qfi.particle.decompose_sectors`
+    (:meth:`_from_summed_cells`, through ``Sector.state``): then it is the
+    sums p, p dz and p dz^2 of its cells, with dz = j - k, that the
+    decomposition took and checked its norm on, and that
+    ``particle_moments`` reads in place of the cells.
     """
 
     amplitudes: np.ndarray
@@ -199,6 +226,7 @@ class FockState:
     _cells: ClassVar[Optional[np.ndarray]] = None
     _read: ClassVar[Optional[Tuple[NumberMoments, np.ndarray]]] = None
     _rotation: ClassVar[Optional[tuple]] = None
+    _sums: ClassVar[Optional[Tuple[float, float, float]]] = None
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -233,6 +261,17 @@ class FockState:
         state = object.__new__(cls)
         state.__dict__.update(cutoff=cutoff, truncation_loss=truncation_loss, _sector=n,
                               _cells=cells)
+        return state
+
+    @classmethod
+    def _from_summed_cells(
+        cls, cells: np.ndarray, n: int, cutoff: int, sums: Tuple[float, float, float]
+    ) -> "FockState":
+        """:meth:`_from_cells` of read-only complex ``cells`` whose norm check has passed on
+        ``sums[0]``: the sums p, p dz and p dz^2 of the cells, which the state carries."""
+        state = object.__new__(cls)
+        state.__dict__.update(cutoff=cutoff, truncation_loss=0.0, _sector=n, _cells=cells,
+                              _sums=sums)
         return state
 
     def __getattr__(self, name: str) -> np.ndarray:
@@ -329,6 +368,22 @@ def sector_cells(grid: np.ndarray, n: int) -> np.ndarray:
     return grid.reshape(-1)[start : start + count * step : step]
 
 
+def sector_rows(grid: np.ndarray) -> np.ndarray:
+    """A grid as rows by photon number, one read-only strided view of its C-ordered cells.
+
+    Row n, column j holds the cell (j, n - j) for j in ``sector_kets`` of
+    n, and another cell of the grid for every other j: flat place j c + n,
+    which lies in the grid for every n <= 2c and j <= c. So a rectangle of
+    rows and columns gathers the cells of several sectors at once, each
+    sector's run of cells in its row.
+    """
+    flat = np.ascontiguousarray(grid).reshape(-1)
+    cutoff = grid.shape[0] - 1
+    return np.lib.stride_tricks.as_strided(flat, (2 * cutoff + 1, cutoff + 1),
+                                           (flat.itemsize, flat.itemsize * cutoff),
+                                           writeable=False)
+
+
 def state_cells(state: FockState, sectors: Sequence[int]) -> List[np.ndarray]:
     """The amplitudes of ``state`` on each of ``sectors``, in ``sector_kets`` order.
 
@@ -349,18 +404,18 @@ def occupied_sectors(state: FockState) -> List[int]:
 
     A state that holds the cells of its sector (``FockState._sector``)
     occupies that sector alone. Any other state is scanned: it occupies the
-    sectors where ``nonzero_cells`` holds, read one strip of rows at a time
-    (:func:`strip_rows`). Each strip's booleans are laid out skewed, row r
-    of the strip r places further right than row 0, so that the cells of
-    sector j + k share one column; a column with a nonzero cell is an
-    occupied sector.
+    sectors where ``nonzero_cells`` holds, read ``SCAN_STRIPS`` strips of
+    rows (:func:`strip_rows`) at a time. Each strip's booleans are laid out
+    skewed, row r of the strip r places further right than row 0, so that
+    the cells of sector j + k share one column; a column with a nonzero cell
+    is an occupied sector.
     """
     if state._sector is not None:
         return [state._sector]
     grid = state.amplitudes
     dim = grid.shape[0]
     occupied = np.zeros(2 * dim - 1, dtype=bool)
-    step = strip_rows(dim)
+    step = min(dim, SCAN_STRIPS * strip_rows(dim))
     for top in range(0, dim, step):
         held = nonzero_cells(grid[top : top + step])
         rows, width = len(held), dim + len(held) - 1

@@ -20,32 +20,55 @@ Every reader of a state's sectors reads one table (:func:`_sector_table`):
 for each sector :func:`mzi_qfi.fock.occupied_sectors` names, floored or not,
 its weight w = sum p, sum p dz and sum p dz^2, with p = |c|^2 and dz = j - k,
 each numpy's pairwise sum of the sector's run (``np.sum``'s bits), with no
-BLAS. A state that holds the cells of its one sector is its table's one run
-(:func:`_run_sums`). One elementwise formula (:func:`_statistics`) turns
-those sums into the Pauli statistics of the CLI's sector documents and sweep
-rows, of :func:`qfi_particle`, :func:`sector_moments` and
-:func:`particle_moments`. :func:`decompose_sectors` takes its weights from
-the table and builds the normalized vectors of the kept sectors only.
+BLAS. A grid's sectors are summed by one walk of chunks of them
+(:func:`_walk_sectors`); a state that holds the cells of its one sector is
+its table's one run (:func:`_run_sums`). One elementwise formula
+(:func:`_statistics`) turns those sums into the Pauli statistics of the
+CLI's sector documents and sweep rows, of :func:`qfi_particle`,
+:func:`sector_moments` and :func:`particle_moments`.
+
+:func:`decompose_sectors` takes its weights from the table, then walks the
+kept sectors once more: it divides their cells by the roots of their
+weights into one array, checks each one's norm and takes its sums there.
+Each ``Sector`` keeps its sums, and so does each state ``Sector.state``
+makes, so that ``particle_moments(s.state, s.n)`` reads no cell.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Union
+from typing import ClassVar, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ParameterError, SectorSupportError
-from .fock import ROUTE_ROUNDOFF, FockState, occupied_sectors, sector_kets, state_cells
+from .fock import (
+    ROUTE_ROUNDOFF,
+    FockState,
+    _check_norm,
+    _check_norms,
+    _levels,
+    occupied_sectors,
+    sector_kets,
+    sector_rows,
+    state_cells,
+)
 
 #: Sector weights below this are dropped from decompositions.
 WEIGHT_FLOOR = 1e-14
 
-#: Rows' worth of cells, (cutoff + 1) each, past which :func:`_sector_table`
-#: starts a new chunk of a grid's sectors. A chunk's temporaries come to about
-#: 60 bytes a cell, so the walk of a cutoff-300 grid peaks near a ninth of a grid.
-TABLE_ROWS = 6
+#: Rows' worth of cells, (cutoff + 1) each, that one chunk of a walk of a
+#: grid's sectors (:func:`_walk_sectors`) gathers at most, up to cutoff
+#: ``SHARE_CUTOFF``, and past it the same share of the grid's cells. A
+#: chunk's temporaries come to 24 bytes a cell, so a walk of a cutoff-300
+#: grid peaks near a tenth of a grid. :func:`decompose_sectors`' walk of its
+#: kept sectors takes 32 bytes a cell, the complex division's buffer
+#: included, beside the array of kept cells it fills, and so ``KEPT_ROWS``.
+TABLE_ROWS = 18
+KEPT_ROWS = 5
+SHARE_CUTOFF = 300
 
 
 @dataclass(frozen=True)
@@ -63,6 +86,18 @@ class Sector:
     weight: float
     coeffs: np.ndarray
     cutoff: int
+    _sums: ClassVar[Optional[Tuple[float, float, float]]] = None
+
+    @classmethod
+    def _kept(cls, n: int, weight: float, coeffs: np.ndarray, cutoff: int,
+              sums: Tuple[float, float, float]) -> "Sector":
+        """A sector of :func:`decompose_sectors`, whose ``coeffs`` have passed the norm check
+        on ``sums``, the sums p, p dz and p dz^2 of :func:`_run_sums` over them."""
+        sector = object.__new__(cls)
+        held = sector.__dict__
+        held["n"], held["weight"], held["coeffs"], held["cutoff"], held["_sums"] = (
+            n, weight, coeffs, cutoff, sums)
+        return sector
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -80,11 +115,17 @@ class Sector:
         """The sector as a normalized state on a ``cutoff`` grid, holding ``coeffs`` as its cells.
 
         The state knows its photon number n (``FockState._sector``) and holds
-        no grid until its ``amplitudes`` are read, so its norm check, its
-        number moments and :func:`particle_moments` cost O(n). Each access
-        makes a new state around the same read-only ``coeffs``.
+        no grid until its ``amplitudes`` are read, so its number moments and
+        :func:`particle_moments` cost O(n). Each access makes a new state
+        around the same read-only ``coeffs``, so a grid one caller reads is
+        not kept by the sector. A sector of :func:`decompose_sectors` passed
+        its norm check there, and its state carries the sums it took
+        (``FockState._sums``), with no second pass over the cells; any other
+        sector's state is checked by ``FockState._from_cells``.
         """
-        return FockState._from_cells(self.coeffs, self.n, self.cutoff)
+        if self._sums is None:
+            return FockState._from_cells(self.coeffs, self.n, self.cutoff)
+        return FockState._from_summed_cells(self.coeffs, self.n, self.cutoff, self._sums)
 
 
 class SectorDecomposition(NamedTuple):
@@ -139,55 +180,127 @@ class _SectorTable(NamedTuple):
     weights_sum: float
 
 
-def _terms(cells: np.ndarray, dz: Optional[np.ndarray]) -> np.ndarray:
-    """The rows p and, given ``dz``, p dz and p dz^2 of ``cells``, with p = |c|^2."""
-    terms = np.empty((1 if dz is None else 3, len(cells)))
-    p = terms[0]
-    np.square(np.abs(cells, p), p)
-    if dz is not None:
-        np.multiply(np.multiply(p, dz, terms[1]), dz, terms[2])
-    return terms
-
-
 def _run_sums(cells: np.ndarray, n: int, cutoff: int, moments: bool = True) -> np.ndarray:
     """sum p and, with ``moments``, sum p dz and sum p dz^2 over ``cells``, sector ``n``
-    of a ``cutoff`` grid."""
-    low = n - cutoff if n > cutoff else 0
-    dz = np.arange(2 * low - n, 2 * (low + len(cells)) - n, 2, dtype=float) if moments else None
-    return np.add.reduce(_terms(cells, dz), 1)
+    of a ``cutoff`` grid, with p = |c|^2."""
+    terms = np.empty((3 if moments else 1, len(cells)))
+    p = terms[0]
+    np.square(np.abs(cells, out=p), out=p)
+    if moments:
+        low = n - cutoff if n > cutoff else 0
+        dz = np.arange(2 * low - n, 2 * (low + len(cells)) - n, 2, dtype=float)
+        np.multiply(np.multiply(p, dz, out=terms[1]), dz, out=terms[2])
+    return np.add.reduce(terms, 1)
+
+
+def _sector_sizes(ns: np.ndarray, cutoff: int) -> np.ndarray:
+    """The number of cells of each sector ``ns`` of a ``cutoff`` grid."""
+    return np.minimum(ns, cutoff) + 1 - np.maximum(ns - cutoff, 0)
+
+
+def _chunk_bounds(lows: List[int], highs: List[int], cells: int) -> List[int]:
+    """Where the chunks of a walk of sectors, ascending, whose runs span j = ``lows`` up to
+    ``highs`` begin, then their count.
+
+    Each chunk takes the most sectors, at least one, whose rectangle of
+    :func:`_walk_sectors`, a row for each, ``highs[last] - lows[first]``
+    wide, holds at most ``cells`` cells; its area grows with each sector.
+    """
+    bounds = [0]
+    while bounds[-1] < len(lows):
+        first, low = bounds[-1], lows[bounds[-1]]
+        taken = bisect_right(range(first + 1, len(lows) + 1), cells,
+                             key=lambda last: (last - first) * (highs[last - 1] - low))
+        bounds.append(first + max(1, taken))
+    return bounds
+
+
+def _walk_sectors(state: FockState, ns: np.ndarray, moments: bool = True,
+                  roots: Optional[np.ndarray] = None,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The sums of sectors ``ns``, ascending, of a grid state, one column each.
+
+    The sectors are read in chunks, each in one gather of a rectangle of
+    :func:`mzi_qfi.fock.sector_rows`: a row for each sector, and the columns
+    from its first sector's first j to its last sector's last j, the most of
+    any. Its terms are laid out flat after a first term of 0.0. The place
+    before each run then holds a term of no run: that first term, the last
+    of the row before, or one of the run's own row outside its span. Those
+    places' terms are set to 0.0, so that one ``np.add.reduceat`` from each
+    of them to the end of its run adds to 0.0 numpy's pairwise sum of the
+    run: ``np.sum``'s bits, with no Python per sector. The cells of other
+    sectors that the rectangle takes beside each run are fewer the more
+    alike its sectors' spans are. Without ``moments``, the sums are sum p
+    alone.
+
+    With ``roots``, each sector's cells are first divided by its root in
+    complex arithmetic, with the bits of ``cells / root``, and copied into
+    ``out``, one run after another.
+
+    A chunk takes at most ``TABLE_ROWS`` rows' worth of cells, or with
+    ``roots``, ``KEPT_ROWS``; past cutoff ``SHARE_CUTOFF``, the same share of
+    the grid.
+    """
+    cutoff = state.cutoff
+    sectors = sector_rows(state.amplitudes)
+    lows, counts = np.maximum(ns - cutoff, 0), _sector_sizes(ns, cutoff)
+    rows = TABLE_ROWS if roots is None else KEPT_ROWS
+    largest = rows * (cutoff + 1) * max(cutoff + 1, SHARE_CUTOFF + 1) // (SHARE_CUTOFF + 1)
+    bounds = _chunk_bounds(lows.tolist(), (lows + counts).tolist(), largest)
+    firsts, lasts = np.array(bounds[:-1], dtype=int), np.array(bounds[1:], dtype=int)
+    lefts, widths = lows[firsts], lows[lasts - 1] + counts[lasts - 1] - lows[firsts]
+    chunk = np.repeat(np.arange(len(firsts)), lasts - firsts)
+    # each run's slot, read flat in its chunk's terms, then the end of the run
+    slots = (np.arange(len(ns)) - firsts[chunk]) * widths[chunk] + lows - lefts[chunk]
+    edges = np.stack((slots, slots + counts + 1), axis=1).reshape(-1)
+    twice = 2.0 * _levels(cutoff + 1)[0]  # 2 j
+    rows_n, divisors = ns[:, None], None if roots is None else roots[:, None]
+    placed = [0, *np.cumsum(counts).tolist()]  # where each sector's cells start in ``out``
+    sums = np.empty((3 if moments else 1, len(ns)))
+    for first, last, left, width in zip(bounds, bounds[1:], lefts.tolist(), widths.tolist()):
+        cells = sectors[ns[first:last], left : left + width]
+        runs = edges[2 * first : 2 * last]  # slot, end, slot, end, ...
+        if roots is not None:
+            np.divide(cells, divisors[first:last], out=cells)
+            flat = cells.reshape(-1)  # a run's first cell is at its slot
+            np.concatenate([flat[slot : end - 1] for slot, end in runs.reshape(-1, 2).tolist()],
+                           out=out[placed[first] : placed[last]])
+            del flat
+        p = np.empty(cells.size + 1)
+        terms = p[1:]
+        np.abs(cells.reshape(-1), out=terms)
+        del cells
+        np.square(terms, out=terms)
+        p[runs[::2]] = 0.0
+        runs = runs[:-1]  # the last run ends the terms
+        sums[0, first:last] = np.add.reduceat(p, runs)[::2]
+        if moments:
+            dz = np.subtract(twice[left : left + width], rows_n[first:last]).reshape(-1)  # 2 j - n
+            np.multiply(terms, dz, out=terms)
+            sums[1, first:last] = np.add.reduceat(p, runs)[::2]
+            np.multiply(terms, dz, out=terms)
+            sums[2, first:last] = np.add.reduceat(p, runs)[::2]
+        p = terms = dz = None  # before the next chunk's cells
+    return sums
 
 
 def _sector_table(state: FockState, moments: bool = True) -> _SectorTable:
     """The sums of every sector of :func:`mzi_qfi.fock.occupied_sectors`, in one walk.
 
-    A state that holds the cells of its sector is read from them. A grid's
-    sectors are gathered about ``TABLE_ROWS`` rows' worth of cells at a time,
-    each sector's run after a slot of its own whose terms are set to 0.0, so
-    that one ``np.add.reduceat`` adds to that 0.0 numpy's pairwise sum of
-    each run: ``np.sum``'s bits, with no Python per sector. Without
-    ``moments``, the table holds the weights alone.
+    A state that holds the cells of its sector is read from them, or from the
+    sums it carries (``FockState._sums``). A grid's sectors are summed by
+    :func:`_walk_sectors`. Without ``moments``, the table holds the weights
+    alone.
     """
     if state._cells is not None:
-        sums = _run_sums(state._cells, state._sector, state.cutoff, moments)
+        sums = state._sums
+        if sums is None:
+            sums = _run_sums(state._cells, state._sector, state.cutoff, moments)
+        else:
+            sums = np.array(sums[: 3 if moments else 1])
         return _SectorTable(np.array([state._sector]), sums[:, None], float(sums[0]))
-    flat, ns = np.ascontiguousarray(state.amplitudes).reshape(-1), np.array(occupied_sectors(state))
-    runs = np.minimum(ns, state.cutoff) + 2 - np.maximum(ns - state.cutoff, 0)  # slot and cells
-    starts = np.cumsum(runs) - runs
-    # place q of the run from start holds j = q + low - 1 - start, the cell (j, n - j)
-    # at flat place j c + n (a slot's place lies in the grid, or wraps from its end);
-    # low - 1 - start is min(n, c) + 1 - (start + run)
-    shifts = np.minimum(ns, state.cutoff) + 1 - (starts + runs)
-    places, offsets = ns + shifts * state.cutoff, (2 * shifts - ns).astype(float)
-    bounds = [0, *np.flatnonzero(np.diff(starts // (TABLE_ROWS * (state.cutoff + 1)))) + 1, len(ns)]
-    sums = []
-    for first, last in zip(bounds, bounds[1:]):
-        run, q = runs[first:last], np.arange(starts[first], starts[last - 1] + runs[last - 1])
-        dz = 2.0 * q + np.repeat(offsets[first:last], run) if moments else None  # 2 j - n
-        terms = _terms(flat.take(q * state.cutoff + np.repeat(places[first:last], run)), dz)
-        slots = starts[first:last] - starts[first]
-        terms[:, slots] = 0.0
-        sums.append(np.add.reduceat(terms, slots, axis=1))
-    sums = np.concatenate(sums, axis=1)
+    ns = np.array(occupied_sectors(state))
+    sums = _walk_sectors(state, ns, moments)
     return _SectorTable(ns, sums, float(np.cumsum(sums[0])[-1]))
 
 
@@ -211,26 +324,41 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
 
     Each kept sector holds only its anti-diagonal, the vector of amplitudes
     on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
-    all. The weights are those of the sector table, or, for a state that
-    holds the cells of its one sector, that sector's weight with no table
-    around it; each sector is then read through
-    :func:`mzi_qfi.fock.state_cells`, so a state that holds the cells of its
-    sector reads them, with no scan and no grid. ``occupied`` is the number
-    of sectors in the table.
+    all. A grid's weights are those of its sector table, taken without
+    moments. A second walk, of the kept sectors alone, divides each one's
+    cells by the root of its weight, with the bits of
+    ``cells / math.sqrt(weight)``, into one read-only array of kept cells,
+    of which each ``Sector.coeffs`` is a view, and takes the sums of the
+    divided cells. A state that holds the cells of its one sector divides
+    and sums those, with no table and no grid. Each kept sector's sum of p
+    passes the norm check of ``FockState._from_cells`` here, and the sector
+    keeps its sums for the states ``Sector.state`` makes. ``occupied`` is the
+    number of sectors in the table.
     """
+    cutoff = state.cutoff
     if state._cells is not None:  # the one sector a state holds: its weight, with no table
-        weights = _run_sums(state._cells, state._sector, state.cutoff, False).tolist()
-        ns, weights_sum = [state._sector], weights[0]
-    else:
-        table = _sector_table(state, moments=False)
-        ns, weights, weights_sum = table.n.tolist(), table.sums[0].tolist(), table.weights_sum
-    sectors = []
-    for n, weight, cells in zip(ns, weights, state_cells(state, ns)):
-        if weight >= WEIGHT_FLOOR:
-            coeffs = cells / math.sqrt(weight)
-            coeffs.flags.writeable = False
-            sectors.append(Sector(n, weight, coeffs, min(n, state.cutoff)))
-    return SectorDecomposition(sectors, weights_sum, len(ns))
+        n = state._sector
+        [cells] = state_cells(state, [n])
+        weight = float(_run_sums(cells, n, cutoff, False)[0])
+        coeffs = cells / math.sqrt(weight)
+        coeffs.flags.writeable = False
+        sums = tuple(_run_sums(coeffs, n, cutoff).tolist())
+        _check_norm(sums[0])
+        return SectorDecomposition([Sector._kept(n, weight, coeffs, min(n, cutoff), sums)],
+                                   weight, 1)
+    table = _sector_table(state, moments=False)
+    kept = table.sums[0] >= WEIGHT_FLOOR
+    ns, weights = table.n[kept], table.sums[0, kept]
+    ends = np.cumsum(_sector_sizes(ns, cutoff))
+    coeffs = np.empty(int(ends[-1]), dtype=np.complex128)
+    sums = _walk_sectors(state, ns, roots=np.sqrt(weights).astype(complex), out=coeffs)
+    _check_norms(sums[0])
+    coeffs.flags.writeable = False
+    sectors = [Sector._kept(n, weight, coeffs[start:end], sector_cutoff, kept_sums)
+               for n, weight, start, end, sector_cutoff, kept_sums
+               in zip(ns.tolist(), weights.tolist(), [0, *ends[:-1].tolist()], ends.tolist(),
+                      np.minimum(ns, cutoff).tolist(), zip(*sums.tolist()))]
+    return SectorDecomposition(sectors, table.weights_sum, len(table.n))
 
 
 #: Weight outside its dominant sector above which :func:`particle_moments`
@@ -264,7 +392,9 @@ def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
             raise SectorSupportError(f"state carries weight {off:.3e} outside photon-number "
                                      f"sector {actual}; decompose into sectors first")
     else:
-        sums = _run_sums(sector_state._cells, actual, sector_state.cutoff).tolist()
+        sums = sector_state._sums
+        if sums is None:
+            sums = _run_sums(sector_state._cells, actual, sector_state.cutoff).tolist()
     if actual != n:
         raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
     return ParticleReport(n, *_statistics(n, *sums))

@@ -56,9 +56,12 @@ stage_memory = load_tool("stage_memory")
 #: strip buffers and the p(d) of 2c + 1 floats that the same read keeps: a
 #: state keeps what it read, so each is measured on a fresh copy of its
 #: state, not yet read.
-#: ``decompose_sectors`` takes strip-sized booleans for its scan, one chunk of
-#: its sector table's walk (six rows' worth of cells), and then the sectors'
-#: vectors it returns. Twin-fock's
+#: ``decompose_sectors`` takes four strips' worth of booleans for its scan,
+#: one chunk of its sector table's walk (18 rows' worth of cells at 24 bytes
+#: each), and then the array of kept cells it returns beside one chunk of its
+#: walk of the kept sectors (5 rows' worth at 32 bytes each); ``sector_path``,
+#: the decomposition followed by every kept sector's statistics, which read no
+#: cell, peaks in the decomposition and has its budget. Twin-fock's
 #: ``schmidt`` and ``schmidt_rotated`` read the cells of its one sector, and
 #: its ``mzi_unitary_cold`` scans the grid of its fresh copy in strips.
 BUDGETS = {
@@ -67,18 +70,21 @@ BUDGETS = {
         "qfi_fidelity": 0.02, "build_report": 0.33,
         "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 0.33,
         "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.40, "sector_states": 0.03,
+        "sector_path": 0.14,
     },
     "amplified-bell xi=1.2": {
         "build": 1.14, "analyze": 0.33, "decompose_sectors": 0.16, "qfi_variance": 0.33,
         "qfi_fidelity": 0.02, "build_report": 0.33,
         "schmidt": 0.37, "phase_shift": 1.11, "mzi_unitary": 2.07, "analyze_rotated": 0.33,
         "schmidt_rotated": 0.67, "mzi_unitary_cold": 3.38, "sector_states": 0.03,
+        "sector_path": 0.16,
     },
     "twin-fock n=200": {
         "build": 0.03, "analyze": 0.02, "decompose_sectors": 0.01, "qfi_variance": 0.02,
         "qfi_fidelity": 0.02, "build_report": 0.02,
         "schmidt": 0.01, "phase_shift": 0.02, "mzi_unitary": 0.03, "analyze_rotated": 0.02,
         "schmidt_rotated": 0.01, "mzi_unitary_cold": 0.04, "sector_states": 0.01,
+        "sector_path": 0.01,
     },
 }
 
@@ -104,6 +110,22 @@ def test_stage_peaks_within_budget(label, family, params, cutoff):
         if peak > budget:
             over[stage] = (peak, round(peak / grid, 4), budget)
     assert not over, over
+
+
+def test_reading_every_sector_grid_pins_none_of_them():
+    # the benchmark's traced decomposition reads s.state.amplitudes of every sector;
+    # each state is new and builds its own grid, so the grids come and go one at a time
+    probe = build(ProbeSpec("twin-squeezed-vacuum", {"xi": 1.2}, 300))
+    sectors = decompose_sectors(probe).sectors
+    grids = [stage_memory.grid_bytes(s.cutoff) for s in sectors]
+    assert len(sectors) > 80 and sum(grids) > 20 * max(grids)
+
+    def read_every_grid():
+        return sum(s.state.amplitudes.nbytes for s in decompose_sectors(probe).sectors)
+
+    read_every_grid()
+    own = stage_memory.transient_peak(lambda: decompose_sectors(probe))
+    assert stage_memory.transient_peak(read_every_grid) < own + 2 * max(grids)
 
 
 def test_sector_states_and_fixed_n_fringe_points_build_no_grid():

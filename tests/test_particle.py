@@ -13,9 +13,15 @@ from hypothesis import strategies as st
 
 from conftest import near_sector_states, random_direction, sparse_states
 from mzi_qfi import cli, fock, particle
-from mzi_qfi.errors import ParameterError, SectorSupportError
+from mzi_qfi.errors import NormalizationError, ParameterError, SectorSupportError
 from mzi_qfi.fock import ROUTE_ROUNDOFF, FockState, make_fock
-from mzi_qfi.particle import decompose_sectors, particle_moments, qfi_particle, sector_moments
+from mzi_qfi.particle import (
+    Sector,
+    decompose_sectors,
+    particle_moments,
+    qfi_particle,
+    sector_moments,
+)
 from mzi_qfi.qfi import qfi_variance
 from mzi_qfi.serialize import read_state_file, write_state_file
 from mzi_qfi.schwinger import apply_rotation, beam_splitter, mzi_unitary
@@ -261,6 +267,112 @@ def analyze_document(state):
         with contextlib.redirect_stdout(out):
             code = cli.main(["analyze", "--state-file", path])
         return code, json.loads(out.getvalue()), read_state_file(path)
+
+
+def report_bits(report):
+    """A particle report's floats as their bits, beside its n and its witness."""
+    floats = [report.mean_sigma_z, report.var_sigma_z, report.cov_sigma_z, report.f_particle]
+    return report.n, np.array(floats).view(np.uint64).tolist(), report.witness_entangled
+
+
+class TestSectorSums:
+    """A decomposition's sectors keep the sums its walk took over their cells, and the
+    states ``Sector.state`` makes carry them to ``particle_moments``."""
+
+    @pytest.mark.parametrize("strategy", [sparse_states(), near_sector_states()],
+                             ids=["sparse_states", "near_sector_states"])
+    def test_carried_sums_read_as_the_cells_do_bit_for_bit(self, strategy):
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(strategy)
+        def check(state):
+            for sector in decompose_sectors(state).sectors:
+                held = sector.state
+                assert held is not sector.state and held._sector == sector.n
+                assert held._cells is sector.coeffs and not held._cells.flags.writeable
+                summed = particle._run_sums(sector.coeffs, sector.n, sector.cutoff)
+                assert np.array(held._sums).view(np.uint64).tolist() == \
+                    summed.view(np.uint64).tolist()
+                if sector.n == 0:
+                    continue
+                checked = FockState._from_cells(sector.coeffs, sector.n, sector.cutoff)
+                expected = report_bits(particle_moments(checked, sector.n))
+                assert report_bits(particle_moments(held, sector.n)) == expected
+                assert report_bits(sector_moments(sector)) == expected
+
+        check()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(sparse_states(max_cutoff=16))
+    def test_walks_of_small_chunks_match_the_dense_loops_bit_for_bit(self, rows, state):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(particle, "TABLE_ROWS", rows)
+            patch.setattr(particle, "KEPT_ROWS", rows)
+            decomposition = decompose_sectors(state)
+            table = particle._sector_table(state)
+        assert_same_bits(decomposition, dense_decompose_sectors(state))
+        dense = dense_sector_table(state)
+        assert table.sums.view(np.uint64).tolist() == dense.sums.view(np.uint64).tolist()
+        for sector in decomposition.sectors:
+            summed = particle._run_sums(sector.coeffs, sector.n, sector.cutoff)
+            assert np.array(sector._sums).view(np.uint64).tolist() == \
+                summed.view(np.uint64).tolist()
+
+    def test_kept_cells_are_one_read_only_array(self):
+        state = build(ProbeSpec("twin-squeezed-vacuum", {"xi": 1.2}, 300))
+        sectors = decompose_sectors(state).sectors
+        kept = sectors[0].coeffs.base
+        assert not kept.flags.writeable
+        assert kept.nbytes == sum(s.coeffs.nbytes for s in sectors)
+        assert all(s.coeffs.base is kept and not s.coeffs.flags.writeable for s in sectors)
+
+    def test_a_hand_built_sector_is_checked(self):
+        off = Sector(1, 1.0, np.array([0.6, 0.8 * (1 + 1e-9)], dtype=complex), 1)
+        with pytest.raises(NormalizationError, match="deviates from 1"):
+            off.state
+        unit = Sector(1, 1.0, np.array([0.6, 0.8], dtype=complex), 1)
+        assert unit.state._sums is None
+        kept = decompose_sectors(build(ProbeSpec("noon", {"n": 3}))).sectors[0]
+        with pytest.raises(NormalizationError, match="deviates from 1"):
+            dataclasses.replace(kept, coeffs=2 * kept.coeffs).state
+
+    @pytest.mark.parametrize("state", [build(ProbeSpec("twin-squeezed-vacuum", {"xi": 0.8})),
+                                       build(ProbeSpec("noon", {"n": 4}))],
+                             ids=["grid", "cells"])
+    def test_decomposition_checks_each_sector_norm(self, monkeypatch, state):
+        assert decompose_sectors(state).sectors
+        monkeypatch.setattr(fock, "_NORM_TOL", -1.0)  # every norm fails
+        with pytest.raises(NormalizationError, match="deviates from 1"):
+            decompose_sectors(state)
+
+    def test_the_sector_path_sums_no_sector_twice(self, monkeypatch):
+        # the decomposition's walk and the states' sums are all the path reads: the calls
+        # that sum cells or check a norm do not grow with the number of sectors
+        calls = {}
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def count(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, count)
+
+        probes = [build(ProbeSpec("twin-squeezed-vacuum", {"xi": xi}, 300)) for xi in (1.0, 1.4)]
+        counted(fock, "squared_norm")
+        counted(particle, "_run_sums")
+        seen = []
+        for probe in probes:
+            calls.clear()
+            sectors = decompose_sectors(probe).sectors
+            for sector in sectors:
+                if sector.n >= 1:
+                    particle_moments(sector.state, sector.n)
+            seen.append((len(sectors), dict(calls)))
+        (few, first), (many, second) = seen
+        assert many > few + 20
+        assert first == second and sum(first.values()) <= 2
 
 
 class TestSectorTable:

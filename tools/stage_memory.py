@@ -27,7 +27,9 @@ its peak counts the rotation plan and Jx-basis coordinates kept for that
 copy as well. ``sector_states`` takes the particle statistics of every
 sector of the probe with n >= 1 through ``Sector.state``, as
 ``particle_moments(s.state, s.n)``, on a decomposition made before the stage
-is measured.
+is measured. ``sector_path`` is the whole of that path, as the benchmark's
+analysis report takes it: ``decompose_sectors``, then every kept sector's
+``state`` and ``particle_moments``.
 
 After a probe's stages, one more line, ``basis_cache``, gives the bytes the
 rotation's Jx-basis cache gained over them, in the same columns: each probe
@@ -60,7 +62,7 @@ PROBES = (
 STAGES = (
     "build", "analyze", "decompose_sectors", "qfi_variance", "qfi_fidelity",
     "build_report", "schmidt", "phase_shift", "mzi_unitary", "analyze_rotated",
-    "schmidt_rotated", "mzi_unitary_cold", "sector_states",
+    "schmidt_rotated", "mzi_unitary_cold", "sector_states", "sector_path",
 )
 
 #: The stages that take the number moments, each call on a fresh copy of its state.
@@ -80,6 +82,15 @@ def transient_peak(call: Callable[[], object]) -> int:
     finally:
         if started:
             tracemalloc.stop()
+
+
+def sector_path(state) -> list:
+    """The particle statistics of every kept sector of ``state`` with n >= 1, from its
+    decomposition: what the benchmark's analysis report reads of the sectors."""
+    import mzi_qfi
+
+    return [mzi_qfi.particle_moments(s.state, s.n)
+            for s in mzi_qfi.decompose_sectors(state).sectors if s.n >= 1]
 
 
 def fresh_copy(state):
@@ -116,6 +127,7 @@ def stage_peaks(family: str, params: dict, cutoff) -> Tuple[int, Dict[str, int]]
         "mzi_unitary_cold": lambda: mzi_qfi.mzi_unitary(fresh.pop(), 0.3),
         "sector_states": lambda: [mzi_qfi.particle_moments(s.state, s.n)
                                   for s in decomposed[0].sectors if s.n >= 1],
+        "sector_path": lambda: sector_path(state),
     }
     peaks = {}
     for stage in STAGES:

@@ -19,7 +19,11 @@ more stages follow them:
 
 The probes of ``SECTOR_PROBES``, the squeezed probes with the most kept
 sectors, time ``SECTOR_STAGES`` alone: ``analyze`` and the stages of the
-sector path.
+sector path, the last of them ``sector_path``, the whole path as
+``tools/stage_memory.py`` runs it: ``decompose_sectors`` and every kept
+sector's ``state`` and ``particle_moments``. Work that moves between
+``decompose_sectors`` and ``sector_states`` shows there as what it costs in
+all.
 
 A last line times the package itself: ``import_cli``, the least wall time of
 ``import mzi_qfi.cli`` after numpy over ``IMPORT_RUNS`` fresh interpreters,
@@ -73,7 +77,7 @@ SECTOR_PROBES = (
     ("tmsv nbar=40", "two-mode-squeezed-vacuum", {"chi": 2.203285246538488}, 660),
     ("amp-bell nbar=40", "amplified-bell", {"xi": 1.8564883255866973}, 699),
 )
-SECTOR_STAGES = ("analyze", "decompose_sectors", "build_report", "sector_states")
+SECTOR_STAGES = ("analyze", "decompose_sectors", "build_report", "sector_states", "sector_path")
 
 STAGES = stage_memory.STAGES + ("fringe_point", "rotation_new_axis")
 
@@ -153,6 +157,7 @@ def stage_times(family: str, params: dict, cutoff, repeats: int = REPEATS,
         "mzi_unitary_cold": (lambda: mzi_qfi.mzi_unitary(pool.pop(), 0.3), grids),
         "sector_states": (lambda: [mzi_qfi.particle_moments(s.state, s.n)
                                    for s in decomposed.sectors if s.n >= 1], nothing),
+        "sector_path": (lambda: stage_memory.sector_path(state), nothing),
         "fringe_point": (lambda: mzi_qfi.analyze(mzi_qfi.mzi_unitary(state, next(phases))),
                          nothing),
         "rotation_new_axis": (lambda: mzi_qfi.apply_rotation(state, next(axes), 0.9), nothing),
