@@ -16,10 +16,10 @@ probabilities' sums and its rotation plan (:class:`FockState`). Rotations and
 decompositions act on photon-number sectors instead, laid out by
 :func:`sector_kets` and, for a rotation's many sectors,
 :func:`sector_layout`. :func:`sector_cells` is the one reader of a grid's
-sector, as a view, :func:`state_cells` the one reader of a state's sectors
-as vectors, :func:`sector_rows` the view of a grid by sectors that the
-walks of :mod:`mzi_qfi.particle` gather a chunk of sectors at a time from,
-and
+sector, as a view, :func:`sector_rows` the view of a grid by sectors,
+:func:`state_rows` the one reader of a state's cells in that layout, a
+grid's or the one row of cells a state of one sector holds, which the walks
+of :mod:`mzi_qfi.particle` gather a chunk of sectors at a time from, and
 :func:`occupied_sectors` the one judge of which sectors a state
 occupies: the sector whose cells it holds, or one scan of its grid.
 
@@ -347,6 +347,12 @@ def _sector_span(n: int, cutoff: int) -> Tuple[int, int]:
     return low, max(0, min(n, cutoff) + 1 - low)
 
 
+def _sector_spans(ns: np.ndarray, cutoff: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_sector_span` of each of ``ns``, photon numbers up to 2 * ``cutoff``, as two arrays."""
+    over = ns - cutoff
+    return np.maximum(over, 0), cutoff + 1 - np.abs(over)
+
+
 def sector_kets(n: int, cutoff: int) -> np.ndarray:
     """The run of k, read-only, for which a ``cutoff`` grid holds the ket |k, n-k>."""
     low, count = _sector_span(n, cutoff)
@@ -384,19 +390,16 @@ def sector_rows(grid: np.ndarray) -> np.ndarray:
                                            writeable=False)
 
 
-def state_cells(state: FockState, sectors: Sequence[int]) -> List[np.ndarray]:
-    """The amplitudes of ``state`` on each of ``sectors``, in ``sector_kets`` order.
+def state_rows(state: FockState) -> Tuple[np.ndarray, int, int]:
+    """The cells ``state`` holds as rows by photon number, and the n and j of its first cell.
 
-    A state that holds its cells (see :class:`FockState`), asked for its own
-    sector, returns them, read-only, and builds no grid. Otherwise each
-    sector is read through :func:`sector_cells` from the grid made
-    C-contiguous once, so each is a view, and a grid of another memory order
-    is copied once, not once per sector.
+    A grid is read as :func:`sector_rows`, from n = 0 and j = 0. A state that
+    holds the cells of its sector n (see :class:`FockState`) is one row of
+    them, from n and the first j of :func:`sector_kets`, with no grid built.
     """
-    if state._cells is not None and len(sectors) == 1 and sectors[0] == state._sector:
-        return [state._cells]
-    grid = np.ascontiguousarray(state.amplitudes)
-    return [sector_cells(grid, n) for n in sectors]
+    if state._cells is not None:
+        return state._cells[None, :], state._sector, _sector_span(state._sector, state.cutoff)[0]
+    return sector_rows(state.amplitudes), 0, 0
 
 
 def occupied_sectors(state: FockState) -> List[int]:
@@ -445,14 +448,13 @@ class SectorLayout(NamedTuple):
 def sector_layout(sectors: Sequence[int], cutoff: int) -> SectorLayout:
     """The runs of ``sectors``, photon numbers up to 2 * ``cutoff``, one after another."""
     sectors = list(sectors)
-    lows = [n - cutoff if n > cutoff else 0 for n in sectors]
-    lengths = [(n if n < cutoff else cutoff) + 1 - low for n, low in zip(sectors, lows)]
-    offsets = list(accumulate(lengths, initial=0))
-    counts = np.array(lengths)
+    ns = np.array(sectors)
+    lows, counts = _sector_spans(ns, cutoff)
+    offsets, lows = list(accumulate(counts.tolist(), initial=0)), lows.tolist()
     # the p-th cell of the layout holds k = p - (offset - low) of its run
     rows = np.arange(offsets[-1])
     rows -= np.array([start - low for start, low in zip(offsets, lows)]).repeat(counts)
-    cols = np.array(sectors).repeat(counts)
+    cols = ns.repeat(counts)
     cols -= rows
     return SectorLayout(sectors, lows, offsets, rows, cols)
 

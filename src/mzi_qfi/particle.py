@@ -20,24 +20,25 @@ Every reader of a state's sectors reads one table (:func:`_sector_table`):
 for each sector :func:`mzi_qfi.fock.occupied_sectors` names, floored or not,
 its weight w = sum p, sum p dz and sum p dz^2, with p = |c|^2 and dz = j - k,
 each numpy's pairwise sum of the sector's run (``np.sum``'s bits), with no
-BLAS. A grid's sectors are summed by one walk of chunks of them
-(:func:`_walk_sectors`); a state that holds the cells of its one sector is
-its table's one run (:func:`_run_sums`). One elementwise formula
-(:func:`_statistics`) turns those sums into the Pauli statistics of the
-CLI's sector documents and sweep rows, of :func:`qfi_particle`,
-:func:`sector_moments` and :func:`particle_moments`.
+BLAS. One walk of chunks of sectors (:func:`_walk_sectors`) sums them, from
+the rows of :func:`mzi_qfi.fock.state_rows`, however the state is held: a
+state that holds the cells of its one sector is a walk of one chunk. One
+elementwise formula (:func:`_statistics`) turns those sums into the Pauli
+statistics of the CLI's sector documents and sweep rows, of
+:func:`qfi_particle`, :func:`sector_moments` and :func:`particle_moments`.
 
 :func:`decompose_sectors` takes its weights from the table, then walks the
 kept sectors once more: it divides their cells by the roots of their
 weights into one array, checks each one's norm and takes its sums there.
 Each ``Sector`` keeps its sums, and so does each state ``Sector.state``
-makes, so that ``particle_moments(s.state, s.n)`` reads no cell.
+makes: :func:`particle_moments` reads the sums a state carries, or else
+the state's table, so ``particle_moments(s.state, s.n)`` reads no cell.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import ClassVar, List, NamedTuple, Optional, Tuple, Union
 
@@ -47,20 +48,19 @@ from .errors import ParameterError, SectorSupportError
 from .fock import (
     ROUTE_ROUNDOFF,
     FockState,
-    _check_norm,
     _check_norms,
     _levels,
+    _sector_spans,
     occupied_sectors,
     sector_kets,
-    sector_rows,
-    state_cells,
+    state_rows,
 )
 
 #: Sector weights below this are dropped from decompositions.
 WEIGHT_FLOOR = 1e-14
 
 #: Rows' worth of cells, (cutoff + 1) each, that one chunk of a walk of a
-#: grid's sectors (:func:`_walk_sectors`) gathers at most, up to cutoff
+#: state's sectors (:func:`_walk_sectors`) gathers at most, up to cutoff
 #: ``SHARE_CUTOFF``, and past it the same share of the grid's cells. A
 #: chunk's temporaries come to 24 bytes a cell, so a walk of a cutoff-300
 #: grid peaks near a tenth of a grid. :func:`decompose_sectors`' walk of its
@@ -92,7 +92,7 @@ class Sector:
     def _kept(cls, n: int, weight: float, coeffs: np.ndarray, cutoff: int,
               sums: Tuple[float, float, float]) -> "Sector":
         """A sector of :func:`decompose_sectors`, whose ``coeffs`` have passed the norm check
-        on ``sums``, the sums p, p dz and p dz^2 of :func:`_run_sums` over them."""
+        on ``sums``, the sums p, p dz and p dz^2 of :func:`_walk_sectors` over them."""
         sector = object.__new__(cls)
         held = sector.__dict__
         held["n"], held["weight"], held["coeffs"], held["cutoff"], held["_sums"] = (
@@ -180,24 +180,6 @@ class _SectorTable(NamedTuple):
     weights_sum: float
 
 
-def _run_sums(cells: np.ndarray, n: int, cutoff: int, moments: bool = True) -> np.ndarray:
-    """sum p and, with ``moments``, sum p dz and sum p dz^2 over ``cells``, sector ``n``
-    of a ``cutoff`` grid, with p = |c|^2."""
-    terms = np.empty((3 if moments else 1, len(cells)))
-    p = terms[0]
-    np.square(np.abs(cells, out=p), out=p)
-    if moments:
-        low = n - cutoff if n > cutoff else 0
-        dz = np.arange(2 * low - n, 2 * (low + len(cells)) - n, 2, dtype=float)
-        np.multiply(np.multiply(p, dz, out=terms[1]), dz, out=terms[2])
-    return np.add.reduce(terms, 1)
-
-
-def _sector_sizes(ns: np.ndarray, cutoff: int) -> np.ndarray:
-    """The number of cells of each sector ``ns`` of a ``cutoff`` grid."""
-    return np.minimum(ns, cutoff) + 1 - np.maximum(ns - cutoff, 0)
-
-
 def _chunk_bounds(lows: List[int], highs: List[int], cells: int) -> List[int]:
     """Where the chunks of a walk of sectors, ascending, whose runs span j = ``lows`` up to
     ``highs`` begin, then their count.
@@ -218,12 +200,14 @@ def _chunk_bounds(lows: List[int], highs: List[int], cells: int) -> List[int]:
 def _walk_sectors(state: FockState, ns: np.ndarray, moments: bool = True,
                   roots: Optional[np.ndarray] = None,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The sums of sectors ``ns``, ascending, of a grid state, one column each.
+    """The sums of sectors ``ns``, ascending, of ``state``, one column each.
 
     The sectors are read in chunks, each in one gather of a rectangle of
-    :func:`mzi_qfi.fock.sector_rows`: a row for each sector, and the columns
-    from its first sector's first j to its last sector's last j, the most of
-    any. Its terms are laid out flat after a first term of 0.0. The place
+    the state's rows by photon number (:func:`mzi_qfi.fock.state_rows`). A
+    rectangle takes a row for each sector, and the columns from its first
+    sector's first j to its last sector's last j, the most of any. The one
+    row of a state that holds the cells of its sector is one chunk of one
+    run. Its terms are laid out flat after a first term of 0.0. The place
     before each run then holds a term of no run: that first term, the last
     of the row before, or one of the run's own row outside its span. Those
     places' terms are set to 0.0, so that one ``np.add.reduceat`` from each
@@ -242,23 +226,31 @@ def _walk_sectors(state: FockState, ns: np.ndarray, moments: bool = True,
     the grid.
     """
     cutoff = state.cutoff
-    sectors = sector_rows(state.amplitudes)
-    lows, counts = np.maximum(ns - cutoff, 0), _sector_sizes(ns, cutoff)
-    rows = TABLE_ROWS if roots is None else KEPT_ROWS
-    largest = rows * (cutoff + 1) * max(cutoff + 1, SHARE_CUTOFF + 1) // (SHARE_CUTOFF + 1)
-    bounds = _chunk_bounds(lows.tolist(), (lows + counts).tolist(), largest)
-    firsts, lasts = np.array(bounds[:-1], dtype=int), np.array(bounds[1:], dtype=int)
-    lefts, widths = lows[firsts], lows[lasts - 1] + counts[lasts - 1] - lows[firsts]
-    chunk = np.repeat(np.arange(len(firsts)), lasts - firsts)
-    # each run's slot, read flat in its chunk's terms, then the end of the run
-    slots = (np.arange(len(ns)) - firsts[chunk]) * widths[chunk] + lows - lefts[chunk]
-    edges = np.stack((slots, slots + counts + 1), axis=1).reshape(-1)
-    twice = 2.0 * _levels(cutoff + 1)[0]  # 2 j
-    rows_n, divisors = ns[:, None], None if roots is None else roots[:, None]
-    placed = [0, *np.cumsum(counts).tolist()]  # where each sector's cells start in ``out``
-    sums = np.empty((3 if moments else 1, len(ns)))
-    for first, last, left, width in zip(bounds, bounds[1:], lefts.tolist(), widths.tolist()):
-        cells = sectors[ns[first:last], left : left + width]
+    sectors, n0, j0 = state_rows(state)  # rows from photon number n0, columns from j = j0
+    if len(sectors) == 1:  # one sector's row: one chunk, whose one run starts at the first term
+        counts = [sectors.shape[1]]
+        bounds, lefts, widths, edges = [0, 1], [0], counts, np.array([0, counts[0] + 1])
+    else:
+        lows, counts = _sector_spans(ns, cutoff)
+        lows -= j0
+        highs = lows + counts
+        rows = TABLE_ROWS if roots is None else KEPT_ROWS
+        largest = rows * (cutoff + 1) * max(cutoff + 1, SHARE_CUTOFF + 1) // (SHARE_CUTOFF + 1)
+        bounds = _chunk_bounds(lows.tolist(), highs.tolist(), largest)
+        firsts, lasts = np.array(bounds[:-1], dtype=int), np.array(bounds[1:], dtype=int)
+        lefts, widths = lows[firsts], highs[lasts - 1] - lows[firsts]
+        chunk = np.repeat(np.arange(len(firsts)), lasts - firsts)
+        # each run's slot, read flat in its chunk's terms, then the end of the run
+        slots = (np.arange(len(ns)) - firsts[chunk]) * widths[chunk] + lows - lefts[chunk]
+        edges = np.stack((slots, slots + counts + 1), axis=1).reshape(-1)
+        lefts, widths, counts = lefts.tolist(), widths.tolist(), counts.tolist()
+    picked, sums = ns - n0, np.empty((3 if moments else 1, len(ns)))
+    if moments:
+        twice, rows_n = 2.0 * _levels(cutoff + 1)[0][j0:], ns[:, None]  # 2 j, and n
+    if roots is not None:  # and where each sector's cells start in ``out``
+        divisors, placed = roots[:, None], list(accumulate(counts, initial=0))
+    for first, last, left, width in zip(bounds, bounds[1:], lefts, widths):
+        cells = sectors[picked[first:last], left : left + width]
         runs = edges[2 * first : 2 * last]  # slot, end, slot, end, ...
         if roots is not None:
             np.divide(cells, divisors[first:last], out=cells)
@@ -285,23 +277,11 @@ def _walk_sectors(state: FockState, ns: np.ndarray, moments: bool = True,
 
 
 def _sector_table(state: FockState, moments: bool = True) -> _SectorTable:
-    """The sums of every sector of :func:`mzi_qfi.fock.occupied_sectors`, in one walk.
-
-    A state that holds the cells of its sector is read from them, or from the
-    sums it carries (``FockState._sums``). A grid's sectors are summed by
-    :func:`_walk_sectors`. Without ``moments``, the table holds the weights
-    alone.
-    """
-    if state._cells is not None:
-        sums = state._sums
-        if sums is None:
-            sums = _run_sums(state._cells, state._sector, state.cutoff, moments)
-        else:
-            sums = np.array(sums[: 3 if moments else 1])
-        return _SectorTable(np.array([state._sector]), sums[:, None], float(sums[0]))
+    """The sums of every sector of :func:`mzi_qfi.fock.occupied_sectors`, in one walk
+    (:func:`_walk_sectors`). Without ``moments``, the table holds the weights alone."""
     ns = np.array(occupied_sectors(state))
     sums = _walk_sectors(state, ns, moments)
-    return _SectorTable(ns, sums, float(np.cumsum(sums[0])[-1]))
+    return _SectorTable(ns, sums, float(sums[0].cumsum()[-1]))
 
 
 def _statistics(n, weight, first, second) -> tuple:
@@ -324,32 +304,22 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
 
     Each kept sector holds only its anti-diagonal, the vector of amplitudes
     on |k, n-k>, so a decomposition costs O(cutoff^2) time and memory in
-    all. A grid's weights are those of its sector table, taken without
-    moments. A second walk, of the kept sectors alone, divides each one's
-    cells by the root of its weight, with the bits of
-    ``cells / math.sqrt(weight)``, into one read-only array of kept cells,
-    of which each ``Sector.coeffs`` is a view, and takes the sums of the
-    divided cells. A state that holds the cells of its one sector divides
-    and sums those, with no table and no grid. Each kept sector's sum of p
-    passes the norm check of ``FockState._from_cells`` here, and the sector
-    keeps its sums for the states ``Sector.state`` makes. ``occupied`` is the
-    number of sectors in the table.
+    all. Its weights are those of its sector table, taken without moments.
+    A second walk, of the kept sectors alone, divides each one's cells by
+    the root of its weight, with the bits of ``cells / math.sqrt(weight)``,
+    into one read-only array of kept cells, of which each ``Sector.coeffs``
+    is a view, and takes the sums of the divided cells. A state that holds
+    the cells of its one sector takes the same two walks, of one chunk each,
+    and builds no grid. Each kept sector's sum of p passes the norm check of
+    ``FockState._from_cells`` here, and the sector keeps its sums for the
+    states ``Sector.state`` makes. ``occupied`` is the number of sectors in
+    the table.
     """
     cutoff = state.cutoff
-    if state._cells is not None:  # the one sector a state holds: its weight, with no table
-        n = state._sector
-        [cells] = state_cells(state, [n])
-        weight = float(_run_sums(cells, n, cutoff, False)[0])
-        coeffs = cells / math.sqrt(weight)
-        coeffs.flags.writeable = False
-        sums = tuple(_run_sums(coeffs, n, cutoff).tolist())
-        _check_norm(sums[0])
-        return SectorDecomposition([Sector._kept(n, weight, coeffs, min(n, cutoff), sums)],
-                                   weight, 1)
     table = _sector_table(state, moments=False)
     kept = table.sums[0] >= WEIGHT_FLOOR
     ns, weights = table.n[kept], table.sums[0, kept]
-    ends = np.cumsum(_sector_sizes(ns, cutoff))
+    ends = _sector_spans(ns, cutoff)[1].cumsum()
     coeffs = np.empty(int(ends[-1]), dtype=np.complex128)
     sums = _walk_sectors(state, ns, roots=np.sqrt(weights).astype(complex), out=coeffs)
     _check_norms(sums[0])
@@ -362,7 +332,7 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
 
 
 #: Weight outside its dominant sector above which :func:`particle_moments`
-#: rejects a state that does not know its sector.
+#: rejects a state read through its sector table.
 SECTOR_SUPPORT_TOL = 1e-12
 
 
@@ -374,16 +344,17 @@ def sector_moments(sector: Sector) -> ParticleReport:
 def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
     """Pauli statistics of a state confined to photon-number sector ``n``.
 
-    A state that holds the cells of its sector (``FockState._sector``) is
-    taken at its word, and read from its at most n + 1 cells. Any other state
-    is read through its sector table, and its dominant sector is its sector
+    A state of a decomposed sector (``Sector.state``) carries the sums of
+    its cells and its n, and is read from those. Any other state is read
+    through its sector table, of one chunk of at most n + 1 cells for a state
+    that holds the cells of its sector, and its dominant sector is its sector
     once all but ``SECTOR_SUPPORT_TOL`` of its weight lies there. That sector
     must be ``n``. Both read the same sums of the same cells.
     """
     if n < 1:
         raise ParameterError(f"particle statistics need n >= 1, got {n}")
-    actual = sector_state._sector
-    if actual is None:
+    actual, sums = sector_state._sector, sector_state._sums
+    if sums is None:
         table = _sector_table(sector_state)
         top = int(np.argmax(table.sums[0]))
         actual, sums = int(table.n[top]), table.sums[:, top].tolist()
@@ -391,10 +362,6 @@ def particle_moments(sector_state: FockState, n: int) -> ParticleReport:
         if off > SECTOR_SUPPORT_TOL:
             raise SectorSupportError(f"state carries weight {off:.3e} outside photon-number "
                                      f"sector {actual}; decompose into sectors first")
-    else:
-        sums = sector_state._sums
-        if sums is None:
-            sums = _run_sums(sector_state._cells, actual, sector_state.cutoff).tolist()
     if actual != n:
         raise SectorSupportError(f"state occupies sector {actual}, not the requested {n}")
     return ParticleReport(n, *_statistics(n, *sums))
@@ -410,9 +377,10 @@ def qfi_particle(decomp: Union[SectorDecomposition, _SectorTable]) -> Optional[f
     n(n-1) Cov[sigma_z, sigma_z] holds only at exactly fixed n. The vacuum
     reads 0. Per-sector reports remain available through :func:`sector_moments`.
     """
-    if isinstance(decomp, SectorDecomposition):  # the table of its one sector, if it has one
-        decomp = _sector_table(decomp.sectors[0].state) if decomp.occupied == 1 else None
-    if decomp is None or len(decomp.n) != 1:
+    if isinstance(decomp, SectorDecomposition):
+        sector = decomp.fixed_n_sector()
+        return None if sector is None else sector_moments(sector).f_particle if sector.n else 0.0
+    if len(decomp.n) != 1:
         return None
     n = int(decomp.n[0])
     return _statistics(n, *decomp.sums[:, 0].tolist())[3] if n else 0.0

@@ -459,7 +459,7 @@ def _plan(state: FockState, held: np.ndarray) -> _Plan:
     # row s + min(k, n-k) - low, as the cell when k <= n-k and as the mirror if not
     unpair = np.minimum(rows, cols)
     counts = [stop - start for start, stop in zip(offsets, offsets[1:])]
-    unpair += np.repeat(np.array(shifts, dtype=np.int32), counts)
+    unpair += np.array(shifts, dtype=np.int32).repeat(counts)
     unpair *= 2
     unpair += rows > cols
     phases = np.subtract(rows, cols, out=rows)

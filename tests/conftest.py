@@ -46,18 +46,19 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def sector_reads(monkeypatch) -> list:
-    """The photon numbers of the sectors ``particle`` reads and ``schwinger`` lays out, in order."""
+    """The photon numbers of the sectors ``particle`` walks and ``schwinger`` lays out, in order."""
     reads = []
+    walk_sectors = particle._walk_sectors
 
-    def read(state, sectors):
+    def walk(state, sectors, *args, **kwargs):
         reads.extend(int(n) for n in sectors)
-        return fock.state_cells(state, sectors)
+        return walk_sectors(state, sectors, *args, **kwargs)
 
     def lay_out(sectors, cutoff):
         reads.extend(int(n) for n in sectors)
         return fock.sector_layout(sectors, cutoff)
 
-    monkeypatch.setattr(particle, "state_cells", read)
+    monkeypatch.setattr(particle, "_walk_sectors", walk)
     monkeypatch.setattr(schwinger, "sector_layout", lay_out)
     return reads
 
@@ -183,7 +184,7 @@ def near_shot_noise_sectors(draw, max_n: int = 300):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     probe = schwinger.beam_splitter(fock.make_fock(n, 0, n))
     probe = schwinger.apply_rotation(probe, (0.0, 0.0, 1.0), rng.uniform(0, 2 * math.pi))
-    [cells] = fock.state_cells(probe, [n])
+    cells = probe._cells
     noise = rng.normal(size=cells.size) + 1j * rng.normal(size=cells.size)
     cells = cells + delta * noise / np.linalg.norm(noise)
     return FockState._from_cells(cells / np.linalg.norm(cells), n, n)

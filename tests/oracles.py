@@ -27,6 +27,7 @@ grid is one whole outer product and the amplified Bell grid two, and the
 canonical JSON writer tests every value with ``isinstance``, one piece at a
 time, and the norms of a Jx eigenbasis block square the whole block at once.
 A rotation's norm adds the dots of its 8192-term slices in order (:func:`chunked_norm`).
+The sums a decomposed sector carries are ``np.sum`` over its own cells (:func:`run_sums`).
 The number
 moments are also summed exactly: every cell's weighted probability is split
 into floats whose sum it is exactly, and ``math.fsum`` rounds their total
@@ -618,6 +619,14 @@ def dense_sector_table(state):
     for weight, _, _ in sums:
         weights_sum += weight
     return _SectorTable(np.array(ns), np.array(sums).T, weights_sum)
+
+
+def run_sums(cells, n, cutoff):
+    """``np.sum`` of p, p dz and p dz dz over ``cells``, sector ``n`` of a ``cutoff`` grid,
+    with p = |c|^2 and dz = j - k: the sums a decomposed sector carries, read densely."""
+    p = np.abs(cells) ** 2
+    dz = (2 * sector_kets(n, cutoff) - n).astype(float)
+    return np.array([np.sum(p), np.sum(p * dz), np.sum(p * dz * dz)])
 
 
 def layout_decompose_sectors(state):

@@ -38,6 +38,7 @@ from oracles import (
     locality_defect,
     multiqubit_oracle,
     reduced_single_particle,
+    run_sums,
     sector_generator_matrix,
     symmetric_qubit_vector,
 )
@@ -213,7 +214,8 @@ class TestDecomposition:
         assert state.cutoff == 400
         sector_reads.clear()  # the build's beam splitter read it too
         assert [s.n for s in decompose_sectors(state).sectors] == [400]
-        assert sector_reads == [400]  # none for the 800 empty sectors
+        # the weights walk and the kept walk each read it, and neither the 800 empty sectors
+        assert sector_reads == [400, 400]
 
     def test_tagged_state_is_decomposed_and_planned_without_a_scan(self, monkeypatch):
         probe = build(ProbeSpec("twin-fock", {"n": 30}))
@@ -289,7 +291,7 @@ class TestSectorSums:
                 held = sector.state
                 assert held is not sector.state and held._sector == sector.n
                 assert held._cells is sector.coeffs and not held._cells.flags.writeable
-                summed = particle._run_sums(sector.coeffs, sector.n, sector.cutoff)
+                summed = run_sums(sector.coeffs, sector.n, sector.cutoff)
                 assert np.array(held._sums).view(np.uint64).tolist() == \
                     summed.view(np.uint64).tolist()
                 if sector.n == 0:
@@ -314,7 +316,7 @@ class TestSectorSums:
         dense = dense_sector_table(state)
         assert table.sums.view(np.uint64).tolist() == dense.sums.view(np.uint64).tolist()
         for sector in decomposition.sectors:
-            summed = particle._run_sums(sector.coeffs, sector.n, sector.cutoff)
+            summed = run_sums(sector.coeffs, sector.n, sector.cutoff)
             assert np.array(sector._sums).view(np.uint64).tolist() == \
                 summed.view(np.uint64).tolist()
 
@@ -346,8 +348,8 @@ class TestSectorSums:
             decompose_sectors(state)
 
     def test_the_sector_path_sums_no_sector_twice(self, monkeypatch):
-        # the decomposition's walk and the states' sums are all the path reads: the calls
-        # that sum cells or check a norm do not grow with the number of sectors
+        # the decomposition's two walks are all the path reads: the calls that sum cells
+        # or check a norm do not grow with the number of sectors
         calls = {}
 
         def counted(module, name):
@@ -361,7 +363,7 @@ class TestSectorSums:
 
         probes = [build(ProbeSpec("twin-squeezed-vacuum", {"xi": xi}, 300)) for xi in (1.0, 1.4)]
         counted(fock, "squared_norm")
-        counted(particle, "_run_sums")
+        counted(particle, "_walk_sectors")
         seen = []
         for probe in probes:
             calls.clear()
@@ -375,7 +377,48 @@ class TestSectorSums:
         assert first == second and sum(first.values()) <= 2
 
 
+@st.composite
+def held_sectors(draw):
+    """One sector of a ``near_sector_states`` draw, its largest or any other, held by its
+    cells on the draw's grid."""
+    state = draw(near_sector_states())
+    sectors = decompose_sectors(state).sectors
+    sector = draw(st.sampled_from([max(sectors, key=lambda s: s.weight), *sectors]))
+    return FockState._from_cells(sector.coeffs, sector.n, state.cutoff)
+
+
+@st.composite
+def rotated_fixed_n_probes(draw):
+    """A fixed-n probe of up to 40 photons, turned about a random axis: held by its cells."""
+    family = draw(st.sampled_from(["twin-fock", "noon", "fraternal-twin-fock",
+                                   "separable-coherent-probe", "fock-pair"]))
+    probe = build(ProbeSpec(family, {"n": draw(st.integers(1, 40))}))
+    axis = random_direction(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return apply_rotation(probe, tuple(axis), draw(st.floats(0.1, 6.0)))
+
+
 class TestSectorTable:
+    @pytest.mark.parametrize("strategy", [held_sectors(), rotated_fixed_n_probes()],
+                             ids=["held_sectors", "rotated_fixed_n_probes"])
+    def test_a_held_state_reads_as_its_grid_twin_bit_for_bit(self, strategy):
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(strategy)
+        def check(held):
+            n = held._sector
+            assert n is not None and held._sums is None
+            table, decomposition = particle._sector_table(held), decompose_sectors(held)
+            report = report_bits(particle_moments(held, n)) if n else None
+            assert "amplitudes" not in vars(held)
+            twin = FockState(held.amplitudes, held.cutoff)
+            expected = particle._sector_table(twin)
+            assert table.n.tolist() == expected.n.tolist() == [n]
+            assert table.sums.view(np.uint64).tolist() == expected.sums.view(np.uint64).tolist()
+            assert_same_bits(decomposition, decompose_sectors(twin))
+            if n:
+                assert report == report_bits(particle_moments(twin, n))
+
+        check()
+
     @settings(max_examples=200, deadline=None)
     @given(sparse_states())
     def test_matches_the_dense_sector_loop_bit_for_bit(self, state):
@@ -461,18 +504,19 @@ class TestParticleMoments:
             assert rebuilt == report.f_particle
 
     def test_tagged_state_makes_no_whole_grid_pass(self, monkeypatch, rng):
-        # an untagged state's sector table is read to find its sector; a tagged one
-        # is read on its own cells, and both give the same bits
+        # an untagged state's grid is read by sectors to find its sector; a tagged one
+        # is read on its own cells, builds no grid, and both give the same bits
         state = random_sector_state(rng, 5)
         tagged = FockState._from_cells(fock.sector_cells(state.amplitudes, 5), 5, state.cutoff)
         expected = particle_moments(state, 5)
 
         def whole_grid_pass(_):
-            raise AssertionError("_sector_table called")
+            raise AssertionError("sector_rows called")
 
-        monkeypatch.setattr(particle, "_sector_table", whole_grid_pass)
+        monkeypatch.setattr(fock, "sector_rows", whole_grid_pass)
         assert particle_moments(tagged, 5) == expected
-        with pytest.raises(AssertionError, match="_sector_table called"):
+        assert "amplitudes" not in vars(tagged)
+        with pytest.raises(AssertionError, match="sector_rows called"):
             particle_moments(state, 5)
 
     def test_multi_sector_rejected(self):

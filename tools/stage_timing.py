@@ -27,7 +27,10 @@ all.
 
 A last line times the package itself: ``import_cli``, the least wall time of
 ``import mzi_qfi.cli`` after numpy over ``IMPORT_RUNS`` fresh interpreters,
-the start-up that every CLI process pays.
+the start-up that every CLI process pays. Each root's interpreters keep their
+bytecode under a temporary ``PYTHONPYCACHEPREFIX`` of their own, filled by
+one untimed import, so the timed ones load compiled modules however
+``PYTHONDONTWRITEBYTECODE`` is set, and nothing is written into the checkout.
 
 With no argument it times this checkout's ``src/`` in this process. With
 the roots of one or more checkouts, it times each in a child process of its
@@ -50,6 +53,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -92,7 +96,9 @@ ROUNDS = 3
 IMPORT_RUNS = 10
 
 IMPORT_SNIPPET = ("import time, numpy; start = time.perf_counter(); import mzi_qfi.cli; "
-                  "print(time.perf_counter() - start)")
+                  "stop = time.perf_counter(); import os, sys; "
+                  "print(stop - start, all(os.path.exists(m.__cached__) for name, m in "
+                  "sys.modules.items() if name.split('.')[0] == 'mzi_qfi'))")
 
 
 def least_time(call: Callable[[], object], prepare: Callable[[int], None],
@@ -170,13 +176,28 @@ def stage_times(family: str, params: dict, cutoff, repeats: int = REPEATS,
     return state.cutoff, times
 
 
+def timed_imports(root: Path, runs: int = IMPORT_RUNS) -> List[Tuple[float, bool]]:
+    """Seconds of ``import mzi_qfi.cli`` after numpy in each of ``runs`` fresh interpreters of
+    ``root/src``, and whether every ``mzi_qfi`` module had its bytecode cached before it.
+
+    The interpreters share a temporary ``PYTHONPYCACHEPREFIX``, which one untimed import
+    with bytecode writing on fills first; the timed ones write none.
+    """
+    with tempfile.TemporaryDirectory() as prefix:
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONPYCACHEPREFIX=prefix)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        run = [sys.executable, "-c", IMPORT_SNIPPET]
+        subprocess.run(run, env=env, check=True, capture_output=True)
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        outs = [subprocess.run(run, env=env, check=True, capture_output=True, text=True).stdout
+                for _ in range(runs)]
+    return [(float(seconds), compiled == "True") for seconds, compiled in map(str.split, outs)]
+
+
 def import_seconds(root: Path, runs: int = IMPORT_RUNS) -> float:
     """Least seconds of ``import mzi_qfi.cli`` after numpy, over ``runs`` fresh interpreters
-    of ``root/src``."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    return min(float(subprocess.run([sys.executable, "-c", IMPORT_SNIPPET], env=env, check=True,
-                                    capture_output=True, text=True).stdout)
-               for _ in range(runs))
+    of ``root/src`` that load it compiled (:func:`timed_imports`)."""
+    return min(seconds for seconds, _ in timed_imports(root, runs))
 
 
 def measure(root: Path, repeats: int = REPEATS) -> List[Tuple[str, int, str, float]]:
