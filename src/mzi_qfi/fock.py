@@ -28,13 +28,20 @@ through BLAS, whose dot products split long vectors across threads and so
 round differently with the thread count.
 
 Every dense pass over a grid larger than eight strips of ``STRIP_CELLS``
-cells (cutoff 180) reads it a strip of rows at a time (:func:`strip_rows`),
-so that its temporaries are a few strips, not grids: the probabilities'
-read (:func:`_grid_sums`), the sector scan, which reads ``SCAN_STRIPS``
-strips of its booleans at a time, and the twin squeezed vacuum and
-amplified Bell builders. The sector scan stays a pass of its own: it
-asks which amplitudes are nonzero, not which p > 0, and a rotation plan
-takes it on a fresh grid without paying for the moments.
+cells (cutoff 180) reads it a strip of rows at a time, so that its
+temporaries are a few strips, not grids. The sector scan reads
+``SCAN_STRIPS`` strips of :func:`strip_rows` at a time. The probabilities'
+read (:func:`_grid_sums`) takes strips of :func:`pass_rows`, which grow
+to a ``PASS_STRIPS``-th of the grid from cutoff 315 on, so that its numpy
+calls do not outgrow its arithmetic. The squeezed builders of
+:mod:`mzi_qfi.states` write only the cells their mode vectors fill, views
+of every other row and column of a grid (for the two-mode squeezed
+vacuum, its diagonal), and :meth:`FockState._normalized` divides only those cells.
+numpy buffers arithmetic on a view strided in two dimensions, so both take
+:func:`lattice_rows` at a time, the rows of a strip of :func:`pass_rows`.
+The sector scan stays a pass of its own: it asks which amplitudes are
+nonzero, not which p > 0, and a rotation plan takes it on a fresh grid
+without paying for the moments.
 Each keeps the bits of the whole-grid pass it replaces. A sum along a row
 is numpy's pairwise sum of that row alone, whatever strip holds it. The
 moments' column sums are :func:`_column_sums`' pairwise fold down the rows:
@@ -109,7 +116,8 @@ SCAN_STRIPS = 4
 
 
 def strip_rows(dim: int) -> int:
-    """Rows of a ``dim``-column grid in one strip of a dense pass.
+    """Rows of a ``dim``-column grid in one strip of the sector scan, and the least rows of one
+    strip of :func:`pass_rows`.
 
     A grid of at most eight strips' cells (up to cutoff 180, 512 KiB) is
     one strip: there the numpy calls of many strips would cost more time
@@ -119,6 +127,26 @@ def strip_rows(dim: int) -> int:
     if dim * dim <= 8 * STRIP_CELLS:
         return dim
     return max(1, STRIP_CELLS // dim)
+
+
+#: The most strips, about, in which a dense pass that writes a grid or sums
+#: its probabilities reads it (:func:`pass_rows`). The moments' two buffers
+#: of a strip then come to under a twentieth of a grid beside their
+#: quarter-grid accumulator, and at cutoff 700 they read 24 strips, not 140.
+PASS_STRIPS = 23
+
+
+def pass_rows(dim: int) -> int:
+    """Rows of a ``dim``-column grid in one strip of the moments' read (:func:`_grid_sums`),
+    of a builder's writes and of a normalization (:func:`lattice_rows`).
+
+    Those of :func:`strip_rows`, or a ``PASS_STRIPS``-th of the grid's rows
+    where that is more: the same 13 rows at cutoff 300, where more rows
+    would take the moments' read past a third of a grid, but 30 at cutoff
+    700.
+    """
+    step = strip_rows(dim)
+    return step if step == dim else max(step, dim // PASS_STRIPS)
 
 
 def cutoff_ceiling() -> int:
@@ -299,26 +327,35 @@ class FockState:
         return cls._normalized(np.array(grid, dtype=np.complex128), truncation_loss)
 
     @classmethod
-    def _normalized(cls, grid: np.ndarray, truncation_loss: float) -> "FockState":
+    def _normalized(cls, grid: np.ndarray, truncation_loss: float,
+                    cells: Optional[Sequence[np.ndarray]] = None) -> "FockState":
         """:meth:`from_grid` of a complex grid that is the caller's to give: divided in place.
 
         ``grid /= nrm`` gives the bits of ``grid / nrm``, with no second grid.
-        The state holds ``grid`` itself, read-only. A nonzero finite grid whose
+        ``cells``, if given, are views of ``grid`` outside which every cell is
+        +0.0 in both parts, such as the cells a builder wrote: only they are
+        divided, and the norm is still summed over the whole grid. +0.0
+        divided by a positive norm is +0.0, so the grid gets the bits of the
+        whole grid's division. A view of every other row and column is
+        divided :func:`lattice_rows` at a time. The state holds ``grid``
+        itself, read-only. A nonzero finite grid whose
         squared norm is not a normal float, that underflows or overflows, is
-        first scaled by the power of two that brings its largest part into
-        [1/2, 1), which is exact but for parts that then underflow.
+        first scaled, the same cells alone, by the power of two that brings
+        its largest part into [1/2, 1), which is exact but for parts that
+        then underflow, and keeps +0.0 as it is.
         """
         check_truncation_loss(truncation_loss)
+        cells = (grid,) if cells is None else cells
         norm_squared = squared_norm(grid)
         if not _SMALLEST_NORMAL <= norm_squared < math.inf:
             largest = float(max(np.abs(grid.real).max(), np.abs(grid.imag).max()))
             if 0.0 < largest < math.inf:
-                grid *= math.ldexp(1.0, -math.frexp(largest)[1])
+                _scale_cells(cells, np.multiply, math.ldexp(1.0, -math.frexp(largest)[1]))
                 norm_squared = squared_norm(grid)
         nrm = math.sqrt(norm_squared)
         if nrm == 0.0:
             raise NormalizationError("cannot normalize a zero amplitude grid")
-        grid /= nrm
+        _scale_cells(cells, np.divide, nrm)
         return cls(grid, grid.shape[0] - 1, truncation_loss)
 
     @property
@@ -328,6 +365,27 @@ class FockState:
     def probabilities(self) -> np.ndarray:
         """Occupation probabilities ``|<j,k|psi>|^2`` as a real grid."""
         return np.abs(self.amplitudes) ** 2
+
+
+def lattice_rows(cells: np.ndarray) -> int:
+    """Rows of ``cells``, a view of every other row and column of a grid, in one strip.
+
+    They are the rows of the grid's own strip (:func:`pass_rows`), so a
+    strip holds about half of its cells. numpy buffers an operation on a
+    view strided in two dimensions, at 32 to 48 bytes a cell, so a whole
+    quarter of a cutoff-300 grid would take 0.18 grid of buffers.
+    """
+    return max(1, pass_rows(2 * cells.shape[1]))
+
+
+def _scale_cells(cells: Sequence[np.ndarray], op: np.ufunc, x: float) -> None:
+    """``op(part, x, out=part)`` for each view of ``cells``: a whole grid or a vector at once,
+    any other view :func:`lattice_rows` at a time."""
+    for part in cells:
+        step = max(1, len(part)) if part.ndim == 1 or part.flags.forc else lattice_rows(part)
+        for top in range(0, len(part), step):
+            strip = part[top : top + step]
+            op(strip, x, out=strip)
 
 
 def nonzero_cells(grid: np.ndarray) -> np.ndarray:
@@ -625,7 +683,7 @@ def _grid_sums(
 
     The three sums go to the rows of ``sums``, and p(d) to ``weights``.
 
-    The grid is read in one pass, a strip of rows (:func:`strip_rows`) at a
+    The grid is read in one pass, a strip of rows (:func:`pass_rows`) at a
     time, squared as p = re^2 + im^2 in C order, so a Fortran-ordered grid
     sums as its C-ordered copy does. Each strip's squares are added to
     ``weights[c - d]`` over their d = j - k (:func:`_add_differences`), so
@@ -637,7 +695,7 @@ def _grid_sums(
     :func:`_column_sums` finishes the fold with the bits of the whole grid's.
     """
     dim = grid.shape[0]
-    step = strip_rows(dim)
+    step = pass_rows(dim)
     top = dim - dim // 2
     height = min(step, top)
     folded = np.empty((top, dim))
@@ -677,8 +735,9 @@ def number_moments(state: FockState) -> NumberMoments:
     columns), so the rounding error grows with the logarithm of the number of
     cells, and every term is non-negative, so it is a relative error. The
     grid is read by :func:`_grid_sums`, which takes a half-height accumulator
-    of k p, a quarter of a complex grid, and two buffers of a strip, or of
-    that accumulator's height for a grid of one strip.
+    of k p, a quarter of a complex grid, and two buffers of a strip of
+    :func:`pass_rows`, or of that accumulator's height for a grid of one
+    strip.
 
     A state that holds the cells of its sector n (``FockState._cells``)
     costs O(c) instead: only those at most c + 1 cells are read and

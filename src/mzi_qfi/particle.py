@@ -198,8 +198,8 @@ def _chunk_bounds(lows: List[int], highs: List[int], cells: int) -> List[int]:
 
 
 def _walk_sectors(state: FockState, ns: np.ndarray, moments: bool = True,
-                  roots: Optional[np.ndarray] = None,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+                  roots: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None,
+                  spans: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """The sums of sectors ``ns``, ascending, of ``state``, one column each.
 
     The sectors are read in chunks, each in one gather of a rectangle of
@@ -219,7 +219,8 @@ def _walk_sectors(state: FockState, ns: np.ndarray, moments: bool = True,
 
     With ``roots``, each sector's cells are first divided by its root in
     complex arithmetic, with the bits of ``cells / root``, and copied into
-    ``out``, one run after another.
+    ``out``, one run after another. ``spans`` are the caller's
+    :func:`mzi_qfi.fock._sector_spans` of ``ns``, if it took them.
 
     A chunk takes at most ``TABLE_ROWS`` rows' worth of cells, or with
     ``roots``, ``KEPT_ROWS``; past cutoff ``SHARE_CUTOFF``, the same share of
@@ -231,8 +232,8 @@ def _walk_sectors(state: FockState, ns: np.ndarray, moments: bool = True,
         counts = [sectors.shape[1]]
         bounds, lefts, widths, edges = [0, 1], [0], counts, np.array([0, counts[0] + 1])
     else:
-        lows, counts = _sector_spans(ns, cutoff)
-        lows -= j0
+        lows, counts = _sector_spans(ns, cutoff) if spans is None else spans
+        lows = lows - j0
         highs = lows + counts
         rows = TABLE_ROWS if roots is None else KEPT_ROWS
         largest = rows * (cutoff + 1) * max(cutoff + 1, SHARE_CUTOFF + 1) // (SHARE_CUTOFF + 1)
@@ -319,9 +320,11 @@ def decompose_sectors(state: FockState) -> SectorDecomposition:
     table = _sector_table(state, moments=False)
     kept = table.sums[0] >= WEIGHT_FLOOR
     ns, weights = table.n[kept], table.sums[0, kept]
-    ends = _sector_spans(ns, cutoff)[1].cumsum()
+    spans = _sector_spans(ns, cutoff)
+    ends = spans[1].cumsum()
     coeffs = np.empty(int(ends[-1]), dtype=np.complex128)
-    sums = _walk_sectors(state, ns, roots=np.sqrt(weights).astype(complex), out=coeffs)
+    sums = _walk_sectors(state, ns, roots=np.sqrt(weights).astype(complex), out=coeffs,
+                         spans=spans)
     _check_norms(sums[0])
     coeffs.flags.writeable = False
     sectors = [Sector._kept(n, weight, coeffs[start:end], sector_cutoff, kept_sums)

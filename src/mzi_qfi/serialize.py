@@ -3,7 +3,10 @@
 JSON documents are rendered by a small canonical writer: insertion-ordered
 keys, floats at 17 significant digits (enough to round-trip doubles bit for
 bit), UNDEFINED values and non-finite floats (which JSON cannot spell) as
-null. Identical inputs therefore produce byte-identical output. Files are
+null. Identical inputs therefore produce byte-identical output. A list of
+dicts that share one sequence of keys, such as sector documents and table
+rows, is written a column at a time into one ``%``-template of that shape,
+with the bytes the value-by-value writer gives. Files are
 written to a temporary sibling and renamed, so failures never leave partial
 output behind.
 
@@ -44,16 +47,84 @@ def _key_prefix(key: str) -> str:
 
 
 def _object(items, pad: str) -> str:
-    """The ``(key, value)`` pairs ``items`` as a JSON object, its last brace indented by ``pad``."""
+    """The ``(key, value)`` pairs ``items`` as a JSON object, its last brace indented by ``pad``.
+
+    A finite float is formatted here, with no call of :func:`_json`
+    (``x - x`` is 0.0 for a finite float alone).
+    """
     inner = pad + "  "
     lines = [inner + (_key_prefix(key) if type(key) is str else json.dumps(str(key)) + ": ")
-             + _json(value, inner) for key, value in items]
+             + ("%.17g" % value if type(value) is float and value - value == 0.0
+                else _json(value, inner)) for key, value in items]
     return "{\n" + ",\n".join(lines) + "\n" + pad + "}" if lines else "{}"
 
 
-def _array(values, pad: str) -> str:
-    """``values`` as a JSON array, its closing bracket indented by ``pad``."""
+@functools.lru_cache(maxsize=64)
+def _row_template(keys: tuple, codes: tuple, pad: str) -> str:
+    """The ``%``-template of a dict whose keys, all exactly ``str``, are ``keys``, in order:
+    :func:`_object`'s lines with the ``codes`` of its values, its last brace indented by ``pad``."""
     inner = pad + "  "
+    lines = [inner + _key_prefix(key).replace("%", "%%") + code for key, code in zip(keys, codes)]
+    return "{\n" + ",\n".join(lines) + "\n" + pad + "}"
+
+
+_BOOL_TEXT = {True: "true", False: "false"}
+
+
+def _column(values: tuple, pad: str) -> tuple:
+    """A ``%``-code and the values it formats as :func:`_json` writes ``values``, a column of
+    rows indented by ``pad``.
+
+    Finite floats alone take ``%.17g`` and ints alone ``%d``, as they are;
+    any other column takes ``%s`` and its texts: bools alone one lookup each,
+    dicts, beside any None, :func:`_rows`, and the rest :func:`_json`.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return "%.17g", values
+    if kinds == {int}:
+        return "%d", values
+    if kinds == {bool}:
+        return "%s", list(map(_BOOL_TEXT.__getitem__, values))
+    if dict in kinds and kinds <= {dict, type(None)}:
+        rendered = _rows([value for value in values if value is not None], pad)
+        if rendered is not None:
+            texts = iter(rendered)
+            return "%s", ["null" if value is None else next(texts) for value in values]
+    return "%s", [_json(value, pad) for value in values]
+
+
+def _rows(rows: list, pad: str):
+    """:func:`_object` of each of ``rows``, its last brace indented by ``pad``, or None.
+
+    Rows that are all exactly dicts with one nonempty sequence of keys, each
+    exactly a ``str``, such as sector documents and table rows, are written
+    through one template (:func:`_row_template`), its codes those of their
+    columns (:func:`_column`); any others, or rows that hold a value no JSON
+    type spells, are None, so that the value-by-value writer raises about
+    the first such value.
+    """
+    if set(map(type, rows)) != {dict}:
+        return None
+    shapes = set(map(tuple, rows))
+    keys = shapes.pop()
+    if shapes or not keys or set(map(type, keys)) != {str}:
+        return None
+    try:
+        codes, columns = zip(*[_column(column, pad + "  ")
+                               for column in zip(*map(dict.values, rows))])
+    except TypeError:
+        return None
+    return list(map(_row_template(keys, codes, pad).__mod__, zip(*columns)))
+
+
+def _array(values, pad: str) -> str:
+    """``values`` as a JSON array, its closing bracket indented by ``pad``; a list of dicts of
+    one shape through :func:`_rows`."""
+    inner = pad + "  "
+    rows = _rows(values, inner) if values and type(values[0]) is dict else None
+    if rows is not None:
+        return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
     lines = [inner + _json(value, inner) for value in values]
     return "[\n" + ",\n".join(lines) + "\n" + pad + "]" if lines else "[]"
 

@@ -12,10 +12,11 @@ unattainable target fails there, and builds no grid. Fixed-photon-number
 families round to the nearest attainable photon total.
 Squeezed families use closed-form single-mode amplitudes, the two-mode squeezed
 vacuum its geometric number-correlated form, coherent probes Poisson
-amplitudes. Fixed-photon-number families hold the cells of their one sector:
-a Fock ket, noon's two cells, or a Fock ket behind the first beam splitter,
-which is one eigenvector of Jx times powers of i, built in O(n) with no
-rotation.
+amplitudes. A squeezed family's builder writes only the cells its vectors
+fill, and ``build`` divides only those (``Family.cells``).
+Fixed-photon-number families hold the cells of their one sector: a Fock
+ket, noon's two cells, or a Fock ket behind the first beam splitter, which
+is one eigenvector of Jx times powers of i, built in O(n) with no rotation.
 
 Automatic cutoff selection picks the smallest per-mode cutoff whose discarded
 probability is below the loss target, subject to the configurable ceiling.
@@ -41,8 +42,8 @@ from .fock import (
     check_addressable,
     check_truncation_loss,
     cutoff_ceiling,
+    lattice_rows,
     make_fock,
-    strip_rows,
 )
 from .schwinger import _jx_column, _overflow_error
 
@@ -354,19 +355,49 @@ def _loss_twin_squeezed(xi: float, cutoff: int) -> float:
     return _either(tail, tail)  # 2T - T^2
 
 
+def _write_outer(cells: np.ndarray, column: np.ndarray, row: np.ndarray,
+                 scale: Optional[complex] = None) -> None:
+    """``cells[:] = np.outer(column, row)``, or ``scale * np.outer(column, row) + 0.0``.
+
+    ``cells`` is a view of every other row and column of a grid. Each strip
+    of :func:`mzi_qfi.fock.lattice_rows` rows is taken in a contiguous
+    buffer, each product with its operands in that order, and copied into
+    the view: numpy's arithmetic on the strided view itself took about
+    twice as long. The ``+ 0.0`` turns a -0.0 part into 0.0, as adding the
+    other term's zero cells does where a grid sums both terms over every
+    cell.
+    """
+    step = lattice_rows(cells)
+    buffer = np.empty((step, cells.shape[1]), dtype=np.complex128)
+    for top in range(0, len(cells), step):
+        rows = column[top : top + step, None]
+        strip = np.multiply(rows, row, out=buffer[: len(rows)])
+        if scale is not None:
+            np.multiply(scale, strip, out=strip)
+            strip += 0.0
+        cells[top : top + step] = strip
+
+
+def _twin_squeezed_cells(grid: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The even x even cells, the only ones the squeezed vacuum's even levels fill."""
+    return (grid[::2, ::2],)
+
+
 def _grid_twin_squeezed(xi: float, cutoff: int) -> np.ndarray:
-    # np.outer(v, v), a strip of rows at a time, with its operands in that order
-    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    v = squeezed_vacuum_vector(xi, cutoff + 1)
-    column = v[:, None]
-    step = strip_rows(cutoff + 1)
-    for top in range(0, cutoff + 1, step):
-        np.multiply(column[top : top + step], v, out=grid[top : top + step])
+    # np.outer(v, v) on its even x even cells; every other cell is 0
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    even = squeezed_vacuum_vector(xi, cutoff + 1)[::2]
+    _write_outer(*_twin_squeezed_cells(grid), even, even)
     return grid
 
 
 def _loss_tmsv(chi: float, cutoff: int) -> float:
     return math.exp(2 * (cutoff + 1) * _log_tanh(chi))  # tanh^{2(c+1)} chi
+
+
+def _tmsv_cells(grid: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The diagonal, the cells |n, n>, as a view."""
+    return (grid.reshape(-1)[:: len(grid) + 1],)
 
 
 def _grid_tmsv(chi: float, cutoff: int) -> np.ndarray:
@@ -430,23 +461,25 @@ def _loss_amplified_bell(xi: float, cutoff: int) -> float:
     return _either(t0, t1)
 
 
+def _amplified_bell_cells(grid: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The odd x even and even x odd cells, the only ones u|1,0> + v|0,1> squeezed fills."""
+    return grid[1::2, ::2], grid[::2, 1::2]
+
+
 def _grid_amplified_bell(xi: float, cutoff: int) -> np.ndarray:
     # Per-mode squeezers on the split single photon u|1,0> + v|0,1>, expanded
     # term by term so the closed-form squeezed vectors keep full precision:
-    # u np.outer(v1, v0) + v np.outer(v0, v1), a strip of rows at a time,
-    # each product with its operands in that order, so with the same bits
+    # u np.outer(v1, v0) + v np.outer(v0, v1). The squeezed vacuum v0 holds
+    # even levels and the squeezed photon v1 odd ones, so the first term
+    # fills the odd x even cells and the second the even x odd ones, each
+    # product with its operands in that order; every other cell is 0
     u, v = _SPLIT_PHOTON
-    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
-    v0 = squeezed_vacuum_vector(xi, cutoff + 1)
-    v1 = squeezed_one_vector(xi, cutoff + 1)
-    step = strip_rows(cutoff + 1)
-    second = np.empty((step, cutoff + 1), dtype=np.complex128)
-    for top in range(0, cutoff + 1, step):
-        rows = slice(top, top + step)
-        first = np.multiply(v1[rows, None], v0, out=grid[rows])
-        np.multiply(u, first, out=first)
-        other = np.multiply(v0[rows, None], v1, out=second[: len(first)])
-        first += np.multiply(v, other, out=other)
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    even = squeezed_vacuum_vector(xi, cutoff + 1)[::2]
+    odd = squeezed_one_vector(xi, cutoff + 1)[1::2]
+    odd_even, even_odd = _amplified_bell_cells(grid)
+    _write_outer(odd_even, odd, even, u)
+    _write_outer(even_odd, even, odd, v)
     return grid
 
 
@@ -632,7 +665,10 @@ class Family(NamedTuple):
     cutoff)``, the unnormalized grid at a cutoff; ``loss(value, cutoff)``, the
     exact probability that grid discards, summed forward over the one-mode
     tails and falling monotonically with the cutoff; and ``param_for_nbar``,
-    the closed-form inverse of its untruncated mean.
+    the closed-form inverse of its untruncated mean. A family whose grid
+    holds nonzero values on a few of its cells alone gives ``cells(grid)``,
+    the views of the grid that its builder writes, every other cell being
+    0; ``build`` divides those alone when it normalizes the grid.
 
     A named tuple rather than a frozen dataclass: the class is made at import,
     where the dataclass machinery would add about 1 ms to every CLI start.
@@ -647,19 +683,22 @@ class Family(NamedTuple):
     grid: Optional[Callable[[ParamValue, int], np.ndarray]] = None
     loss: Optional[Callable[[ParamValue, int], float]] = None
     param_for_nbar: Optional[Callable[[float], float]] = None
+    cells: Optional[Callable[[np.ndarray], Tuple[np.ndarray, ...]]] = None
 
 
 #: Every family, in the order of the benchmark table.
 _REGISTRY = (
     Family("twin-squeezed-vacuum", "xi", _squeezing, grid=_grid_twin_squeezed,
-           loss=_loss_twin_squeezed, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
+           loss=_loss_twin_squeezed, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2),
+           cells=_twin_squeezed_cells),
     Family("twin-fock", "n", _photon_count, photons=lambda n: 2 * n,
            state=lambda n, cutoff: _split_fock(n, n, cutoff)),
     Family("entangled-coherent", "alpha", _displacement, grid=_grid_entangled_coherent,
            loss=_loss_entangled_coherent, param_for_nbar=_entangled_coherent_alpha),
     Family("noon", "n", _photon_count, min_n=1, photons=lambda n: n, state=_noon_state),
     Family("amplified-bell", "xi", _squeezing, grid=_grid_amplified_bell,
-           loss=_loss_amplified_bell, param_for_nbar=_amplified_bell_xi),
+           loss=_loss_amplified_bell, param_for_nbar=_amplified_bell_xi,
+           cells=_amplified_bell_cells),
     Family("fraternal-twin-fock", "n", _photon_count, photons=lambda n: 2 * n + 1,
            state=lambda n, cutoff: _split_fock(n + 1, n, cutoff)),
     Family("coherent", "alpha", _displacement, grid=_grid_coherent, loss=_loss_coherent,
@@ -667,7 +706,8 @@ _REGISTRY = (
     Family("separable-coherent-probe", "n", _photon_count, photons=lambda n: n,
            state=lambda n, cutoff: _split_fock(n, 0, cutoff)),
     Family("two-mode-squeezed-vacuum", "chi", _squeezing, grid=_grid_tmsv,
-           loss=_loss_tmsv, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2)),
+           loss=_loss_tmsv, param_for_nbar=lambda nbar: _squeezing_for_nbar(nbar / 2),
+           cells=_tmsv_cells),
     Family("fock-pair", "n", _photon_count, photons=lambda n: 2 * n,
            state=lambda n, cutoff: make_fock(n, n, cutoff)),
 )
@@ -714,4 +754,5 @@ def build(spec: ProbeSpec) -> FockState:
     else:
         cutoff, loss = _auto_cutoff(family, value, cutoff_ceiling())
         check_addressable(cutoff)
-    return FockState._normalized(family.grid(value, cutoff), loss)  # the grid is ours: in place
+    grid = family.grid(value, cutoff)  # ours, so normalized in place
+    return FockState._normalized(grid, loss, None if family.cells is None else family.cells(grid))

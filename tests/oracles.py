@@ -23,7 +23,10 @@ forward sum of one-mode tails in 40-digit decimal arithmetic, the number
 moments square a whole grid and fold its columns in place, the weights on
 each difference j - k square a whole grid and add its rows, the occupied
 sectors are found through a whole j + k grid, the twin squeezed vacuum
-grid is one whole outer product and the amplified Bell grid two, and the
+grid is one whole outer product and the amplified Bell grid two, or each
+written over every cell a strip of rows at a time and the two-mode squeezed
+vacuum's diagonal filled by ``np.fill_diagonal``, each then normalized
+whole, and the
 canonical JSON writer tests every value with ``isinstance``, one piece at a
 time, and the norms of a Jx eigenbasis block square the whole block at once.
 A rotation's norm adds the dots of its 8192-term slices in order (:func:`chunked_norm`).
@@ -62,6 +65,7 @@ from mzi_qfi.fock import (
     number_moments,
     sector_kets,
     sector_layout,
+    strip_rows,
 )
 from mzi_qfi.particle import (
     SECTOR_SUPPORT_TOL,
@@ -229,6 +233,44 @@ def outer_amplified_bell_grid(xi, cutoff):
     v0 = squeezed_vacuum_vector(xi, cutoff + 1)
     v1 = squeezed_one_vector(xi, cutoff + 1)
     return u * np.outer(v1, v0) + v * np.outer(v0, v1)
+
+
+def strip_twin_squeezed_grid(xi, cutoff):
+    """The unnormalized twin squeezed vacuum grid, every cell of ``np.outer(v, v)`` written a
+    strip of rows at a time, with its operands in that order."""
+    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    v = squeezed_vacuum_vector(xi, cutoff + 1)
+    column = v[:, None]
+    step = strip_rows(cutoff + 1)
+    for top in range(0, cutoff + 1, step):
+        np.multiply(column[top : top + step], v, out=grid[top : top + step])
+    return grid
+
+
+def strip_amplified_bell_grid(xi, cutoff):
+    """The unnormalized amplified Bell grid, ``u np.outer(v1, v0) + v np.outer(v0, v1)`` over
+    every cell, a strip of rows at a time, each product with its operands in that order."""
+    u, v = _SPLIT_PHOTON
+    grid = np.empty((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    v0 = squeezed_vacuum_vector(xi, cutoff + 1)
+    v1 = squeezed_one_vector(xi, cutoff + 1)
+    step = strip_rows(cutoff + 1)
+    second = np.empty((step, cutoff + 1), dtype=np.complex128)
+    for top in range(0, cutoff + 1, step):
+        rows = slice(top, top + step)
+        first = np.multiply(v1[rows, None], v0, out=grid[rows])
+        np.multiply(u, first, out=first)
+        other = np.multiply(v0[rows, None], v1, out=second[: len(first)])
+        first += np.multiply(v, other, out=other)
+    return grid
+
+
+def filled_tmsv_grid(chi, cutoff):
+    """The unnormalized two-mode squeezed vacuum grid, its diagonal filled by
+    ``np.fill_diagonal``."""
+    grid = np.zeros((cutoff + 1, cutoff + 1), dtype=np.complex128)
+    np.fill_diagonal(grid, np.tanh(chi) ** np.arange(cutoff + 1) / np.cosh(chi))
+    return grid
 
 
 def _render(obj, pieces, indent):

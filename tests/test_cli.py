@@ -138,6 +138,26 @@ DOCUMENTS = st.recursive(_LEAVES, lambda children: st.one_of(
 ), max_leaves=25)
 
 
+#: The values of one column of rows: each kind that a column writes at once, a kind
+#: beside its non-finite or non-exact neighbours, nested rows beside None, and any leaf.
+_COLUMNS = st.sampled_from([
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(), st.integers(-2**70, 2**70),
+    st.booleans(), st.one_of(st.integers(0, 3), st.booleans()),
+    st.one_of(st.floats(0, 1), st.floats(0, 1).map(np.float64)),
+    st.one_of(st.none(), st.fixed_dictionaries({"x": st.floats(), "%s": st.integers(0, 9)})),
+    _LEAVES,
+])
+
+
+@st.composite
+def same_shape_rows(draw):
+    """A list of dicts that share one sequence of keys, a column strategy for each key."""
+    keys = draw(st.lists(st.text("ab%\"\u00e9", max_size=3), min_size=1, max_size=4, unique=True))
+    columns = [draw(st.lists(draw(_COLUMNS), min_size=1, max_size=5)) for _ in keys]
+    count = min(map(len, columns))
+    return [dict(zip(keys, row)) for row in zip(*(column[:count] for column in columns))]
+
+
 def one_line(text):
     return " ".join(line.lstrip() for line in text.splitlines()) + "\n"
 
@@ -161,6 +181,19 @@ class TestCanonicalJsonWriter:
         with pytest.raises(TypeError) as got:
             canonical_json(doc)
         assert str(got.value) == str(expected.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(same_shape_rows())
+    def test_rows_of_one_shape_match_the_piecewise_writer(self, rows):
+        doc = {"rows": rows, "nested": [{"rows": rows}], "tuple": tuple(rows)}
+        assert canonical_json(doc) == piecewise_canonical_json(doc)
+
+    def test_rows_of_one_shape_raise_about_their_first_bad_value(self):
+        rows = [{"a": 1, "b": 1j}, {"a": b"x", "b": 2.0}]  # 1j comes first, in a later column
+        with pytest.raises(TypeError, match="cannot serialize complex"):
+            canonical_json({"rows": rows})
+        with pytest.raises(TypeError, match="cannot serialize complex"):
+            piecewise_canonical_json({"rows": rows})
 
     @pytest.mark.parametrize("argv", [["analyze", "--family", "amplified-bell", "--nbar", "4"],
                                       ["analyze", "--family", "twin-fock", "--n", "3"],

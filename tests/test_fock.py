@@ -391,6 +391,14 @@ class TestStrips:
         monkeypatch.setattr(fock, "STRIP_CELLS", 16)
         assert [fock.strip_rows(dim) for dim in (11, 12, 16, 17)] == [11, 1, 1, 1]
 
+    def test_pass_rows(self):
+        # the sector scan's strips below cutoff 315, a 23rd of the rows from there on
+        assert fock.pass_rows(1) == 1 and fock.pass_rows(181) == 181
+        assert fock.pass_rows(182) == fock.strip_rows(182) and fock.pass_rows(301) == 13
+        assert fock.pass_rows(315) == fock.strip_rows(315) == 13
+        assert fock.pass_rows(316) == 13 > fock.strip_rows(316)
+        assert fock.pass_rows(643) == 27 and fock.pass_rows(701) == 30
+
     @pytest.mark.parametrize("strip_cells", SMALL_STRIPS + (4096,))
     def test_dense_moments_match_the_whole_grid_bit_for_bit(self, strip_cells, monkeypatch, rng):
         monkeypatch.setattr(fock, "STRIP_CELLS", strip_cells)

@@ -14,7 +14,9 @@ from mzi_qfi import (
     ProbeSpec,
     analyze,
     build,
+    build_for_nbar,
     decompose_sectors,
+    fock,
     mzi_unitary,
     particle_moments,
     schwinger,
@@ -110,6 +112,22 @@ def test_stage_peaks_within_budget(label, family, params, cutoff):
         if peak > budget:
             over[stage] = (peak, round(peak / grid, 4), budget)
     assert not over, over
+
+
+def test_grown_strips_keep_the_cutoff_300_budgets(monkeypatch):
+    # tsv at nbar 20 under a ceiling of 1300 takes cutoff 642, where the moments' read takes
+    # 27 rows a strip, not the 6 of ``fock.strip_rows``, and the builder's strips grow with them
+    monkeypatch.setenv("MZI_QFI_CUTOFF_CEILING", "1300")
+    state, params, _ = build_for_nbar("twin-squeezed-vacuum", 20.0)
+    assert state.cutoff == 642 and fock.pass_rows(643) > fock.strip_rows(643)
+    spec = ProbeSpec("twin-squeezed-vacuum", params)
+    copies = [stage_memory.fresh_copy(state) for _ in range(2)]
+    peaks = {}
+    for stage, call in (("build", lambda: build(spec)), ("analyze", lambda: analyze(copies.pop()))):
+        call()
+        peaks[stage] = stage_memory.transient_peak(call) / stage_memory.grid_bytes(state.cutoff)
+    budgets = BUDGETS["tsv xi=1.2"]
+    assert all(peaks[stage] <= budgets[stage] for stage in peaks), peaks
 
 
 def test_reading_every_sector_grid_pins_none_of_them():

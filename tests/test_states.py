@@ -14,11 +14,19 @@ from mzi_qfi import states
 from mzi_qfi.coherence import analyze
 from mzi_qfi.errors import (
     MziError,
+    NormalizationError,
     ParameterError,
     TruncationLossError,
     UnattainableTargetError,
 )
-from mzi_qfi.fock import ROUTE_ROUNDOFF, FockState, cutoff_ceiling, inner, make_fock
+from mzi_qfi.fock import (
+    DEFAULT_LOSS_CEILING,
+    ROUTE_ROUNDOFF,
+    FockState,
+    cutoff_ceiling,
+    inner,
+    make_fock,
+)
 from mzi_qfi.particle import decompose_sectors
 from mzi_qfi.qfi import qfi_variance
 from mzi_qfi.schwinger import beam_splitter
@@ -35,10 +43,13 @@ from mzi_qfi.states import (
     squeezed_vacuum_vector,
 )
 from oracles import (
+    filled_tmsv_grid,
     forward_coherent_vector,
     mean_photon_number,
     poisson_magnitudes_reference,
     squeezed_vacuum_reference,
+    strip_amplified_bell_grid,
+    strip_twin_squeezed_grid,
     truncation_loss_reference,
     walked_head,
 )
@@ -179,6 +190,49 @@ class TestBuilders:
         v, u = beam_splitter(make_fock(1, 0, 1))._cells  # on |0, 1>, then |1, 0>
         parts = lambda pair: [part.hex() for z in pair for part in (z.real, z.imag)]
         assert parts((u, v)) == parts(states._SPLIT_PHOTON)  # signed zeros too
+
+
+#: Each squeezed family that writes only the cells its mode vectors fill, and the
+#: builder that wrote every cell.
+CELL_BUILDERS = {
+    "twin-squeezed-vacuum": strip_twin_squeezed_grid,
+    "amplified-bell": strip_amplified_bell_grid,
+    "two-mode-squeezed-vacuum": filled_tmsv_grid,
+}
+
+
+class TestCellBuilders:
+    """A builder that writes only the cells its mode vectors fill, normalized by dividing
+    those alone, gives the bits of every cell written and divided."""
+
+    @staticmethod
+    def normalized_bits(grid, loss, cells=None):
+        """The bits of ``FockState._normalized``'s amplitudes, or the error it raises."""
+        try:
+            return FockState._normalized(grid, loss, cells).amplitudes.view(np.uint64)
+        except NormalizationError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("family", CELL_BUILDERS)
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(value=st.floats(0.0, 3.0))
+    @example(value=1e-300)
+    @example(value=1e-30)
+    @example(value=1e-5)
+    @example(value=0.01)
+    @example(value=400.0)  # every |cell|^2 underflows: the grid is scaled by a power of two first
+    def test_build_matches_every_cell_written_bit_for_bit(self, family, value):
+        record, reference = resolve_family(family), CELL_BUILDERS[family]
+        for cutoff in (0, 1, 2, 3, 180, 301, 302):
+            grid = record.grid(value, cutoff)
+            got = self.normalized_bits(grid, 0.0, record.cells(grid))
+            expected = self.normalized_bits(reference(value, cutoff), 0.0)
+            assert np.array_equal(got, expected), cutoff
+            loss = record.loss(value, cutoff)
+            if loss <= DEFAULT_LOSS_CEILING:
+                built = build(ProbeSpec(family, {record.key: value}, cutoff)).amplitudes
+                expected = self.normalized_bits(reference(value, cutoff), loss)
+                assert np.array_equal(built.view(np.uint64), expected), cutoff
 
 
 #: Each split fixed-n family: the ket (j, k) that its first splitter takes, and its F.

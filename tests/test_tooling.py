@@ -3,6 +3,7 @@ repository's tools run."""
 
 import hashlib
 import importlib
+import json
 import shutil
 import subprocess
 import sys
@@ -69,6 +70,20 @@ def test_cli_digest_reads_a_state_file_under_a_placeholder_path(capsys, tmp_path
     assert f'"state_file": "{digest.STATE_FILE}"' in out
     assert int(code) == 0 and captured.err == ""
     assert out_hash == hashlib.sha256(out.encode()).hexdigest()
+    assert err_hash == hashlib.sha256(b"").hexdigest()
+
+
+def test_cli_digest_digests_a_dumped_state_file_after_stdout(capsys, tmp_path):
+    digest = load_tool("cli_digest")
+    env, argv = next(run for run in digest.invocations() if digest.DUMP_FILE in run[1])
+    out_hash, err_hash, code, command = digest.digest(ROOT, env, argv).split(" ", 3)
+    assert command == " ".join(argv) and not env
+    path = tmp_path / "dump.json"
+    assert cli.main([str(path) if arg == digest.DUMP_FILE else arg for arg in argv]) == 0
+    captured = capsys.readouterr()
+    assert int(code) == 0 and captured.err == "" and str(path) not in captured.out
+    assert path.read_text().startswith('{\n  "cutoff": ')
+    assert out_hash == hashlib.sha256(captured.out.encode() + path.read_bytes()).hexdigest()
     assert err_hash == hashlib.sha256(b"").hexdigest()
 
 
@@ -202,6 +217,21 @@ def test_stage_timing_times_the_import_in_a_fresh_interpreter(tmp_path):
     [(seconds, compiled)] = tool.timed_imports(tmp_path, runs=1)
     assert 0 < seconds < 5 and compiled
     assert not list(tmp_path.rglob("__pycache__"))
+
+
+def test_stage_timing_bench_document_names_what_it_measured(tmp_path):
+    tool = load_tool("stage_timing")
+    shutil.copytree(ROOT / "src" / "mzi_qfi", tmp_path / "src" / "mzi_qfi",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    best = {("tsv nbar=20", 642, "build"): [2e-3, 1.5e-3]}
+    doc = json.loads(json.dumps(tool.bench_document([tmp_path, ROOT], best)))
+    copied, here = doc["roots"]
+    assert copied["commit"] is None and copied["src_changed"] is None
+    assert copied["src_sha256"] == here["src_sha256"]  # the same files, the same digest
+    assert here["commit"] is None or len(here["commit"]) == 40
+    assert set(doc["machine"]) == {"nproc", "python", "numpy", "blas_threads"}
+    assert doc["stages"] == [{"probe": "tsv nbar=20", "cutoff": 642, "stage": "build",
+                              "us": [2000.0, 1500.0], "ratio": 0.75}]
 
 
 def test_stage_timing_times_every_stage_of_a_small_probe():

@@ -24,14 +24,19 @@ n = 20000, each built from one Jx eigenvector of a sector whose whole Jx
 basis would take 3 GB, six state files read with
 ``--state-file``, one of them a hair past shot noise, one so faint that
 nbar^2 underflows, and two so faint that the fidelity route's products
-underflow, cutoffs and photon
+underflow, the state files that ``--dump-state`` writes of tsv, tmsv and
+amplified-bell at nbar 4 and, under a ceiling of 1300, at nbar 10, cutoffs
+and photon
 numbers whose arrays numpy refuses to allocate, an entangled-coherent target
 whose double overflows a float, and every usage error of ``analyze`` and
 ``table1`` in ``tests/test_cli.py``. No invocation exits 2, so a change
 that makes two routes disagree moves an exit code. Each state file is
 written to a new temporary directory for each run, from the document its
 placeholder names in ``STATE_DOCUMENTS``; its path is that placeholder in
-the printed command line and in the digested output.
+the printed command line and in the digested output. A state file is the
+one output that prints every amplitude's ``re`` and ``im``, signed zeros
+included, so a run that dumps one, to ``DUMP_FILE`` in the command line,
+digests the file's bytes after its stdout.
 """
 
 import hashlib
@@ -86,6 +91,13 @@ WIDE_SECTOR_TABLES = tuple(
 SPLIT_AT_20000 = tuple(["analyze", "--family", family, "--n", "20000"]
                        for family in ("twin-fock", "fraternal-twin-fock",
                                       "separable-coherent-probe"))
+#: Stands for the path of the state file a run dumps, in an invocation and in what it prints.
+DUMP_FILE = "DUMP_FILE"
+#: Runs that dump their squeezed probe's state, at a default and a raised ceiling.
+DUMPS = tuple(
+    (env, ["analyze", "--family", family, "--nbar", nbar, "--dump-state", DUMP_FILE])
+    for env, nbar in (({}, "4"), ({"MZI_QFI_CUTOFF_CEILING": "1300"}, "10"))
+    for family in ("tsv", "tmsv", "amplified-bell"))
 #: Arrays numpy refuses to allocate at all, which ``build`` refuses first.
 UNADDRESSABLE = (
     ["--family", "coherent", "--alpha", "2", "--cutoff", "10000000000000000000"],
@@ -177,6 +189,7 @@ def invocations() -> List[Invocation]:
     runs += [(env, list(argv)) for env, argv in ROUTE_EDGES]
     runs += [(env, list(argv)) for env, argv in WIDE_SECTOR_TABLES]
     runs += [({}, list(argv)) for argv in SPLIT_AT_20000]
+    runs += [(env, list(argv)) for env, argv in DUMPS]
     runs += [({}, ["analyze", "--state-file", path]) for path in STATE_DOCUMENTS]
     runs += [({}, ["analyze", *args]) for args in UNADDRESSABLE]
     runs.append(({}, ["analyze", "--family", "ecs", "--nbar", "1e308"]))  # its bracket overflows
@@ -193,8 +206,9 @@ def run(root: Path, env: Dict[str, str], argv: Sequence[str]) -> subprocess.Comp
     """Run ``mzi-qfi argv`` from ``root/src`` in a fresh interpreter, capturing its bytes.
 
     An argument that is a placeholder of ``STATE_DOCUMENTS`` is replaced by
-    the path of a new copy of its document, and that path by the placeholder
-    in what the run wrote.
+    the path of a new copy of its document, ``DUMP_FILE`` by the path of a
+    file the run may write, whose bytes are kept as ``dumped`` (empty if it
+    wrote none), and each path by its placeholder in what the run wrote.
     """
     run_env = {key: value for key, value in os.environ.items() if key != "MZI_QFI_CUTOFF_CEILING"}
     run_env.update(env, PYTHONPATH=str(root / "src"))
@@ -204,9 +218,15 @@ def run(root: Path, env: Dict[str, str], argv: Sequence[str]) -> subprocess.Comp
             paths[placeholder] = os.path.join(directory, f"{placeholder.lower()}.json")
             with open(paths[placeholder], "w") as handle:
                 handle.write(STATE_DOCUMENTS[placeholder])
+        if DUMP_FILE in argv:
+            paths[DUMP_FILE] = os.path.join(directory, "dump.json")
         proc = subprocess.run(
             [sys.executable, "-m", "mzi_qfi.cli", *(paths.get(arg, arg) for arg in argv)],
             env=run_env, capture_output=True, check=False)
+        proc.dumped = b""
+        if os.path.exists(paths.get(DUMP_FILE, "")):
+            with open(paths[DUMP_FILE], "rb") as handle:
+                proc.dumped = handle.read()
     for placeholder, path in paths.items():
         proc.stdout = proc.stdout.replace(path.encode(), placeholder.encode())
         proc.stderr = proc.stderr.replace(path.encode(), placeholder.encode())
@@ -219,10 +239,11 @@ def command_line(env: Dict[str, str], argv: Sequence[str]) -> str:
 
 
 def digest(root: Path, env: Dict[str, str], argv: Sequence[str]) -> str:
-    """Run ``mzi-qfi argv`` from ``root/src`` in a fresh interpreter and digest what it wrote."""
+    """Run ``mzi-qfi argv`` from ``root/src`` in a fresh interpreter and digest what it wrote:
+    its stdout, then the bytes of any state file it dumped, and its stderr."""
     proc = run(root, env, argv)
     command = command_line(env, argv)
-    return " ".join([hashlib.sha256(proc.stdout).hexdigest(),
+    return " ".join([hashlib.sha256(proc.stdout + proc.dumped).hexdigest(),
                      hashlib.sha256(proc.stderr).hexdigest(), str(proc.returncode), command])
 
 

@@ -18,8 +18,9 @@ more stages follow them:
   new random axis each call, so each projects the probe afresh.
 
 The probes of ``SECTOR_PROBES``, the squeezed probes with the most kept
-sectors, time ``SECTOR_STAGES`` alone: ``analyze`` and the stages of the
-sector path, the last of them ``sector_path``, the whole path as
+sectors, time ``SECTOR_STAGES`` alone: ``build``, ``analyze``,
+``schmidt`` and the stages of the sector path, the last of them
+``sector_path``, the whole path as
 ``tools/stage_memory.py`` runs it: ``decompose_sectors`` and every kept
 sector's ``state`` and ``particle_moments``. Work that moves between
 ``decompose_sectors`` and ``sector_states`` shows there as what it costs in
@@ -40,12 +41,19 @@ ratio:
 
     python3 tools/stage_timing.py
     python3 tools/stage_timing.py /path/to/parent .
+    python3 tools/stage_timing.py --bench BENCH_46.json /path/to/parent .
+
+With ``--bench`` and its path first, it also writes what it printed as a
+JSON document there (:func:`bench_document`): each root's commit and a
+SHA-256 of its ``src/``, the machine's and interpreter's versions, and each
+stage's least time under every root.
 
 The probe and stage lists are this checkout's, whichever ``src/`` runs
 them. Pin BLAS to one thread (``OPENBLAS_NUM_THREADS=1``) on a shared
 machine, as the timings are of single calls.
 """
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -81,7 +89,8 @@ SECTOR_PROBES = (
     ("tmsv nbar=40", "two-mode-squeezed-vacuum", {"chi": 2.203285246538488}, 660),
     ("amp-bell nbar=40", "amplified-bell", {"xi": 1.8564883255866973}, 699),
 )
-SECTOR_STAGES = ("analyze", "decompose_sectors", "build_report", "sector_states", "sector_path")
+SECTOR_STAGES = ("build", "analyze", "decompose_sectors", "build_report", "schmidt",
+                 "sector_states", "sector_path")
 
 STAGES = stage_memory.STAGES + ("fringe_point", "rotation_new_axis")
 
@@ -218,6 +227,45 @@ def _child(root: Path) -> List[Tuple[str, int, str, float]]:
     return [tuple(row) for row in json.loads(out)]
 
 
+def source_identity(root: Path) -> Dict[str, object]:
+    """The commit of ``root`` (None outside a git checkout), whether its ``src/`` differs from
+    that commit, and a SHA-256 of its ``src/**/*.py``, paths and bytes, in path order."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    commit = head.stdout.strip() if head.returncode == 0 else None
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0" + path.read_bytes())
+    return {"commit": commit,
+            "src_changed": None if commit is None else bool(git("status", "--porcelain",
+                                                                "src").stdout.strip()),
+            "src_sha256": digest.hexdigest()}
+
+
+def bench_document(roots: Sequence[Path],
+                   best: Dict[Tuple[str, int, str], List[float]]) -> Dict[str, object]:
+    """The least times ``best`` of each (probe, cutoff, stage) under each of ``roots``, with
+    what they were measured on, as one JSON-ready document."""
+    import numpy as np
+
+    rows = [{"probe": label, "cutoff": chosen, "stage": stage,
+             "us": [round(seconds * 1e6, 1) for seconds in times],
+             **({"ratio": round(times[1] / times[0], 3)} if len(times) == 2 else {})}
+            for (label, chosen, stage), times in best.items()]
+    return {
+        "tool": "tools/stage_timing.py",
+        "statistic": (f"least time of one call over {REPEATS} batches in each child process, "
+                      f"least over {ROUNDS} rounds of children alternating between the roots"),
+        "roots": [source_identity(root) for root in roots],
+        "machine": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
+                    "numpy": np.__version__,
+                    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
+        "stages": rows,
+    }
+
+
 def main(args: Sequence[str]) -> int:
     if args[:1] == ["--json"]:  # a child: one root, timed in this process
         stage_memory._import_from(Path(args[1]))
@@ -228,7 +276,8 @@ def main(args: Sequence[str]) -> int:
         for label, chosen, stage, seconds in measure(ROOT):
             print(f"{label:<18} {chosen:>6} {stage:<18} {seconds * 1e6:12.1f}")
         return 0
-    roots = [Path(arg).resolve() for arg in args]
+    bench = args[1] if args[:1] == ["--bench"] else None
+    roots = [Path(arg).resolve() for arg in (args[2:] if bench else args)]
     best: Dict[Tuple[str, int, str], List[float]] = {}
     for _ in range(ROUNDS):
         for i, root in enumerate(roots):
@@ -239,6 +288,10 @@ def main(args: Sequence[str]) -> int:
         columns = " ".join(f"{seconds * 1e6:12.1f}" for seconds in times)
         ratio = f" {times[1] / times[0]:6.2f}" if len(times) == 2 else ""
         print(f"{label:<18} {chosen:>6} {stage:<18} {columns}{ratio}")
+    if bench:
+        with open(bench, "w") as handle:
+            json.dump(bench_document(roots, best), handle, indent=2)
+            handle.write("\n")
     return 0
 
 
